@@ -19,15 +19,15 @@ FUZZ_TARGETS := \
 	./internal/nbd:FuzzNBDHandshake \
 	./internal/nbd:FuzzNBDRequest
 
-.PHONY: check build vet test race race-sharded fault fuzz paranoid bench-telemetry bench-snapshot gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
+.PHONY: check build vet test bench-test race race-sharded fault fuzz paranoid bench-telemetry bench-snapshot gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
 
 ## check: full local gate — vet, build, race-enabled test suite, the
 ## sharded-engine suite pinned to GOMAXPROCS=4, a short fuzz smoke of
 ## every target on top of the checked-in corpora, the background-GC
 ## tail gate, the durability gate (crash-point sweep plus SIGKILL
-## restart), and end-to-end boots of the network service (plain,
-## traced, and over the NBD frontend).
-check: vet build race race-sharded fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
+## restart), end-to-end boots of the network service (plain, traced,
+## and over the NBD frontend), and the bench module's own vet and tests.
+check: vet build bench-test race race-sharded fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+## bench-test: bench/ is a module of its own, so `./...` from the root
+## never compiles it — yet it implements lss.DurableLog, lss.Policy,
+## prototype.Ingest and server.VolumeBackend. Vet and test it here so an
+## interface change breaks the build, not the perf gate.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -107,10 +114,12 @@ gcsched-smoke:
 ## durable-smoke: the durability gate under the race detector — the
 ## exhaustive crash-point sweep (kill the filesystem at every syscall
 ## boundary, recovery must match the acked-transition oracle exactly),
-## the relaxed-sync sweep, the durable engine/server round trips, and
-## the real SIGKILL process-restart e2e.
+## the relaxed-sync sweep, the steady-state flush schedule (file syncs
+## per seal/free/reopen counted through the FS seam, no create, unlink
+## or directory sync), the durable engine/server round trips, and the
+## real SIGKILL process-restart e2e.
 durable-smoke:
-	$(GO) test -race -run 'TestCrashPointSweep|TestCrashSweepRelaxedSync|TestDurable|TestEngineDurable|TestShardedDurable' \
+	$(GO) test -race -run 'TestCrashPointSweep|TestCrashSweepRelaxedSync|TestFlushSchedule|TestDurable|TestEngineDurable|TestShardedDurable' \
 		./internal/segfile ./internal/prototype ./internal/server
 	@echo "durable-smoke OK"
 

@@ -13,13 +13,18 @@ import (
 // The contract mirrors the store's in-memory durability model exactly:
 // a chunk is the unit of durability (AppendChunk fires once per flushed
 // chunk, never for the buffered open-chunk tail), segments seal
-// write-ahead (every chunk of a segment is appended — and, under a
-// strict sync mode, synced — before SealSegment runs), and FreeSegment
-// destroys the durable image of a reclaimed victim only after GC has
-// migrated its live blocks into chunks already appended through this
-// same interface. A nil error from a call means the transition is
-// durable to the backend's configured sync discipline; the first
-// non-nil error latches the store read-only-durable (see DurableErr).
+// write-ahead (every chunk of a segment is appended before SealSegment
+// runs, and recovery must never honor a seal whose chunks did not all
+// survive), and FreeSegment destroys the durable image of a reclaimed
+// victim only after GC has migrated its live blocks into chunks already
+// appended through this same interface — the backend must make those
+// chunks durable before the victim's image goes. A nil error from
+// AppendChunk, SealSegment, FreeSegment or Checkpoint means the
+// transition is durable to the backend's configured sync discipline; a
+// nil error from OpenSegment promises only that the incarnation can be
+// appended to, since an empty incarnation carries nothing a crash could
+// lose. The first non-nil error latches the store read-only-durable
+// (see DurableErr).
 type DurableLog interface {
 	// OpenSegment records that segment id began a new incarnation for
 	// group at write clock born. It is called before any AppendChunk

@@ -525,6 +525,7 @@ func (s *Sharded) DurableStats() (segfile.Stats, bool) {
 		ok = true
 		agg.SyncedSegments += st.SyncedSegments
 		agg.Fsyncs += st.Fsyncs
+		agg.DirSyncs += st.DirSyncs
 		agg.Checkpoints += st.Checkpoints
 		agg.BytesWritten += st.BytesWritten
 		agg.RecoveredSegments += st.RecoveredSegments

@@ -7,17 +7,50 @@ import (
 	"adapt/internal/checker"
 	"adapt/internal/lss"
 	"adapt/internal/segfile"
+	"adapt/internal/sim"
 )
 
-// replayToCrash drives the deterministic workload against a CrashFS
-// with the given syscall budget and returns the acked-transition
-// oracle. Budget < 0 never crashes (the counting run).
-func replayToCrash(t *testing.T, cfg lss.Config, budget int) (*segfile.CrashFS, *checker.DurableLedger, bool) {
+// reuseLog sits between the store and the ledger and counts how many
+// OpenSegment calls reused an id a FreeSegment had released — the
+// recycled-file path the sweeps must cover.
+type reuseLog struct {
+	lss.DurableLog
+	freed    map[int]bool
+	reopened int
+}
+
+func (r *reuseLog) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) error {
+	if r.freed[id] {
+		r.reopened++
+	}
+	return r.DurableLog.OpenSegment(id, group, born)
+}
+
+func (r *reuseLog) FreeSegment(id int) error {
+	r.freed[id] = true
+	return r.DurableLog.FreeSegment(id)
+}
+
+// crashRun is one replay of the deterministic workload against a
+// CrashFS: the filesystem, the acked-transition oracle, how many
+// OpenSegment calls reused a freed id, and whether the workload ran to
+// completion.
+type crashRun struct {
+	crash     *segfile.CrashFS
+	ledger    *checker.DurableLedger
+	reopened  int
+	completed bool
+}
+
+// replayToCrash drives the deterministic workload under the given sync
+// discipline against a CrashFS with the given syscall budget. Budget
+// < 0 never crashes (the counting run).
+func replayToCrash(t *testing.T, cfg lss.Config, mode segfile.SyncMode, budget int) crashRun {
 	t.Helper()
 	crash := segfile.NewCrashFS(segfile.NewMemFS(), budget)
 	opts := segfile.Options{
 		FS:                   crash,
-		Sync:                 segfile.SyncAlways,
+		Sync:                 mode,
 		Geometry:             cfg.GeometryDefaults(),
 		CheckpointEverySeals: 4,
 	}
@@ -28,15 +61,36 @@ func replayToCrash(t *testing.T, cfg lss.Config, budget int) (*segfile.CrashFS, 
 		if !errors.Is(err, segfile.ErrCrashed) {
 			t.Fatalf("budget %d: open: %v", budget, err)
 		}
-		return crash, checker.NewDurableLedger(nil), false
+		return crashRun{crash: crash, ledger: checker.NewDurableLedger(nil)}
 	}
 	ledger := checker.NewDurableLedger(sf)
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: ledger})
+	reuse := &reuseLog{DurableLog: ledger, freed: make(map[int]bool)}
+	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: reuse})
 	completed := driveWorkload(t, s, workloadOps)
 	if !completed && !errors.Is(s.DurableErr(), segfile.ErrCrashed) {
 		t.Fatalf("budget %d: latched %v, want ErrCrashed", budget, s.DurableErr())
 	}
-	return crash, ledger, completed
+	return crashRun{crash: crash, ledger: ledger, reopened: reuse.reopened, completed: completed}
+}
+
+// countingRun replays the workload without a crash and checks the
+// sweep is worth running: enough syscall boundaries, and segment ids
+// freed and reopened inside it, so the recycled-file path is swept.
+func countingRun(t *testing.T, cfg lss.Config, mode segfile.SyncMode) int {
+	t.Helper()
+	run := replayToCrash(t, cfg, mode, -1)
+	if !run.completed {
+		t.Fatal("counting run did not complete")
+	}
+	n := run.crash.Calls()
+	if n < 300 {
+		t.Fatalf("workload issued only %d syscalls; harness coverage too thin", n)
+	}
+	if run.reopened == 0 {
+		t.Fatal("workload never reopened a freed segment id; recycling is outside the sweep")
+	}
+	t.Logf("%d syscalls, %d reopens of a freed id", n, run.reopened)
+	return n
 }
 
 // recoverImage opens the post-crash durable image and rolls it forward
@@ -72,29 +126,22 @@ func recoverImage(t *testing.T, cfg lss.Config, crash *segfile.CrashFS) *lss.Sto
 func TestCrashPointSweep(t *testing.T) {
 	cfg := smallCfg()
 
-	count, _, completed := replayToCrash(t, cfg, -1)
-	if !completed {
-		t.Fatal("counting run did not complete")
-	}
-	n := count.Calls()
-	if n < 300 {
-		t.Fatalf("workload issued only %d syscalls; harness coverage too thin", n)
-	}
+	n := countingRun(t, cfg, segfile.SyncAlways)
 
 	stride := 1
 	if testing.Short() {
 		stride = 17
 	}
 	for k := 1; k <= n; k += stride {
-		crash, ledger, completed := replayToCrash(t, cfg, k)
-		if completed {
+		run := replayToCrash(t, cfg, segfile.SyncAlways, k)
+		if run.completed {
 			t.Fatalf("budget %d of %d: workload completed without crashing", k, n)
 		}
-		if !crash.Crashed() {
+		if !run.crash.Crashed() {
 			t.Fatalf("budget %d: crash point never reached", k)
 		}
-		rec := recoverImage(t, cfg, crash)
-		if err := checker.CompareRecovered(rec, ledger.ExpectedDurable()); err != nil {
+		rec := recoverImage(t, cfg, run.crash)
+		if err := checker.CompareRecovered(rec, run.ledger.ExpectedDurable()); err != nil {
 			t.Fatalf("crash at syscall %d of %d: %v", k, n, err)
 		}
 		if err := rec.CheckInvariants(); err != nil {
@@ -112,42 +159,18 @@ func TestCrashPointSweep(t *testing.T) {
 func TestCrashSweepRelaxedSync(t *testing.T) {
 	cfg := smallCfg()
 
-	run := func(budget int) (*segfile.CrashFS, *checker.DurableLedger, bool) {
-		crash := segfile.NewCrashFS(segfile.NewMemFS(), budget)
-		opts := segfile.Options{
-			FS:                   crash,
-			Sync:                 segfile.SyncOnSeal,
-			Geometry:             cfg.GeometryDefaults(),
-			CheckpointEverySeals: 4,
-		}
-		sf, err := segfile.Open(opts)
-		if err != nil {
-			if !errors.Is(err, segfile.ErrCrashed) {
-				t.Fatalf("budget %d: open: %v", budget, err)
-			}
-			return crash, checker.NewDurableLedger(nil), false
-		}
-		ledger := checker.NewDurableLedger(sf)
-		s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: ledger})
-		return crash, ledger, driveWorkload(t, s, workloadOps)
-	}
-
-	count, _, completed := run(-1)
-	if !completed {
-		t.Fatal("counting run did not complete")
-	}
-	n := count.Calls()
+	n := countingRun(t, cfg, segfile.SyncOnSeal)
 	stride := 7
 	if testing.Short() {
 		stride = 41
 	}
 	for k := 1; k <= n; k += stride {
-		crash, ledger, _ := run(k)
-		rec := recoverImage(t, cfg, crash)
+		run := replayToCrash(t, cfg, segfile.SyncOnSeal, k)
+		rec := recoverImage(t, cfg, run.crash)
 		if err := rec.CheckInvariants(); err != nil {
 			t.Fatalf("crash at syscall %d of %d: recovered invariants: %v", k, n, err)
 		}
-		acked := ledger.ExpectedDurable()
+		acked := run.ledger.ExpectedDurable()
 		for lba, loc := range checker.ExpectedRecovery(rec) {
 			best, ok := acked[lba]
 			if !ok {

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 )
 
-// On-disk format. One file per physical segment incarnation,
-// seg-NNNNN.seg, plus a checkpoint file replaced by atomic rename:
+// On-disk format. One file per physical segment id, seg-NNNNN.seg,
+// holding the id's current incarnation — or nothing: a zero-length
+// file is a free slot, left by FreeSegment for the next incarnation to
+// write into. Plus a checkpoint file replaced by atomic rename:
 //
 //	segment file = header | record*
 //	header       = magic8 "ADPTSEG1" | u32 segID | u32 group |
@@ -19,16 +21,24 @@ import (
 //	seal body    = uvarint sealedW
 //	pad body     = zeros (alignment filler, skipped on parse)
 //
-// Torn-write safety: the header is written in a single syscall and
-// synced before the file becomes reachable (its directory entry syncs
-// after), every record carries its own CRC32-C (the Castagnoli
-// discipline shared with internal/server/wire), and chunk records must
-// form a contiguous chunkIdx prefix — the parser stops at the first
-// hole, bad CRC, or short read, so a torn tail truncates cleanly to the
-// last durable chunk. A seal record is honored only when every chunk of
-// the segment parsed before it (write-ahead seal: data first). The
-// checkpoint file carries the same magic/CRC discipline and only clock
-// floors — segment files are the sole mapping authority.
+// Torn-write safety: the header is written in a single syscall but not
+// synced on its own — it becomes durable with the first sync of the
+// file, the same sync that makes the first chunk anyone was promised
+// durable, so until then a crash may leave the file empty, header-only
+// or with an unreadable header, and all three mean "no incarnation". A
+// file is only ever written from length zero (a new name, or a free
+// slot whose truncation was synced before the id could be reused), so
+// no byte of an earlier incarnation can sit behind a new header. Every
+// record carries its own CRC32-C (the Castagnoli discipline shared with
+// internal/server/wire), and chunk records must form a contiguous
+// chunkIdx prefix — the parser stops at the first hole, bad CRC, or
+// short read, so a torn tail truncates cleanly to the last durable
+// chunk. A seal record is reached only through every record before it
+// and honored only when every chunk of the segment parsed (write-ahead
+// seal: data first, enforced by the parser rather than by a sync
+// between the two). The checkpoint file carries the same magic/CRC
+// discipline and only clock floors — segment files are the sole mapping
+// authority.
 
 var segMagic = []byte("ADPTSEG1")
 var ckptMagic = []byte("ADPTCKF1")

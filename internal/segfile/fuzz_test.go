@@ -133,6 +133,12 @@ func FuzzSegfileRecover(f *testing.F) {
 		}
 	}
 
+	// What recycling leaves behind: a zero-length free slot, a reopened
+	// slot holding only its header, and one whose header write tore.
+	for _, shape := range recycledShapes {
+		f.Add(packArchive(f, truncatedSegment(f, clean, shape.size)))
+	}
+
 	pol := newPolicy(f, cfg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := unpackArchive(data)
@@ -162,6 +168,81 @@ func FuzzSegfileRecover(f *testing.F) {
 			}
 		}
 	})
+}
+
+// recycledShapes are the lengths a crash can leave a recycled segment
+// file at before its first chunk is durable, and what recovery makes
+// of each, relative to the undamaged image: a zero-length file is a
+// free slot — kept, not counted corrupt; a header-only file is an
+// empty open incarnation; a torn header is dropped whole and counted.
+var recycledShapes = []struct {
+	size                     int64
+	segments, corrupt, files int
+}{
+	{size: 0, segments: -1},
+	{size: 40},
+	{size: 23, segments: -1, corrupt: 1, files: -1},
+}
+
+// truncatedSegment unpacks archive and cuts its first segment file to
+// size bytes, synced.
+func truncatedSegment(t testing.TB, archive []byte, size int64) *segfile.MemFS {
+	t.Helper()
+	mem := unpackArchive(archive)
+	names, _ := mem.ReadDir()
+	for _, name := range names {
+		if name == "checkpoint" {
+			continue
+		}
+		f, err := mem.OpenFile(name, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		if err := f.Truncate(size); err != nil {
+			t.Fatalf("truncate %s: %v", name, err)
+		}
+		_ = f.Sync()
+		_ = f.Close()
+		return mem
+	}
+	t.Fatal("image has no segment files")
+	return nil
+}
+
+// TestRecoverRecycledShapes recovers an image holding each of
+// recycledShapes and checks the outcome the table states.
+func TestRecoverRecycledShapes(t *testing.T) {
+	cfg := smallCfg()
+	clean := seedImage(t, cfg)
+	recover := func(mem *segfile.MemFS) segfile.RecoveryStats {
+		sf, err := segfile.Open(segfile.Options{FS: mem, Geometry: cfg.GeometryDefaults()})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		rec, stats, err := sf.Recover(cfg, newPolicy(t, cfg))
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if err := rec.CheckInvariants(); err != nil {
+			t.Fatalf("invariants: %v", err)
+		}
+		return stats
+	}
+	base := recover(unpackArchive(clean))
+	files := func(mem *segfile.MemFS) int {
+		names, _ := mem.ReadDir()
+		return len(names)
+	}
+	nfiles := files(unpackArchive(clean))
+
+	for _, tc := range recycledShapes {
+		mem := truncatedSegment(t, clean, tc.size)
+		stats := recover(mem)
+		got := [3]int{stats.Segments - base.Segments, stats.CorruptFiles, files(mem) - nfiles}
+		if want := [3]int{tc.segments, tc.corrupt, tc.files}; got != want {
+			t.Errorf("first segment file cut to %d bytes: segments/corrupt/files moved by %v, want %v", tc.size, got, want)
+		}
+	}
 }
 
 // TestRecoverCorruptImages runs the fuzz body over a fixed set of
@@ -235,7 +316,7 @@ func TestRecoverDropsStaleMisnamedFile(t *testing.T) {
 	total := cfg.TotalSegments(newPolicy(t, cfg).Groups())
 	planted := false
 	for id := total - 1; id >= 0; id-- {
-		if _, taken, _ := statFile(mem, id); !taken {
+		if fileSize(mem, id) == 0 {
 			dst, _ := mem.OpenFile(segfileName(id), os.O_RDWR|os.O_CREATE, 0o644)
 			_, _ = dst.WriteAt(buf, 0)
 			_ = dst.Sync()
@@ -274,13 +355,14 @@ func segfileName(id int) string {
 	return segfile.SegmentFileName(id)
 }
 
-// statFile reports whether a segment file exists for id.
-func statFile(mem *segfile.MemFS, id int) (int64, bool, error) {
+// fileSize returns the size of id's segment file, zero when there is
+// none.
+func fileSize(mem *segfile.MemFS, id int) int64 {
 	f, err := mem.OpenFile(segfileName(id), os.O_RDONLY, 0)
 	if err != nil {
-		return 0, false, nil
+		return 0
 	}
-	size, serr := f.Size()
+	size, _ := f.Size()
 	_ = f.Close()
-	return size, true, serr
+	return size
 }

@@ -23,10 +23,10 @@ const (
 	// proves exact.
 	SyncAlways SyncMode = iota
 	// SyncOnSeal defers data fsyncs to durability boundaries — segment
-	// seal, segment free (which first syncs every dirty file so a GC
-	// victim is never destroyed before its migrated blocks persist),
-	// and checkpoint. Open-segment tails may be lost in a crash;
-	// recovery still converges to a consistent prefix.
+	// seal and segment free (which first syncs every dirty file so a GC
+	// victim is never destroyed before its migrated blocks persist).
+	// Open-segment tails may be lost in a crash; recovery still
+	// converges to a consistent prefix.
 	SyncOnSeal
 )
 
@@ -90,6 +90,10 @@ type fileState struct {
 	sealed bool
 	dirty  bool
 	direct bool
+	// linked reports that the file's directory entry is durable. A name
+	// created by OpenSegment is not linked until the first syncFile that
+	// covers the file, which syncs the directory too.
+	linked bool
 }
 
 // Store is the file-backed segment store. It implements lss.DurableLog
@@ -101,7 +105,11 @@ type Store struct {
 	opts  Options
 	align int // O_DIRECT write alignment for new files; 0 when inactive
 
-	segs  map[int]*fileState
+	segs map[int]*fileState
+	// pool holds the free slots: ids whose seg-NNNNN.seg is a durably
+	// linked zero-length file, left by FreeSegment (or found by scan)
+	// for the next OpenSegment of the id to reuse.
+	pool  map[int]bool
 	epoch uint64 // next incarnation epoch
 
 	// Scan results from Open, consumed by Recover.
@@ -115,6 +123,7 @@ type Store struct {
 	sealsSinceCkpt          int
 
 	fsyncs          atomic.Int64
+	dirSyncs        atomic.Int64
 	syncedSegments  atomic.Int64
 	checkpoints     atomic.Int64
 	bytesWritten    atomic.Int64
@@ -142,6 +151,7 @@ func Open(opts Options) (*Store, error) {
 		fs:     opts.FS,
 		opts:   opts,
 		segs:   make(map[int]*fileState),
+		pool:   make(map[int]bool),
 		images: make(map[int]*segImage),
 		epoch:  1,
 	}
@@ -166,8 +176,12 @@ func Open(opts Options) (*Store, error) {
 }
 
 // scan reads the directory, parses every segment file and the
-// checkpoint, truncates torn tails, and leaves append handles
-// positioned at the end of each valid prefix.
+// checkpoint, pools zero-length segment files as free slots, truncates
+// torn tails, and leaves append handles positioned at the end of each
+// valid prefix. It ends with one directory sync: a predecessor killed
+// between creating a segment file and first syncing it leaves a name
+// this process can see but a power cut could still lose, and every
+// later sync of a scanned file assumes its name is durable.
 func (st *Store) scan() error {
 	names, err := st.fs.ReadDir()
 	if err != nil {
@@ -201,6 +215,11 @@ func (st *Store) scan() error {
 			if err != nil {
 				return fmt.Errorf("segfile: scan %s: %w", name, err)
 			}
+			if len(data) == 0 {
+				// A freed incarnation (or one created and never synced).
+				st.pool[id] = true
+				continue
+			}
 			img, perr := parseSegment(data)
 			if perr != nil || img.header.segID != id {
 				// Unreadable header (or a header claiming another id):
@@ -225,6 +244,7 @@ func (st *Store) scan() error {
 				off:    img.validLen,
 				chunks: len(img.chunks),
 				sealed: img.sealed,
+				linked: true,
 			}
 			if img.header.epoch >= st.epoch {
 				st.epoch = img.header.epoch + 1
@@ -238,6 +258,9 @@ func (st *Store) scan() error {
 		st.lastW = st.ckpt.w
 		st.lastSeq = st.ckpt.appendSeq
 		st.lastNow = st.ckpt.now
+	}
+	if err := st.syncDir(); err != nil {
+		return fmt.Errorf("segfile: scan: %w", err)
 	}
 	return nil
 }
@@ -281,10 +304,27 @@ func (st *Store) Close() error {
 	return firstErr
 }
 
-// syncFile fsyncs one segment file, feeding the latency instruments.
+// syncFile makes one segment file durable and reachable: it fsyncs the
+// file (feeding the latency instruments) and, the first time a newly
+// created name is covered, the directory after it.
 func (st *Store) syncFile(fs *fileState) error {
+	if err := st.timedSync(fs.f); err != nil {
+		return err
+	}
+	if !fs.linked {
+		if err := st.syncDir(); err != nil {
+			return err
+		}
+		fs.linked = true
+	}
+	fs.dirty = false
+	return nil
+}
+
+// timedSync fsyncs f, counting the call and observing its latency.
+func (st *Store) timedSync(f File) error {
 	start := time.Now()
-	if err := fs.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	d := time.Since(start).Nanoseconds()
@@ -293,7 +333,15 @@ func (st *Store) syncFile(fs *fileState) error {
 	if st.regHist != nil {
 		st.regHist.Observe(d)
 	}
-	fs.dirty = false
+	return nil
+}
+
+// syncDir persists the directory namespace, counting the call.
+func (st *Store) syncDir() error {
+	if err := st.fs.SyncDir(); err != nil {
+		return err
+	}
+	st.dirSyncs.Add(1)
 	return nil
 }
 
@@ -332,16 +380,23 @@ func padRecord(rec []byte, align int) []byte {
 	return appendRecord(rec, recPad, make([]byte, gap-recordOverhead))
 }
 
-// OpenSegment implements lss.DurableLog: it creates a fresh incarnation
-// file for segment id and makes it reachable (header synced, then the
-// directory entry synced) before any chunk can be appended into it.
+// OpenSegment implements lss.DurableLog: it starts a fresh incarnation
+// of segment id by writing a header into the id's pooled zero-length
+// file, creating the file only when the id has never been used. It
+// issues no sync of its own: the header (and a new name's directory
+// entry) become durable with the first syncFile that covers the file,
+// which is also the first point anything acked depends on them.
 func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) error {
 	if old := st.segs[id]; old != nil {
 		return fmt.Errorf("segfile: open segment %d: incarnation already present", id)
 	}
+	recycled := st.pool[id]
 	dataStart := headerSize
 	direct := st.align > 0
-	flag := os.O_RDWR | os.O_CREATE | os.O_TRUNC
+	flag := os.O_RDWR
+	if !recycled {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
 	if direct {
 		dataStart = st.align
 		flag |= oDirectFlag
@@ -357,20 +412,13 @@ func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) err
 		epoch:     st.epoch,
 		dataStart: dataStart,
 	})
-	fs := &fileState{f: f, direct: direct}
+	fs := &fileState{f: f, direct: direct, linked: recycled}
 	st.epoch++
 	if err := st.writeRecRaw(fs, hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("segfile: segment %d header: %w", id, err)
 	}
-	if err := st.syncFile(fs); err != nil {
-		f.Close()
-		return fmt.Errorf("segfile: segment %d header sync: %w", id, err)
-	}
-	if err := st.fs.SyncDir(); err != nil {
-		f.Close()
-		return fmt.Errorf("segfile: segment %d dir sync: %w", id, err)
-	}
+	delete(st.pool, id)
 	st.segs[id] = fs
 	return nil
 }
@@ -427,10 +475,12 @@ func (st *Store) AppendChunk(c lss.DurableChunk) error {
 	return nil
 }
 
-// SealSegment implements lss.DurableLog with write-ahead discipline:
-// the chunk data is synced before the seal record is written, and the
-// seal record itself is synced before the call returns, in every sync
-// mode.
+// SealSegment implements lss.DurableLog: it appends the seal record
+// and syncs the file once, in every sync mode. The seal stays
+// write-ahead without a sync of the chunk data before it, because the
+// parser reaches a seal record only through every record in front of
+// it: a crash that persists the seal but not some chunk leaves a torn
+// tail ending before that chunk, never a sealed segment with a hole.
 func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
 	fs := st.segs[id]
 	if fs == nil || fs.f == nil {
@@ -438,11 +488,6 @@ func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
 	}
 	if fs.sealed {
 		return fmt.Errorf("segfile: segment %d already sealed", id)
-	}
-	if fs.dirty {
-		if err := st.syncFile(fs); err != nil {
-			return fmt.Errorf("segfile: segment %d pre-seal data sync: %w", id, err)
-		}
 	}
 	var body [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(body[:], uint64(sealedW))
@@ -470,36 +515,53 @@ func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
 	return nil
 }
 
-// FreeSegment implements lss.DurableLog. Before the victim's file is
-// unlinked, every dirty segment file is synced: GC migrated the
+// FreeSegment implements lss.DurableLog. Before the victim's image is
+// destroyed, every other dirty segment file is synced: GC migrated the
 // victim's live blocks into other segments' chunks, and those appends
-// must be durable before the only prior copy is destroyed (a no-op
-// under SyncAlways, where appends sync as they happen).
+// must be durable before the only prior copy goes (a no-op under
+// SyncAlways, where appends sync as they happen). The victim is then
+// truncated to zero and synced — the durability point — which leaves
+// its durably linked name in the pool for the id's next incarnation;
+// nothing is unlinked and the directory is not touched. No fallible
+// call follows the durability point, so a free is durable if and only
+// if it is acked.
 func (st *Store) FreeSegment(id int) error {
 	victim := st.segs[id]
 	if victim == nil {
 		return fmt.Errorf("segfile: free segment %d with no incarnation", id)
 	}
+	// Sorted, so the syscall a crash budget lands on is the same in
+	// every run of one workload.
+	var dirty []int
 	for oid, fs := range st.segs {
-		if fs.dirty && fs.f != nil {
-			if err := st.syncFile(fs); err != nil {
-				return fmt.Errorf("segfile: pre-free sync of segment %d: %w", oid, err)
-			}
+		if fs != victim && fs.dirty && fs.f != nil {
+			dirty = append(dirty, oid)
 		}
 	}
-	if victim.f != nil {
-		if err := victim.f.Close(); err != nil {
-			return fmt.Errorf("segfile: free segment %d close: %w", id, err)
+	sort.Ints(dirty)
+	for _, oid := range dirty {
+		if err := st.syncFile(st.segs[oid]); err != nil {
+			return fmt.Errorf("segfile: pre-free sync of segment %d: %w", oid, err)
 		}
-		victim.f = nil
 	}
-	if err := st.fs.Remove(segFileName(id)); err != nil {
-		return fmt.Errorf("segfile: free segment %d: %w", id, err)
+	if victim.f == nil {
+		f, err := st.fs.OpenFile(segFileName(id), os.O_RDWR, 0o644)
+		if err != nil {
+			return fmt.Errorf("segfile: free segment %d: %w", id, err)
+		}
+		victim.f = f
 	}
-	if err := st.fs.SyncDir(); err != nil {
-		return fmt.Errorf("segfile: free segment %d dir sync: %w", id, err)
+	if err := victim.f.Truncate(0); err != nil {
+		return fmt.Errorf("segfile: free segment %d truncate: %w", id, err)
 	}
+	if err := st.syncFile(victim); err != nil {
+		return fmt.Errorf("segfile: free segment %d sync: %w", id, err)
+	}
+	// The handle holds nothing unsynced; a close error changes nothing
+	// about what is durable.
+	_ = victim.f.Close()
 	delete(st.segs, id)
+	st.pool[id] = true
 	return nil
 }
 
@@ -532,16 +594,9 @@ func (st *Store) writeCheckpoint() error {
 		f.Close()
 		return err
 	}
-	start := time.Now()
-	if err := f.Sync(); err != nil {
+	if err := st.timedSync(f); err != nil {
 		f.Close()
 		return err
-	}
-	d := time.Since(start).Nanoseconds()
-	st.fsyncs.Add(1)
-	st.hist.observe(d)
-	if st.regHist != nil {
-		st.regHist.Observe(d)
 	}
 	if err := f.Close(); err != nil {
 		return err
@@ -549,7 +604,7 @@ func (st *Store) writeCheckpoint() error {
 	if err := st.fs.Rename(ckptTmpName, ckptName); err != nil {
 		return err
 	}
-	if err := st.fs.SyncDir(); err != nil {
+	if err := st.syncDir(); err != nil {
 		return err
 	}
 	st.bytesWritten.Add(int64(len(data)))
@@ -562,6 +617,7 @@ func (st *Store) writeCheckpoint() error {
 type Stats struct {
 	SyncedSegments int64
 	Fsyncs         int64
+	DirSyncs       int64
 	Checkpoints    int64
 	BytesWritten   int64
 	FsyncP50NS     int64
@@ -580,6 +636,7 @@ func (st *Store) Stats() Stats {
 	return Stats{
 		SyncedSegments:    st.syncedSegments.Load(),
 		Fsyncs:            st.fsyncs.Load(),
+		DirSyncs:          st.dirSyncs.Load(),
 		Checkpoints:       st.checkpoints.Load(),
 		BytesWritten:      st.bytesWritten.Load(),
 		FsyncP50NS:        st.hist.quantile(0.5),
@@ -616,6 +673,7 @@ func (st *Store) attachTelemetry() {
 	for _, c := range []cum{
 		{telemetry.MetricDurableSyncedSegments, "Segments sealed and fsynced to the durable backend", true, st.syncedSegments.Load},
 		{telemetry.MetricDurableFsyncs, "fsync syscalls issued by the durable backend", true, st.fsyncs.Load},
+		{telemetry.MetricDurableDirSyncs, "Directory fsyncs issued by the durable backend", true, st.dirSyncs.Load},
 		{telemetry.MetricDurableBytes, "Bytes appended to the durable segment log", true, st.bytesWritten.Load},
 		{telemetry.MetricDurableCheckpoints, "Clock-floor checkpoints atomically installed", true, st.checkpoints.Load},
 		{telemetry.MetricDurableRecoveredSegments, "Segments rolled forward from disk at recovery", false, st.recoveredSegs.Load},

@@ -599,6 +599,7 @@ func (s *Server) stats() []wire.Stat {
 		out = append(out,
 			wire.Stat{Name: "durable_synced_segments", Value: ds.SyncedSegments},
 			wire.Stat{Name: "durable_fsyncs", Value: ds.Fsyncs},
+			wire.Stat{Name: "durable_dir_syncs", Value: ds.DirSyncs},
 			wire.Stat{Name: "durable_fsync_p50_ns", Value: ds.FsyncP50NS},
 			wire.Stat{Name: "durable_fsync_p99_ns", Value: ds.FsyncP99NS},
 			wire.Stat{Name: "durable_fsync_p999_ns", Value: ds.FsyncP999NS},

@@ -31,8 +31,12 @@ type volume struct {
 	// file is the durable backing file (nil without DataDir). dirty
 	// marks unsynced writes so syncData can skip redundant fsyncs —
 	// one group commit carrying many writes to a volume syncs it once.
-	file  *os.File
-	dirty atomic.Bool
+	// syncErr latches the first fsync failure: the kernel may drop the
+	// pages a failed fsync covered and report success next time, so a
+	// retry proves nothing and the volume stops acking instead.
+	file    *os.File
+	dirty   atomic.Bool
+	syncErr atomic.Pointer[error]
 
 	// Per-tenant stats, all atomics (read by STAT while ops run).
 	writes, reads, trims, flushes atomic.Int64
@@ -98,6 +102,9 @@ func (v *volume) attachFile(f *os.File) error {
 // the file, and durability ordering is carried by the caller's
 // syncData-before-ack, not by the mutex.
 func (v *volume) writeData(lba int64, payload []byte) error {
+	if err := v.latched(); err != nil {
+		return err
+	}
 	off := lba * int64(v.blockBytes)
 	v.dataMu.Lock()
 	copy(v.data[off:], payload)
@@ -114,15 +121,31 @@ func (v *volume) writeData(lba int64, payload []byte) error {
 // syncData makes every completed writeData durable. The dirty swap
 // lets a group commit touching one volume many times pay for a single
 // fsync; a write that lands after the swap is synced by its own ack
-// path. On fsync failure the dirty mark is restored so the volume
-// never reports clean state it cannot prove.
+// path. The first fsync failure latches: it and every later syncData
+// and writeData on the volume return that error, as lss.Store does
+// with DurableErr.
 func (v *volume) syncData() error {
-	if v.file == nil || !v.dirty.Swap(false) {
+	if v.file == nil {
+		return nil
+	}
+	if err := v.latched(); err != nil {
+		return err
+	}
+	if !v.dirty.Swap(false) {
 		return nil
 	}
 	if err := v.file.Sync(); err != nil {
-		v.dirty.Store(true)
-		return fmt.Errorf("volume %d: fsync: %w", v.id, err)
+		err = fmt.Errorf("volume %d: fsync: %w", v.id, err)
+		v.syncErr.CompareAndSwap(nil, &err)
+		return v.latched()
+	}
+	return nil
+}
+
+// latched returns the volume's first fsync error, nil while healthy.
+func (v *volume) latched() error {
+	if p := v.syncErr.Load(); p != nil {
+		return *p
 	}
 	return nil
 }

@@ -33,6 +33,7 @@ const (
 	// Durable-backend (internal/segfile) instrumentation.
 	MetricDurableSyncedSegments    = "lss_durable_synced_segments_total"
 	MetricDurableFsyncs            = "lss_durable_fsyncs_total"
+	MetricDurableDirSyncs          = "lss_durable_dir_syncs_total"
 	MetricDurableBytes             = "lss_durable_bytes_total"
 	MetricDurableCheckpoints       = "lss_durable_checkpoints_total"
 	MetricDurableFsyncHistogram    = "lss_durable_fsync_ns"
