@@ -48,13 +48,14 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-## race-sharded: the sharded engine and its server e2e under the race
-## detector with GOMAXPROCS pinned to 4, so leader/follower group
-## commit and cross-shard GC gating actually interleave even when the
-## ambient GOMAXPROCS is 1.
+## race-sharded: the engine and its server e2e under the race detector
+## with GOMAXPROCS pinned to 4, so leader/follower group commit and
+## cross-shard GC gating actually interleave even when the ambient
+## GOMAXPROCS is 1. The packages run whole: a -run pattern goes vacuous
+## the day a test is renamed. -count=1 because the test cache does not
+## key on GOMAXPROCS and would replay `make race`'s result.
 race-sharded:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestServerE2EShardedFaultRebuild|TestSharded' \
-		./internal/server ./internal/prototype
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/prototype
 
 ## fuzz: give every native fuzz target a real exploration budget
 ## (FUZZTIME per target, default 10s) beyond the committed seed corpora.
@@ -117,10 +118,10 @@ gcsched-smoke:
 ## the relaxed-sync sweep, the steady-state flush schedule (file syncs
 ## per seal/free/reopen counted through the FS seam, no create, unlink
 ## or directory sync), the durable engine/server round trips, and the
-## real SIGKILL process-restart e2e.
+## real SIGKILL process-restart e2e. The packages run whole, so a
+## renamed test cannot drop out of the gate.
 durable-smoke:
-	$(GO) test -race -run 'TestCrashPointSweep|TestCrashSweepRelaxedSync|TestFlushSchedule|TestDurable|TestEngineDurable|TestShardedDurable' \
-		./internal/segfile ./internal/prototype ./internal/server
+	$(GO) test -race ./internal/segfile ./internal/prototype ./internal/server
 	@echo "durable-smoke OK"
 
 ## serve-smoke: boot the network service end-to-end — adaptserve on a

@@ -52,7 +52,7 @@ func main() {
 	policy := fs.String("policy", harness.PolicyADAPT, "placement policy: sepgc|dac|warcip|mida|sepbit|adapt")
 	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices")
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (RAM data plane grows with it)")
-	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: unsharded)")
+	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
 	batch := fs.Bool("batch", true, "coalesce small writes into chunk-aligned group commits")
 	batchUS := fs.Int("batch-us", 0, "group-commit deadline in microseconds (0: the store's SLA window)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")

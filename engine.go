@@ -3,24 +3,33 @@ package adapt
 import (
 	"time"
 
+	"adapt/internal/lss"
 	"adapt/internal/prototype"
 )
 
-// Ingest is the request-facing engine API: everything a serving layer
-// needs to drive traffic against a live store — writes, reads, trims
-// (plain, timed, and batched), fault operations, stats, and the
-// background-GC stepping surface. It is the public face of the
-// prototype engines; NewEngine is the supported way to obtain one.
-// All methods are safe for concurrent use.
+// Engine is the live ingest engine: a log-structured store per LBA
+// shard over one modelled RAID-5 device array. There is one engine
+// type — a single-shard Engine is the smallest one, not a different
+// kind — and NewEngine is the supported way to obtain it. Beyond the
+// Ingest ops it carries the owner's surface: fault operations
+// (FailColumn, RebuildStep), the background-GC stepping surface
+// (GCShards, QueueFill), Drain and Close. All methods are safe for
+// concurrent use.
+type Engine = prototype.Sharded
+
+// Ingest is the slice of Engine a serving layer drives: the four ops
+// (write, batched write, read, trim — each returning its OpTiming),
+// stats, and shard geometry.
 type Ingest = prototype.Ingest
 
 // GCShard is one shard's background-GC stepping surface (need,
-// urgency, bounded slices); Ingest.GCShards exposes one per shard for
+// urgency, bounded slices); Engine.GCShards exposes one per shard for
 // an external pacer when the store runs with GCSched.Background.
 type GCShard = prototype.GCShard
 
-// OpTiming is the per-operation timing breakdown returned by the
-// Timed variants of the Ingest operations.
+// OpTiming is the per-operation timing breakdown (lock wait, commit,
+// device backpressure) every engine operation returns; callers that do
+// not want it discard it.
 type OpTiming = prototype.OpTiming
 
 // BatchWrite is one write of a batched group commit.
@@ -30,7 +39,7 @@ type BatchWrite = prototype.BatchWrite
 // GC, latency, and queueing counters.
 type EngineStats = prototype.EngineStats
 
-// EngineConfig describes a standalone ingest engine. The store
+// EngineConfig describes a single-shard ingest engine. The store
 // geometry, placement policy, and GC scheduling mode all come from the
 // embedded SimulatorConfig, so an engine shares the simulator's
 // validation and defaulting (bad names and bad GC floors surface as
@@ -57,24 +66,29 @@ type EngineConfig struct {
 	Verify bool
 }
 
-// NewEngine builds and starts a standalone ingest engine through the
+// NewEngine builds and starts a single-shard ingest engine through the
 // validated public configuration path. The caller must Close it to
 // drain open chunks and stop the device workers. Constructing internal
 // prototype engines directly is deprecated for anything outside this
 // module's own tooling: it bypasses configuration validation and the
 // typed GCSchedConfig mapping.
-func NewEngine(c EngineConfig) (Ingest, error) {
+func NewEngine(c EngineConfig) (*Engine, error) {
 	cfg, pol, err := c.Simulator.build()
 	if err != nil {
 		return nil, err
 	}
-	return prototype.NewEngine(prototype.EngineConfig{
-		Store:           cfg,
-		Policy:          pol,
-		ServiceTime:     c.ServiceTime,
-		ReadServiceTime: c.ReadServiceTime,
-		QueueDepth:      c.QueueDepth,
-		Fill:            c.Fill,
-		Verify:          c.Verify,
+	return prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:           cfg,
+			ServiceTime:     c.ServiceTime,
+			ReadServiceTime: c.ReadServiceTime,
+			QueueDepth:      c.QueueDepth,
+			Fill:            c.Fill,
+			Verify:          c.Verify,
+		},
+		Shards: 1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) {
+			return pol, nil
+		},
 	})
 }

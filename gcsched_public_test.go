@@ -66,9 +66,9 @@ func TestSimulatorBackgroundGCParanoid(t *testing.T) {
 	}
 }
 
-// TestPublicEngineBackgroundGC exercises the promoted Ingest surface:
-// a public NewEngine with GCSched.Background, stepped through
-// GCShards, must account paced slices and pass the close-time checks.
+// TestPublicEngineBackgroundGC exercises the public Engine surface: a
+// NewEngine with GCSched.Background, stepped through GCShards, must
+// account paced slices and pass the close-time checks.
 func TestPublicEngineBackgroundGC(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
 		Simulator: SimulatorConfig{
@@ -85,10 +85,10 @@ func TestPublicEngineBackgroundGC(t *testing.T) {
 	}
 	shards := eng.GCShards()
 	if len(shards) != 1 {
-		t.Fatalf("flat public engine exposes %d GC shards", len(shards))
+		t.Fatalf("public engine exposes %d GC shards, want its one shard", len(shards))
 	}
 	for i := 0; i < 8192; i++ {
-		if err := eng.Write(int64(i%4096), 1); err != nil {
+		if _, err := eng.WriteTimed(int64(i%4096), 1); err != nil {
 			t.Fatal(err)
 		}
 		for _, gs := range shards {

@@ -12,6 +12,7 @@ import (
 
 	"adapt/internal/fault"
 	"adapt/internal/gcsched"
+	"adapt/internal/lss"
 	"adapt/internal/prototype"
 	"adapt/internal/server"
 	"adapt/internal/sim"
@@ -173,15 +174,16 @@ func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResul
 func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bool) (GCSchedRow, error) {
 	cfg := StoreConfig(opts.Blocks, 0)
 	cfg.BackgroundGC = background
-	pol, err := BuildPolicy(polName, cfg)
-	if err != nil {
-		return GCSchedRow{}, err
-	}
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: opts.ServiceTime,
-		Fill:        true,
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: opts.ServiceTime,
+			Fill:        true,
+		},
+		Shards: 1,
+		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+			return BuildPolicy(polName, scfg)
+		},
 	})
 	if err != nil {
 		return GCSchedRow{}, err

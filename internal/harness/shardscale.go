@@ -118,7 +118,7 @@ func ExpShardScale(sc Scale, opt ShardScaleOptions) (ShardScaleResult, error) {
 				rng := sim.NewRNG(sc.Seed*1_000_003 + uint64(w))
 				z := workload.NewZipf(rng, opt.UserBlocks, 0.99, true)
 				for i := 0; i < opt.OpsPerWorker; i++ {
-					if err := eng.Write(z.Next(), 1); err != nil {
+					if _, err := eng.WriteTimed(z.Next(), 1); err != nil {
 						errs[w] = err
 						return
 					}

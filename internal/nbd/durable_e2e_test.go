@@ -14,9 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"adapt/internal/lss"
 	"adapt/internal/nbd/nbdtest"
-	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
 	"adapt/internal/server"
@@ -34,26 +32,13 @@ import (
 
 const nbdE2EVolumes = 2
 
-func nbdE2EStack(dir string) (*server.Server, *Server, *prototype.Engine, error) {
-	cfg := lss.Config{
-		BlockSize:     testBlockBytes,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    4096,
-		OverProvision: 0.25,
-	}
-	pol, err := placement.New(placement.NameSepGC, policyParams(cfg))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Durable: &segfile.Options{
-			Dir:  filepath.Join(dir, "engine"),
-			Sync: segfile.SyncAlways,
-		},
+// nbdE2EStack boots the stack adaptserve serves behind -nbd-addr: a
+// 2-shard durable engine logging to dir/engine/shard-N, volumes in
+// dir/volumes.
+func nbdE2EStack(dir string) (*server.Server, *Server, *prototype.Sharded, error) {
+	eng, err := testEngine(4096, 2, false, &segfile.Options{
+		Dir:  filepath.Join(dir, "engine"),
+		Sync: segfile.SyncAlways,
 	})
 	if err != nil {
 		return nil, nil, nil, err

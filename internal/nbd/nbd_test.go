@@ -15,6 +15,7 @@ import (
 	"adapt/internal/nbd/nbdtest"
 	"adapt/internal/placement"
 	"adapt/internal/prototype"
+	"adapt/internal/segfile"
 	"adapt/internal/server"
 )
 
@@ -26,7 +27,7 @@ const testBlockBytes = 64
 type stackConfig struct {
 	userBlocks int64
 	volumes    int
-	shards     int // 0: flat engine
+	shards     int // 0: one shard
 	batch      bool
 	trace      bool
 	mirror     bool // oracle + RAID mirror: enables FailColumn/RebuildStep
@@ -36,7 +37,7 @@ type stackConfig struct {
 // stack is a full serving stack: engine → volume manager → NBD
 // frontend on a loopback listener.
 type stack struct {
-	eng  prototype.Ingest
+	eng  *prototype.Sharded
 	srv  *server.Server
 	nbd  *Server
 	addr string
@@ -50,49 +51,36 @@ func policyParams(cfg lss.Config) placement.Params {
 	}
 }
 
+// testEngine builds an engine over the tiny test geometry; mirror
+// attaches the oracle + RAID mirror (enables FailColumn/RebuildStep),
+// durable a file-backed segment log.
+func testEngine(userBlocks int64, shards int, mirror bool, durable *segfile.Options) (*prototype.Sharded, error) {
+	return prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store: lss.Config{
+				BlockSize:     testBlockBytes,
+				ChunkBlocks:   8,
+				SegmentChunks: 4,
+				UserBlocks:    userBlocks,
+				OverProvision: 0.25,
+			},
+			ServiceTime:  time.Microsecond,
+			Verify:       mirror,
+			VerifyMirror: mirror,
+			Durable:      durable,
+		},
+		Shards: shards,
+		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+			return placement.New(placement.NameSepGC, policyParams(scfg))
+		},
+	})
+}
+
 func newStack(t testing.TB, sc stackConfig) *stack {
 	t.Helper()
-	cfg := lss.Config{
-		BlockSize:     testBlockBytes,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    sc.userBlocks,
-		OverProvision: 0.25,
-	}
-	var eng prototype.Ingest
-	if sc.shards > 0 {
-		e, err := prototype.NewSharded(prototype.ShardedConfig{
-			Engine: prototype.EngineConfig{
-				Store:        cfg,
-				ServiceTime:  time.Microsecond,
-				Verify:       sc.mirror,
-				VerifyMirror: sc.mirror,
-			},
-			Shards: sc.shards,
-			PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-				return placement.New(placement.NameSepGC, policyParams(scfg))
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng = e
-	} else {
-		pol, err := placement.New(placement.NameSepGC, policyParams(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := prototype.NewEngine(prototype.EngineConfig{
-			Store:        cfg,
-			Policy:       pol,
-			ServiceTime:  time.Microsecond,
-			Verify:       sc.mirror,
-			VerifyMirror: sc.mirror,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng = e
+	eng, err := testEngine(sc.userBlocks, max(sc.shards, 1), sc.mirror, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
 		Engine:       eng,

@@ -13,56 +13,43 @@ import (
 	"adapt/internal/telemetry"
 )
 
-// Ingest is the request-facing engine API: everything the network
-// server and the harness need to drive traffic, implemented by both
-// the flat Engine (one store, one lock) and the Sharded router (one
-// store per core). All methods are safe for concurrent use.
+// Ingest is the request-facing engine API: exactly what the network
+// server (internal/server) calls on the engine it is handed. *Sharded
+// is the one implementation; the interface exists so instrumentation
+// can sit between the server and the engine. Whoever built the engine
+// owns the rest of its surface (FailColumn, RebuildStep, GCShards,
+// QueueFill, Recovered, Drain, Close) on the concrete *Sharded. All
+// methods are safe for concurrent use.
 type Ingest interface {
 	// Config returns the aggregate store geometry (UserBlocks covers
-	// the whole LBA space even when sharded).
+	// the whole LBA space, across every shard).
 	Config() lss.Config
 	// Now returns the engine's wall-derived simulated time.
 	Now() sim.Time
 
-	Write(lba int64, blocks int) error
+	// The four ops. Each returns the lock-wait / commit / device
+	// backpressure breakdown of the call; callers that do not want it
+	// discard it.
 	WriteTimed(lba int64, blocks int) (OpTiming, error)
-	WriteBatch(ops []BatchWrite) error
 	WriteBatchTimed(ops []BatchWrite) (OpTiming, error)
-	Read(lba int64, blocks int) error
 	ReadTimed(lba int64, blocks int) (OpTiming, error)
-	Trim(lba int64, blocks int) error
 	TrimTimed(lba int64, blocks int) (OpTiming, error)
 
-	FailColumn(col int) error
-	RebuildStep(maxChunks int) (rebuilt int, done bool, err error)
 	Degraded() bool
 
 	Stats() EngineStats
-	// ShardStats returns per-shard snapshots (one entry for a flat
-	// engine), for per-shard attribution in the serving layer.
+	// ShardStats returns per-shard snapshots, for per-shard
+	// attribution in the serving layer.
 	ShardStats() []EngineStats
-	// Shards returns the shard count (1 for a flat engine).
+	// Shards returns the shard count.
 	Shards() int
-	// ShardOf maps a global LBA to the shard that owns it (always 0
-	// for a flat engine).
+	// ShardOf maps a global LBA to the shard that owns it.
 	ShardOf(lba int64) int
-
-	// GCShards returns the background-GC stepping surface of every
-	// shard (one entry for a flat engine), for an external pacer when
-	// the stores run with Config.BackgroundGC.
-	GCShards() []GCShard
-	// QueueFill reports the fill fraction of the most backlogged device
-	// queue (0 empty, 1 full) — the pacer's backpressure signal. Safe
-	// without any engine lock.
-	QueueFill() float64
 
 	// DurableStats returns the durable-backend counters (summed across
 	// shards, tail quantiles taken as the worst shard) and whether a
 	// durable backend is attached at all.
 	DurableStats() (segfile.Stats, bool)
-
-	Drain() error
-	Close() error
 }
 
 // GCShard is one shard's background-GC stepping surface: the pacer
@@ -85,8 +72,8 @@ type GCShard interface {
 // deviceArray models the physical SSD array: per-column bounded
 // queues drained by workers that accrue the configured service time
 // per chunk and throttle to the modelled bandwidth. One deviceArray
-// backs one flat engine or every shard of a sharded engine — shards
-// partition the LBA space, not the hardware.
+// backs every shard of an engine — shards partition the LBA space, not
+// the hardware.
 type deviceArray struct {
 	devices      []*device
 	wg           sync.WaitGroup
@@ -143,7 +130,7 @@ func newDeviceArray(ncols, queueDepth int, writeService, readService time.Durati
 func (da *deviceArray) now() sim.Time { return sim.Time(time.Since(da.start)) }
 
 // registerTelemetry exposes per-device counters and queue gauges.
-// Call at most once per array (the owner does).
+// Call at most once per array.
 func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
 	for i, d := range da.devices {
 		d.busyNS = ts.Registry.NewCounter(
@@ -184,32 +171,26 @@ func (da *deviceArray) close() {
 	da.wg.Wait()
 }
 
-// Engine is the ingest API for external request sources: it wraps the
-// log-structured store and the bandwidth-modelled device array behind a
-// mutex so network servers (internal/server) and other live producers
-// can drive the same RAID-5 pipeline that Run exercises with its
-// internal clients. Simulated time is wall-derived (time since array
-// start), so the store's SLA-window padding runs against real request
-// interarrival gaps.
+// Engine is one shard of a Sharded engine: it wraps a log-structured
+// store over a private slice of the LBA space, and the router's shared
+// bandwidth-modelled device array, behind a mutex so network servers
+// (internal/server) and other live producers can drive the same RAID-5
+// pipeline that Run exercises with its internal clients. Simulated
+// time is wall-derived (time since array start), so the store's
+// SLA-window padding runs against real request interarrival gaps.
 //
 // All methods are safe for concurrent use. Chunk flushes dispatch to
 // bounded per-device queues under the engine lock, so a saturated
 // device applies backpressure to every producer, exactly as in Run.
-//
-// An Engine is either standalone (NewEngine: it owns its device
-// array, shard id -1) or one shard of a Sharded router (the router
-// owns the shared array and the shard sees a private slice of the
-// LBA space).
 type Engine struct {
 	mu     sync.Mutex
 	store  *lss.Store
 	oracle *checker.Oracle
 	rng    *sim.RNG
 
-	devs     *deviceArray
-	ownsDevs bool
-	shard    int32 // -1 standalone, else the shard id
-	ncols    int
+	devs  *deviceArray // the router's; shared with every other shard
+	shard int32
+	ncols int
 
 	stripeFill   int
 	parityRow    int64
@@ -248,9 +229,10 @@ type EngineConfig struct {
 	ReadServiceTime time.Duration
 	// QueueDepth bounds each device's queue (default 8).
 	QueueDepth int
-	// Fill writes every block sequentially before the engine is
-	// returned, so subsequent traffic runs at full utilization with GC
-	// active, as the paper's prototype does after loading.
+	// Fill writes every block sequentially (shards in parallel) before
+	// the engine is returned, so subsequent traffic runs at full
+	// utilization with GC active, as the paper's prototype does after
+	// loading.
 	Fill bool
 	// Telemetry, when set, attaches live instrumentation (store metrics
 	// and events plus per-device counters). The Set must be dedicated to
@@ -288,8 +270,7 @@ type BatchWrite struct {
 	Blocks int
 }
 
-// withDefaults fills the device-model defaults shared by the flat and
-// sharded constructors.
+// withDefaults fills the device-model defaults.
 func (cfg EngineConfig) withDefaults() EngineConfig {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 8
@@ -303,43 +284,25 @@ func (cfg EngineConfig) withDefaults() EngineConfig {
 	return cfg
 }
 
-// NewEngine builds and starts a standalone ingest engine. The caller
-// must Close it to drain open chunks and stop the device workers.
-// Direct construction is for this module's own tooling; everything
-// else should go through the public adapt.NewEngine, which shares the
-// simulator's configuration validation (typed policy names, GCSched
-// floors as errors instead of panics).
-func NewEngine(cfg EngineConfig) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if cfg.VerifyMirror && !cfg.Verify {
-		return nil, fmt.Errorf("prototype: VerifyMirror requires Verify")
-	}
-	return newEngineOn(cfg, nil, -1, true, nil)
-}
-
-// newEngineOn builds an engine over an existing device array (nil:
-// create a private one from the store geometry). shard is -1 for a
-// standalone engine; owns marks the engine as the array's owner (it
-// registers device telemetry and closes the array). gate, if non-nil,
-// is the cross-shard GC admission gate wired into the store's Deps.
-func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate func() (release func())) (*Engine, error) {
+// newEngineOn builds shard number shard over the router's device
+// array. gate is the cross-shard GC admission gate wired into the
+// store's Deps.
+func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (release func())) (*Engine, error) {
 	geo := cfg.Store.GeometryDefaults()
-	if da == nil {
-		da = newDeviceArray(geo.DataColumns+1, cfg.QueueDepth, cfg.ServiceTime, cfg.ReadServiceTime)
-	}
 	e := &Engine{
-		rng:      sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37),
-		devs:     da,
-		ownsDevs: owns,
-		shard:    int32(shard),
-		ncols:    geo.DataColumns + 1,
+		rng:   sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37),
+		devs:  da,
+		shard: int32(shard),
+		ncols: geo.DataColumns + 1,
 	}
 	// The sink runs under the engine lock (the store is only entered
 	// with it held); RAID-5 rotation matches Run's. Each shard rotates
 	// its own stripe cursor over the shared columns.
 	chunkBytes := geo.ChunkBytes()
 	deps := lss.Deps{
-		GCGate: gate,
+		GCGate:  gate,
+		Sharded: true,
+		Shard:   shard,
 		Sink: func(w lss.ChunkWrite) {
 			parityCol := int(e.parityRow % int64(e.ncols))
 			col := e.stripeFill
@@ -356,9 +319,6 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate f
 			}
 		},
 	}
-	if shard >= 0 {
-		deps.Sharded, deps.Shard = true, shard
-	}
 	if ts := cfg.Telemetry; ts != nil {
 		deps.Telemetry = ts
 		// The store's own clock freezes at the op timestamp for the
@@ -366,24 +326,12 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate f
 		// need real elapsed time, so give it the wall-derived clock.
 		deps.Clock = da.now
 		e.itv = ts.Intervals
-		if shard < 0 {
-			// Policy instruments register under fixed names, so only a
-			// standalone engine (one policy on the set) may wire them.
-			if p, ok := cfg.Policy.(interface {
-				SetTelemetry(*telemetry.Set)
-			}); ok {
-				p.SetTelemetry(ts)
-			}
-		}
-		if owns {
-			da.registerTelemetry(ts)
-		}
 	}
 	if cfg.Durable != nil {
 		dopts := *cfg.Durable
 		dopts.Geometry = geo
 		dopts.Telemetry = cfg.Telemetry
-		dopts.Sharded, dopts.Shard = shard >= 0, shard
+		dopts.Sharded, dopts.Shard = true, shard
 		sf, err := segfile.Open(dopts)
 		if err != nil {
 			e.abort()
@@ -416,14 +364,6 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate f
 		}
 		e.oracle = o
 	}
-	if cfg.Fill && !e.recovered {
-		for lba := int64(0); lba < e.store.Config().UserBlocks; lba++ {
-			if err := e.Write(lba, 1); err != nil {
-				e.abort()
-				return nil, fmt.Errorf("prototype: engine fill: %w", err)
-			}
-		}
-	}
 	return e, nil
 }
 
@@ -440,16 +380,12 @@ func (e *Engine) DurableStats() (segfile.Stats, bool) {
 	return e.durable.Stats(), true
 }
 
-// abort stops the engine (and, if it owns them, the device workers)
-// without draining the store — used when construction fails after the
-// workers started.
+// abort stops the engine without draining the store — used when
+// construction fails part-way.
 func (e *Engine) abort() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
-	if e.ownsDevs {
-		e.devs.close()
-	}
 	if e.durable != nil {
 		_ = e.durable.Close()
 	}
@@ -460,23 +396,6 @@ func (e *Engine) Config() lss.Config { return e.store.Config() }
 
 // Now returns the engine's wall-derived simulated time.
 func (e *Engine) Now() sim.Time { return e.devs.now() }
-
-// Shards returns 1: a standalone engine is a single shard.
-func (e *Engine) Shards() int { return 1 }
-
-// ShardOf always returns 0 on a standalone engine.
-func (e *Engine) ShardOf(lba int64) int { return 0 }
-
-// ShardStats returns the single-shard snapshot.
-func (e *Engine) ShardStats() []EngineStats { return []EngineStats{e.Stats()} }
-
-// GCShards returns the engine itself: a flat engine is its own single
-// GC-stepping shard.
-func (e *Engine) GCShards() []GCShard { return []GCShard{e} }
-
-// QueueFill reports the fill fraction of the most backlogged device
-// queue.
-func (e *Engine) QueueFill() float64 { return e.devs.queueFill() }
 
 // GCNeeded implements GCShard.
 func (e *Engine) GCNeeded() bool {
@@ -519,8 +438,8 @@ func (e *Engine) sinkSend(d *device, job chunkJob) {
 	}
 }
 
-// OpTiming is the per-op timing breakdown the Timed engine variants
-// return for request tracing. All stamps are on the engine clock.
+// OpTiming is the per-op timing breakdown every engine op returns, for
+// request tracing. All stamps are on the engine clock.
 type OpTiming struct {
 	// Enter is the clock at method entry, before taking the engine
 	// lock; Locked is the clock once the lock was acquired, so
@@ -548,35 +467,7 @@ func (e *Engine) timeEnd(t *OpTiming) {
 	t.Done = e.Now()
 }
 
-// Write appends blocks user-written blocks starting at lba.
-func (e *Engine) Write(lba int64, blocks int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	return e.writeLocked(lba, blocks)
-}
-
-// WriteBatch applies a group commit: every write lands back-to-back
-// under one lock acquisition and one timestamp, so a chunk-aligned
-// batch fills whole chunks before the SLA window can force padding.
-func (e *Engine) WriteBatch(ops []BatchWrite) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	for _, op := range ops {
-		if err := e.writeLocked(op.LBA, op.Blocks); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTimed is Write plus an OpTiming breakdown (lock wait, commit,
-// device backpressure) for request tracing.
+// WriteTimed appends blocks user-written blocks starting at lba.
 func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
 	e.mu.Lock()
@@ -592,8 +483,10 @@ func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 	return t, err
 }
 
-// WriteBatchTimed is WriteBatch plus an OpTiming breakdown covering
-// the whole group commit.
+// WriteBatchTimed applies a group commit: every write lands
+// back-to-back under one lock acquisition and one timestamp, so a
+// chunk-aligned batch fills whole chunks before the SLA window can
+// force padding. The OpTiming covers the whole group commit.
 func (e *Engine) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
 	e.mu.Lock()
@@ -622,26 +515,9 @@ func (e *Engine) writeLocked(lba int64, blocks int) error {
 	return e.store.Write(lba, blocks, now)
 }
 
-// Read accounts a user read and consumes modelled device read time on
-// one column (the store never materializes data bytes; callers keep
-// payloads in their own data plane).
-func (e *Engine) Read(lba int64, blocks int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	now := e.Now()
-	if e.oracle != nil {
-		e.oracle.Read(lba, blocks, now)
-	} else {
-		e.store.Read(lba, blocks, now)
-	}
-	e.sinkSend(e.devs.devices[e.rng.Intn(len(e.devs.devices))], chunkJob{read: true})
-	return nil
-}
-
-// ReadTimed is Read plus an OpTiming breakdown.
+// ReadTimed accounts a user read and consumes modelled device read
+// time on one column (the store never materializes data bytes; callers
+// keep payloads in their own data plane).
 func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
 	e.mu.Lock()
@@ -663,7 +539,7 @@ func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	return t, nil
 }
 
-// TrimTimed is Trim plus an OpTiming breakdown.
+// TrimTimed discards blocks (TRIM/UNMAP).
 func (e *Engine) TrimTimed(lba int64, blocks int) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
 	e.mu.Lock()
@@ -683,20 +559,6 @@ func (e *Engine) TrimTimed(lba int64, blocks int) (OpTiming, error) {
 	}
 	e.timeEnd(&t)
 	return t, err
-}
-
-// Trim discards blocks (TRIM/UNMAP).
-func (e *Engine) Trim(lba int64, blocks int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
-	}
-	now := e.Now()
-	if e.oracle != nil {
-		return e.oracle.Trim(lba, blocks, now)
-	}
-	return e.store.Trim(lba, blocks, now)
 }
 
 // FailColumn fails one array column in the verification mirror and
@@ -763,7 +625,6 @@ type EngineStats struct {
 	PaddingRatio float64
 	// GCGateWaits/GCGateWaitNS count GC cycles that had to wait for the
 	// cross-shard scheduler token, and the total time they waited.
-	// Always zero on a flat engine.
 	GCGateWaits  int64
 	GCGateWaitNS int64
 	// GCSlices counts externally paced GC executions; GCEmergencyRuns
@@ -826,9 +687,8 @@ func (e *Engine) drainLocked() error {
 	return nil
 }
 
-// Close drains the store, stops the device workers (when this engine
-// owns them), and (with Verify) runs the final full cross-check. The
-// engine rejects all traffic afterwards.
+// Close drains the store and (with Verify) runs the final full
+// cross-check. The engine rejects all traffic afterwards.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -838,9 +698,6 @@ func (e *Engine) Close() error {
 	err := e.drainLocked()
 	e.closed = true
 	e.mu.Unlock()
-	if e.ownsDevs {
-		e.devs.close()
-	}
 	if e.durable != nil {
 		// Drain above already checkpointed through the DurableLog hook;
 		// this syncs any remaining dirty tail and releases the handles.

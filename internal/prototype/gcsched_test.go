@@ -15,29 +15,18 @@ func backgroundTestConfig(userBlocks int64) lss.Config {
 	return cfg
 }
 
-// applyTraceStepped replays a trace with deterministic background-GC
-// pacing: every operation is followed by one bounded slice on every
-// shard, the per-op analogue of the wall-clock pacer.
-func applyTraceStepped(t *testing.T, eng Ingest, ops []zipfOp) {
-	t.Helper()
-	shards := eng.GCShards()
-	for i, op := range ops {
-		var err error
-		if op.trim {
-			err = eng.Trim(op.lba, op.blocks)
-		} else {
-			err = eng.Write(op.lba, op.blocks)
-		}
-		if err != nil {
-			t.Fatalf("op %d (%+v): %v", i, op, err)
-		}
+// gcStepper is applyTrace's per-op hook for deterministic
+// background-GC pacing: every operation is followed by one bounded
+// slice on every shard, the per-op analogue of the wall-clock pacer.
+func gcStepper(shards []GCShard) func() {
+	return func() {
 		for _, gs := range shards {
 			gs.GCStep(8)
 		}
 	}
 }
 
-// TestBackgroundGCDifferentialZipfian is the flat-vs-sharded
+// TestBackgroundGCDifferentialZipfian is the reference-vs-sharded
 // differential with background GC enabled on both sides: one seeded
 // zipfian trace, per-op paced slices instead of synchronous cycles,
 // and the identical per-LBA final state required. The sharded run
@@ -46,22 +35,7 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 	const userBlocks = 8192
 	ops := zipfTrace(0xbd457, userBlocks, 60_000)
 
-	flat := func() *Engine {
-		pol, err := sepGCFactory(t)(0, backgroundTestConfig(userBlocks).GeometryDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(EngineConfig{
-			Store:       backgroundTestConfig(userBlocks),
-			Policy:      pol,
-			ServiceTime: time.Microsecond,
-			Fill:        true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}()
+	flat := refEngine(t, backgroundTestConfig(userBlocks))
 	sharded, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
 			Store:       backgroundTestConfig(userBlocks),
@@ -76,8 +50,8 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	applyTraceStepped(t, flat, ops)
-	applyTraceStepped(t, sharded, ops)
+	applyTrace(t, flat, ops, gcStepper([]GCShard{flat}))
+	applyTrace(t, sharded, ops, gcStepper(sharded.GCShards()))
 	if err := flat.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +59,8 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flatLive := liveness(flat, userBlocks)
-	shardLive := liveness(sharded, userBlocks)
+	flatLive := liveness(flat, nil, userBlocks)
+	shardLive := liveness(nil, sharded, userBlocks)
 	diffs := 0
 	for lba := range flatLive {
 		if flatLive[lba] != shardLive[lba] {
@@ -119,33 +93,31 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 // degraded-toggle-versus-in-flight-GC fix: concurrent writers, an
 // asynchronous pacer buying slices through the GCShard surface, and a
 // fault loop failing a column and rebuilding it — all against one
-// engine with the mirror-backed oracle attached. Before GC became a
+// single-shard engine with the mirror-backed oracle attached. Before GC became a
 // preemptible state machine with mode latching at victim-batch
 // boundaries, this interleaving could flip the relocation target of a
 // cycle already in flight.
 func TestBackgroundGCConcurrentDegraded(t *testing.T) {
-	cfg := backgroundTestConfig(4096)
-	pol, err := sepGCFactory(t)(0, cfg.GeometryDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(EngineConfig{
-		Store:        cfg,
-		Policy:       pol,
-		ServiceTime:  time.Microsecond,
-		Verify:       true,
-		VerifyMirror: true,
-		Fill:         true,
+	e, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:        backgroundTestConfig(4096),
+			ServiceTime:  time.Microsecond,
+			Verify:       true,
+			VerifyMirror: true,
+			Fill:         true,
+		},
+		Shards:        1,
+		PolicyFactory: sepGCFactory(t),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
+	var wg, pacer sync.WaitGroup
+	pacer.Add(1)
 	go func() { // the pacer
-		defer wg.Done()
+		defer pacer.Done()
 		shards := e.GCShards()
 		for !stop.Load() {
 			for _, gs := range shards {
@@ -163,7 +135,7 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 			defer wg.Done()
 			base := int64(w) * 1024
 			for i := 0; i < 3000; i++ {
-				if err := e.Write(base+int64(i%1024), 1); err != nil {
+				if _, err := e.WriteTimed(base+int64(i%1024), 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -185,8 +157,12 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 			}
 		}
 	}
-	stop.Store(true)
+	// The pacer outlives the writers: stopped with the fault loop it
+	// could exit before the writers had drained the pool the fill left
+	// to the low watermark, and never be needed.
 	wg.Wait()
+	stop.Store(true)
+	pacer.Wait()
 	if e.Degraded() {
 		t.Fatal("rebuild completion should clear degraded mode")
 	}
@@ -202,27 +178,21 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 // TestGCSchedSurfaceShape pins the pacer-facing surface: shard counts,
 // urgency and queue-fill ranges, and trivial stepping on an idle store.
 func TestGCSchedSurfaceShape(t *testing.T) {
-	e := testEngine(t, false, false)
-	defer e.Close()
-	if got := len(e.GCShards()); got != 1 {
-		t.Fatalf("flat engine exposes %d GC shards, want 1", got)
-	}
-	if u := e.GCUrgency(); u != 0 {
-		t.Fatalf("fresh store urgency %v, want 0", u)
-	}
-	if f := e.QueueFill(); f < 0 || f > 1 {
-		t.Fatalf("queue fill %v outside [0,1]", f)
-	}
-	if !e.GCStep(8) {
-		t.Fatal("idle store must report GC done")
-	}
-
-	s := newTestSharded(t, 4096, 4, false, false, false)
-	defer s.Close()
-	if got := len(s.GCShards()); got != s.Shards() {
-		t.Fatalf("sharded engine exposes %d GC shards, want %d", got, s.Shards())
-	}
-	if f := s.QueueFill(); f < 0 || f > 1 {
-		t.Fatalf("sharded queue fill %v outside [0,1]", f)
+	for _, n := range []int{1, 4} {
+		s := newTestSharded(t, 4096, n, false, false, false)
+		defer s.Close()
+		shards := s.GCShards()
+		if len(shards) != n || s.Shards() != n {
+			t.Fatalf("%d-shard engine exposes %d GC shards (Shards() = %d)", n, len(shards), s.Shards())
+		}
+		if u := shards[0].GCUrgency(); u != 0 {
+			t.Fatalf("fresh store urgency %v, want 0", u)
+		}
+		if f := s.QueueFill(); f < 0 || f > 1 {
+			t.Fatalf("queue fill %v outside [0,1]", f)
+		}
+		if !shards[0].GCStep(8) {
+			t.Fatal("idle store must report GC done")
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // hold per-store state.
 type PolicyFactory func(shard int, cfg lss.Config) (lss.Policy, error)
 
-// ShardedConfig describes a sharded ingest engine.
+// ShardedConfig describes an ingest engine.
 type ShardedConfig struct {
 	// Engine carries the store geometry, device model, and telemetry
 	// shared by every shard. Engine.Store.UserBlocks is the aggregate
@@ -32,12 +32,13 @@ type ShardedConfig struct {
 	PolicyFactory PolicyFactory
 }
 
-// Sharded partitions the LBA space into contiguous per-core slices,
-// each owned by an independent Engine (own lss.Store, own lock, own
-// victim index, own GC watermarks) over one shared device array — the
-// shards split the address space, not the hardware. It implements
-// Ingest, so the network server and harness drive it exactly like the
-// flat Engine.
+// Sharded is the ingest engine — the only one: it partitions the LBA
+// space into contiguous per-core slices, each owned by an independent
+// Engine (own lss.Store, own lock, own victim index, own GC
+// watermarks) over one shared device array — the shards split the
+// address space, not the hardware. One shard is the smallest engine,
+// not a different kind. It implements Ingest, the slice of its surface
+// the network server drives.
 //
 // Cross-shard coordination is deliberately minimal:
 //
@@ -70,7 +71,12 @@ type Sharded struct {
 	closeErr  error
 }
 
-// NewSharded builds a sharded ingest engine. The caller must Close it.
+// NewSharded builds and starts an ingest engine. The caller must Close
+// it to drain open chunks and stop the device workers. Direct
+// construction is for this module's own tooling; everything else
+// should go through the public adapt.NewEngine, which shares the
+// simulator's configuration validation (typed policy names, GCSched
+// floors as errors instead of panics).
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -135,7 +141,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			return nil, fmt.Errorf("prototype: shard %d policy: %w", i, err)
 		}
 		scfg.Policy = pol
-		eng, err := newEngineOn(scfg, s.devs, i, false, s.gateFor(i))
+		eng, err := newEngineOn(scfg, s.devs, i, s.gateFor(i))
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("prototype: shard %d: %w", i, err)
@@ -156,7 +162,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			go func(i int, eng *Engine) {
 				defer wg.Done()
 				for lba := int64(0); lba < s.sizes[i]; lba++ {
-					if err := eng.Write(lba, 1); err != nil {
+					if _, err := eng.WriteTimed(lba, 1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -304,28 +310,6 @@ func (s *Sharded) eachShard(lba int64, blocks int, fn func(sh int, local int64, 
 	return nil
 }
 
-// Write appends blocks starting at the global lba, splitting across
-// shard boundaries as needed.
-func (s *Sharded) Write(lba int64, blocks int) error {
-	return s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		return s.shards[sh].Write(local, n)
-	})
-}
-
-// Read accounts a user read.
-func (s *Sharded) Read(lba int64, blocks int) error {
-	return s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		return s.shards[sh].Read(local, n)
-	})
-}
-
-// Trim discards blocks.
-func (s *Sharded) Trim(lba int64, blocks int) error {
-	return s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		return s.shards[sh].Trim(local, n)
-	})
-}
-
 // mergeTiming folds one sub-op's timing into the whole-op view: first
 // Enter/Locked, last Done, backpressure summed.
 func mergeTiming(dst *OpTiming, t OpTiming, first bool) {
@@ -337,8 +321,9 @@ func mergeTiming(dst *OpTiming, t OpTiming, first bool) {
 	dst.SinkNS += t.SinkNS
 }
 
-// WriteTimed is Write plus a timing breakdown spanning every touched
-// shard.
+// WriteTimed appends blocks starting at the global lba, splitting
+// across shard boundaries as needed; the timing breakdown spans every
+// touched shard.
 func (s *Sharded) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 	var out OpTiming
 	first := true
@@ -351,7 +336,7 @@ func (s *Sharded) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 	return out, err
 }
 
-// ReadTimed is Read plus a timing breakdown.
+// ReadTimed accounts a user read.
 func (s *Sharded) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	var out OpTiming
 	first := true
@@ -364,7 +349,7 @@ func (s *Sharded) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	return out, err
 }
 
-// TrimTimed is Trim plus a timing breakdown.
+// TrimTimed discards blocks.
 func (s *Sharded) TrimTimed(lba int64, blocks int) (OpTiming, error) {
 	var out OpTiming
 	first := true
@@ -391,20 +376,10 @@ func (s *Sharded) bucketBatch(ops []BatchWrite) map[int][]BatchWrite {
 	return buckets
 }
 
-// WriteBatch applies a group commit. Ops owned by one shard land
+// WriteBatchTimed applies a group commit. Ops owned by one shard land
 // back-to-back under that shard's single lock acquisition; a mixed
 // batch is split per shard (each sub-batch keeps the group-commit
-// chunk-fill property within its shard).
-func (s *Sharded) WriteBatch(ops []BatchWrite) error {
-	for sh, sub := range s.bucketBatch(ops) {
-		if err := s.shards[sh].WriteBatch(sub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBatchTimed is WriteBatch plus a merged timing breakdown.
+// chunk-fill property within its shard) and the timings merged.
 func (s *Sharded) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
 	var out OpTiming
 	first := true
@@ -598,4 +573,3 @@ func (s *Sharded) Close() error {
 }
 
 var _ Ingest = (*Sharded)(nil)
-var _ Ingest = (*Engine)(nil)

@@ -78,72 +78,83 @@ func zipfTrace(seed uint64, userBlocks int64, n int) []zipfOp {
 	return ops
 }
 
-// applyTrace replays a trace against any engine.
-func applyTrace(t *testing.T, eng Ingest, ops []zipfOp) {
+// traceTarget is what a trace replays against: the router, or the
+// differential reference Engine that deliberately bypasses it.
+type traceTarget interface {
+	WriteTimed(lba int64, blocks int) (OpTiming, error)
+	TrimTimed(lba int64, blocks int) (OpTiming, error)
+}
+
+// applyTrace replays a trace, running step (if any) after every op.
+func applyTrace(t *testing.T, eng traceTarget, ops []zipfOp, step func()) {
 	t.Helper()
 	for i, op := range ops {
 		var err error
 		if op.trim {
-			err = eng.Trim(op.lba, op.blocks)
+			_, err = eng.TrimTimed(op.lba, op.blocks)
 		} else {
-			err = eng.Write(op.lba, op.blocks)
+			_, err = eng.WriteTimed(op.lba, op.blocks)
 		}
 		if err != nil {
 			t.Fatalf("op %d (%+v): %v", i, op, err)
 		}
+		if step != nil {
+			step()
+		}
 	}
 }
 
-// liveness returns the per-LBA liveness bitmap of an engine. The
-// physical location of a block differs between a flat and a sharded
-// engine (independent logs, independent GC), but whether an LBA is
-// live depends only on the write/trim history — the differential
-// invariant the router must preserve.
-func liveness(eng Ingest, userBlocks int64) []bool {
+// refEngine is the differential reference: one Engine owning the whole
+// LBA space over a private device array, filled, and built without the
+// router so a routing bug cannot hide on both sides of the comparison.
+func refEngine(t *testing.T, cfg lss.Config) *Engine {
+	t.Helper()
+	ecfg := EngineConfig{Store: cfg, ServiceTime: time.Microsecond}.withDefaults()
+	ecfg.Policy = durablePolicy(t, cfg.GeometryDefaults())
+	da := newDeviceArray(cfg.GeometryDefaults().DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
+	t.Cleanup(da.close)
+	e, err := newEngineOn(ecfg, da, 0, nil)
+	for lba := int64(0); err == nil && lba < cfg.UserBlocks; lba++ {
+		_, err = e.WriteTimed(lba, 1)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// liveness returns the per-LBA liveness bitmap of the reference engine
+// (s nil) or of the router's shards. The physical location of a block
+// differs between the two (independent logs, independent GC), but
+// whether an LBA is live depends only on the write/trim history — the
+// differential invariant the router must preserve.
+func liveness(ref *Engine, s *Sharded, userBlocks int64) []bool {
 	out := make([]bool, userBlocks)
-	switch e := eng.(type) {
-	case *Engine:
-		for lba := int64(0); lba < userBlocks; lba++ {
-			_, _, out[lba] = e.store.Location(lba)
+	for lba := int64(0); lba < userBlocks; lba++ {
+		e, local := ref, lba
+		if s != nil {
+			sh := s.ShardOf(lba)
+			e, local = s.shards[sh], lba-s.bases[sh]
 		}
-	case *Sharded:
-		for lba := int64(0); lba < userBlocks; lba++ {
-			sh := e.ShardOf(lba)
-			_, _, out[lba] = e.shards[sh].store.Location(lba - e.bases[sh])
-		}
+		_, _, out[lba] = e.store.Location(local)
 	}
 	return out
 }
 
 // TestShardedDifferentialZipfian replays one seeded 100k-op zipfian
-// trace against a flat engine and a 4-shard engine and requires the
-// identical per-LBA final state. The sharded run carries the checker
+// trace against the unrouted reference engine and a 4-shard engine and
+// requires the identical per-LBA final state. The sharded run carries the checker
 // oracle, so every shard is also cross-checked against the reference
 // model during the replay and in full at Close.
 func TestShardedDifferentialZipfian(t *testing.T) {
 	const userBlocks = 8192
 	ops := zipfTrace(0xad457, userBlocks, 100_000)
 
-	flat := func() *Engine {
-		pol, err := sepGCFactory(t)(0, shardedTestConfig(userBlocks).GeometryDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(EngineConfig{
-			Store:       shardedTestConfig(userBlocks),
-			Policy:      pol,
-			ServiceTime: time.Microsecond,
-			Fill:        true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}()
+	flat := refEngine(t, shardedTestConfig(userBlocks))
 	sharded := newTestSharded(t, userBlocks, 4, true, false, true)
 
-	applyTrace(t, flat, ops)
-	applyTrace(t, sharded, ops)
+	applyTrace(t, flat, ops, nil)
+	applyTrace(t, sharded, ops, nil)
 	if err := flat.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +162,8 @@ func TestShardedDifferentialZipfian(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flatLive := liveness(flat, userBlocks)
-	shardLive := liveness(sharded, userBlocks)
+	flatLive := liveness(flat, nil, userBlocks)
+	shardLive := liveness(nil, sharded, userBlocks)
 	diffs := 0
 	for lba := range flatLive {
 		if flatLive[lba] != shardLive[lba] {
@@ -166,7 +177,7 @@ func TestShardedDifferentialZipfian(t *testing.T) {
 		t.Fatalf("%d of %d LBAs diverge between flat and sharded", diffs, userBlocks)
 	}
 
-	// The aggregate view must match the flat engine's user traffic
+	// The aggregate view must match the reference engine's user traffic
 	// exactly: routing must neither drop nor duplicate blocks.
 	fs, ss := flat.Stats(), sharded.Stats()
 	if fs.UserBlocks != ss.UserBlocks || fs.TrimmedBlocks != ss.TrimmedBlocks {
@@ -190,7 +201,7 @@ func TestShardedRecoveryPerShard(t *testing.T) {
 	s := newTestSharded(t, userBlocks, 4, false, false, true)
 	defer s.Close()
 
-	applyTrace(t, s, zipfTrace(0xfeed, userBlocks, 20_000))
+	applyTrace(t, s, zipfTrace(0xfeed, userBlocks, 20_000), nil)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +256,12 @@ func TestShardedConcurrentFault(t *testing.T) {
 				lba := z.Next()
 				switch rng.Intn(10) {
 				case 0:
-					if err := s.Trim(lba, 1); err != nil {
+					if _, err := s.TrimTimed(lba, 1); err != nil {
 						t.Errorf("goroutine %d trim: %v", g, err)
 						return
 					}
 				case 1:
-					if err := s.Read(lba, 1); err != nil {
+					if _, err := s.ReadTimed(lba, 1); err != nil {
 						t.Errorf("goroutine %d read: %v", g, err)
 						return
 					}
@@ -259,7 +270,7 @@ func TestShardedConcurrentFault(t *testing.T) {
 					if rest := userBlocks - lba; int64(n) > rest {
 						n = int(rest)
 					}
-					if err := s.Write(lba, n); err != nil {
+					if _, err := s.WriteTimed(lba, n); err != nil {
 						t.Errorf("goroutine %d write: %v", g, err)
 						return
 					}
@@ -338,7 +349,7 @@ func TestShardedRouting(t *testing.T) {
 
 	// A write crossing the shard 0/1 boundary must land in both shards.
 	cross := s.shardBlocks - 2
-	if err := s.Write(cross, 4); err != nil {
+	if _, err := s.WriteTimed(cross, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Drain(); err != nil {
@@ -361,8 +372,8 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestShardedStatsShape checks ShardStats arity and the WriteBatch
-// bucketing across shards.
+// TestShardedStatsShape checks ShardStats arity and the
+// WriteBatchTimed bucketing across shards.
 func TestShardedStatsShape(t *testing.T) {
 	const userBlocks = 4096
 	s := newTestSharded(t, userBlocks, 4, false, false, false)
@@ -373,7 +384,7 @@ func TestShardedStatsShape(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ops = append(ops, BatchWrite{LBA: s.bases[i], Blocks: 2})
 	}
-	if err := s.WriteBatch(ops); err != nil {
+	if _, err := s.WriteBatchTimed(ops); err != nil {
 		t.Fatal(err)
 	}
 	sst := s.ShardStats()

@@ -237,13 +237,9 @@ func (s *Server) writeCore(vol *volume, lba int64, payload []byte, noBatch bool,
 	}
 	err := vol.writeData(lba, payload)
 	if err == nil {
-		if sp != nil {
-			var t prototype.OpTiming
-			t, err = s.eng.WriteTimed(vol.base+lba, len(payload)/vol.blockBytes)
-			markEngine(sp, t)
-		} else {
-			err = s.eng.Write(vol.base+lba, len(payload)/vol.blockBytes)
-		}
+		var t prototype.OpTiming
+		t, err = s.eng.WriteTimed(vol.base+lba, len(payload)/vol.blockBytes)
+		markEngine(sp, t)
 	}
 	if err == nil {
 		// The ack promises durability: the payload's fsync lands first.
@@ -257,14 +253,8 @@ func (s *Server) writeCore(vol *volume, lba int64, payload []byte, noBatch bool,
 func (s *Server) readCore(vol *volume, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	vol.reads.Add(1)
 	vol.readBlocks.Add(int64(blocks))
-	var err error
-	if sp != nil {
-		var t prototype.OpTiming
-		t, err = s.eng.ReadTimed(vol.base+lba, blocks)
-		markEngine(sp, t)
-	} else {
-		err = s.eng.Read(vol.base+lba, blocks)
-	}
+	t, err := s.eng.ReadTimed(vol.base+lba, blocks)
+	markEngine(sp, t)
 	if err != nil {
 		return nil, err
 	}
@@ -277,12 +267,9 @@ func (s *Server) readCore(vol *volume, lba int64, blocks int, sp *telemetry.Span
 func (s *Server) trimCore(vol *volume, lba int64, blocks int, sp *telemetry.Span) error {
 	vol.trims.Add(1)
 	vol.trimBlocks.Add(int64(blocks))
-	if sp != nil {
-		t, err := s.eng.TrimTimed(vol.base+lba, blocks)
-		markEngine(sp, t)
-		return err
-	}
-	return s.eng.Trim(vol.base+lba, blocks)
+	t, err := s.eng.TrimTimed(vol.base+lba, blocks)
+	markEngine(sp, t)
+	return err
 }
 
 // flushCore is the flush barrier shared by every frontend: force every

@@ -150,7 +150,6 @@ func (c *shardCommitter) commitList(head *commitReq) {
 	}
 	ops := make([]prototype.BatchWrite, n)
 	blocks := 0
-	traced := false
 	var werr error
 	for i, r := range items {
 		if e := r.vol.writeData(r.lba, r.payload); e != nil && werr == nil {
@@ -158,23 +157,17 @@ func (c *shardCommitter) commitList(head *commitReq) {
 		}
 		ops[i] = prototype.BatchWrite{LBA: r.vol.base + r.lba, Blocks: r.blocks}
 		blocks += r.blocks
-		traced = traced || r.sp != nil
 	}
-	var err error
-	if traced {
-		// The gather window ends here; the whole group commit shares one
-		// engine timing, stamped onto every member's span.
-		gatherEnd := c.srv.eng.Now()
-		for _, r := range items {
-			r.sp.MarkAt(telemetry.StageBatch, gatherEnd)
-		}
-		var t prototype.OpTiming
-		t, err = c.srv.eng.WriteBatchTimed(ops)
-		for _, r := range items {
-			markEngine(r.sp, t)
-		}
-	} else {
-		err = c.srv.eng.WriteBatch(ops)
+	// The gather window ends here; the whole group commit shares one
+	// engine timing, stamped onto every member's span (nil spans
+	// ignore it).
+	gatherEnd := c.srv.eng.Now()
+	for _, r := range items {
+		r.sp.MarkAt(telemetry.StageBatch, gatherEnd)
+	}
+	t, err := c.srv.eng.WriteBatchTimed(ops)
+	for _, r := range items {
+		markEngine(r.sp, t)
 	}
 	// One group commit can carry several volumes' writes; each volume's
 	// batch counter advances once per commit it joined, deduped by

@@ -14,8 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"adapt/internal/lss"
-	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
 )
@@ -32,30 +30,20 @@ import (
 // the manifest and the segfile geometry fingerprint both verify this.
 const e2eVolumes = 2
 
-func e2eServer(dir string) (*Server, *prototype.Engine, error) {
-	cfg := lss.Config{
-		BlockSize:     testBlockBytes,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    4096,
-		OverProvision: 0.25,
-	}
-	pol, err := placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Durable: &segfile.Options{
-			Dir:  filepath.Join(dir, "engine"),
-			Sync: segfile.SyncAlways,
+// e2eServer boots the stack adaptserve serves: a 2-shard durable engine
+// logging to dir/engine/shard-N, volumes in dir/volumes.
+func e2eServer(dir string) (*Server, *prototype.Sharded, error) {
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       testStoreConfig(4096),
+			ServiceTime: time.Microsecond,
+			Durable: &segfile.Options{
+				Dir:  filepath.Join(dir, "engine"),
+				Sync: segfile.SyncAlways,
+			},
 		},
+		Shards:        2,
+		PolicyFactory: sepGCFactory,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -28,39 +28,64 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // instance, e.g. lss_group_blocks_total{group="2"}.
 var labelValue = regexp.MustCompile(`="[^"]*"`)
 
-// TestMetricNamesGolden pins the serving stack's metric namespace: it
-// boots the deepest stack (store + ADAPT policy + engine + traced
-// server + NBD frontend, so every family that path can register does),
-// normalizes indexed instances to one entry per family, and diffs
-// against the committed golden list. (The proto_degraded_* fault
-// families register only on prototype.Run's fault path and are pinned
-// by its own tests.) A rename, addition, or removal anywhere in the
-// stack fails here until the golden file — and with it DESIGN.md's
-// metric table — is updated deliberately (go test ./internal/server
-// -run MetricNames -update).
-func TestMetricNamesGolden(t *testing.T) {
-	cfg := lss.Config{
-		BlockSize:     64,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    4096,
-		OverProvision: 0.25,
+// families normalizes a registry's names to one sorted entry per
+// metric family.
+func families(reg *telemetry.Registry) string {
+	seen := make(map[string]bool)
+	var fams []string
+	for _, name := range reg.Names() {
+		fam := labelValue.ReplaceAllString(name, "")
+		if !seen[fam] {
+			seen[fam] = true
+			fams = append(fams, fam)
+		}
 	}
-	pol := adaptcore.New(adaptcore.Config{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-		OverProvision: cfg.OverProvision,
-	}, adaptcore.Options{SampleRate: 0.5})
+	sort.Strings(fams)
+	return strings.Join(fams, "\n") + "\n"
+}
+
+// TestMetricNamesGolden pins the served metric namespace: it boots the
+// stack adaptserve serves (2-shard durable engine + ADAPT policy per
+// shard + traced server + NBD frontend, so every family that binary
+// can register does), normalizes indexed instances to one entry per
+// family, and diffs against the committed golden list. The adapt_*
+// policy families are not in that stack — only the simulator and
+// prototype.Run wire a policy's telemetry — so a second block pins
+// them through the same SetTelemetry call those paths make, on a
+// scratch set. (The proto_degraded_* fault families register only on
+// prototype.Run's fault path and are pinned by its own tests.) A
+// rename, addition, or removal anywhere fails here until the golden
+// file — and with it DESIGN.md's metric table — is updated deliberately
+// (go test ./internal/server -run MetricNames -update).
+func TestMetricNamesGolden(t *testing.T) {
+	newPolicy := func(cfg lss.Config) *adaptcore.Policy {
+		return adaptcore.New(adaptcore.Config{
+			UserBlocks:    cfg.UserBlocks,
+			SegmentBlocks: cfg.SegmentBlocks(),
+			ChunkBlocks:   cfg.ChunkBlocks,
+			OverProvision: cfg.OverProvision,
+		}, adaptcore.Options{SampleRate: 0.5})
+	}
 	ts := telemetry.New(telemetry.Options{})
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Telemetry:   ts,
-		// A durable backend registers the lss_durable_* families; the
-		// golden pins them alongside the rest of the namespace.
-		Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store: lss.Config{
+				BlockSize:     64,
+				ChunkBlocks:   8,
+				SegmentChunks: 4,
+				UserBlocks:    4096,
+				OverProvision: 0.25,
+			},
+			ServiceTime: time.Microsecond,
+			Telemetry:   ts,
+			// A durable backend registers the lss_durable_* families; the
+			// golden pins them alongside the rest of the namespace.
+			Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+		},
+		Shards: 2,
+		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+			return newPolicy(scfg), nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,18 +103,10 @@ func TestMetricNamesGolden(t *testing.T) {
 	if _, err := nbd.New(nbd.Config{Backend: srv, Telemetry: ts}); err != nil {
 		t.Fatal(err)
 	}
-
-	seen := make(map[string]bool)
-	var families []string
-	for _, name := range ts.Registry.Names() {
-		fam := labelValue.ReplaceAllString(name, "")
-		if !seen[fam] {
-			seen[fam] = true
-			families = append(families, fam)
-		}
-	}
-	sort.Strings(families)
-	got := strings.Join(families, "\n") + "\n"
+	scratch := telemetry.New(telemetry.Options{})
+	newPolicy(eng.Config()).SetTelemetry(scratch)
+	got := "# served by adaptserve\n" + families(ts.Registry) +
+		"# policy telemetry: simulator and prototype.Run only\n" + families(scratch.Registry)
 
 	goldenPath := filepath.Join("testdata", "metric_names.golden")
 	if *updateGolden {

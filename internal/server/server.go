@@ -28,9 +28,10 @@ import (
 
 // Config describes a block service instance.
 type Config struct {
-	// Engine is the shared storage engine all volumes land on — a flat
-	// *prototype.Engine or a *prototype.Sharded router. The server
-	// drives it but does not own it: callers Close it after Shutdown.
+	// Engine is the shared storage engine all volumes land on: a
+	// *prototype.Sharded (of one shard or many), or a decorator around
+	// one. The server drives it but does not own it: callers Close the
+	// engine they built after Shutdown.
 	Engine prototype.Ingest
 	// Volumes carves the engine's LBA space into this many equal tenant
 	// volumes (volume IDs 0..Volumes-1).
@@ -315,6 +316,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		// skip the per-op deadline bookkeeping.
 		if s.cfg.IdleTimeout > 0 && br.Buffered() == 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			// Shutdown flips draining and then expires every read
+			// deadline; if that landed between this loop's last read and
+			// the arm above, the arm just undid it and the read below
+			// would park for the idle timeout. Checking after arming
+			// closes the window whichever side ran last.
+			if s.draining.Load() {
+				conn.SetReadDeadline(time.Now())
+			}
 		}
 		// Frame read and decode are split so the span clock starts at
 		// frame arrival and the decode stage excludes network idle time.

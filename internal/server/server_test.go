@@ -21,29 +21,45 @@ import (
 // mirror tiny; the mirror needs BlockSize >= 17.
 const testBlockBytes = 64
 
-func testEngine(t *testing.T, userBlocks int64, verify, mirror bool) *prototype.Engine {
-	t.Helper()
-	cfg := lss.Config{
+// testStoreConfig is the tiny geometry every test stack shares.
+func testStoreConfig(userBlocks int64) lss.Config {
+	return lss.Config{
 		BlockSize:     testBlockBytes,
 		ChunkBlocks:   8,
 		SegmentChunks: 4,
 		UserBlocks:    userBlocks,
 		OverProvision: 0.25,
 	}
-	pol, err := placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.ChunkBlocks * cfg.SegmentChunks,
-		ChunkBlocks:   cfg.ChunkBlocks,
+}
+
+// sepGCFactory is the per-shard policy every test engine runs.
+func sepGCFactory(_ int, scfg lss.Config) (lss.Policy, error) {
+	return placement.New(placement.NameSepGC, placement.Params{
+		UserBlocks:    scfg.UserBlocks,
+		SegmentBlocks: scfg.SegmentBlocks(),
+		ChunkBlocks:   scfg.ChunkBlocks,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:        cfg,
-		Policy:       pol,
-		ServiceTime:  time.Microsecond,
-		Verify:       verify,
-		VerifyMirror: mirror,
+}
+
+// testEngine builds the smallest engine: one shard.
+func testEngine(t *testing.T, userBlocks int64, verify, mirror bool) *prototype.Sharded {
+	t.Helper()
+	return testShardedEngine(t, userBlocks, 1, verify, mirror)
+}
+
+// testShardedEngine builds a verification engine of the given shard
+// count over the shared tiny geometry.
+func testShardedEngine(t *testing.T, userBlocks int64, shards int, verify, mirror bool) *prototype.Sharded {
+	t.Helper()
+	e, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:        testStoreConfig(userBlocks),
+			ServiceTime:  time.Microsecond,
+			Verify:       verify,
+			VerifyMirror: mirror,
+		},
+		Shards:        shards,
+		PolicyFactory: sepGCFactory,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,37 +253,76 @@ func TestServerShutdownAcksPending(t *testing.T) {
 	}
 }
 
-// testShardedEngine builds a sharded verification engine over the same
-// tiny geometry testEngine uses.
-func testShardedEngine(t *testing.T, userBlocks int64, shards int, verify, mirror bool) *prototype.Sharded {
-	t.Helper()
-	cfg := lss.Config{
-		BlockSize:     testBlockBytes,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    userBlocks,
-		OverProvision: 0.25,
+// rearmConn forces the one bad interleaving of Shutdown against a
+// connection reader: the reader's idle-deadline arm is held until
+// Shutdown has expired the deadline, then applied on top of it.
+type rearmConn struct {
+	net.Conn
+	armed, expired      chan struct{} // closed at the reader's first idle arm / at Shutdown's expiry
+	armOnce, expireOnce sync.Once
+}
+
+func (c *rearmConn) SetReadDeadline(d time.Time) error {
+	if time.Until(d) > time.Minute { // the reader's idle arm
+		c.armOnce.Do(func() {
+			close(c.armed)
+			<-c.expired
+		})
+	} else { // an expiry: Shutdown's first, the reader's own after it
+		c.expireOnce.Do(func() { close(c.expired) })
 	}
-	e, err := prototype.NewSharded(prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store:        cfg,
-			ServiceTime:  time.Microsecond,
-			Verify:       verify,
-			VerifyMirror: mirror,
-		},
-		Shards: shards,
-		PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-			return placement.New(placement.NameSepGC, placement.Params{
-				UserBlocks:    scfg.UserBlocks,
-				SegmentBlocks: scfg.SegmentBlocks(),
-				ChunkBlocks:   scfg.ChunkBlocks,
-			})
-		},
-	})
+	return c.Conn.SetReadDeadline(d)
+}
+
+type rearmListener struct {
+	net.Listener
+	conns chan *rearmConn
+}
+
+func (l rearmListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	rc := &rearmConn{Conn: c, armed: make(chan struct{}), expired: make(chan struct{})}
+	l.conns <- rc
+	return rc, nil
+}
+
+// TestServerShutdownBeatsIdleRearm pins the drain against the reader's
+// idle-deadline arm: Shutdown expiring a connection's read deadline in
+// the instant before its reader re-arms it must still drain, not park
+// the reader for the idle timeout while the client holds the
+// connection open.
+func TestServerShutdownBeatsIdleRearm(t *testing.T) {
+	eng := testEngine(t, 4096, false, false)
+	defer eng.Close()
+	srv, err := New(Config{Engine: eng, Volumes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := rearmListener{Listener: ln, conns: make(chan *rearmConn, 1)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(rl) }()
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close() // stays open: only the deadline can end the read
+	<-(<-rl.conns).armed
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown against a re-armed idle deadline: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
 }
 
 // TestServerE2EFaultRebuild is the end-to-end satellite: four tenants
@@ -282,14 +337,14 @@ func TestServerE2EFaultRebuild(t *testing.T) {
 }
 
 // TestServerE2EShardedFaultRebuild runs the same mid-traffic fault and
-// online rebuild against a 4-shard engine: the column failure must
+// online rebuild against a 4-shard engine (the case above has one): the column failure must
 // degrade every shard, the rebuild must bring them all back, and the
 // per-shard oracles replay their full cross-checks at Close.
 func TestServerE2EShardedFaultRebuild(t *testing.T) {
 	runE2EFaultRebuild(t, testShardedEngine(t, 8192, 4, true, true))
 }
 
-func runE2EFaultRebuild(t *testing.T, eng prototype.Ingest) {
+func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 	srv, err := New(Config{
 		Engine: eng, Volumes: 4, MaxInflight: 32,
 		Batch: true, BatchTimeout: 500 * time.Microsecond,

@@ -244,8 +244,8 @@ type Exemplar struct {
 	Column int32
 	// Shard is the engine shard the blame lands on: the interfering
 	// interval's publishing shard, or the shard owning the request's
-	// LBA when the cause is not an interference window. -1 when the
-	// engine is unsharded.
+	// LBA when the cause is not an interference window. -1 when there
+	// is no window to blame and the engine has a single shard.
 	Shard int32
 	// OverlapNS is how much of the span overlapped the blamed
 	// interference interval.

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"adapt/internal/lss"
-	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/server/wire"
 	"adapt/internal/sim"
@@ -18,29 +16,17 @@ import (
 
 // testEngineTele is testEngine plus a dedicated telemetry set, so GC
 // interference intervals and trace histograms are live.
-func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Engine, *telemetry.Set) {
+func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Sharded, *telemetry.Set) {
 	t.Helper()
-	cfg := lss.Config{
-		BlockSize:     testBlockBytes,
-		ChunkBlocks:   8,
-		SegmentChunks: 4,
-		UserBlocks:    userBlocks,
-		OverProvision: 0.25,
-	}
-	pol, err := placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.ChunkBlocks * cfg.SegmentChunks,
-		ChunkBlocks:   cfg.ChunkBlocks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := telemetry.New(telemetry.Options{})
-	e, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Telemetry:   ts,
+	e, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       testStoreConfig(userBlocks),
+			ServiceTime: time.Microsecond,
+			Telemetry:   ts,
+		},
+		Shards:        1,
+		PolicyFactory: sepGCFactory,
 	})
 	if err != nil {
 		t.Fatal(err)

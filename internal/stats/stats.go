@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics used by the experiment
 // harness: percentiles, five-number (boxplot) summaries, empirical
-// CDFs, histograms, Pearson correlation, and ASCII table rendering in
-// the style of the paper's figures.
+// CDFs, Pearson correlation, and ASCII table rendering in the style of
+// the paper's figures.
 package stats
 
 import (
@@ -185,79 +185,6 @@ func Pearson(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Histogram is a fixed-bin histogram over [lo, hi).
-type Histogram struct {
-	lo, hi float64
-	bins   []int64
-	under  int64
-	over   int64
-	count  int64
-	sum    float64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	h.sum += x
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i >= len(h.bins) {
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Mean returns the mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// FractionBelow returns the fraction of observations < x (bin
-// granularity; under/overflow included).
-func (h *Histogram) FractionBelow(x float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	if x <= h.lo {
-		return float64(h.under) / float64(h.count)
-	}
-	n := h.under
-	binW := (h.hi - h.lo) / float64(len(h.bins))
-	for i, c := range h.bins {
-		upper := h.lo + float64(i+1)*binW
-		if upper <= x {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.count)
 }
 
 // Table renders aligned ASCII tables for experiment output.

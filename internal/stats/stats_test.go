@@ -169,25 +169,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // underflow
-	h.Add(50) // overflow
-	if h.Count() != 12 {
-		t.Fatalf("Count = %d, want 12", h.Count())
-	}
-	if h.Bin(0) != 1 || h.Bin(9) != 1 {
-		t.Fatalf("bin counts wrong: %d %d", h.Bin(0), h.Bin(9))
-	}
-	if got := h.FractionBelow(5); !almostEq(got, 6.0/12, 1e-9) {
-		// 5 in-range values below 5 plus the underflow.
-		t.Fatalf("FractionBelow(5) = %v, want 0.5", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("scheme", "WA")
 	tb.AddRow("ADAPT", 1.234)

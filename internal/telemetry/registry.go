@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -321,42 +322,67 @@ func (r *Registry) Names() []string {
 
 // WriteProm renders Prometheus text exposition format. Function gauges
 // expose the value cached at their last Refresh (recorder tick).
+// Labelled instruments are registered as name{label="v"} strings; the
+// format wants every sample of a family contiguous under one HELP/TYPE
+// header, so instances are grouped by family (families in order of
+// first registration) whatever order they registered in.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	scalars := append([]Instrument(nil), r.scalars...)
 	hists := append([]*Histogram(nil), r.hists...)
 	r.mu.Unlock()
-	for _, in := range scalars {
-		base := promBase(in.Name())
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			base, in.Help(), base, in.Kind(), in.Name(), in.Load()); err != nil {
-			return err
+	var b bytes.Buffer
+	order, members := families(len(scalars), func(i int) string { return scalars[i].Name() })
+	for _, fam := range order {
+		first := scalars[members[fam][0]]
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam, first.Help(), fam, first.Kind())
+		for _, i := range members[fam] {
+			fmt.Fprintf(&b, "%s %d\n", scalars[i].Name(), scalars[i].Load())
 		}
 	}
-	for _, h := range hists {
-		base := promBase(h.name)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", base, h.help, base); err != nil {
-			return err
-		}
-		var cum int64
-		for i, b := range h.bounds {
-			cum += h.Bucket(i)
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", h.name, b, cum); err != nil {
-				return err
+	order, members = families(len(hists), func(i int) string { return hists[i].name })
+	for _, fam := range order {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", fam, hists[members[fam][0]].help, fam)
+		for _, i := range members[fam] {
+			h := hists[i]
+			// The instance's own labels go inside the braces of every
+			// series, ahead of le on the buckets.
+			labels := strings.TrimSuffix(strings.TrimPrefix(h.name[len(fam):], "{"), "}")
+			bucketLabels, series := labels, ""
+			if labels != "" {
+				bucketLabels, series = labels+",", "{"+labels+"}"
 			}
-		}
-		cum += h.Bucket(len(h.bounds))
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			h.name, cum, h.name, h.Sum(), h.name, h.Count()); err != nil {
-			return err
+			var cum int64
+			for j, bound := range h.bounds {
+				cum += h.Bucket(j)
+				fmt.Fprintf(&b, "%s_bucket{%sle=\"%d\"} %d\n", fam, bucketLabels, bound, cum)
+			}
+			cum += h.Bucket(len(h.bounds))
+			fmt.Fprintf(&b, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %d\n%s_count%s %d\n",
+				fam, bucketLabels, cum, fam, series, h.Sum(), fam, series, h.Count())
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-// promBase strips a {label="..."} suffix from a metric name: labelled
-// instruments are registered as name{label="v"} strings, and the HELP
-// and TYPE lines refer to the base family name.
+// families groups n registered names by metric family (promBase): the
+// family names in order of first appearance, and each family's member
+// indices in registration order.
+func families(n int, name func(i int) string) (order []string, members map[string][]int) {
+	members = make(map[string][]int)
+	for i := 0; i < n; i++ {
+		fam := promBase(name(i))
+		if members[fam] == nil {
+			order = append(order, fam)
+		}
+		members[fam] = append(members[fam], i)
+	}
+	return order, members
+}
+
+// promBase strips a {label="..."} suffix from a metric name, leaving
+// the family name the HELP and TYPE lines refer to.
 func promBase(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return name[:i]

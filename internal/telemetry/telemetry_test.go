@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -345,6 +347,81 @@ func TestPromExposition(t *testing.T) {
 		`sizes_bucket{le="+Inf"} 3`,
 		"sizes_sum 55",
 		"sizes_count 3",
+	} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("exposition missing %q:\n%s", frag, out)
+		}
+	}
+}
+
+// promSample is the text-exposition grammar of one sample line as this
+// registry emits it: a metric name, an optional {k="v",...} label set,
+// and an integer value.
+var promSample = regexp.MustCompile(
+	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9]+$`)
+
+// TestPromExpositionLabelled renders the shapes a sharded server
+// registers — per-shard scalars whose families interleave in
+// registration order, labelled histograms — and holds every line to the
+// exposition grammar: each sample parses, sits under its own family's
+// header, and no family is declared twice (a second TYPE line is a
+// parse error in Prometheus).
+func TestPromExpositionLabelled(t *testing.T) {
+	reg := NewRegistry()
+	for shard := 0; shard < 2; shard++ {
+		reg.NewCounter(fmt.Sprintf(`a_total{shard="%d"}`, shard), "a").Add(int64(shard))
+		reg.NewFuncGauge(fmt.Sprintf(`free{shard="%d"}`, shard), "f", false, func() int64 { return -3 })
+		reg.NewCounter(fmt.Sprintf(`grp_total{group="1",shard="%d"}`, shard), "g")
+		reg.NewHistogram(fmt.Sprintf(`pad{shard="%d"}`, shard), "p", []int64{1, 8}).Observe(5)
+	}
+	reg.NewHistogram("plain", "unlabelled", []int64{2}).Observe(1)
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+
+	types := make(map[string]string)
+	current := ""
+	samples := 0
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if f := strings.Fields(line); f[0] == "#" {
+			if f[1] == "TYPE" {
+				if _, dup := types[f[2]]; dup {
+					t.Errorf("family %s declared twice", f[2])
+				}
+				types[f[2]] = f[3]
+				current = f[2]
+			}
+			continue
+		}
+		m := promSample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("line violates the exposition grammar: %q", line)
+			continue
+		}
+		samples++
+		fam := m[1]
+		if types[current] == "histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				fam = strings.TrimSuffix(fam, suffix)
+			}
+		}
+		if fam != current {
+			t.Errorf("sample %q sits under family %q", line, current)
+		}
+	}
+	if want := 6 + 2*5 + 4; samples != want {
+		t.Errorf("%d sample lines, want %d:\n%s", samples, want, out)
+	}
+	for _, frag := range []string{
+		`pad_bucket{shard="1",le="8"} 1`,
+		`pad_bucket{shard="0",le="+Inf"} 1`,
+		`pad_sum{shard="1"} 5`,
+		`pad_count{shard="0"} 1`,
+		`grp_total{group="1",shard="1"} 0`,
+		`plain_bucket{le="2"} 1`,
+		"plain_sum 1",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("exposition missing %q:\n%s", frag, out)
