@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -36,15 +35,24 @@ import (
 	"adapt/internal/nbd"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
+	"adapt/internal/serve"
 	"adapt/internal/server"
 	"adapt/internal/telemetry"
 )
 
-func main() {
-	cmd := cli.New("adaptserve",
-		"adaptserve -addr 127.0.0.1:9750 -telemetry 127.0.0.1:9751",
-		"adaptserve -volumes 8 -policy adapt -batch=false",
-		"adaptserve -data-dir /var/lib/adapt -durable-sync always")
+// listen is what main needs beside the stack's Config: where to bind,
+// and the placement-policy name the boot line prints.
+type listen struct {
+	wire, telemetry, nbd, policy string
+}
+
+// configFromFlags turns the command line into the stack's Config and
+// the listen addresses. It builds and binds nothing; an invalid
+// combination comes back as an error for main to report as a usage
+// error. (A flag-syntax error exits 2 inside cmd.Parse, as in every
+// cmd/ binary.) The defaults are what bench/ runs, so changing one is a
+// benchmark change — TestConfigFromFlags pins them.
+func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, error) {
 	fs := cmd.Flags()
 	addr := fs.String("addr", "127.0.0.1:9750", "block service listen address")
 	telAddr := fs.String("telemetry", "127.0.0.1:9751", "telemetry HTTP listen address (empty disables)")
@@ -68,185 +76,136 @@ func main() {
 	dataDir := fs.String("data-dir", "", "durable root: <dir>/engine holds the segment log, <dir>/volumes the tenant payload files; reboot recovers both (empty: RAM only)")
 	durableSync := fs.String("durable-sync", "seal", "segment-log fsync discipline: always (every chunk append) | seal (segment seal and checkpoint)")
 	odirect := fs.Bool("odirect", false, "open segment files with O_DIRECT where the filesystem supports it")
-	cmd.Parse(os.Args[1:])
+	cmd.Parse(args)
 
+	fail := func(format string, a ...any) (serve.Config, listen, error) {
+		return serve.Config{}, listen{}, fmt.Errorf(format, a...)
+	}
 	if fs.NArg() != 0 {
-		cmd.UsageErrorf("unexpected arguments: %v", fs.Args())
+		return fail("unexpected arguments: %v", fs.Args())
 	}
 	if *volumes < 1 {
-		cmd.UsageErrorf("-volumes must be at least 1, got %d", *volumes)
+		return fail("-volumes must be at least 1, got %d", *volumes)
 	}
 	if *nbdMaxReqKiB < 0 {
-		cmd.UsageErrorf("-nbd-max-req-kib must be non-negative, got %d", *nbdMaxReqKiB)
+		return fail("-nbd-max-req-kib must be non-negative, got %d", *nbdMaxReqKiB)
 	}
 	if *nbdMaxReqKiB > 0 && *nbdAddr == "" {
-		cmd.UsageErrorf("-nbd-max-req-kib requires -nbd-addr")
+		return fail("-nbd-max-req-kib requires -nbd-addr")
 	}
-	var vp lss.VictimPolicy
-	switch *victim {
-	case "greedy":
-		vp = lss.Greedy
-	case "cost-benefit":
-		vp = lss.CostBenefit
-	case "d-choices":
-		vp = lss.DChoices
-	default:
-		cmd.UsageErrorf("unknown victim policy %q", *victim)
+	vp, ok := map[string]lss.VictimPolicy{
+		"greedy": lss.Greedy, "cost-benefit": lss.CostBenefit, "d-choices": lss.DChoices}[*victim]
+	if !ok {
+		return fail("unknown victim policy %q", *victim)
 	}
-	cfg := harness.StoreConfig(*userBlocks, vp)
-	cfg.BackgroundGC = *gcBG
-	if _, err := harness.BuildPolicy(*policy, cfg); err != nil {
-		cmd.UsageErrorf("%v", err)
+	store := harness.StoreConfig(*userBlocks, vp)
+	if _, err := harness.BuildPolicy(*policy, store); err != nil {
+		return fail("%v", err)
 	}
-	var durable *segfile.Options
+	cfg := serve.Config{
+		Engine: prototype.ShardedConfig{
+			Engine: prototype.EngineConfig{
+				Store:       store,
+				ServiceTime: time.Duration(*serviceUS) * time.Microsecond,
+				Telemetry:   telemetry.New(telemetry.Options{}),
+			},
+			Shards: *shards,
+			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+				return harness.BuildPolicy(*policy, scfg)
+			},
+		},
+		Server: server.Config{
+			Volumes:      *volumes,
+			MaxInflight:  *maxInflight,
+			Batch:        *batch,
+			BatchTimeout: time.Duration(*batchUS) * time.Microsecond,
+			Trace: server.TraceConfig{
+				Enabled:   *trace,
+				Threshold: time.Duration(*traceThreshUS) * time.Microsecond,
+			},
+		},
+		DataDir: *dataDir,
+	}
 	if *dataDir != "" {
-		var mode segfile.SyncMode
-		switch *durableSync {
-		case "always":
-			mode = segfile.SyncAlways
-		case "seal":
-			mode = segfile.SyncOnSeal
-		default:
-			cmd.UsageErrorf("unknown -durable-sync %q (want always|seal)", *durableSync)
+		mode, err := segfile.ParseSyncMode(*durableSync)
+		if err != nil {
+			return fail("unknown -durable-sync %q (want always|seal)", *durableSync)
 		}
-		durable = &segfile.Options{
-			Dir:     filepath.Join(*dataDir, "engine"),
-			Sync:    mode,
-			ODirect: *odirect,
-		}
+		cfg.Engine.Engine.Durable = &segfile.Options{Sync: mode, ODirect: *odirect}
 	}
-
-	ts := telemetry.New(telemetry.Options{})
-	eng, err := prototype.NewSharded(prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store:       cfg,
-			ServiceTime: time.Duration(*serviceUS) * time.Microsecond,
-			Telemetry:   ts,
-			Durable:     durable,
-		},
-		Shards: *shards,
-		PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-			return harness.BuildPolicy(*policy, scfg)
-		},
-	})
-	cmd.Check(err)
-	var srv *server.Server
-	var ctl *gcsched.Controller
 	if *gcBG {
-		gcfg := gcsched.Config{
+		cfg.GC = &gcsched.Config{
 			Interval:   time.Duration(*gcIntervalUS) * time.Microsecond,
 			SliceUnits: *gcSliceUnits,
-			QueueFill:  eng.QueueFill,
-			Telemetry:  ts,
+			TargetP999: time.Duration(max(*gcTargetUS, 0)) * time.Microsecond,
 		}
-		if *trace && *gcTargetUS > 0 {
-			gcfg.TargetP999 = time.Duration(*gcTargetUS) * time.Microsecond
-			// srv is assigned below, before ctl.Start spawns the only
-			// reader of this closure.
-			gcfg.P999 = func() time.Duration { return srv.TailP999() }
-		}
-		shards := eng.GCShards()
-		sh := make([]gcsched.Shard, len(shards))
-		for i, s := range shards {
-			sh[i] = s
-		}
-		ctl, err = gcsched.New(gcfg, sh)
-		cmd.Check(err)
 	}
-	volDir := ""
-	if *dataDir != "" {
-		volDir = filepath.Join(*dataDir, "volumes")
+	if *nbdAddr != "" {
+		cfg.NBD = &nbd.Config{MaxRequestBytes: *nbdMaxReqKiB << 10}
 	}
-	srv, err = server.New(server.Config{
-		Engine:       eng,
-		Volumes:      *volumes,
-		DataDir:      volDir,
-		MaxInflight:  *maxInflight,
-		Batch:        *batch,
-		BatchTimeout: time.Duration(*batchUS) * time.Microsecond,
-		Telemetry:    ts,
-		Trace: server.TraceConfig{
-			Enabled:   *trace,
-			Threshold: time.Duration(*traceThreshUS) * time.Microsecond,
-		},
-		GCSched: ctl,
-	})
-	cmd.Check(err)
-	if ctl != nil {
-		ctl.Start()
-	}
+	return cfg, listen{wire: *addr, telemetry: *telAddr, nbd: *nbdAddr, policy: *policy}, nil
+}
 
-	if *telAddr != "" {
-		var extra map[string]http.Handler
-		if *trace {
-			extra = map[string]http.Handler{"/debug/trace": srv.TraceHandler()}
-		}
-		_, taddr, err := telemetry.Serve(*telAddr, ts, extra)
+func main() {
+	cmd := cli.New("adaptserve",
+		"adaptserve -addr 127.0.0.1:9750 -telemetry 127.0.0.1:9751",
+		"adaptserve -volumes 8 -policy adapt -batch=false",
+		"adaptserve -data-dir /var/lib/adapt -durable-sync always")
+	cfg, at, err := configFromFlags(cmd, os.Args[1:])
+	if err != nil {
+		cmd.UsageErrorf("%v", err)
+	}
+	st, err := serve.Build(cfg)
+	cmd.Check(err)
+	eng, srv := st.Engine, st.Server
+
+	if at.telemetry != "" {
+		// With -trace=false the handler answers 404 "tracing disabled".
+		extra := map[string]http.Handler{"/debug/trace": srv.TraceHandler()}
+		_, taddr, err := telemetry.Serve(at.telemetry, cfg.Engine.Engine.Telemetry, extra)
 		cmd.Check(err)
 		fmt.Printf("telemetry on http://%s/ (metrics, events.jsonl, series.jsonl, debug/trace, debug/pprof)\n", taddr)
 	}
-
-	var nsrv *nbd.Server
-	nbdDone := make(chan error, 1)
-	if *nbdAddr != "" {
-		nsrv, err = nbd.New(nbd.Config{
-			Backend:         srv,
-			MaxRequestBytes: *nbdMaxReqKiB << 10,
-			Telemetry:       ts,
-		})
+	var nln net.Listener
+	if st.NBD != nil {
+		nln, err = net.Listen("tcp", at.nbd)
 		cmd.Check(err)
-		nln, err := net.Listen("tcp", *nbdAddr)
-		cmd.Check(err)
-		go func() { nbdDone <- nsrv.Serve(nln) }()
 		fmt.Printf("nbd: %d exports (vol0..vol%d) on %s\n", srv.Volumes(), srv.Volumes()-1, nln.Addr())
-	} else {
-		close(nbdDone)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", at.wire)
 	cmd.Check(err)
 	gcMode := "sync"
-	if *gcBG {
+	if st.GC != nil {
 		gcMode = "background"
 	}
 	fmt.Printf("serving %d volumes × %d blocks (%s policy, %d shards, batch=%v, gc=%s) on %s\n",
-		srv.Volumes(), srv.VolumeBlocks(), *policy, eng.Shards(), *batch, gcMode, ln.Addr())
-	if *dataDir != "" {
+		srv.Volumes(), srv.VolumeBlocks(), at.policy, eng.Shards(), cfg.Server.Batch, gcMode, ln.Addr())
+	if cfg.DataDir != "" {
 		if ds, ok := eng.DurableStats(); ok && eng.Recovered() {
 			fmt.Printf("durable: recovered %d segments (%d live blocks) from %s\n",
-				ds.RecoveredSegments, ds.RecoveredBlocks, *dataDir)
+				ds.RecoveredSegments, ds.RecoveredBlocks, cfg.DataDir)
 		} else {
-			fmt.Printf("durable: fresh log in %s (sync=%s, odirect=%v)\n", *dataDir, *durableSync, *odirect)
+			d := cfg.Engine.Engine.Durable
+			fmt.Printf("durable: fresh log in %s (sync=%s, odirect=%v)\n", cfg.DataDir, d.Sync, d.ODirect)
 		}
 	}
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan error, 1)
 	go func() {
 		<-sigCh
 		fmt.Println("draining...")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		// The NBD frontend drains first: its in-flight ops need a
-		// backend that is still admitting, so the volume manager must
-		// not start refusing Acquire until NBD connections are gone.
-		if nsrv != nil {
-			if err := nsrv.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "adaptserve: nbd shutdown:", err)
-			}
-		}
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "adaptserve: shutdown:", err)
-		}
+		drained <- st.Shutdown(ctx)
 	}()
 
-	cmd.Check(srv.Serve(ln))
-	cmd.Check(<-nbdDone)
-	if ctl != nil {
-		ctl.Stop()
-	}
-	cmd.Check(eng.Close())
-	st := eng.Stats()
+	// Serve returns when Shutdown closes the listeners; the stack is
+	// drained and the engine closed only once Shutdown itself returns.
+	cmd.Check(st.Serve(ln, nln))
+	cmd.Check(<-drained)
+	fin := eng.Stats()
 	fmt.Printf("final: %d user blocks, WA %.3f, effective WA %.3f, %d padded chunks of %d flushed\n",
-		st.UserBlocks, st.WA, st.EffectiveWA, st.PaddedChunks, st.ChunkFlushes)
+		fin.UserBlocks, fin.WA, fin.EffectiveWA, fin.PaddedChunks, fin.ChunkFlushes)
 }

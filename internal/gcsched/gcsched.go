@@ -37,11 +37,19 @@ import (
 )
 
 // Shard is one independently steppable GC domain (a prototype engine
-// shard). Implementations lock their own store for the duration of
-// each call.
+// shard): the pacer polls need and urgency, then buys bounded slices
+// of relocation work. Implementations lock their own store for the
+// duration of each call.
 type Shard interface {
+	// GCNeeded reports pending GC work: an in-flight (paused) cycle or
+	// a free pool at or below the low watermark.
 	GCNeeded() bool
+	// GCUrgency is the distance-to-watermark signal: 0 at the high
+	// watermark, 1 at the low watermark, above 1 approaching the
+	// emergency floor.
 	GCUrgency() float64
+	// GCStep runs up to budget relocation units and reports whether no
+	// cycle remains in flight.
 	GCStep(budget int) bool
 }
 

@@ -1,23 +1,17 @@
 package harness
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"math"
-	"net"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
-	"adapt/internal/fault"
 	"adapt/internal/gcsched"
-	"adapt/internal/lss"
 	"adapt/internal/prototype"
+	"adapt/internal/serve"
 	"adapt/internal/server"
-	"adapt/internal/sim"
 	"adapt/internal/stats"
-	"adapt/internal/workload"
 )
 
 // GCSchedOptions sizes the tail-latency-aware GC scheduling
@@ -27,24 +21,13 @@ import (
 // the gcsched controller — so the client-observed tail and the write
 // amplification can be compared directly.
 type GCSchedOptions struct {
-	// Blocks is the store footprint; the engine pre-fills it so GC is
-	// active from the first op.
-	Blocks int64
-	// Tenants is the volume/connection count; Workers the closed-loop
-	// pipelined workers per tenant.
-	Tenants int
-	Workers int
+	// LiveLoad sizes the stack and its load; Duration is a hard
+	// wall-clock cap per mode in case a run wedges.
+	LiveLoad
 	// OpsPerWorker fixes each worker's op count, so the sync and
 	// background runs see identical traffic and their write
 	// amplification is directly comparable.
 	OpsPerWorker int
-	// Duration is a hard wall-clock cap per mode in case a run wedges.
-	Duration time.Duration
-	// WriteFrac and Theta shape the workload.
-	WriteFrac float64
-	Theta     float64
-	// ServiceTime is the modelled per-chunk device time.
-	ServiceTime time.Duration
 	// ThinkTime is each worker's mean inter-op gap (exponentially
 	// distributed). It sets the operating point: zero means a fully
 	// saturated closed loop where GC work displaces foreground work
@@ -67,18 +50,20 @@ type GCSchedOptions struct {
 // emergency floor.
 func DefaultGCSchedOptions(sc Scale) GCSchedOptions {
 	return GCSchedOptions{
-		// 4× the YCSB footprint: segments are then large enough
-		// (StoreConfig scales them with capacity) that one synchronous
-		// watermark cycle relocates tens of chunks inline — the
-		// stop-the-world stall the pacer exists to break up.
-		Blocks:       sc.YCSBBlocks * 4,
-		Tenants:      2,
-		Workers:      4,
+		LiveLoad: LiveLoad{
+			// 4× the YCSB footprint: segments are then large enough
+			// (StoreConfig scales them with capacity) that one
+			// synchronous watermark cycle relocates tens of chunks inline
+			// — the stop-the-world stall the pacer exists to break up.
+			Blocks:      sc.YCSBBlocks * 4,
+			Tenants:     2,
+			Workers:     4,
+			Duration:    60 * time.Second,
+			WriteFrac:   0.9,
+			Theta:       0.8,
+			ServiceTime: time.Millisecond,
+		},
 		OpsPerWorker: 4000,
-		Duration:     60 * time.Second,
-		WriteFrac:    0.9,
-		Theta:        0.8,
-		ServiceTime:  time.Millisecond,
 		ThinkTime:    300 * time.Microsecond,
 		SliceUnits:   32,
 		Interval:     50 * time.Microsecond,
@@ -126,29 +111,8 @@ type GCSchedResult struct {
 
 // ExpGCSched runs the synchronous-versus-background GC comparison for
 // each policy: identical stack, identical load, only the GC scheduling
-// mode differs.
+// mode differs. opts is used as given: start from DefaultGCSchedOptions.
 func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResult, error) {
-	if opts.Blocks <= 0 {
-		opts.Blocks = sc.YCSBBlocks / 4
-	}
-	if opts.Tenants <= 0 {
-		opts.Tenants = 4
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.OpsPerWorker <= 0 {
-		opts.OpsPerWorker = 2000
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = 30 * time.Second
-	}
-	if opts.SliceUnits <= 0 {
-		opts.SliceUnits = 32
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = 200 * time.Microsecond
-	}
 	out := &GCSchedResult{Opts: opts}
 	for _, polName := range policies {
 		for _, background := range []bool{false, true} {
@@ -172,23 +136,29 @@ func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResul
 }
 
 func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bool) (GCSchedRow, error) {
-	cfg := StoreConfig(opts.Blocks, 0)
-	cfg.BackgroundGC = background
-	eng, err := prototype.NewSharded(prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store:       cfg,
-			ServiceTime: opts.ServiceTime,
-			Fill:        true,
+	cfg := serve.Config{
+		Engine: opts.filledEngine(polName, nil),
+		Server: server.Config{
+			Volumes: opts.Tenants,
+			// No group commit: the batch window would floor both modes'
+			// tails and hide the GC stall this experiment measures.
+			// Trace in both modes so the sync baseline carries the same
+			// instrumentation overhead as the paced run it is compared to.
+			Trace: server.TraceConfig{Enabled: true},
 		},
-		Shards: 1,
-		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-			return BuildPolicy(polName, scfg)
-		},
-	})
+	}
+	if background {
+		cfg.GC = &gcsched.Config{
+			Interval:   opts.Interval,
+			SliceUnits: opts.SliceUnits,
+			TargetP999: opts.TargetP999,
+		}
+	}
+	st, err := serve.Build(cfg)
 	if err != nil {
 		return GCSchedRow{}, err
 	}
-	defer eng.Close()
+	eng := st.Engine
 	if background {
 		// The fill loop ran without a pacer, so the background store
 		// ends it near the emergency floor. Settle the pool to the high
@@ -203,134 +173,23 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	}
 	st0 := eng.Stats() // fill-phase baseline
 
-	var ctl *gcsched.Controller
-	var srv *server.Server
-	srvCfg := server.Config{
-		Engine:  eng,
-		Volumes: opts.Tenants,
-		// No group commit: the batch window would floor both modes'
-		// tails and hide the GC stall this experiment measures.
-		// Trace in both modes so the sync baseline carries the same
-		// instrumentation overhead as the paced run it is compared to.
-		Trace: server.TraceConfig{Enabled: true},
-	}
-	if background {
-		gcfg := gcsched.Config{
-			Interval:   opts.Interval,
-			SliceUnits: opts.SliceUnits,
-			QueueFill:  eng.QueueFill,
-		}
-		if opts.TargetP999 > 0 {
-			gcfg.TargetP999 = opts.TargetP999
-			// srv is assigned below, before ctl.Start spawns the only
-			// reader of this closure.
-			gcfg.P999 = func() time.Duration { return srv.TailP999() }
-		}
-		shards := eng.GCShards()
-		sh := make([]gcsched.Shard, len(shards))
-		for i, s := range shards {
-			sh[i] = s
-		}
-		ctl, err = gcsched.New(gcfg, sh)
-		if err != nil {
-			return GCSchedRow{}, err
-		}
-		srvCfg.GCSched = ctl
-	}
-	srv, err = server.New(srvCfg)
-	if err != nil {
-		return GCSchedRow{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return GCSchedRow{}, err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	if ctl != nil {
-		ctl.Start()
-	}
-
-	span := srv.VolumeBlocks()
-	payloadBytes := int(cfg.BlockSize)
-	records := make([][]opRecord, opts.Tenants*opts.Workers)
-	var wg sync.WaitGroup
-	var runErr error
-	var errOnce sync.Once
-	deadline := time.Now().Add(opts.Duration)
-	for t := 0; t < opts.Tenants; t++ {
-		c, err := server.Dial(ln.Addr().String(), uint32(t))
-		if err != nil {
-			ln.Close()
-			if ctl != nil {
-				ctl.Stop()
-			}
-			return GCSchedRow{}, err
-		}
-		c.SetBlockBytes(payloadBytes)
-		defer c.Close()
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func(c *server.Client, recs *[]opRecord, seed uint64) {
-				defer wg.Done()
-				rng := sim.NewRNG(seed)
-				zipf := workload.NewZipf(rng, span, opts.Theta, true)
-				payload := make([]byte, payloadBytes)
-				for i := range payload {
-					payload[i] = byte(rng.Intn(256))
-				}
-				bo := fault.Backoff{}
-				for n := 0; n < opts.OpsPerWorker && time.Now().Before(deadline); n++ {
-					if opts.ThinkTime > 0 {
-						// Exponential think time: bursty arrivals at a
-						// controlled mean utilization.
-						gap := -math.Log(1-rng.Float64()) * float64(opts.ThinkTime)
-						time.Sleep(time.Duration(gap))
-					}
-					lba := zipf.Next()
-					write := rng.Float64() < opts.WriteFrac
-					t0 := eng.Now()
-					var err error
-					for attempt := 0; ; attempt++ {
-						if write {
-							err = c.Write(lba, payload)
-						} else {
-							_, err = c.Read(lba, 1)
-						}
-						if !errors.Is(err, server.ErrBackpressure) {
-							break
-						}
-						time.Sleep(bo.Delay(attempt))
-					}
-					if err != nil {
-						errOnce.Do(func() { runErr = err })
-						return
-					}
-					*recs = append(*recs, opRecord{start: t0, end: eng.Now()})
-				}
-			}(c, &records[t*opts.Workers+w], sc.Seed+uint64(t*1000+w))
-		}
-	}
-	wg.Wait()
-	if ctl != nil {
-		ctl.Stop()
-	}
-	// Attribute the slowest traced requests before tearing the
-	// connections down, while the per-connection span rings are live.
+	var st1 prototype.EngineStats
 	causes := map[string]int{}
-	for _, ex := range srv.TraceSnapshot(int64(time.Millisecond), 64) {
-		causes[ex.Cause]++
-	}
-	ln.Close()
-	<-served
-	if runErr != nil {
-		return GCSchedRow{}, runErr
+	all, err := opts.run(st, sc.Seed, opts.OpsPerWorker, opts.ThinkTime, func() {
+		if st.GC != nil {
+			st.GC.Stop()
+		}
+		// Attribute the slowest traced requests before the connections
+		// are torn down, while the per-connection span rings are live.
+		for _, ex := range st.Server.TraceSnapshot(int64(time.Millisecond), 64) {
+			causes[ex.Cause]++
+		}
+		st1 = eng.Stats() // before Shutdown's drain pads the open chunks
+	})
+	if err != nil {
+		return GCSchedRow{}, err
 	}
 
-	var all []opRecord
-	for _, rs := range records {
-		all = append(all, rs...)
-	}
 	mode := "sync"
 	if background {
 		mode = "background"
@@ -339,16 +198,11 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	if len(all) == 0 {
 		return row, nil
 	}
-	lats := make([]float64, len(all))
-	for i, r := range all {
-		lats[i] = float64(r.end - r.start)
-	}
-	sort.Float64s(lats)
+	lats := sortedLatencies(all)
 	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
 	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
 	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
 
-	st1 := eng.Stats()
 	du := st1.UserBlocks - st0.UserBlocks
 	dg := st1.GCBlocks - st0.GCBlocks
 	if du > 0 {
@@ -357,31 +211,23 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	row.GCCycles = st1.GCCycles - st0.GCCycles
 	row.GCSlices = st1.GCSlices - st0.GCSlices
 	row.EmergencyRuns = st1.GCEmergencyRuns - st0.GCEmergencyRuns
-	if ctl != nil {
-		cs := ctl.Stats()
+	if st.GC != nil {
+		cs := st.GC.Stats()
 		row.PacerSlices = cs.Slices
 		row.TailSkips = cs.TailSkips
 		row.QueueSkips = cs.QueueSkips
 	}
-	type kv struct {
-		cause string
-		n     int
+	var ranked []string
+	for c := range causes {
+		ranked = append(ranked, c)
 	}
-	var ranked []kv
-	for c, n := range causes {
-		ranked = append(ranked, kv{c, n})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].n != ranked[j].n {
-			return ranked[i].n > ranked[j].n
-		}
-		return ranked[i].cause < ranked[j].cause
+	slices.SortFunc(ranked, func(a, b string) int {
+		return cmp.Or(cmp.Compare(causes[b], causes[a]), cmp.Compare(a, b))
 	})
-	var parts []string
-	for _, e := range ranked {
-		parts = append(parts, fmt.Sprintf("%s×%d", e.cause, e.n))
+	for i, c := range ranked {
+		ranked[i] = fmt.Sprintf("%s×%d", c, causes[c])
 	}
-	row.TailCauses = strings.Join(parts, " ")
+	row.TailCauses = strings.Join(ranked, " ")
 	return row, nil
 }
 

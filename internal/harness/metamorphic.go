@@ -238,8 +238,9 @@ func ReorderDisjointWrites(tr *trace.Trace, blockSize int64, seed uint64, swaps 
 // runs in degraded mode (GC throttled to the low watermark) for records
 // in [degradeFrom, degradeTo) when degradeTo > degradeFrom, so the
 // differential also covers the fault path's victim selection. The
-// legacy-vs-index differential replays the same trace twice with
-// cfg.LegacyVictimScan flipped and compares the sequences.
+// scan-vs-index differential in internal/lss replays the same trace
+// twice, once through that package's reference-scan test hook, and
+// compares the sequences.
 func VictimSequence(policy string, cfg lss.Config, tr *trace.Trace, degradeFrom, degradeTo int) ([]int, error) {
 	pol, err := BuildPolicy(policy, cfg)
 	if err != nil {

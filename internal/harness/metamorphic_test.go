@@ -137,47 +137,3 @@ func TestSeedShiftWATolerance(t *testing.T) {
 		}
 	}
 }
-
-// TestVictimSequenceLegacyIndexAllPolicies extends the PR 2 victim
-// differential to every placement policy: the incremental victim index
-// and the legacy scan-and-sort selector must reclaim byte-identical
-// victim sequences for the deterministic victim policies, including a
-// degraded-mode stretch in the middle third of the trace.
-func TestVictimSequenceLegacyIndexAllPolicies(t *testing.T) {
-	opt := DiffOptions{Blocks: 4 << 10, Writes: 24 << 10, Seed: 9}.withDefaults()
-	tr := DiffTrace(opt)
-	n := len(tr.Records)
-	for _, victim := range []lss.VictimPolicy{lss.Greedy, lss.CostBenefit} {
-		for _, policy := range PolicyNames() {
-			for _, degraded := range []bool{false, true} {
-				from, to := 0, 0
-				if degraded {
-					from, to = n/3, 2*n/3
-				}
-				cfg := DiffConfig(opt.Blocks, victim)
-				idx, err := VictimSequence(policy, cfg, tr, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.LegacyVictimScan = true
-				legacy, err := VictimSequence(policy, cfg, tr, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(idx) == 0 {
-					t.Fatalf("%s/%s: no segments reclaimed; differential is vacuous", policy, victim)
-				}
-				if len(idx) != len(legacy) {
-					t.Fatalf("%s/%s degraded=%v: index reclaimed %d victims, legacy %d",
-						policy, victim, degraded, len(idx), len(legacy))
-				}
-				for i := range idx {
-					if idx[i] != legacy[i] {
-						t.Fatalf("%s/%s degraded=%v: victim %d differs: index=%d legacy=%d",
-							policy, victim, degraded, i, idx[i], legacy[i])
-					}
-				}
-			}
-		}
-	}
-}

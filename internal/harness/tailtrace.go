@@ -1,22 +1,15 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
-	"net"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"adapt/internal/fault"
-	"adapt/internal/lss"
-	"adapt/internal/prototype"
+	"adapt/internal/serve"
 	"adapt/internal/server"
 	"adapt/internal/sim"
 	"adapt/internal/stats"
 	"adapt/internal/telemetry"
-	"adapt/internal/workload"
 )
 
 // TailTraceOptions sizes the tail-latency attribution experiment: one
@@ -25,28 +18,16 @@ import (
 // op window can be checked against the GC interference intervals the
 // store publishes.
 type TailTraceOptions struct {
-	// Blocks is the store footprint; the engine pre-fills it so GC is
-	// active from the first op.
-	Blocks int64
-	// Tenants is the volume/connection count; Workers the closed-loop
-	// pipelined workers per tenant.
-	Tenants int
-	Workers int
-	// Duration is the measured wall-clock window per policy.
-	Duration time.Duration
-	// WriteFrac and Theta shape the workload (zipfian over each
-	// volume's LBA space).
-	WriteFrac float64
-	Theta     float64
-	// ServiceTime is the modelled per-chunk device time.
-	ServiceTime time.Duration
+	// LiveLoad sizes the stack and its load; Duration is the measured
+	// wall-clock window per policy.
+	LiveLoad
 }
 
 // DefaultTailTraceOptions sizes the experiment for the given scale:
 // a quarter of the YCSB footprint, write-heavy so GC churns, and a
 // window long enough for dozens of GC cycles per policy.
 func DefaultTailTraceOptions(sc Scale) TailTraceOptions {
-	return TailTraceOptions{
+	return TailTraceOptions{LiveLoad{
 		Blocks:      sc.YCSBBlocks / 4,
 		Tenants:     4,
 		Workers:     4,
@@ -54,7 +35,7 @@ func DefaultTailTraceOptions(sc Scale) TailTraceOptions {
 		WriteFrac:   0.9,
 		Theta:       0.99,
 		ServiceTime: 5 * time.Microsecond,
-	}
+	}}
 }
 
 // TailTraceRow is one policy's tail-attribution summary.
@@ -85,30 +66,13 @@ type TailTraceResult struct {
 	Rows []TailTraceRow
 }
 
-// opRecord is one completed client op on the engine clock: the window
-// [Start, End] is compared against GC intervals from the same clock.
-type opRecord struct {
-	start, end sim.Time
-}
-
 // ExpTailTrace boots the full serving stack once per policy — engine,
 // batching network server with tracing enabled, closed-loop zipfian
 // tenants over loopback TCP — and attributes the client-observed P999
 // tail to GC by overlapping each slow op's lifetime with the GC
-// interference intervals the store published on the shared clock.
+// interference intervals the store published on the shared clock. opts
+// is used as given: start from DefaultTailTraceOptions.
 func ExpTailTrace(sc Scale, policies []string, opts TailTraceOptions) (*TailTraceResult, error) {
-	if opts.Blocks <= 0 {
-		opts.Blocks = sc.YCSBBlocks / 4
-	}
-	if opts.Tenants <= 0 {
-		opts.Tenants = 4
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
 	out := &TailTraceResult{Opts: opts}
 	for _, polName := range policies {
 		row, err := runTailTrace(sc, polName, opts)
@@ -121,103 +85,28 @@ func ExpTailTrace(sc Scale, policies []string, opts TailTraceOptions) (*TailTrac
 }
 
 func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow, error) {
-	cfg := StoreConfig(opts.Blocks, 0)
 	// The interval ring must hold every GC cycle of the run: a
 	// write-heavy window can exceed the default 4096 and evictions
 	// would silently drop attribution for early ops.
 	ts := telemetry.New(telemetry.Options{EventCapacity: 1 << 16})
-	eng, err := prototype.NewSharded(prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store:       cfg,
-			ServiceTime: opts.ServiceTime,
-			Fill:        true,
-			Telemetry:   ts,
-		},
-		Shards: 1,
-		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-			return BuildPolicy(polName, scfg)
+	st, err := serve.Build(serve.Config{
+		Engine: opts.filledEngine(polName, ts),
+		Server: server.Config{
+			Volumes: opts.Tenants,
+			Batch:   true,
+			Trace:   server.TraceConfig{Enabled: true},
 		},
 	})
 	if err != nil {
 		return TailTraceRow{}, err
 	}
-	defer eng.Close()
+	eng := st.Engine
 	fillEnd := eng.Now() // exclude fill-phase GC from attribution
 
-	srv, err := server.New(server.Config{
-		Engine:    eng,
-		Volumes:   opts.Tenants,
-		Batch:     true,
-		Telemetry: ts,
-		Trace:     server.TraceConfig{Enabled: true},
-	})
+	var runEnd sim.Time
+	all, err := opts.run(st, sc.Seed, 0, 0, func() { runEnd = eng.Now() })
 	if err != nil {
 		return TailTraceRow{}, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return TailTraceRow{}, err
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-
-	span := srv.VolumeBlocks()
-	payloadBytes := int(cfg.BlockSize)
-	records := make([][]opRecord, opts.Tenants*opts.Workers)
-	var wg sync.WaitGroup
-	var runErr error
-	var errOnce sync.Once
-	deadline := time.Now().Add(opts.Duration)
-	for t := 0; t < opts.Tenants; t++ {
-		c, err := server.Dial(ln.Addr().String(), uint32(t))
-		if err != nil {
-			ln.Close()
-			return TailTraceRow{}, err
-		}
-		c.SetBlockBytes(payloadBytes)
-		defer c.Close()
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func(c *server.Client, recs *[]opRecord, seed uint64) {
-				defer wg.Done()
-				rng := sim.NewRNG(seed)
-				zipf := workload.NewZipf(rng, span, opts.Theta, true)
-				payload := make([]byte, payloadBytes)
-				for i := range payload {
-					payload[i] = byte(rng.Intn(256))
-				}
-				bo := fault.Backoff{}
-				for time.Now().Before(deadline) {
-					lba := zipf.Next()
-					write := rng.Float64() < opts.WriteFrac
-					t0 := eng.Now()
-					var err error
-					for attempt := 0; ; attempt++ {
-						if write {
-							err = c.Write(lba, payload)
-						} else {
-							_, err = c.Read(lba, 1)
-						}
-						if !errors.Is(err, server.ErrBackpressure) {
-							break
-						}
-						time.Sleep(bo.Delay(attempt))
-					}
-					if err != nil {
-						errOnce.Do(func() { runErr = err })
-						return
-					}
-					*recs = append(*recs, opRecord{start: t0, end: eng.Now()})
-				}
-			}(c, &records[t*opts.Workers+w], sc.Seed+uint64(t*1000+w))
-		}
-	}
-	wg.Wait()
-	runEnd := eng.Now()
-	ln.Close()
-	<-served
-	if runErr != nil {
-		return TailTraceRow{}, runErr
 	}
 
 	// GC intervals on the engine clock, fill phase excluded; intervals
@@ -232,18 +121,10 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 		gcBusy += iv.Overlap(fillEnd, runEnd)
 	}
 
-	var all []opRecord
-	for _, rs := range records {
-		all = append(all, rs...)
-	}
 	if len(all) == 0 {
 		return TailTraceRow{Policy: polName}, nil
 	}
-	lats := make([]float64, len(all))
-	for i, r := range all {
-		lats[i] = float64(r.end - r.start)
-	}
-	sort.Float64s(lats)
+	lats := sortedLatencies(all)
 	p999 := stats.SortedPercentile(lats, 99.9)
 
 	overlapsGC := func(r opRecord) bool {

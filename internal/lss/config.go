@@ -94,12 +94,6 @@ type Config struct {
 	// mode. Zero means max(1, GCLowWater-2); it must stay below
 	// GCLowWater so the pacer has room to act first.
 	GCEmergencyFloor int
-	// LegacyVictimScan selects the reference scan-and-sort victim
-	// selector instead of the incremental victim index. The two produce
-	// identical victim sequences for the deterministic policies; the
-	// scan rescans every segment per GC cycle and exists for
-	// differential tests and benchmarks.
-	LegacyVictimScan bool
 	// Paranoid turns on fail-stop self-verification: CheckInvariants
 	// runs after every GC cycle and at every Drain, and a violation
 	// panics instead of letting corruption propagate. It is O(capacity)

@@ -242,7 +242,7 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 			if s.degraded {
 				want = 1
 			}
-			c.victims = s.selectVictims(want)
+			c.victims = selectVictims(s, want)
 			c.vi, c.slot, c.migrated = 0, 0, 0
 			if len(c.victims) == 0 {
 				// Nothing reclaimable; the caller may panic on true
@@ -316,19 +316,16 @@ func topNCands(cands []scoredSeg, n int) []*segment {
 
 // selectVictims returns up to n victims ordered best-first according
 // to the victim policy. Segments with no garbage are never selected
-// (reclaiming them cannot make progress). The default path answers
-// from the incremental victim index without touching the segment
-// array; Config.LegacyVictimScan selects the reference scan.
-func (s *Store) selectVictims(n int) []*segment {
-	if s.cfg.LegacyVictimScan {
-		return s.selectVictimsScan(n)
-	}
-	return s.selectVictimsIndexed(n)
-}
+// (reclaiming them cannot make progress). It answers from the
+// incremental victim index without touching the segment array; it is a
+// variable only so the package's test hook (export_test.go) can route
+// stores through the reference scan for the differential tests.
+var selectVictims = (*Store).selectVictimsIndexed
 
 // selectVictimsScan is the reference selector: rescan every segment,
-// score, and sort — O(S log S) per call. Kept for differential tests
-// and the victim-selection benchmark.
+// score, and sort — O(S log S) per call. No configuration selects it:
+// the differential tests and the victim-selection benchmark reach it
+// through export_test.go.
 func (s *Store) selectVictimsScan(n int) []*segment {
 	var cands []scoredSeg
 	consider := func(seg *segment) {

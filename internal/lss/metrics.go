@@ -37,12 +37,10 @@ type Metrics struct {
 	// mode (array column failed, rebuild behind its watermark), where
 	// the cycle reclaims only to just above the low watermark.
 	ThrottledGCCycles int64
-	// GCScannedBlocks measures victim-selection work. On the default
-	// incremental-index path it counts index probes (bucket-heap and
-	// seal-ring entries examined, plus sampling draws); under
-	// Config.LegacyVictimScan it keeps the old meaning of candidates
-	// considered by the full scan. Comparable as "selection effort"
-	// either way, but not across the two paths.
+	// GCScannedBlocks measures victim-selection work: index probes
+	// (bucket-heap and seal-ring entries examined, plus sampling
+	// draws). The reference scan the differential tests run counts
+	// candidates considered instead, so the two are not comparable.
 	GCScannedBlocks int64
 	// GCSlices counts externally paced GC executions (GCStep calls that
 	// did work); a synchronous cycle is one activation and zero slices.

@@ -115,7 +115,7 @@ type Store struct {
 	sealCount int64 // monotone seal counter feeding segment.sealSeq
 
 	// vidx tracks sealed segments for O(1)-amortized victim selection;
-	// maintained unconditionally, consulted unless LegacyVictimScan.
+	// maintained unconditionally and consulted by every GC cycle.
 	vidx *victimIndex
 	// onReclaim, when set, observes every reclaimed victim in selection
 	// order (differential tests compare victim sequences through it).

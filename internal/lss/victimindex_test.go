@@ -23,7 +23,9 @@ func zipfLike(rng *sim.RNG, n int64) int64 {
 func runDifferential(t testing.TB, v VictimPolicy, legacy bool, seed uint64) ([]int, *Metrics) {
 	cfg := smallConfig()
 	cfg.Victim = v
-	cfg.LegacyVictimScan = legacy
+	if legacy {
+		defer UseVictimScan()()
+	}
 	s := New(cfg, twoGroup{})
 	var seq []int
 	s.onReclaim = func(segID int) { seq = append(seq, segID) }
@@ -193,10 +195,9 @@ func TestVictimIndexRebuildAfterRecovery(t *testing.T) {
 // benchVictimStore builds a store with nsegs total segments, nearly
 // all sealed with synthetic garbage counts, ready for selectVictims
 // microbenchmarks (selection reads segment state and the index only).
-func benchVictimStore(nsegs int, legacy bool, v VictimPolicy) *Store {
+func benchVictimStore(nsegs int, v VictimPolicy) *Store {
 	cfg := smallConfig()
 	cfg.Victim = v
-	cfg.LegacyVictimScan = legacy
 	// Invert totalSegments so the physical segment count lands near
 	// nsegs: physBlocks = UserBlocks * 1.25, 32-block segments.
 	cfg.UserBlocks = int64(nsegs-12) * 32 * 4 / 5
@@ -220,20 +221,20 @@ func benchVictimStore(nsegs int, legacy bool, v VictimPolicy) *Store {
 }
 
 // BenchmarkGCVictimSelection sweeps the segment count and compares the
-// incremental index against the removed full scan: per-selection cost
+// incremental index against the reference full scan: per-selection cost
 // must stay flat for the index while the scan grows superlinearly.
 func BenchmarkGCVictimSelection(b *testing.B) {
 	for _, nsegs := range []int{1024, 4096, 16384, 65536} {
 		for _, path := range []struct {
-			name   string
-			legacy bool
-		}{{"index", false}, {"scan", true}} {
+			name     string
+			selector func(*Store, int) []*segment
+		}{{"index", (*Store).selectVictimsIndexed}, {"scan", (*Store).selectVictimsScan}} {
 			for _, v := range []VictimPolicy{Greedy, CostBenefit} {
 				b.Run(fmt.Sprintf("policy=%s/segs=%d/%s", v, nsegs, path.name), func(b *testing.B) {
-					s := benchVictimStore(nsegs, path.legacy, v)
+					s := benchVictimStore(nsegs, v)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if victims := s.selectVictims(4); len(victims) == 0 {
+						if victims := path.selector(s, 4); len(victims) == 0 {
 							b.Fatal("no victims selected")
 						}
 					}

@@ -186,13 +186,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		s.conns[conn] = struct{}{}
 		if s.draining.Load() {
-			conn.SetReadDeadline(time.Now())
+			// Accepted as Shutdown closed the listener: as in
+			// server.Serve, counting it could race Shutdown's Wait.
+			s.mu.Unlock()
+			conn.Close()
+			continue
 		}
+		s.conns[conn] = struct{}{}
+		s.connWG.Add(1)
 		s.mu.Unlock()
 		s.met.conns.Add(1)
-		s.connWG.Add(1)
 		go s.serveConn(conn)
 	}
 }

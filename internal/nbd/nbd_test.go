@@ -15,7 +15,6 @@ import (
 	"adapt/internal/nbd/nbdtest"
 	"adapt/internal/placement"
 	"adapt/internal/prototype"
-	"adapt/internal/segfile"
 	"adapt/internal/server"
 )
 
@@ -31,7 +30,6 @@ type stackConfig struct {
 	batch      bool
 	trace      bool
 	mirror     bool // oracle + RAID mirror: enables FailColumn/RebuildStep
-	dataDir    string
 }
 
 // stack is a full serving stack: engine → volume manager → NBD
@@ -52,9 +50,8 @@ func policyParams(cfg lss.Config) placement.Params {
 }
 
 // testEngine builds an engine over the tiny test geometry; mirror
-// attaches the oracle + RAID mirror (enables FailColumn/RebuildStep),
-// durable a file-backed segment log.
-func testEngine(userBlocks int64, shards int, mirror bool, durable *segfile.Options) (*prototype.Sharded, error) {
+// attaches the oracle + RAID mirror (enables FailColumn/RebuildStep).
+func testEngine(userBlocks int64, shards int, mirror bool) (*prototype.Sharded, error) {
 	return prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{
 			Store: lss.Config{
@@ -67,7 +64,6 @@ func testEngine(userBlocks int64, shards int, mirror bool, durable *segfile.Opti
 			ServiceTime:  time.Microsecond,
 			Verify:       mirror,
 			VerifyMirror: mirror,
-			Durable:      durable,
 		},
 		Shards: shards,
 		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
@@ -78,14 +74,13 @@ func testEngine(userBlocks int64, shards int, mirror bool, durable *segfile.Opti
 
 func newStack(t testing.TB, sc stackConfig) *stack {
 	t.Helper()
-	eng, err := testEngine(sc.userBlocks, max(sc.shards, 1), sc.mirror, nil)
+	eng, err := testEngine(sc.userBlocks, max(sc.shards, 1), sc.mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
 		Engine:       eng,
 		Volumes:      sc.volumes,
-		DataDir:      sc.dataDir,
 		Batch:        sc.batch,
 		BatchTimeout: time.Millisecond,
 		Trace:        server.TraceConfig{Enabled: sc.trace},

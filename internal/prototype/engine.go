@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adapt/internal/checker"
+	"adapt/internal/gcsched"
 	"adapt/internal/lss"
 	"adapt/internal/segfile"
 	"adapt/internal/sim"
@@ -52,22 +53,11 @@ type Ingest interface {
 	DurableStats() (segfile.Stats, bool)
 }
 
-// GCShard is one shard's background-GC stepping surface: the pacer
-// polls need and urgency, then buys bounded slices of relocation work.
-// Every method takes the shard's own lock, so a slice excludes user
-// operations on that shard only for its duration.
-type GCShard interface {
-	// GCNeeded reports pending GC work: an in-flight (paused) cycle or
-	// a free pool at or below the low watermark.
-	GCNeeded() bool
-	// GCUrgency is the distance-to-watermark signal: 0 at the high
-	// watermark, 1 at the low watermark, above 1 approaching the
-	// emergency floor.
-	GCUrgency() float64
-	// GCStep runs up to budget relocation units and reports whether no
-	// cycle remains in flight.
-	GCStep(budget int) bool
-}
+// GCShard is one shard's background-GC stepping surface — the pacer's
+// own interface, so GCShards feeds gcsched.New directly. Every method
+// takes the shard's own lock, so a slice excludes user operations on
+// that shard only for its duration.
+type GCShard = gcsched.Shard
 
 // deviceArray models the physical SSD array: per-column bounded
 // queues drained by workers that accrue the configured service time

@@ -1,10 +1,9 @@
 package segfile
 
 // Capability describes what the host filesystem offers the durable
-// path. bench-snapshot records it alongside benchmark output so
-// durable-path numbers are comparable across containers (an O_DIRECT
-// ext4 host and a buffered overlayfs container measure very different
-// things).
+// path. cmd/fscap prints it so a durable-path number can say what it
+// was measured on (an O_DIRECT ext4 host and a buffered overlayfs
+// container measure very different things).
 type Capability struct {
 	// FSType is the filesystem type name backing the probed directory
 	// ("ext4", "tmpfs", "overlayfs", ...), "unknown" when the platform

@@ -131,10 +131,11 @@ type Store struct {
 	recoveredBlocks atomic.Int64
 	tornRecords     atomic.Int64
 
-	hist    latHist
-	regHist *telemetry.Histogram
-	buf     []byte // staging buffer for aligned writes
-	closed  bool
+	// hist is the one fsync-latency histogram: Stats reads its
+	// quantiles, and it is the instrument the telemetry set exports.
+	hist   *telemetry.Histogram
+	buf    []byte // staging buffer for aligned writes
+	closed bool
 }
 
 var _ lss.DurableLog = (*Store)(nil)
@@ -321,6 +322,13 @@ func (st *Store) syncFile(fs *fileState) error {
 	return nil
 }
 
+// fsyncBounds are the fsync-latency histogram bucket upper bounds in
+// nanoseconds: 10 µs .. 1 s in decades, bracketing both tmpfs (~µs)
+// and spinning storage (~ms).
+var fsyncBounds = []int64{
+	10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000,
+}
+
 // timedSync fsyncs f, counting the call and observing its latency.
 func (st *Store) timedSync(f File) error {
 	start := time.Now()
@@ -329,10 +337,7 @@ func (st *Store) timedSync(f File) error {
 	}
 	d := time.Since(start).Nanoseconds()
 	st.fsyncs.Add(1)
-	st.hist.observe(d)
-	if st.regHist != nil {
-		st.regHist.Observe(d)
-	}
+	st.hist.Observe(d)
 	return nil
 }
 
@@ -639,9 +644,9 @@ func (st *Store) Stats() Stats {
 		DirSyncs:          st.dirSyncs.Load(),
 		Checkpoints:       st.checkpoints.Load(),
 		BytesWritten:      st.bytesWritten.Load(),
-		FsyncP50NS:        st.hist.quantile(0.5),
-		FsyncP99NS:        st.hist.quantile(0.99),
-		FsyncP999NS:       st.hist.quantile(0.999),
+		FsyncP50NS:        st.hist.Quantile(0.5),
+		FsyncP99NS:        st.hist.Quantile(0.99),
+		FsyncP999NS:       st.hist.Quantile(0.999),
 		RecoveredSegments: st.recoveredSegs.Load(),
 		RecoveredBlocks:   st.recoveredBlocks.Load(),
 		TornRecords:       st.tornRecords.Load(),
@@ -658,13 +663,14 @@ func (st *Store) metricName(name string) string {
 	return fmt.Sprintf("%s{shard=\"%d\"}", name, st.opts.Shard)
 }
 
-// attachTelemetry registers the lss_durable_* instruments.
+// attachTelemetry registers the lss_durable_* instruments on the
+// attached set — or, with none, on a registry nobody scrapes, so the
+// store always owns the one fsync histogram Stats reads.
 func (st *Store) attachTelemetry() {
-	ts := st.opts.Telemetry
-	if ts == nil {
-		return
+	reg := telemetry.NewRegistry()
+	if ts := st.opts.Telemetry; ts != nil {
+		reg = ts.Registry
 	}
-	reg := ts.Registry
 	type cum struct {
 		name, help string
 		cumulative bool
@@ -682,6 +688,6 @@ func (st *Store) attachTelemetry() {
 	} {
 		reg.NewFuncGauge(st.metricName(c.name), c.help, c.cumulative, c.fn)
 	}
-	st.regHist = reg.NewHistogram(st.metricName(telemetry.MetricDurableFsyncHistogram),
+	st.hist = reg.NewHistogram(st.metricName(telemetry.MetricDurableFsyncHistogram),
 		"fsync latency of the durable backend", fsyncBounds)
 }

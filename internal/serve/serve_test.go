@@ -1,0 +1,190 @@
+package serve_test
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"adapt/internal/gcsched"
+	"adapt/internal/lss"
+	"adapt/internal/nbd"
+	"adapt/internal/placement"
+	"adapt/internal/prototype"
+	"adapt/internal/segfile"
+	"adapt/internal/serve"
+	"adapt/internal/server"
+	"adapt/internal/telemetry"
+)
+
+const blockBytes = 64
+
+// fullConfig is the fullest stack Build assembles — 2 durable shards,
+// pacer, traced batching server, NBD — over dir, at test geometry.
+func fullConfig(dir string, volumes int) serve.Config {
+	return serve.Config{
+		Engine: prototype.ShardedConfig{
+			Engine: prototype.EngineConfig{
+				Store: lss.Config{
+					BlockSize:     blockBytes,
+					ChunkBlocks:   8,
+					SegmentChunks: 4,
+					UserBlocks:    4096,
+					OverProvision: 0.25,
+				},
+				ServiceTime: time.Microsecond,
+				Telemetry:   telemetry.New(telemetry.Options{}),
+				Durable:     &segfile.Options{Sync: segfile.SyncAlways},
+			},
+			Shards: 2,
+			PolicyFactory: func(_ int, cfg lss.Config) (lss.Policy, error) {
+				return placement.New("sepgc", placement.Params{
+					UserBlocks:    cfg.UserBlocks,
+					SegmentBlocks: cfg.SegmentBlocks(),
+					ChunkBlocks:   cfg.ChunkBlocks,
+				})
+			},
+		},
+		Server: server.Config{
+			Volumes: volumes,
+			Batch:   true,
+			Trace:   server.TraceConfig{Enabled: true},
+		},
+		GC:      &gcsched.Config{TargetP999: 2 * time.Millisecond},
+		NBD:     &nbd.Config{},
+		DataDir: dir,
+	}
+}
+
+// openUnder counts this process's descriptors on files below dir.
+func openUnder(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStackLifecycle runs the full stack once around: Build starts
+// nothing, Serve runs both frontends and the pacer, Shutdown leaves
+// Serve returning nil and the directory recoverable, with the layout
+// adaptserve documents (engine/shard-N, volumes/).
+func TestStackLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	st, err := serve.Build(fullConfig(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GC == nil || st.NBD == nil {
+		t.Fatalf("stack missing a configured layer: GC=%v NBD=%v", st.GC, st.NBD)
+	}
+	if got := st.GC.Stats(); got != (gcsched.Stats{}) {
+		t.Fatalf("pacer ran before Serve: %+v", got)
+	}
+	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbdLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- st.Serve(wireLn, nbdLn) }()
+
+	c, err := server.Dial(wireLn.Addr().String(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetBlockBytes(blockBytes)
+	want := bytes.Repeat([]byte{0xA5}, blockBytes)
+	if err := c.Write(7, want); err != nil {
+		t.Fatal(err)
+	}
+	stat, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stat["gcsched_slices"]; !ok {
+		t.Fatal("STAT does not report the pacer Build wired into the server")
+	}
+	c.Close()
+	nc, err := net.Dial("tcp", nbdLn.Addr().String())
+	if err != nil {
+		t.Fatalf("NBD listener not served: %v", err)
+	}
+	nc.Close()
+
+	if err := st.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Shutdown: %v", err)
+	}
+	if n := openUnder(t, dir); n != 0 {
+		t.Fatalf("%d descriptors still open under the data dir after Shutdown", n)
+	}
+	for _, p := range []string{"engine/shard-0", "engine/shard-1", "volumes/manifest.json", "volumes/vol-1.dat"} {
+		if _, err := os.Stat(filepath.Join(dir, p)); err != nil {
+			t.Fatalf("data dir layout: %v", err)
+		}
+	}
+
+	again, err := serve.Build(fullConfig(dir, 2))
+	if err != nil {
+		t.Fatalf("rebuild on the same directory: %v", err)
+	}
+	defer again.Shutdown(context.Background())
+	if !again.Engine.Recovered() {
+		t.Fatal("rebuilt engine did not recover the log")
+	}
+	got, err := again.Server.ReadBlocks(1, 7, 1, nil)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("block written before Shutdown reads back %x (%v)", got, err)
+	}
+}
+
+// TestBuildFailureReleases fails Build at its last fallible step over
+// real files — the engine has recovered its log and started its device
+// workers when the server refuses the directory's volume manifest — and
+// checks that nothing Build opened outlives the error.
+func TestBuildFailureReleases(t *testing.T) {
+	dir := t.TempDir()
+	st, err := serve.Build(fullConfig(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
+
+	_, err = serve.Build(fullConfig(dir, 4)) // manifest says 2 volumes
+	if err == nil || !strings.Contains(err.Error(), "manifest.json") {
+		t.Fatalf("Build over a mismatched manifest: %v, want the manifest error", err)
+	}
+	if n := openUnder(t, dir); n != 0 {
+		t.Fatalf("failed Build left %d descriptors open under the data dir", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("failed Build left %d goroutines running:\n%s", n-goroutines, buf[:runtime.Stack(buf, true)])
+	}
+}

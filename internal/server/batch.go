@@ -187,7 +187,7 @@ func (c *shardCommitter) commitList(head *commitReq) {
 	}
 	if err == nil {
 		// Durability point of the group commit: each member volume's
-		// backing file syncs once (syncData dedupes by dirty mark)
+		// backing file syncs once (syncData skips a covered fsync)
 		// before any follower is acked.
 		for _, r := range items {
 			if e := r.vol.syncData(); e != nil {

@@ -4,6 +4,7 @@
 package server_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,10 +15,12 @@ import (
 	"time"
 
 	"adapt/internal/adaptcore"
+	"adapt/internal/gcsched"
 	"adapt/internal/lss"
 	"adapt/internal/nbd"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
+	"adapt/internal/serve"
 	"adapt/internal/server"
 	"adapt/internal/telemetry"
 )
@@ -44,11 +47,12 @@ func families(reg *telemetry.Registry) string {
 	return strings.Join(fams, "\n") + "\n"
 }
 
-// TestMetricNamesGolden pins the served metric namespace: it boots the
-// stack adaptserve serves (2-shard durable engine + ADAPT policy per
-// shard + traced server + NBD frontend, so every family that binary
-// can register does), normalizes indexed instances to one entry per
-// family, and diffs against the committed golden list. The adapt_*
+// TestMetricNamesGolden pins the served metric namespace: it builds,
+// through serve.Build as adaptserve does, the fullest stack that binary
+// can serve (2-shard durable engine + ADAPT policy per shard + GC pacer
+// + traced server + NBD frontend, so every family it can register
+// does), normalizes indexed instances to one entry per family, and
+// diffs against the committed golden list. The adapt_*
 // policy families are not in that stack — only the simulator and
 // prototype.Run wire a policy's telemetry — so a second block pins
 // them through the same SetTelemetry call those paths make, on a
@@ -67,42 +71,37 @@ func TestMetricNamesGolden(t *testing.T) {
 		}, adaptcore.Options{SampleRate: 0.5})
 	}
 	ts := telemetry.New(telemetry.Options{})
-	eng, err := prototype.NewSharded(prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store: lss.Config{
-				BlockSize:     64,
-				ChunkBlocks:   8,
-				SegmentChunks: 4,
-				UserBlocks:    4096,
-				OverProvision: 0.25,
+	st, err := serve.Build(serve.Config{
+		Engine: prototype.ShardedConfig{
+			Engine: prototype.EngineConfig{
+				Store: lss.Config{
+					BlockSize:     64,
+					ChunkBlocks:   8,
+					SegmentChunks: 4,
+					UserBlocks:    4096,
+					OverProvision: 0.25,
+				},
+				ServiceTime: time.Microsecond,
+				Telemetry:   ts,
+				Durable:     &segfile.Options{Sync: segfile.SyncOnSeal},
 			},
-			ServiceTime: time.Microsecond,
-			Telemetry:   ts,
-			// A durable backend registers the lss_durable_* families; the
-			// golden pins them alongside the rest of the namespace.
-			Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+			Shards: 2,
+			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+				return newPolicy(scfg), nil
+			},
 		},
-		Shards: 2,
-		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-			return newPolicy(scfg), nil
-		},
+		Server: server.Config{Volumes: 2, Trace: server.TraceConfig{Enabled: true}},
+		GC:     &gcsched.Config{},
+		NBD:    &nbd.Config{},
+		// A durable root registers the lss_durable_* families; the
+		// golden pins them alongside the rest of the namespace.
+		DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	srv, err := server.New(server.Config{
-		Engine:    eng,
-		Volumes:   2,
-		Telemetry: ts,
-		Trace:     server.TraceConfig{Enabled: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nbd.New(nbd.Config{Backend: srv, Telemetry: ts}); err != nil {
-		t.Fatal(err)
-	}
+	defer st.Shutdown(context.Background())
+	eng := st.Engine
 	scratch := telemetry.New(telemetry.Options{})
 	newPolicy(eng.Config()).SetTelemetry(scratch)
 	got := "# served by adaptserve\n" + families(ts.Registry) +

@@ -72,8 +72,8 @@ type Config struct {
 	Trace TraceConfig
 	// GCSched, when set, is the background GC pacer serving this
 	// engine; the STAT opcode reports its counters. The server neither
-	// owns nor drives it — the caller wires the pacer's P999 signal to
-	// TailP999 and stops it after Shutdown.
+	// owns nor drives it — serve.Build wires the pacer's P999 signal to
+	// TailP999 and Stack.Shutdown stops it after the server's drain.
 	GCSched *gcsched.Controller
 }
 
@@ -232,13 +232,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		s.conns[conn] = struct{}{}
 		if s.draining.Load() {
-			conn.SetReadDeadline(time.Now()) // drain immediately
+			// Accepted as Shutdown closed the listener. Shutdown set
+			// draining before it took mu, so counting this connection
+			// could race its connWG.Wait; it has sent nothing we read.
+			s.mu.Unlock()
+			conn.Close()
+			continue
 		}
+		s.conns[conn] = struct{}{}
+		s.connWG.Add(1)
 		s.mu.Unlock()
 		s.met.conns.Add(1)
-		s.connWG.Add(1)
 		go s.handleConn(conn)
 	}
 }

@@ -3,10 +3,19 @@ package server
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 )
+
+// volFile is what a volume needs of its backing file; *os.File
+// satisfies it, and the tests park Sync behind it.
+type volFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
 
 // volume is one tenant's block device: a contiguous slice of the shared
 // array's LBA space, a RAM data plane holding the payload bytes (the
@@ -28,14 +37,18 @@ type volume struct {
 	dataMu sync.RWMutex
 	data   []byte
 
-	// file is the durable backing file (nil without DataDir). dirty
-	// marks unsynced writes so syncData can skip redundant fsyncs —
-	// one group commit carrying many writes to a volume syncs it once.
+	// file is the durable backing file (nil without DataDir). wseq
+	// counts completed write-throughs and synced (under syncMu) is the
+	// wseq the last finished fsync covers, so syncData can skip an fsync
+	// that would add nothing — one group commit syncs a volume once —
+	// without returning while the fsync covering its writes is in flight.
 	// syncErr latches the first fsync failure: the kernel may drop the
 	// pages a failed fsync covered and report success next time, so a
 	// retry proves nothing and the volume stops acking instead.
-	file    *os.File
-	dirty   atomic.Bool
+	file    volFile
+	wseq    atomic.Int64
+	syncMu  sync.Mutex
+	synced  int64
 	syncErr atomic.Pointer[error]
 
 	// Per-tenant stats, all atomics (read by STAT while ops run).
@@ -85,12 +98,12 @@ func (v *volume) inRange(lba uint64, count uint32) bool {
 // before the tail was extended — reads as zeros past its end, matching
 // a block device's fresh-media semantics) and the file is sized to the
 // full volume so later WriteAt calls never grow it.
-func (v *volume) attachFile(f *os.File) error {
+func (v *volume) attachFile(f volFile) error {
 	if _, err := f.ReadAt(v.data, 0); err != nil && err != io.EOF {
-		return fmt.Errorf("volume %d: load %s: %w", v.id, f.Name(), err)
+		return fmt.Errorf("volume %d: load: %w", v.id, err)
 	}
 	if err := f.Truncate(int64(len(v.data))); err != nil {
-		return fmt.Errorf("volume %d: size %s: %w", v.id, f.Name(), err)
+		return fmt.Errorf("volume %d: size: %w", v.id, err)
 	}
 	v.file = f
 	return nil
@@ -113,32 +126,36 @@ func (v *volume) writeData(lba int64, payload []byte) error {
 		if _, err := v.file.WriteAt(payload, off); err != nil {
 			return fmt.Errorf("volume %d: write-through: %w", v.id, err)
 		}
-		v.dirty.Store(true)
+		v.wseq.Add(1)
 	}
 	return nil
 }
 
-// syncData makes every completed writeData durable. The dirty swap
-// lets a group commit touching one volume many times pay for a single
-// fsync; a write that lands after the swap is synced by its own ack
-// path. The first fsync failure latches: it and every later syncData
-// and writeData on the volume return that error, as lss.Store does
-// with DurableErr.
+// syncData makes every writeData that completed before the call
+// durable: it returns only after an fsync that started after those
+// writes has finished. Callers serialize on syncMu; one that finds its
+// writes covered by the fsync it waited behind pays no second fsync, so
+// a group commit touching one volume many times still syncs it once.
+// The first fsync failure latches: it and every later syncData and
+// writeData on the volume return that error, as lss.Store does with
+// DurableErr.
 func (v *volume) syncData() error {
 	if v.file == nil {
 		return nil
 	}
-	if err := v.latched(); err != nil {
+	want := v.wseq.Load()
+	v.syncMu.Lock()
+	defer v.syncMu.Unlock()
+	if err := v.latched(); err != nil || v.synced >= want {
 		return err
 	}
-	if !v.dirty.Swap(false) {
-		return nil
-	}
+	upto := v.wseq.Load()
 	if err := v.file.Sync(); err != nil {
 		err = fmt.Errorf("volume %d: fsync: %w", v.id, err)
 		v.syncErr.CompareAndSwap(nil, &err)
 		return v.latched()
 	}
+	v.synced = upto
 	return nil
 }
 

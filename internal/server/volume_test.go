@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestVolumeFsyncErrorLatches fails one fsync of a volume's backing
@@ -30,7 +32,7 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 		t.Fatalf("healthy write: %v", err)
 	}
 
-	path := vol.file.Name()
+	path := vol.file.(*os.File).Name()
 	if err := vol.writeData(1, pattern(0, 1, 1)); err != nil {
 		t.Fatalf("write-through: %v", err)
 	}
@@ -54,5 +56,104 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 	}
 	if got := vol.readData(2, 1); !bytes.Equal(got, make([]byte, testBlockBytes)) {
 		t.Fatal("a refused write reached the data plane")
+	}
+}
+
+// parkedFile is a volume backing file whose Sync announces itself on
+// entered (buffered, so a surplus Sync fails a count, not the run) and
+// then parks until release is closed or fed.
+type parkedFile struct {
+	volFile // nil: only WriteAt and Sync are reached
+	entered chan struct{}
+	release chan struct{}
+	syncs   atomic.Int64
+}
+
+func (f *parkedFile) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
+
+func (f *parkedFile) Sync() error {
+	f.syncs.Add(1)
+	f.entered <- struct{}{}
+	<-f.release
+	return nil
+}
+
+func newParkedVolume() (*volume, *parkedFile) {
+	f := &parkedFile{entered: make(chan struct{}, 16), release: make(chan struct{})}
+	v := newVolume(0, 0, 16, testBlockBytes, 4)
+	v.file = f
+	return v, f
+}
+
+// TestVolumeSyncIsABarrier pins the ack-means-durable ordering between
+// two committers of one volume: a syncData whose writes completed
+// before another caller's fsync started may share that fsync, but must
+// not return while it is still in flight (the dirty-bit swap this
+// replaced returned at once — an ack before durable). A write that
+// completes after the fsync started is not covered and pays its own.
+func TestVolumeSyncIsABarrier(t *testing.T) {
+	v, f := newParkedVolume()
+	for lba := int64(0); lba < 2; lba++ {
+		if err := v.writeData(lba, pattern(0, lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 2)
+	go func() { done <- v.syncData() }()
+	<-f.entered // committer A is inside fsync
+	go func() { done <- v.syncData() }()
+	select {
+	case err := <-done:
+		t.Fatalf("syncData returned (%v) while the fsync covering its write was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	// A third write lands while A's fsync is parked: not covered.
+	if err := v.writeData(2, pattern(0, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	f.release <- struct{}{}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := f.syncs.Load(); n != 1 {
+		t.Fatalf("two covered committers cost %d fsyncs, want 1", n)
+	}
+	go func() { done <- v.syncData() }()
+	<-f.entered
+	f.release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := f.syncs.Load(); n != 2 {
+		t.Fatalf("a write that landed mid-fsync was acked after %d fsyncs, want its own second", n)
+	}
+}
+
+// TestVolumeSyncCoveredCallersShareOneFsync: N committers whose writes
+// all completed before the first fsync started cost one fsync between
+// them, as the dirty bit did for one group commit.
+func TestVolumeSyncCoveredCallersShareOneFsync(t *testing.T) {
+	const n = 8
+	v, f := newParkedVolume()
+	for lba := int64(0); lba < n; lba++ {
+		if err := v.writeData(lba, pattern(0, lba, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { done <- v.syncData() }()
+	}
+	<-f.entered
+	close(f.release)
+	for i := 0; i < n; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.syncs.Load(); got != 1 {
+		t.Fatalf("%d covered callers cost %d fsyncs, want 1", n, got)
 	}
 }

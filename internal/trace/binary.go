@@ -93,7 +93,8 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if count > 1<<32 {
 		return nil, fmt.Errorf("%w: record count %d", ErrBadFormat, count)
 	}
-	t := &Trace{Name: string(name), Records: make([]Record, 0, count)}
+	// count is the file's claim: a 14-byte file may not reserve 128 GiB.
+	t := &Trace{Name: string(name), Records: make([]Record, 0, min(count, 1<<16))}
 	var now sim.Time
 	for i := uint64(0); i < count; i++ {
 		d, err := binary.ReadUvarint(br)
