@@ -52,9 +52,20 @@ race:
 ## cross-shard GC gating actually interleave even when the ambient
 ## GOMAXPROCS is 1. The packages run whole: a -run pattern goes vacuous
 ## the day a test is renamed. -count=1 because the test cache does not
-## key on GOMAXPROCS and would replay `make race`'s result.
+## key on GOMAXPROCS and would replay `make race`'s result. Also lints
+## that internal/prototype models the array once: one place that makes
+## device queues, one RAID-5 sink — a second engine cannot grow back
+## beside the one everybody serves.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/prototype
+	@for pat in 'make(chan chunkJob' 'Sink:'; do \
+		n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
+		if [ "$$n" -gt 1 ]; then \
+			echo "race-sharded FAIL: $$n occurrences of '$$pat' in non-test internal/prototype — one device array, one sink"; \
+			exit 1; \
+		fi; \
+	done
+	@echo "race-sharded OK"
 
 ## fuzz: give every native fuzz target a real exploration budget
 ## (FUZZTIME per target, default 10s) beyond the committed seed corpora.
@@ -74,10 +85,13 @@ paranoid:
 
 ## fault: fault-injection / degraded-mode suite under the race detector —
 ## failure schedules, XOR reconstruction, rebuild, retry/backoff, and the
-## public-API fault path.
+## public-API fault path. The two packages that are the fault path run
+## whole (a -run pattern silently skips whatever is not named to match
+## it); the pattern picks the fault cases out of the slow packages only.
 fault:
+	$(GO) test -race ./internal/fault ./internal/prototype
 	$(GO) test -race -run 'Fault|Degraded|Rebuild|Backoff|MTBF' \
-		. ./internal/fault ./internal/blockdev ./internal/prototype ./internal/harness ./internal/lss
+		. ./internal/blockdev ./internal/harness ./internal/lss
 
 ## bench-telemetry: verify the disabled-telemetry hot path stays free.
 bench-telemetry:

@@ -34,6 +34,9 @@ type tenantResult struct {
 	// Per-class latency samples (microseconds), so write, read, and
 	// flush percentiles report separately.
 	wlat, rlat, flat []float64
+	// err is the op error that stopped this worker early, nil for one
+	// that ran to the deadline.
+	err error
 }
 
 func main() {
@@ -95,7 +98,8 @@ func main() {
 		*tenants, *workers, *duration, 100**writeFrac, *theta, *blocksPerOp, blockBytes, *syncWrites)
 
 	results := make([][]tenantResult, *tenants)
-	deadline := time.Now().Add(*duration)
+	begin := time.Now()
+	deadline := begin.Add(*duration)
 	var wg sync.WaitGroup
 	for t := 0; t < *tenants; t++ {
 		results[t] = make([]tenantResult, *workers)
@@ -135,7 +139,7 @@ func main() {
 						time.Sleep(bo.Delay(attempt))
 					}
 					if err != nil {
-						fmt.Fprintln(os.Stderr, "adaptload:", err)
+						res.err = err
 						return
 					}
 					us := float64(time.Since(start).Microseconds())
@@ -157,7 +161,7 @@ func main() {
 		}
 	}
 	wg.Wait()
-	elapsed := *duration
+	elapsed := time.Since(begin)
 
 	var total tenantResult
 	for t := 0; t < *tenants; t++ {
@@ -169,6 +173,9 @@ func main() {
 			tr.reads += r.reads
 			tr.flushes += r.flushes
 			tr.retries += r.retries
+			if total.err == nil && r.err != nil {
+				total.err = fmt.Errorf("tenant %d worker %d: %w", t, w, r.err)
+			}
 			tr.latencies = append(tr.latencies, r.latencies...)
 			tr.wlat = append(tr.wlat, r.wlat...)
 			tr.rlat = append(tr.rlat, r.rlat...)
@@ -190,7 +197,7 @@ func main() {
 	}
 	sort.Float64s(total.latencies)
 	fmt.Printf("aggregate: %d ops in %v — %.1f ops/s (%.1f writes/s, %.1f reads/s)  p50 %sµs  p99 %sµs  p999 %sµs  retries %d\n",
-		total.ops, elapsed, float64(total.ops)/elapsed.Seconds(),
+		total.ops, elapsed.Round(time.Millisecond), float64(total.ops)/elapsed.Seconds(),
 		float64(total.writes)/elapsed.Seconds(), float64(total.reads)/elapsed.Seconds(),
 		pct(total.latencies, 50), pct(total.latencies, 99), pct(total.latencies, 99.9), total.retries)
 	for _, class := range []struct {
@@ -209,6 +216,10 @@ func main() {
 		fmt.Printf("%-5s: %8d ops  p50 %sµs  p99 %sµs  p999 %sµs\n",
 			class.name, class.n, pct(class.lat, 50), pct(class.lat, 99), pct(class.lat, 99.9))
 	}
+
+	// A worker that died on an op error fails the run, after the report
+	// of what the others measured.
+	cmd.Check(total.err)
 
 	final, err := clients[0].Stats()
 	cmd.Check(err)

@@ -494,6 +494,56 @@ func TestServeSmoke(t *testing.T) {
 	mustContain(t, "adaptserve output", srv.term(t), "draining...", "\nfinal: ")
 }
 
+// TestLoadFailsWhenServerDies SIGKILLs the server under a running
+// adaptload: the generator must still print what it measured, then
+// exit non-zero naming the worker op that failed — the smokes above
+// trust its exit status to mean every worker ran to the deadline.
+func TestLoadFailsWhenServerDies(t *testing.T) {
+	skipLoad(t)
+	srv := startServer(t, "-telemetry", "", "-service-us", "0")
+	load := exec.Command(filepath.Join(binDir, "adaptload"), "-addr", srv.wire,
+		"-tenants", "2", "-workers", "2", "-duration", "30s")
+	var out bytes.Buffer
+	load.Stdout, load.Stderr = &out, &out
+	if err := load.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { load.Process.Kill() })
+	// Mid-burst: the server has acked load traffic (the probe's own
+	// STATs are not writes, so batches can only come from adaptload).
+	probe := dial(t, srv.wire, 0)
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		st, err := probe.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st["srv_batches"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("adaptload never reached the server:\n%s", out.String())
+		}
+	}
+	srv.kill()
+	err := load.Wait()
+	report := out.String()
+	if code := load.ProcessState.ExitCode(); err == nil || code != 1 {
+		t.Fatalf("adaptload exit %d (%v) after the server died, want 1:\n%s", code, err, report)
+	}
+	agg, failed := strings.Index(report, "\naggregate: "), strings.Index(report, "\nadaptload: tenant ")
+	if agg < 0 || failed < agg {
+		t.Fatalf("want the aggregate report, then the failed worker op:\n%s", report)
+	}
+	// Rates divide by the time the workers really ran, not by -duration.
+	m := regexp.MustCompile(`(?m)^aggregate: \d+ ops in (\S+) `).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("no elapsed time on the aggregate line:\n%s", report)
+	}
+	if ran, err := time.ParseDuration(m[1]); err != nil || ran >= 30*time.Second {
+		t.Fatalf("aggregate reports %q elapsed (%v) for a burst cut short of its 30s:\n%s", m[1], err, report)
+	}
+}
+
 // TestTraceSmoke boots the traced service: an adaptload burst with
 // client-forced exemplars and interleaved flushes must come back with
 // the per-stage breakdown, and /debug/trace must serve attributed

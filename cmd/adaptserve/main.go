@@ -75,7 +75,6 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	nbdMaxReqKiB := fs.Int("nbd-max-req-kib", 0, "largest NBD request payload in KiB (0: protocol default of 8 MiB)")
 	dataDir := fs.String("data-dir", "", "durable root: <dir>/engine holds the segment log, <dir>/volumes the tenant payload files; reboot recovers both (empty: RAM only)")
 	durableSync := fs.String("durable-sync", "seal", "segment-log fsync discipline: always (every chunk append) | seal (segment seal and checkpoint)")
-	odirect := fs.Bool("odirect", false, "open segment files with O_DIRECT where the filesystem supports it")
 	cmd.Parse(args)
 
 	fail := func(format string, a ...any) (serve.Config, listen, error) {
@@ -131,7 +130,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 		if err != nil {
 			return fail("unknown -durable-sync %q (want always|seal)", *durableSync)
 		}
-		cfg.Engine.Engine.Durable = &segfile.Options{Sync: mode, ODirect: *odirect}
+		cfg.Engine.Engine.Durable = &segfile.Options{Sync: mode}
 	}
 	if *gcBG {
 		cfg.GC = &gcsched.Config{
@@ -185,8 +184,9 @@ func main() {
 			fmt.Printf("durable: recovered %d segments (%d live blocks) from %s\n",
 				ds.RecoveredSegments, ds.RecoveredBlocks, cfg.DataDir)
 		} else {
-			d := cfg.Engine.Engine.Durable
-			fmt.Printf("durable: fresh log in %s (sync=%s, odirect=%v)\n", cfg.DataDir, d.Sync, d.ODirect)
+			// odirect=false: the flag is gone, the token stays for
+			// whoever greps the boot line.
+			fmt.Printf("durable: fresh log in %s (sync=%s, odirect=false)\n", cfg.DataDir, cfg.Engine.Engine.Durable.Sync)
 		}
 	}
 

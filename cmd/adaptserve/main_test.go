@@ -89,10 +89,10 @@ func TestConfigFromFlags(t *testing.T) {
 			func(c *serve.Config, _ *listen) { c.GC = &gcsched.Config{} }},
 		{"pacer flags without -gc-bg", []string{"-gc-slice-units", "16"}, func(*serve.Config, *listen) {}},
 		{"durable, strict",
-			[]string{"-data-dir", "/d", "-durable-sync", "always", "-odirect"},
+			[]string{"-data-dir", "/d", "-durable-sync", "always"},
 			func(c *serve.Config, _ *listen) {
 				c.DataDir = "/d"
-				c.Engine.Engine.Durable = &segfile.Options{Sync: segfile.SyncAlways, ODirect: true}
+				c.Engine.Engine.Durable = &segfile.Options{Sync: segfile.SyncAlways}
 			}},
 		{"-durable-sync without -data-dir", []string{"-durable-sync", "always"}, func(*serve.Config, *listen) {}},
 		{"NBD with a request cap",

@@ -1,8 +1,8 @@
 // Command fscap probes a directory's durable-path capability — the
-// filesystem type and whether aligned O_DIRECT writes succeed there —
-// and prints one JSON line. Quote it beside any durable-path number:
-// an O_DIRECT ext4 host and a buffered overlayfs container do not
-// measure the same thing (bench/README.md has the benchmark's rules).
+// filesystem type backing it — and prints one JSON line. Quote it
+// beside any durable-path number: an ext4 host and an overlayfs
+// container do not measure the same thing (bench/README.md has the
+// benchmark's rules).
 //
 // Usage:
 //

@@ -33,7 +33,8 @@ import (
 type workerResult struct {
 	ops, writes, reads, flushes, rmw int64
 	bytes                            int64
-	latencies                        []float64 // microseconds
+	latencies                        []float64     // microseconds
+	measured                         time.Duration // start barrier to the end of the worker's op loop
 	err                              error
 }
 
@@ -92,8 +93,13 @@ func main() {
 	// can shadow without cross-worker races.
 	sliceBytes := info.Size / uint64(*workers)
 	results := make([]workerResult, *workers)
-	deadline := time.Now().Add(*duration)
-	var wg sync.WaitGroup
+	// The measured phase starts at a barrier: the clock runs from the
+	// moment the last worker has dialled and (under -verify) zero-filled
+	// its slice, so set-up on a large export cannot eat the duration.
+	var begin, deadline time.Time
+	start := make(chan struct{})
+	var setup, wg sync.WaitGroup
+	setup.Add(*workers)
 	for w := 0; w < *workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -102,6 +108,7 @@ func main() {
 			c, err := nbdtest.Dial(*addr, *export)
 			if err != nil {
 				res.err = fmt.Errorf("worker %d dial: %w", w, err)
+				setup.Done()
 				return
 			}
 			defer c.Close()
@@ -112,19 +119,14 @@ func main() {
 			if *verify {
 				shadow = make([]byte, sliceBytes)
 				// Start from a known image so untouched bytes verify too.
-				var zeroed uint64
-				for zeroed < sliceBytes {
-					n := uint32(sliceBytes - zeroed)
-					if n > 1<<20 {
-						n = 1 << 20
-					}
-					if err := c.WriteZeroes(base+zeroed, n, 0); err != nil {
-						res.err = fmt.Errorf("worker %d zero: %w", w, err)
-						return
-					}
-					zeroed += uint64(n)
+				if err := zeroFill(c, base, sliceBytes); err != nil {
+					res.err = fmt.Errorf("worker %d zero: %w", w, err)
+					setup.Done()
+					return
 				}
 			}
+			setup.Done()
+			<-start
 			payload := make([]byte, *opBytes)
 			align := uint64(info.PreferredBlock)
 			if align == 0 {
@@ -175,6 +177,7 @@ func main() {
 					res.reads++
 				}
 			}
+			res.measured = time.Since(begin)
 			if shadow != nil {
 				if err := c.Flush(); err != nil {
 					res.err = fmt.Errorf("worker %d final flush: %w", w, err)
@@ -200,6 +203,10 @@ func main() {
 			}
 		}(w)
 	}
+	setup.Wait()
+	begin = time.Now()
+	deadline = begin.Add(*duration)
+	close(start)
 	wg.Wait()
 
 	var total workerResult
@@ -212,18 +219,37 @@ func main() {
 		total.flushes += r.flushes
 		total.rmw += r.rmw
 		total.bytes += r.bytes
+		if r.measured > total.measured {
+			total.measured = r.measured
+		}
 		total.latencies = append(total.latencies, r.latencies...)
 	}
 	sort.Float64s(total.latencies)
-	el := duration.Seconds()
+	el := total.measured.Seconds()
 	fmt.Printf("aggregate: %d ops in %v — %.1f ops/s, %.1f MiB/s (%d w, %d r, %d flush, %d unaligned writes)\n",
-		total.ops, *duration, float64(total.ops)/el, float64(total.bytes)/el/(1<<20),
+		total.ops, total.measured.Round(time.Millisecond), float64(total.ops)/el, float64(total.bytes)/el/(1<<20),
 		total.writes, total.reads, total.flushes, total.rmw)
 	fmt.Printf("latency: p50 %sµs  p99 %sµs  p999 %sµs\n",
 		pct(total.latencies, 50), pct(total.latencies, 99), pct(total.latencies, 99.9))
 	if *verify {
 		fmt.Println("verify: all worker slices read back byte-identical")
 	}
+}
+
+// zeroFill writes zeroes over [base, base+size) in requests of at most
+// 1 MiB.
+func zeroFill(c *nbdtest.Client, base, size uint64) error {
+	for done := uint64(0); done < size; {
+		n := uint32(size - done)
+		if n > 1<<20 {
+			n = 1 << 20
+		}
+		if err := c.WriteZeroes(base+done, n, 0); err != nil {
+			return err
+		}
+		done += uint64(n)
+	}
+	return nil
 }
 
 func pct(sorted []float64, p float64) string {

@@ -101,16 +101,18 @@ func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, err
 			return nil, err
 		}
 		res, err := prototype.Run(prototype.Config{
-			Store:       cfg,
-			Policy:      pol,
-			Clients:     opts.Clients,
-			Ops:         opts.Ops,
-			Theta:       0.99,
-			Fill:        true,
-			ReadRatio:   opts.ReadRatio,
-			ServiceTime: opts.ServiceTime,
-			QueueDepth:  8,
-			Seed:        sc.Seed,
+			Engine: prototype.EngineConfig{
+				Store:       cfg,
+				Policy:      pol,
+				Fill:        true,
+				ServiceTime: opts.ServiceTime,
+				QueueDepth:  8,
+			},
+			Clients:   opts.Clients,
+			Ops:       opts.Ops,
+			Theta:     0.99,
+			ReadRatio: opts.ReadRatio,
+			Seed:      sc.Seed,
 			Fault: prototype.FaultConfig{
 				FailDevice:      opts.FailDevice,
 				FailAtOp:        failOp,

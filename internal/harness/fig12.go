@@ -84,15 +84,17 @@ func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error)
 				return nil, err
 			}
 			res, err := prototype.Run(prototype.Config{
-				Store:       cfg,
-				Policy:      pol,
-				Clients:     clients,
-				Ops:         opts.Ops,
-				Theta:       0.99,
-				Fill:        true,
-				ServiceTime: opts.ServiceTime,
-				QueueDepth:  8,
-				Seed:        sc.Seed,
+				Engine: prototype.EngineConfig{
+					Store:       cfg,
+					Policy:      pol,
+					Fill:        true,
+					ServiceTime: opts.ServiceTime,
+					QueueDepth:  8,
+				},
+				Clients: clients,
+				Ops:     opts.Ops,
+				Theta:   0.99,
+				Seed:    sc.Seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig12a %s/%d: %w", polName, clients, err)

@@ -48,15 +48,17 @@ func TestTrafficDecomposition(t *testing.T) {
 	}
 	for _, name := range []string{"sepgc", "sepbit", "adapt"} {
 		res, err := Run(Config{
-			Store:       cfg,
-			Policy:      mk(name),
-			Clients:     4,
-			Ops:         8 * blocks,
-			Theta:       0.99,
-			Fill:        true,
-			ServiceTime: 20 * time.Microsecond,
-			QueueDepth:  8,
-			Seed:        1,
+			Engine: EngineConfig{
+				Store:       cfg,
+				Policy:      mk(name),
+				Fill:        true,
+				ServiceTime: 20 * time.Microsecond,
+				QueueDepth:  8,
+			},
+			Clients: 4,
+			Ops:     8 * blocks,
+			Theta:   0.99,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

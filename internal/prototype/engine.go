@@ -59,6 +59,27 @@ type Ingest interface {
 // that shard only for its duration.
 type GCShard = gcsched.Shard
 
+// chunkJob is one unit of device work: a chunk write (log flush, parity,
+// or the rebuild's write onto the spare) or a chunk-sized read.
+type chunkJob struct {
+	payload int64
+	pad     int64
+	read    bool
+	// spare marks the rebuild's write onto the replacement of a failed
+	// column — the one write the fault hook must not drop there.
+	spare bool
+}
+
+// device models one SSD: a bounded queue drained by a worker that
+// accrues the configured service time per chunk and throttles to it.
+type device struct {
+	ch chan chunkJob
+
+	// Telemetry instruments; nil (no-op) when telemetry is disabled.
+	busyNS *telemetry.Counter
+	chunks *telemetry.Counter
+}
+
 // deviceArray models the physical SSD array: per-column bounded
 // queues drained by workers that accrue the configured service time
 // per chunk and throttle to the modelled bandwidth. One deviceArray
@@ -71,6 +92,12 @@ type deviceArray struct {
 	readService  time.Duration
 	writeService time.Duration
 	closeOnce    sync.Once
+
+	// fault is Run's injector, nil in every served engine: it decides
+	// which chunks a failed column loses, counts what each column holds,
+	// bounds queue sends with timeout and backoff, and fans reads of the
+	// failed column out to the survivors. Set before the first send.
+	fault *faultRun
 }
 
 func newDeviceArray(ncols, queueDepth int, writeService, readService time.Duration) *deviceArray {
@@ -97,7 +124,6 @@ func newDeviceArray(ncols, queueDepth int, writeService, readService time.Durati
 					d.busyNS.Add(int64(da.writeService))
 				}
 				d.chunks.Inc()
-				d.written++
 				// Throttle to the modelled bandwidth, sleeping only
 				// when the debt is large enough for the OS timer.
 				// The granule trades timer pressure for tail
@@ -113,6 +139,76 @@ func newDeviceArray(ncols, queueDepth int, writeService, readService time.Durati
 		}(d)
 	}
 	return da
+}
+
+// send is the one way onto a device queue: it puts job on column col,
+// blocking while the queue is full (a saturated column applies
+// backpressure to whoever holds the engine lock, exactly like a
+// saturated array) and adding the time blocked to *blockedNS. With the
+// fault hook attached it first lets the injector drop or count the
+// chunk, then bounds each attempt by QueueTimeout with capped
+// exponential backoff between attempts; after RetryMax timeouts it
+// falls back to a blocking send — device operations are delayed, never
+// dropped by a full queue.
+func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
+	ch := da.devices[col].ch
+	fr := da.fault
+	if fr == nil {
+		select {
+		case ch <- job:
+		default:
+			t0 := time.Now()
+			ch <- job
+			*blockedNS += time.Since(t0).Nanoseconds()
+		}
+		return
+	}
+	if !fr.admit(col, job) {
+		return
+	}
+	select {
+	case ch <- job:
+		fr.retryHist.Observe(0)
+		return
+	default:
+	}
+	t0 := time.Now()
+	var retries int64
+	for sent := false; !sent; {
+		t := time.NewTimer(fr.cfg.QueueTimeout)
+		select {
+		case ch <- job:
+			t.Stop()
+			sent = true
+		case <-t.C:
+			retries++
+			fr.retries.Add(1)
+			if retries >= int64(fr.cfg.RetryMax) {
+				ch <- job
+				sent = true
+			} else {
+				time.Sleep(fr.backoff.Delay(int(retries) - 1))
+			}
+		}
+	}
+	fr.retryHist.Observe(retries)
+	*blockedNS += time.Since(t0).Nanoseconds()
+}
+
+// read issues one chunk-sized read aimed at column col. While the
+// fault hook holds col failed the read is reconstructed instead: one
+// read on every surviving column (the XOR fan-out).
+func (da *deviceArray) read(col int, blockedNS *int64) {
+	if fr := da.fault; fr.degradedTarget(col) {
+		fr.degReads.Add(1)
+		for c := range da.devices {
+			if c != col {
+				da.send(c, chunkJob{read: true}, blockedNS)
+			}
+		}
+		return
+	}
+	da.send(col, chunkJob{read: true}, blockedNS)
 }
 
 // now is the array's wall-derived simulated clock, shared by every
@@ -164,14 +260,14 @@ func (da *deviceArray) close() {
 // Engine is one shard of a Sharded engine: it wraps a log-structured
 // store over a private slice of the LBA space, and the router's shared
 // bandwidth-modelled device array, behind a mutex so network servers
-// (internal/server) and other live producers can drive the same RAID-5
-// pipeline that Run exercises with its internal clients. Simulated
+// (internal/server), Run's client fleet and other live producers all
+// drive one RAID-5 pipeline. Simulated
 // time is wall-derived (time since array start), so the store's
 // SLA-window padding runs against real request interarrival gaps.
 //
 // All methods are safe for concurrent use. Chunk flushes dispatch to
 // bounded per-device queues under the engine lock, so a saturated
-// device applies backpressure to every producer, exactly as in Run.
+// device applies backpressure to every producer.
 type Engine struct {
 	mu     sync.Mutex
 	store  *lss.Store
@@ -192,11 +288,10 @@ type Engine struct {
 	durable   *segfile.Store
 	recovered bool
 
-	// Request-tracing state (all guarded by mu). timing arms per-op
-	// accounting of time blocked on device queues; sinkNS accumulates
-	// it for the op in flight. itv receives degraded-mode interference
-	// intervals; degradedTok is the open interval, 0 when healthy.
-	timing      bool
+	// Request-tracing state (all guarded by mu). sinkNS accumulates the
+	// time blocked on device queues; timed zeroes it at the start of
+	// each op. itv receives degraded-mode interference intervals;
+	// degradedTok is the open interval, 0 when healthy.
 	sinkNS      int64
 	itv         *telemetry.IntervalLog
 	degradedTok int64
@@ -286,8 +381,8 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (rele
 		ncols: geo.DataColumns + 1,
 	}
 	// The sink runs under the engine lock (the store is only entered
-	// with it held); RAID-5 rotation matches Run's. Each shard rotates
-	// its own stripe cursor over the shared columns.
+	// with it held). RAID-5 with rotating parity: each shard rotates its
+	// own stripe cursor over the shared columns.
 	chunkBytes := geo.ChunkBytes()
 	deps := lss.Deps{
 		GCGate:  gate,
@@ -299,10 +394,10 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (rele
 			if col >= parityCol {
 				col++
 			}
-			e.sinkSend(e.devs.devices[col], chunkJob{payload: w.PayloadBytes, pad: w.PadBytes})
+			e.devs.send(col, chunkJob{payload: w.PayloadBytes, pad: w.PadBytes}, &e.sinkNS)
 			e.stripeFill++
 			if e.stripeFill == e.ncols-1 {
-				e.sinkSend(e.devs.devices[parityCol], chunkJob{payload: chunkBytes})
+				e.devs.send(parityCol, chunkJob{payload: chunkBytes}, &e.sinkNS)
 				e.parityChunks++
 				e.stripeFill = 0
 				e.parityRow++
@@ -411,23 +506,6 @@ func (e *Engine) GCStep(budget int) bool {
 	return e.store.GCStep(budget)
 }
 
-// sinkSend dispatches a chunk job onto a device queue. Caller holds
-// e.mu. When an op is being timed, time blocked on a full queue is
-// accumulated into sinkNS; the non-blocking fast path costs nothing.
-func (e *Engine) sinkSend(d *device, job chunkJob) {
-	if !e.timing {
-		d.ch <- job
-		return
-	}
-	select {
-	case d.ch <- job:
-	default:
-		t0 := time.Now()
-		d.ch <- job
-		e.sinkNS += time.Since(t0).Nanoseconds()
-	}
-}
-
 // OpTiming is the per-op timing breakdown every engine op returns, for
 // request tracing. All stamps are on the engine clock.
 type OpTiming struct {
@@ -443,58 +521,44 @@ type OpTiming struct {
 	SinkNS int64
 }
 
-// timeBegin arms sink accounting for one op. Caller holds e.mu.
-func (e *Engine) timeBegin() {
-	e.timing = true
+// timed runs one op under the engine lock and returns its timing
+// breakdown: lock wait, and the share of the hold spent blocked on
+// device queues (GC slices and drains between ops add to sinkNS too;
+// nobody reads theirs).
+func (e *Engine) timed(op func() error) (OpTiming, error) {
+	t := OpTiming{Enter: e.Now()}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t.Locked = e.Now()
+	if e.closed {
+		t.Done = t.Locked
+		return t, ErrEngineClosed
+	}
 	e.sinkNS = 0
-}
-
-// timeEnd disarms sink accounting and fills the trailing stamps.
-// Caller holds e.mu.
-func (e *Engine) timeEnd(t *OpTiming) {
+	err := op()
 	t.SinkNS = e.sinkNS
-	e.timing = false
 	t.Done = e.Now()
+	return t, err
 }
 
 // WriteTimed appends blocks user-written blocks starting at lba.
 func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
-	t := OpTiming{Enter: e.Now()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t.Locked = e.Now()
-	if e.closed {
-		t.Done = t.Locked
-		return t, ErrEngineClosed
-	}
-	e.timeBegin()
-	err := e.writeLocked(lba, blocks)
-	e.timeEnd(&t)
-	return t, err
+	return e.timed(func() error { return e.writeLocked(lba, blocks) })
 }
 
 // WriteBatchTimed applies a group commit: every write lands
-// back-to-back under one lock acquisition and one timestamp, so a
-// chunk-aligned batch fills whole chunks before the SLA window can
-// force padding. The OpTiming covers the whole group commit.
+// back-to-back under one lock acquisition, so a chunk-aligned batch
+// fills whole chunks before the SLA window can force padding. The
+// OpTiming covers the whole group commit.
 func (e *Engine) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
-	t := OpTiming{Enter: e.Now()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t.Locked = e.Now()
-	if e.closed {
-		t.Done = t.Locked
-		return t, ErrEngineClosed
-	}
-	e.timeBegin()
-	var err error
-	for _, op := range ops {
-		if err = e.writeLocked(op.LBA, op.Blocks); err != nil {
-			break
+	return e.timed(func() error {
+		for _, op := range ops {
+			if err := e.writeLocked(op.LBA, op.Blocks); err != nil {
+				return err
+			}
 		}
-	}
-	e.timeEnd(&t)
-	return t, err
+		return nil
+	})
 }
 
 func (e *Engine) writeLocked(lba int64, blocks int) error {
@@ -509,46 +573,27 @@ func (e *Engine) writeLocked(lba int64, blocks int) error {
 // time on one column (the store never materializes data bytes; callers
 // keep payloads in their own data plane).
 func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
-	t := OpTiming{Enter: e.Now()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t.Locked = e.Now()
-	if e.closed {
-		t.Done = t.Locked
-		return t, ErrEngineClosed
-	}
-	e.timeBegin()
-	now := e.Now()
-	if e.oracle != nil {
-		e.oracle.Read(lba, blocks, now)
-	} else {
-		e.store.Read(lba, blocks, now)
-	}
-	e.sinkSend(e.devs.devices[e.rng.Intn(len(e.devs.devices))], chunkJob{read: true})
-	e.timeEnd(&t)
-	return t, nil
+	return e.timed(func() error {
+		now := e.Now()
+		if e.oracle != nil {
+			e.oracle.Read(lba, blocks, now)
+		} else {
+			e.store.Read(lba, blocks, now)
+		}
+		e.devs.read(e.rng.Intn(e.ncols), &e.sinkNS)
+		return nil
+	})
 }
 
 // TrimTimed discards blocks (TRIM/UNMAP).
 func (e *Engine) TrimTimed(lba int64, blocks int) (OpTiming, error) {
-	t := OpTiming{Enter: e.Now()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t.Locked = e.Now()
-	if e.closed {
-		t.Done = t.Locked
-		return t, ErrEngineClosed
-	}
-	e.timeBegin()
-	now := e.Now()
-	var err error
-	if e.oracle != nil {
-		err = e.oracle.Trim(lba, blocks, now)
-	} else {
-		err = e.store.Trim(lba, blocks, now)
-	}
-	e.timeEnd(&t)
-	return t, err
+	return e.timed(func() error {
+		now := e.Now()
+		if e.oracle != nil {
+			return e.oracle.Trim(lba, blocks, now)
+		}
+		return e.store.Trim(lba, blocks, now)
+	})
 }
 
 // FailColumn fails one array column in the verification mirror and

@@ -8,7 +8,6 @@ import (
 
 	"adapt/internal/fault"
 	"adapt/internal/lss"
-	"adapt/internal/sim"
 	"adapt/internal/stats"
 	"adapt/internal/telemetry"
 )
@@ -103,39 +102,17 @@ type trafficSnap struct {
 	user, gc int64
 }
 
-// faultTargets is the set of stores one physical column failure
-// degrades, behind the locker that serializes access to them. A column
-// is shared hardware: the flat prototype passes its single run store,
-// a sharded deployment passes every shard store — shards partition the
-// LBA space, not the columns, so a failed column degrades all of them.
-type faultTargets struct {
-	mu     sync.Locker
-	stores []*lss.Store
+// setDegraded flips the shard store's degraded-mode GC. Caller holds
+// e.mu.
+func setDegraded(e *Engine, v bool) {
+	e.store.Reconfigure(func(r *lss.Runtime) { r.Degraded = v })
 }
 
-// snap sums the traffic counters across the target stores. Caller
-// holds the locker (or has exclusive access).
-func (t faultTargets) snap() trafficSnap {
-	var s trafficSnap
-	for _, st := range t.stores {
-		m := st.Metrics()
-		s.user += m.UserBlocks
-		s.gc += m.GCBlocks
-	}
-	return s
-}
-
-// setDegraded flips degraded-mode GC on every target store. Caller
-// holds the locker.
-func (t faultTargets) setDegraded(v bool) {
-	for _, st := range t.stores {
-		st.Reconfigure(func(r *lss.Runtime) { r.Degraded = v })
-	}
-}
-
-// faultRun is the per-run state of the fault injector. A nil *faultRun
-// is the healthy fast path: dispatch degenerates to a plain channel
-// send and every probe reports "no failure".
+// faultRun is the per-run state of Run's fault injector. It owns no
+// devices and no lock: it rides the engine's device array as its fault
+// hook (deviceArray.send and read consult it per job) and does its
+// phase bookkeeping under the lock of the run's one shard. A nil
+// *faultRun is a healthy array: every probe reports "no failure".
 type faultRun struct {
 	cfg     FaultConfig
 	backoff fault.Backoff
@@ -144,12 +121,17 @@ type faultRun struct {
 	failOp  int64
 
 	// phase is the lifecycle stage, written only inside enterPhaseLocked
-	// (under the run mutex) and read lock-free by clients and the sink.
+	// (under the shard lock) and read lock-free by clients and the
+	// array's send path.
 	phase atomic.Int32
 
-	// Guarded by the run mutex (the same one serializing store access):
-	colChunks    []int64 // chunks physically placed per column
-	rebuildTotal int64   // colChunks[failDev] frozen at failure
+	// colChunks counts the log chunks placed on each column. Atomic: the
+	// array is shared hardware, so the count must not lean on any one
+	// shard's lock.
+	colChunks []atomic.Int64
+
+	// Guarded by the shard lock:
+	rebuildTotal int64 // colChunks[failDev] frozen at failure
 	entered      [numPhases]bool
 	startT       [numPhases]time.Time
 	snaps        [numPhases]trafficSnap
@@ -221,7 +203,7 @@ func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
 		backoff:   fault.Backoff{Base: f.BackoffBase, Cap: f.BackoffCap},
 		failDev:   failDev,
 		failOp:    failOp,
-		colChunks: make([]int64, ncols),
+		colChunks: make([]atomic.Int64, ncols),
 	}, nil
 }
 
@@ -266,79 +248,44 @@ func (fr *faultRun) degradedTarget(col int) bool {
 }
 
 // enterPhaseLocked records a phase boundary: traffic snapshot, wall
-// time, and the lock-free phase flag. Caller holds the run mutex.
-func (fr *faultRun) enterPhaseLocked(p Phase, s trafficSnap) {
-	fr.snaps[p] = s
+// time, and the lock-free phase flag. Caller holds e.mu.
+func (fr *faultRun) enterPhaseLocked(e *Engine, p Phase) {
+	m := e.store.Metrics()
+	fr.snaps[p] = trafficSnap{user: m.UserBlocks, gc: m.GCBlocks}
 	fr.startT[p] = time.Now()
 	fr.entered[p] = true
 	fr.phase.Store(int32(p))
 }
 
-// fail fires the planned failure: freezes the rebuild total, flips
-// every target store into degraded-mode GC, and enters PhaseDegraded.
-// Exactly one client calls it (the one whose op counter hits failOp).
-func (fr *faultRun) fail(t faultTargets, now sim.Time) {
-	t.mu.Lock()
-	fr.rebuildTotal = fr.colChunks[fr.failDev]
-	t.setDegraded(true)
-	fr.enterPhaseLocked(PhaseDegraded, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.DeviceFailed(now, fr.failDev, fr.failOp))
+// fail fires the planned failure: freezes the rebuild total, flips the
+// shard store into degraded-mode GC, and enters PhaseDegraded. Exactly
+// one client calls it (the one whose op counter hits failOp).
+func (fr *faultRun) fail(e *Engine) {
+	e.mu.Lock()
+	fr.rebuildTotal = fr.colChunks[fr.failDev].Load()
+	setDegraded(e, true)
+	fr.enterPhaseLocked(e, PhaseDegraded)
+	e.mu.Unlock()
+	fr.tracer.Emit(telemetry.DeviceFailed(e.Now(), fr.failDev, fr.failOp))
 }
 
-// dispatch sends a job to a device queue. With a nil receiver it is a
-// plain blocking send (the healthy fast path). Armed, it first tries a
-// non-blocking send, then QueueTimeout-bounded attempts separated by
-// capped exponential backoff, and after RetryMax retries falls back to
-// a blocking send — device operations are delayed, never dropped.
-func (fr *faultRun) dispatch(d *device, job chunkJob) {
-	if fr == nil {
-		d.ch <- job
-		return
-	}
-	select {
-	case d.ch <- job:
-		fr.retryHist.Observe(0)
-		return
-	default:
-	}
-	var retries int64
-	for {
-		t := time.NewTimer(fr.cfg.QueueTimeout)
-		select {
-		case d.ch <- job:
-			t.Stop()
-			fr.retryHist.Observe(retries)
-			return
-		case <-t.C:
-		}
-		retries++
-		fr.retries.Add(1)
-		if retries >= int64(fr.cfg.RetryMax) {
-			d.ch <- job
-			fr.retryHist.Observe(retries)
-			return
-		}
-		time.Sleep(fr.backoff.Delay(int(retries) - 1))
-	}
-}
-
-// placeChunk routes one chunk of the sink's stripe to its column.
-// While the failure is active, chunks for the failed column are
-// dropped and counted lost (on a real array their content is implied
-// by parity; here the spare takes post-failure rows directly, so they
-// never enter the rebuild). Caller holds the run mutex.
-func (fr *faultRun) placeChunk(devices []*device, col int, job chunkJob) {
-	if fr == nil {
-		devices[col].ch <- job
-		return
+// admit is the injector's say over one job deviceArray.send is about to
+// queue on col. Reads and the rebuild's spare writes always pass. A log
+// chunk aimed at the failed column while the failure is active is
+// dropped and counted lost (on a real array its content is implied by
+// parity; here the spare takes post-failure rows directly, so they
+// never enter the rebuild); every other log chunk is counted against
+// its column.
+func (fr *faultRun) admit(col int, job chunkJob) bool {
+	if job.read || job.spare {
+		return true
 	}
 	if col == fr.failDev && fr.failureActive() {
 		fr.lost.Add(1)
-		return
+		return false
 	}
-	fr.colChunks[col]++
-	fr.dispatch(devices[col], job)
+	fr.colChunks[col].Add(1)
+	return true
 }
 
 // waitForRebuild blocks until the failure has fired and the configured
@@ -361,18 +308,21 @@ func (fr *faultRun) waitForRebuild(issued *atomic.Int64, clientsDone <-chan stru
 	}
 }
 
-// rebuild walks the failed column chunk by chunk, dispatching one
+// rebuild walks the failed column chunk by chunk, issuing one
 // reconstruction read on every surviving column plus the spare write
 // through the same bounded queues user traffic uses — rebuild I/O
 // steals real modelled bandwidth. Once progress passes the watermark
-// the stores leave degraded-mode GC; completion enters PhaseRebuilt.
-func (fr *faultRun) rebuild(devices []*device, t faultTargets, start time.Time, chunkBytes int64) {
-	t.mu.Lock()
+// the store leaves degraded-mode GC; completion enters PhaseRebuilt.
+func (fr *faultRun) rebuild(e *Engine) {
+	da := e.devs
+	e.mu.Lock()
 	total := fr.rebuildTotal
-	fr.enterPhaseLocked(PhaseRebuilding, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildStart(sim.Time(time.Since(start)), fr.failDev, total))
+	fr.enterPhaseLocked(e, PhaseRebuilding)
+	e.mu.Unlock()
+	fr.tracer.Emit(telemetry.RebuildStart(e.Now(), fr.failDev, total))
 
+	chunkBytes := e.Config().ChunkBytes()
+	var blockedNS int64 // no client op to charge the rebuild's queue waits to
 	cleared := false
 	var done int64
 	for done < total {
@@ -381,28 +331,27 @@ func (fr *faultRun) rebuild(devices []*device, t faultTargets, start time.Time, 
 			n = total - done
 		}
 		for i := int64(0); i < n; i++ {
-			for col, d := range devices {
-				if col == fr.failDev {
-					continue
+			for col := range da.devices {
+				if col != fr.failDev {
+					da.read(col, &blockedNS)
 				}
-				fr.dispatch(d, chunkJob{read: true})
 			}
-			fr.dispatch(devices[fr.failDev], chunkJob{payload: chunkBytes})
+			da.send(fr.failDev, chunkJob{payload: chunkBytes, spare: true}, &blockedNS)
 		}
 		done += n
 		fr.rebuilt.Add(n)
 		if !cleared && float64(done) >= fr.cfg.DegradedGCWatermark*float64(total) {
-			t.mu.Lock()
-			t.setDegraded(false)
-			t.mu.Unlock()
+			e.mu.Lock()
+			setDegraded(e, false)
+			e.mu.Unlock()
 			cleared = true
 		}
 	}
-	t.mu.Lock()
-	t.setDegraded(false)
-	fr.enterPhaseLocked(PhaseRebuilt, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildEnd(sim.Time(time.Since(start)), fr.failDev, total))
+	e.mu.Lock()
+	setDegraded(e, false)
+	fr.enterPhaseLocked(e, PhaseRebuilt)
+	e.mu.Unlock()
+	fr.tracer.Emit(telemetry.RebuildEnd(e.Now(), fr.failDev, total))
 }
 
 // collect merges one client's per-phase latency samples and op counts.
@@ -417,14 +366,13 @@ func (fr *faultRun) collect(latNS [numPhases][]float64, ops [numPhases]int64) {
 
 // finish folds the injector's accounting into the run result: the
 // per-phase throughput/WA/P99 table and the fault counters.
-func (fr *faultRun) finish(res *Result, end time.Time, final *lss.Metrics) {
+func (fr *faultRun) finish(res *Result, end time.Time, endSnap trafficSnap) {
 	res.FailedDevice = fr.failDev
 	res.FailedAtOp = fr.failOp
 	res.DegradedReads = fr.degReads.Load()
 	res.RebuildChunks = fr.rebuilt.Load()
 	res.LostChunks = fr.lost.Load()
 	res.QueueRetries = fr.retries.Load()
-	endSnap := trafficSnap{user: final.UserBlocks, gc: final.GCBlocks}
 	for p := Phase(0); p < numPhases; p++ {
 		if !fr.entered[p] {
 			continue

@@ -22,17 +22,19 @@ func TestRunFaultRebuildCompletes(t *testing.T) {
 		EventCapacity:  1 << 17,
 	})
 	res, err := Run(Config{
-		Store:       protoStoreConfig(),
-		Policy:      protoPolicy(t),
-		Clients:     4,
-		Ops:         20000,
-		Theta:       0.99,
-		Fill:        true,
-		ReadRatio:   0.2,
-		ServiceTime: time.Microsecond,
-		QueueDepth:  8,
-		Seed:        21,
-		Telemetry:   ts,
+		Engine: EngineConfig{
+			Store:       protoStoreConfig(),
+			Policy:      protoPolicy(t),
+			Fill:        true,
+			ServiceTime: time.Microsecond,
+			QueueDepth:  8,
+			Telemetry:   ts,
+		},
+		Clients:   4,
+		Ops:       20000,
+		Theta:     0.99,
+		ReadRatio: 0.2,
+		Seed:      21,
 		Fault: FaultConfig{
 			FailDevice:      1,
 			FailAtOp:        5000,
@@ -77,6 +79,18 @@ func TestRunFaultRebuildCompletes(t *testing.T) {
 	if res.DegradedReads == 0 {
 		t.Fatal("no degraded reads despite ReadRatio > 0")
 	}
+	// Chunk conservation through the one send routine: a degraded read
+	// costs one job per survivor, a rebuilt chunk one per column; what is
+	// left of the devices' job count is the log chunks placed, and every
+	// chunk the engine flushed was either placed or lost.
+	const ncols = 4
+	reads := readBlocks(t, ts)
+	readJobs := reads - res.DegradedReads + res.DegradedReads*(ncols-1)
+	placed := deviceJobs(ts) - readJobs - res.RebuildChunks*ncols
+	if got, want := placed+res.LostChunks, res.ChunksWritten+res.ParityChunks; got != want {
+		t.Fatalf("placed %d + lost %d = %d chunks, engine flushed %d + %d parity = %d",
+			placed, res.LostChunks, got, res.ChunksWritten, res.ParityChunks, want)
+	}
 	// The failure lifecycle must be visible in the trace.
 	var failed, rstart, rend bool
 	for _, e := range ts.Tracer.Events() {
@@ -100,15 +114,17 @@ func TestRunFaultRebuildCompletes(t *testing.T) {
 func TestRunFaultMTBF(t *testing.T) {
 	run := func() Result {
 		res, err := Run(Config{
-			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
-			Clients:     2,
-			Ops:         10000,
-			Theta:       0.9,
-			ServiceTime: time.Microsecond,
-			QueueDepth:  8,
-			Seed:        5,
-			Fault:       FaultConfig{MTBFOps: 4000},
+			Engine: EngineConfig{
+				Store:       protoStoreConfig(),
+				Policy:      protoPolicy(t),
+				ServiceTime: time.Microsecond,
+				QueueDepth:  8,
+			},
+			Clients: 2,
+			Ops:     10000,
+			Theta:   0.9,
+			Seed:    5,
+			Fault:   FaultConfig{MTBFOps: 4000},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -133,12 +149,14 @@ func TestRunFaultMTBF(t *testing.T) {
 func TestRunFaultRejectsBadConfig(t *testing.T) {
 	base := func() Config {
 		return Config{
-			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
-			Clients:     1,
-			Ops:         100,
-			ServiceTime: time.Microsecond,
-			Seed:        1,
+			Engine: EngineConfig{
+				Store:       protoStoreConfig(),
+				Policy:      protoPolicy(t),
+				ServiceTime: time.Microsecond,
+			},
+			Clients: 1,
+			Ops:     100,
+			Seed:    1,
 		}
 	}
 	cfg := base()

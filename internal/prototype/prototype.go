@@ -1,13 +1,13 @@
 // Package prototype is the concurrent counterpart of the trace-driven
 // simulator, mirroring the paper's prototype experiments (§4.4):
-// client goroutines issue zipfian 4 KiB writes through a shared
-// log-structured store; every chunk flush is dispatched to a
-// bandwidth-modelled SSD in a RAID-5 layout (rotating parity) through
-// bounded per-device queues, so GC and padding traffic compete with
-// user writes for device time exactly as on the real array. Device
-// service is modelled with a virtual-time throttle rather than
-// per-operation sleeps, keeping the benchmark fast while preserving
-// the bandwidth ceiling.
+// client goroutines (Run) or network servers (through Ingest) drive one
+// engine, Sharded, whose log-structured stores dispatch every chunk
+// flush to a bandwidth-modelled SSD in a RAID-5 layout (rotating
+// parity) through bounded per-device queues, so GC and padding traffic
+// compete with user writes for device time exactly as on the real
+// array. Device service is modelled with a virtual-time throttle rather
+// than per-operation sleeps, keeping the benchmark fast while
+// preserving the bandwidth ceiling.
 package prototype
 
 import (
@@ -22,48 +22,34 @@ import (
 	"adapt/internal/workload"
 )
 
-// Config describes one prototype run.
+// Config describes one prototype run: the engine to stand up and the
+// client fleet to drive it with.
 type Config struct {
-	// Store is the store geometry (chunk size, capacity, SLA window).
-	Store lss.Config
-	// Policy is the placement policy instance to drive.
-	Policy lss.Policy
-	// Clients is the number of writer goroutines.
+	// Engine is the engine under test — store geometry, policy, device
+	// model, Fill (every block written sequentially before the measured
+	// phase, so updates run at full utilization with GC active, as the
+	// paper's prototype does after loading) and Telemetry (the engine's
+	// per-device and {shard="0"} store metrics, plus the policy's own and
+	// the injector's counters; the Set must be dedicated to this run).
+	Engine EngineConfig
+	// Clients is the number of client goroutines.
 	Clients int
-	// Ops is the total number of 4 KiB user writes across clients.
+	// Ops is the total number of 4 KiB user operations across clients.
 	Ops int64
 	// Theta is the zipfian skew of the update stream (YCSB-A: 0.99).
 	Theta float64
-	// Fill writes every block sequentially before the measured phase,
-	// so the update stream runs at full utilization (GC active), as
-	// the paper's prototype does after loading.
-	Fill bool
 	// ReadRatio interleaves reads at this fraction of operations
-	// (YCSB-A: 0.5). Reads consume device time (ReadServiceTime per
-	// chunk-sized access) on a random column, competing with writes.
+	// (YCSB-A: 0.5). Reads consume device time on a random column,
+	// competing with writes.
 	ReadRatio float64
-	// ReadServiceTime is the device time per read (default half the
-	// write service time: reads skip the program/parity path).
-	ReadServiceTime time.Duration
-	// ServiceTime is the modelled device time per chunk write
-	// (≈ chunk size / per-SSD bandwidth).
-	ServiceTime time.Duration
-	// QueueDepth bounds each device's queue (paper: I/O depth 8).
-	QueueDepth int
 	// Seed drives the zipfian streams.
 	Seed uint64
 	// GCSliceUnits is the per-operation background-GC budget when
-	// Store.BackgroundGC is set (default 32): each client op donates one
-	// bounded GCStep slice under the store lock, so collection overlaps
-	// the run instead of stalling single writes for whole cycles. Ignored
-	// without BackgroundGC.
+	// Engine.Store.BackgroundGC is set (default 32): each client op
+	// donates one bounded GCStep slice, so collection overlaps the run
+	// instead of stalling single writes for whole cycles. Ignored without
+	// BackgroundGC.
 	GCSliceUnits int
-	// Telemetry, when set, attaches live instrumentation: the store's
-	// canonical metrics and events, plus per-device busy time, queue
-	// depth, and chunk counters. The recorder windows on the run's
-	// wall-derived clock (time since start). Nil disables telemetry at
-	// zero hot-path cost.
-	Telemetry *telemetry.Set
 	// Fault arms the fault injector: a device failure mid-run, degraded
 	// reads, throttled GC, and a bandwidth-stealing rebuild. The zero
 	// value keeps the run healthy.
@@ -93,24 +79,10 @@ type Result struct {
 	Phases        []PhaseStats
 }
 
-type chunkJob struct {
-	payload int64
-	pad     int64
-	read    bool
-}
-
-// device models one SSD: a bounded queue drained by a worker that
-// accrues the configured service time per chunk and throttles to it.
-type device struct {
-	ch      chan chunkJob
-	written int64
-
-	// Telemetry instruments; nil (no-op) when telemetry is disabled.
-	busyNS *telemetry.Counter
-	chunks *telemetry.Counter
-}
-
-// Run executes the prototype experiment.
+// Run executes the prototype experiment: it builds the one-shard
+// engine, drives it with the client fleet, and closes it. What is Run's
+// own is the shared op counter, the zipfian clients, and the phase and
+// latency accounting of a fault run.
 func Run(cfg Config) (Result, error) {
 	if cfg.Clients < 1 {
 		return Result{}, fmt.Errorf("prototype: need at least one client")
@@ -118,126 +90,50 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Ops < 1 {
 		return Result{}, fmt.Errorf("prototype: need at least one op")
 	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 50 * time.Microsecond
-	}
-	if cfg.ReadServiceTime <= 0 {
-		cfg.ReadServiceTime = cfg.ServiceTime / 2
-	}
-	geo := cfg.Store.GeometryDefaults()
-	ncols := geo.DataColumns + 1
-	fr, err := newFaultRun(&cfg, ncols)
+	geo := cfg.Engine.Store.GeometryDefaults()
+	fr, err := newFaultRun(&cfg, geo.DataColumns+1)
 	if err != nil {
 		return Result{}, err
 	}
-
-	devices := make([]*device, ncols)
-	for i := range devices {
-		devices[i] = &device{ch: make(chan chunkJob, cfg.QueueDepth)}
-	}
-	var deps lss.Deps
-	if ts := cfg.Telemetry; ts != nil {
+	pol := cfg.Engine.Policy
+	if ts := cfg.Engine.Telemetry; ts != nil {
 		fr.registerTelemetry(ts)
-		deps.Telemetry = ts
-		if p, ok := cfg.Policy.(interface {
+		// One shard, one policy: its fixed instrument names cannot
+		// collide, so Run wires what a multi-shard engine cannot.
+		if p, ok := pol.(interface {
 			SetTelemetry(*telemetry.Set)
 		}); ok {
 			p.SetTelemetry(ts)
 		}
-		for i, d := range devices {
-			d.busyNS = ts.Registry.NewCounter(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceBusyPrefix, i),
-				"Modelled device service time consumed")
-			d.chunks = ts.Registry.NewCounter(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceChunksPrefix, i),
-				"Chunk operations serviced")
-			ch := d.ch
-			ts.Registry.NewFuncGauge(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
-				"Queued chunk operations", false,
-				func() int64 { return int64(len(ch)) })
-		}
 	}
-	start := time.Now()
-	var devWG sync.WaitGroup
-	for _, d := range devices {
-		devWG.Add(1)
-		go func(d *device) {
-			defer devWG.Done()
-			var virtual time.Duration
-			for job := range d.ch {
-				if job.read {
-					virtual += cfg.ReadServiceTime
-					d.busyNS.Add(int64(cfg.ReadServiceTime))
-				} else {
-					virtual += cfg.ServiceTime
-					d.busyNS.Add(int64(cfg.ServiceTime))
-				}
-				d.chunks.Inc()
-				d.written++
-				// Throttle to the modelled bandwidth, sleeping only
-				// when the debt is large enough for the OS timer.
-				if lag := virtual - time.Since(start); lag > 2*time.Millisecond {
-					time.Sleep(lag)
-				}
-			}
-		}(d)
+	eng, err := newSharded(ShardedConfig{
+		Engine:        cfg.Engine,
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
+	}, fr)
+	if err != nil {
+		return Result{}, err
 	}
-
-	// The sink runs under the store lock; a full device queue applies
-	// backpressure to every writer, exactly like a saturated array.
-	// Routing goes through the fault runtime so chunks bound for a
-	// failed column are dropped and counted instead of queued.
-	var stripeFill int
-	var parityRow int64
-	var parityChunks int64
-	chunkBytes := geo.ChunkBytes()
-	deps.Sink = func(w lss.ChunkWrite) {
-		parityCol := int(parityRow % int64(ncols))
-		col := stripeFill
-		if col >= parityCol {
-			col++
-		}
-		fr.placeChunk(devices, col, chunkJob{payload: w.PayloadBytes, pad: w.PadBytes})
-		stripeFill++
-		if stripeFill == ncols-1 {
-			fr.placeChunk(devices, parityCol, chunkJob{payload: chunkBytes})
-			parityChunks++
-			stripeFill = 0
-			parityRow++
-		}
-	}
-	store := lss.New(cfg.Store, cfg.Policy, deps)
+	shard := eng.shards[0]
+	gc := eng.GCShards()[0]
 	bgStep := 0
-	if cfg.Store.BackgroundGC {
+	if geo.BackgroundGC {
 		bgStep = cfg.GCSliceUnits
 		if bgStep <= 0 {
 			bgStep = 32
 		}
 	}
 
-	if cfg.Fill {
-		for lba := int64(0); lba < cfg.Store.UserBlocks; lba++ {
-			if err := store.WriteBlock(lba, sim.Time(time.Since(start))); err != nil {
-				return Result{}, err
-			}
-			if bgStep > 0 {
-				store.GCStep(bgStep)
-			}
-		}
-	}
-	var mu sync.Mutex
-	targets := faultTargets{mu: &mu, stores: []*lss.Store{store}}
 	measureStart := time.Now()
 	if fr != nil {
-		fr.enterPhaseLocked(PhaseHealthy, targets.snap())
+		shard.mu.Lock()
+		fr.enterPhaseLocked(shard, PhaseHealthy)
+		shard.mu.Unlock()
 	}
 
 	var issued atomic.Int64
 	var clientWG sync.WaitGroup
+	clientErrs := make([]error, cfg.Clients)
 	clientsDone := make(chan struct{})
 	var rebuildWG sync.WaitGroup
 	if fr != nil {
@@ -245,7 +141,7 @@ func Run(cfg Config) (Result, error) {
 		go func() {
 			defer rebuildWG.Done()
 			if fr.waitForRebuild(&issued, clientsDone) {
-				fr.rebuild(devices, targets, start, int64(store.Config().ChunkBytes()))
+				fr.rebuild(shard)
 			}
 		}()
 	}
@@ -254,7 +150,7 @@ func Run(cfg Config) (Result, error) {
 		go func(c int) {
 			defer clientWG.Done()
 			rng := sim.NewRNG(cfg.Seed + uint64(c)*7919)
-			z := workload.NewZipf(rng, cfg.Store.UserBlocks, cfg.Theta, true)
+			z := workload.NewZipf(rng, geo.UserBlocks, cfg.Theta, true)
 			var latNS [numPhases][]float64
 			var phaseOps [numPhases]int64
 			for {
@@ -263,7 +159,7 @@ func Run(cfg Config) (Result, error) {
 					break
 				}
 				if fr != nil && op == fr.failOp {
-					fr.fail(targets, sim.Time(time.Since(start)))
+					fr.fail(shard)
 				}
 				lba := z.Next()
 				var p Phase
@@ -272,37 +168,19 @@ func Run(cfg Config) (Result, error) {
 					p = Phase(fr.phase.Load())
 					t0 = time.Now()
 				}
+				var err error
 				if cfg.ReadRatio > 0 && rng.Float64() < cfg.ReadRatio {
-					// Reads bypass the log but occupy a column. A read
-					// aimed at the failed column fans out to every
-					// survivor instead: the XOR reconstruction path.
-					mu.Lock()
-					store.Read(lba, 1, sim.Time(time.Since(start)))
-					if bgStep > 0 {
-						store.GCStep(bgStep)
-					}
-					mu.Unlock()
-					target := rng.Intn(len(devices))
-					if fr.degradedTarget(target) {
-						fr.degReads.Add(1)
-						for col, d := range devices {
-							if col != fr.failDev {
-								fr.dispatch(d, chunkJob{read: true})
-							}
-						}
-					} else {
-						fr.dispatch(devices[target], chunkJob{read: true})
-					}
+					_, err = eng.ReadTimed(lba, 1)
 				} else {
-					mu.Lock()
-					err := store.WriteBlock(lba, sim.Time(time.Since(start)))
-					if err == nil && bgStep > 0 {
-						store.GCStep(bgStep)
-					}
-					mu.Unlock()
-					if err != nil {
-						panic(err) // LBAs are generated in range; this is a bug
-					}
+					_, err = eng.WriteTimed(lba, 1)
+				}
+				if err != nil {
+					clientErrs[c] = err
+					issued.Add(cfg.Ops) // stop the rest of the fleet
+					break
+				}
+				if bgStep > 0 {
+					gc.GCStep(bgStep)
 				}
 				if fr != nil {
 					latNS[p] = append(latNS[p], float64(time.Since(t0)))
@@ -318,42 +196,40 @@ func Run(cfg Config) (Result, error) {
 	close(clientsDone)
 	rebuildWG.Wait()
 	measureEnd := time.Now() // phase accounting stops before the drain
-	mu.Lock()
-	for bgStep > 0 && store.GCActive() {
-		store.GCStep(1 << 30) // settle in-flight GC before the drain
+	for bgStep > 0 && !gc.GCStep(1<<30) {
+		// settle in-flight GC before the drain
 	}
-	store.Drain(sim.Time(time.Since(start)))
-	mu.Unlock()
-	for _, d := range devices {
-		close(d.ch)
-	}
-	devWG.Wait()
+	// Close drains the open chunks and waits for the device queues to
+	// empty, so the elapsed time pays for every chunk the run produced.
+	err = eng.Close()
 	elapsed := time.Since(measureStart)
+	for _, cerr := range clientErrs {
+		if cerr != nil {
+			return Result{}, cerr
+		}
+	}
 
-	m := store.Metrics()
+	st := eng.Stats()
 	res := Result{
 		Elapsed:       elapsed,
-		WA:            m.WA(),
-		EffectiveWA:   m.EffectiveWA(),
-		PaddingRatio:  m.PaddingRatio(),
-		ChunksWritten: store.Array().DataChunks(),
-		ParityChunks:  parityChunks,
-		UserBlocks:    m.UserBlocks,
-		GCBlocks:      m.GCBlocks,
-		ShadowBlocks:  m.ShadowBlocks,
-		PaddingBlocks: m.PaddingBlocks,
+		WA:            st.WA,
+		EffectiveWA:   st.EffectiveWA,
+		PaddingRatio:  st.PaddingRatio,
+		ChunksWritten: st.ChunkFlushes,
+		ParityChunks:  st.ParityChunks,
+		UserBlocks:    st.UserBlocks,
+		GCBlocks:      st.GCBlocks,
+		ShadowBlocks:  st.ShadowBlocks,
+		PaddingBlocks: st.PaddingBlocks,
 		FailedDevice:  -1,
 	}
 	if elapsed > 0 {
 		res.OpsPerSec = float64(cfg.Ops) / elapsed.Seconds()
 	}
 	if fr != nil {
-		fr.finish(&res, measureEnd, m)
-		if err := store.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("prototype: post-fault invariant check: %w", err)
-		}
+		fr.finish(&res, measureEnd, trafficSnap{user: st.UserBlocks, gc: st.GCBlocks})
 	}
-	return res, nil
+	return res, err
 }
 
 // FootprintReporter is implemented by policies that can report their

@@ -32,14 +32,16 @@ func protoPolicy(t *testing.T) lss.Policy {
 
 func TestRunCompletesAllOps(t *testing.T) {
 	res, err := Run(Config{
-		Store:       protoStoreConfig(),
-		Policy:      protoPolicy(t),
-		Clients:     4,
-		Ops:         20000,
-		Theta:       0.99,
-		ServiceTime: time.Microsecond,
-		QueueDepth:  8,
-		Seed:        1,
+		Engine: EngineConfig{
+			Store:       protoStoreConfig(),
+			Policy:      protoPolicy(t),
+			ServiceTime: time.Microsecond,
+			QueueDepth:  8,
+		},
+		Clients: 4,
+		Ops:     20000,
+		Theta:   0.99,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +58,10 @@ func TestRunCompletesAllOps(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Store: protoStoreConfig(), Policy: protoPolicy(t), Clients: 0, Ops: 10}); err == nil {
+	if _, err := Run(Config{Engine: EngineConfig{Store: protoStoreConfig(), Policy: protoPolicy(t)}, Clients: 0, Ops: 10}); err == nil {
 		t.Fatal("zero clients accepted")
 	}
-	if _, err := Run(Config{Store: protoStoreConfig(), Policy: protoPolicy(t), Clients: 1, Ops: 0}); err == nil {
+	if _, err := Run(Config{Engine: EngineConfig{Store: protoStoreConfig(), Policy: protoPolicy(t)}, Clients: 1, Ops: 0}); err == nil {
 		t.Fatal("zero ops accepted")
 	}
 }
@@ -71,14 +73,16 @@ func TestBandwidthCeiling(t *testing.T) {
 	svc := 200 * time.Microsecond
 	const ops = 6000
 	res, err := Run(Config{
-		Store:       protoStoreConfig(),
-		Policy:      protoPolicy(t),
-		Clients:     4,
-		Ops:         ops,
-		Theta:       0.5,
-		ServiceTime: svc,
-		QueueDepth:  4,
-		Seed:        2,
+		Engine: EngineConfig{
+			Store:       protoStoreConfig(),
+			Policy:      protoPolicy(t),
+			ServiceTime: svc,
+			QueueDepth:  4,
+		},
+		Clients: 4,
+		Ops:     ops,
+		Theta:   0.5,
+		Seed:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +98,16 @@ func TestBandwidthCeiling(t *testing.T) {
 func TestMoreClientsDoNotLoseOps(t *testing.T) {
 	for _, clients := range []int{1, 2, 8} {
 		res, err := Run(Config{
-			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
-			Clients:     clients,
-			Ops:         5000,
-			Theta:       0.9,
-			ServiceTime: time.Microsecond,
-			QueueDepth:  8,
-			Seed:        3,
+			Engine: EngineConfig{
+				Store:       protoStoreConfig(),
+				Policy:      protoPolicy(t),
+				ServiceTime: time.Microsecond,
+				QueueDepth:  8,
+			},
+			Clients: clients,
+			Ops:     5000,
+			Theta:   0.9,
+			Seed:    3,
 		})
 		if err != nil {
 			t.Fatal(err)

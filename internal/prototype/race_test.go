@@ -2,6 +2,7 @@ package prototype
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,30 @@ import (
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
 )
+
+// deviceJobs sums the per-device chunk counters — every job a device
+// worker serviced — and readBlocks reads shard 0's user-read counter.
+// Call after Run returned: Close finished the recorder, which refreshed
+// the store-reading gauges.
+func deviceJobs(ts *telemetry.Set) (jobs int64) {
+	for _, in := range ts.Registry.Scalars() {
+		if strings.HasPrefix(in.Name(), telemetry.MetricDeviceChunksPrefix+"{") {
+			jobs += in.Load()
+		}
+	}
+	return jobs
+}
+
+func readBlocks(t *testing.T, ts *telemetry.Set) int64 {
+	t.Helper()
+	for _, in := range ts.Registry.Scalars() {
+		if in.Name() == telemetry.MetricReadBlocks+`{shard="0"}` {
+			return in.Load()
+		}
+	}
+	t.Fatalf("%s{shard=\"0\"} not registered", telemetry.MetricReadBlocks)
+	return 0
+}
 
 // TestPrototypeRace runs concurrent clients with telemetry attached
 // while a scraper goroutine continuously snapshots the registry,
@@ -50,17 +75,19 @@ func TestPrototypeRace(t *testing.T) {
 	}()
 
 	res, err := Run(Config{
-		Store:       protoStoreConfig(),
-		Policy:      protoPolicy(t),
-		Clients:     8,
-		Ops:         20000,
-		Theta:       0.99,
-		Fill:        true,
-		ReadRatio:   0.2,
-		ServiceTime: time.Microsecond,
-		QueueDepth:  8,
-		Seed:        11,
-		Telemetry:   ts,
+		Engine: EngineConfig{
+			Store:       protoStoreConfig(),
+			Policy:      protoPolicy(t),
+			Fill:        true,
+			ServiceTime: time.Microsecond,
+			QueueDepth:  8,
+			Telemetry:   ts,
+		},
+		Clients:   8,
+		Ops:       20000,
+		Theta:     0.99,
+		ReadRatio: 0.2,
+		Seed:      11,
 	})
 	stop.Store(true)
 	wg.Wait()
@@ -75,12 +102,13 @@ func TestPrototypeRace(t *testing.T) {
 	if len(ws) == 0 {
 		t.Fatal("no telemetry windows recorded")
 	}
+	// Run's store is shard 0 of the one engine, labelled like any other.
 	last := &ws[len(ws)-1]
-	if v, _ := last.Value(telemetry.MetricUserBlocks); v != res.UserBlocks {
-		t.Fatalf("telemetry user blocks %d, run reported %d", v, res.UserBlocks)
+	if v, ok := last.Value(telemetry.MetricUserBlocks + `{shard="0"}`); !ok || v != res.UserBlocks {
+		t.Fatalf("telemetry user blocks %d (present %v), run reported %d", v, ok, res.UserBlocks)
 	}
-	if v, _ := last.Value(telemetry.MetricPaddingBlocks); v != res.PaddingBlocks {
-		t.Fatalf("telemetry padding blocks %d, run reported %d", v, res.PaddingBlocks)
+	if v, ok := last.Value(telemetry.MetricPaddingBlocks + `{shard="0"}`); !ok || v != res.PaddingBlocks {
+		t.Fatalf("telemetry padding blocks %d (present %v), run reported %d", v, ok, res.PaddingBlocks)
 	}
 	// Per-device instruments registered and accumulated.
 	var busy int64
@@ -94,5 +122,12 @@ func TestPrototypeRace(t *testing.T) {
 	}
 	if ts.Tracer.Len() == 0 {
 		t.Fatal("no events traced")
+	}
+	// Chunk conservation on a healthy array: every flushed chunk, every
+	// parity chunk and every single-block read is exactly one device job.
+	reads := readBlocks(t, ts)
+	if got, want := deviceJobs(ts), res.ChunksWritten+res.ParityChunks+reads; got != want || reads == 0 {
+		t.Fatalf("devices serviced %d jobs, want %d flushes + %d parity + %d reads = %d",
+			got, res.ChunksWritten, res.ParityChunks, reads, want)
 	}
 }

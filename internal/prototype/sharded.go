@@ -77,7 +77,12 @@ type Sharded struct {
 // should go through the public adapt.NewEngine, which shares the
 // simulator's configuration validation (typed policy names, GCSched
 // floors as errors instead of panics).
-func NewSharded(cfg ShardedConfig) (*Sharded, error) {
+func NewSharded(cfg ShardedConfig) (*Sharded, error) { return newSharded(cfg, nil) }
+
+// newSharded is NewSharded with Run's fault injector (nil: none) hooked
+// onto the device array before anything is sent, so the chunks of the
+// fill count toward what a failed column holds.
+func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -110,6 +115,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		tickDone:    make(chan struct{}),
 	}
 	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
+	s.devs.fault = fr
 	s.ts = ecfg.Telemetry
 	if s.ts != nil {
 		s.devs.registerTelemetry(s.ts)
@@ -321,45 +327,34 @@ func mergeTiming(dst *OpTiming, t OpTiming, first bool) {
 	dst.SinkNS += t.SinkNS
 }
 
-// WriteTimed appends blocks starting at the global lba, splitting
-// across shard boundaries as needed; the timing breakdown spans every
-// touched shard.
-func (s *Sharded) WriteTimed(lba int64, blocks int) (OpTiming, error) {
+// eachTimed applies op to the global range [lba, lba+blocks), splitting
+// it across shard boundaries as needed; the timing breakdown spans
+// every touched shard.
+func (s *Sharded) eachTimed(lba int64, blocks int, op func(e *Engine, local int64, n int) (OpTiming, error)) (OpTiming, error) {
 	var out OpTiming
 	first := true
 	err := s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		t, err := s.shards[sh].WriteTimed(local, n)
+		t, err := op(s.shards[sh], local, n)
 		mergeTiming(&out, t, first)
 		first = false
 		return err
 	})
 	return out, err
+}
+
+// WriteTimed appends blocks starting at the global lba.
+func (s *Sharded) WriteTimed(lba int64, blocks int) (OpTiming, error) {
+	return s.eachTimed(lba, blocks, (*Engine).WriteTimed)
 }
 
 // ReadTimed accounts a user read.
 func (s *Sharded) ReadTimed(lba int64, blocks int) (OpTiming, error) {
-	var out OpTiming
-	first := true
-	err := s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		t, err := s.shards[sh].ReadTimed(local, n)
-		mergeTiming(&out, t, first)
-		first = false
-		return err
-	})
-	return out, err
+	return s.eachTimed(lba, blocks, (*Engine).ReadTimed)
 }
 
 // TrimTimed discards blocks.
 func (s *Sharded) TrimTimed(lba int64, blocks int) (OpTiming, error) {
-	var out OpTiming
-	first := true
-	err := s.eachShard(lba, blocks, func(sh int, local int64, n int) error {
-		t, err := s.shards[sh].TrimTimed(local, n)
-		mergeTiming(&out, t, first)
-		first = false
-		return err
-	})
-	return out, err
+	return s.eachTimed(lba, blocks, (*Engine).TrimTimed)
 }
 
 // bucketBatch splits a global-LBA batch into per-shard local batches.

@@ -2,21 +2,16 @@ package segfile
 
 // Capability describes what the host filesystem offers the durable
 // path. cmd/fscap prints it so a durable-path number can say what it
-// was measured on (an O_DIRECT ext4 host and a buffered overlayfs
-// container measure very different things).
+// was measured on (an ext4 host and an overlayfs container measure
+// very different things).
 type Capability struct {
 	// FSType is the filesystem type name backing the probed directory
 	// ("ext4", "tmpfs", "overlayfs", ...), "unknown" when the platform
 	// offers no statfs.
 	FSType string `json:"fs_type"`
-	// ODirect reports whether an aligned O_DIRECT write succeeds there.
-	ODirect bool `json:"o_direct"`
 }
 
 // Probe reports dir's durable-path capability.
 func Probe(dir string) Capability {
-	return Capability{
-		FSType:  fsTypeName(dir),
-		ODirect: probeODirect(dir),
-	}
+	return Capability{FSType: fsTypeName(dir)}
 }

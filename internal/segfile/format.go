@@ -19,7 +19,12 @@ import (
 //	chunk body   = uvarint chunkIdx | uvarint w | uvarint now |
 //	               uvarint slots | slots × (varint slotVal, varint ver)
 //	seal body    = uvarint sealedW
-//	pad body     = zeros (alignment filler, skipped on parse)
+//	pad body     = zeros (skipped on parse)
+//
+// Nothing writes pad records or a dataStart beyond the header any more:
+// both are the layout of the removed O_DIRECT append mode (header block
+// and every record padded to 512 bytes), which the parser still reads
+// so directories written that way recover.
 //
 // Torn-write safety: the header is written in a single syscall but not
 // synced on its own — it becomes durable with the first sync of the

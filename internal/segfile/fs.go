@@ -52,9 +52,7 @@ type File interface {
 	Size() (int64, error)
 }
 
-// DirFS is the real-filesystem FS rooted at a directory. O_DIRECT is
-// requested per open: the store ORs oDirectFlag into the OpenFile
-// flags of files it appends to directly.
+// DirFS is the real-filesystem FS rooted at a directory.
 type DirFS struct {
 	dir string
 }

@@ -154,23 +154,22 @@ func TestFlushSchedule(t *testing.T) {
 }
 
 // TestRecycleODirectRoundTrip frees and reopens a segment id on the
-// real filesystem with O_DIRECT requested (so the recycled file's
-// records start at the alignment boundary where the host supports it),
-// then recovers: the freed name must be a zero-length file while free,
-// and recovery must surface the second incarnation only.
+// real filesystem, re-lays the result the way a predecessor run with
+// the since-removed -odirect flag wrote its files (header block and
+// every record padded to 512 bytes), then recovers: the freed name
+// must be a zero-length file while free, and recovery must read the
+// padded layout and surface the second incarnation only.
 func TestRecycleODirectRoundTrip(t *testing.T) {
 	cfg := smallCfg()
 	dir := t.TempDir()
 	opts := segfile.Options{
 		Dir:                  dir,
 		Sync:                 segfile.SyncOnSeal,
-		ODirect:              true,
 		Geometry:             cfg.GeometryDefaults(),
 		CheckpointEverySeals: -1,
 	}
 	sf, err := segfile.Open(opts)
 	must(t, "open", err)
-	t.Logf("o_direct active: %v", sf.ODirectActive())
 
 	must(t, "open 0", sf.OpenSegment(0, 0, 1))
 	fillSegment(t, sf, cfg, 0, 0, 1)
@@ -186,6 +185,16 @@ func TestRecycleODirectRoundTrip(t *testing.T) {
 	fillSegment(t, sf, cfg, 0, 64, 200)
 	must(t, "seal 0 again", sf.SealSegment(0, 300))
 	must(t, "close", sf.Close())
+
+	path := filepath.Join(dir, segfile.SegmentFileName(0))
+	buffered, err := os.ReadFile(path)
+	must(t, "read segment file", err)
+	direct, err := segfile.DirectLayout(buffered, 512)
+	must(t, "re-lay as O_DIRECT", err)
+	if len(direct)%512 != 0 || len(direct) <= len(buffered) {
+		t.Fatalf("O_DIRECT layout is %d bytes from %d buffered, want a larger multiple of 512", len(direct), len(buffered))
+	}
+	must(t, "write O_DIRECT layout", os.WriteFile(path, direct, 0o644))
 
 	sf2, err := segfile.Open(opts)
 	must(t, "reopen store", err)

@@ -62,10 +62,6 @@ type Options struct {
 	FS FS
 	// Sync is the fsync discipline; the zero value is SyncAlways.
 	Sync SyncMode
-	// ODirect requests O_DIRECT appends on the real filesystem;
-	// silently degraded to buffered I/O when the host does not support
-	// it (see Store.ODirectActive and Probe).
-	ODirect bool
 	// CheckpointEverySeals writes a clock-floor checkpoint every N
 	// segment seals (in addition to explicit Checkpoint calls). Zero
 	// means 16; negative disables cadence checkpoints.
@@ -89,7 +85,6 @@ type fileState struct {
 	chunks int
 	sealed bool
 	dirty  bool
-	direct bool
 	// linked reports that the file's directory entry is durable. A name
 	// created by OpenSegment is not linked until the first syncFile that
 	// covers the file, which syncs the directory too.
@@ -101,9 +96,8 @@ type fileState struct {
 // locking of its own (the counters are atomic only because telemetry
 // scrapes read them concurrently).
 type Store struct {
-	fs    FS
-	opts  Options
-	align int // O_DIRECT write alignment for new files; 0 when inactive
+	fs   FS
+	opts Options
 
 	segs map[int]*fileState
 	// pool holds the free slots: ids whose seg-NNNNN.seg is a durably
@@ -134,7 +128,6 @@ type Store struct {
 	// hist is the one fsync-latency histogram: Stats reads its
 	// quantiles, and it is the instrument the telemetry set exports.
 	hist   *telemetry.Histogram
-	buf    []byte // staging buffer for aligned writes
 	closed bool
 }
 
@@ -163,9 +156,6 @@ func Open(opts Options) (*Store, error) {
 		dfs, err := NewDirFS(opts.Dir)
 		if err != nil {
 			return nil, fmt.Errorf("segfile: open dir: %w", err)
-		}
-		if opts.ODirect && probeODirect(opts.Dir) {
-			st.align = directAlign
 		}
 		st.fs = dfs
 	}
@@ -270,9 +260,6 @@ func (st *Store) scan() error {
 // decide between Recover and a fresh lss.New on it.
 func (st *Store) HasData() bool { return len(st.images) > 0 || st.ckpt != nil }
 
-// ODirectActive reports whether appends use O_DIRECT.
-func (st *Store) ODirectActive() bool { return st.align > 0 }
-
 // Close syncs every dirty segment file and closes all handles. It does
 // not checkpoint; lss.Store.Drain checkpoints through the DurableLog
 // hook before the engine closes its backend.
@@ -350,19 +337,9 @@ func (st *Store) syncDir() error {
 	return nil
 }
 
-// writeRec appends one framed record (plus alignment filler on direct
-// files) at the file's append offset.
+// writeRec appends pre-framed bytes (a record, or the header block) at
+// the file's append offset.
 func (st *Store) writeRec(fs *fileState, rec []byte) error {
-	if fs.direct {
-		rec = padRecord(rec, st.align)
-		need := len(rec)
-		if cap(st.buf) < need {
-			st.buf = alignedBuf(need + directAlign)
-		}
-		buf := st.buf[:need]
-		copy(buf, rec)
-		rec = buf
-	}
 	if _, err := fs.f.WriteAt(rec, fs.off); err != nil {
 		return err
 	}
@@ -370,19 +347,6 @@ func (st *Store) writeRec(fs *fileState, rec []byte) error {
 	fs.dirty = true
 	st.bytesWritten.Add(int64(len(rec)))
 	return nil
-}
-
-// padRecord extends rec with a pad record so its length is a multiple
-// of align (pad records are skipped by the parser).
-func padRecord(rec []byte, align int) []byte {
-	if align <= 0 || len(rec)%align == 0 {
-		return rec
-	}
-	gap := align - len(rec)%align
-	if gap < recordOverhead {
-		gap += align
-	}
-	return appendRecord(rec, recPad, make([]byte, gap-recordOverhead))
 }
 
 // OpenSegment implements lss.DurableLog: it starts a fresh incarnation
@@ -396,15 +360,9 @@ func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) err
 		return fmt.Errorf("segfile: open segment %d: incarnation already present", id)
 	}
 	recycled := st.pool[id]
-	dataStart := headerSize
-	direct := st.align > 0
 	flag := os.O_RDWR
 	if !recycled {
 		flag |= os.O_CREATE | os.O_TRUNC
-	}
-	if direct {
-		dataStart = st.align
-		flag |= oDirectFlag
 	}
 	f, err := st.fs.OpenFile(segFileName(id), flag, 0o644)
 	if err != nil {
@@ -415,36 +373,16 @@ func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) err
 		group:     int(group),
 		born:      uint64(born),
 		epoch:     st.epoch,
-		dataStart: dataStart,
+		dataStart: headerSize,
 	})
-	fs := &fileState{f: f, direct: direct, linked: recycled}
+	fs := &fileState{f: f, linked: recycled}
 	st.epoch++
-	if err := st.writeRecRaw(fs, hdr); err != nil {
+	if err := st.writeRec(fs, hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("segfile: segment %d header: %w", id, err)
 	}
 	delete(st.pool, id)
 	st.segs[id] = fs
-	return nil
-}
-
-// writeRecRaw writes pre-framed bytes (the header block) at the append
-// offset, staging through the aligned buffer on direct files.
-func (st *Store) writeRecRaw(fs *fileState, b []byte) error {
-	if fs.direct {
-		if cap(st.buf) < len(b) {
-			st.buf = alignedBuf(len(b) + directAlign)
-		}
-		buf := st.buf[:len(b)]
-		copy(buf, b)
-		b = buf
-	}
-	if _, err := fs.f.WriteAt(b, fs.off); err != nil {
-		return err
-	}
-	fs.off += int64(len(b))
-	fs.dirty = true
-	st.bytesWritten.Add(int64(len(b)))
 	return nil
 }
 

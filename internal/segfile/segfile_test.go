@@ -169,22 +169,19 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRoundTripDirFS runs the round trip against the real filesystem
-// (and requests O_DIRECT, accepting silent degradation where the host
-// does not support it), proving DirFS and MemFS share semantics.
+// TestRoundTripDirFS runs the round trip against the real filesystem,
+// proving DirFS and MemFS share semantics.
 func TestRoundTripDirFS(t *testing.T) {
 	cfg := smallCfg()
 	opts := segfile.Options{
 		Dir:      t.TempDir(),
 		Sync:     segfile.SyncOnSeal,
-		ODirect:  true,
 		Geometry: cfg.GeometryDefaults(),
 	}
 	sf, err := segfile.Open(opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	t.Logf("o_direct active: %v", sf.ODirectActive())
 	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf})
 	if !driveWorkload(t, s, workloadOps) {
 		t.Fatalf("workload: %v", s.DurableErr())

@@ -35,9 +35,9 @@ type Config struct {
 	GC     *gcsched.Config // nil: synchronous watermark GC, no pacer
 	NBD    *nbd.Config     // nil: no NBD frontend
 	// DataDir is the durable root (empty: RAM only): the segment log
-	// goes to DataDir/engine — its sync discipline and O_DIRECT choice
-	// ride in Engine.Engine.Durable, nil for the segfile defaults — and
-	// the volume files to DataDir/volumes.
+	// goes to DataDir/engine — its sync discipline rides in
+	// Engine.Engine.Durable, nil for the segfile defaults — and the
+	// volume files to DataDir/volumes.
 	DataDir string
 }
 

@@ -123,17 +123,19 @@ func RunPrototype(c PrototypeConfig) (PrototypeResult, error) {
 		return PrototypeResult{}, err
 	}
 	pcfg := prototype.Config{
-		Store:       cfg,
-		Policy:      pol,
-		Clients:     c.Clients,
-		Ops:         c.Ops,
-		Theta:       c.Theta,
-		Fill:        c.Fill,
-		ReadRatio:   c.ReadRatio,
-		ServiceTime: c.ServiceTime,
-		QueueDepth:  c.QueueDepth,
-		Seed:        c.Seed,
-		Fault:       c.Fault.internal(),
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			Policy:      pol,
+			Fill:        c.Fill,
+			ServiceTime: c.ServiceTime,
+			QueueDepth:  c.QueueDepth,
+		},
+		Clients:   c.Clients,
+		Ops:       c.Ops,
+		Theta:     c.Theta,
+		ReadRatio: c.ReadRatio,
+		Seed:      c.Seed,
+		Fault:     c.Fault.internal(),
 	}
 	if c.Simulator.GCSched.Background {
 		pcfg.GCSliceUnits = c.Simulator.GCSched.sliceUnits()
