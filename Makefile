@@ -47,7 +47,8 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-## race-sharded: the engine and its server e2e under the race detector
+## race-sharded: the engine, its server e2e and the NBD frontend (same
+## group commit, same connection runtime) under the race detector
 ## with GOMAXPROCS pinned to 4, so leader/follower group commit and
 ## cross-shard GC gating actually interleave even when the ambient
 ## GOMAXPROCS is 1. The packages run whole: a -run pattern goes vacuous
@@ -55,13 +56,21 @@ race:
 ## key on GOMAXPROCS and would replay `make race`'s result. Also lints
 ## that internal/prototype models the array once: one place that makes
 ## device queues, one RAID-5 sink — a second engine cannot grow back
-## beside the one everybody serves.
+## beside the one everybody serves — and that the two frontends share
+## one connection runtime: one accept loop, one reply writer.
 race-sharded:
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/prototype
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
 		n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
 		if [ "$$n" -gt 1 ]; then \
 			echo "race-sharded FAIL: $$n occurrences of '$$pat' in non-test internal/prototype — one device array, one sink"; \
+			exit 1; \
+		fi; \
+	done
+	@for pat in '.Accept()' 'SetWriteDeadline('; do \
+		n=$$(ls internal/server/*.go internal/nbd/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
+		if [ "$$n" -gt 1 ]; then \
+			echo "race-sharded FAIL: $$n occurrences of '$$pat' in non-test internal/server + internal/nbd — one connection runtime (internal/server/conn.go)"; \
 			exit 1; \
 		fi; \
 	done

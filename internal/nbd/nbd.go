@@ -36,8 +36,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"adapt/internal/server"
 	"adapt/internal/server/wire"
@@ -52,9 +50,6 @@ type Config struct {
 	// MaxRequestBytes bounds one request's payload and is advertised
 	// as the maximum block size (default DefaultMaxRequestBytes).
 	MaxRequestBytes int
-	// WriteTimeout bounds each response write (default 30s; negative
-	// disables).
-	WriteTimeout time.Duration
 	// Telemetry, when set, registers the nbd_* instruments.
 	Telemetry *telemetry.Set
 }
@@ -75,6 +70,8 @@ type Server struct {
 	cfg Config
 	b   server.VolumeBackend
 	met metrics
+	// lc is the connection lifecycle: accept, track, drain.
+	lc *server.Lifecycle
 
 	blockBytes int
 	volBlocks  int64
@@ -85,13 +82,6 @@ type Server struct {
 	// and write halves (overlapping *aligned* concurrent writes remain
 	// undefined, as on any block device).
 	rmw []sync.Mutex
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining atomic.Bool
-	drainCh  chan struct{}
-	connWG   sync.WaitGroup
 }
 
 // New builds an NBD frontend over the backend.
@@ -101,9 +91,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = DefaultMaxRequestBytes
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
 	}
 	b := cfg.Backend
 	if b.Volumes() < 1 || b.VolumeBlocks() < 1 || b.BlockBytes() < 1 {
@@ -121,8 +108,6 @@ func New(cfg Config) (*Server, error) {
 		volBlocks:  b.VolumeBlocks(),
 		volumes:    b.Volumes(),
 		rmw:        make([]sync.Mutex, b.Volumes()),
-		conns:      make(map[net.Conn]struct{}),
-		drainCh:    make(chan struct{}),
 	}
 	if ts := cfg.Telemetry; ts != nil {
 		s.met.conns = ts.Registry.NewGauge(telemetry.MetricNBDConns, "Open NBD connections")
@@ -139,6 +124,7 @@ func New(cfg Config) (*Server, error) {
 			"Unaligned NBD writes served with a read-modify-write cycle")
 		s.met.errors = ts.Registry.NewCounter(telemetry.MetricNBDErrors, "NBD error replies")
 	}
+	s.lc = server.NewLifecycle(s.met.conns)
 	return s, nil
 }
 
@@ -173,83 +159,30 @@ func (s *Server) transmissionFlags() uint16 {
 
 // Serve accepts NBD connections on ln until Shutdown closes it. It
 // returns nil after a graceful Shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining.Load() {
-			// Accepted as Shutdown closed the listener: as in
-			// server.Serve, counting it could race Shutdown's Wait.
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		s.met.conns.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.lc.Serve(ln, s.serveConn) }
 
 // Shutdown drains the NBD frontend: in-flight requests complete and
 // are acked, then connections close. The backend stays open. Call it
 // before draining the backend itself, so pending NBD writes can still
 // commit.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(s.drainCh)
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.lc.Shutdown(ctx) }
 
 // errAborted marks a clean client-requested negotiation end
 // (NBD_OPT_ABORT): close the connection without a transmission phase.
 var errAborted = errors.New("nbd: negotiation aborted by client")
 
-// serveConn runs one connection: handshake, then transmission.
+// serveConn runs one connection: handshake, then transmission. A peer
+// that connects and never negotiates is reaped on the idle deadline
+// like a silent wire client; the deadline comes off on entering
+// transmission, where a kernel initiator legitimately idles for hours.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.met.conns.Add(-1)
-		conn.Close()
-	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
+	s.lc.ArmIdle(conn)
 	vol, err := s.handshake(rw{br, conn})
 	if err != nil {
 		return
 	}
+	s.lc.ClearIdle(conn)
 	s.met.handshakes.Inc()
 	s.transmit(conn, br, vol)
 }
@@ -400,46 +333,33 @@ func (s *Server) optionErr(c io.Writer, opt, typ uint32, msg string) error {
 	return err
 }
 
-// outFrame pairs one encoded reply with its span.
-type outFrame struct {
-	buf []byte
-	sp  *telemetry.Span
-}
-
-// transmit serves the transmission phase on one connection: a reader
-// loop decoding and dispatching requests, and a writer goroutine
-// serializing (possibly out-of-order) replies. Mirrors the bespoke
-// frontend's connection anatomy so both frontends drain identically.
+// transmit is the NBD codec over one connection's transmission phase:
+// read a request, fill the span, dispatch.
 func (s *Server) transmit(conn net.Conn, br io.Reader, vol uint32) {
-	ring := s.b.OpenSpanRing()
-	defer s.b.CloseSpanRing(ring)
-	respCh := make(chan outFrame, 64)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.connWriter(conn, respCh, ring)
-	}()
-
-	var pending sync.WaitGroup
+	q := server.NewReplies(conn, s.b, 64)
+	defer q.Close()
 	for {
 		req, err := readRequest(br)
 		if err != nil {
-			break
+			return
+		}
+		if req.cmd == cmdDisc {
+			s.countCmd(cmdDisc)
+			return
 		}
 		sp := s.b.NewSpan()
 		var payload []byte
 		if req.cmd == cmdWrite && req.length > 0 {
 			if int64(req.length) > int64(s.cfg.MaxRequestBytes) {
 				// The unread payload poisons the stream; reply and close.
-				s.met.errors.Inc()
 				s.b.DropSpan(sp)
-				respCh <- outFrame{buf: appendSimpleReply(nil, nbdEOVERFLOW, req.handle)}
-				break
+				s.reply(q.Begin(nil), req.handle, nbdEOVERFLOW, nil)
+				return
 			}
 			payload = make([]byte, req.length)
 			if _, err := io.ReadFull(br, payload); err != nil {
 				s.b.DropSpan(sp)
-				break
+				return
 			}
 		}
 		if sp != nil {
@@ -450,73 +370,25 @@ func (s *Server) transmit(conn net.Conn, br io.Reader, vol uint32) {
 			sp.Count = req.length / uint32(s.blockBytes)
 			sp.MarkAt(telemetry.StageDecode, s.b.Now())
 		}
-		if req.cmd == cmdDisc {
-			s.countCmd(cmdDisc)
-			s.b.DropSpan(sp)
-			break
-		}
-		pending.Add(1)
-		delivered := false
-		reply := func(errno uint32, data []byte) {
-			if delivered {
-				panic("nbd: double reply to one request")
-			}
-			delivered = true
-			if errno != 0 {
-				s.met.errors.Inc()
-			}
-			if sp != nil {
-				sp.Status = uint8(errnoToStatus(errno))
-			}
-			buf := appendSimpleReply(nil, errno, req.handle)
-			buf = append(buf, data...)
-			respCh <- outFrame{buf: buf, sp: sp}
-			pending.Done()
-		}
-		s.dispatch(vol, req, payload, sp, reply)
+		s.dispatch(vol, req, payload, sp, q.Begin(sp))
 	}
-	pending.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// connWriter writes encoded replies, flushing when the queue
-// momentarily empties; after a write failure it drains the channel so
-// responders never block. Spans finish after their bytes hit the
-// socket.
-func (s *Server) connWriter(conn net.Conn, respCh <-chan outFrame, ring *telemetry.SpanRing) {
-	buf := make([]byte, 0, 64<<10)
-	var spans []*telemetry.Span
-	broken := false
-	flush := func() {
-		if !broken && len(buf) > 0 {
-			if s.cfg.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			if _, err := conn.Write(buf); err != nil {
-				broken = true
-			}
-		}
-		buf = buf[:0]
-		for _, sp := range spans {
-			s.b.FinishSpan(sp, ring)
-		}
-		spans = spans[:0]
+// reply encodes one simple reply (errno, handle, READ data) as the
+// request's one response.
+func (s *Server) reply(rp *server.Reply, handle uint64, errno uint32, data []byte) {
+	if errno != 0 {
+		s.met.errors.Inc()
 	}
-	for of := range respCh {
-		if of.sp != nil {
-			spans = append(spans, of.sp)
-		}
-		if broken {
-			flush()
-			continue
-		}
-		buf = append(buf, of.buf...)
-		if len(respCh) == 0 || len(buf) >= 48<<10 {
-			flush()
-		}
-	}
-	flush()
+	frame := appendSimpleReply(make([]byte, 0, 16+len(data)), errno, handle) // 16: the header
+	rp.Send(errnoToStatus(errno), append(frame, data...))
+}
+
+// finish replies with err's errno for an admitted request, first
+// freeing its slot.
+func (s *Server) finish(rp *server.Reply, vol uint32, handle uint64, err error, data []byte) {
+	s.b.Release(vol)
+	s.reply(rp, handle, mapErr(err), data)
 }
 
 // countCmd bumps the per-command request counter.
@@ -526,76 +398,66 @@ func (s *Server) countCmd(cmd uint16) {
 	}
 }
 
-// dispatch validates and executes one transmission request. reply must
-// be called exactly once, possibly from another goroutine (batched
-// writes ack from the group commit's done callback).
-func (s *Server) dispatch(vol uint32, req request, payload []byte, sp *telemetry.Span, reply func(errno uint32, data []byte)) {
+// dispatch validates and executes one transmission request. rp is sent
+// exactly once, possibly from another goroutine (batched writes ack
+// from the group commit's done callback).
+func (s *Server) dispatch(vol uint32, req request, payload []byte, sp *telemetry.Span, rp *server.Reply) {
 	s.countCmd(req.cmd)
 	size := s.exportSize()
+	errno := uint32(0)
 	switch req.cmd {
 	case cmdRead, cmdWrite, cmdTrim, cmdWriteZeroes:
-		if req.length == 0 {
-			reply(nbdEINVAL, nil)
-			return
-		}
-		if int64(req.length) > int64(s.cfg.MaxRequestBytes) {
-			reply(nbdEOVERFLOW, nil)
-			return
-		}
-		if req.offset > size || uint64(req.length) > size-req.offset {
+		switch {
+		case req.length == 0:
+			errno = nbdEINVAL
+		case int64(req.length) > int64(s.cfg.MaxRequestBytes):
+			errno = nbdEOVERFLOW
+		case req.offset > size || uint64(req.length) > size-req.offset:
 			// Beyond-end writes are ENOSPC per the spec; reads EINVAL.
+			errno = nbdEINVAL
 			if req.cmd == cmdWrite || req.cmd == cmdWriteZeroes {
-				reply(nbdENOSPC, nil)
-			} else {
-				reply(nbdEINVAL, nil)
+				errno = nbdENOSPC
 			}
-			return
 		}
 	case cmdFlush:
 		if req.offset != 0 || req.length != 0 {
-			reply(nbdEINVAL, nil)
-			return
+			errno = nbdEINVAL
 		}
 	default:
-		reply(nbdEINVAL, nil)
-		return
+		errno = nbdEINVAL
 	}
-
-	if err := s.b.Acquire(vol); err != nil {
-		reply(mapErr(err), nil)
+	if errno == 0 {
+		errno = mapErr(s.b.Acquire(vol))
+	}
+	if errno != 0 {
+		s.reply(rp, req.handle, errno, nil)
 		return
 	}
 	if sp != nil {
 		sp.MarkAt(telemetry.StageAdmission, s.b.Now())
 	}
-	finish := func(errno uint32, data []byte) {
-		s.b.Release(vol)
-		reply(errno, data)
-	}
 	switch req.cmd {
 	case cmdRead:
 		data, err := s.readSpan(vol, req.offset, req.length, sp)
-		if err != nil {
-			finish(mapErr(err), nil)
-			return
+		if err == nil {
+			s.met.bytesOut.Add(int64(len(data)))
 		}
-		s.met.bytesOut.Add(int64(len(data)))
-		finish(0, data)
-	case cmdWrite:
-		s.met.bytesIn.Add(int64(len(payload)))
+		s.finish(rp, vol, req.handle, err, data)
+	case cmdWrite, cmdWriteZeroes:
+		if req.cmd == cmdWrite {
+			s.met.bytesIn.Add(int64(len(payload)))
+		} else {
+			// NBD_CMD_FLAG_NO_HOLE is advisory — zeroes are written
+			// either way, which trivially satisfies it.
+			payload = make([]byte, req.length)
+		}
 		s.writeSpan(vol, req.offset, payload, sp, func(err error) {
-			finish(mapErr(err), nil)
-		})
-	case cmdWriteZeroes:
-		// NBD_CMD_FLAG_NO_HOLE is advisory — zeroes are written either
-		// way, which trivially satisfies it.
-		s.writeSpan(vol, req.offset, make([]byte, req.length), sp, func(err error) {
-			finish(mapErr(err), nil)
+			s.finish(rp, vol, req.handle, err, nil)
 		})
 	case cmdTrim:
-		finish(mapErr(s.trimSpan(vol, req.offset, req.length, sp)), nil)
+		s.finish(rp, vol, req.handle, s.trimSpan(vol, req.offset, req.length, sp), nil)
 	case cmdFlush:
-		finish(mapErr(s.b.Flush(vol, sp)), nil)
+		s.finish(rp, vol, req.handle, s.b.Flush(vol, sp), nil)
 	}
 }
 

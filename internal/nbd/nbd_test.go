@@ -30,6 +30,8 @@ type stackConfig struct {
 	batch      bool
 	trace      bool
 	mirror     bool // oracle + RAID mirror: enables FailColumn/RebuildStep
+	// listen, when set, wraps the loopback listener the frontend serves.
+	listen func(net.Listener) net.Listener
 }
 
 // stack is a full serving stack: engine → volume manager → NBD
@@ -100,6 +102,9 @@ func newStack(t testing.TB, sc stackConfig) *stack {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
+	if sc.listen != nil {
+		ln = sc.listen(ln)
+	}
 	go func() { served <- nsrv.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -434,6 +439,94 @@ func TestNBDShutdownDrains(t *testing.T) {
 	// New connections are refused.
 	if _, err := nbdtest.Dial(st.addr, "vol0"); err == nil {
 		t.Fatal("dial after shutdown succeeded")
+	}
+}
+
+// deadlineConn records, in order, what the server does to a
+// connection's read side: every read deadline it sets and every Read.
+type deadlineConn struct {
+	net.Conn
+	mu     sync.Mutex
+	events []string
+}
+
+func (c *deadlineConn) record(ev string) {
+	c.mu.Lock()
+	c.events = append(c.events, ev)
+	c.mu.Unlock()
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.record("read")
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) SetReadDeadline(d time.Time) error {
+	switch {
+	case d.IsZero():
+		c.record("clear")
+	case time.Until(d) > time.Minute:
+		c.record("arm")
+	default:
+		c.record("expire")
+	}
+	return c.Conn.SetReadDeadline(d)
+}
+
+type deadlineListener struct {
+	net.Listener
+	conns chan *deadlineConn
+}
+
+func (l deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: c}
+	l.conns <- dc
+	return dc, nil
+}
+
+// TestNBDHandshakeDeadline pins the negotiation phase to the shared
+// idle deadline: it is armed before the server reads a byte of the
+// handshake — so a peer that connects and sends nothing is reaped like
+// a silent wire client instead of pinning a goroutine, a descriptor and
+// an nbd_conns slot for the life of the process — and cleared on
+// entering transmission, where a kernel initiator may idle for hours.
+func TestNBDHandshakeDeadline(t *testing.T) {
+	conns := make(chan *deadlineConn, 1)
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: true,
+		listen: func(ln net.Listener) net.Listener { return deadlineListener{ln, conns} }})
+	c := dialExport(t, st.addr, "vol0") // negotiates with NBD_OPT_GO
+	// A served request proves the server is in transmission.
+	if err := c.Write(0, bytes.Repeat([]byte{5}, testBlockBytes), 0); err != nil {
+		t.Fatal(err)
+	}
+	dc := <-conns
+	dc.mu.Lock()
+	events := append([]string(nil), dc.events...)
+	dc.mu.Unlock()
+
+	if len(events) == 0 || events[0] != "arm" {
+		t.Fatalf("handshake read the peer before arming a read deadline: %v", events)
+	}
+	cleared := -1
+	for i, ev := range events {
+		if ev == "clear" {
+			cleared = i
+		}
+	}
+	if cleared < 2 || events[cleared-1] != "read" {
+		t.Fatalf("no deadline clear after the negotiation's reads: %v", events)
+	}
+	for _, ev := range events[cleared:] {
+		if ev == "arm" {
+			t.Fatalf("idle deadline re-armed in transmission: %v", events)
+		}
+	}
+	if len(events) == cleared+1 {
+		t.Fatalf("transmission read nothing after the clear: %v", events)
 	}
 }
 

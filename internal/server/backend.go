@@ -14,10 +14,11 @@ import (
 //
 // *Server implements it, and both frontends ride the one
 // implementation: the bespoke wire protocol (this package's
-// handleConn) and the NBD frontend (internal/nbd) are peers over the
-// same volumes, committers, admission semaphores, and trace runtime.
-// Writes entering through any frontend coalesce into the same
-// per-shard group commits.
+// handleConn/dispatch) and the NBD frontend (internal/nbd) are peers
+// over the same validated ops, volumes, committers, admission
+// semaphores, and trace runtime, on the same connection runtime
+// (conn.go). Writes entering through any frontend coalesce into the
+// same per-shard group commits.
 //
 // Ops return the package's typed sentinels (ErrBadVolume,
 // ErrOutOfRange, ErrBadRequest, ErrShuttingDown) so each frontend can
@@ -56,9 +57,10 @@ type VolumeBackend interface {
 
 	// NewSpan starts a request span stamped on the engine clock, or nil
 	// when tracing is off (every span argument above is nil-safe).
-	// FinishSpan completes it after the response bytes hit the socket,
-	// publishing to ring when the span is exemplar-worthy. Rings come
-	// from OpenSpanRing per connection and must be retired with
+	// FinishSpan completes it once the reply writer has put its bytes on
+	// the socket and stamped its respond stage (Replies, one clock read
+	// per flush), publishing to ring when the span is exemplar-worthy.
+	// Rings come from OpenSpanRing per connection and must be retired with
 	// CloseSpanRing; both are nil-safe no-ops when tracing is off.
 	NewSpan() *telemetry.Span
 	FinishSpan(sp *telemetry.Span, ring *telemetry.SpanRing)
@@ -95,12 +97,12 @@ func (s *Server) Acquire(vol uint32) error {
 	}
 	select {
 	case v.sem <- struct{}{}:
-		if s.draining.Load() {
+		if s.lc.draining.Load() {
 			<-v.sem
 			return ErrShuttingDown
 		}
 		return nil
-	case <-s.drainCh:
+	case <-s.lc.drainCh:
 		return ErrShuttingDown
 	}
 }
@@ -115,14 +117,11 @@ func (s *Server) Release(vol uint32) {
 // ReadBlocks implements VolumeBackend over readCore.
 func (s *Server) ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	v, err := s.vol(vol)
+	if err == nil {
+		err = v.check(lba, blocks)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if blocks < 1 {
-		return nil, ErrBadRequest
-	}
-	if lba < 0 || !v.inRange(uint64(lba), uint32(blocks)) {
-		return nil, ErrOutOfRange
 	}
 	return s.readCore(v, lba, blocks, sp)
 }
@@ -131,34 +130,34 @@ func (s *Server) ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Spa
 // must be a whole number of blocks; done owns the payload's fate (it
 // may be retained until the group commit fires).
 func (s *Server) WriteBlocks(vol uint32, lba int64, payload []byte, sp *telemetry.Span, done func(error)) {
+	s.writeBlocks(vol, lba, payload, false, sp, done)
+}
+
+// writeBlocks is WriteBlocks plus the wire protocol's FlagNoBatch,
+// which bypasses group commit.
+func (s *Server) writeBlocks(vol uint32, lba int64, payload []byte, noBatch bool, sp *telemetry.Span, done func(error)) {
 	v, err := s.vol(vol)
+	if err == nil && len(payload)%v.blockBytes != 0 {
+		err = ErrBadRequest
+	}
+	if err == nil {
+		err = v.check(lba, len(payload)/v.blockBytes)
+	}
 	if err != nil {
 		done(err)
 		return
 	}
-	blocks := len(payload) / v.blockBytes
-	if blocks < 1 || len(payload)%v.blockBytes != 0 {
-		done(ErrBadRequest)
-		return
-	}
-	if lba < 0 || !v.inRange(uint64(lba), uint32(blocks)) {
-		done(ErrOutOfRange)
-		return
-	}
-	s.writeCore(v, lba, payload, false, sp, done)
+	s.writeCore(v, lba, payload, noBatch, sp, done)
 }
 
 // TrimBlocks implements VolumeBackend over trimCore.
 func (s *Server) TrimBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) error {
 	v, err := s.vol(vol)
+	if err == nil {
+		err = v.check(lba, blocks)
+	}
 	if err != nil {
 		return err
-	}
-	if blocks < 1 {
-		return ErrBadRequest
-	}
-	if lba < 0 || !v.inRange(uint64(lba), uint32(blocks)) {
-		return ErrOutOfRange
 	}
 	return s.trimCore(v, lba, blocks, sp)
 }
@@ -172,12 +171,13 @@ func (s *Server) Flush(vol uint32, sp *telemetry.Span) error {
 	return s.flushCore(v, sp)
 }
 
-// NewSpan starts a span on the engine clock; nil when tracing is off.
+// NewSpan takes a zeroed span from the pool and starts it on the engine
+// clock; nil when tracing is off.
 func (s *Server) NewSpan() *telemetry.Span {
 	if s.trace == nil {
 		return nil
 	}
-	sp := s.trace.newSpan()
+	sp := s.trace.pool.Get().(*telemetry.Span)
 	sp.Start = s.eng.Now()
 	return sp
 }
@@ -187,7 +187,7 @@ func (s *Server) FinishSpan(sp *telemetry.Span, ring *telemetry.SpanRing) {
 	if s.trace == nil || sp == nil {
 		return
 	}
-	s.trace.finish(sp, s.eng.Now(), ring)
+	s.trace.finish(sp, ring)
 }
 
 // DropSpan discards an unpublished span (e.g. after a decode error).
@@ -198,21 +198,34 @@ func (s *Server) DropSpan(sp *telemetry.Span) {
 	s.trace.drop(sp)
 }
 
-// OpenSpanRing registers a per-connection exemplar ring; nil when
-// tracing is off.
+// OpenSpanRing registers a fresh per-connection exemplar ring; nil
+// when tracing is off.
 func (s *Server) OpenSpanRing() *telemetry.SpanRing {
-	if s.trace == nil {
+	tr := s.trace
+	if tr == nil {
 		return nil
 	}
-	return s.trace.addRing()
+	r := telemetry.NewSpanRing(ringCap)
+	tr.mu.Lock()
+	tr.rings[r] = struct{}{}
+	tr.mu.Unlock()
+	return r
 }
 
-// CloseSpanRing retires a connection's ring, keeping its exemplars.
+// CloseSpanRing retires a closing connection's ring, moving its
+// exemplars into the retired ring so they survive the connection.
 func (s *Server) CloseSpanRing(r *telemetry.SpanRing) {
-	if s.trace == nil || r == nil {
+	tr := s.trace
+	if tr == nil || r == nil {
 		return
 	}
-	s.trace.retireRing(r)
+	spans := r.Snapshot(nil)
+	tr.mu.Lock()
+	delete(tr.rings, r)
+	tr.mu.Unlock()
+	for _, sp := range spans {
+		tr.retired.Publish(sp)
+	}
 }
 
 // writeCore is the write path shared by every frontend: per-tenant

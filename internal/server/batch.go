@@ -61,10 +61,6 @@ type shardCommitter struct {
 	flushGen      atomic.Int64
 }
 
-func newShardCommitter(srv *Server, shard int, timeout time.Duration, maxBlocks int) *shardCommitter {
-	return &shardCommitter{srv: srv, shard: shard, timeout: timeout, maxBlocks: maxBlocks}
-}
-
 // enqueue pushes a write onto the writer list and spawns the leader if
 // the list was empty. Lock-free: the only synchronization is the CAS.
 func (c *shardCommitter) enqueue(r *commitReq) {
@@ -103,7 +99,7 @@ func (c *shardCommitter) lead() {
 // group-commit deadline, a quiesced submission stream, a FLUSH kick,
 // or server drain — whichever comes first.
 func (c *shardCommitter) gather() {
-	if c.srv.draining.Load() {
+	if c.srv.lc.draining.Load() {
 		return
 	}
 	deadline := time.Now().Add(c.timeout)
@@ -113,7 +109,7 @@ func (c *shardCommitter) gather() {
 		if c.pendingBlocks.Load() >= int64(c.maxBlocks) {
 			return
 		}
-		if c.flushGen.Load() != gen || c.srv.draining.Load() {
+		if c.flushGen.Load() != gen || c.srv.lc.draining.Load() {
 			return
 		}
 		if !time.Now().Before(deadline) {

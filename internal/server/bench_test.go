@@ -156,7 +156,7 @@ func BenchmarkTraceHotPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sp *telemetry.Span
 			if benchTraceState != nil { // handleConn: span creation
-				sp = benchTraceState.newSpan()
+				sp = benchTraceState.pool.Get().(*telemetry.Span)
 			}
 			if sp != nil { // handleConn: populate after decode
 				sp.MarkAt(telemetry.StageDecode, 1)
@@ -164,10 +164,10 @@ func BenchmarkTraceHotPath(b *testing.B) {
 			if sp != nil { // dispatch: admission stamp
 				sp.MarkAt(telemetry.StageAdmission, 2)
 			}
-			if sp != nil { // respond closure: status copy
+			if sp != nil { // Reply.Send: status copy
 				sp.Status = 0
 			}
-			if sp != nil { // connWriter: pending-span append
+			if sp != nil { // Replies.write: pending-span append
 				sink++
 			}
 		}
@@ -182,7 +182,7 @@ func BenchmarkTraceHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sp := tr.newSpan()
+			sp := tr.pool.Get().(*telemetry.Span)
 			sp.ID = uint64(i)
 			sp.Volume = 0
 			sp.Op = 1
@@ -191,7 +191,8 @@ func BenchmarkTraceHotPath(b *testing.B) {
 			sp.MarkAt(telemetry.StageAdmission, 120)
 			sp.MarkAt(telemetry.StageLockWait, 150)
 			sp.MarkAt(telemetry.StageCommit, 180)
-			tr.finish(sp, 200, ring) // under threshold: back to the pool
+			sp.MarkAt(telemetry.StageRespond, 200)
+			tr.finish(sp, ring) // under threshold: back to the pool
 		}
 	})
 }

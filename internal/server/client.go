@@ -39,23 +39,46 @@ func (e *statusErr) Error() string {
 
 func (e *statusErr) Unwrap() error { return e.sentinel }
 
+// sentinels pairs each refusal status with its typed error. The server
+// reads it one way (statusOf: what a VolumeBackend op returned becomes
+// the response status) and the client the other (statusError), so the
+// two mappings cannot drift; nbd.mapErr is the same table for errnos.
+var sentinels = [...]struct {
+	status wire.Status
+	err    error
+}{
+	{wire.StatusBackpressure, ErrBackpressure},
+	{wire.StatusShuttingDown, ErrShuttingDown},
+	{wire.StatusBadVolume, ErrBadVolume},
+	{wire.StatusOutOfRange, ErrOutOfRange},
+	{wire.StatusBadRequest, ErrBadRequest},
+}
+
+// statusOf maps an op's error onto the wire status space; anything but
+// a sentinel is StatusInternal.
+func statusOf(err error) wire.Status {
+	if err == nil {
+		return wire.StatusOK
+	}
+	for _, s := range sentinels {
+		if errors.Is(err, s.err) {
+			return s.status
+		}
+	}
+	return wire.StatusInternal
+}
+
+// statusError maps a response's status back onto the sentinels (nil
+// for OK, ErrRemote for anything else), keeping the detail text.
 func statusError(resp *wire.Response) error {
-	var sentinel error
-	switch resp.Status {
-	case wire.StatusOK:
+	if resp.Status == wire.StatusOK {
 		return nil
-	case wire.StatusBackpressure:
-		sentinel = ErrBackpressure
-	case wire.StatusShuttingDown:
-		sentinel = ErrShuttingDown
-	case wire.StatusBadVolume:
-		sentinel = ErrBadVolume
-	case wire.StatusOutOfRange:
-		sentinel = ErrOutOfRange
-	case wire.StatusBadRequest:
-		sentinel = ErrBadRequest
-	default:
-		sentinel = ErrRemote
+	}
+	sentinel := ErrRemote
+	for _, s := range sentinels {
+		if s.status == resp.Status {
+			sentinel = s.err
+		}
 	}
 	return &statusErr{sentinel: sentinel, detail: string(resp.Payload)}
 }

@@ -52,17 +52,9 @@ type Config struct {
 	// BatchTimeout is the group-commit deadline: the longest a batched
 	// write may wait for its chunk to fill — the serving-layer
 	// equivalent of the paper's aggregation (padding) SLA. Default: the
-	// store's SLA window, read as wall time.
+	// store's SLA window, read as wall time. The size target is the
+	// store's chunk, so a full batch fills a whole chunk.
 	BatchTimeout time.Duration
-	// BatchBlocks is the group-commit size target in blocks (default:
-	// the store's chunk size, so a full batch fills a whole chunk).
-	BatchBlocks int
-	// IdleTimeout closes a connection that sends no request for this
-	// long (default 5m; negative disables).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write (default 30s; negative
-	// disables).
-	WriteTimeout time.Duration
 	// Telemetry, when set, registers server instruments (connections,
 	// per-opcode requests, backpressure, batching, bytes) on the same
 	// set the engine uses.
@@ -105,14 +97,10 @@ type Server struct {
 	// every tracing touchpoint on the request path a single nil check.
 	trace *traceState
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining atomic.Bool
-	// drainCh closes when Shutdown starts.
-	drainCh chan struct{}
-
-	connWG sync.WaitGroup
+	// lc is the wire frontend's connection lifecycle, and its draining
+	// flag the whole volume manager's: Acquire, dispatch and the
+	// committers' gather read it.
+	lc *Lifecycle
 	// batWG counts live group-commit leaders.
 	batWG sync.WaitGroup
 
@@ -142,24 +130,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight < 1 {
 		cfg.MaxInflight = 64
 	}
-	if cfg.BatchBlocks < 1 {
-		cfg.BatchBlocks = store.ChunkBlocks
-	}
 	if cfg.BatchTimeout <= 0 {
 		cfg.BatchTimeout = time.Duration(store.SLAWindow)
 	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = 5 * time.Minute
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
-	s := &Server{
-		cfg:     cfg,
-		eng:     cfg.Engine,
-		conns:   make(map[net.Conn]struct{}),
-		drainCh: make(chan struct{}),
-	}
+	s := &Server{cfg: cfg, eng: cfg.Engine}
 	if ts := cfg.Telemetry; ts != nil {
 		s.met.conns = ts.Registry.NewGauge(telemetry.MetricServerConns, "Open client connections")
 		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpTrim, wire.OpFlush, wire.OpStat} {
@@ -178,12 +152,13 @@ func New(cfg Config) (*Server, error) {
 		s.met.bytesOut = ts.Registry.NewCounter(telemetry.MetricServerBytesOut,
 			"READ payload bytes sent")
 		bounds := make([]int64, 0, 8)
-		for b := int64(1); b <= int64(cfg.BatchBlocks); b *= 2 {
+		for b := int64(1); b <= int64(store.ChunkBlocks); b *= 2 {
 			bounds = append(bounds, b)
 		}
 		s.met.batchFill = ts.Registry.NewHistogram(telemetry.MetricServerBatchFill,
 			"Blocks per group commit", bounds)
 	}
+	s.lc = NewLifecycle(s.met.conns)
 	if cfg.Trace.Enabled {
 		s.trace = newTraceState(cfg.Trace, cfg.Volumes, cfg.Telemetry)
 	}
@@ -199,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Batch {
 		s.committers = make([]*shardCommitter, cfg.Engine.Shards())
 		for i := range s.committers {
-			s.committers[i] = newShardCommitter(s, i, cfg.BatchTimeout, cfg.BatchBlocks)
+			s.committers[i] = &shardCommitter{srv: s, shard: i, timeout: cfg.BatchTimeout, maxBlocks: store.ChunkBlocks}
 		}
 	}
 	return s, nil
@@ -219,136 +194,51 @@ func (s *Server) VolumeBlocks() int64 {
 
 // Serve accepts connections on ln until Shutdown closes it. It always
 // returns a nil error after a graceful Shutdown.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining.Load() {
-			// Accepted as Shutdown closed the listener. Shutdown set
-			// draining before it took mu, so counting this connection
-			// could race its connWG.Wait; it has sent nothing we read.
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		s.met.conns.Add(1)
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.lc.Serve(ln, s.handleConn) }
 
 // Shutdown drains the server: new requests are refused with
 // StatusShuttingDown, every already-received request is completed and
 // acked, pending group commits are applied, and connections close. The
 // engine is left open for the caller.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	if !s.lc.drain() {
 		return nil
 	}
-	close(s.drainCh)
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
+	// Every conn reader waits for its pending replies, and a batched
+	// write replies only from its commit's done callback — so once the
+	// readers exit, every enqueued write has committed and no new
+	// leaders can spawn.
+	if err := s.lc.wait(ctx, s.batWG.Wait); err != nil {
+		return err
 	}
-	for conn := range s.conns {
-		// Unblock readers parked on idle connections; in-flight work
-		// still completes and is acked before the connection closes.
-		conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		// Every conn reader waits for its pending responses, and a
-		// batched write responds only from its commit's done callback —
-		// so once the readers exit, every enqueued write has committed
-		// and no new leaders can spawn.
-		s.connWG.Wait()
-		s.batWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		// Every ack already carried its own fsync; this close is
-		// bookkeeping, not the durability point.
-		return s.closeVolumeFiles()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	// Every ack already carried its own fsync; this close is
+	// bookkeeping, not the durability point.
+	return s.closeVolumeFiles()
 }
 
-// handleConn runs one connection: a reader loop decoding requests and a
-// writer goroutine serializing (possibly out-of-order) responses.
+// handleConn is the wire codec over one connection: read a frame,
+// decode it, fill the span, dispatch.
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.met.conns.Add(-1)
-		conn.Close()
-	}()
-
-	tr := s.trace
-	var ring *telemetry.SpanRing
-	if tr != nil {
-		ring = tr.addRing()
-		defer tr.retireRing(ring)
-	}
-	respCh := make(chan outFrame, 4*s.cfg.MaxInflight)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.connWriter(conn, respCh, ring)
-	}()
-
+	q := NewReplies(conn, s, 4*s.cfg.MaxInflight)
+	defer q.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var pending sync.WaitGroup
 	for {
-		// Arm the idle deadline only when the next read will hit the
-		// socket; requests already buffered don't reset idleness and
-		// skip the per-op deadline bookkeeping.
-		if s.cfg.IdleTimeout > 0 && br.Buffered() == 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-			// Shutdown flips draining and then expires every read
-			// deadline; if that landed between this loop's last read and
-			// the arm above, the arm just undid it and the read below
-			// would park for the idle timeout. Checking after arming
-			// closes the window whichever side ran last.
-			if s.draining.Load() {
-				conn.SetReadDeadline(time.Now())
-			}
+		if br.Buffered() == 0 {
+			s.lc.ArmIdle(conn)
 		}
 		// Frame read and decode are split so the span clock starts at
 		// frame arrival and the decode stage excludes network idle time.
 		frame, err := wire.ReadFrame(br)
 		if err != nil {
-			break
+			return
 		}
-		var sp *telemetry.Span
-		if tr != nil {
-			sp = tr.newSpan()
-			sp.Start = s.eng.Now()
-		}
+		sp := s.NewSpan()
 		req, err := wire.DecodeRequestOwned(frame)
 		if err != nil {
 			// The stream cannot be trusted past a protocol error, so the
 			// connection drains and closes.
-			if sp != nil {
-				tr.drop(sp)
-			}
-			break
+			s.DropSpan(sp)
+			return
 		}
 		if sp != nil {
 			sp.ID = req.ID
@@ -359,200 +249,83 @@ func (s *Server) handleConn(conn net.Conn) {
 			sp.Forced = req.Flags&wire.FlagTrace != 0
 			sp.MarkAt(telemetry.StageDecode, s.eng.Now())
 		}
-		pending.Add(1)
-		delivered := false
-		respond := func(resp *wire.Response) {
-			if delivered {
-				panic("server: double response to one request")
-			}
-			delivered = true
-			if sp != nil {
-				sp.Status = uint8(resp.Status)
-			}
-			respCh <- outFrame{buf: wire.AppendResponse(nil, resp), sp: sp}
-			pending.Done()
-		}
-		s.dispatch(req, sp, respond)
+		s.dispatch(req, sp, q.Begin(sp))
 	}
-	pending.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// outFrame pairs an encoded response with its span (nil when tracing
-// is off), so the writer can finish the span after the socket write.
-type outFrame struct {
-	buf []byte
-	sp  *telemetry.Span
-}
-
-// connWriter writes encoded response frames, flushing when the queue
-// momentarily empties. After a write failure it keeps draining the
-// channel so responders never block on a dead connection. Spans finish
-// at flush time, after their bytes hit the socket.
-func (s *Server) connWriter(conn net.Conn, respCh <-chan outFrame, ring *telemetry.SpanRing) {
-	buf := make([]byte, 0, 64<<10)
-	var spans []*telemetry.Span
-	broken := false
-	flush := func() {
-		if !broken && len(buf) > 0 {
-			if s.cfg.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			if _, err := conn.Write(buf); err != nil {
-				broken = true
-			}
-		}
-		buf = buf[:0]
-		if len(spans) > 0 {
-			now := s.eng.Now()
-			for _, sp := range spans {
-				s.trace.finish(sp, now, ring)
-			}
-			spans = spans[:0]
+// finish sends a request's one response: resp when err is nil,
+// otherwise resp's op and id under err's status. It first frees the
+// admission slot the request held on vol (nil when it was never
+// admitted). Only an internal error carries detail text — the client
+// restores a sentinel's from the status alone.
+func (s *Server) finish(rp *Reply, vol *volume, resp wire.Response, err error) {
+	if vol != nil {
+		vol.release()
+	}
+	if err != nil {
+		resp = wire.Response{Op: resp.Op, Status: statusOf(err), ID: resp.ID}
+		if resp.Status == wire.StatusInternal {
+			resp.Payload = []byte(err.Error())
 		}
 	}
-	for of := range respCh {
-		if of.sp != nil {
-			spans = append(spans, of.sp)
-		}
-		if broken {
-			flush() // finish spans even on a dead connection
-			continue
-		}
-		buf = append(buf, of.buf...)
-		s.responses.Add(1)
-		if len(respCh) == 0 || len(buf) >= 48<<10 {
-			flush()
-		}
-	}
-	flush()
+	s.responses.Add(1)
+	rp.Send(resp.Status, wire.AppendResponse(nil, &resp))
 }
 
-// errResp builds a non-OK response carrying the detail as payload.
-func errResp(req *wire.Request, status wire.Status, detail string) *wire.Response {
-	return &wire.Response{Op: req.Op, Status: status, ID: req.ID, Payload: []byte(detail)}
-}
-
-func okResp(req *wire.Request) *wire.Response {
-	return &wire.Response{Op: req.Op, Status: wire.StatusOK, ID: req.ID}
-}
-
-// dispatch routes one decoded request. respond must be called exactly
-// once, possibly from another goroutine (batched writes). sp is the
-// request's trace span, nil when tracing is off.
-func (s *Server) dispatch(req wire.Request, sp *telemetry.Span, respond func(*wire.Response)) {
+// dispatch routes one decoded request onto the validated ops every
+// frontend uses. What stays here is what only the wire protocol has:
+// STAT, fail-fast admission (a full semaphore is StatusBackpressure,
+// where Acquire would park), FlagNoBatch and the Count-versus-payload
+// check. rp is sent exactly once, possibly from another goroutine
+// (batched writes). sp is the request's trace span, nil when tracing is
+// off.
+func (s *Server) dispatch(req wire.Request, sp *telemetry.Span, rp *Reply) {
 	s.requests.Add(1)
 	s.met.reqs[req.Op].Inc()
-	if s.draining.Load() {
-		respond(errResp(&req, wire.StatusShuttingDown, "server draining"))
+	// resp is the bare OK; never reassigned, so the write's ack closure
+	// holds a copy instead of moving it to the heap for every request.
+	resp := wire.Response{Op: req.Op, ID: req.ID}
+	if s.lc.draining.Load() {
+		s.finish(rp, nil, resp, ErrShuttingDown)
 		return
 	}
 	if req.Op == wire.OpStat {
-		respond(&wire.Response{
-			Op: req.Op, Status: wire.StatusOK, ID: req.ID,
-			Payload: wire.AppendStats(nil, s.stats()),
-		})
+		s.finish(rp, nil, wire.Response{Op: req.Op, ID: req.ID, Payload: wire.AppendStats(nil, s.stats())}, nil)
 		return
 	}
-	if req.Volume >= uint32(len(s.vols)) {
-		respond(errResp(&req, wire.StatusBadVolume,
-			fmt.Sprintf("volume %d of %d", req.Volume, len(s.vols))))
+	vol, err := s.vol(req.Volume)
+	if err != nil {
+		s.finish(rp, nil, resp, err)
 		return
 	}
-	vol := s.vols[req.Volume]
 	if !vol.admit() {
 		s.met.backpressure.Inc()
-		respond(errResp(&req, wire.StatusBackpressure,
-			fmt.Sprintf("volume %d inflight limit %d", vol.id, cap(vol.sem))))
+		s.finish(rp, nil, resp, ErrBackpressure)
 		return
 	}
 	if sp != nil {
 		sp.MarkAt(telemetry.StageAdmission, s.eng.Now())
 	}
-	finish := func(resp *wire.Response) {
-		vol.release()
-		respond(resp)
-	}
+	lba, blocks := int64(req.LBA), int(req.Count)
 	switch req.Op {
 	case wire.OpWrite:
-		s.handleWrite(vol, req, sp, finish)
-	case wire.OpRead:
-		s.handleRead(vol, req, sp, finish)
-	case wire.OpTrim:
-		s.handleTrim(vol, req, sp, finish)
-	case wire.OpFlush:
-		s.handleFlush(vol, req, sp, finish)
-	default:
-		finish(errResp(&req, wire.StatusBadRequest, "unhandled opcode"))
-	}
-}
-
-func (s *Server) handleWrite(vol *volume, req wire.Request, sp *telemetry.Span, finish func(*wire.Response)) {
-	if req.Count < 1 {
-		finish(errResp(&req, wire.StatusBadRequest, "zero block count"))
-		return
-	}
-	if !vol.inRange(req.LBA, req.Count) {
-		finish(errResp(&req, wire.StatusOutOfRange,
-			fmt.Sprintf("write [%d,%d) beyond %d blocks", req.LBA, req.LBA+uint64(req.Count), vol.blocks)))
-		return
-	}
-	if want := int(req.Count) * vol.blockBytes; len(req.Payload) != want {
-		finish(errResp(&req, wire.StatusBadRequest,
-			fmt.Sprintf("payload %d bytes, want %d", len(req.Payload), want)))
-		return
-	}
-	s.writeCore(vol, int64(req.LBA), req.Payload, req.Flags&wire.FlagNoBatch != 0, sp, func(err error) {
-		if err != nil {
-			finish(errResp(&req, wire.StatusInternal, err.Error()))
+		if len(req.Payload) != blocks*vol.blockBytes {
+			s.finish(rp, vol, resp, ErrBadRequest)
 			return
 		}
-		finish(okResp(&req))
-	})
-}
-
-func (s *Server) handleRead(vol *volume, req wire.Request, sp *telemetry.Span, finish func(*wire.Response)) {
-	if req.Count < 1 {
-		finish(errResp(&req, wire.StatusBadRequest, "zero block count"))
-		return
+		s.writeBlocks(req.Volume, lba, req.Payload, req.Flags&wire.FlagNoBatch != 0, sp, func(err error) {
+			s.finish(rp, vol, resp, err)
+		})
+	case wire.OpRead:
+		payload, err := s.ReadBlocks(req.Volume, lba, blocks, sp)
+		s.finish(rp, vol, wire.Response{Op: req.Op, ID: req.ID, Count: req.Count, Payload: payload}, err)
+	case wire.OpTrim:
+		s.finish(rp, vol, resp, s.TrimBlocks(req.Volume, lba, blocks, sp))
+	case wire.OpFlush:
+		s.finish(rp, vol, resp, s.Flush(req.Volume, sp))
+	default:
+		s.finish(rp, vol, resp, ErrBadRequest)
 	}
-	if !vol.inRange(req.LBA, req.Count) {
-		finish(errResp(&req, wire.StatusOutOfRange,
-			fmt.Sprintf("read [%d,%d) beyond %d blocks", req.LBA, req.LBA+uint64(req.Count), vol.blocks)))
-		return
-	}
-	payload, err := s.readCore(vol, int64(req.LBA), int(req.Count), sp)
-	if err != nil {
-		finish(errResp(&req, wire.StatusInternal, err.Error()))
-		return
-	}
-	finish(&wire.Response{Op: req.Op, Status: wire.StatusOK, ID: req.ID, Count: req.Count, Payload: payload})
-}
-
-func (s *Server) handleTrim(vol *volume, req wire.Request, sp *telemetry.Span, finish func(*wire.Response)) {
-	if req.Count < 1 {
-		finish(errResp(&req, wire.StatusBadRequest, "zero block count"))
-		return
-	}
-	if !vol.inRange(req.LBA, req.Count) {
-		finish(errResp(&req, wire.StatusOutOfRange,
-			fmt.Sprintf("trim [%d,%d) beyond %d blocks", req.LBA, req.LBA+uint64(req.Count), vol.blocks)))
-		return
-	}
-	if err := s.trimCore(vol, int64(req.LBA), int(req.Count), sp); err != nil {
-		finish(errResp(&req, wire.StatusInternal, err.Error()))
-		return
-	}
-	finish(okResp(&req))
-}
-
-func (s *Server) handleFlush(vol *volume, req wire.Request, sp *telemetry.Span, finish func(*wire.Response)) {
-	if err := s.flushCore(vol, sp); err != nil {
-		finish(errResp(&req, wire.StatusInternal, err.Error()))
-		return
-	}
-	finish(okResp(&req))
 }
 
 // stats assembles the STAT payload: geometry (so clients can

@@ -15,6 +15,7 @@ import (
 	"adapt/internal/lss"
 	"adapt/internal/placement"
 	"adapt/internal/prototype"
+	"adapt/internal/server/wire"
 )
 
 // testBlockBytes keeps the volume data planes and the verification
@@ -153,16 +154,44 @@ func TestServerBasicOps(t *testing.T) {
 		t.Fatalf("bad vol2 counters: %v", stats)
 	}
 
-	// Error mapping: unknown volume, out-of-range LBA, short payload.
+	// Status mapping: one raw request per typed sentinel the validated
+	// ops return, so the wire status each maps to is pinned.
 	bad := dial(t, addr, 99)
-	if err := bad.Write(0, want); !errors.Is(err, ErrBadVolume) {
-		t.Fatalf("bad volume: got %v", err)
+	volBlocks := uint64(srv.VolumeBlocks())
+	for _, tc := range []struct {
+		name     string
+		c        *Client
+		req      wire.Request
+		status   wire.Status
+		sentinel error
+	}{
+		{"unknown volume", bad, wire.Request{Op: wire.OpWrite, Count: 1, Payload: want}, wire.StatusBadVolume, ErrBadVolume},
+		{"unknown volume flush", bad, wire.Request{Op: wire.OpFlush}, wire.StatusBadVolume, ErrBadVolume},
+		{"read past end", c, wire.Request{Op: wire.OpRead, LBA: 1 << 40, Count: 1}, wire.StatusOutOfRange, ErrOutOfRange},
+		{"write straddles end", c, wire.Request{Op: wire.OpWrite, LBA: volBlocks - 1, Count: 2, Payload: append(want, want...)}, wire.StatusOutOfRange, ErrOutOfRange},
+		{"trim at end", c, wire.Request{Op: wire.OpTrim, LBA: volBlocks, Count: 1}, wire.StatusOutOfRange, ErrOutOfRange},
+		{"read lba 2^63", c, wire.Request{Op: wire.OpRead, LBA: 1 << 63, Count: 1}, wire.StatusOutOfRange, ErrOutOfRange},
+		{"write lba 2^64-1", c, wire.Request{Op: wire.OpWrite, LBA: ^uint64(0), Count: 1, Payload: want}, wire.StatusOutOfRange, ErrOutOfRange},
+		{"zero-count read", c, wire.Request{Op: wire.OpRead}, wire.StatusBadRequest, ErrBadRequest},
+		{"zero-count write", c, wire.Request{Op: wire.OpWrite}, wire.StatusBadRequest, ErrBadRequest},
+		{"zero-count trim", c, wire.Request{Op: wire.OpTrim}, wire.StatusBadRequest, ErrBadRequest},
+		{"short payload", c, wire.Request{Op: wire.OpWrite, Count: 1, Payload: want[:testBlockBytes/2]}, wire.StatusBadRequest, ErrBadRequest},
+		{"count over payload", c, wire.Request{Op: wire.OpWrite, Count: 2, Payload: want}, wire.StatusBadRequest, ErrBadRequest},
+	} {
+		resp, err := tc.c.roundtrip(&tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Status != tc.status || !errors.Is(statusError(resp), tc.sentinel) {
+			t.Errorf("%s: status %v (%v), want %v", tc.name, resp.Status, statusError(resp), tc.status)
+		}
 	}
-	if _, err := c.Read(1<<40, 1); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("out of range: got %v", err)
+	// The session survives every refusal, and each freed its slot.
+	if err := c.Write(0, want); err != nil {
+		t.Fatalf("write after refusals: %v", err)
 	}
-	if err := c.Write(0, want[:testBlockBytes/2]); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("short payload: got %v", err)
+	if n := len(srv.vols[2].sem); n != 0 {
+		t.Fatalf("%d admission slots still held after refusals", n)
 	}
 }
 

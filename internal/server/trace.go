@@ -25,16 +25,16 @@ type TraceConfig struct {
 	// published to the exemplar ring (default 500 µs). Requests carrying
 	// wire.FlagTrace publish regardless.
 	Threshold time.Duration
-	// RingCap bounds each connection's exemplar ring (default 256).
-	RingCap int
 }
+
+// ringCap bounds each connection's exemplar ring.
+const ringCap = 256
 
 // traceState is the server's tracing runtime: a span pool, the
 // per-connection exemplar rings, the per-stage/per-tenant latency
 // histograms, and the interference-interval source for attribution.
 type traceState struct {
 	thresholdNS int64
-	ringCap     int
 	pool        sync.Pool
 	itv         *telemetry.IntervalLog
 
@@ -129,15 +129,11 @@ func newTraceState(cfg TraceConfig, vols int, ts *telemetry.Set) *traceState {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 500 * time.Microsecond
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = 256
-	}
 	tr := &traceState{
 		thresholdNS: cfg.Threshold.Nanoseconds(),
-		ringCap:     cfg.RingCap,
 		pool:        sync.Pool{New: func() any { return new(telemetry.Span) }},
 		rings:       make(map[*telemetry.SpanRing]struct{}),
-		retired:     telemetry.NewSpanRing(4 * cfg.RingCap),
+		retired:     telemetry.NewSpanRing(4 * ringCap),
 	}
 	if ts != nil {
 		tr.itv = ts.Intervals
@@ -159,44 +155,17 @@ func newTraceState(cfg TraceConfig, vols int, ts *telemetry.Set) *traceState {
 	return tr
 }
 
-// newSpan takes a zeroed span from the pool.
-func (tr *traceState) newSpan() *telemetry.Span {
-	return tr.pool.Get().(*telemetry.Span)
-}
-
 // drop returns an unpublished span to the pool.
 func (tr *traceState) drop(sp *telemetry.Span) {
 	sp.Reset()
 	tr.pool.Put(sp)
 }
 
-// addRing registers a fresh per-connection exemplar ring.
-func (tr *traceState) addRing() *telemetry.SpanRing {
-	r := telemetry.NewSpanRing(tr.ringCap)
-	tr.mu.Lock()
-	tr.rings[r] = struct{}{}
-	tr.mu.Unlock()
-	return r
-}
-
-// retireRing moves a closing connection's exemplars into the retired
-// ring so they survive the connection.
-func (tr *traceState) retireRing(r *telemetry.SpanRing) {
-	spans := r.Snapshot(nil)
-	tr.mu.Lock()
-	delete(tr.rings, r)
-	tr.mu.Unlock()
-	for _, sp := range spans {
-		tr.retired.Publish(sp)
-	}
-}
-
-// finish completes a span after its response hit the socket: stamps the
-// respond stage, feeds the latency histograms, and either publishes the
-// span as an exemplar (over threshold, or client-forced) or returns it
-// to the pool.
-func (tr *traceState) finish(sp *telemetry.Span, now sim.Time, ring *telemetry.SpanRing) {
-	sp.MarkAt(telemetry.StageRespond, now)
+// finish completes a span after its response hit the socket and the
+// reply writer stamped its respond stage: feeds the latency histograms,
+// and either publishes the span as an exemplar (over threshold, or
+// client-forced) or returns it to the pool.
+func (tr *traceState) finish(sp *telemetry.Span, ring *telemetry.SpanRing) {
 	total := sp.TotalNS()
 	tr.tail.observe(total)
 	durs := sp.StageDurs()

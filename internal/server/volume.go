@@ -88,9 +88,17 @@ func (v *volume) admit() bool {
 // release frees one inflight slot.
 func (v *volume) release() { <-v.sem }
 
-// inRange reports whether [lba, lba+count) is inside the volume.
-func (v *volume) inRange(lba uint64, count uint32) bool {
-	return lba < uint64(v.blocks) && uint64(count) <= uint64(v.blocks)-lba
+// check validates [lba, lba+blocks) against the volume: the one count
+// and range check behind READ, WRITE and TRIM, whichever frontend
+// carried them.
+func (v *volume) check(lba int64, blocks int) error {
+	switch {
+	case blocks < 1:
+		return ErrBadRequest
+	case lba < 0 || lba >= v.blocks || int64(blocks) > v.blocks-lba:
+		return ErrOutOfRange
+	}
+	return nil
 }
 
 // attachFile binds a backing file to the volume: existing bytes load
