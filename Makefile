@@ -47,19 +47,21 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-## race-sharded: the engine, its server e2e and the NBD frontend (same
-## group commit, same connection runtime) under the race detector
-## with GOMAXPROCS pinned to 4, so leader/follower group commit and
-## cross-shard GC gating actually interleave even when the ambient
-## GOMAXPROCS is 1. The packages run whole: a -run pattern goes vacuous
-## the day a test is renamed. -count=1 because the test cache does not
-## key on GOMAXPROCS and would replay `make race`'s result. Also lints
-## that internal/prototype models the array once: one place that makes
-## device queues, one RAID-5 sink — a second engine cannot grow back
-## beside the one everybody serves — and that the two frontends share
-## one connection runtime: one accept loop, one reply writer.
+## race-sharded: the engine, its server e2e, the NBD frontend (same
+## group commit, same connection runtime) and the assembled stack under
+## the race detector with GOMAXPROCS pinned to 4, so leader/follower
+## group commit and cross-shard GC gating actually interleave even when
+## the ambient GOMAXPROCS is 1. The packages run whole: a -run pattern
+## goes vacuous the day a test is renamed. -count=1 because the test
+## cache does not key on GOMAXPROCS and would replay `make race`'s
+## result. Also lints that internal/prototype models the array once:
+## one place that makes device queues, one RAID-5 sink — a second engine
+## cannot grow back beside the one everybody serves; that the two
+## frontends share one connection runtime: one accept loop, one reply
+## writer; and that no all-shard lock grows back on the served path: no
+## simulator Recorder there, no lockAll.
 race-sharded:
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
 		n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
 		if [ "$$n" -gt 1 ]; then \
@@ -71,6 +73,12 @@ race-sharded:
 		n=$$(ls internal/server/*.go internal/nbd/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
 		if [ "$$n" -gt 1 ]; then \
 			echo "race-sharded FAIL: $$n occurrences of '$$pat' in non-test internal/server + internal/nbd — one connection runtime (internal/server/conn.go)"; \
+			exit 1; \
+		fi; \
+	done
+	@for pat in 'Recorder' 'lockAll'; do \
+		if ls internal/prototype/*.go internal/server/*.go internal/serve/*.go | grep -v _test.go | xargs grep -nF "$$pat"; then \
+			echo "race-sharded FAIL: '$$pat' in non-test internal/prototype + internal/server + internal/serve — shard locks are taken one at a time, the recorder is simulator-only"; \
 			exit 1; \
 		fi; \
 	done

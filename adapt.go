@@ -349,6 +349,8 @@ type TelemetryConfig struct {
 // instrumented too. Call it once, before replaying any traffic.
 // The returned Set exposes the registry, recorder, and tracer for
 // export (telemetry.WriteWindowsJSONL, Set.Tracer.WriteJSONL, ...).
+// The store's gauges read it when they are read, so scrape the
+// registry between replays, not during one.
 func (s *Simulator) EnableTelemetry(tc TelemetryConfig) *telemetry.Set {
 	ts := telemetry.New(telemetry.Options{
 		WindowInterval: sim.Time(tc.WindowInterval),

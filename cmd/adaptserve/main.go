@@ -1,8 +1,8 @@
 // Command adaptserve serves the ADAPT array as a multi-tenant network
 // block service: the storage engine (log-structured store + modelled
 // RAID-5 SSD array) behind the internal/server wire protocol, with
-// live telemetry (Prometheus-style /metrics, /events.jsonl,
-// /series.jsonl, /debug/pprof) on a second HTTP listener.
+// live telemetry (Prometheus-style /metrics, read at scrape time,
+// /debug/trace, /debug/pprof) on a second HTTP listener.
 //
 // Usage:
 //
@@ -163,7 +163,7 @@ func main() {
 		extra := map[string]http.Handler{"/debug/trace": srv.TraceHandler()}
 		_, taddr, err := telemetry.Serve(at.telemetry, cfg.Engine.Engine.Telemetry, extra)
 		cmd.Check(err)
-		fmt.Printf("telemetry on http://%s/ (metrics, events.jsonl, series.jsonl, debug/trace, debug/pprof)\n", taddr)
+		fmt.Printf("telemetry on http://%s/ (metrics, debug/trace, debug/pprof)\n", taddr)
 	}
 	var nln net.Listener
 	if st.NBD != nil {

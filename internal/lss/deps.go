@@ -49,10 +49,9 @@ type Deps struct {
 	ReclaimObserver func(segID int)
 	// Sharded marks the store as one partition of a sharded engine and
 	// Shard as its id: telemetry metric names gain a {shard="id"}
-	// label, GC intervals carry the shard, and the recorder is not
-	// attached (only the sharded engine, which can hold every shard
-	// lock, may drive recorder ticks). The zero value is a standalone
-	// store.
+	// label, GC intervals carry the shard, and neither the recorder nor
+	// the tracer is attached (both are simulator-only). The zero value
+	// is a standalone store.
 	Sharded bool
 	Shard   int
 }

@@ -27,17 +27,17 @@ func (s *Store) shardName(name string) string {
 // the recorder begins ticking on the store's simulated clock inside
 // advance, and the tracer receives GC, seal, flush, and padding
 // events. Pass nil to detach the recorder and tracer (registered
-// gauges keep serving their last refreshed value).
+// gauges keep reading the store).
 //
-// Attach at most one set per store, before concurrent use begins; the
-// function gauges read store state and are refreshed only at recorder
-// ticks, which run under the caller's store lock.
+// Attach at most one set per store, before concurrent use begins. The
+// function gauges read store state whenever they are read, so whoever
+// serializes the store must guard them: the engine passes a set
+// Guarded by its shard lock.
 //
 // Shard stores (Deps.Sharded) register every instrument under a
-// {shard="id"} label and do NOT attach the recorder: a recorder tick
-// refreshes every function gauge on the set, including other shards'
-// store-reading gauges, so only the sharded engine — which can hold
-// all shard locks at once — may drive it.
+// {shard="id"} label and attach neither the recorder nor the tracer:
+// those are simulator instruments, and one process-wide tracer lock or
+// recorder tick would couple shards the engine keeps apart.
 func (s *Store) attachTelemetry(ts *telemetry.Set) {
 	s.tset = ts
 	if ts == nil {
@@ -47,8 +47,8 @@ func (s *Store) attachTelemetry(ts *telemetry.Set) {
 		s.itv = nil
 		return
 	}
-	s.tracer = ts.Tracer
 	if s.shard < 0 {
+		s.tracer = ts.Tracer
 		s.rec = ts.Recorder
 	}
 	s.itv = ts.Intervals

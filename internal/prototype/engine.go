@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adapt/internal/checker"
@@ -98,6 +99,28 @@ type deviceArray struct {
 	// bounds queue sends with timeout and backoff, and fans reads of the
 	// failed column out to the survivors. Set before the first send.
 	fault *faultRun
+
+	// cycle is the synchronous GC cycle that has the columns to itself
+	// (Sharded.gateFor sets it), nil when none runs; see awaitGC.
+	cycle atomic.Pointer[gcCycle]
+}
+
+// gcCycle is a synchronous GC cycle in progress: the shard running it,
+// and a channel closed when it ends.
+type gcCycle struct {
+	shard int32
+	done  chan struct{}
+}
+
+// awaitGC holds a write bound for shard until a synchronous GC cycle
+// running on another shard ends: the cycle then has the columns to
+// itself and stalls its own shard for less (DESIGN.md §9 has the
+// measurement). The cycle's own shard never waits here: its next write
+// may be what finishes the cycle.
+func (da *deviceArray) awaitGC(shard int32) {
+	if c := da.cycle.Load(); c != nil && c.shard != shard {
+		<-c.done
+	}
 }
 
 func newDeviceArray(ncols, queueDepth int, writeService, readService time.Duration) *deviceArray {
@@ -297,6 +320,10 @@ type Engine struct {
 	degradedTok int64
 	failGen     int64
 
+	// tel is the engine's telemetry set Guarded by mu (nil without
+	// telemetry): every gauge over state mu guards registers through it.
+	tel *telemetry.Set
+
 	closed bool
 }
 
@@ -319,9 +346,11 @@ type EngineConfig struct {
 	// utilization with GC active, as the paper's prototype does after
 	// loading.
 	Fill bool
-	// Telemetry, when set, attaches live instrumentation (store metrics
-	// and events plus per-device counters). The Set must be dedicated to
-	// this engine: instrument names would collide otherwise.
+	// Telemetry, when set, attaches live instrumentation: store metrics,
+	// read at scrape time under their shard's lock, plus per-device
+	// counters. Shard stores emit no events and drive no recorder. The
+	// Set must be dedicated to this engine: instrument names would
+	// collide otherwise.
 	Telemetry *telemetry.Set
 	// Verify attaches the correctness oracle from internal/checker: all
 	// traffic is cross-checked against the flat reference model at the
@@ -405,7 +434,10 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (rele
 		},
 	}
 	if ts := cfg.Telemetry; ts != nil {
-		deps.Telemetry = ts
+		// The store's gauges read what mu guards, so a scrape evaluates
+		// them under this shard's lock and no other.
+		e.tel = ts.Guarded(&e.mu)
+		deps.Telemetry = e.tel
 		// The store's own clock freezes at the op timestamp for the
 		// duration of a synchronous GC cycle; interference intervals
 		// need real elapsed time, so give it the wall-derived clock.
@@ -522,11 +554,15 @@ type OpTiming struct {
 }
 
 // timed runs one op under the engine lock and returns its timing
-// breakdown: lock wait, and the share of the hold spent blocked on
-// device queues (GC slices and drains between ops add to sinkNS too;
-// nobody reads theirs).
-func (e *Engine) timed(op func() error) (OpTiming, error) {
+// breakdown: lock wait (for a write, including any wait for another
+// shard's GC cycle — deviceArray.awaitGC), and the share of the hold
+// spent blocked on device queues (GC slices and drains between ops add
+// to sinkNS too; nobody reads theirs).
+func (e *Engine) timed(write bool, op func() error) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
+	if write {
+		e.devs.awaitGC(e.shard)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t.Locked = e.Now()
@@ -543,7 +579,7 @@ func (e *Engine) timed(op func() error) (OpTiming, error) {
 
 // WriteTimed appends blocks user-written blocks starting at lba.
 func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
-	return e.timed(func() error { return e.writeLocked(lba, blocks) })
+	return e.timed(true, func() error { return e.writeLocked(lba, blocks) })
 }
 
 // WriteBatchTimed applies a group commit: every write lands
@@ -551,7 +587,7 @@ func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 // fills whole chunks before the SLA window can force padding. The
 // OpTiming covers the whole group commit.
 func (e *Engine) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
-	return e.timed(func() error {
+	return e.timed(true, func() error {
 		for _, op := range ops {
 			if err := e.writeLocked(op.LBA, op.Blocks); err != nil {
 				return err
@@ -573,7 +609,7 @@ func (e *Engine) writeLocked(lba int64, blocks int) error {
 // time on one column (the store never materializes data bytes; callers
 // keep payloads in their own data plane).
 func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
-	return e.timed(func() error {
+	return e.timed(false, func() error {
 		now := e.Now()
 		if e.oracle != nil {
 			e.oracle.Read(lba, blocks, now)
@@ -587,7 +623,7 @@ func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 
 // TrimTimed discards blocks (TRIM/UNMAP).
 func (e *Engine) TrimTimed(lba int64, blocks int) (OpTiming, error) {
-	return e.timed(func() error {
+	return e.timed(false, func() error {
 		now := e.Now()
 		if e.oracle != nil {
 			return e.oracle.Trim(lba, blocks, now)

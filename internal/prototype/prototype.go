@@ -96,16 +96,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	pol := cfg.Engine.Policy
-	if ts := cfg.Engine.Telemetry; ts != nil {
-		fr.registerTelemetry(ts)
-		// One shard, one policy: its fixed instrument names cannot
-		// collide, so Run wires what a multi-shard engine cannot.
-		if p, ok := pol.(interface {
-			SetTelemetry(*telemetry.Set)
-		}); ok {
-			p.SetTelemetry(ts)
-		}
-	}
+	fr.registerTelemetry(cfg.Engine.Telemetry)
 	eng, err := newSharded(ShardedConfig{
 		Engine:        cfg.Engine,
 		Shards:        1,
@@ -115,6 +106,12 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	shard := eng.shards[0]
+	if p, ok := pol.(interface{ SetTelemetry(*telemetry.Set) }); ok && shard.tel != nil {
+		// One shard, one policy: its fixed instrument names cannot
+		// collide, so Run wires what a multi-shard engine cannot — under
+		// the shard's lock, since the policy's gauges read its state.
+		p.SetTelemetry(shard.tel)
+	}
 	gc := eng.GCShards()[0]
 	bgStep := 0
 	if geo.BackgroundGC {

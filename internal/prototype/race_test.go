@@ -8,14 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"adapt/internal/sim"
+	"adapt/internal/adaptcore"
 	"adapt/internal/telemetry"
 )
 
 // deviceJobs sums the per-device chunk counters — every job a device
 // worker serviced — and readBlocks reads shard 0's user-read counter.
-// Call after Run returned: Close finished the recorder, which refreshed
-// the store-reading gauges.
+// Call after Run returned, so the counts are final.
 func deviceJobs(ts *telemetry.Set) (jobs int64) {
 	for _, in := range ts.Registry.Scalars() {
 		if strings.HasPrefix(in.Name(), telemetry.MetricDeviceChunksPrefix+"{") {
@@ -27,26 +26,30 @@ func deviceJobs(ts *telemetry.Set) (jobs int64) {
 
 func readBlocks(t *testing.T, ts *telemetry.Set) int64 {
 	t.Helper()
+	return load(t, ts, telemetry.MetricReadBlocks+`{shard="0"}`)
+}
+
+// load reads one registered scalar by its full name.
+func load(t *testing.T, ts *telemetry.Set, name string) int64 {
+	t.Helper()
 	for _, in := range ts.Registry.Scalars() {
-		if in.Name() == telemetry.MetricReadBlocks+`{shard="0"}` {
+		if in.Name() == name {
 			return in.Load()
 		}
 	}
-	t.Fatalf("%s{shard=\"0\"} not registered", telemetry.MetricReadBlocks)
+	t.Fatalf("%s not registered", name)
 	return 0
 }
 
 // TestPrototypeRace runs concurrent clients with telemetry attached
-// while a scraper goroutine continuously snapshots the registry,
-// recorder, and tracer — the live-introspection pattern of the debug
-// HTTP endpoint. Run under -race it proves the concurrency contract:
-// atomic counters, cached function gauges, and the mutex-guarded
-// recorder/tracer never race with the store's writers.
+// while a scraper goroutine continuously renders the registry and loads
+// every instrument one by one — the live-introspection pattern of the
+// debug HTTP endpoint. Run under -race it proves the concurrency
+// contract: atomic counters and live function gauges — the store's and
+// the ADAPT policy's, evaluated under the shard lock — never race with
+// the engine's writers.
 func TestPrototypeRace(t *testing.T) {
-	ts := telemetry.New(telemetry.Options{
-		WindowInterval: sim.Time(time.Millisecond),
-		EventCapacity:  1024,
-	})
+	ts := telemetry.New(telemetry.Options{})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -59,25 +62,22 @@ func TestPrototypeRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			buf.Reset()
-			if err := ts.Tracer.WriteJSONL(&buf); err != nil {
-				t.Error(err)
-				return
+			for _, in := range ts.Registry.Scalars() {
+				in.Load()
 			}
-			buf.Reset()
-			if err := telemetry.WriteWindowsJSONL(&buf, ts.Recorder.Windows()); err != nil {
-				t.Error(err)
-				return
-			}
-			ts.Recorder.Dropped()
-			ts.Tracer.Len()
 		}
 	}()
 
+	cfg := protoStoreConfig()
 	res, err := Run(Config{
 		Engine: EngineConfig{
-			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
+			Store: cfg,
+			Policy: adaptcore.New(adaptcore.Config{
+				UserBlocks:    cfg.UserBlocks,
+				SegmentBlocks: cfg.SegmentBlocks(),
+				ChunkBlocks:   cfg.ChunkBlocks,
+				OverProvision: cfg.OverProvision,
+			}, adaptcore.Options{SampleRate: 0.5}),
 			Fill:        true,
 			ServiceTime: time.Microsecond,
 			QueueDepth:  8,
@@ -97,18 +97,23 @@ func TestPrototypeRace(t *testing.T) {
 	if res.OpsPerSec <= 0 {
 		t.Fatal("no throughput")
 	}
-	// The attached set must agree with the run result on totals.
-	ws := ts.Recorder.Windows()
-	if len(ws) == 0 {
-		t.Fatal("no telemetry windows recorded")
-	}
+	// The registry reads the run's totals exactly: function gauges are
+	// evaluated when read, so there is no refresh for them to lag.
 	// Run's store is shard 0 of the one engine, labelled like any other.
-	last := &ws[len(ws)-1]
-	if v, ok := last.Value(telemetry.MetricUserBlocks + `{shard="0"}`); !ok || v != res.UserBlocks {
-		t.Fatalf("telemetry user blocks %d (present %v), run reported %d", v, ok, res.UserBlocks)
+	for name, want := range map[string]int64{
+		telemetry.MetricUserBlocks:    res.UserBlocks,
+		telemetry.MetricGCBlocks:      res.GCBlocks,
+		telemetry.MetricShadowBlocks:  res.ShadowBlocks,
+		telemetry.MetricPaddingBlocks: res.PaddingBlocks,
+		telemetry.MetricChunkFlushes:  res.ChunksWritten,
+	} {
+		if got := load(t, ts, name+`{shard="0"}`); got != want {
+			t.Errorf("registry %s{shard=\"0\"} = %d, run reported %d", name, got, want)
+		}
 	}
-	if v, ok := last.Value(telemetry.MetricPaddingBlocks + `{shard="0"}`); !ok || v != res.PaddingBlocks {
-		t.Fatalf("telemetry padding blocks %d (present %v), run reported %d", v, ok, res.PaddingBlocks)
+	// Run wires the policy's own gauges, under the same shard lock.
+	if load(t, ts, telemetry.MetricAdaptThreshold) <= 0 {
+		t.Error("adapt_threshold_blocks never read a threshold")
 	}
 	// Per-device instruments registered and accumulated.
 	var busy int64
@@ -119,9 +124,6 @@ func TestPrototypeRace(t *testing.T) {
 	}
 	if busy == 0 {
 		t.Fatal("per-device counters never accumulated")
-	}
-	if ts.Tracer.Len() == 0 {
-		t.Fatal("no events traced")
 	}
 	// Chunk conservation on a healthy array: every flushed chunk, every
 	// parity chunk and every single-block read is exactly one device job.

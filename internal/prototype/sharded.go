@@ -11,7 +11,6 @@ import (
 	"adapt/internal/lss"
 	"adapt/internal/segfile"
 	"adapt/internal/sim"
-	"adapt/internal/telemetry"
 )
 
 // PolicyFactory builds the placement policy for one shard. cfg is the
@@ -40,17 +39,14 @@ type ShardedConfig struct {
 // not a different kind. It implements Ingest, the slice of its surface
 // the network server drives.
 //
-// Cross-shard coordination is deliberately minimal:
-//
-//   - GC desynchronization: a one-token gate serializes GC cycles
-//     across shards so no two shards hammer the same physical columns
-//     with relocation traffic simultaneously (the paper's GC interferes
-//     with foreground I/O through exactly that path). Shards count the
-//     time they wait in GCGateWaits/GCGateWaitNS.
-//   - Telemetry windows: shard stores never drive the shared recorder
-//     (a tick refreshes every store-reading gauge on the set), so the
-//     router runs one ticker goroutine that takes all shard locks in
-//     order and advances the recorder on the shared clock.
+// Cross-shard coordination is deliberately minimal: a one-token gate
+// serializes synchronous GC cycles across shards so no two shards
+// hammer the same physical columns with relocation traffic
+// simultaneously (the paper's GC interferes with foreground I/O through
+// exactly that path), and while a cycle runs, writes bound for the
+// other shards wait for it to end. Shards count the time their cycles
+// wait in GCGateWaits/GCGateWaitNS. Nothing holds two shard locks at
+// once: a metrics scrape takes them one at a time.
 type Sharded struct {
 	shards      []*Engine
 	bases       []int64 // first global LBA of each shard
@@ -58,14 +54,10 @@ type Sharded struct {
 	shardBlocks int64   // blocks per shard (last shard absorbs remainder)
 	cfg         lss.Config
 	devs        *deviceArray
-	ts          *telemetry.Set
 
 	gate       chan struct{} // 1-token GC scheduler
 	gateWaits  []atomic.Int64
 	gateWaitNS []atomic.Int64
-
-	tickStop chan struct{}
-	tickDone chan struct{}
 
 	closeOnce sync.Once
 	closeErr  error
@@ -111,14 +103,11 @@ func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
 		gate:        make(chan struct{}, 1),
 		gateWaits:   make([]atomic.Int64, n),
 		gateWaitNS:  make([]atomic.Int64, n),
-		tickStop:    make(chan struct{}),
-		tickDone:    make(chan struct{}),
 	}
 	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
 	s.devs.fault = fr
-	s.ts = ecfg.Telemetry
-	if s.ts != nil {
-		s.devs.registerTelemetry(s.ts)
+	if ecfg.Telemetry != nil {
+		s.devs.registerTelemetry(ecfg.Telemetry)
 	}
 
 	fill := ecfg.Fill
@@ -183,12 +172,6 @@ func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
 			}
 		}
 	}
-
-	if s.ts != nil && s.ts.Recorder != nil {
-		go s.runTicker()
-	} else {
-		close(s.tickDone)
-	}
 	return s, nil
 }
 
@@ -196,8 +179,9 @@ func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
 // wired through the store's construction Deps: a synchronous GC cycle
 // must hold the single token for its duration, so at most one shard
 // relocates segments at a time and the device columns never see two
-// shards' GC traffic stacked. Under background GC the store ignores
-// the gate — the pacer itself serializes slices across shards.
+// shards' GC traffic stacked — nor, while it runs, other shards' writes
+// (deviceArray.awaitGC). Under background GC the store ignores the
+// gate — the pacer itself serializes slices across shards.
 func (s *Sharded) gateFor(i int) func() (release func()) {
 	return func() (release func()) {
 		select {
@@ -208,44 +192,13 @@ func (s *Sharded) gateFor(i int) func() (release func()) {
 			s.gateWaits[i].Add(1)
 			s.gateWaitNS[i].Add(time.Since(t0).Nanoseconds())
 		}
-		return func() { <-s.gate }
-	}
-}
-
-// runTicker advances the shared recorder on the wall-derived clock.
-// A tick refreshes every function gauge on the set, and those gauges
-// read raw store fields, so the ticker holds every shard lock (taken
-// in shard order; it is the only multi-lock holder, so order alone
-// rules out deadlock).
-func (s *Sharded) runTicker() {
-	defer close(s.tickDone)
-	iv := time.Duration(s.ts.Recorder.Interval())
-	if iv <= 0 {
-		iv = 10 * time.Millisecond
-	}
-	t := time.NewTicker(iv)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.tickStop:
-			return
-		case <-t.C:
-			s.lockAll()
-			s.ts.Recorder.TickTo(s.devs.now())
-			s.unlockAll()
+		c := &gcCycle{shard: int32(i), done: make(chan struct{})}
+		s.devs.cycle.Store(c)
+		return func() {
+			s.devs.cycle.Store(nil)
+			close(c.done)
+			<-s.gate
 		}
-	}
-}
-
-func (s *Sharded) lockAll() {
-	for _, e := range s.shards {
-		e.mu.Lock()
-	}
-}
-
-func (s *Sharded) unlockAll() {
-	for _, e := range s.shards {
-		e.mu.Unlock()
 	}
 }
 
@@ -544,23 +497,14 @@ func (s *Sharded) Drain() error {
 	return nil
 }
 
-// Close stops the recorder ticker, closes every shard (draining and
-// invariant-checking each store), finalizes the shared recorder, and
-// stops the device workers.
+// Close closes every shard (draining and invariant-checking each
+// store) and stops the device workers.
 func (s *Sharded) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.tickStop)
-		<-s.tickDone
 		for i, e := range s.shards {
 			if err := e.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = fmt.Errorf("prototype: shard %d close: %w", i, err)
 			}
-		}
-		if s.ts != nil && s.ts.Recorder != nil {
-			// Every shard is closed (no mutators left), so finishing the
-			// recorder — which refreshes all store-reading gauges — is safe
-			// without the shard locks.
-			s.ts.Recorder.Finish(s.devs.now())
 		}
 		s.devs.close()
 	})

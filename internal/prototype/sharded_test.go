@@ -2,6 +2,7 @@ package prototype
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"adapt/internal/lss"
 	"adapt/internal/placement"
 	"adapt/internal/sim"
+	"adapt/internal/telemetry"
 	"adapt/internal/workload"
 )
 
@@ -52,6 +54,90 @@ func newTestSharded(t *testing.T, userBlocks int64, shards int, verify, mirror, 
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestShardStallStaysOnItsShard holds shard 1's lock — standing in for
+// a GC cycle, a seal fsync or a full device queue on that shard — while
+// a metrics scrape runs and shard 0 takes a write. A scrape evaluates
+// each shard's gauges under that shard's lock alone, so it waits out
+// shard 1 without holding shard 0, and the shard-0 write completes.
+func TestShardStallStaysOnItsShard(t *testing.T) {
+	ts := telemetry.New(telemetry.Options{})
+	s, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:       shardedTestConfig(1024),
+			ServiceTime: time.Microsecond,
+			Telemetry:   ts,
+		},
+		Shards:        2,
+		PolicyFactory: sepGCFactory(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	release := s.HoldShard(1)
+	scraped := make(chan error, 1)
+	go func() { scraped <- ts.Registry.WriteProm(io.Discard) }()
+	// Long enough for anything periodic that locks every shard (at a
+	// 10 ms period, say) to take shard 0 and park on shard 1.
+	time.Sleep(50 * time.Millisecond)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := s.WriteTimed(0, 1)
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		release()
+		t.Fatal("a shard-0 write waited out shard 1's stall")
+	}
+	select {
+	case <-scraped:
+		release()
+		t.Fatal("the scrape finished while shard 1 was held: its gauges were read without its lock")
+	default:
+	}
+	release()
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWritesWaitOutGCCycle opens a synchronous GC cycle on shard 1
+// through its gate, as the store does: the cycle's own shard still
+// takes writes (its next write may be what finishes the cycle), reads
+// anywhere pass, and a shard-0 write waits until the cycle ends.
+func TestWritesWaitOutGCCycle(t *testing.T) {
+	s := newTestSharded(t, 1024, 2, false, false, false)
+	defer s.Close()
+	release := s.gateFor(1)()
+	if _, err := s.WriteTimed(s.ShardBase(1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadTimed(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := s.WriteTimed(0, 1)
+		wrote <- err
+	}()
+	select {
+	case <-wrote:
+		release()
+		t.Fatal("a shard-0 write ran while shard 1's GC cycle had the columns")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // zipfOp is one step of the deterministic differential trace.

@@ -1,8 +1,8 @@
 package segfile
 
 // Capability describes what the host filesystem offers the durable
-// path. cmd/fscap prints it so a durable-path number can say what it
-// was measured on (an ext4 host and an overlayfs container measure
+// path. The benchmark quotes it so a durable-path number can say what
+// it was measured on (an ext4 host and an overlayfs container measure
 // very different things).
 type Capability struct {
 	// FSType is the filesystem type name backing the probed directory

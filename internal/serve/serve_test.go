@@ -3,17 +3,22 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"adapt/internal/gcsched"
 	"adapt/internal/lss"
 	"adapt/internal/nbd"
+	"adapt/internal/nbd/nbdtest"
 	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
@@ -154,6 +159,156 @@ func TestStackLifecycle(t *testing.T) {
 	got, err := again.Server.ReadBlocks(1, 7, 1, nil)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("block written before Shutdown reads back %x (%v)", got, err)
+	}
+}
+
+// promSamples parses a text exposition into sample name → value.
+func promSamples(t *testing.T, reg *telemetry.Registry) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestMetricsReconcileWithStat drives a burst over both frontends of a
+// 2-shard stack, lets it quiesce, lands one more write and scrapes at
+// once: per shard and summed, the store counters /metrics renders equal
+// STAT's and the engine's own snapshot exactly. Function gauges are
+// read at scrape time, so no refresh can leave the last write out.
+func TestMetricsReconcileWithStat(t *testing.T) {
+	cfg := fullConfig(t.TempDir(), 2)
+	cfg.GC = nil // synchronous GC: once the acks are in, nothing moves
+	st, err := serve.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Shutdown(context.Background())
+	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbdLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go st.Serve(wireLn, nbdLn)
+
+	volBlocks := st.Server.VolumeBlocks()
+	payload := bytes.Repeat([]byte{0x5A}, 4*blockBytes)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for vol := 0; vol < 2; vol++ {
+		wg.Add(2)
+		go func(vol int) {
+			defer wg.Done()
+			c, err := server.Dial(wireLn.Addr().String(), uint32(vol))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			c.SetBlockBytes(blockBytes)
+			for i := int64(0); i < 400; i++ {
+				if err := c.Write((i*37)%(volBlocks-4), payload); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(vol)
+		go func(vol int) {
+			defer wg.Done()
+			c, err := nbdtest.Dial(nbdLn.Addr().String(), fmt.Sprintf("vol%d", vol))
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for i := int64(0); i < 400; i++ {
+				if err := c.Write(uint64((i*53)%(volBlocks-4)*blockBytes), payload, 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(vol)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// Quiesce: two snapshots a little apart agree.
+	for prev := st.Engine.ShardStats(); ; {
+		time.Sleep(20 * time.Millisecond)
+		cur := st.Engine.ShardStats()
+		if reflect.DeepEqual(prev, cur) {
+			break
+		}
+		prev = cur
+	}
+
+	c, err := server.Dial(wireLn.Addr().String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetBlockBytes(blockBytes)
+	if err := c.Write(1, payload[:blockBytes]); err != nil {
+		t.Fatal(err)
+	}
+	prom := promSamples(t, cfg.Engine.Engine.Telemetry.Registry)
+	stat, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := st.Engine.ShardStats()
+	if again := st.Engine.ShardStats(); !reflect.DeepEqual(shards, again) {
+		t.Fatalf("engine still moving after quiescence: %+v then %+v", shards, again)
+	}
+
+	for _, m := range []struct {
+		family, store, shard string // shard: STAT's shardN_ suffix, if STAT has one
+		of                   func(prototype.EngineStats) int64
+	}{
+		{telemetry.MetricUserBlocks, "store_user_blocks", "user_blocks", func(s prototype.EngineStats) int64 { return s.UserBlocks }},
+		{telemetry.MetricPaddingBlocks, "store_padding_blocks", "", func(s prototype.EngineStats) int64 { return s.PaddingBlocks }},
+		{telemetry.MetricGCBlocks, "store_gc_blocks", "gc_blocks", func(s prototype.EngineStats) int64 { return s.GCBlocks }},
+		{telemetry.MetricChunkFlushes, "store_chunk_flushes", "", func(s prototype.EngineStats) int64 { return s.ChunkFlushes }},
+		{telemetry.MetricFreeSegments, "store_free_segments", "free_segments", func(s prototype.EngineStats) int64 { return int64(s.FreeSegments) }},
+	} {
+		var sum int64
+		for i, sh := range shards {
+			name := fmt.Sprintf(`%s{shard="%d"}`, m.family, i)
+			v, ok := prom[name]
+			if !ok || v != m.of(sh) {
+				t.Errorf("%s = %d (present %v), engine shard %d reports %d", name, v, ok, i, m.of(sh))
+			}
+			if key := fmt.Sprintf("shard%d_%s", i, m.shard); m.shard != "" && stat[key] != v {
+				t.Errorf("%s = %d, STAT %s = %d", name, v, key, stat[key])
+			}
+			sum += v
+		}
+		if stat[m.store] != sum {
+			t.Errorf("Σ %s = %d, STAT %s = %d", m.family, sum, m.store, stat[m.store])
+		}
+	}
+	for i, sh := range shards {
+		if sh.UserBlocks == 0 {
+			t.Errorf("shard %d took no traffic: %+v", i, sh)
+		}
 	}
 }
 

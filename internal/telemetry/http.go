@@ -15,8 +15,9 @@ import (
 //	/series.csv   the same windows as CSV
 //	/debug/pprof/ the standard Go profiler endpoints
 //
-// All endpoints are safe to scrape while a run is in progress;
-// function-backed gauges serve the value from the last recorder tick.
+// /metrics evaluates function gauges at scrape time (see the package's
+// concurrency contract). Only the simulator fills the tracer and the
+// recorder; on a served engine /events.jsonl and /series.* answer empty.
 func Handler(s *Set) http.Handler { return HandlerWith(s, nil) }
 
 // HandlerWith is Handler plus caller-supplied routes (e.g. the block

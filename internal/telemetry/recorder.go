@@ -178,9 +178,9 @@ func (w *Window) Duration() sim.Time { return w.End - w.Start }
 // interval of simulated time and keeps a bounded ring of windows.
 //
 // TickTo must be called from the single thread that owns the
-// instrumented state (the store calls it inside advance, under the
-// store lock in concurrent use); Windows and the exporters may be
-// called concurrently with ticking.
+// instrumented state (the simulator's standalone store calls it inside
+// advance; engine shard stores attach no recorder); Windows and the
+// exporters may be called concurrently with ticking.
 type Recorder struct {
 	reg      *Registry
 	interval sim.Time
@@ -208,14 +208,6 @@ func NewRecorder(reg *Registry, interval sim.Time, maxWindows int) *Recorder {
 		maxWindows = 4096
 	}
 	return &Recorder{reg: reg, interval: interval, max: maxWindows}
-}
-
-// Interval returns the window width.
-func (r *Recorder) Interval() sim.Time {
-	if r == nil {
-		return 0
-	}
-	return r.interval
 }
 
 // TickTo advances the recorder to the current simulated time, closing
@@ -284,7 +276,6 @@ func (r *Recorder) Finish(now sim.Time) {
 // close snapshots the registry and appends the window ending at end.
 // Caller holds r.mu.
 func (r *Recorder) close(end sim.Time) {
-	r.reg.Refresh()
 	scalars := r.reg.Scalars()
 	// Instruments register append-only, so a longer list extends the
 	// previous one; new instruments delta from zero.

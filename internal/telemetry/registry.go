@@ -43,8 +43,8 @@ type Instrument interface {
 	// accumulated, so that the recorder should emit per-window deltas
 	// (counters and counter-like function gauges) rather than samples.
 	Cumulative() bool
-	// Load returns the current value. For function gauges this is the
-	// value cached at the last Refresh.
+	// Load returns the current value; a function gauge evaluates its
+	// callback, under its guard if it has one.
 	Load() int64
 }
 
@@ -124,16 +124,16 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// FuncGauge reads owner state through a callback. The callback runs
-// only during Refresh, which the owner must serialize with its own
-// mutations (the store refreshes under its lock at recorder ticks);
-// concurrent readers see the cached value, so live exposition never
-// races with the owner.
+// FuncGauge reads owner state through a callback, evaluated on every
+// read. A gauge registered through a Guarded registry evaluates under
+// that registry's lock, so it may read state the lock protects while
+// the owner mutates it; an unguarded one must read only atomics or
+// state nobody mutates during the read.
 type FuncGauge struct {
 	name, help string
 	cumulative bool
 	fn         func() int64
-	cached     atomic.Int64
+	guard      sync.Locker
 }
 
 // Name implements Instrument.
@@ -153,11 +153,14 @@ func (f *FuncGauge) Kind() Kind {
 // Cumulative implements Instrument.
 func (f *FuncGauge) Cumulative() bool { return f.cumulative }
 
-// Refresh re-reads the callback into the cache.
-func (f *FuncGauge) Refresh() { f.cached.Store(f.fn()) }
-
 // Load implements Instrument.
-func (f *FuncGauge) Load() int64 { return f.cached.Load() }
+func (f *FuncGauge) Load() int64 {
+	if f.guard != nil {
+		f.guard.Lock()
+		defer f.guard.Unlock()
+	}
+	return f.fn()
+}
 
 // Histogram is a fixed-bucket histogram with atomic counts. Bucket i
 // counts observations v <= Bounds[i]; one overflow bucket counts the
@@ -207,8 +210,15 @@ func (h *Histogram) Bucket(i int) int64 { return h.buckets[i].Load() }
 // Bounds returns the upper bucket bounds.
 func (h *Histogram) Bounds() []int64 { return h.bounds }
 
-// Registry holds named instruments in registration order.
+// Registry holds named instruments in registration order. Views made
+// by Guarded share the instruments and differ only in the lock they
+// attach to the function gauges registered through them.
 type Registry struct {
+	*instruments
+	guard sync.Locker
+}
+
+type instruments struct {
 	mu      sync.Mutex
 	scalars []Instrument
 	hists   []*Histogram
@@ -217,7 +227,14 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{names: make(map[string]bool)}
+	return &Registry{instruments: &instruments{names: make(map[string]bool)}}
+}
+
+// Guarded returns a view of r that registers into the same instruments
+// but evaluates every function gauge registered through it under mu —
+// the lock its owner mutates the gauged state under.
+func (r *Registry) Guarded(mu sync.Locker) *Registry {
+	return &Registry{instruments: r.instruments, guard: mu}
 }
 
 func (r *Registry) register(name string) {
@@ -254,8 +271,7 @@ func (r *Registry) NewFuncGauge(name, help string, cumulative bool, fn func() in
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.register(name)
-	f := &FuncGauge{name: name, help: help, cumulative: cumulative, fn: fn}
-	f.Refresh()
+	f := &FuncGauge{name: name, help: help, cumulative: cumulative, fn: fn, guard: r.guard}
 	r.scalars = append(r.scalars, f)
 	return f
 }
@@ -279,18 +295,6 @@ func (r *Registry) NewHistogram(name, help string, bounds []int64) *Histogram {
 	}
 	r.hists = append(r.hists, h)
 	return h
-}
-
-// Refresh re-reads every function gauge. The caller must hold whatever
-// lock protects the state the gauge callbacks read.
-func (r *Registry) Refresh() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, in := range r.scalars {
-		if f, ok := in.(*FuncGauge); ok {
-			f.Refresh()
-		}
-	}
 }
 
 // Scalars returns the scalar instruments in registration order.
@@ -320,8 +324,8 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// WriteProm renders Prometheus text exposition format. Function gauges
-// expose the value cached at their last Refresh (recorder tick).
+// WriteProm renders Prometheus text exposition format, evaluating the
+// function gauges as it goes (see loadAll for the locking).
 // Labelled instruments are registered as name{label="v"} strings; the
 // format wants every sample of a family contiguous under one HELP/TYPE
 // header, so instances are grouped by family (families in order of
@@ -331,13 +335,14 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	scalars := append([]Instrument(nil), r.scalars...)
 	hists := append([]*Histogram(nil), r.hists...)
 	r.mu.Unlock()
+	vals := loadAll(scalars)
 	var b bytes.Buffer
 	order, members := families(len(scalars), func(i int) string { return scalars[i].Name() })
 	for _, fam := range order {
 		first := scalars[members[fam][0]]
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam, first.Help(), fam, first.Kind())
 		for _, i := range members[fam] {
-			fmt.Fprintf(&b, "%s %d\n", scalars[i].Name(), scalars[i].Load())
+			fmt.Fprintf(&b, "%s %d\n", scalars[i].Name(), vals[i])
 		}
 	}
 	order, members = families(len(hists), func(i int) string { return hists[i].name })
@@ -366,6 +371,32 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return err
 }
 
+// loadAll reads every scalar. Each guard is taken once, for all the
+// gauges it covers, and released before the next is taken, so a scrape
+// of a sharded engine holds one shard lock at a time, never all of them.
+func loadAll(scalars []Instrument) []int64 {
+	vals := make([]int64, len(scalars))
+	read := make([]bool, len(scalars))
+	for i, in := range scalars {
+		if read[i] {
+			continue
+		}
+		f, ok := in.(*FuncGauge)
+		if !ok || f.guard == nil {
+			vals[i] = in.Load()
+			continue
+		}
+		f.guard.Lock()
+		for j := i; j < len(scalars); j++ {
+			if g, ok := scalars[j].(*FuncGauge); ok && g.guard == f.guard {
+				vals[j], read[j] = g.fn(), true
+			}
+		}
+		f.guard.Unlock()
+	}
+	return vals
+}
+
 // families groups n registered names by metric family (promBase): the
 // family names in order of first appearance, and each family's member
 // indices in registration order.
@@ -391,10 +422,10 @@ func promBase(name string) string {
 }
 
 // LabelValue extracts the value of a {key="value"} label embedded in a
-// metric name, or "" when absent.
+// metric name, or "" when absent or the braces do not close.
 func LabelValue(name, key string) string {
 	i := strings.IndexByte(name, '{')
-	if i < 0 {
+	if i < 0 || !strings.HasSuffix(name, "}") {
 		return ""
 	}
 	rest := name[i+1 : len(name)-1]

@@ -3,32 +3,36 @@
 // experiment harness. It has three cooperating pieces:
 //
 //   - A Registry of named instruments: atomic counters and gauges,
-//     function-backed gauges that read owner state at snapshot time,
+//     function-backed gauges that read owner state when they are read,
 //     and fixed-bucket histograms. The registry renders Prometheus-style
 //     text exposition for live scraping.
 //   - A windowed time-series Recorder that snapshots every scalar
-//     instrument at a configurable interval of simulated time (virtual
-//     time in the simulator, wall-derived time in the prototype) and
-//     keeps a bounded history of per-window deltas, from which
-//     per-window WA, effective WA, padding ratio, GC-cycle rate, and
-//     per-group/per-device utilization derive.
+//     instrument at a configurable interval of simulated time and keeps
+//     a bounded history of per-window deltas, from which per-window WA,
+//     effective WA, padding ratio, GC-cycle rate, and per-group/
+//     per-device utilization derive. Only the simulator's standalone
+//     store drives one.
 //   - A bounded ring-buffer Tracer of typed events (GC cycles, segment
 //     seals, chunk flushes, threshold adaptations, demotions, SLA
-//     padding flushes) with JSONL export.
+//     padding flushes) with JSONL export. Engine shard stores emit none.
 //
 // Every hook is nil-safe: a nil *Recorder, *Tracer, or *Histogram is a
 // no-op, so instrumented hot paths cost one nil check and zero
 // allocations when telemetry is disabled.
 //
-// Concurrency contract: ticking the Recorder and refreshing
-// function-backed gauges must be serialized with the owner whose state
-// the functions read (the store does both under its own lock, inside
-// advance). Counters, gauges, exports, and the HTTP handler are safe
-// for concurrent use; function gauges serve the value cached at the
-// last refresh.
+// Concurrency contract: counters, gauges, histograms, exports, and the
+// HTTP handler are safe for concurrent use. A function gauge evaluates
+// its callback on every read: registered through a Guarded view it
+// does so under the owner's lock (an engine shard's), otherwise it must
+// read only atomics or be read while its owner is idle (the simulator
+// ticks its recorder on its own goroutine).
 package telemetry
 
-import "adapt/internal/sim"
+import (
+	"sync"
+
+	"adapt/internal/sim"
+)
 
 // Options configures a telemetry Set. Zero fields take defaults.
 type Options struct {
@@ -70,4 +74,12 @@ func New(opts Options) *Set {
 		Tracer:    NewTracer(opts.EventCapacity),
 		Intervals: NewIntervalLog(opts.EventCapacity),
 	}
+}
+
+// Guarded returns a view of s whose Registry is s.Registry.Guarded(mu);
+// every other component is shared.
+func (s *Set) Guarded(mu sync.Locker) *Set {
+	g := *s
+	g.Registry = s.Registry.Guarded(mu)
+	return &g
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"adapt/internal/sim"
@@ -44,15 +45,24 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Fatalf("counter/gauge loads: %d %d", c.Load(), g.Load())
 	}
 	if fg.Load() != 7 {
-		t.Fatalf("func gauge should cache at registration: %d", fg.Load())
+		t.Fatalf("func gauge Load = %d, want 7", fg.Load())
 	}
 	v = 11
-	if fg.Load() != 7 {
-		t.Fatal("func gauge must not re-read before Refresh")
-	}
-	reg.Refresh()
 	if fg.Load() != 11 {
-		t.Fatalf("func gauge after Refresh = %d, want 11", fg.Load())
+		t.Fatalf("func gauge must read live: Load = %d, want 11", fg.Load())
+	}
+	mu := countingLocker{tally: &lockTally{}}
+	gg := reg.Guarded(&mu).NewFuncGauge("guarded", "guarded gauge", false, func() int64 {
+		if !mu.holding {
+			t.Error("guarded gauge evaluated without its guard")
+		}
+		return v
+	})
+	if gg.Load() != 11 || mu.locks != 1 {
+		t.Fatalf("guarded Load = %d after %d lock(s), want 11 after 1", gg.Load(), mu.locks)
+	}
+	if got := len(reg.Names()); got != 4 {
+		t.Fatalf("guarded view registered into its own registry: %d names, want 4", got)
 	}
 	if !c.Cumulative() || g.Cumulative() || !fg.Cumulative() {
 		t.Fatal("cumulative flags wrong")
@@ -64,6 +74,72 @@ func TestRegistryInstruments(t *testing.T) {
 		}
 	}()
 	reg.NewCounter("c_total", "dup")
+}
+
+// lockTally is shared by the countingLockers of one test: how many are
+// held right now, and the most ever held at once.
+type lockTally struct{ held, most int }
+
+// countingLocker is a mutex that counts its acquisitions into itself
+// and its holds into the shared tally.
+type countingLocker struct {
+	mu      sync.Mutex
+	tally   *lockTally
+	locks   int
+	holding bool
+}
+
+func (l *countingLocker) Lock() {
+	l.mu.Lock()
+	l.locks++
+	l.holding = true
+	l.tally.held++
+	l.tally.most = max(l.tally.most, l.tally.held)
+}
+
+func (l *countingLocker) Unlock() {
+	l.tally.held--
+	l.holding = false
+	l.mu.Unlock()
+}
+
+// TestWritePromTakesEachGuardOnce scrapes function gauges spread,
+// interleaved, over two owners' locks: each lock is taken once per
+// scrape however many gauges it guards, the two are never held
+// together, and every gauge is read under its own.
+func TestWritePromTakesEachGuardOnce(t *testing.T) {
+	reg := NewRegistry()
+	tally := &lockTally{}
+	locks := []*countingLocker{{tally: tally}, {tally: tally}}
+	for i := 0; i < 6; i++ {
+		l := locks[i%2]
+		reg.Guarded(l).NewFuncGauge(fmt.Sprintf(`owned{owner="%d",i="%d"}`, i%2, i), "o", false, func() int64 {
+			if !l.holding || l.tally.held != 1 {
+				t.Errorf("gauge %d evaluated without its own guard held alone", i)
+			}
+			return int64(10 + i)
+		})
+	}
+	reg.NewCounter("free_total", "unguarded").Add(3)
+	for scrape := 1; scrape <= 2; scrape++ {
+		var buf bytes.Buffer
+		if err := reg.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range locks {
+			if l.locks != scrape {
+				t.Fatalf("after %d scrape(s) lock %d taken %d times, want %d", scrape, i, l.locks, scrape)
+			}
+		}
+		for _, frag := range []string{`owned{owner="0",i="0"} 10`, `owned{owner="1",i="5"} 15`, "free_total 3"} {
+			if !strings.Contains(buf.String(), frag) {
+				t.Errorf("scrape missing %q:\n%s", frag, buf.String())
+			}
+		}
+	}
+	if tally.most != 1 || tally.held != 0 {
+		t.Fatalf("at most %d locks held at once (%d still held), want 1 (0)", tally.most, tally.held)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -287,6 +363,18 @@ func TestWindowsJSONLRoundTrip(t *testing.T) {
 		if got, want := Derive(&back[i]), Derive(&ws[i]); got.WA != want.WA || got.EffectiveWA != want.EffectiveWA {
 			t.Fatalf("window %d derived mismatch: %+v vs %+v", i, got, want)
 		}
+	}
+
+	// A crafted row (adaptbench -replay reads whatever file it is given)
+	// whose device-busy key opens a label brace and never closes it
+	// must replay as an unlabelled device, not panic in the label parse.
+	crafted := `{"window":0,"start_ns":0,"end_ns":1000,"deltas":{"proto_device_busy_ns_total{":500},"values":{}}`
+	back, err = ReadWindowsJSONL(strings.NewReader(crafted))
+	if err != nil || len(back) != 1 {
+		t.Fatalf("crafted row: %d windows, %v", len(back), err)
+	}
+	if got := Derive(&back[0]).DeviceUtil; len(got) != 1 || got[""] != 0.5 {
+		t.Fatalf("crafted row device utilization = %v, want map[:0.5]", got)
 	}
 }
 
