@@ -58,8 +58,9 @@ race:
 ## one place that makes device queues, one RAID-5 sink — a second engine
 ## cannot grow back beside the one everybody serves; that the two
 ## frontends share one connection runtime: one accept loop, one reply
-## writer; and that no all-shard lock grows back on the served path: no
-## simulator Recorder there, no lockAll.
+## writer; that no all-shard lock grows back on the served path: no
+## simulator Recorder there, no lockAll; and that the server reads
+## request frames only into bufpool buffers, never through package wire.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
@@ -76,6 +77,10 @@ race-sharded:
 			exit 1; \
 		fi; \
 	done
+	@if ls internal/server/*.go | grep -v _test.go | xargs grep -nE 'wire\.Read(Frame|Request)\('; then \
+		echo "race-sharded FAIL: non-test internal/server reads a request frame through package wire — server frames come only from bufpool"; \
+		exit 1; \
+	fi
 	@for pat in 'Recorder' 'lockAll'; do \
 		if ls internal/prototype/*.go internal/server/*.go internal/serve/*.go | grep -v _test.go | xargs grep -nF "$$pat"; then \
 			echo "race-sharded FAIL: '$$pat' in non-test internal/prototype + internal/server + internal/serve — shard locks are taken one at a time, the recorder is simulator-only"; \

@@ -1,6 +1,7 @@
 package nbd
 
 import (
+	"adapt/internal/server/bufpool"
 	"adapt/internal/telemetry"
 )
 
@@ -30,20 +31,24 @@ func (s *Server) blockSpan(off uint64, length uint32) (start, end int64) {
 	return start, end
 }
 
-// readSpan reads the byte span [off, off+length).
-func (s *Server) readSpan(vol uint32, off uint64, length uint32, sp *telemetry.Span) ([]byte, error) {
+// readSpan reads the byte span [off, off+length) as data, a slice of
+// buf — the widened block range, which the caller hands to bufpool.Put
+// once data is copied out.
+func (s *Server) readSpan(vol uint32, off uint64, length uint32, sp *telemetry.Span) (data, buf []byte, err error) {
 	start, end := s.blockSpan(off, length)
-	buf, err := s.b.ReadBlocks(vol, start, int(end-start), sp)
+	buf, err = s.b.ReadBlocks(vol, start, int(end-start), sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	head := off - uint64(start)*uint64(s.blockBytes)
-	return buf[head : head+uint64(length)], nil
+	return buf[head : head+uint64(length)], buf, nil
 }
 
 // writeSpan writes data at byte offset off, calling done exactly once
 // with the ack. The aligned fast path hands the payload to the
-// backend untouched; ragged edges take the RMW slow path.
+// backend untouched; ragged edges take the RMW slow path, which merges
+// into a pooled buffer released at the ack. Either way data stays
+// the caller's, untouched, until done runs.
 func (s *Server) writeSpan(vol uint32, off uint64, data []byte, sp *telemetry.Span, done func(error)) {
 	b := uint64(s.blockBytes)
 	if off%b == 0 && uint64(len(data))%b == 0 {
@@ -54,47 +59,40 @@ func (s *Server) writeSpan(vol uint32, off uint64, data []byte, sp *telemetry.Sp
 	start, end := s.blockSpan(off, uint32(len(data)))
 	mu := &s.rmw[vol]
 	mu.Lock()
-	buf := make([]byte, (end-start)*int64(b))
-	// Fill the ragged head and tail blocks with their current bytes
-	// before overlaying the new data. One read suffices when the span
-	// lives inside a single block.
-	raggedHead := off%b != 0
-	raggedTail := (off+uint64(len(data)))%b != 0
-	if raggedHead || raggedTail {
-		if end-start == 1 {
-			old, err := s.b.ReadBlocks(vol, start, 1, sp)
-			if err != nil {
-				mu.Unlock()
-				done(err)
-				return
-			}
-			copy(buf, old)
-		} else {
-			if raggedHead {
-				old, err := s.b.ReadBlocks(vol, start, 1, sp)
-				if err != nil {
-					mu.Unlock()
-					done(err)
-					return
-				}
-				copy(buf, old)
-			}
-			if raggedTail {
-				old, err := s.b.ReadBlocks(vol, end-1, 1, sp)
-				if err != nil {
-					mu.Unlock()
-					done(err)
-					return
-				}
-				copy(buf[(end-1-start)*int64(b):], old)
-			}
-		}
+	// Every byte of buf is overwritten below: the ragged head and tail
+	// blocks with their current bytes, the rest with data. One read
+	// suffices when the span lives inside a single block.
+	buf := bufpool.Get(int((end - start) * int64(b)))
+	var err error
+	if off%b != 0 || end-start == 1 {
+		err = s.readBlock(buf, vol, start, sp)
+	}
+	if err == nil && (off+uint64(len(data)))%b != 0 && end-1 > start {
+		err = s.readBlock(buf[(end-1-start)*int64(b):], vol, end-1, sp)
+	}
+	if err != nil {
+		mu.Unlock()
+		bufpool.Put(buf)
+		done(err)
+		return
 	}
 	copy(buf[off-uint64(start)*b:], data)
 	s.b.WriteBlocks(vol, start, buf, sp, func(err error) {
 		mu.Unlock()
+		bufpool.Put(buf)
 		done(err)
 	})
+}
+
+// readBlock copies block lba's current bytes into dst.
+func (s *Server) readBlock(dst []byte, vol uint32, lba int64, sp *telemetry.Span) error {
+	old, err := s.b.ReadBlocks(vol, lba, 1, sp)
+	if err != nil {
+		return err
+	}
+	copy(dst, old)
+	bufpool.Put(old)
+	return nil
 }
 
 // trimSpan trims the blocks fully covered by [off, off+length). A

@@ -66,6 +66,7 @@ func TestAlignPropertyShadow(t *testing.T) {
 		shardBlocks = userBlocks / shards
 		shardBytes  = shardBlocks * testBlockBytes
 	)
+	poisonReleases(t)
 	st := newStack(t, stackConfig{userBlocks: userBlocks, volumes: 1, shards: shards, batch: true})
 	size := uint64(st.srv.VolumeBlocks()) * testBlockBytes
 	if size != userBlocks*testBlockBytes {

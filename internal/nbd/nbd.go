@@ -38,6 +38,7 @@ import (
 	"sync"
 
 	"adapt/internal/server"
+	"adapt/internal/server/bufpool"
 	"adapt/internal/server/wire"
 	"adapt/internal/telemetry"
 )
@@ -82,6 +83,11 @@ type Server struct {
 	// and write halves (overlapping *aligned* concurrent writes remain
 	// undefined, as on any block device).
 	rmw []sync.Mutex
+
+	// zero is the read-only source every WRITE_ZEROES writes from,
+	// MaxRequestBytes long and allocated on first use.
+	zeroOnce sync.Once
+	zero     []byte
 }
 
 // New builds an NBD frontend over the backend.
@@ -356,8 +362,9 @@ func (s *Server) transmit(conn net.Conn, br io.Reader, vol uint32) {
 				s.reply(q.Begin(nil), req.handle, nbdEOVERFLOW, nil)
 				return
 			}
-			payload = make([]byte, req.length)
+			payload = bufpool.Get(int(req.length))
 			if _, err := io.ReadFull(br, payload); err != nil {
+				bufpool.Put(payload)
 				s.b.DropSpan(sp)
 				return
 			}
@@ -374,14 +381,22 @@ func (s *Server) transmit(conn net.Conn, br io.Reader, vol uint32) {
 	}
 }
 
-// reply encodes one simple reply (errno, handle, READ data) as the
-// request's one response.
+// reply encodes one simple reply (errno, handle, READ data) into a
+// pooled frame as the request's one response; data is copied, so the
+// caller may release it once reply returns.
 func (s *Server) reply(rp *server.Reply, handle uint64, errno uint32, data []byte) {
 	if errno != 0 {
 		s.met.errors.Inc()
 	}
-	frame := appendSimpleReply(make([]byte, 0, 16+len(data)), errno, handle) // 16: the header
+	frame := appendSimpleReply(bufpool.Get(16 + len(data))[:0], errno, handle) // 16: the header
 	rp.Send(errnoToStatus(errno), append(frame, data...))
+}
+
+// zeroes returns the first n bytes of the shared zero source. Nobody
+// writes to it and nobody releases it.
+func (s *Server) zeroes(n uint32) []byte {
+	s.zeroOnce.Do(func() { s.zero = make([]byte, s.cfg.MaxRequestBytes) })
+	return s.zero[:n:n]
 }
 
 // finish replies with err's errno for an admitted request, first
@@ -400,7 +415,9 @@ func (s *Server) countCmd(cmd uint16) {
 
 // dispatch validates and executes one transmission request. rp is sent
 // exactly once, possibly from another goroutine (batched writes ack
-// from the group commit's done callback).
+// from the group commit's done callback). payload, a WRITE's pooled
+// data, goes back to bufpool when the request is refused or, once
+// admitted, when its write is acked.
 func (s *Server) dispatch(vol uint32, req request, payload []byte, sp *telemetry.Span, rp *server.Reply) {
 	s.countCmd(req.cmd)
 	size := s.exportSize()
@@ -430,6 +447,7 @@ func (s *Server) dispatch(vol uint32, req request, payload []byte, sp *telemetry
 		errno = mapErr(s.b.Acquire(vol))
 	}
 	if errno != 0 {
+		bufpool.Put(payload)
 		s.reply(rp, req.handle, errno, nil)
 		return
 	}
@@ -438,20 +456,22 @@ func (s *Server) dispatch(vol uint32, req request, payload []byte, sp *telemetry
 	}
 	switch req.cmd {
 	case cmdRead:
-		data, err := s.readSpan(vol, req.offset, req.length, sp)
+		data, buf, err := s.readSpan(vol, req.offset, req.length, sp)
 		if err == nil {
 			s.met.bytesOut.Add(int64(len(data)))
 		}
 		s.finish(rp, vol, req.handle, err, data)
-	case cmdWrite, cmdWriteZeroes:
-		if req.cmd == cmdWrite {
-			s.met.bytesIn.Add(int64(len(payload)))
-		} else {
-			// NBD_CMD_FLAG_NO_HOLE is advisory — zeroes are written
-			// either way, which trivially satisfies it.
-			payload = make([]byte, req.length)
-		}
+		bufpool.Put(buf)
+	case cmdWrite:
+		s.met.bytesIn.Add(int64(len(payload)))
 		s.writeSpan(vol, req.offset, payload, sp, func(err error) {
+			bufpool.Put(payload)
+			s.finish(rp, vol, req.handle, err, nil)
+		})
+	case cmdWriteZeroes:
+		// NBD_CMD_FLAG_NO_HOLE is advisory — zeroes are written either
+		// way, which trivially satisfies it.
+		s.writeSpan(vol, req.offset, s.zeroes(req.length), sp, func(err error) {
 			s.finish(rp, vol, req.handle, err, nil)
 		})
 	case cmdTrim:

@@ -25,6 +25,7 @@ const testBlockBytes = 64
 // stackConfig shapes one test stack.
 type stackConfig struct {
 	userBlocks int64
+	blockBytes int // 0: testBlockBytes
 	volumes    int
 	shards     int // 0: one shard
 	batch      bool
@@ -53,11 +54,11 @@ func policyParams(cfg lss.Config) placement.Params {
 
 // testEngine builds an engine over the tiny test geometry; mirror
 // attaches the oracle + RAID mirror (enables FailColumn/RebuildStep).
-func testEngine(userBlocks int64, shards int, mirror bool) (*prototype.Sharded, error) {
+func testEngine(userBlocks int64, blockBytes, shards int, mirror bool) (*prototype.Sharded, error) {
 	return prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{
 			Store: lss.Config{
-				BlockSize:     testBlockBytes,
+				BlockSize:     blockBytes,
 				ChunkBlocks:   8,
 				SegmentChunks: 4,
 				UserBlocks:    userBlocks,
@@ -76,7 +77,10 @@ func testEngine(userBlocks int64, shards int, mirror bool) (*prototype.Sharded, 
 
 func newStack(t testing.TB, sc stackConfig) *stack {
 	t.Helper()
-	eng, err := testEngine(sc.userBlocks, max(sc.shards, 1), sc.mirror)
+	if sc.blockBytes == 0 {
+		sc.blockBytes = testBlockBytes
+	}
+	eng, err := testEngine(sc.userBlocks, sc.blockBytes, max(sc.shards, 1), sc.mirror)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +269,7 @@ func TestNBDMixedWorkloadReadback(t *testing.T) {
 // acked on one connection are visible (and, after one connection's
 // flush, durable) on another.
 func TestNBDMultiConn(t *testing.T) {
+	poisonReleases(t)
 	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: true, shards: 2})
 	a := dialExport(t, st.addr, "vol0")
 	b := dialExport(t, st.addr, "vol0")

@@ -83,6 +83,30 @@ func openUnder(t *testing.T, dir string) int {
 	return n
 }
 
+// mappingsOfSize counts the read-write private mappings of exactly n
+// bytes in /proc/self/maps: each volume's data plane is one.
+func mappingsOfSize(t *testing.T, n int) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	count := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || fields[1] != "rw-p" {
+			continue
+		}
+		lo, hi, _ := strings.Cut(fields[0], "-")
+		a, err1 := strconv.ParseUint(lo, 16, 64)
+		b, err2 := strconv.ParseUint(hi, 16, 64)
+		if err1 == nil && err2 == nil && b-a == uint64(n) {
+			count++
+		}
+	}
+	return count
+}
+
 // TestStackLifecycle runs the full stack once around: Build starts
 // nothing, Serve runs both frontends and the pacer, Shutdown leaves
 // Serve returning nil and the directory recoverable, with the layout
@@ -315,15 +339,25 @@ func TestMetricsReconcileWithStat(t *testing.T) {
 // TestBuildFailureReleases fails Build at its last fallible step over
 // real files — the engine has recovered its log and started its device
 // workers when the server refuses the directory's volume manifest — and
-// checks that nothing Build opened outlives the error.
+// checks that nothing Build opened — no descriptor, no goroutine, no
+// mapped data plane — outlives the error.
 func TestBuildFailureReleases(t *testing.T) {
 	dir := t.TempDir()
+	// One volume's data plane over 2 volumes and over 4.
+	const plane2, plane4 = 4096 / 2 * blockBytes, 4096 / 4 * blockBytes
+	before2, before4 := mappingsOfSize(t, plane2), mappingsOfSize(t, plane4)
 	st, err := serve.Build(fullConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := mappingsOfSize(t, plane2); n != before2+2 {
+		t.Fatalf("a built 2-volume stack shows %d mappings of a plane's size, want %d", n, before2+2)
+	}
 	if err := st.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if n := mappingsOfSize(t, plane2); n != before2 {
+		t.Fatalf("Shutdown left %d data planes mapped", n-before2)
 	}
 	goroutines := runtime.NumGoroutine()
 
@@ -333,6 +367,9 @@ func TestBuildFailureReleases(t *testing.T) {
 	}
 	if n := openUnder(t, dir); n != 0 {
 		t.Fatalf("failed Build left %d descriptors open under the data dir", n)
+	}
+	if n := mappingsOfSize(t, plane4); n != before4 {
+		t.Fatalf("failed Build left %d data planes mapped", n-before4)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"adapt/internal/prototype"
+	"adapt/internal/server/bufpool"
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
 )
@@ -40,13 +41,17 @@ type VolumeBackend interface {
 	Release(vol uint32)
 
 	// ReadBlocks returns a copy of blocks payload bytes starting at the
-	// volume-relative lba, after the engine models the device read.
+	// volume-relative lba, after the engine models the device read. The
+	// copy is the caller's; once done with it the caller may hand it to
+	// bufpool.Put, and must not touch it after.
 	ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) ([]byte, error)
 	// WriteBlocks commits a chunk of block-aligned payload at the
 	// volume-relative lba and calls done exactly once when the write is
 	// acked — possibly from another goroutine, after the group commit
 	// that carried it. An acked write is durable when the server runs
-	// with a data dir (fsync-before-ack).
+	// with a data dir (fsync-before-ack). The payload has been copied
+	// into the data plane by the time done runs, and not before: the
+	// caller keeps it intact until then, and may release it in done.
 	WriteBlocks(vol uint32, lba int64, payload []byte, sp *telemetry.Span, done func(error))
 	// TrimBlocks discards blocks starting at the volume-relative lba.
 	TrimBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) error
@@ -114,7 +119,8 @@ func (s *Server) Release(vol uint32) {
 	}
 }
 
-// ReadBlocks implements VolumeBackend over readCore.
+// ReadBlocks implements VolumeBackend over readCore, into a buffer
+// from bufpool.
 func (s *Server) ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	v, err := s.vol(vol)
 	if err == nil {
@@ -123,7 +129,12 @@ func (s *Server) ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Spa
 	if err != nil {
 		return nil, err
 	}
-	return s.readCore(v, lba, blocks, sp)
+	buf, err := s.readCore(bufpool.Get(blocks * v.blockBytes)[:0], v, lba, blocks, sp)
+	if err != nil {
+		bufpool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
 }
 
 // WriteBlocks implements VolumeBackend over writeCore. The payload
@@ -262,18 +273,21 @@ func (s *Server) writeCore(vol *volume, lba int64, payload []byte, noBatch bool,
 }
 
 // readCore is the read path shared by every frontend: engine-modelled
-// device read, then a copy out of the volume's data plane.
-func (s *Server) readCore(vol *volume, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
+// device read, then one copy out of the volume's data plane, appended
+// to dst.
+func (s *Server) readCore(dst []byte, vol *volume, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	vol.reads.Add(1)
 	vol.readBlocks.Add(int64(blocks))
 	t, err := s.eng.ReadTimed(vol.base+lba, blocks)
 	markEngine(sp, t)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	payload := vol.readData(lba, blocks)
-	s.met.bytesOut.Add(int64(len(payload)))
-	return payload, nil
+	dst, err = vol.appendData(dst, lba, blocks)
+	if err == nil {
+		s.met.bytesOut.Add(int64(blocks * vol.blockBytes))
+	}
+	return dst, err
 }
 
 // trimCore is the trim path shared by every frontend.

@@ -44,18 +44,25 @@ func benchPolicy(b *testing.B, cfg lss.Config) lss.Policy {
 // across the tenant fleet. The batch=on/off pair exposes the cost and
 // the padding benefit of chunk-aligned group commits at each tenant
 // count. The engine shards across GOMAXPROCS cores, so running with
-// -cpu 1,2,4,8 measures the shard/group-commit scaling curve.
+// -cpu 1,2,4,8 measures the shard/group-commit scaling curve. The
+// read/ cases replace the writes with 4 KiB reads, whose reply carries
+// the payload.
 func BenchmarkServerRoundtrip(b *testing.B) {
 	for _, tenants := range []int{1, 8, 64} {
 		for _, batch := range []bool{true, false} {
 			b.Run(fmt.Sprintf("tenants=%d/batch=%v", tenants, batch), func(b *testing.B) {
-				benchRoundtrip(b, tenants, batch)
+				benchRoundtrip(b, tenants, batch, false)
 			})
 		}
 	}
+	for _, tenants := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("read/tenants=%d", tenants), func(b *testing.B) {
+			benchRoundtrip(b, tenants, true, true)
+		})
+	}
 }
 
-func benchRoundtrip(b *testing.B, tenants int, batch bool) {
+func benchRoundtrip(b *testing.B, tenants int, batch, read bool) {
 	cfg := benchStoreConfig()
 	// Shards follow the -cpu value under test (NewSharded defaults to
 	// runtime.GOMAXPROCS(0)).
@@ -105,7 +112,13 @@ func benchRoundtrip(b *testing.B, tenants int, batch bool) {
 		go func(c *Client, n int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if err := c.Write(int64(i)%volBlocks, payload); err != nil {
+				var err error
+				if read {
+					_, err = c.Read(int64(i)%volBlocks, 1)
+				} else {
+					err = c.Write(int64(i)%volBlocks, payload)
+				}
+				if err != nil {
 					b.Error(err)
 					return
 				}

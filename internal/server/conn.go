@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adapt/internal/server/bufpool"
 	"adapt/internal/server/wire"
 	"adapt/internal/telemetry"
 )
@@ -199,7 +200,9 @@ func (q *Replies) Begin(sp *telemetry.Span) *Reply {
 }
 
 // Send queues the request's encoded reply and records status on its
-// span. A second Send is a frontend bug and panics.
+// span. The frame is handed over: the writer returns it to bufpool once
+// it is copied into the socket buffer. A second Send is a frontend bug
+// and panics.
 func (r *Reply) Send(status wire.Status, frame []byte) {
 	if r.sent {
 		panic("server: double reply to one request")
@@ -223,9 +226,11 @@ func (q *Replies) Close() {
 }
 
 // write coalesces queued frames, flushing when the queue momentarily
-// empties. After a write failure it keeps draining the queue so
-// responders never block on a dead connection. Spans finish at flush
-// time, after their bytes hit the socket, on one clock read per flush.
+// empties, and releases each frame as it is copied (or, on a dead
+// connection, dropped). After a write failure it keeps draining the
+// queue so responders never block on a dead connection. Spans finish at
+// flush time, after their bytes hit the socket, on one clock read per
+// flush.
 func (q *Replies) write(conn net.Conn) {
 	defer close(q.done)
 	buf := make([]byte, 0, 64<<10)
@@ -252,12 +257,12 @@ func (q *Replies) write(conn net.Conn) {
 		if r.sp != nil {
 			spans = append(spans, r.sp)
 		}
-		if broken {
-			flush() // finish spans even on a dead connection
-			continue
+		if !broken {
+			buf = append(buf, r.frame...)
 		}
-		buf = append(buf, r.frame...)
-		if len(q.ch) == 0 || len(buf) >= 48<<10 {
+		bufpool.Put(r.frame)
+		r.frame = nil
+		if broken || len(q.ch) == 0 || len(buf) >= 48<<10 {
 			flush()
 		}
 	}

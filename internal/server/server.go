@@ -13,15 +13,19 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"adapt/internal/gcsched"
 	"adapt/internal/prototype"
+	"adapt/internal/server/bufpool"
 	"adapt/internal/server/wire"
 	"adapt/internal/telemetry"
 )
@@ -109,6 +113,34 @@ type Server struct {
 	// commitSeq numbers group commits across all committers for the
 	// per-volume batch-count dedupe.
 	commitSeq atomic.Int64
+	// planeBytes is the volume data plane still mapped.
+	planeBytes atomic.Int64
+}
+
+// The runtime/metrics behind the go_* gauges: HeapInuse is the heap's
+// object bytes plus the free space inside the spans holding them.
+var (
+	heapInuseMetrics = []string{"/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"}
+	gcCyclesMetric   = "/gc/cycles/total:gc-cycles"
+)
+
+// readRuntimeMetric returns a gauge callback summing the named uint64
+// runtime metrics, read when the gauge is.
+func readRuntimeMetric(names ...string) func() int64 {
+	return func() int64 {
+		samples := make([]rtmetrics.Sample, len(names))
+		for i, name := range names {
+			samples[i].Name = name
+		}
+		rtmetrics.Read(samples)
+		var sum int64
+		for _, sm := range samples {
+			if sm.Value.Kind() == rtmetrics.KindUint64 {
+				sum += int64(sm.Value.Uint64())
+			}
+		}
+		return sum
+	}
 }
 
 // New builds a server over the engine. Volume geometry is fixed for the
@@ -157,17 +189,30 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.met.batchFill = ts.Registry.NewHistogram(telemetry.MetricServerBatchFill,
 			"Blocks per group commit", bounds)
+		ts.Registry.NewFuncGauge(telemetry.MetricServerPlaneBytes,
+			"Bytes of volume data plane mapped outside the Go heap", false, s.planeBytes.Load)
+		ts.Registry.NewFuncGauge(telemetry.MetricGoHeapInuse,
+			"Go heap bytes in in-use spans", false, readRuntimeMetric(heapInuseMetrics...))
+		ts.Registry.NewFuncGauge(telemetry.MetricGoGCCycles,
+			"Completed Go GC cycles", true, readRuntimeMetric(gcCyclesMetric))
 	}
 	s.lc = NewLifecycle(s.met.conns)
 	if cfg.Trace.Enabled {
 		s.trace = newTraceState(cfg.Trace, cfg.Volumes, cfg.Telemetry)
 	}
-	s.vols = make([]*volume, cfg.Volumes)
-	for i := range s.vols {
-		s.vols[i] = newVolume(uint32(i), int64(i)*volBlocks, volBlocks, store.BlockSize, cfg.MaxInflight)
+	s.vols = make([]*volume, 0, cfg.Volumes)
+	for i := 0; i < cfg.Volumes; i++ {
+		v, err := newVolume(uint32(i), int64(i)*volBlocks, volBlocks, store.BlockSize, cfg.MaxInflight)
+		if err != nil {
+			s.releasePlanes()
+			return nil, err
+		}
+		s.vols = append(s.vols, v)
+		s.planeBytes.Add(int64(len(v.data)))
 	}
 	if cfg.DataDir != "" {
 		if err := s.openVolumeFiles(cfg.DataDir); err != nil {
+			s.releasePlanes()
 			return nil, err
 		}
 	}
@@ -204,20 +249,48 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.lc.drain() {
 		return nil
 	}
-	// Every conn reader waits for its pending replies, and a batched
-	// write replies only from its commit's done callback — so once the
-	// readers exit, every enqueued write has committed and no new
-	// leaders can spawn.
-	if err := s.lc.wait(ctx, s.batWG.Wait); err != nil {
+	if err := s.lc.wait(ctx, s.quiesce); err != nil {
 		return err
 	}
-	// Every ack already carried its own fsync; this close is
+	// The planes go first: an op that still arrives — a frontend drained
+	// out of order — fails with ErrShuttingDown before it can reach a
+	// closed file. Every ack already carried its own fsync; the close is
 	// bookkeeping, not the durability point.
-	return s.closeVolumeFiles()
+	return errors.Join(s.releasePlanes(), s.closeVolumeFiles())
+}
+
+// quiesce waits out every admitted op once the connection readers have
+// exited. Every op holds one of its volume's admission slots until it
+// replies — a wire request from admit, a backend caller's from Acquire,
+// which refuses from the drain on — and a batched write replies only
+// from its commit's done callback. So once quiesce holds every slot,
+// every enqueued write has committed and no new leader can spawn; then
+// it waits for the leaders to return.
+func (s *Server) quiesce() {
+	for _, v := range s.vols {
+		for range cap(v.sem) {
+			v.sem <- struct{}{}
+		}
+	}
+	s.batWG.Wait()
+}
+
+// releasePlanes unmaps every volume's data plane, once.
+func (s *Server) releasePlanes() error {
+	var errs []error
+	for _, v := range s.vols {
+		n, err := v.releasePlane()
+		if err != nil {
+			errs = append(errs, err)
+		}
+		s.planeBytes.Add(-int64(n))
+	}
+	return errors.Join(errs...)
 }
 
 // handleConn is the wire codec over one connection: read a frame,
-// decode it, fill the span, dispatch.
+// decode it, fill the span, dispatch. Each frame comes from bufpool and
+// goes to dispatch, which returns it once the request is done with it.
 func (s *Server) handleConn(conn net.Conn) {
 	q := NewReplies(conn, s, 4*s.cfg.MaxInflight)
 	defer q.Close()
@@ -228,7 +301,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		// Frame read and decode are split so the span clock starts at
 		// frame arrival and the decode stage excludes network idle time.
-		frame, err := wire.ReadFrame(br)
+		frame, err := readFrame(br)
 		if err != nil {
 			return
 		}
@@ -237,6 +310,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if err != nil {
 			// The stream cannot be trusted past a protocol error, so the
 			// connection drains and closes.
+			bufpool.Put(frame)
 			s.DropSpan(sp)
 			return
 		}
@@ -249,27 +323,58 @@ func (s *Server) handleConn(conn net.Conn) {
 			sp.Forced = req.Flags&wire.FlagTrace != 0
 			sp.MarkAt(telemetry.StageDecode, s.eng.Now())
 		}
-		s.dispatch(req, sp, q.Begin(sp))
+		s.dispatch(req, frame, sp, q.Begin(sp))
 	}
 }
 
-// finish sends a request's one response: resp when err is nil,
-// otherwise resp's op and id under err's status. It first frees the
-// admission slot the request held on vol (nil when it was never
-// admitted). Only an internal error carries detail text — the client
-// restores a sentinel's from the status alone.
-func (s *Server) finish(rp *Reply, vol *volume, resp wire.Response, err error) {
-	if vol != nil {
-		vol.release()
+// readFrame reads one length-prefixed request frame body into a buffer
+// from bufpool. The length prefix is checked against wire.MaxFrame
+// before the buffer is taken.
+func readFrame(br *bufio.Reader) ([]byte, error) {
+	prefix, err := br.Peek(4)
+	if err != nil {
+		return nil, err
 	}
+	n := binary.BigEndian.Uint32(prefix)
+	if n > wire.MaxFrame {
+		return nil, fmt.Errorf("%w: frame length %d", wire.ErrTooLarge, n)
+	}
+	br.Discard(4)
+	frame := bufpool.Get(int(n))
+	if _, err := io.ReadFull(br, frame); err != nil {
+		bufpool.Put(frame)
+		return nil, err
+	}
+	return frame, nil
+}
+
+// finish sends a request's one response: resp when err is nil,
+// otherwise resp's op and id under err's status. Only an internal
+// error carries detail text — the client restores a sentinel's from
+// the status alone.
+func (s *Server) finish(rp *Reply, vol *volume, frame []byte, resp wire.Response, err error) {
 	if err != nil {
 		resp = wire.Response{Op: resp.Op, Status: statusOf(err), ID: resp.ID}
 		if resp.Status == wire.StatusInternal {
 			resp.Payload = []byte(err.Error())
 		}
 	}
+	out := wire.AppendResponse(bufpool.Get(wire.ResponseFrameLen(len(resp.Payload)))[:0], &resp)
+	s.send(rp, vol, frame, resp.Status, out)
+}
+
+// send ends a request: it returns the request's frame to bufpool —
+// whatever the op needed of it has been copied out — frees the
+// admission slot the request held on vol (nil when it was never
+// admitted), and queues out, the encoded response, whose buffer the
+// reply writer returns to bufpool.
+func (s *Server) send(rp *Reply, vol *volume, frame []byte, status wire.Status, out []byte) {
+	bufpool.Put(frame)
+	if vol != nil {
+		vol.release()
+	}
 	s.responses.Add(1)
-	rp.Send(resp.Status, wire.AppendResponse(nil, &resp))
+	rp.Send(status, out)
 }
 
 // dispatch routes one decoded request onto the validated ops every
@@ -278,29 +383,31 @@ func (s *Server) finish(rp *Reply, vol *volume, resp wire.Response, err error) {
 // where Acquire would park), FlagNoBatch and the Count-versus-payload
 // check. rp is sent exactly once, possibly from another goroutine
 // (batched writes). sp is the request's trace span, nil when tracing is
-// off.
-func (s *Server) dispatch(req wire.Request, sp *telemetry.Span, rp *Reply) {
+// off. frame is the request's pooled frame, which req.Payload aliases;
+// every path ends in send, which releases it — a write's only from its
+// ack, after the payload has been copied into the data plane.
+func (s *Server) dispatch(req wire.Request, frame []byte, sp *telemetry.Span, rp *Reply) {
 	s.requests.Add(1)
 	s.met.reqs[req.Op].Inc()
 	// resp is the bare OK; never reassigned, so the write's ack closure
 	// holds a copy instead of moving it to the heap for every request.
 	resp := wire.Response{Op: req.Op, ID: req.ID}
 	if s.lc.draining.Load() {
-		s.finish(rp, nil, resp, ErrShuttingDown)
+		s.finish(rp, nil, frame, resp, ErrShuttingDown)
 		return
 	}
 	if req.Op == wire.OpStat {
-		s.finish(rp, nil, wire.Response{Op: req.Op, ID: req.ID, Payload: wire.AppendStats(nil, s.stats())}, nil)
+		s.finish(rp, nil, frame, wire.Response{Op: req.Op, ID: req.ID, Payload: wire.AppendStats(nil, s.stats())}, nil)
 		return
 	}
 	vol, err := s.vol(req.Volume)
 	if err != nil {
-		s.finish(rp, nil, resp, err)
+		s.finish(rp, nil, frame, resp, err)
 		return
 	}
 	if !vol.admit() {
 		s.met.backpressure.Inc()
-		s.finish(rp, nil, resp, ErrBackpressure)
+		s.finish(rp, nil, frame, resp, ErrBackpressure)
 		return
 	}
 	if sp != nil {
@@ -310,22 +417,44 @@ func (s *Server) dispatch(req wire.Request, sp *telemetry.Span, rp *Reply) {
 	switch req.Op {
 	case wire.OpWrite:
 		if len(req.Payload) != blocks*vol.blockBytes {
-			s.finish(rp, vol, resp, ErrBadRequest)
+			s.finish(rp, vol, frame, resp, ErrBadRequest)
 			return
 		}
 		s.writeBlocks(req.Volume, lba, req.Payload, req.Flags&wire.FlagNoBatch != 0, sp, func(err error) {
-			s.finish(rp, vol, resp, err)
+			s.finish(rp, vol, frame, resp, err)
 		})
 	case wire.OpRead:
-		payload, err := s.ReadBlocks(req.Volume, lba, blocks, sp)
-		s.finish(rp, vol, wire.Response{Op: req.Op, ID: req.ID, Count: req.Count, Payload: payload}, err)
+		out, err := s.readReply(vol, req, sp)
+		if err != nil {
+			s.finish(rp, vol, frame, resp, err)
+			return
+		}
+		s.send(rp, vol, frame, wire.StatusOK, out)
 	case wire.OpTrim:
-		s.finish(rp, vol, resp, s.TrimBlocks(req.Volume, lba, blocks, sp))
+		s.finish(rp, vol, frame, resp, s.TrimBlocks(req.Volume, lba, blocks, sp))
 	case wire.OpFlush:
-		s.finish(rp, vol, resp, s.Flush(req.Volume, sp))
+		s.finish(rp, vol, frame, resp, s.Flush(req.Volume, sp))
 	default:
-		s.finish(rp, vol, resp, ErrBadRequest)
+		s.finish(rp, vol, frame, resp, ErrBadRequest)
 	}
+}
+
+// readReply encodes a READ's OK response into a pooled frame, the
+// payload copied into it straight from the data plane.
+func (s *Server) readReply(vol *volume, req wire.Request, sp *telemetry.Span) ([]byte, error) {
+	lba, blocks := int64(req.LBA), int(req.Count)
+	if err := vol.check(lba, blocks); err != nil {
+		return nil, err
+	}
+	n := blocks * vol.blockBytes
+	out := wire.AppendResponseHeader(bufpool.Get(wire.ResponseFrameLen(n))[:0],
+		&wire.Response{Op: req.Op, ID: req.ID, Count: req.Count}, n)
+	out, err := s.readCore(out, vol, lba, blocks, sp)
+	if err != nil {
+		bufpool.Put(out)
+		return nil, err
+	}
+	return out, nil
 }
 
 // stats assembles the STAT payload: geometry (so clients can

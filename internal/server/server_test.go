@@ -374,6 +374,7 @@ func TestServerE2EShardedFaultRebuild(t *testing.T) {
 }
 
 func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
+	poisonReleases(t)
 	srv, err := New(Config{
 		Engine: eng, Volumes: 4, MaxInflight: 32,
 		Batch: true, BatchTimeout: 500 * time.Microsecond,
@@ -396,8 +397,9 @@ func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 	plan := fault.Fixed(1, tenants*workersPerTen*opsPerWorker/2)
 
 	// Fault injector: polls the op counter, fires the planned failure,
-	// then rebuilds online while traffic continues.
-	faultDone := make(chan struct{})
+	// then rebuilds online while traffic continues. It gives up once
+	// the workers are done: a failed worker stops counting early.
+	faultDone, workersDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(faultDone)
 		for {
@@ -406,7 +408,11 @@ func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 				return
 			}
 			if _, fired := plan.Fire(opCount.Load()); !fired {
-				time.Sleep(time.Millisecond)
+				select {
+				case <-workersDone:
+					return
+				case <-time.After(time.Millisecond):
+				}
 				continue
 			}
 			if err := eng.FailColumn(ev.Device); err != nil {
@@ -509,6 +515,7 @@ func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 		}
 	}
 	wg.Wait()
+	close(workersDone)
 	<-faultDone
 	if t.Failed() {
 		return

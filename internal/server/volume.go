@@ -34,8 +34,13 @@ type volume struct {
 	// StatusBackpressure instead of queuing without bound.
 	sem chan struct{}
 
+	// data is the RAM data plane, mapped outside the Go heap (mapPlane);
+	// unmap releases it. Both go nil, under dataMu, when the server
+	// releases its planes, and every later read or write of the plane
+	// returns ErrShuttingDown instead of touching unmapped memory.
 	dataMu sync.RWMutex
 	data   []byte
+	unmap  func() error
 
 	// file is the durable backing file (nil without DataDir). wseq
 	// counts completed write-throughs and synced (under syncMu) is the
@@ -63,15 +68,36 @@ type volume struct {
 	batchMark atomic.Int64
 }
 
-func newVolume(id uint32, base, blocks int64, blockBytes, maxInflight int) *volume {
+func newVolume(id uint32, base, blocks int64, blockBytes, maxInflight int) (*volume, error) {
+	data, unmap, err := mapPlane(int(blocks * int64(blockBytes)))
+	if err != nil {
+		return nil, fmt.Errorf("volume %d: map data plane: %w", id, err)
+	}
 	return &volume{
 		id:         id,
 		base:       base,
 		blocks:     blocks,
 		blockBytes: blockBytes,
 		sem:        make(chan struct{}, maxInflight),
-		data:       make([]byte, blocks*int64(blockBytes)),
+		data:       data,
+		unmap:      unmap,
+	}, nil
+}
+
+// releasePlane unmaps the data plane and returns its size; a second
+// call releases nothing.
+func (v *volume) releasePlane() (int, error) {
+	v.dataMu.Lock()
+	n, unmap := len(v.data), v.unmap
+	v.data, v.unmap = nil, nil
+	v.dataMu.Unlock()
+	if unmap == nil {
+		return 0, nil
 	}
+	if err := unmap(); err != nil {
+		return n, fmt.Errorf("volume %d: unmap data plane: %w", v.id, err)
+	}
+	return n, nil
 }
 
 // admit tries to take one inflight slot; false means backpressure.
@@ -128,6 +154,10 @@ func (v *volume) writeData(lba int64, payload []byte) error {
 	}
 	off := lba * int64(v.blockBytes)
 	v.dataMu.Lock()
+	if v.data == nil {
+		v.dataMu.Unlock()
+		return ErrShuttingDown
+	}
 	copy(v.data[off:], payload)
 	v.dataMu.Unlock()
 	if v.file != nil {
@@ -189,14 +219,17 @@ func (v *volume) closeFile() error {
 	return cerr
 }
 
-// readData returns a copy of blocks starting at the volume-relative
-// lba.
-func (v *volume) readData(lba int64, blocks int) []byte {
+// appendData appends blocks starting at the volume-relative lba to dst
+// — the plane's one copy on the way out.
+func (v *volume) appendData(dst []byte, lba int64, blocks int) ([]byte, error) {
 	off := lba * int64(v.blockBytes)
 	n := int64(blocks) * int64(v.blockBytes)
-	out := make([]byte, n)
 	v.dataMu.RLock()
-	copy(out, v.data[off:off+n])
+	if v.data == nil {
+		v.dataMu.RUnlock()
+		return dst, ErrShuttingDown
+	}
+	dst = append(dst, v.data[off:off+n]...)
 	v.dataMu.RUnlock()
-	return out
+	return dst, nil
 }

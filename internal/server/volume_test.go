@@ -54,7 +54,7 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 	if err := srv.flushCore(vol, nil); err != first {
 		t.Fatalf("flush after a failed fsync: %v, want the latched %v", err, first)
 	}
-	if got := vol.readData(2, 1); !bytes.Equal(got, make([]byte, testBlockBytes)) {
+	if got, _ := vol.appendData(nil, 2, 1); !bytes.Equal(got, make([]byte, testBlockBytes)) {
 		t.Fatal("a refused write reached the data plane")
 	}
 }
@@ -78,9 +78,13 @@ func (f *parkedFile) Sync() error {
 	return nil
 }
 
-func newParkedVolume() (*volume, *parkedFile) {
+func newParkedVolume(t *testing.T) (*volume, *parkedFile) {
 	f := &parkedFile{entered: make(chan struct{}, 16), release: make(chan struct{})}
-	v := newVolume(0, 0, 16, testBlockBytes, 4)
+	v, err := newVolume(0, 0, 16, testBlockBytes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.releasePlane() })
 	v.file = f
 	return v, f
 }
@@ -92,7 +96,7 @@ func newParkedVolume() (*volume, *parkedFile) {
 // replaced returned at once — an ack before durable). A write that
 // completes after the fsync started is not covered and pays its own.
 func TestVolumeSyncIsABarrier(t *testing.T) {
-	v, f := newParkedVolume()
+	v, f := newParkedVolume(t)
 	for lba := int64(0); lba < 2; lba++ {
 		if err := v.writeData(lba, pattern(0, lba, 1)); err != nil {
 			t.Fatal(err)
@@ -136,7 +140,7 @@ func TestVolumeSyncIsABarrier(t *testing.T) {
 // them, as the dirty bit did for one group commit.
 func TestVolumeSyncCoveredCallersShareOneFsync(t *testing.T) {
 	const n = 8
-	v, f := newParkedVolume()
+	v, f := newParkedVolume(t)
 	for lba := int64(0); lba < n; lba++ {
 		if err := v.writeData(lba, pattern(0, lba, 1)); err != nil {
 			t.Fatal(err)

@@ -201,15 +201,24 @@ func AppendRequest(dst []byte, req *Request) []byte {
 // AppendResponse appends resp as a complete frame (length prefix
 // included) to dst and returns the extended slice.
 func AppendResponse(dst []byte, resp *Response) []byte {
-	n := uint32(RespHeaderLen + len(resp.Payload))
-	dst = binary.BigEndian.AppendUint32(dst, n)
+	return append(AppendResponseHeader(dst, resp, len(resp.Payload)), resp.Payload...)
+}
+
+// AppendResponseHeader appends the length prefix and header of resp's
+// frame for a payload of payloadLen bytes, ignoring resp.Payload: the
+// caller appends the payload itself, straight from where it lives.
+func AppendResponseHeader(dst []byte, resp *Response, payloadLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(RespHeaderLen+payloadLen))
 	h := len(dst)
 	dst = append(dst, Version, byte(resp.Op), byte(resp.Status), 0)
 	dst = binary.BigEndian.AppendUint64(dst, resp.ID)
 	dst = binary.BigEndian.AppendUint32(dst, resp.Count)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[h:], castagnoli))
-	return append(dst, resp.Payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[h:], castagnoli))
 }
+
+// ResponseFrameLen is the encoded size of a response frame carrying
+// payloadLen payload bytes, length prefix included.
+func ResponseFrameLen(payloadLen int) int { return 4 + RespHeaderLen + payloadLen }
 
 // DecodeRequest parses one request frame (without the length prefix).
 // The returned payload is a copy; frame may be reused.
@@ -318,13 +327,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	}
 	return frame, nil
 }
-
-// ReadFrame reads one length-prefixed frame body from r, returning the
-// bytes after the prefix. A clean EOF before the first length byte is
-// returned as io.EOF. Pair with DecodeRequestOwned to split frame
-// arrival from decode — e.g. to timestamp the decode stage separately
-// from network idle time.
-func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r) }
 
 // DecodeRequestOwned parses a request frame whose storage the caller
 // hands over: the returned payload aliases frame (no copy). frame must

@@ -102,6 +102,14 @@ const (
 	// bytes received in WRITE requests and sent in READ responses.
 	MetricServerBytesIn  = "srv_bytes_in_total"
 	MetricServerBytesOut = "srv_bytes_out_total"
+	// MetricServerPlaneBytes is the volume data plane mapped outside
+	// the Go heap.
+	MetricServerPlaneBytes = "srv_volume_plane_bytes"
+	// MetricGoHeapInuse / MetricGoGCCycles are the served process's Go
+	// heap in use and its completed GC cycles, read from runtime/metrics
+	// at scrape time.
+	MetricGoHeapInuse = "go_heap_inuse_bytes"
+	MetricGoGCCycles  = "go_gc_cycles_total"
 
 	// Request-tracing families (registered only when tracing is on).
 	// MetricServerStageLatencyPrefix is the per-stage latency
