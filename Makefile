@@ -59,8 +59,10 @@ race:
 ## cannot grow back beside the one everybody serves; that the two
 ## frontends share one connection runtime: one accept loop, one reply
 ## writer; that no all-shard lock grows back on the served path: no
-## simulator Recorder there, no lockAll; and that the server reads
-## request frames only into bufpool buffers, never through package wire.
+## simulator Recorder there, no lockAll; that the server reads request
+## frames only into bufpool buffers, never through package wire; and
+## that writes reach the engine one way: group commit (WriteBatchTimed),
+## no unbatched flag, no direct WriteTimed.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
@@ -79,6 +81,10 @@ race-sharded:
 	done
 	@if ls internal/server/*.go | grep -v _test.go | xargs grep -nE 'wire\.Read(Frame|Request)\('; then \
 		echo "race-sharded FAIL: non-test internal/server reads a request frame through package wire — server frames come only from bufpool"; \
+		exit 1; \
+	fi
+	@if ls internal/server/*.go internal/server/wire/*.go | grep -v _test.go | xargs grep -nE 'FlagNoBatch|noBatch|\.WriteTimed\('; then \
+		echo "race-sharded FAIL: non-test internal/server has a second write path — writes reach the engine only through group commit (WriteBatchTimed)"; \
 		exit 1; \
 	fi
 	@for pat in 'Recorder' 'lockAll'; do \

@@ -310,14 +310,13 @@ func TestDurableSIGKILLRestart(t *testing.T) {
 		v := rng.Intn(e2eVolumes)
 		lba := rng.Int63n(e2eVolBlocks)
 		ver := byte(i%250 + 1)
-		var err error
-		if i%5 == 4 {
-			err = clients[v].WriteSync(lba, pattern(uint32(v), lba, ver))
-		} else {
-			err = clients[v].Write(lba, pattern(uint32(v), lba, ver))
-		}
-		if err != nil {
+		if err := clients[v].Write(lba, pattern(uint32(v), lba, ver)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
+		}
+		if i%5 == 4 {
+			if err := clients[v].Flush(); err != nil {
+				t.Fatalf("flush after write %d: %v", i, err)
+			}
 		}
 		shadow[v][lba] = ver
 	}
@@ -336,6 +335,9 @@ func TestDurableSIGKILLRestart(t *testing.T) {
 	}
 	if preStats["durable_fsyncs"] < 1 {
 		t.Fatalf("engine acked writes without fsyncing: %v", preStats)
+	}
+	if preStats["srv_batches"] < 1 {
+		t.Fatalf("acked writes never went through group commit: %v", preStats)
 	}
 
 	// SIGKILL: no drain, no flush, no deferred sync. Whatever the acks
@@ -494,53 +496,88 @@ func TestServeSmoke(t *testing.T) {
 	mustContain(t, "adaptserve output", srv.term(t), "draining...", "\nfinal: ")
 }
 
-// TestLoadFailsWhenServerDies SIGKILLs the server under a running
-// adaptload: the generator must still print what it measured, then
-// exit non-zero naming the worker op that failed — the smokes above
-// trust its exit status to mean every worker ran to the deadline.
+// TestLoadFailsWhenServerDies SIGKILLs the server under a running load
+// generator, over either protocol: the generator must still print what
+// it measured, then exit non-zero naming the worker op that failed —
+// the smokes above trust its exit status to mean every worker ran to
+// the deadline.
 func TestLoadFailsWhenServerDies(t *testing.T) {
 	skipLoad(t)
-	srv := startServer(t, "-telemetry", "", "-service-us", "0")
-	load := exec.Command(filepath.Join(binDir, "adaptload"), "-addr", srv.wire,
-		"-tenants", "2", "-workers", "2", "-duration", "30s")
-	var out bytes.Buffer
-	load.Stdout, load.Stderr = &out, &out
-	if err := load.Start(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		bin    string
+		args   func(*served) []string
+		failed string
+	}{
+		{"adaptload", func(s *served) []string { return []string{"-addr", s.wire, "-tenants", "2"} }, "\nadaptload: tenant "},
+		{"nbdload", func(s *served) []string { return []string{"-addr", s.nbd} }, "\nnbdload: worker "},
+	} {
+		t.Run(tc.bin, func(t *testing.T) {
+			srv := startServer(t, "-telemetry", "", "-service-us", "0", "-nbd-addr", "127.0.0.1:0")
+			load := exec.Command(filepath.Join(binDir, tc.bin), append(tc.args(srv), "-workers", "2", "-duration", "30s")...)
+			var out bytes.Buffer
+			load.Stdout, load.Stderr = &out, &out
+			if err := load.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { load.Process.Kill() })
+			// Mid-burst: the server has acked load traffic (the probe's own
+			// STATs are not writes, so batches can only come from the load).
+			probe := dial(t, srv.wire, 0)
+			for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				st, err := probe.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st["srv_batches"] > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never reached the server:\n%s", tc.bin, out.String())
+				}
+			}
+			srv.kill()
+			err := load.Wait()
+			report := out.String()
+			if code := load.ProcessState.ExitCode(); err == nil || code != 1 {
+				t.Fatalf("%s exit %d (%v) after the server died, want 1:\n%s", tc.bin, code, err, report)
+			}
+			agg, failed := strings.Index(report, "\naggregate: "), strings.Index(report, tc.failed)
+			if agg < 0 || failed < agg {
+				t.Fatalf("want the aggregate report, then the failed worker op:\n%s", report)
+			}
+			// Rates divide by the time the workers really ran, not by -duration.
+			m := regexp.MustCompile(`(?m)^aggregate: \d+ ops in (\S+) `).FindStringSubmatch(report)
+			if m == nil {
+				t.Fatalf("no elapsed time on the aggregate line:\n%s", report)
+			}
+			if ran, err := time.ParseDuration(m[1]); err != nil || ran >= 30*time.Second {
+				t.Fatalf("aggregate reports %q elapsed (%v) for a burst cut short of its 30s:\n%s", m[1], err, report)
+			}
+		})
 	}
-	t.Cleanup(func() { load.Process.Kill() })
-	// Mid-burst: the server has acked load traffic (the probe's own
-	// STATs are not writes, so batches can only come from adaptload).
-	probe := dial(t, srv.wire, 0)
-	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		st, err := probe.Stats()
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestHelpOmitsRemovedFlags: group commit is the only write path, so
+// neither the server nor the wire generator offers a flag to leave it.
+func TestHelpOmitsRemovedFlags(t *testing.T) {
+	skipLoad(t)
+	for _, tc := range []struct {
+		bin       string
+		has, gone string
+	}{
+		{"adaptserve", "-batch-us", "-batch"},
+		{"adaptload", "-flush-every", "-sync"},
+	} {
+		out, _ := exec.Command(filepath.Join(binDir, tc.bin), "-h").CombinedOutput()
+		flags := map[string]bool{}
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "  -") {
+				flags[strings.Fields(line)[0]] = true
+			}
 		}
-		if st["srv_batches"] > 0 {
-			break
+		if !flags[tc.has] || flags[tc.gone] {
+			t.Errorf("%s -h: want %s listed and %s gone:\n%s", tc.bin, tc.has, tc.gone, out)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("adaptload never reached the server:\n%s", out.String())
-		}
-	}
-	srv.kill()
-	err := load.Wait()
-	report := out.String()
-	if code := load.ProcessState.ExitCode(); err == nil || code != 1 {
-		t.Fatalf("adaptload exit %d (%v) after the server died, want 1:\n%s", code, err, report)
-	}
-	agg, failed := strings.Index(report, "\naggregate: "), strings.Index(report, "\nadaptload: tenant ")
-	if agg < 0 || failed < agg {
-		t.Fatalf("want the aggregate report, then the failed worker op:\n%s", report)
-	}
-	// Rates divide by the time the workers really ran, not by -duration.
-	m := regexp.MustCompile(`(?m)^aggregate: \d+ ops in (\S+) `).FindStringSubmatch(report)
-	if m == nil {
-		t.Fatalf("no elapsed time on the aggregate line:\n%s", report)
-	}
-	if ran, err := time.ParseDuration(m[1]); err != nil || ran >= 30*time.Second {
-		t.Fatalf("aggregate reports %q elapsed (%v) for a burst cut short of its 30s:\n%s", m[1], err, report)
 	}
 }
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	adaptserve -addr 127.0.0.1:9750 -telemetry 127.0.0.1:9751
-//	adaptserve -volumes 8 -policy adapt -batch=false
+//	adaptserve -volumes 8 -policy adapt
 //	adaptserve -data-dir /var/lib/adapt -durable-sync always
 //	adaptserve -nbd-addr 127.0.0.1:10809
 //
@@ -61,7 +61,6 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices")
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
-	batch := fs.Bool("batch", true, "coalesce small writes into chunk-aligned group commits")
 	batchUS := fs.Int("batch-us", 0, "group-commit deadline in microseconds (0: the store's SLA window)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")
 	serviceUS := fs.Int("service-us", 50, "modelled device time per chunk write in microseconds")
@@ -116,7 +115,6 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 		Server: server.Config{
 			Volumes:      *volumes,
 			MaxInflight:  *maxInflight,
-			Batch:        *batch,
 			BatchTimeout: time.Duration(*batchUS) * time.Microsecond,
 			Trace: server.TraceConfig{
 				Enabled:   *trace,
@@ -148,7 +146,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 func main() {
 	cmd := cli.New("adaptserve",
 		"adaptserve -addr 127.0.0.1:9750 -telemetry 127.0.0.1:9751",
-		"adaptserve -volumes 8 -policy adapt -batch=false",
+		"adaptserve -volumes 8 -policy adapt",
 		"adaptserve -data-dir /var/lib/adapt -durable-sync always")
 	cfg, at, err := configFromFlags(cmd, os.Args[1:])
 	if err != nil {
@@ -177,8 +175,8 @@ func main() {
 	if st.GC != nil {
 		gcMode = "background"
 	}
-	fmt.Printf("serving %d volumes × %d blocks (%s policy, %d shards, batch=%v, gc=%s) on %s\n",
-		srv.Volumes(), srv.VolumeBlocks(), at.policy, eng.Shards(), cfg.Server.Batch, gcMode, ln.Addr())
+	fmt.Printf("serving %d volumes × %d blocks (%s policy, %d shards, gc=%s) on %s\n",
+		srv.Volumes(), srv.VolumeBlocks(), at.policy, eng.Shards(), gcMode, ln.Addr())
 	if cfg.DataDir != "" {
 		if ds, ok := eng.DurableStats(); ok && eng.Recovered() {
 			fmt.Printf("durable: recovered %d segments (%d live blocks) from %s\n",

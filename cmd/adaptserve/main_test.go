@@ -40,7 +40,6 @@ func defaults() (serve.Config, listen) {
 			Server: server.Config{
 				Volumes:     8,
 				MaxInflight: 64,
-				Batch:       true,
 				Trace:       server.TraceConfig{Enabled: true, Threshold: 500 * time.Microsecond},
 			},
 		},
@@ -70,12 +69,12 @@ func TestConfigFromFlags(t *testing.T) {
 			}},
 		{"engine and server knobs",
 			[]string{"-policy", "sepgc", "-victim", "cost-benefit", "-user-blocks", "4096", "-service-us", "1",
-				"-batch=false", "-batch-us", "1000", "-max-inflight", "8", "-trace=false", "-trace-threshold-us", "250"},
+				"-batch-us", "1000", "-max-inflight", "8", "-trace=false", "-trace-threshold-us", "250"},
 			func(c *serve.Config, l *listen) {
 				c.Engine.Engine.Store.UserBlocks, c.Engine.Engine.Store.SegmentChunks = 4096, 2
 				c.Engine.Engine.Store.Victim = lss.CostBenefit
 				c.Engine.Engine.ServiceTime = time.Microsecond
-				c.Server.Batch, c.Server.BatchTimeout, c.Server.MaxInflight = false, time.Millisecond, 8
+				c.Server.BatchTimeout, c.Server.MaxInflight = time.Millisecond, 8
 				c.Server.Trace = server.TraceConfig{Threshold: 250 * time.Microsecond}
 				l.policy = "sepgc"
 			}},

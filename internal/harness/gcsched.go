@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adapt/internal/gcsched"
+	"adapt/internal/loadgen"
 	"adapt/internal/prototype"
 	"adapt/internal/serve"
 	"adapt/internal/server"
@@ -140,8 +141,6 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 		Engine: opts.filledEngine(polName, nil),
 		Server: server.Config{
 			Volumes: opts.Tenants,
-			// No group commit: the batch window would floor both modes'
-			// tails and hide the GC stall this experiment measures.
 			// Trace in both modes so the sync baseline carries the same
 			// instrumentation overhead as the paced run it is compared to.
 			Trace: server.TraceConfig{Enabled: true},
@@ -175,7 +174,7 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 
 	var st1 prototype.EngineStats
 	causes := map[string]int{}
-	all, err := opts.run(st, sc.Seed, opts.OpsPerWorker, opts.ThinkTime, func() {
+	res, err := opts.run(st, sc.Seed, opts.OpsPerWorker, opts.ThinkTime, func() {
 		if st.GC != nil {
 			st.GC.Stop()
 		}
@@ -194,11 +193,11 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	if background {
 		mode = "background"
 	}
-	row := GCSchedRow{Policy: polName, Mode: mode, Ops: int64(len(all))}
-	if len(all) == 0 {
+	lats := loadgen.Summarize(res.Workers).All
+	row := GCSchedRow{Policy: polName, Mode: mode, Ops: int64(len(lats))}
+	if len(lats) == 0 {
 		return row, nil
 	}
-	lats := sortedLatencies(all)
 	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
 	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
 	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))

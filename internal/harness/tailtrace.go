@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"adapt/internal/loadgen"
 	"adapt/internal/serve"
 	"adapt/internal/server"
 	"adapt/internal/sim"
@@ -93,7 +94,6 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 		Engine: opts.filledEngine(polName, ts),
 		Server: server.Config{
 			Volumes: opts.Tenants,
-			Batch:   true,
 			Trace:   server.TraceConfig{Enabled: true},
 		},
 	})
@@ -104,7 +104,7 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 	fillEnd := eng.Now() // exclude fill-phase GC from attribution
 
 	var runEnd sim.Time
-	all, err := opts.run(st, sc.Seed, 0, 0, func() { runEnd = eng.Now() })
+	res, err := opts.run(st, sc.Seed, 0, 0, func() { runEnd = eng.Now() })
 	if err != nil {
 		return TailTraceRow{}, err
 	}
@@ -121,37 +121,39 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 		gcBusy += iv.Overlap(fillEnd, runEnd)
 	}
 
-	if len(all) == 0 {
+	lats := loadgen.Summarize(res.Workers).All
+	if len(lats) == 0 {
 		return TailTraceRow{Policy: polName}, nil
 	}
-	lats := sortedLatencies(all)
 	p999 := stats.SortedPercentile(lats, 99.9)
 
-	overlapsGC := func(r opRecord) bool {
+	overlapsGC := func(r loadgen.Record) bool {
 		for _, iv := range gcs {
-			if iv.Overlap(r.start, r.end) > 0 {
+			if iv.Overlap(r.Start, r.End) > 0 {
 				return true
 			}
 		}
 		return false
 	}
 	var slow, slowGC, allGC int64
-	for _, r := range all {
-		hit := overlapsGC(r)
-		if hit {
-			allGC++
-		}
-		if float64(r.end-r.start) >= p999 {
-			slow++
+	for _, w := range res.Workers {
+		for _, r := range w.Records {
+			hit := overlapsGC(r)
 			if hit {
-				slowGC++
+				allGC++
+			}
+			if float64(r.End-r.Start) >= p999 {
+				slow++
+				if hit {
+					slowGC++
+				}
 			}
 		}
 	}
 
 	row := TailTraceRow{
 		Policy:   polName,
-		Ops:      int64(len(all)),
+		Ops:      int64(len(lats)),
 		P50:      time.Duration(stats.SortedPercentile(lats, 50)),
 		P99:      time.Duration(stats.SortedPercentile(lats, 99)),
 		P999:     time.Duration(p999),
@@ -164,7 +166,7 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 	if slow > 0 {
 		row.SlowGCFrac = float64(slowGC) / float64(slow)
 	}
-	row.AllGCFrac = float64(allGC) / float64(len(all))
+	row.AllGCFrac = float64(allGC) / float64(len(lats))
 	return row, nil
 }
 

@@ -2,21 +2,15 @@ package harness
 
 import (
 	"context"
-	"errors"
-	"math"
 	"net"
-	"slices"
-	"sync"
 	"time"
 
-	"adapt/internal/fault"
+	"adapt/internal/loadgen"
 	"adapt/internal/lss"
 	"adapt/internal/prototype"
 	"adapt/internal/serve"
 	"adapt/internal/server"
-	"adapt/internal/sim"
 	"adapt/internal/telemetry"
-	"adapt/internal/workload"
 )
 
 // LiveLoad sizes what the two live experiments share: one served stack
@@ -54,32 +48,13 @@ func (l LiveLoad) filledEngine(polName string, ts *telemetry.Set) prototype.Shar
 	}
 }
 
-// opRecord is one completed client op on the engine clock: the window
-// [Start, End] is compared against GC intervals from the same clock.
-type opRecord struct {
-	start, end sim.Time
-}
-
-// sortedLatencies returns the ops' latencies in ascending order.
-func sortedLatencies(ops []opRecord) []float64 {
-	lats := make([]float64, len(ops))
-	for i, r := range ops {
-		lats[i] = float64(r.end - r.start)
-	}
-	slices.Sort(lats)
-	return lats
-}
-
 // run serves the stack on a loopback port and drives the load against
-// it: Tenants connections × Workers goroutines, each drawing zipfian
-// LBAs over its volume, writing with probability WriteFrac and retrying
-// backpressure with the default backoff, until Duration is up or, with
-// maxOps > 0, the worker has done that many ops; think > 0 is the mean
-// exponential inter-op gap (0: no draw from the worker's RNG). It then
-// calls settled — the connections' span rings still live — and shuts
-// the stack down, whatever happened. It returns every completed op on
-// the engine clock, in worker order.
-func (l LiveLoad) run(st *serve.Stack, seed uint64, maxOps int, think time.Duration, settled func()) ([]opRecord, error) {
+// it through loadgen, stamping ops on the engine clock: Tenants
+// connections × Workers workers, each stopping after Duration or, with
+// ops > 0, that many ops, with a mean exponential gap of think between
+// ops. It then calls settled — the connections' span rings still live —
+// and shuts the stack down, whatever happened.
+func (l LiveLoad) run(st *serve.Stack, seed uint64, ops int, think time.Duration, settled func()) (*loadgen.Result, error) {
 	served := make(chan error, 1)
 	defer func() {
 		st.Shutdown(context.Background())
@@ -92,67 +67,25 @@ func (l LiveLoad) run(st *serve.Stack, seed uint64, maxOps int, think time.Durat
 	}
 	go func() { served <- st.Serve(ln, nil) }()
 
-	eng := st.Engine
-	span := st.Server.VolumeBlocks()
-	payloadBytes := eng.Config().BlockSize
-	deadline := time.Now().Add(l.Duration)
-	clients := make([]*server.Client, l.Tenants)
-	for t := range clients {
+	blockBytes := st.Engine.Config().BlockSize
+	cfg := loadgen.Config{
+		Workers: l.Workers, Size: st.Server.VolumeBlocks() * int64(blockBytes), Align: int64(blockBytes),
+		Theta: l.Theta, OpBytes: blockBytes, WriteFrac: l.WriteFrac, Think: think,
+		Seed: seed, Duration: l.Duration, Ops: ops, Clock: st.Engine.Now,
+	}
+	for t := range l.Tenants {
 		c, err := server.Dial(ln.Addr().String(), uint32(t))
 		if err != nil {
 			return nil, err
 		}
 		defer c.Close()
-		c.SetBlockBytes(payloadBytes)
-		clients[t] = c
+		c.SetBlockBytes(blockBytes)
+		cfg.Conns = append(cfg.Conns, loadgen.Wire{C: c, BlockBytes: blockBytes})
 	}
-	records := make([][]opRecord, l.Tenants*l.Workers)
-	var wg sync.WaitGroup
-	var runErr error
-	var errOnce sync.Once
-	for i := range records {
-		wg.Add(1)
-		t, w := i/l.Workers, i%l.Workers
-		go func(c *server.Client, recs *[]opRecord, seed uint64) {
-			defer wg.Done()
-			rng := sim.NewRNG(seed)
-			zipf := workload.NewZipf(rng, span, l.Theta, true)
-			payload := make([]byte, payloadBytes)
-			for i := range payload {
-				payload[i] = byte(rng.Intn(256))
-			}
-			bo := fault.Backoff{}
-			for n := 0; (maxOps == 0 || n < maxOps) && time.Now().Before(deadline); n++ {
-				if think > 0 {
-					// Exponential think time: bursty arrivals at a
-					// controlled mean utilization.
-					gap := -math.Log(1-rng.Float64()) * float64(think)
-					time.Sleep(time.Duration(gap))
-				}
-				lba := zipf.Next()
-				write := rng.Float64() < l.WriteFrac
-				t0 := eng.Now()
-				var err error
-				for attempt := 0; ; attempt++ {
-					if write {
-						err = c.Write(lba, payload)
-					} else {
-						_, err = c.Read(lba, 1)
-					}
-					if !errors.Is(err, server.ErrBackpressure) {
-						break
-					}
-					time.Sleep(bo.Delay(attempt))
-				}
-				if err != nil {
-					errOnce.Do(func() { runErr = err })
-					return
-				}
-				*recs = append(*recs, opRecord{start: t0, end: eng.Now()})
-			}
-		}(clients[t], &records[i], seed+uint64(t*1000+w))
+	res, err := loadgen.Run(cfg)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	settled()
-	return slices.Concat(records...), runErr
+	return res, loadgen.Summarize(res.Workers).Err
 }

@@ -67,7 +67,7 @@ func TestAlignPropertyShadow(t *testing.T) {
 		shardBytes  = shardBlocks * testBlockBytes
 	)
 	poisonReleases(t)
-	st := newStack(t, stackConfig{userBlocks: userBlocks, volumes: 1, shards: shards, batch: true})
+	st := newStack(t, stackConfig{userBlocks: userBlocks, volumes: 1, shards: shards})
 	size := uint64(st.srv.VolumeBlocks()) * testBlockBytes
 	if size != userBlocks*testBlockBytes {
 		t.Fatalf("one volume over the whole engine: size %d, want %d", size, userBlocks*testBlockBytes)
@@ -144,7 +144,7 @@ func TestAlignPropertyShadow(t *testing.T) {
 }
 
 func BenchmarkNBDRoundtrip(b *testing.B) {
-	st := newStack(b, stackConfig{userBlocks: 65536, volumes: 1, shards: 4, batch: true})
+	st := newStack(b, stackConfig{userBlocks: 65536, volumes: 1, shards: 4})
 	c := dialExport(b, st.addr, "vol0")
 	size := c.Info().Size
 

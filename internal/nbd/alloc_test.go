@@ -86,7 +86,7 @@ func TestNBDBytesPerOp(t *testing.T) {
 		userBlocks = 1024
 		ops        = 2000
 	)
-	st := newStack(t, stackConfig{userBlocks: userBlocks, blockBytes: blockBytes, volumes: 1, batch: true})
+	st := newStack(t, stackConfig{userBlocks: userBlocks, blockBytes: blockBytes, volumes: 1})
 	c := transmitPipe(t, st)
 	payload := bytes.Repeat([]byte{0x5a}, blockBytes)
 	for _, tc := range []struct {
@@ -134,7 +134,7 @@ func TestNBDWriteZeroesShared(t *testing.T) {
 	// without an engine GC cycle. The engine's victim index still grows
 	// as overwrites invalidate fresh segments, amortized: the best of
 	// three requests is the frontend's own cost.
-	st := newStack(t, stackConfig{userBlocks: 8 * int64(size/blockBytes), blockBytes: blockBytes, volumes: 8, batch: true})
+	st := newStack(t, stackConfig{userBlocks: 8 * int64(size/blockBytes), blockBytes: blockBytes, volumes: 8})
 	c := transmitPipe(t, st)
 	ack := make([]byte, 16)
 	zero := appendRequest(nil, cmdWriteZeroes, 1, 0, uint32(size), nil)

@@ -28,7 +28,6 @@ type stackConfig struct {
 	blockBytes int // 0: testBlockBytes
 	volumes    int
 	shards     int // 0: one shard
-	batch      bool
 	trace      bool
 	mirror     bool // oracle + RAID mirror: enables FailColumn/RebuildStep
 	// listen, when set, wraps the loopback listener the frontend serves.
@@ -87,7 +86,6 @@ func newStack(t testing.TB, sc stackConfig) *stack {
 	srv, err := server.New(server.Config{
 		Engine:       eng,
 		Volumes:      sc.volumes,
-		Batch:        sc.batch,
 		BatchTimeout: time.Millisecond,
 		Trace:        server.TraceConfig{Enabled: sc.trace},
 	})
@@ -140,7 +138,7 @@ func dialExport(t testing.TB, addr, export string) *nbdtest.Client {
 }
 
 func TestNBDListGoInfo(t *testing.T) {
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 3, batch: true})
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 3})
 
 	names, err := nbdtest.List(st.addr)
 	if err != nil {
@@ -192,7 +190,7 @@ func TestNBDListGoInfo(t *testing.T) {
 // reads, mirroring every mutation into a flat shadow buffer, then
 // verifies the device byte-for-byte.
 func TestNBDMixedWorkloadReadback(t *testing.T) {
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 2, batch: true})
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 2})
 	c := dialExport(t, st.addr, "vol1")
 	size := c.Info().Size
 	shadow := make([]byte, size)
@@ -270,7 +268,7 @@ func TestNBDMixedWorkloadReadback(t *testing.T) {
 // flush, durable) on another.
 func TestNBDMultiConn(t *testing.T) {
 	poisonReleases(t)
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: true, shards: 2})
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, shards: 2})
 	a := dialExport(t, st.addr, "vol0")
 	b := dialExport(t, st.addr, "vol0")
 
@@ -315,7 +313,7 @@ func TestNBDMultiConn(t *testing.T) {
 // TestNBDFailColumnRebuild keeps a mixed workload running while a RAID
 // column fails mid-traffic and is rebuilt, then verifies readback.
 func TestNBDFailColumnRebuild(t *testing.T) {
-	st := newStack(t, stackConfig{userBlocks: 8192, volumes: 2, batch: true, shards: 2, mirror: true})
+	st := newStack(t, stackConfig{userBlocks: 8192, volumes: 2, shards: 2, mirror: true})
 	const workers = 4
 	var mu sync.Mutex // guards shadows
 	shadows := [2][]byte{}
@@ -427,7 +425,7 @@ func TestNBDFailColumnRebuild(t *testing.T) {
 // requests and later requests fail cleanly with ESHUTDOWN semantics
 // (the connection closes or errors, but never hangs).
 func TestNBDShutdownDrains(t *testing.T) {
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: true})
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1})
 	c := dialExport(t, st.addr, "vol0")
 	data := bytes.Repeat([]byte{9}, testBlockBytes)
 	if err := c.Write(0, data, 0); err != nil {
@@ -501,7 +499,7 @@ func (l deadlineListener) Accept() (net.Conn, error) {
 // entering transmission, where a kernel initiator may idle for hours.
 func TestNBDHandshakeDeadline(t *testing.T) {
 	conns := make(chan *deadlineConn, 1)
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: true,
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1,
 		listen: func(ln net.Listener) net.Listener { return deadlineListener{ln, conns} }})
 	c := dialExport(t, st.addr, "vol0") // negotiates with NBD_OPT_GO
 	// A served request proves the server is in transmission.
@@ -539,7 +537,7 @@ func TestNBDHandshakeDeadline(t *testing.T) {
 // paths a hostile or buggy client can reach without killing the
 // session.
 func TestNBDRequestValidation(t *testing.T) {
-	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1, batch: false})
+	st := newStack(t, stackConfig{userBlocks: 4096, volumes: 1})
 	c := dialExport(t, st.addr, "vol0")
 	size := c.Info().Size
 

@@ -57,7 +57,6 @@ func fullConfig(dir string, volumes int) serve.Config {
 		},
 		Server: server.Config{
 			Volumes: volumes,
-			Batch:   true,
 			Trace:   server.TraceConfig{Enabled: true},
 		},
 		GC:      &gcsched.Config{TargetP999: 2 * time.Millisecond},

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"adapt/internal/prototype"
 	"adapt/internal/server/bufpool"
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
@@ -141,12 +140,6 @@ func (s *Server) ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Spa
 // must be a whole number of blocks; done owns the payload's fate (it
 // may be retained until the group commit fires).
 func (s *Server) WriteBlocks(vol uint32, lba int64, payload []byte, sp *telemetry.Span, done func(error)) {
-	s.writeBlocks(vol, lba, payload, false, sp, done)
-}
-
-// writeBlocks is WriteBlocks plus the wire protocol's FlagNoBatch,
-// which bypasses group commit.
-func (s *Server) writeBlocks(vol uint32, lba int64, payload []byte, noBatch bool, sp *telemetry.Span, done func(error)) {
 	v, err := s.vol(vol)
 	if err == nil && len(payload)%v.blockBytes != 0 {
 		err = ErrBadRequest
@@ -158,7 +151,7 @@ func (s *Server) writeBlocks(vol uint32, lba int64, payload []byte, noBatch bool
 		done(err)
 		return
 	}
-	s.writeCore(v, lba, payload, noBatch, sp, done)
+	s.writeCore(v, lba, payload, sp, done)
 }
 
 // TrimBlocks implements VolumeBackend over trimCore.
@@ -239,37 +232,23 @@ func (s *Server) CloseSpanRing(r *telemetry.SpanRing) {
 	}
 }
 
-// writeCore is the write path shared by every frontend: per-tenant
-// accounting, then either the shard's group committer or the direct
-// write-through + engine + fsync-before-ack path. done fires exactly
-// once with the ack.
-func (s *Server) writeCore(vol *volume, lba int64, payload []byte, noBatch bool, sp *telemetry.Span, done func(error)) {
+// writeCore is the one write path, shared by every frontend:
+// per-tenant accounting, then the shard's group committer, which writes
+// the payload through to the volume, commits it to the engine, syncs
+// the volume file and only then acks. done fires exactly once with the
+// ack.
+func (s *Server) writeCore(vol *volume, lba int64, payload []byte, sp *telemetry.Span, done func(error)) {
 	vol.writes.Add(1)
 	vol.writeBlocks.Add(int64(len(payload) / vol.blockBytes))
 	s.met.bytesIn.Add(int64(len(payload)))
-	if s.committers != nil && !noBatch {
-		c := s.committers[s.eng.ShardOf(vol.base+lba)]
-		c.enqueue(&commitReq{
-			vol:     vol,
-			lba:     lba,
-			blocks:  len(payload) / vol.blockBytes,
-			payload: payload,
-			sp:      sp,
-			done:    done,
-		})
-		return
-	}
-	err := vol.writeData(lba, payload)
-	if err == nil {
-		var t prototype.OpTiming
-		t, err = s.eng.WriteTimed(vol.base+lba, len(payload)/vol.blockBytes)
-		markEngine(sp, t)
-	}
-	if err == nil {
-		// The ack promises durability: the payload's fsync lands first.
-		err = vol.syncData()
-	}
-	done(err)
+	s.committers[s.eng.ShardOf(vol.base+lba)].enqueue(&commitReq{
+		vol:     vol,
+		lba:     lba,
+		blocks:  len(payload) / vol.blockBytes,
+		payload: payload,
+		sp:      sp,
+		done:    done,
+	})
 }
 
 // readCore is the read path shared by every frontend: engine-modelled
@@ -304,15 +283,13 @@ func (s *Server) trimCore(vol *volume, lba int64, blocks int, sp *telemetry.Span
 // then fsync the volume's backing file.
 func (s *Server) flushCore(vol *volume, sp *telemetry.Span) error {
 	vol.flushes.Add(1)
-	if s.committers != nil {
-		for _, c := range s.committers {
-			c.flush()
-		}
-		if sp != nil {
-			// FLUSH waits out the forced group commit; charge it to the
-			// batch stage.
-			sp.MarkAt(telemetry.StageBatch, s.eng.Now())
-		}
+	for _, c := range s.committers {
+		c.flush()
+	}
+	if sp != nil {
+		// FLUSH waits out the forced group commit; charge it to the
+		// batch stage.
+		sp.MarkAt(telemetry.StageBatch, s.eng.Now())
 	}
 	// Belt over the per-ack suspenders: a FLUSH leaves the volume's
 	// backing file clean even if a write-through raced the last sync.

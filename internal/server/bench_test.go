@@ -41,28 +41,24 @@ func benchPolicy(b *testing.B, cfg lss.Config) lss.Policy {
 
 // BenchmarkServerRoundtrip measures acknowledged 4 KiB writes over real
 // loopback TCP: one iteration is one client write round-trip, spread
-// across the tenant fleet. The batch=on/off pair exposes the cost and
-// the padding benefit of chunk-aligned group commits at each tenant
-// count. The engine shards across GOMAXPROCS cores, so running with
-// -cpu 1,2,4,8 measures the shard/group-commit scaling curve. The
-// read/ cases replace the writes with 4 KiB reads, whose reply carries
-// the payload.
+// across the tenant fleet, each acked from its group commit. The engine
+// shards across GOMAXPROCS cores, so running with -cpu 1,2,4,8 measures
+// the shard/group-commit scaling curve. The read/ cases replace the
+// writes with 4 KiB reads, whose reply carries the payload.
 func BenchmarkServerRoundtrip(b *testing.B) {
 	for _, tenants := range []int{1, 8, 64} {
-		for _, batch := range []bool{true, false} {
-			b.Run(fmt.Sprintf("tenants=%d/batch=%v", tenants, batch), func(b *testing.B) {
-				benchRoundtrip(b, tenants, batch, false)
-			})
-		}
+		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
+			benchRoundtrip(b, tenants, false)
+		})
 	}
 	for _, tenants := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("read/tenants=%d", tenants), func(b *testing.B) {
-			benchRoundtrip(b, tenants, true, true)
+			benchRoundtrip(b, tenants, true)
 		})
 	}
 }
 
-func benchRoundtrip(b *testing.B, tenants int, batch, read bool) {
+func benchRoundtrip(b *testing.B, tenants int, read bool) {
 	cfg := benchStoreConfig()
 	// Shards follow the -cpu value under test (NewSharded defaults to
 	// runtime.GOMAXPROCS(0)).
@@ -75,7 +71,7 @@ func benchRoundtrip(b *testing.B, tenants int, batch, read bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{Engine: eng, Volumes: tenants, Batch: batch, MaxInflight: 64})
+	srv, err := New(Config{Engine: eng, Volumes: tenants, MaxInflight: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

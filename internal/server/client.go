@@ -260,26 +260,15 @@ func (c *Client) roundtrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
-// Write submits blocks of payload at the volume-relative lba, eligible
-// for server-side batching.
+// Write submits blocks of payload at the volume-relative lba; the
+// server acks it from the group commit that carries it.
 func (c *Client) Write(lba int64, payload []byte) error {
-	return c.write(lba, payload, 0)
-}
-
-// WriteSync writes bypassing group commit (FlagNoBatch): it commits
-// individually, trading aggregation for the lowest commit latency.
-func (c *Client) WriteSync(lba int64, payload []byte) error {
-	return c.write(lba, payload, wire.FlagNoBatch)
-}
-
-func (c *Client) write(lba int64, payload []byte, flags uint16) error {
 	blockBytes, err := c.blockCount(len(payload))
 	if err != nil {
 		return err
 	}
 	resp, err := c.roundtrip(&wire.Request{
 		Op:      wire.OpWrite,
-		Flags:   flags,
 		LBA:     uint64(lba),
 		Count:   blockBytes,
 		Payload: payload,

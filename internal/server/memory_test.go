@@ -61,7 +61,7 @@ func TestShutdownRacesPlaneRelease(t *testing.T) {
 	eng := testEngine(t, userBlocks, false, false)
 	defer eng.Close()
 	before, haveMaps := mappingsOfSize(t, planeBytes)
-	srv, err := New(Config{Engine: eng, Volumes: 1, Batch: true, BatchTimeout: time.Millisecond})
+	srv, err := New(Config{Engine: eng, Volumes: 1, BatchTimeout: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestWireBytesPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := New(Config{Engine: eng, Volumes: 1, Batch: true})
+	srv, err := New(Config{Engine: eng, Volumes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

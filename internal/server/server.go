@@ -43,7 +43,7 @@ type Config struct {
 	// DataDir, when set, backs each volume's payload plane with a
 	// vol-N.dat file in this directory: boot loads existing bytes,
 	// every WRITE goes through to the file, and an fsync precedes the
-	// ack (once per group commit on the batched path). A manifest.json
+	// ack (once per group commit). A manifest.json
 	// pins the volume geometry so a reboot with a different carve-up is
 	// rejected instead of silently shearing tenants. Empty keeps the
 	// data plane RAM-only, as before.
@@ -51,7 +51,7 @@ type Config struct {
 	// MaxInflight bounds admitted inflight ops per volume; further
 	// requests are rejected with StatusBackpressure (default 64).
 	MaxInflight int
-	// Batch enables per-shard group commit for WRITE requests.
+	// Deprecated: group commit is the only write path; Batch is ignored.
 	Batch bool
 	// BatchTimeout is the group-commit deadline: the longest a batched
 	// write may wait for its chunk to fill — the serving-layer
@@ -91,10 +91,9 @@ type Server struct {
 	cfg  Config
 	eng  prototype.Ingest
 	vols []*volume
-	// committers holds one lock-free group committer per engine shard;
-	// nil when batching is off. Writes route to the committer owning
-	// their shard, so group commits stay shard-local and fill that
-	// shard's open chunk.
+	// committers holds one lock-free group committer per engine shard.
+	// Writes route to the committer owning their shard, so group commits
+	// stay shard-local and fill that shard's open chunk.
 	committers []*shardCommitter
 	met        metrics
 	// trace is the request-tracing runtime; nil when disabled, making
@@ -216,11 +215,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.Batch {
-		s.committers = make([]*shardCommitter, cfg.Engine.Shards())
-		for i := range s.committers {
-			s.committers[i] = &shardCommitter{srv: s, shard: i, timeout: cfg.BatchTimeout, maxBlocks: store.ChunkBlocks}
-		}
+	s.committers = make([]*shardCommitter, cfg.Engine.Shards())
+	for i := range s.committers {
+		s.committers[i] = &shardCommitter{srv: s, shard: i, timeout: cfg.BatchTimeout, maxBlocks: store.ChunkBlocks}
 	}
 	return s, nil
 }
@@ -380,10 +377,10 @@ func (s *Server) send(rp *Reply, vol *volume, frame []byte, status wire.Status, 
 // dispatch routes one decoded request onto the validated ops every
 // frontend uses. What stays here is what only the wire protocol has:
 // STAT, fail-fast admission (a full semaphore is StatusBackpressure,
-// where Acquire would park), FlagNoBatch and the Count-versus-payload
-// check. rp is sent exactly once, possibly from another goroutine
-// (batched writes). sp is the request's trace span, nil when tracing is
-// off. frame is the request's pooled frame, which req.Payload aliases;
+// where Acquire would park) and the Count-versus-payload check. rp is
+// sent exactly once, possibly from another goroutine (a write acks from
+// its group commit). sp is the request's trace span, nil when tracing
+// is off. frame is the request's pooled frame, which req.Payload aliases;
 // every path ends in send, which releases it — a write's only from its
 // ack, after the payload has been copied into the data plane.
 func (s *Server) dispatch(req wire.Request, frame []byte, sp *telemetry.Span, rp *Reply) {
@@ -420,7 +417,7 @@ func (s *Server) dispatch(req wire.Request, frame []byte, sp *telemetry.Span, rp
 			s.finish(rp, vol, frame, resp, ErrBadRequest)
 			return
 		}
-		s.writeBlocks(req.Volume, lba, req.Payload, req.Flags&wire.FlagNoBatch != 0, sp, func(err error) {
+		s.WriteBlocks(req.Volume, lba, req.Payload, sp, func(err error) {
 			s.finish(rp, vol, frame, resp, err)
 		})
 	case wire.OpRead:
@@ -463,10 +460,6 @@ func (s *Server) readReply(vol *volume, req wire.Request, sp *telemetry.Span) ([
 func (s *Server) stats() []wire.Stat {
 	cfg := s.eng.Config()
 	est := s.eng.Stats()
-	batch := int64(0)
-	if s.cfg.Batch {
-		batch = 1
-	}
 	degraded := int64(0)
 	if s.eng.Degraded() {
 		degraded = 1
@@ -476,7 +469,6 @@ func (s *Server) stats() []wire.Stat {
 		{Name: "geom_vol_blocks", Value: s.vols[0].blocks},
 		{Name: "geom_block_bytes", Value: int64(cfg.BlockSize)},
 		{Name: "geom_chunk_blocks", Value: int64(cfg.ChunkBlocks)},
-		{Name: "geom_batch", Value: batch},
 		{Name: "store_user_blocks", Value: est.UserBlocks},
 		{Name: "store_gc_blocks", Value: est.GCBlocks},
 		{Name: "store_shadow_blocks", Value: est.ShadowBlocks},

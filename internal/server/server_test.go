@@ -114,7 +114,7 @@ func pattern(volume uint32, lba int64, version byte) []byte {
 func TestServerBasicOps(t *testing.T) {
 	eng := testEngine(t, 4096, false, false)
 	defer eng.Close()
-	srv, err := New(Config{Engine: eng, Volumes: 4, Batch: true, BatchTimeout: time.Millisecond})
+	srv, err := New(Config{Engine: eng, Volumes: 4, BatchTimeout: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestServerBasicOps(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read-back mismatch:\n got %x\nwant %x", got, want)
 	}
-	if err := c.WriteSync(17, pattern(2, 17, 2)); err != nil {
-		t.Fatalf("unbatched write: %v", err)
+	if err := c.Write(17, pattern(2, 17, 2)); err != nil {
+		t.Fatalf("overwrite: %v", err)
 	}
 	if err := c.Trim(17, 1); err != nil {
 		t.Fatalf("trim: %v", err)
@@ -195,10 +195,43 @@ func TestServerBasicOps(t *testing.T) {
 	}
 }
 
+// TestReservedFlagBitServed: bit 0 of the request flags once selected a
+// second, unbatched write path. It is reserved now, so a client that
+// still sets it is served like any other — acked from a group commit
+// and read back byte-exact — not refused.
+func TestReservedFlagBitServed(t *testing.T) {
+	eng := testEngine(t, 4096, false, false)
+	defer eng.Close()
+	srv, err := New(Config{Engine: eng, Volumes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop := serve(t, srv)
+	defer stop()
+	c := dial(t, addr, 0)
+
+	want := append(pattern(0, 5, 1), pattern(0, 6, 1)...)
+	resp, err := c.roundtrip(&wire.Request{Op: wire.OpWrite, Flags: 1 << 0, LBA: 5, Count: 2, Payload: want})
+	if err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("write with bit 0 set: %v, %v", err, statusError(resp))
+	}
+	got, err := c.Read(5, 2)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read-back after a bit-0 write: %v\n got %x\nwant %x", err, got, want)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["srv_batches"] != 1 || stats["srv_batched_writes"] != 1 {
+		t.Fatalf("the write did not go through group commit: %v", stats)
+	}
+}
+
 func TestServerBackpressure(t *testing.T) {
 	eng := testEngine(t, 4096, false, false)
 	defer eng.Close()
-	srv, err := New(Config{Engine: eng, Volumes: 1, MaxInflight: 1, Batch: true})
+	srv, err := New(Config{Engine: eng, Volumes: 1, MaxInflight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +266,7 @@ func TestServerBackpressure(t *testing.T) {
 func TestServerShutdownAcksPending(t *testing.T) {
 	eng := testEngine(t, 4096, false, false)
 	defer eng.Close()
-	srv, err := New(Config{Engine: eng, Volumes: 1, Batch: true})
+	srv, err := New(Config{Engine: eng, Volumes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +409,7 @@ func TestServerE2EShardedFaultRebuild(t *testing.T) {
 func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 	poisonReleases(t)
 	srv, err := New(Config{
-		Engine: eng, Volumes: 4, MaxInflight: 32,
-		Batch: true, BatchTimeout: 500 * time.Microsecond,
+		Engine: eng, Volumes: 4, MaxInflight: 32, BatchTimeout: 500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,13 +36,12 @@ func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Sharded, *teleme
 
 // traceServer boots a traced server over loopback; every client request
 // is forced into the exemplar ring via FlagTrace.
-func traceServer(t *testing.T, batch bool) (*Server, *Client, func()) {
+func traceServer(t *testing.T) (*Server, *Client, func()) {
 	t.Helper()
 	eng, ts := testEngineTele(t, 4096)
 	srv, err := New(Config{
 		Engine:       eng,
 		Volumes:      2,
-		Batch:        batch,
 		BatchTimeout: time.Millisecond,
 		Telemetry:    ts,
 		Trace:        TraceConfig{Enabled: true, Threshold: 250 * time.Millisecond},
@@ -78,7 +77,7 @@ func waitExemplars(t *testing.T, srv *Server, n int) []Exemplar {
 }
 
 func TestTraceEndToEnd(t *testing.T) {
-	srv, c, stop := traceServer(t, true)
+	srv, c, stop := traceServer(t)
 	defer stop()
 
 	want := pattern(1, 3, 1)
@@ -114,8 +113,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			if sp.Volume != 1 || sp.LBA != 3 || sp.Count != 1 {
 				t.Errorf("write span fields: %+v", sp)
 			}
-			// A batched write passes through gather and the timed engine
-			// commit.
+			// A write passes through gather and the timed engine commit.
 			if sp.Stamp[telemetry.StageBatch] == 0 || sp.Stamp[telemetry.StageCommit] == 0 {
 				t.Errorf("write span missing batch/commit stamps: %v", sp.Stamp)
 			}
@@ -216,7 +214,7 @@ func TestAttribute(t *testing.T) {
 }
 
 func TestTraceHandler(t *testing.T) {
-	srv, c, stop := traceServer(t, false)
+	srv, c, stop := traceServer(t)
 	defer stop()
 	if err := c.Write(9, pattern(1, 9, 1)); err != nil {
 		t.Fatal(err)

@@ -24,9 +24,9 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 	}
 	vol := srv.vols[0]
 	write := func(lba int64) error {
-		var got error
-		srv.writeCore(vol, lba, pattern(0, lba, 1), true, nil, func(e error) { got = e })
-		return got
+		acked := make(chan error, 1)
+		srv.writeCore(vol, lba, pattern(0, lba, 1), nil, func(e error) { acked <- e })
+		return <-acked
 	}
 	if err := write(0); err != nil {
 		t.Fatalf("healthy write: %v", err)

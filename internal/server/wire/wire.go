@@ -96,11 +96,10 @@ func (o Op) String() string {
 
 func (o Op) valid() bool { return o >= OpRead && o <= OpStat }
 
-// Request flags.
+// Request flags. Every bit but FlagTrace is reserved: clients send it
+// clear and servers ignore it — bit 0 included, which older clients set
+// to ask for a write path that no longer exists.
 const (
-	// FlagNoBatch asks the server to bypass the write batcher and
-	// commit this write immediately.
-	FlagNoBatch uint16 = 1 << 0
 	// FlagTrace opts this request into exemplar capture: when server
 	// tracing is enabled its span is published to the exemplar ring
 	// regardless of the latency threshold.

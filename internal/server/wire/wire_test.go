@@ -12,7 +12,7 @@ import (
 func TestRequestRoundtrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xab, 0x5e}, 2048)
 	reqs := []Request{
-		{Op: OpWrite, Flags: FlagNoBatch, ID: 42, Volume: 7, LBA: 123456, Count: 1, Payload: payload},
+		{Op: OpWrite, Flags: FlagTrace | 1, ID: 42, Volume: 7, LBA: 123456, Count: 1, Payload: payload},
 		{Op: OpRead, ID: 1 << 60, Volume: 0, LBA: 0, Count: MaxBlocks},
 		{Op: OpTrim, ID: 3, Volume: 2, LBA: 99, Count: 12},
 		{Op: OpFlush, ID: 4, Volume: 1},

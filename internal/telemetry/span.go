@@ -10,8 +10,8 @@ import (
 // Stage names one segment of a request's journey through the serving
 // stack. Stages are ordered: a span stamps the *end* of each stage it
 // passes through, and per-stage durations derive from consecutive
-// stamps (a zero stamp means the stage was skipped, e.g. Batch for an
-// unbatched write).
+// stamps (a zero stamp means the stage was skipped, e.g. Batch for a
+// read).
 type Stage uint8
 
 // The request stage taxonomy, in pipeline order.
