@@ -18,15 +18,16 @@ FUZZ_TARGETS := \
 	./internal/nbd:FuzzNBDHandshake \
 	./internal/nbd:FuzzNBDRequest
 
-.PHONY: check build vet test bench-test race race-sharded fault fuzz paranoid bench-telemetry gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
+.PHONY: check build vet test bench-test race race-sharded harness-lint fault fuzz paranoid bench-telemetry gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
 
 ## check: full local gate — vet, build, race-enabled test suite, the
 ## sharded-engine suite pinned to GOMAXPROCS=4, a short fuzz smoke of
 ## every target on top of the checked-in corpora, the background-GC
 ## tail gate, the durability gate (crash-point sweep plus SIGKILL
 ## restart), end-to-end boots of the network service (plain, traced,
-## and over the NBD frontend), and the bench module's own vet and tests.
-check: vet build bench-test race race-sharded fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
+## and over the NBD frontend), the bench module's own vet and tests, and
+## the experiment-table lint.
+check: vet build bench-test race race-sharded harness-lint fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
 
 build:
 	$(GO) build ./...
@@ -94,6 +95,22 @@ race-sharded:
 		fi; \
 	done
 	@echo "race-sharded OK"
+
+## harness-lint: the experiment table exists once. adaptbench loops
+## over the harness's registry (harness.Experiments) and calls no
+## experiment function itself, and non-test internal/harness writes the
+## YCSB-A trace config once (Scale.ycsb) besides DiffTrace's.
+harness-lint:
+	@if ls cmd/adaptbench/*.go | grep -v _test.go | xargs grep -nE 'harness\.(Fig[0-9]|Exp[A-Z])'; then \
+		echo "harness-lint FAIL: cmd/adaptbench calls an experiment directly — add a row to harness.Experiments instead"; \
+		exit 1; \
+	fi
+	@n=$$(ls internal/harness/*.go | grep -v _test.go | xargs cat | grep -cF 'workload.YCSBConfig{'); \
+	if [ "$$n" -gt 2 ]; then \
+		echo "harness-lint FAIL: $$n workload.YCSBConfig{ literals in non-test internal/harness — synthesize YCSB-A through Scale.ycsb"; \
+		exit 1; \
+	fi
+	@echo "harness-lint OK"
 
 ## fuzz: give every native fuzz target a real exploration budget
 ## (FUZZTIME per target, default 10s) beyond the committed seed corpora.

@@ -13,16 +13,15 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"adapt/internal/cli"
 	"adapt/internal/harness"
-	"adapt/internal/lss"
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
-	"adapt/internal/workload"
 )
 
 func main() {
@@ -31,7 +30,13 @@ func main() {
 		"adaptbench -exp telemetry -series series.jsonl -events events.jsonl",
 		"adaptbench -replay series.jsonl")
 	fs := cmd.Flags()
-	exp := fs.String("exp", "all", "experiment: fig2|fig3|fig8|fig9|fig10|fig11|fig12|streams|chunk|sla|victims|latency|fault|tailtrace|gcsched|shardscale|telemetry|all")
+	exps := harness.Experiments()
+	var names []string
+	for _, e := range exps {
+		names = append(names, e.Name)
+	}
+	choices := strings.Join(append(names, "telemetry", "all"), "|")
+	exp := fs.String("exp", "all", "experiment: "+choices)
 	scaleName := fs.String("scale", "small", "experiment scale: small|full")
 	policy := fs.String("policy", harness.PolicyADAPT, "placement policy for -exp telemetry")
 	series := fs.String("series", "", "write telemetry time-series windows (JSONL) to this file")
@@ -65,127 +70,7 @@ func main() {
 		cmd.UsageErrorf("unknown scale %q", *scaleName)
 	}
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("fig2") {
-		ran = true
-		for _, r := range harness.Fig2(sc, workload.Profiles()) {
-			fmt.Println(r.Render())
-		}
-	}
-	if want("fig3") {
-		ran = true
-		results, err := harness.Fig3(sc, harness.PolicyNames())
-		cmd.Check(err)
-		for _, r := range results {
-			fmt.Println(r.Render())
-		}
-	}
-	if want("fig8") || want("fig9") || want("fig10") {
-		ran = true
-		fmt.Println("running experiment grid (suites × victims × policies × volumes)...")
-		start := time.Now()
-		grid, err := harness.RunGrid(sc, workload.Profiles(),
-			[]lss.VictimPolicy{lss.Greedy, lss.CostBenefit}, harness.PolicyNames())
-		cmd.Check(err)
-		fmt.Printf("grid complete in %v\n\n", time.Since(start).Round(time.Millisecond))
-		if want("fig8") {
-			fmt.Println(harness.RenderFig8(harness.Fig8(grid)))
-			for _, p := range workload.Profiles() {
-				for _, v := range []lss.VictimPolicy{lss.Greedy, lss.CostBenefit} {
-					reds := harness.Fig8Reductions(grid, p, v)
-					var parts []string
-					for _, base := range harness.PolicyNames() {
-						if r, ok := reds[base]; ok {
-							parts = append(parts, fmt.Sprintf("%s %.1f%%", base, r))
-						}
-					}
-					fmt.Printf("ADAPT WA reduction (%s, %s): %s\n", p, v, strings.Join(parts, ", "))
-				}
-			}
-			fmt.Println()
-		}
-		if want("fig9") {
-			fmt.Println(harness.RenderFig9(harness.Fig9(grid)))
-		}
-		if want("fig10") {
-			fmt.Println(harness.RenderFig10(harness.Fig10(grid)))
-		}
-	}
-	if want("fig11") {
-		ran = true
-		res, err := harness.Fig11(sc, harness.PolicyNames())
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
-	if want("fig12") {
-		ran = true
-		res, err := harness.Fig12(sc, harness.PolicyNames(), harness.DefaultFig12Options(sc))
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
-	if want("streams") {
-		ran = true
-		rows, err := harness.ExpStreams(sc, []string{"sepgc", "sepbit", harness.PolicyADAPT})
-		cmd.Check(err)
-		fmt.Println(harness.RenderStreams(rows))
-	}
-	if want("chunk") {
-		ran = true
-		cells, err := harness.ExpChunkSize(sc, []string{"sepgc", "sepbit", harness.PolicyADAPT})
-		cmd.Check(err)
-		fmt.Println(harness.RenderExt("Extension — chunk-size sensitivity (YCSB-A, Greedy)", cells))
-	}
-	if want("sla") {
-		ran = true
-		cells, err := harness.ExpSLAWindow(sc, []string{"sepgc", "sepbit", harness.PolicyADAPT})
-		cmd.Check(err)
-		fmt.Println(harness.RenderExt("Extension — SLA-window sensitivity (YCSB-A, Greedy)", cells))
-	}
-	if want("victims") {
-		ran = true
-		cells, err := harness.ExpVictims(sc, []string{"sepgc", harness.PolicyADAPT})
-		cmd.Check(err)
-		fmt.Println(harness.RenderExt("Extension — victim-selection policies (YCSB-A)", cells))
-	}
-	if want("latency") {
-		ran = true
-		cells, err := harness.ExpLatency(sc, harness.PolicyNames())
-		cmd.Check(err)
-		fmt.Println(harness.RenderLatency(cells))
-	}
-	if want("fault") {
-		ran = true
-		res, err := harness.ExpFault(sc, harness.PolicyNames(), harness.DefaultFaultOptions(sc))
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
-	if want("tailtrace") {
-		ran = true
-		res, err := harness.ExpTailTrace(sc, harness.PolicyNames(), harness.DefaultTailTraceOptions(sc))
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
-	if *exp == "gcsched" {
-		// Wall-clock tail latencies under live pacing: explicit-only so
-		// "all" stays deterministic.
-		ran = true
-		res, err := harness.ExpGCSched(sc, []string{"sepgc", "sepbit", harness.PolicyADAPT},
-			harness.DefaultGCSchedOptions(sc))
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
-	if *exp == "shardscale" {
-		// Wall-clock (not simulated) throughput, so it runs only when
-		// asked for explicitly; "all" stays deterministic.
-		ran = true
-		res, err := harness.ExpShardScale(sc, harness.DefaultShardScaleOptions(sc))
-		cmd.Check(err)
-		fmt.Println(res.Render())
-	}
 	if *exp == "telemetry" {
-		ran = true
 		ts, res, err := harness.TelemetryRun(sc, *policy, telemetry.Options{
 			WindowInterval: sim.Time(*window),
 		})
@@ -197,23 +82,19 @@ func main() {
 		fmt.Printf("run totals: WA %.2f, effective WA %.2f, padding %.1f%%\n\n",
 			res.WA, res.EffectiveWA, 100*res.PaddingRatio)
 		fmt.Print(harness.RenderEventSummary(ts.Tracer))
-		if *series != "" {
-			cmd.Check(writeFile(*series, func(f *os.File) error {
-				return telemetry.WriteWindowsJSONL(f, ws)
-			}))
-			fmt.Printf("wrote %d windows to %s\n", len(ws), *series)
-		}
-		if *seriesCSV != "" {
-			cmd.Check(writeFile(*seriesCSV, func(f *os.File) error {
-				return telemetry.WriteWindowsCSV(f, ws)
-			}))
-			fmt.Printf("wrote %d windows to %s\n", len(ws), *seriesCSV)
-		}
-		if *events != "" {
-			cmd.Check(writeFile(*events, func(f *os.File) error {
-				return ts.Tracer.WriteJSONL(f)
-			}))
-			fmt.Printf("wrote %d events to %s\n", ts.Tracer.Len(), *events)
+		for _, out := range []struct {
+			path, what string
+			n          int
+			dump       func(io.Writer) error
+		}{
+			{*series, "windows", len(ws), func(w io.Writer) error { return telemetry.WriteWindowsJSONL(w, ws) }},
+			{*seriesCSV, "windows", len(ws), func(w io.Writer) error { return telemetry.WriteWindowsCSV(w, ws) }},
+			{*events, "events", ts.Tracer.Len(), ts.Tracer.WriteJSONL},
+		} {
+			if out.path != "" {
+				cmd.Check(writeFile(out.path, out.dump))
+				fmt.Printf("wrote %d %s to %s\n", out.n, out.what, out.path)
+			}
 		}
 		if *debug != "" {
 			_, addr, err := telemetry.Serve(*debug, ts, nil)
@@ -221,13 +102,33 @@ func main() {
 			fmt.Printf("serving telemetry on http://%s/ (metrics, events.jsonl, series.jsonl, debug/pprof); ctrl-c to exit\n", addr)
 			select {}
 		}
+		return
+	}
+
+	s := &harness.Session{Scale: sc, TimeGrid: func(build func() error) error {
+		fmt.Println("running experiment grid (suites × victims × policies × volumes)...")
+		start := time.Now()
+		if err := build(); err != nil {
+			return err
+		}
+		fmt.Printf("grid complete in %v\n\n", time.Since(start).Round(time.Millisecond))
+		return nil
+	}}
+	ran := false
+	for _, e := range exps {
+		if *exp == e.Name || (*exp == "all" && !e.Explicit) {
+			ran = true
+			text, err := e.Run(s)
+			cmd.Check(err)
+			fmt.Print(text)
+		}
 	}
 	if !ran {
-		cmd.UsageErrorf("unknown experiment %q", *exp)
+		cmd.UsageErrorf("unknown experiment %q (want %s)", *exp, choices)
 	}
 }
 
-func writeFile(path string, fill func(*os.File) error) error {
+func writeFile(path string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

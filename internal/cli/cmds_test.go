@@ -6,11 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adapt/internal/harness"
 )
 
 // TestCommandsRejectBadArgsUniformly builds every cmd/ binary and
 // checks the shared contract: unknown flags and invalid configuration
-// print usage to stderr and exit 2.
+// print usage to stderr and exit 2. adaptbench's unknown-experiment
+// error must also name everything -exp accepts: every harness registry
+// entry, telemetry and all.
 func TestCommandsRejectBadArgsUniformly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds all cmd binaries")
@@ -21,6 +25,12 @@ func TestCommandsRejectBadArgsUniformly(t *testing.T) {
 		t.Fatalf("building cmds: %v\n%s", err, out)
 	}
 
+	experiments := []string{"telemetry", "all"}
+	for _, e := range harness.Experiments() {
+		experiments = append(experiments, e.Name)
+	}
+	// Rows whose error line (stderr's first) must also name each word.
+	mentions := map[string][]string{"adaptbench -exp bogus": experiments}
 	cases := []struct {
 		bin  string
 		args []string
@@ -71,6 +81,12 @@ func TestCommandsRejectBadArgsUniformly(t *testing.T) {
 			}
 			if strings.Contains(stdout.String(), "usage:") {
 				t.Fatalf("usage printed to stdout, want stderr:\n%s", stdout.String())
+			}
+			msg, _, _ := strings.Cut(stderr.String(), "\n")
+			for _, w := range mentions[name] {
+				if !strings.Contains(msg, w) {
+					t.Errorf("error line does not name %q: %s", w, msg)
+				}
 			}
 		})
 	}

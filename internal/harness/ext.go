@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"adapt/internal/lss"
 	"adapt/internal/sim"
 	"adapt/internal/stats"
 	"adapt/internal/trace"
-	"adapt/internal/workload"
 )
 
 // Extension experiments beyond the paper's figures: sensitivity of the
@@ -17,8 +15,9 @@ import (
 // paper fixes Pangu's 100 µs), plus victim-policy comparisons across
 // the related-work Greedy variants.
 
-// ExtCell is one cell of an extension sweep.
-type ExtCell struct {
+// SweepCell is one cell of a sensitivity sweep (Figure 11 and the
+// extensions): one policy's traffic under one setting.
+type SweepCell struct {
 	Policy  string
 	Setting string
 	WA      float64 // padding-inclusive
@@ -26,123 +25,88 @@ type ExtCell struct {
 	PadRat  float64
 }
 
-func runExtCell(policy, setting string, cfg lss.Config, tr *trace.Trace) (ExtCell, error) {
-	pol, err := BuildPolicy(policy, cfg)
+// setting is one row of a sweep: a store configuration and the trace it
+// replays.
+type setting struct {
+	name string
+	cfg  lss.Config
+	tr   *trace.Trace
+}
+
+// sweep replays every setting under every policy through RunTrace on
+// the shared pool and returns the cells setting-major, policies in the
+// order given.
+func sweep(policies []string, settings ...setting) ([]SweepCell, error) {
+	cells := make([]SweepCell, len(settings)*len(policies))
+	err := parallel(len(cells), func(i int) error {
+		s, pol := settings[i/len(policies)], policies[i%len(policies)]
+		res, err := RunTrace(pol, s.tr, s.cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		cells[i] = SweepCell{Policy: pol, Setting: s.name, WA: res.EffectiveWA, GCWA: res.WA, PadRat: res.PaddingRatio}
+		return nil
+	})
 	if err != nil {
-		return ExtCell{}, fmt.Errorf("ext cell %s policy %s: %w", setting, policy, err)
+		return nil, err
 	}
-	store := lss.New(cfg, pol)
-	if err := trace.Replay(store, tr); err != nil {
-		return ExtCell{}, fmt.Errorf("ext cell %s policy %s: %w", setting, policy, err)
-	}
-	m := store.Metrics()
-	return ExtCell{
-		Policy:  policy,
-		Setting: setting,
-		WA:      m.EffectiveWA(),
-		GCWA:    m.WA(),
-		PadRat:  m.PaddingRatio(),
-	}, nil
+	return cells, nil
 }
 
 // ExpChunkSize sweeps the array chunk size: larger chunks mean larger
 // error-correction units (paper §2.2) but more padding under sparse
 // writes — the granularity-mismatch trade-off that motivates ADAPT.
-func ExpChunkSize(sc Scale, policies []string) ([]ExtCell, error) {
-	tr := workload.Generate(workload.YCSBConfig{
-		Blocks:  sc.YCSBBlocks,
-		Writes:  sc.YCSBWrites,
-		Fill:    true,
-		Theta:   0.99,
-		MeanGap: 60 * sim.Microsecond,
-		Seed:    sc.Seed,
-	})
-	var out []ExtCell
+func ExpChunkSize(sc Scale, policies []string) ([]SweepCell, error) {
+	tr := sc.ycsb(0.99, mediumGap)
+	var settings []setting
 	for _, chunkKiB := range []int{16, 32, 64, 128} {
-		for _, pol := range policies {
-			cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
-			// Hold the segment size in blocks constant while the chunk
-			// size varies, so only the coalescing granularity changes.
-			segBlocks := cfg.SegmentBlocks()
-			cfg.ChunkBlocks = chunkKiB * 1024 / cfg.BlockSize
-			cfg.SegmentChunks = segBlocks / cfg.ChunkBlocks
-			if cfg.SegmentChunks < 2 {
-				cfg.SegmentChunks = 2
-			}
-			cell, err := runExtCell(pol, fmt.Sprintf("chunk=%dKiB", chunkKiB), cfg, tr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cell)
+		cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
+		// Hold the segment size in blocks constant while the chunk
+		// size varies, so only the coalescing granularity changes.
+		segBlocks := cfg.SegmentBlocks()
+		cfg.ChunkBlocks = chunkKiB * 1024 / cfg.BlockSize
+		cfg.SegmentChunks = segBlocks / cfg.ChunkBlocks
+		if cfg.SegmentChunks < 2 {
+			cfg.SegmentChunks = 2
 		}
+		settings = append(settings, setting{fmt.Sprintf("chunk=%dKiB", chunkKiB), cfg, tr})
 	}
-	return out, nil
+	return sweep(policies, settings...)
 }
 
 // ExpSLAWindow sweeps the coalescing deadline: longer windows gather
 // more blocks per chunk at the cost of write latency.
-func ExpSLAWindow(sc Scale, policies []string) ([]ExtCell, error) {
-	tr := workload.Generate(workload.YCSBConfig{
-		Blocks:  sc.YCSBBlocks,
-		Writes:  sc.YCSBWrites,
-		Fill:    true,
-		Theta:   0.99,
-		MeanGap: 60 * sim.Microsecond,
-		Seed:    sc.Seed,
-	})
-	var out []ExtCell
+func ExpSLAWindow(sc Scale, policies []string) ([]SweepCell, error) {
+	tr := sc.ycsb(0.99, mediumGap)
+	var settings []setting
 	for _, winUS := range []int{20, 50, 100, 200, 500} {
-		for _, pol := range policies {
-			cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
-			cfg.SLAWindow = sim.Time(winUS) * sim.Microsecond
-			cell, err := runExtCell(pol, fmt.Sprintf("sla=%dus", winUS), cfg, tr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cell)
-		}
+		cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
+		cfg.SLAWindow = sim.Time(winUS) * sim.Microsecond
+		settings = append(settings, setting{fmt.Sprintf("sla=%dus", winUS), cfg, tr})
 	}
-	return out, nil
+	return sweep(policies, settings...)
 }
 
 // ExpVictims compares all victim-selection policies under one
 // placement policy.
-func ExpVictims(sc Scale, policies []string) ([]ExtCell, error) {
-	tr := workload.Generate(workload.YCSBConfig{
-		Blocks:  sc.YCSBBlocks,
-		Writes:  sc.YCSBWrites,
-		Fill:    true,
-		Theta:   0.99,
-		MeanGap: 60 * sim.Microsecond,
-		Seed:    sc.Seed,
-	})
-	victims := []lss.VictimPolicy{
+func ExpVictims(sc Scale, policies []string) ([]SweepCell, error) {
+	tr := sc.ycsb(0.99, mediumGap)
+	var settings []setting
+	for _, v := range []lss.VictimPolicy{
 		lss.Greedy, lss.CostBenefit, lss.DChoices, lss.WindowedGreedy, lss.RandomGreedy,
+	} {
+		settings = append(settings, setting{v.String(), StoreConfig(sc.YCSBBlocks, v), tr})
 	}
-	var out []ExtCell
-	for _, v := range victims {
-		for _, pol := range policies {
-			cfg := StoreConfig(sc.YCSBBlocks, v)
-			cell, err := runExtCell(pol, v.String(), cfg, tr)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cell)
-		}
-	}
-	return out, nil
+	return sweep(policies, settings...)
 }
 
 // RenderExt prints an extension sweep table.
-func RenderExt(title string, cells []ExtCell) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
+func RenderExt(title string, cells []SweepCell) string {
 	tb := stats.NewTable("setting", "policy", "WA", "gcWA", "pad ratio")
 	for _, c := range cells {
 		tb.AddRow(c.Setting, c.Policy, c.WA, c.GCWA, c.PadRat)
 	}
-	b.WriteString(tb.String())
-	return b.String()
+	return title + "\n" + tb.String()
 }
 
 // LatencyCell is one row of the persistence-latency experiment.
@@ -160,26 +124,14 @@ type LatencyCell struct {
 // blocks longer, and ADAPT's lazy-append hot chunks push hot blocks to
 // the deadline while shadow copies keep them durable.
 func ExpLatency(sc Scale, policies []string) ([]LatencyCell, error) {
-	tr := workload.Generate(workload.YCSBConfig{
-		Blocks:  sc.YCSBBlocks,
-		Writes:  sc.YCSBWrites,
-		Fill:    true,
-		Theta:   0.99,
-		MeanGap: 60 * sim.Microsecond,
-		Seed:    sc.Seed,
-	})
+	tr := sc.ycsb(0.99, mediumGap)
 	var out []LatencyCell
 	for _, pol := range policies {
-		cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
-		p, err := BuildPolicy(pol, cfg)
+		res, err := RunTrace(pol, tr, StoreConfig(sc.YCSBBlocks, lss.Greedy))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("latency: %w", err)
 		}
-		store := lss.New(cfg, p)
-		if err := trace.Replay(store, tr); err != nil {
-			return nil, fmt.Errorf("latency %s: %w", pol, err)
-		}
-		l := store.Metrics().Latency
+		l := res.Latency
 		out = append(out, LatencyCell{
 			Policy:     pol,
 			MeanUS:     float64(l.Mean()) / float64(sim.Microsecond),
@@ -192,12 +144,9 @@ func ExpLatency(sc Scale, policies []string) ([]LatencyCell, error) {
 
 // RenderLatency prints the latency experiment table.
 func RenderLatency(cells []LatencyCell) string {
-	var b strings.Builder
-	b.WriteString("Extension — persistence latency under the 100 µs SLA (YCSB-A, medium density)\n")
 	tb := stats.NewTable("policy", "mean µs", "p99 µs", "violations")
 	for _, c := range cells {
 		tb.AddRow(c.Policy, c.MeanUS, c.P99US, c.Violations)
 	}
-	b.WriteString(tb.String())
-	return b.String()
+	return "Extension — persistence latency under the 100 µs SLA (YCSB-A, medium density)\n" + tb.String()
 }

@@ -74,7 +74,7 @@ func TestExpVictims(t *testing.T) {
 	if len(cells) != 5 {
 		t.Fatalf("%d cells", len(cells))
 	}
-	byVictim := map[string]ExtCell{}
+	byVictim := map[string]SweepCell{}
 	for _, c := range cells {
 		byVictim[c.Setting] = c
 	}

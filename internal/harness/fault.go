@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"adapt/internal/prototype"
-	"adapt/internal/sim"
 	"adapt/internal/stats"
 )
 
@@ -80,37 +79,18 @@ type FaultResult struct {
 // ExpFault runs the fault-injection experiment: every policy suffers
 // the same device failure at the same op, and the per-phase
 // throughput, write amplification, and P99 latency are tabulated
-// against the healthy phase of the same run.
+// against the healthy phase of the same run. opts is used as given:
+// start from DefaultFaultOptions.
 func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, error) {
-	if opts.Blocks <= 0 {
-		opts.Blocks = sc.YCSBBlocks / 4
-	}
-	if opts.Ops <= 0 {
-		opts.Ops = 2 * sc.YCSBBlocks
-	}
 	failOp := int64(opts.FailAtFrac * float64(opts.Ops))
 	if failOp < 1 {
 		failOp = 1
 	}
 	out := &FaultResult{}
 	for _, polName := range policies {
-		cfg := StoreConfig(opts.Blocks, 0)
-		cfg.SLAWindow = 100 * sim.Microsecond
-		pol, err := BuildPolicy(polName, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := prototype.Run(prototype.Config{
-			Engine: prototype.EngineConfig{
-				Store:       cfg,
-				Policy:      pol,
-				Fill:        true,
-				ServiceTime: opts.ServiceTime,
-				QueueDepth:  8,
-			},
+		res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, prototype.Config{
 			Clients:   opts.Clients,
 			Ops:       opts.Ops,
-			Theta:     0.99,
 			ReadRatio: opts.ReadRatio,
 			Seed:      sc.Seed,
 			Fault: prototype.FaultConfig{

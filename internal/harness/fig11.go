@@ -2,14 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"adapt/internal/lss"
 	"adapt/internal/sim"
 	"adapt/internal/stats"
-	"adapt/internal/workload"
 )
 
 // DensityLevel names the traffic intensities of Figure 11 (left).
@@ -23,7 +20,7 @@ type DensityLevel struct {
 func DensityLevels() []DensityLevel {
 	return []DensityLevel{
 		{"light", 300 * sim.Microsecond},
-		{"medium", 60 * sim.Microsecond},
+		{"medium", mediumGap},
 		// Heavy must be dense enough that even a 6-way group split
 		// fills 16-block chunks within the 100 µs window, which is
 		// what lets every scheme escape padding (§4.3).
@@ -31,79 +28,36 @@ func DensityLevels() []DensityLevel {
 	}
 }
 
-// Fig11Cell is one point of Figure 11: a policy's WA under one
-// workload setting.
-type Fig11Cell struct {
-	Policy  string
-	Setting string
-	WA      float64
-	PadRat  float64
-}
-
 // Fig11Result holds both sweeps.
 type Fig11Result struct {
-	Density []Fig11Cell // WA vs access density (YCSB-A, θ=0.99)
-	Skew    []Fig11Cell // WA vs zipfian α (medium density)
+	Density []SweepCell // WA vs access density (YCSB-A, θ=0.99)
+	Skew    []SweepCell // WA vs zipfian α (medium density)
 }
 
 // Fig11 runs the sensitivity analysis: YCSB-A update-heavy workloads
 // with the Greedy victim policy, sweeping access density and zipfian
-// skew (§4.3).
+// skew (§4.3). Each setting's trace is synthesized only when its turn
+// comes: at full scale one is 11 M records.
 func Fig11(sc Scale, policies []string) (*Fig11Result, error) {
 	out := &Fig11Result{}
-	type job struct {
-		policy  string
-		setting string
-		gap     sim.Time
-		theta   float64
-		dest    *[]Fig11Cell
+	cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
+	add := func(dst *[]SweepCell, name string, theta float64, gap sim.Time) error {
+		cells, err := sweep(policies, setting{name, cfg, sc.ycsb(theta, gap)})
+		if err != nil {
+			return fmt.Errorf("fig11 %w", err)
+		}
+		*dst = append(*dst, cells...)
+		return nil
 	}
-	var jobs []job
 	for _, lvl := range DensityLevels() {
-		for _, pol := range policies {
-			jobs = append(jobs, job{pol, lvl.Name, lvl.MeanGap, 0.99, &out.Density})
+		if err := add(&out.Density, lvl.Name, 0.99, lvl.MeanGap); err != nil {
+			return nil, err
 		}
 	}
 	for _, alpha := range []float64{0, 0.3, 0.6, 0.9, 0.99} {
-		for _, pol := range policies {
-			jobs = append(jobs, job{pol, fmt.Sprintf("a=%.2f", alpha), 60 * sim.Microsecond, alpha, &out.Skew})
+		if err := add(&out.Skew, fmt.Sprintf("a=%.2f", alpha), alpha, mediumGap); err != nil {
+			return nil, err
 		}
-	}
-
-	results := make([]Fig11Cell, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tr := workload.Generate(workload.YCSBConfig{
-				Blocks:  sc.YCSBBlocks,
-				Writes:  sc.YCSBWrites,
-				Fill:    true,
-				Theta:   j.theta,
-				MeanGap: j.gap,
-				Seed:    sc.Seed,
-			})
-			res, err := RunTrace(j.policy, tr, sc.YCSBBlocks, lss.Greedy)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = Fig11Cell{Policy: j.policy, Setting: j.setting, WA: res.EffectiveWA, PadRat: res.PaddingRatio}
-		}(i, j)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fig11 %s/%s: %w", jobs[i].policy, jobs[i].setting, err)
-		}
-	}
-	for i, j := range jobs {
-		*j.dest = append(*j.dest, results[i])
 	}
 	return out, nil
 }
@@ -112,7 +66,7 @@ func Fig11(sc Scale, policies []string) (*Fig11Result, error) {
 func (r *Fig11Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 11 — sensitivity: WA vs access density (left) and skew (right)\n")
-	render := func(title string, cells []Fig11Cell) {
+	render := func(title string, cells []SweepCell) {
 		fmt.Fprintf(&b, "%s:\n", title)
 		tb := stats.NewTable("setting", "policy", "WA", "pad ratio")
 		for _, c := range cells {

@@ -69,31 +69,15 @@ type Fig12Result struct {
 }
 
 // Fig12 runs the prototype throughput sweep (12a) and the memory
-// comparison against SepBIT (12b).
+// comparison against SepBIT (12b). opts is used as given: start from
+// DefaultFig12Options.
 func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error) {
 	out := &Fig12Result{}
-	if opts.Blocks <= 0 {
-		opts.Blocks = sc.YCSBBlocks / 4
-	}
 	for _, clients := range opts.ClientCounts {
 		for _, polName := range policies {
-			cfg := StoreConfig(opts.Blocks, 0)
-			cfg.SLAWindow = 100 * sim.Microsecond
-			pol, err := BuildPolicy(polName, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := prototype.Run(prototype.Config{
-				Engine: prototype.EngineConfig{
-					Store:       cfg,
-					Policy:      pol,
-					Fill:        true,
-					ServiceTime: opts.ServiceTime,
-					QueueDepth:  8,
-				},
+			res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, prototype.Config{
 				Clients: clients,
 				Ops:     opts.Ops,
-				Theta:   0.99,
 				Seed:    sc.Seed,
 			})
 			if err != nil {
@@ -108,16 +92,15 @@ func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error)
 
 	for _, blocks := range opts.MemoryBlocks {
 		cfg := StoreConfig(blocks, 0)
-		sep := placement.NewSepBIT(placement.Params{
-			UserBlocks:    blocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-		})
+		sepPol, err := BuildPolicy("sepbit", cfg)
+		if err != nil {
+			return nil, err
+		}
 		adaptPol, err := BuildPolicy(PolicyADAPT, cfg)
 		if err != nil {
 			return nil, err
 		}
-		ap := adaptPol.(*adaptcore.Policy)
+		sep, ap := sepPol.(*placement.SepBIT), adaptPol.(*adaptcore.Policy)
 		// Warm both policies with the same zipfian stream so dynamic
 		// structures (sampler, ghost sets) carry realistic state.
 		rng := sim.NewRNG(sc.Seed)
@@ -136,6 +119,22 @@ func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error)
 		out.Memory = append(out.Memory, row)
 	}
 	return out, nil
+}
+
+// runPrototype runs the concurrent prototype (Figure 12a and the fault
+// experiment) for one policy: run's zipfian-0.99 clients against a
+// pre-filled store of blocks with Pangu's 100 µs SLA window, the
+// modelled device taking service per chunk.
+func runPrototype(polName string, blocks int64, service time.Duration, run prototype.Config) (prototype.Result, error) {
+	cfg := StoreConfig(blocks, 0)
+	cfg.SLAWindow = 100 * sim.Microsecond
+	pol, err := BuildPolicy(polName, cfg)
+	if err != nil {
+		return prototype.Result{}, err
+	}
+	run.Engine = prototype.EngineConfig{Store: cfg, Policy: pol, Fill: true, ServiceTime: service, QueueDepth: 8}
+	run.Theta = 0.99
+	return prototype.Run(run)
 }
 
 // Render prints both Figure 12 panels.

@@ -35,16 +35,14 @@ type Fig3Result struct {
 // analysis) with the Greedy victim policy and reports per-group
 // traffic splits and sizes for each placement policy.
 func Fig3(sc Scale, policies []string) ([]Fig3Result, error) {
-	suite := sc.Suite(workload.ProfileAli)
+	g, err := RunGrid(sc, []workload.Profile{workload.ProfileAli}, []lss.VictimPolicy{lss.Greedy}, policies)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Fig3Result, 0, len(policies))
 	for _, pol := range policies {
 		var groups []Fig3Group
-		for _, vol := range suite {
-			tr := vol.Generate()
-			res, err := RunTrace(pol, tr, vol.FootprintBlocks, lss.Greedy)
-			if err != nil {
-				return nil, err
-			}
+		for _, res := range g.Runs[workload.ProfileAli][lss.Greedy][pol] {
 			if groups == nil {
 				groups = make([]Fig3Group, len(res.PerGroup))
 				for i := range groups {

@@ -57,6 +57,25 @@ func Fig8Reductions(g *Grid, p workload.Profile, v lss.VictimPolicy) map[string]
 	return out
 }
 
+// renderFig8Reductions prints ADAPT's overall-WA reduction against each
+// baseline, one line per suite and victim policy.
+func renderFig8Reductions(g *Grid) string {
+	var b strings.Builder
+	for _, p := range g.Profiles {
+		for _, v := range g.Victims {
+			reds := Fig8Reductions(g, p, v)
+			var parts []string
+			for _, base := range g.Policies {
+				if r, ok := reds[base]; ok {
+					parts = append(parts, fmt.Sprintf("%s %.1f%%", base, r))
+				}
+			}
+			fmt.Fprintf(&b, "ADAPT WA reduction (%s, %s): %s\n", p, v, strings.Join(parts, ", "))
+		}
+	}
+	return b.String()
+}
+
 // RenderFig8 prints the full Figure 8 table.
 func RenderFig8(rows []Fig8Row) string {
 	var b strings.Builder

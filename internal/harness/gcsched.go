@@ -10,8 +10,6 @@ import (
 	"adapt/internal/gcsched"
 	"adapt/internal/loadgen"
 	"adapt/internal/prototype"
-	"adapt/internal/serve"
-	"adapt/internal/server"
 	"adapt/internal/stats"
 )
 
@@ -137,23 +135,15 @@ func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResul
 }
 
 func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bool) (GCSchedRow, error) {
-	cfg := serve.Config{
-		Engine: opts.filledEngine(polName, nil),
-		Server: server.Config{
-			Volumes: opts.Tenants,
-			// Trace in both modes so the sync baseline carries the same
-			// instrumentation overhead as the paced run it is compared to.
-			Trace: server.TraceConfig{Enabled: true},
-		},
-	}
+	var gc *gcsched.Config
 	if background {
-		cfg.GC = &gcsched.Config{
+		gc = &gcsched.Config{
 			Interval:   opts.Interval,
 			SliceUnits: opts.SliceUnits,
 			TargetP999: opts.TargetP999,
 		}
 	}
-	st, err := serve.Build(cfg)
+	st, err := opts.build(polName, nil, gc)
 	if err != nil {
 		return GCSchedRow{}, err
 	}
@@ -189,33 +179,10 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 		return GCSchedRow{}, err
 	}
 
-	mode := "sync"
-	if background {
-		mode = "background"
-	}
-	lats := loadgen.Summarize(res.Workers).All
-	row := GCSchedRow{Policy: polName, Mode: mode, Ops: int64(len(lats))}
-	if len(lats) == 0 {
-		return row, nil
-	}
-	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
-	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
-	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
-
-	du := st1.UserBlocks - st0.UserBlocks
-	dg := st1.GCBlocks - st0.GCBlocks
-	if du > 0 {
-		row.WA = float64(du+dg) / float64(du)
-	}
-	row.GCCycles = st1.GCCycles - st0.GCCycles
-	row.GCSlices = st1.GCSlices - st0.GCSlices
-	row.EmergencyRuns = st1.GCEmergencyRuns - st0.GCEmergencyRuns
-	if st.GC != nil {
-		cs := st.GC.Stats()
-		row.PacerSlices = cs.Slices
-		row.TailSkips = cs.TailSkips
-		row.QueueSkips = cs.QueueSkips
-	}
+	row := gcschedRow(polName, st.GC, loadgen.Summarize(res.Workers).All, gcCounts{
+		st1.UserBlocks - st0.UserBlocks, st1.GCBlocks - st0.GCBlocks,
+		st1.GCCycles - st0.GCCycles, st1.GCSlices - st0.GCSlices, st1.GCEmergencyRuns - st0.GCEmergencyRuns,
+	})
 	var ranked []string
 	for c := range causes {
 		ranked = append(ranked, c)
@@ -228,6 +195,33 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	}
 	row.TailCauses = strings.Join(ranked, " ")
 	return row, nil
+}
+
+// gcCounts are a measured phase's store counters behind a GCSchedRow.
+type gcCounts struct{ user, gc, cycles, slices, emergencies int64 }
+
+// gcschedRow assembles the row both the model and the live run report:
+// client latency percentiles, measured-phase WA and GC counters, and
+// the pacer's totals (pacer is nil in sync mode).
+func gcschedRow(polName string, pacer *gcsched.Controller, lats []float64, d gcCounts) GCSchedRow {
+	row := GCSchedRow{Policy: polName, Mode: "sync", Ops: int64(len(lats))}
+	if pacer != nil {
+		row.Mode = "background"
+		cs := pacer.Stats()
+		row.PacerSlices, row.TailSkips, row.QueueSkips = cs.Slices, cs.TailSkips, cs.QueueSkips
+	}
+	if len(lats) == 0 {
+		return row
+	}
+	slices.Sort(lats)
+	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
+	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
+	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
+	if d.user > 0 {
+		row.WA = float64(d.user+d.gc) / float64(d.user)
+	}
+	row.GCCycles, row.GCSlices, row.EmergencyRuns = d.cycles, d.slices, d.emergencies
+	return row
 }
 
 // GCSchedDeltas summarizes one policy's sync-versus-background pair:

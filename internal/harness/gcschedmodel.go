@@ -3,13 +3,11 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"adapt/internal/gcsched"
 	"adapt/internal/lss"
 	"adapt/internal/sim"
-	"adapt/internal/stats"
 	"adapt/internal/workload"
 )
 
@@ -239,29 +237,11 @@ func runGCSchedModel(sc Scale, polName string, opts GCSchedOptions, background b
 		}
 	}
 
-	mode := "sync"
-	if background {
-		mode = "background"
-	}
-	row := GCSchedRow{Policy: polName, Mode: mode, Ops: int64(len(lats))}
-	sort.Float64s(lats)
-	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
-	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
-	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
 	mt := store.Metrics()
-	if du := mt.UserBlocks - base.UserBlocks; du > 0 {
-		row.WA = float64(du+mt.GCBlocks-base.GCBlocks) / float64(du)
-	}
-	row.GCCycles = mt.GCCycles - base.GCCycles
-	row.GCSlices = mt.GCSlices - base.GCSlices
-	row.EmergencyRuns = mt.GCEmergencyRuns - base.GCEmergencyRuns
-	if ctl != nil {
-		cs := ctl.Stats()
-		row.PacerSlices = cs.Slices
-		row.TailSkips = cs.TailSkips
-		row.QueueSkips = cs.QueueSkips
-	}
-	return row, nil
+	return gcschedRow(polName, ctl, lats, gcCounts{
+		mt.UserBlocks - base.UserBlocks, mt.GCBlocks - base.GCBlocks,
+		mt.GCCycles - base.GCCycles, mt.GCSlices - base.GCSlices, mt.GCEmergencyRuns - base.GCEmergencyRuns,
+	}), nil
 }
 
 // expDraw is a unit-mean exponential draw.

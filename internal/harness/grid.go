@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"adapt/internal/lss"
+	"adapt/internal/trace"
 	"adapt/internal/workload"
 )
 
@@ -29,16 +31,6 @@ func RunGrid(sc Scale, profiles []workload.Profile, victims []lss.VictimPolicy, 
 		Policies: policies,
 		Runs:     make(map[workload.Profile]map[lss.VictimPolicy]map[string][]RunResult),
 	}
-	for _, p := range profiles {
-		g.Runs[p] = make(map[lss.VictimPolicy]map[string][]RunResult)
-		for _, v := range victims {
-			g.Runs[p][v] = make(map[string][]RunResult)
-			for _, pol := range policies {
-				g.Runs[p][v][pol] = make([]RunResult, sc.Volumes)
-			}
-		}
-	}
-
 	type job struct {
 		profile workload.Profile
 		victim  lss.VictimPolicy
@@ -48,8 +40,14 @@ func RunGrid(sc Scale, profiles []workload.Profile, victims []lss.VictimPolicy, 
 	}
 	var jobs []job
 	for _, p := range profiles {
-		suite := sc.Suite(p)
-		for i, vol := range suite {
+		g.Runs[p] = make(map[lss.VictimPolicy]map[string][]RunResult)
+		for _, v := range victims {
+			g.Runs[p][v] = make(map[string][]RunResult)
+			for _, pol := range policies {
+				g.Runs[p][v][pol] = make([]RunResult, sc.Volumes)
+			}
+		}
+		for i, vol := range sc.Suite(p) {
 			for _, v := range victims {
 				for _, pol := range policies {
 					jobs = append(jobs, job{p, v, pol, i, vol})
@@ -57,62 +55,58 @@ func RunGrid(sc Scale, profiles []workload.Profile, victims []lss.VictimPolicy, 
 			}
 		}
 	}
-
-	workers := runtime.NumCPU()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// The channel is buffered with every job up front (no feeder
-	// goroutine to block), so when a cell fails the remaining workers
-	// drain their current job and stop at done — the error surfaces
-	// promptly instead of after the whole grid.
-	jobCh := make(chan job, len(jobs))
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	errCh := make(chan error, len(jobs))
-	done := make(chan struct{})
-	var stop sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				tr := j.vol.Generate()
-				res, err := runTraceFn(j.policy, tr, j.vol.FootprintBlocks, j.victim)
-				if err != nil {
-					errCh <- fmt.Errorf("%s/%s/%s vol %d: %w",
-						j.profile, j.victim, j.policy, j.volIdx, err)
-					stop.Do(func() { close(done) })
-					return
-				}
-				// Each job owns its Runs[p][v][pol][volIdx] slot
-				// exclusively, so results are stored without locking.
-				g.Runs[j.profile][j.victim][j.policy][j.volIdx] = res
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	err := parallel(len(jobs), func(i int) error {
+		j := jobs[i]
+		res, err := runTraceFn(j.policy, j.vol.Generate(), j.vol.FootprintBlocks, j.victim)
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s vol %d: %w", j.profile, j.victim, j.policy, j.volIdx, err)
+		}
+		g.Runs[j.profile][j.victim][j.policy][j.volIdx] = res
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// runTraceFn is RunTrace, swappable by tests to verify RunGrid's
-// early-abort behavior.
-var runTraceFn = RunTrace
+// runTraceFn runs one grid cell through RunTrace; tests swap it to
+// verify RunGrid's early abort.
+var runTraceFn = func(policy string, tr *trace.Trace, userBlocks int64, victim lss.VictimPolicy) (RunResult, error) {
+	return RunTrace(policy, tr, StoreConfig(userBlocks, victim))
+}
+
+// parallel is the harness's one worker pool: it runs job(0) … job(n-1)
+// on one worker per CPU, each job writing only its own result slot.
+// The first error stops the workers from starting further jobs and is
+// returned once the jobs in flight finish.
+func parallel(n int, job func(i int) error) error {
+	var (
+		next  atomic.Int64
+		stop  atomic.Bool
+		first error
+		once  sync.Once
+		wg    sync.WaitGroup
+	)
+	for range min(runtime.NumCPU(), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := job(i); err != nil {
+					once.Do(func() { first = err })
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
 
 // OverallWA aggregates a policy's write amplification across a suite
 // as total array block traffic (user + GC rewrites + shadow copies +
@@ -122,10 +116,23 @@ var runTraceFn = RunTrace
 // Figure 10's padding↔WA correlation only exists under this
 // definition.
 func (g *Grid) OverallWA(p workload.Profile, v lss.VictimPolicy, policy string) float64 {
+	return g.overall(p, v, policy, func(r RunResult) int64 { return r.GCBlocks + r.ShadowBlocks + r.PaddingBlocks })
+}
+
+// OverallGCWA aggregates the GC-only write amplification
+// ((user+GC)/user), the secondary metric that isolates garbage
+// collection efficiency from padding.
+func (g *Grid) OverallGCWA(p workload.Profile, v lss.VictimPolicy, policy string) float64 {
+	return g.overall(p, v, policy, func(r RunResult) int64 { return r.GCBlocks })
+}
+
+// overall is a suite's total traffic over its user traffic, where each
+// run adds extra(run) blocks to its user blocks.
+func (g *Grid) overall(p workload.Profile, v lss.VictimPolicy, policy string, extra func(RunResult) int64) float64 {
 	var user, total int64
 	for _, r := range g.Runs[p][v][policy] {
 		user += r.UserBlocks
-		total += r.UserBlocks + r.GCBlocks + r.ShadowBlocks + r.PaddingBlocks
+		total += r.UserBlocks + extra(r)
 	}
 	if user == 0 {
 		return 1
@@ -133,39 +140,23 @@ func (g *Grid) OverallWA(p workload.Profile, v lss.VictimPolicy, policy string) 
 	return float64(total) / float64(user)
 }
 
-// OverallGCWA aggregates the GC-only write amplification
-// ((user+GC)/user), the secondary metric that isolates garbage
-// collection efficiency from padding.
-func (g *Grid) OverallGCWA(p workload.Profile, v lss.VictimPolicy, policy string) float64 {
-	var user, gc int64
-	for _, r := range g.Runs[p][v][policy] {
-		user += r.UserBlocks
-		gc += r.GCBlocks
-	}
-	if user == 0 {
-		return 1
-	}
-	return float64(user+gc) / float64(user)
-}
-
 // VolumeWAs returns the per-volume padding-inclusive WA distribution
 // (the boxplots of Figure 8).
 func (g *Grid) VolumeWAs(p workload.Profile, v lss.VictimPolicy, policy string) []float64 {
-	runs := g.Runs[p][v][policy]
-	out := make([]float64, len(runs))
-	for i, r := range runs {
-		out[i] = r.EffectiveWA
-	}
-	return out
+	return g.perVolume(p, v, policy, func(r RunResult) float64 { return r.EffectiveWA })
 }
 
 // VolumePaddingRatios returns per-volume padding traffic ratios (the
 // CDFs of Figure 9).
 func (g *Grid) VolumePaddingRatios(p workload.Profile, v lss.VictimPolicy, policy string) []float64 {
+	return g.perVolume(p, v, policy, func(r RunResult) float64 { return r.PaddingRatio })
+}
+
+func (g *Grid) perVolume(p workload.Profile, v lss.VictimPolicy, policy string, f func(RunResult) float64) []float64 {
 	runs := g.Runs[p][v][policy]
 	out := make([]float64, len(runs))
 	for i, r := range runs {
-		out[i] = r.PaddingRatio
+		out[i] = f(r)
 	}
 	return out
 }

@@ -11,6 +11,8 @@ import (
 	"adapt/internal/adaptcore"
 	"adapt/internal/lss"
 	"adapt/internal/placement"
+	"adapt/internal/sim"
+	"adapt/internal/telemetry"
 	"adapt/internal/trace"
 	"adapt/internal/workload"
 )
@@ -132,26 +134,31 @@ type RunResult struct {
 	UserBlocks, GCBlocks, ShadowBlocks, PaddingBlocks int64
 	SegmentsReclaimed                                 int64
 	PerGroup                                          []lss.GroupMetrics
+	Latency                                           lss.LatencyStats
 }
 
-// RunTrace replays tr (already dense in [0, userBlocks)) through the
-// named policy and returns the traffic summary.
-func RunTrace(policy string, tr *trace.Trace, userBlocks int64, victim lss.VictimPolicy) (RunResult, error) {
-	cfg := StoreConfig(userBlocks, victim)
+// RunTrace replays tr (already dense in [0, cfg.UserBlocks)) through
+// the named policy on a store built from cfg and returns the traffic
+// summary. It is the one simulator run path: every trace-driven cell of
+// every experiment goes through it. deps, if given, is wired into the
+// store, and a telemetry set in it is attached to the policy as well.
+func RunTrace(policy string, tr *trace.Trace, cfg lss.Config, deps ...lss.Deps) (RunResult, error) {
 	pol, err := BuildPolicy(policy, cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	store := lss.New(cfg, pol)
+	store := lss.New(cfg, pol, deps...)
+	if p, ok := pol.(interface{ SetTelemetry(*telemetry.Set) }); ok && len(deps) > 0 && deps[0].Telemetry != nil {
+		p.SetTelemetry(deps[0].Telemetry)
+	}
 	if err := trace.Replay(store, tr); err != nil {
 		return RunResult{}, fmt.Errorf("policy %s: %w", policy, err)
 	}
+	// The store dies here, so the summary may keep its per-group slice.
 	m := store.Metrics()
-	pg := make([]lss.GroupMetrics, len(m.PerGroup))
-	copy(pg, m.PerGroup)
 	return RunResult{
 		Policy:            policy,
-		Victim:            victim,
+		Victim:            cfg.Victim,
 		Volume:            tr.Name,
 		WA:                m.WA(),
 		EffectiveWA:       m.EffectiveWA(),
@@ -161,7 +168,8 @@ func RunTrace(policy string, tr *trace.Trace, userBlocks int64, victim lss.Victi
 		ShadowBlocks:      m.ShadowBlocks,
 		PaddingBlocks:     m.PaddingBlocks,
 		SegmentsReclaimed: m.SegmentsReclaimed,
-		PerGroup:          pg,
+		PerGroup:          m.PerGroup,
+		Latency:           m.Latency,
 	}, nil
 }
 
@@ -174,5 +182,23 @@ func (sc Scale) Suite(p workload.Profile) []workload.Volume {
 		ScaleBlocks:     sc.VolumeBlocks,
 		OverwriteFactor: sc.OverwriteFactor,
 		Seed:            sc.Seed,
+	})
+}
+
+// mediumGap is Figure 11's medium access density, at which the
+// extensions replay YCSB-A.
+const mediumGap = 60 * sim.Microsecond
+
+// ycsb synthesizes the sensitivity experiments' YCSB-A trace: a dense
+// fill of YCSBBlocks, then YCSBWrites zipfian(theta) updates arriving at
+// the given mean gap.
+func (sc Scale) ycsb(theta float64, gap sim.Time) *trace.Trace {
+	return workload.Generate(workload.YCSBConfig{
+		Blocks:  sc.YCSBBlocks,
+		Writes:  sc.YCSBWrites,
+		Fill:    true,
+		Theta:   theta,
+		MeanGap: gap,
+		Seed:    sc.Seed,
 	})
 }

@@ -62,7 +62,7 @@ func TestRunTraceProducesSaneResult(t *testing.T) {
 	sc := tinyScale()
 	vol := sc.Suite(workload.ProfileAli)[0]
 	tr := vol.Generate()
-	res, err := RunTrace("sepgc", tr, vol.FootprintBlocks, lss.Greedy)
+	res, err := RunTrace("sepgc", tr, StoreConfig(vol.FootprintBlocks, lss.Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFig11RunsAllCells(t *testing.T) {
 	}
 	// Density monotonicity for a given policy: heavy traffic must not
 	// produce more padding than light traffic.
-	byKey := map[string]Fig11Cell{}
+	byKey := map[string]SweepCell{}
 	for _, c := range res.Density {
 		byKey[c.Policy+"/"+c.Setting] = c
 	}
@@ -215,6 +215,7 @@ func TestFig12SmallRun(t *testing.T) {
 	sc := tinyScale()
 	opts := Fig12Options{
 		ClientCounts:  []int{1, 2},
+		Blocks:        sc.YCSBBlocks / 4,
 		Ops:           8 << 10,
 		ServiceTime:   2 * time.Microsecond,
 		MemoryBlocks:  []int64{4 << 10, 16 << 10},

@@ -89,6 +89,16 @@ func DiffTrace(opt DiffOptions) *trace.Trace {
 	})
 }
 
+// span is the block range record r addresses at block size bs: its
+// first LBA and its block count, at least one (as trace.Replay reads it).
+func span(r *trace.Record, bs int64) (lba int64, blocks int) {
+	blocks = int((r.Size + bs - 1) / bs)
+	if blocks < 1 {
+		blocks = 1
+	}
+	return r.Offset / bs, blocks
+}
+
 // DiffResult summarizes one oracle-backed differential replay.
 type DiffResult struct {
 	Policy                  string
@@ -122,11 +132,7 @@ func DiffPolicy(policy string, tr *trace.Trace, opt DiffOptions) (DiffResult, er
 	degraded := false
 	for i := range tr.Records {
 		r := &tr.Records[i]
-		lba := r.Offset / bs
-		blocks := int((r.Size + bs - 1) / bs)
-		if blocks < 1 {
-			blocks = 1
-		}
+		lba, blocks := span(r, bs)
 		if r.Op == trace.OpRead {
 			o.Read(lba, blocks, r.Time)
 		} else if err := o.Write(lba, blocks, r.Time); err != nil {
@@ -208,23 +214,15 @@ func ReorderDisjointWrites(tr *trace.Trace, blockSize int64, seed uint64, swaps 
 		return out
 	}
 	rng := sim.NewRNG(seed)
-	blockSpan := func(r *trace.Record) (lo, hi int64) {
-		lo = r.Offset / blockSize
-		blocks := (r.Size + blockSize - 1) / blockSize
-		if blocks < 1 {
-			blocks = 1
-		}
-		return lo, lo + blocks
-	}
 	for k := 0; k < swaps; k++ {
 		i := int(rng.Uint64() % uint64(n-1))
 		a, b := &out.Records[i], &out.Records[i+1]
 		if a.Op != trace.OpWrite || b.Op != trace.OpWrite {
 			continue
 		}
-		alo, ahi := blockSpan(a)
-		blo, bhi := blockSpan(b)
-		if alo < bhi && blo < ahi {
+		alo, an := span(a, blockSize)
+		blo, bn := span(b, blockSize)
+		if alo < blo+int64(bn) && blo < alo+int64(an) {
 			continue // overlapping ranges do not commute
 		}
 		a.Offset, b.Offset = b.Offset, a.Offset
@@ -261,11 +259,7 @@ func VictimSequence(policy string, cfg lss.Config, tr *trace.Trace, degradeFrom,
 			}
 		}
 		r := &tr.Records[i]
-		lba := r.Offset / bs
-		blocks := int((r.Size + bs - 1) / bs)
-		if blocks < 1 {
-			blocks = 1
-		}
+		lba, blocks := span(r, bs)
 		if r.Op == trace.OpRead {
 			s.Read(lba, blocks, r.Time)
 			continue

@@ -17,9 +17,9 @@ import (
 // so the throughput curve isolates engine-lock contention from device
 // time (the modelled device is made essentially free).
 type ShardScaleOptions struct {
-	// Shards lists the shard counts to sweep (default 1, 2, 4).
+	// Shards lists the shard counts to sweep.
 	Shards []int
-	// Workers is the concurrent writer goroutine count (default 8).
+	// Workers is the concurrent writer goroutine count.
 	Workers int
 	// OpsPerWorker is single-block writes issued by each worker.
 	OpsPerWorker int
@@ -76,20 +76,9 @@ func (r ShardScaleResult) Render() string {
 // fixed concurrent writer fleet. Unlike the figure experiments this
 // measures wall-clock throughput, so results depend on the host's
 // core count; the qualitative claim is that throughput grows with
-// shards until it hits the core budget.
+// shards until it hits the core budget. opt is used as given: start
+// from DefaultShardScaleOptions.
 func ExpShardScale(sc Scale, opt ShardScaleOptions) (ShardScaleResult, error) {
-	if len(opt.Shards) == 0 {
-		opt.Shards = []int{1, 2, 4}
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = 8
-	}
-	if opt.OpsPerWorker <= 0 {
-		opt.OpsPerWorker = 16 << 10
-	}
-	if opt.UserBlocks <= 0 {
-		opt.UserBlocks = sc.YCSBBlocks
-	}
 	res := ShardScaleResult{Workers: opt.Workers}
 	cfg := StoreConfig(opt.UserBlocks, lss.Greedy)
 	for _, shards := range opt.Shards {

@@ -2,14 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"adapt/internal/ftl"
 	"adapt/internal/lss"
-	"adapt/internal/sim"
 	"adapt/internal/stats"
-	"adapt/internal/trace"
-	"adapt/internal/workload"
 )
 
 // StreamsRow reports the in-device write amplification of one policy
@@ -28,67 +24,42 @@ type StreamsRow struct {
 // locations, so segment reuse produces page invalidations exactly as
 // the real device would see them.
 func ExpStreams(sc Scale, policies []string) ([]StreamsRow, error) {
+	tr := sc.ycsb(0.99, mediumGap)
+	cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
+	segPages := int64(cfg.SegmentBlocks())
 	rows := make([]StreamsRow, 0, len(policies))
 	for _, polName := range policies {
-		waOf := func(multi bool) (float64, error) {
-			cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
-			pol, err := BuildPolicy(polName, cfg)
-			if err != nil {
-				return 0, err
-			}
-			store := lss.New(cfg, pol)
-			segPages := int64(cfg.SegmentBlocks())
-			streams := 1
-			if multi {
-				streams = pol.Groups()
-			}
+		// The policy's group count sizes the device and its streams.
+		pol, err := BuildPolicy(polName, cfg)
+		if err != nil {
+			return nil, err
+		}
+		waOf := func(streams int) (float64, error) {
 			dev := ftl.NewDevice(ftl.Config{
-				UserPages:     int64(store.TotalSegments()) * segPages,
+				UserPages:     int64(cfg.TotalSegments(pol.Groups())) * segPages,
 				PagesPerBlock: 256,
 				OverProvision: 0.07,
 				Streams:       streams,
 			})
 			var sinkErr error
-			store.Reconfigure(func(r *lss.Runtime) {
-				r.Sink = func(w lss.ChunkWrite) {
-					base := int64(w.Segment)*segPages + int64(w.Chunk)*int64(cfg.ChunkBlocks)
-					for p := int64(0); p < int64(cfg.ChunkBlocks); p++ {
-						if err := dev.Write(base+p, int(w.Group)); err != nil && sinkErr == nil {
-							sinkErr = err
-						}
+			sink := func(w lss.ChunkWrite) {
+				base := int64(w.Segment)*segPages + int64(w.Chunk)*int64(cfg.ChunkBlocks)
+				for p := int64(0); p < int64(cfg.ChunkBlocks); p++ {
+					if err := dev.Write(base+p, int(w.Group)); err != nil && sinkErr == nil {
+						sinkErr = err
 					}
 				}
-			})
-			tr := workload.Generate(workload.YCSBConfig{
-				Blocks:  sc.YCSBBlocks,
-				Writes:  sc.YCSBWrites,
-				Fill:    true,
-				Theta:   0.99,
-				MeanGap: 60 * sim.Microsecond,
-				Seed:    sc.Seed,
-			})
-			for i := range tr.Records {
-				r := &tr.Records[i]
-				if r.Op != trace.OpWrite {
-					continue
-				}
-				lba := r.Offset / int64(cfg.BlockSize)
-				blocks := int((r.Size + int64(cfg.BlockSize) - 1) / int64(cfg.BlockSize))
-				if err := store.Write(lba, blocks, r.Time); err != nil {
-					return 0, err
-				}
 			}
-			store.Drain(store.Now() + sim.Second)
-			if sinkErr != nil {
-				return 0, sinkErr
+			if _, err := RunTrace(polName, tr, cfg, lss.Deps{Sink: sink}); err != nil {
+				return 0, err
 			}
-			return dev.Metrics().WA(), nil
+			return dev.Metrics().WA(), sinkErr
 		}
-		single, err := waOf(false)
+		single, err := waOf(1)
 		if err != nil {
 			return nil, fmt.Errorf("streams %s single: %w", polName, err)
 		}
-		multi, err := waOf(true)
+		multi, err := waOf(pol.Groups())
 		if err != nil {
 			return nil, fmt.Errorf("streams %s multi: %w", polName, err)
 		}
@@ -103,12 +74,9 @@ func ExpStreams(sc Scale, policies []string) ([]StreamsRow, error) {
 
 // RenderStreams prints the multi-stream experiment table.
 func RenderStreams(rows []StreamsRow) string {
-	var b strings.Builder
-	b.WriteString("Extension — in-device WA with group→stream mapping (§3.1)\n")
 	tb := stats.NewTable("policy", "singleStreamWA", "multiStreamWA", "reduction%")
 	for _, r := range rows {
 		tb.AddRow(r.Policy, r.SingleWA, r.MultiWA, r.ReductionPct)
 	}
-	b.WriteString(tb.String())
-	return b.String()
+	return "Extension — in-device WA with group→stream mapping (§3.1)\n" + tb.String()
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"adapt/internal/loadgen"
-	"adapt/internal/serve"
-	"adapt/internal/server"
 	"adapt/internal/sim"
 	"adapt/internal/stats"
 	"adapt/internal/telemetry"
@@ -90,13 +88,7 @@ func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow
 	// write-heavy window can exceed the default 4096 and evictions
 	// would silently drop attribution for early ops.
 	ts := telemetry.New(telemetry.Options{EventCapacity: 1 << 16})
-	st, err := serve.Build(serve.Config{
-		Engine: opts.filledEngine(polName, ts),
-		Server: server.Config{
-			Volumes: opts.Tenants,
-			Trace:   server.TraceConfig{Enabled: true},
-		},
-	})
+	st, err := opts.build(polName, ts, nil)
 	if err != nil {
 		return TailTraceRow{}, err
 	}

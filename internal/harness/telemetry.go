@@ -8,8 +8,6 @@ import (
 	"adapt/internal/lss"
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
-	"adapt/internal/trace"
-	"adapt/internal/workload"
 )
 
 // TelemetryRun replays the YCSB-A sensitivity workload (medium
@@ -18,46 +16,10 @@ import (
 // recorder windows on trace time; the tracer holds the tail of the
 // GC/flush/padding event stream.
 func TelemetryRun(sc Scale, policy string, opts telemetry.Options) (*telemetry.Set, RunResult, error) {
-	tr := workload.Generate(workload.YCSBConfig{
-		Blocks:  sc.YCSBBlocks,
-		Writes:  sc.YCSBWrites,
-		Fill:    true,
-		Theta:   0.99,
-		MeanGap: 60 * sim.Microsecond,
-		Seed:    sc.Seed,
-	})
-	cfg := StoreConfig(sc.YCSBBlocks, lss.Greedy)
-	pol, err := BuildPolicy(policy, cfg)
-	if err != nil {
-		return nil, RunResult{}, err
-	}
 	ts := telemetry.New(opts)
-	store := lss.New(cfg, pol, lss.Deps{Telemetry: ts})
-	if p, ok := pol.(interface {
-		SetTelemetry(*telemetry.Set)
-	}); ok {
-		p.SetTelemetry(ts)
-	}
-	if err := trace.Replay(store, tr); err != nil {
-		return nil, RunResult{}, fmt.Errorf("telemetry run %s: %w", policy, err)
-	}
-	m := store.Metrics()
-	pg := make([]lss.GroupMetrics, len(m.PerGroup))
-	copy(pg, m.PerGroup)
-	return ts, RunResult{
-		Policy:            policy,
-		Victim:            lss.Greedy,
-		Volume:            tr.Name,
-		WA:                m.WA(),
-		EffectiveWA:       m.EffectiveWA(),
-		PaddingRatio:      m.PaddingRatio(),
-		UserBlocks:        m.UserBlocks,
-		GCBlocks:          m.GCBlocks,
-		ShadowBlocks:      m.ShadowBlocks,
-		PaddingBlocks:     m.PaddingBlocks,
-		SegmentsReclaimed: m.SegmentsReclaimed,
-		PerGroup:          pg,
-	}, nil
+	res, err := RunTrace(policy, sc.ycsb(0.99, mediumGap), StoreConfig(sc.YCSBBlocks, lss.Greedy),
+		lss.Deps{Telemetry: ts})
+	return ts, res, err
 }
 
 // RenderWindows renders a time-series table from recorder windows (or

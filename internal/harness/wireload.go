@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"adapt/internal/gcsched"
 	"adapt/internal/loadgen"
 	"adapt/internal/lss"
 	"adapt/internal/prototype"
@@ -31,21 +32,28 @@ type LiveLoad struct {
 	ServiceTime time.Duration
 }
 
-// filledEngine is the engine the experiments serve: one pre-filled
-// shard of the named policy.
-func (l LiveLoad) filledEngine(polName string, ts *telemetry.Set) prototype.ShardedConfig {
-	return prototype.ShardedConfig{
-		Engine: prototype.EngineConfig{
-			Store:       StoreConfig(l.Blocks, 0),
-			ServiceTime: l.ServiceTime,
-			Fill:        true,
-			Telemetry:   ts,
+// build assembles the stack the experiments serve: one pre-filled
+// shard of the named policy behind a traced server with one volume per
+// tenant, GC paced by gc when it is non-nil. Both experiments trace, so
+// gcsched's sync baseline carries the same instrumentation overhead as
+// the paced run it is compared to.
+func (l LiveLoad) build(polName string, ts *telemetry.Set, gc *gcsched.Config) (*serve.Stack, error) {
+	return serve.Build(serve.Config{
+		Engine: prototype.ShardedConfig{
+			Engine: prototype.EngineConfig{
+				Store:       StoreConfig(l.Blocks, 0),
+				ServiceTime: l.ServiceTime,
+				Fill:        true,
+				Telemetry:   ts,
+			},
+			Shards: 1,
+			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+				return BuildPolicy(polName, scfg)
+			},
 		},
-		Shards: 1,
-		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-			return BuildPolicy(polName, scfg)
-		},
-	}
+		Server: server.Config{Volumes: l.Tenants, Trace: server.TraceConfig{Enabled: true}},
+		GC:     gc,
+	})
 }
 
 // run serves the stack on a loopback port and drives the load against

@@ -97,6 +97,30 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Image is a store's durable state, decoded from a WriteCheckpoint
+// stream or rebuilt from a segment log (internal/segfile): the clock
+// floors and every segment's flushed slots. RecoverImage validates it
+// and rolls it forward into a live store.
+type Image struct {
+	W         sim.WriteClock
+	AppendSeq int64
+	Now       sim.Time
+	// Segments holds one entry per segment id; the zero value is a free
+	// segment.
+	Segments []SegmentImage
+}
+
+// SegmentImage is one segment's durable state. LBAs and Versions are
+// its flushed slots in the store's slot encoding (see DecodeSlot): a
+// sealed segment's every slot, an open segment's whole flushed chunks.
+type SegmentImage struct {
+	State         SegmentState
+	Group         GroupID
+	Born, SealedW sim.WriteClock
+	LBAs          []int64
+	Versions      []int64
+}
+
 // Recover rebuilds a store from a checkpoint written by
 // WriteCheckpoint. cfg and policy must match the original geometry
 // (the policy's own state is rebuilt cold, as after any restart).
@@ -105,16 +129,41 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 // telemetry set observes the recovered-segment counters.
 func Recover(r io.Reader, cfg Config, p Policy, deps ...Deps) (*Store, error) {
 	s := New(cfg, p)
+	img, err := s.decodeCheckpoint(r)
+	if err != nil {
+		return nil, err
+	}
+	return s.recover(img, deps)
+}
+
+// RecoverImage rebuilds a store from img, as Recover does from a
+// checkpoint stream: cfg and p must match the geometry and group count
+// the image was taken with, and deps is wired in after the rebuild.
+func RecoverImage(img Image, cfg Config, p Policy, deps ...Deps) (*Store, error) {
+	return New(cfg, p).recover(img, deps)
+}
+
+// decodeCheckpoint parses a WriteCheckpoint stream, holding its geometry
+// fingerprint against s, which bounds every allocation.
+func (s *Store) decodeCheckpoint(r io.Reader) (Image, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(ckptMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		return Image{}, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	if string(head) != string(ckptMagic) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, head)
+		return Image{}, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, head)
 	}
-	getU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	getI := func() (int64, error) { return binary.ReadVarint(br) }
+	// getU reads one uvarint field; the first failed read is kept, named
+	// by its field, and reported once the caller checks rerr.
+	var rerr error
+	getU := func(field string, a ...any) uint64 {
+		v, err := binary.ReadUvarint(br)
+		if err != nil && rerr == nil {
+			rerr = fmt.Errorf("%w: %s: %v", ErrBadCheckpoint, fmt.Sprintf(field, a...), err)
+		}
+		return v
+	}
 
 	want := []uint64{
 		uint64(s.cfg.BlockSize), uint64(s.cfg.ChunkBlocks),
@@ -123,92 +172,100 @@ func Recover(r io.Reader, cfg Config, p Policy, deps ...Deps) (*Store, error) {
 	}
 	names := []string{"block size", "chunk blocks", "segment chunks", "user blocks", "segments", "groups"}
 	for i, w := range want {
-		got, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: geometry: %v", ErrBadCheckpoint, err)
+		got := getU("geometry")
+		if rerr != nil {
+			return Image{}, rerr
 		}
 		if got != w {
-			return nil, fmt.Errorf("%w: %s %d, store built with %d", ErrBadCheckpoint, names[i], got, w)
+			return Image{}, fmt.Errorf("%w: %s %d, store built with %d", ErrBadCheckpoint, names[i], got, w)
 		}
 	}
-	wclock, err := getU()
-	if err != nil {
-		return nil, fmt.Errorf("%w: write clock: %v", ErrBadCheckpoint, err)
+	img := Image{
+		W:         sim.WriteClock(getU("write clock")),
+		AppendSeq: int64(getU("append seq")),
+		Now:       sim.Time(getU("clock")),
+		Segments:  make([]SegmentImage, len(s.segments)),
 	}
-	seq, err := getU()
-	if err != nil {
-		return nil, fmt.Errorf("%w: append seq: %v", ErrBadCheckpoint, err)
-	}
-	now, err := getU()
-	if err != nil {
-		return nil, fmt.Errorf("%w: clock: %v", ErrBadCheckpoint, err)
-	}
-	s.w = sim.WriteClock(wclock)
-	s.appendSeq = int64(seq)
-	s.now = sim.Time(now)
-
-	s.free = s.free[:0]
-	bestVer := make([]int64, cfg.UserBlocks)
-	for _, seg := range s.segments {
-		st, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d state: %v", ErrBadCheckpoint, seg.id, err)
+	for id := range img.Segments {
+		if rerr != nil {
+			return Image{}, rerr
 		}
-		grp, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d group: %v", ErrBadCheckpoint, seg.id, err)
-		}
-		born, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d born: %v", ErrBadCheckpoint, seg.id, err)
-		}
-		sealedW, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d sealedW: %v", ErrBadCheckpoint, seg.id, err)
-		}
-		flushed, err := getU()
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment %d flushed: %v", ErrBadCheckpoint, seg.id, err)
+		si := &img.Segments[id]
+		si.State = SegmentState(getU("segment %d state", id))
+		si.Group = GroupID(getU("segment %d group", id))
+		si.Born = sim.WriteClock(getU("segment %d born", id))
+		si.SealedW = sim.WriteClock(getU("segment %d sealedW", id))
+		flushed := getU("segment %d flushed", id)
+		if rerr != nil {
+			return Image{}, rerr
 		}
 		if flushed > uint64(s.segBlocks) {
+			return Image{}, fmt.Errorf("%w: segment %d flushed %d > %d", ErrBadCheckpoint, id, flushed, s.segBlocks)
+		}
+		si.LBAs, si.Versions = make([]int64, flushed), make([]int64, flushed)
+		for i := range si.LBAs {
+			var err error
+			if si.LBAs[i], err = binary.ReadVarint(br); err != nil {
+				return Image{}, fmt.Errorf("%w: segment %d slot %d: %v", ErrBadCheckpoint, id, i, err)
+			}
+			if si.Versions[i], err = binary.ReadVarint(br); err != nil {
+				return Image{}, fmt.Errorf("%w: segment %d ver %d: %v", ErrBadCheckpoint, id, i, err)
+			}
+		}
+	}
+	return img, rerr
+}
+
+// recover validates img against s's geometry, installs it and rolls the
+// mapping forward: for each block, the durable copy with the highest
+// append version wins.
+func (s *Store) recover(img Image, deps []Deps) (*Store, error) {
+	if len(img.Segments) != len(s.segments) {
+		return nil, fmt.Errorf("%w: segments %d, store built with %d", ErrBadCheckpoint, len(img.Segments), len(s.segments))
+	}
+	s.w = img.W
+	s.appendSeq = img.AppendSeq
+	s.now = img.Now
+
+	s.free = s.free[:0]
+	bestVer := make([]int64, s.cfg.UserBlocks)
+	for _, seg := range s.segments {
+		si := &img.Segments[seg.id]
+		flushed := len(si.LBAs)
+		if flushed > s.segBlocks {
 			return nil, fmt.Errorf("%w: segment %d flushed %d > %d", ErrBadCheckpoint, seg.id, flushed, s.segBlocks)
 		}
-		if segState(st) > segSealed || int(grp) >= len(s.groups) {
+		if len(si.Versions) != flushed {
+			return nil, fmt.Errorf("%w: segment %d has %d versions for %d slots", ErrBadCheckpoint, seg.id, len(si.Versions), flushed)
+		}
+		if si.State > SegmentSealed || si.Group < 0 || int(si.Group) >= len(s.groups) {
 			return nil, fmt.Errorf("%w: segment %d state/group out of range", ErrBadCheckpoint, seg.id)
 		}
-		if segState(st) == segOpen && int(flushed)%s.chunkBlocks != 0 {
+		if si.State == SegmentOpen && flushed%s.chunkBlocks != 0 {
 			// WriteCheckpoint truncates open segments to the flushed-chunk
 			// boundary; a ragged count would corrupt chunk accounting on
 			// the next append.
 			return nil, fmt.Errorf("%w: open segment %d flushed %d not chunk-aligned", ErrBadCheckpoint, seg.id, flushed)
 		}
-		if segState(st) == segSealed && int(flushed) != s.segBlocks {
+		if si.State == SegmentSealed && flushed != s.segBlocks {
 			// Segments seal only when full; a short sealed segment would
 			// sit in the GC candidate set with slots that never existed.
 			return nil, fmt.Errorf("%w: sealed segment %d has %d/%d slots", ErrBadCheckpoint, seg.id, flushed, s.segBlocks)
 		}
-		seg.state = segState(st)
-		seg.group = GroupID(grp)
-		seg.born = sim.WriteClock(born)
-		seg.sealedW = sim.WriteClock(sealedW)
-		seg.written = int(flushed)
+		seg.state = segState(si.State)
+		seg.group = si.Group
+		seg.born = si.Born
+		seg.sealedW = si.SealedW
+		seg.written = flushed
 		seg.valid = 0
-		for i := 0; i < int(flushed); i++ {
-			v, err := getI()
-			if err != nil {
-				return nil, fmt.Errorf("%w: segment %d slot %d: %v", ErrBadCheckpoint, seg.id, i, err)
-			}
-			ver, err := getI()
-			if err != nil {
-				return nil, fmt.Errorf("%w: segment %d ver %d: %v", ErrBadCheckpoint, seg.id, i, err)
-			}
-			seg.lbas[i] = v
-			seg.vers[i] = ver
+		copy(seg.lbas, si.LBAs)
+		copy(seg.vers, si.Versions)
+		for i, v := range si.LBAs {
 			lba, ok := decodeSlot(v)
 			if !ok {
 				continue
 			}
-			if lba < 0 || lba >= cfg.UserBlocks {
+			if lba < 0 || lba >= s.cfg.UserBlocks {
 				return nil, fmt.Errorf("%w: segment %d slot %d lba %d out of range", ErrBadCheckpoint, seg.id, i, lba)
 			}
 			if seg.state == segFree {
@@ -220,7 +277,7 @@ func Recover(r io.Reader, cfg Config, p Policy, deps ...Deps) (*Store, error) {
 				continue
 			}
 			// Roll-forward: the highest-versioned durable copy wins.
-			if ver > bestVer[lba] {
+			if ver := si.Versions[i]; ver > bestVer[lba] {
 				if old := s.mapping[lba]; old >= 0 {
 					s.segments[old/int64(s.segBlocks)].valid--
 				}

@@ -2,6 +2,7 @@ package lss
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -256,5 +257,78 @@ func TestRecoveredStoreMatchesReplayWA(t *testing.T) {
 	}
 	if err := rec.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverImageValidates: an Image that did not come from a
+// checkpoint stream gets the same validation, and a decoded stream
+// recovers the same store through RecoverImage as through Recover.
+func TestRecoverImageValidates(t *testing.T) {
+	cfg := smallConfig()
+	s := New(cfg, twoGroup{})
+	now := sim.Time(0)
+	for i := 0; i < 5000; i++ {
+		now += 20 * sim.Microsecond
+		if err := s.WriteBlock(int64(i*7)%cfg.UserBlocks, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Drain(now + sim.Second)
+	var buf bytes.Buffer
+	if err := s.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img, err := New(cfg, twoGroup{}).decodeCheckpoint(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaImage, err := RecoverImage(img, cfg, twoGroup{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaStream, err := Recover(&buf, cfg, twoGroup{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := viaImage.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for lba := int64(0); lba < cfg.UserBlocks; lba++ {
+		if a, b := viaImage.mapping[lba], viaStream.mapping[lba]; a != b {
+			t.Fatalf("lba %d: image maps %d, stream maps %d", lba, a, b)
+		}
+	}
+
+	sealed := -1
+	for id, si := range img.Segments {
+		if si.State == SegmentSealed {
+			sealed = id
+			break
+		}
+	}
+	if sealed < 0 {
+		t.Fatal("workload sealed no segment")
+	}
+	for name, corrupt := range map[string]func(*Image){
+		"segment count":  func(im *Image) { im.Segments = im.Segments[1:] },
+		"versions":       func(im *Image) { im.Segments[sealed].Versions = im.Segments[sealed].Versions[1:] },
+		"negative group": func(im *Image) { im.Segments[sealed].Group = -1 },
+		"short sealed": func(im *Image) {
+			si := &im.Segments[sealed]
+			si.LBAs, si.Versions = si.LBAs[1:], si.Versions[1:]
+		},
+		"lba range": func(im *Image) { im.Segments[sealed].LBAs[0] = cfg.UserBlocks },
+	} {
+		bad := img
+		bad.Segments = make([]SegmentImage, len(img.Segments))
+		for i, si := range img.Segments {
+			si.LBAs = append([]int64(nil), si.LBAs...)
+			si.Versions = append([]int64(nil), si.Versions...)
+			bad.Segments[i] = si
+		}
+		corrupt(&bad)
+		if _, err := RecoverImage(bad, cfg, twoGroup{}); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: got %v, want ErrBadCheckpoint", name, err)
+		}
 	}
 }

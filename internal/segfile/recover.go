@@ -1,20 +1,19 @@
 package segfile
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"adapt/internal/lss"
+	"adapt/internal/sim"
 )
 
 // Recovery: the directory scan (done in Open) produced one segImage
 // per surviving segment file. Recover validates each image against the
 // configured geometry, degrades what a crash could legitimately leave
-// behind (an unsealed-but-full segment, a torn open tail), synthesizes
-// an lss checkpoint stream from the result, and lets the store's own
-// Recover do the roll-forward — so the on-disk log and the in-memory
-// checkpoint share one recovery semantics, and the crash oracle
+// behind (an unsealed-but-full segment, a torn open tail), fills an
+// lss.Image from the result, and lets lss.RecoverImage validate it and
+// do the roll-forward — so the on-disk log and the in-memory checkpoint
+// share one recovery semantics, and the crash oracle
 // (checker.CompareRecovered) applies to both unchanged.
 
 // RecoveryStats reports what Recover rolled forward.
@@ -36,18 +35,6 @@ type RecoveryStats struct {
 	CheckpointLoaded bool
 }
 
-// lssCkptMagic is lss.WriteCheckpoint's stream magic; the synthesized
-// image must carry it. Kept in sync by the segfile round-trip tests.
-var lssCkptMagic = []byte("ADPTCK01")
-
-// Segment states in the lss checkpoint stream (lss's private segState
-// iota order, guarded by the round-trip tests).
-const (
-	stateFree   = 0
-	stateOpen   = 1
-	stateSealed = 2
-)
-
 // Recover rebuilds a live lss.Store from the scanned directory. cfg
 // and p must match the geometry and group count the directory was
 // written with. deps is wired into the recovered store; callers that
@@ -57,12 +44,10 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 	if p == nil {
 		return nil, stats, fmt.Errorf("segfile: recover: nil policy")
 	}
-	groups := p.Groups()
-	total := cfg.TotalSegments(groups)
+	total := cfg.TotalSegments(p.Groups())
 	eff := cfg.GeometryDefaults()
 	chunkBlocks := eff.ChunkBlocks
 	segChunks := eff.SegmentChunks
-	segBlocks := chunkBlocks * segChunks
 
 	if st.ckpt != nil {
 		stats.CheckpointLoaded = true
@@ -85,12 +70,7 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 	if st.ckpt != nil {
 		maxW, maxSeq, maxNow = st.ckpt.w, st.ckpt.appendSeq, st.ckpt.now
 	}
-	type segPlan struct {
-		img    *segImage
-		state  int
-		chunks int
-	}
-	plans := make([]segPlan, total)
+	segs := make([]lss.SegmentImage, total)
 	for id, img := range st.images {
 		if id < 0 || id >= total {
 			// A segment id the configured store cannot hold: with the
@@ -140,15 +120,17 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 			}
 			entry.off = img.sealOff
 			entry.sealed = false
-			img.sealed = false
 		}
-		state := stateOpen
+		seg := lss.SegmentImage{
+			State: lss.SegmentOpen,
+			Group: lss.GroupID(img.header.group),
+			Born:  sim.WriteClock(img.header.born),
+		}
 		if sealed {
-			state = stateSealed
+			seg.State, seg.SealedW = lss.SegmentSealed, sim.WriteClock(img.sealedW)
 			stats.SealedSegments++
 		}
 		stats.Segments++
-		plans[id] = segPlan{img: img, state: state, chunks: keep}
 
 		if img.header.born > maxW {
 			maxW = img.header.born
@@ -168,65 +150,20 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 					maxSeq = uint64(v)
 				}
 			}
+			seg.LBAs = append(seg.LBAs, c.lbas...)
+			seg.Versions = append(seg.Versions, c.vers...)
 		}
+		segs[id] = seg
 	}
 
-	// Synthesize the lss checkpoint stream.
-	buf := bytes.NewBuffer(nil)
-	buf.Write(lssCkptMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putI := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putU(uint64(eff.BlockSize))
-	putU(uint64(eff.ChunkBlocks))
-	putU(uint64(eff.SegmentChunks))
-	putU(uint64(eff.UserBlocks))
-	putU(uint64(total))
-	putU(uint64(groups))
-	putU(maxW)
-	putU(maxSeq)
-	putU(maxNow)
-	for id := 0; id < total; id++ {
-		pl := plans[id]
-		if pl.img == nil {
-			putU(stateFree)
-			putU(0) // group
-			putU(0) // born
-			putU(0) // sealedW
-			putU(0) // flushed
-			continue
-		}
-		putU(uint64(pl.state))
-		putU(uint64(pl.img.header.group))
-		putU(pl.img.header.born)
-		if pl.state == stateSealed {
-			putU(pl.img.sealedW)
-		} else {
-			putU(0)
-		}
-		putU(uint64(pl.chunks * chunkBlocks))
-		for _, c := range pl.img.chunks {
-			for i := range c.lbas {
-				putI(c.lbas[i])
-				putI(c.vers[i])
-			}
-		}
-	}
-
-	store, err := lss.Recover(buf, cfg, p, deps...)
+	store, err := lss.RecoverImage(lss.Image{
+		W:         sim.WriteClock(maxW),
+		AppendSeq: int64(maxSeq),
+		Now:       sim.Time(maxNow),
+		Segments:  segs,
+	}, cfg, p, deps...)
 	if err != nil {
 		return nil, stats, fmt.Errorf("segfile: recover: %w", err)
-	}
-	if store.TotalSegments() != total || store.Config().SegmentBlocks() != segBlocks {
-		// Defensive: the synthesized image and the built store must
-		// agree or every later id-based append is misdirected.
-		return nil, stats, fmt.Errorf("segfile: recover: store geometry drifted from synthesized image")
 	}
 	stats.Blocks = store.LiveBlocks()
 	stats.TornRecords += int(st.tornRecords.Load())
