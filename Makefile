@@ -63,7 +63,8 @@ race:
 ## simulator Recorder there, no lockAll; that the server reads request
 ## frames only into bufpool buffers, never through package wire; and
 ## that writes reach the engine one way: group commit (WriteBatchTimed),
-## no unbatched flag, no direct WriteTimed.
+## no unbatched flag, no direct WriteTimed; and that the server sets no
+## aggregation deadline of its own: no gather, no -batch-us.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
@@ -86,6 +87,11 @@ race-sharded:
 	fi
 	@if ls internal/server/*.go internal/server/wire/*.go | grep -v _test.go | xargs grep -nE 'FlagNoBatch|noBatch|\.WriteTimed\('; then \
 		echo "race-sharded FAIL: non-test internal/server has a second write path — writes reach the engine only through group commit (WriteBatchTimed)"; \
+		exit 1; \
+	fi
+	@if ls internal/server/*.go | grep -v _test.go | xargs grep -nE 'quiesceYields|gather\(|flushGen|BatchTimeout' || \
+		ls cmd/adaptserve/*.go | grep -v _test.go | xargs grep -nF 'batch-us'; then \
+		echo "race-sharded FAIL: the server grew a second aggregation deadline — a group commit is what arrived during the last one, and the store's SLA window is the only deadline"; \
 		exit 1; \
 	fi
 	@for pat in 'Recorder' 'lockAll'; do \

@@ -61,7 +61,6 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices")
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
-	batchUS := fs.Int("batch-us", 0, "group-commit deadline in microseconds (0: the store's SLA window)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")
 	serviceUS := fs.Int("service-us", 50, "modelled device time per chunk write in microseconds")
 	trace := fs.Bool("trace", true, "per-request tracing with tail-latency attribution (/debug/trace)")
@@ -84,6 +83,17 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	}
 	if *volumes < 1 {
 		return fail("-volumes must be at least 1, got %d", *volumes)
+	}
+	if *userBlocks < 1 {
+		return fail("-user-blocks must be at least 1, got %d", *userBlocks)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"max-inflight", *maxInflight}, {"service-us", *serviceUS}} {
+		if f.v < 0 {
+			return fail("-%s must be non-negative, got %d", f.name, f.v)
+		}
 	}
 	if *nbdMaxReqKiB < 0 {
 		return fail("-nbd-max-req-kib must be non-negative, got %d", *nbdMaxReqKiB)
@@ -113,9 +123,8 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 			},
 		},
 		Server: server.Config{
-			Volumes:      *volumes,
-			MaxInflight:  *maxInflight,
-			BatchTimeout: time.Duration(*batchUS) * time.Microsecond,
+			Volumes:     *volumes,
+			MaxInflight: *maxInflight,
 			Trace: server.TraceConfig{
 				Enabled:   *trace,
 				Threshold: time.Duration(*traceThreshUS) * time.Microsecond,

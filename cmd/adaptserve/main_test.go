@@ -69,12 +69,12 @@ func TestConfigFromFlags(t *testing.T) {
 			}},
 		{"engine and server knobs",
 			[]string{"-policy", "sepgc", "-victim", "cost-benefit", "-user-blocks", "4096", "-service-us", "1",
-				"-batch-us", "1000", "-max-inflight", "8", "-trace=false", "-trace-threshold-us", "250"},
+				"-max-inflight", "8", "-trace=false", "-trace-threshold-us", "250"},
 			func(c *serve.Config, l *listen) {
 				c.Engine.Engine.Store.UserBlocks, c.Engine.Engine.Store.SegmentChunks = 4096, 2
 				c.Engine.Engine.Store.Victim = lss.CostBenefit
 				c.Engine.Engine.ServiceTime = time.Microsecond
-				c.Server.BatchTimeout, c.Server.MaxInflight = time.Millisecond, 8
+				c.Server.MaxInflight = 8
 				c.Server.Trace = server.TraceConfig{Threshold: 250 * time.Microsecond}
 				l.policy = "sepgc"
 			}},
@@ -150,6 +150,11 @@ func TestConfigFromFlagsUsageErrors(t *testing.T) {
 		want string
 	}{
 		{[]string{"-volumes", "0"}, "-volumes must be at least 1, got 0"},
+		{[]string{"-user-blocks", "0"}, "-user-blocks must be at least 1, got 0"},
+		{[]string{"-user-blocks", "-8"}, "-user-blocks must be at least 1, got -8"},
+		{[]string{"-shards", "-1"}, "-shards must be non-negative, got -1"},
+		{[]string{"-max-inflight", "-1"}, "-max-inflight must be non-negative, got -1"},
+		{[]string{"-service-us", "-1"}, "-service-us must be non-negative, got -1"},
 		{[]string{"-victim", "oldest"}, `unknown victim policy "oldest"`},
 		{[]string{"-policy", "fifo"}, "fifo"},
 		{[]string{"-data-dir", "/d", "-durable-sync", "never"}, `unknown -durable-sync "never" (want always|seal)`},

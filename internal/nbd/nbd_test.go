@@ -84,10 +84,9 @@ func newStack(t testing.TB, sc stackConfig) *stack {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Engine:       eng,
-		Volumes:      sc.volumes,
-		BatchTimeout: time.Millisecond,
-		Trace:        server.TraceConfig{Enabled: sc.trace},
+		Engine:  eng,
+		Volumes: sc.volumes,
+		Trace:   server.TraceConfig{Enabled: sc.trace},
 	})
 	if err != nil {
 		eng.Close()

@@ -278,16 +278,16 @@ func (s *Server) trimCore(vol *volume, lba int64, blocks int, sp *telemetry.Span
 	return err
 }
 
-// flushCore is the flush barrier shared by every frontend: force every
-// committer (a volume's writes can land on any shard's committer),
-// then fsync the volume's backing file.
+// flushCore is the flush barrier shared by every frontend: wait out
+// every committer (a volume's writes can land on any shard's
+// committer), then fsync the volume's backing file.
 func (s *Server) flushCore(vol *volume, sp *telemetry.Span) error {
 	vol.flushes.Add(1)
 	for _, c := range s.committers {
 		c.flush()
 	}
 	if sp != nil {
-		// FLUSH waits out the forced group commit; charge it to the
+		// FLUSH waits out the group commits in flight; charge it to the
 		// batch stage.
 		sp.MarkAt(telemetry.StageBatch, s.eng.Now())
 	}

@@ -2,8 +2,8 @@ package server
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"adapt/internal/prototype"
 	"adapt/internal/telemetry"
@@ -22,50 +22,46 @@ type commitReq struct {
 	done    func(err error)
 }
 
-// shardCommitter coalesces writes bound for one engine shard into
-// chunk-aligned group commits with a lock-free leader/follower
-// protocol: writers CAS their request onto the writer list and return;
-// the writer whose push found the list empty becomes the leader,
-// gathers until the batch fills a chunk (or the deadline/quiesce
-// heuristics fire), claims the whole list with one atomic swap, and
-// commits it under a single engine lock acquisition. Followers never
-// touch the engine lock — they park in their connection's response
-// path until the leader's done callback acks them.
+// shardCommitter coalesces writes bound for one engine shard into group
+// commits with a lock-free leader/follower protocol: writers CAS their
+// request onto the writer list and return; the writer whose push found
+// the list empty becomes the leader. The leader takes the shard's
+// commit slot, claims the whole list with one atomic swap and commits
+// it under a single engine lock acquisition. Followers never touch the
+// engine lock — they park in their connection's response path until the
+// leader's done callback acks them.
 //
-// The invariant is that a non-empty list always has exactly one
-// leader responsible for it: a pusher that finds the list empty spawns
-// the leader, and the leader's claiming swap empties the list, so the
-// next pusher spawns the next leader. Two leaders can overlap (one
-// committing its claimed list while the next gathers), but they own
-// disjoint requests and the shard's engine lock serializes the actual
-// commits.
-//
-// Group sizing mirrors the paper's SLA-driven padding deadline, as the
-// channel batcher before it did: a full chunk commits immediately, a
-// partial batch commits small when the submission stream quiesces or
-// the deadline passes, and the store pads what never fills.
+// There is no gather: a group is whatever joined the list while the
+// previous group held the slot, so batch size follows load. The leader
+// spawned by the first write after a claim waits on the slot; the
+// writes behind it find the list non-empty and spawn no one, so at most
+// one leader waits and it claims them all when the slot frees. The slot
+// is released as soon as the engine call returns, so group k+1 enters
+// the engine while group k's volume fsync runs. A partial chunk waits in
+// the store's open-chunk buffer, where the SLA window bounds it — the
+// paper's one aggregation deadline.
 type shardCommitter struct {
-	srv       *Server
-	shard     int
-	timeout   time.Duration
-	maxBlocks int
+	srv *Server
+	// lead is c.leadTurn, bound once in New so spawning a leader
+	// allocates no closure.
+	lead func()
 
-	// head is the LIFO writer list. pendingBlocks tracks blocks pushed
-	// but not yet committed, for the leader's fill check; enq/committed
-	// count requests for the FLUSH barrier; flushGen kicks a gathering
-	// leader so a FLUSH never waits out a long deadline.
-	head          atomic.Pointer[commitReq]
-	pendingBlocks atomic.Int64
-	enq           atomic.Int64
-	committed     atomic.Int64
-	flushGen      atomic.Int64
+	// head is the LIFO writer list; enq/committed count requests for the
+	// FLUSH barrier.
+	head      atomic.Pointer[commitReq]
+	enq       atomic.Int64
+	committed atomic.Int64
+
+	// slot is the commit slot, held from the claim until the engine call
+	// returns. ops is the group's engine batch, reused under the slot.
+	slot sync.Mutex
+	ops  []prototype.BatchWrite
 }
 
 // enqueue pushes a write onto the writer list and spawns the leader if
 // the list was empty. Lock-free: the only synchronization is the CAS.
 func (c *shardCommitter) enqueue(r *commitReq) {
 	c.enq.Add(1)
-	c.pendingBlocks.Add(int64(r.blocks))
 	for {
 		old := c.head.Load()
 		r.next = old
@@ -79,97 +75,54 @@ func (c *shardCommitter) enqueue(r *commitReq) {
 	}
 }
 
-// quiesceYields bounds the yield-poll window after the submission
-// stream goes quiet: once this many consecutive scheduler yields see
-// no new write, the group commits early rather than waiting out the
-// full deadline. Kernel timers are far too coarse for sub-millisecond
-// group-commit deadlines (observed granularity >1 ms), so the leader
-// never parks on a timer; in a closed-loop pipeline a quiet list means
-// every in-flight write has already joined and waiting buys nothing.
-const quiesceYields = 16
-
-// lead runs one leader turn: gather, claim, commit.
-func (c *shardCommitter) lead() {
+// leadTurn runs one leader turn: take the slot, claim, commit.
+func (c *shardCommitter) leadTurn() {
 	defer c.srv.batWG.Done()
-	c.gather()
+	c.slot.Lock()
 	c.commitList(c.head.Swap(nil))
 }
 
-// gather waits for the batch to fill a chunk, bounded by the
-// group-commit deadline, a quiesced submission stream, a FLUSH kick,
-// or server drain — whichever comes first.
-func (c *shardCommitter) gather() {
-	if c.srv.lc.draining.Load() {
-		return
-	}
-	deadline := time.Now().Add(c.timeout)
-	gen := c.flushGen.Load()
-	seen := c.enq.Load()
-	for idle := 0; idle < quiesceYields; {
-		if c.pendingBlocks.Load() >= int64(c.maxBlocks) {
-			return
-		}
-		if c.flushGen.Load() != gen || c.srv.lc.draining.Load() {
-			return
-		}
-		if !time.Now().Before(deadline) {
-			return
-		}
-		runtime.Gosched()
-		if cur := c.enq.Load(); cur != seen {
-			seen, idle = cur, 0
-		} else {
-			idle++
-		}
-	}
-}
-
-// commitList applies one claimed writer list as a single group commit:
-// payload bytes land in each volume's data plane, every write hits the
-// engine back-to-back under one lock acquisition and timestamp, then
-// every follower is acked.
+// commitList applies one claimed writer list as a single group commit,
+// called with the slot held: payload bytes land in each volume's data
+// plane, every write hits the engine back-to-back under one lock
+// acquisition and timestamp, the slot frees, then every follower is
+// acked.
 func (c *shardCommitter) commitList(head *commitReq) {
-	if head == nil {
-		return
+	// The CAS list is LIFO; reverse it in place to arrival order so the
+	// commit replays writes the way the wire delivered them.
+	var first *commitReq
+	for r := head; r != nil; {
+		next := r.next
+		r.next, first = first, r
+		r = next
 	}
-	n := 0
-	for r := head; r != nil; r = r.next {
-		n++
-	}
-	// The CAS list is LIFO; reverse to arrival order so the commit
-	// replays writes the way the wire delivered them.
-	items := make([]*commitReq, n)
-	i := n
-	for r := head; r != nil; r = r.next {
-		i--
-		items[i] = r
-	}
-	ops := make([]prototype.BatchWrite, n)
+	ops := c.ops[:0]
 	blocks := 0
 	var werr error
-	for i, r := range items {
+	for r := first; r != nil; r = r.next {
 		if e := r.vol.writeData(r.lba, r.payload); e != nil && werr == nil {
 			werr = e
 		}
-		ops[i] = prototype.BatchWrite{LBA: r.vol.base + r.lba, Blocks: r.blocks}
+		ops = append(ops, prototype.BatchWrite{LBA: r.vol.base + r.lba, Blocks: r.blocks})
 		blocks += r.blocks
 	}
-	// The gather window ends here; the whole group commit shares one
-	// engine timing, stamped onto every member's span (nil spans
-	// ignore it).
-	gatherEnd := c.srv.eng.Now()
-	for _, r := range items {
-		r.sp.MarkAt(telemetry.StageBatch, gatherEnd)
+	c.ops = ops
+	n := len(ops)
+	// The wait for the slot ends here; the whole group commit shares one
+	// engine timing, stamped onto every member's span (nil spans ignore
+	// it).
+	claimed := c.srv.eng.Now()
+	for r := first; r != nil; r = r.next {
+		r.sp.MarkAt(telemetry.StageBatch, claimed)
 	}
 	t, err := c.srv.eng.WriteBatchTimed(ops)
-	for _, r := range items {
-		markEngine(r.sp, t)
-	}
+	c.slot.Unlock()
 	// One group commit can carry several volumes' writes; each volume's
 	// batch counter advances once per commit it joined, deduped by
 	// stamping the commit sequence.
 	seq := c.srv.commitSeq.Add(1)
-	for _, r := range items {
+	for r := first; r != nil; r = r.next {
+		markEngine(r.sp, t)
 		if r.vol.batchMark.Swap(seq) != seq {
 			r.vol.batches.Add(1)
 		}
@@ -185,28 +138,27 @@ func (c *shardCommitter) commitList(head *commitReq) {
 		// Durability point of the group commit: each member volume's
 		// backing file syncs once (syncData skips a covered fsync)
 		// before any follower is acked.
-		for _, r := range items {
+		for r := first; r != nil; r = r.next {
 			if e := r.vol.syncData(); e != nil {
 				err = e
 				break
 			}
 		}
 	}
-	for _, r := range items {
+	for r := first; r != nil; {
+		next := r.next
 		r.done(err)
+		r = next
 	}
-	c.pendingBlocks.Add(-int64(blocks))
 	c.committed.Add(int64(n))
 }
 
 // flush is the FLUSH barrier: every write enqueued before the call is
-// committed when it returns. It kicks any gathering leader (so the
-// barrier never waits out a group-commit deadline) and then spins on
-// the committed counter; progress is guaranteed because a non-empty
-// list always has a leader and a counted-but-unpushed write's own
-// goroutine completes the push before parking.
+// committed when it returns. It spins on the committed counter;
+// progress is guaranteed because a non-empty list always has a leader
+// and a counted-but-unpushed write's own goroutine completes the push
+// before parking.
 func (c *shardCommitter) flush() {
-	c.flushGen.Add(1)
 	target := c.enq.Load()
 	for c.committed.Load() < target {
 		runtime.Gosched()

@@ -28,8 +28,8 @@ const (
 )
 
 // Lifecycle owns one frontend's listener and connections from accept to
-// drain. The Server's is also the volume manager's drain state: Acquire,
-// dispatch and the committers' gather read its draining flag.
+// drain. The Server's is also the volume manager's drain state: Acquire
+// and dispatch read its draining flag.
 type Lifecycle struct {
 	gauge *telemetry.Gauge // open connections; nil is a no-op
 

@@ -61,7 +61,7 @@ func TestShutdownRacesPlaneRelease(t *testing.T) {
 	eng := testEngine(t, userBlocks, false, false)
 	defer eng.Close()
 	before, haveMaps := mappingsOfSize(t, planeBytes)
-	srv, err := New(Config{Engine: eng, Volumes: 1, BatchTimeout: time.Millisecond})
+	srv, err := New(Config{Engine: eng, Volumes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@
 // internal/server/wire (READ/WRITE/TRIM/FLUSH/STAT with request IDs
 // for out-of-order completion). Per-tenant admission control bounds
 // inflight ops with typed backpressure instead of unbounded queuing,
-// and per-shard lock-free leader/follower group commits coalesce
-// small writes into chunk-aligned batches whose deadline mirrors the
-// paper's SLA-driven padding window. The package also provides the
-// matching Go client (Client) used by cmd/adaptload and the tests.
+// and per-shard lock-free leader/follower group commits coalesce the
+// writes that arrive while a shard's previous commit is in the engine;
+// the store's SLA window is the one aggregation deadline. The package
+// also provides the matching Go client (Client) used by cmd/adaptload
+// and the tests.
 package server
 
 import (
@@ -21,7 +22,6 @@ import (
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adapt/internal/gcsched"
 	"adapt/internal/prototype"
@@ -53,12 +53,6 @@ type Config struct {
 	MaxInflight int
 	// Deprecated: group commit is the only write path; Batch is ignored.
 	Batch bool
-	// BatchTimeout is the group-commit deadline: the longest a batched
-	// write may wait for its chunk to fill — the serving-layer
-	// equivalent of the paper's aggregation (padding) SLA. Default: the
-	// store's SLA window, read as wall time. The size target is the
-	// store's chunk, so a full batch fills a whole chunk.
-	BatchTimeout time.Duration
 	// Telemetry, when set, registers server instruments (connections,
 	// per-opcode requests, backpressure, batching, bytes) on the same
 	// set the engine uses.
@@ -101,8 +95,7 @@ type Server struct {
 	trace *traceState
 
 	// lc is the wire frontend's connection lifecycle, and its draining
-	// flag the whole volume manager's: Acquire, dispatch and the
-	// committers' gather read it.
+	// flag the whole volume manager's: Acquire and dispatch read it.
 	lc *Lifecycle
 	// batWG counts live group-commit leaders.
 	batWG sync.WaitGroup
@@ -161,9 +154,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight < 1 {
 		cfg.MaxInflight = 64
 	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = time.Duration(store.SLAWindow)
-	}
 	s := &Server{cfg: cfg, eng: cfg.Engine}
 	if ts := cfg.Telemetry; ts != nil {
 		s.met.conns = ts.Registry.NewGauge(telemetry.MetricServerConns, "Open client connections")
@@ -217,7 +207,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.committers = make([]*shardCommitter, cfg.Engine.Shards())
 	for i := range s.committers {
-		s.committers[i] = &shardCommitter{srv: s, shard: i, timeout: cfg.BatchTimeout, maxBlocks: store.ChunkBlocks}
+		c := &shardCommitter{srv: s}
+		c.lead = c.leadTurn
+		s.committers[i] = c
 	}
 	return s, nil
 }

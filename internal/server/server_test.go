@@ -114,7 +114,7 @@ func pattern(volume uint32, lba int64, version byte) []byte {
 func TestServerBasicOps(t *testing.T) {
 	eng := testEngine(t, 4096, false, false)
 	defer eng.Close()
-	srv, err := New(Config{Engine: eng, Volumes: 4, BatchTimeout: time.Millisecond})
+	srv, err := New(Config{Engine: eng, Volumes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestServerE2EShardedFaultRebuild(t *testing.T) {
 func runE2EFaultRebuild(t *testing.T, eng *prototype.Sharded) {
 	poisonReleases(t)
 	srv, err := New(Config{
-		Engine: eng, Volumes: 4, MaxInflight: 32, BatchTimeout: 500 * time.Microsecond,
+		Engine: eng, Volumes: 4, MaxInflight: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

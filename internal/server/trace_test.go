@@ -40,11 +40,10 @@ func traceServer(t *testing.T) (*Server, *Client, func()) {
 	t.Helper()
 	eng, ts := testEngineTele(t, 4096)
 	srv, err := New(Config{
-		Engine:       eng,
-		Volumes:      2,
-		BatchTimeout: time.Millisecond,
-		Telemetry:    ts,
-		Trace:        TraceConfig{Enabled: true, Threshold: 250 * time.Millisecond},
+		Engine:    eng,
+		Volumes:   2,
+		Telemetry: ts,
+		Trace:     TraceConfig{Enabled: true, Threshold: 250 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			if sp.Volume != 1 || sp.LBA != 3 || sp.Count != 1 {
 				t.Errorf("write span fields: %+v", sp)
 			}
-			// A write passes through gather and the timed engine commit.
+			// A write waits for the commit slot and passes the timed engine commit.
 			if sp.Stamp[telemetry.StageBatch] == 0 || sp.Stamp[telemetry.StageCommit] == 0 {
 				t.Errorf("write span missing batch/commit stamps: %v", sp.Stamp)
 			}

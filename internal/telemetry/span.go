@@ -20,8 +20,9 @@ const (
 	StageDecode Stage = iota
 	// StageAdmission: per-tenant admission control (semaphore take).
 	StageAdmission
-	// StageBatch: waiting in the write batcher's group-commit gather
-	// window (or, for FLUSH, waiting for the forced commit).
+	// StageBatch: waiting for the shard's group-commit slot while the
+	// previous group is in the engine (or, for FLUSH, waiting for the
+	// group commits in flight).
 	StageBatch
 	// StageLockWait: waiting for the engine lock.
 	StageLockWait
