@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
 # Every native fuzz target, as pkg:Target pairs (`go test -fuzz` accepts
@@ -18,16 +19,26 @@ FUZZ_TARGETS := \
 	./internal/nbd:FuzzNBDHandshake \
 	./internal/nbd:FuzzNBDRequest
 
-.PHONY: check build vet test bench-test race race-sharded harness-lint fault fuzz paranoid bench-telemetry gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
+.PHONY: check fmt build vet test bench-test race race-sharded harness-lint fault fuzz paranoid bench-telemetry gcsched-smoke serve-smoke trace-smoke scale-smoke durable-smoke nbd-smoke nbd-mount-smoke
 
-## check: full local gate — vet, build, race-enabled test suite, the
+## check: full local gate — gofmt, vet, build, race-enabled test suite, the
 ## sharded-engine suite pinned to GOMAXPROCS=4, a short fuzz smoke of
 ## every target on top of the checked-in corpora, the background-GC
 ## tail gate, the durability gate (crash-point sweep plus SIGKILL
 ## restart), end-to-end boots of the network service (plain, traced,
 ## and over the NBD frontend), the bench module's own vet and tests, and
 ## the experiment-table lint.
-check: vet build bench-test race race-sharded harness-lint fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
+check: fmt vet build bench-test race race-sharded harness-lint fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
+
+## fmt: gofmt must list no file of the root module or of bench/ (a
+## directory walk, so bench/ is covered though it is a module of its
+## own).
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
+		echo "fmt FAIL: gofmt -l lists:"; echo "$$out"; \
+		exit 1; \
+	fi
+	@echo "fmt OK"
 
 build:
 	$(GO) build ./...
@@ -63,8 +74,11 @@ race:
 ## simulator Recorder there, no lockAll; that the server reads request
 ## frames only into bufpool buffers, never through package wire; and
 ## that writes reach the engine one way: group commit (WriteBatchTimed),
-## no unbatched flag, no direct WriteTimed; and that the server sets no
-## aggregation deadline of its own: no gather, no -batch-us.
+## no unbatched flag, no direct WriteTimed; that the server sets no
+## aggregation deadline of its own: no gather, no -batch-us; and that
+## boot loads no volume back into memory: a volume's bytes live in its
+## one store, vol-N.dat with a data dir, and no `ReadAt(v.data` fills a
+## copy.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@for pat in 'make(chan chunkJob' 'Sink:'; do \
@@ -92,6 +106,10 @@ race-sharded:
 	@if ls internal/server/*.go | grep -v _test.go | xargs grep -nE 'quiesceYields|gather\(|flushGen|BatchTimeout' || \
 		ls cmd/adaptserve/*.go | grep -v _test.go | xargs grep -nF 'batch-us'; then \
 		echo "race-sharded FAIL: the server grew a second aggregation deadline — a group commit is what arrived during the last one, and the store's SLA window is the only deadline"; \
+		exit 1; \
+	fi
+	@if ls internal/server/*.go | grep -v _test.go | xargs grep -nF 'ReadAt(v.data'; then \
+		echo "race-sharded FAIL: non-test internal/server loads a volume back into memory — boot only sizes vol-N.dat, and a READ preads it"; \
 		exit 1; \
 	fi
 	@for pat in 'Recorder' 'lockAll'; do \

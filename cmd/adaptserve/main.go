@@ -59,7 +59,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	volumes := fs.Int("volumes", 8, "tenant volumes to carve from the array")
 	policy := fs.String("policy", harness.PolicyADAPT, "placement policy: sepgc|dac|warcip|mida|sepbit|adapt")
 	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices")
-	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (RAM data plane grows with it)")
+	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (without -data-dir the RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")
 	serviceUS := fs.Int("service-us", 50, "modelled device time per chunk write in microseconds")

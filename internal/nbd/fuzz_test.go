@@ -40,11 +40,11 @@ func (f *fuzzBackend) TrimBlocks(vol uint32, lba int64, blocks int, sp *telemetr
 
 func (f *fuzzBackend) Flush(vol uint32, sp *telemetry.Span) error { return nil }
 
-func (f *fuzzBackend) NewSpan() *telemetry.Span                            { return nil }
+func (f *fuzzBackend) NewSpan() *telemetry.Span                             { return nil }
 func (f *fuzzBackend) FinishSpan(sp *telemetry.Span, r *telemetry.SpanRing) {}
-func (f *fuzzBackend) DropSpan(sp *telemetry.Span)                         {}
-func (f *fuzzBackend) OpenSpanRing() *telemetry.SpanRing                   { return nil }
-func (f *fuzzBackend) CloseSpanRing(r *telemetry.SpanRing)                 {}
+func (f *fuzzBackend) DropSpan(sp *telemetry.Span)                          {}
+func (f *fuzzBackend) OpenSpanRing() *telemetry.SpanRing                    { return nil }
+func (f *fuzzBackend) CloseSpanRing(r *telemetry.SpanRing)                  {}
 
 var _ server.VolumeBackend = (*fuzzBackend)(nil)
 

@@ -587,9 +587,16 @@ func (e *Engine) WriteTimed(lba int64, blocks int) (OpTiming, error) {
 // fills whole chunks before the SLA window can force padding. The
 // OpTiming covers the whole group commit.
 func (e *Engine) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
+	return e.writeBatchTimed(ops, 0)
+}
+
+// writeBatchTimed is WriteBatchTimed over ops addressed base blocks
+// above the engine's own LBA space, so a router can hand a shard its
+// batch without translating it into a new slice.
+func (e *Engine) writeBatchTimed(ops []BatchWrite, base int64) (OpTiming, error) {
 	return e.timed(true, func() error {
 		for _, op := range ops {
-			if err := e.writeLocked(op.LBA, op.Blocks); err != nil {
+			if err := e.writeLocked(op.LBA-base, op.Blocks); err != nil {
 				return err
 			}
 		}

@@ -310,11 +310,26 @@ func (s *Sharded) TrimTimed(lba int64, blocks int) (OpTiming, error) {
 	return s.eachTimed(lba, blocks, (*Engine).TrimTimed)
 }
 
-// bucketBatch splits a global-LBA batch into per-shard local batches.
-// The common case — a committer that already batches per shard — hits
-// the single-bucket fast path and allocates one translated slice.
-func (s *Sharded) bucketBatch(ops []BatchWrite) map[int][]BatchWrite {
-	buckets := make(map[int][]BatchWrite, 1)
+// oneShard returns the shard that owns every op of a non-empty batch
+// whole, if one does.
+func (s *Sharded) oneShard(ops []BatchWrite) (int, bool) {
+	if len(ops) == 0 {
+		return 0, false
+	}
+	sh := s.ShardOf(ops[0].LBA)
+	lo, hi := s.bases[sh], s.bases[sh]+s.sizes[sh]
+	for _, op := range ops {
+		if op.Blocks < 1 || op.LBA < lo || op.LBA+int64(op.Blocks) > hi {
+			return 0, false
+		}
+	}
+	return sh, true
+}
+
+// bucketBatch splits a global-LBA batch into per-shard local batches,
+// indexed by shard.
+func (s *Sharded) bucketBatch(ops []BatchWrite) [][]BatchWrite {
+	buckets := make([][]BatchWrite, len(s.shards))
 	for _, op := range ops {
 		s.eachShard(op.LBA, op.Blocks, func(sh int, local int64, n int) error {
 			buckets[sh] = append(buckets[sh], BatchWrite{LBA: local, Blocks: n})
@@ -324,14 +339,23 @@ func (s *Sharded) bucketBatch(ops []BatchWrite) map[int][]BatchWrite {
 	return buckets
 }
 
-// WriteBatchTimed applies a group commit. Ops owned by one shard land
-// back-to-back under that shard's single lock acquisition; a mixed
+// WriteBatchTimed applies a group commit. A batch one shard owns — what
+// the server's per-shard committers build — lands back-to-back under
+// that shard's single lock acquisition and allocates nothing. A mixed
 // batch is split per shard (each sub-batch keeps the group-commit
-// chunk-fill property within its shard) and the timings merged.
+// chunk-fill property within its shard) and applied in ascending shard
+// order, so the shard locks are taken in one order and the merged
+// timing's first shard is the lowest; it stops at the first error.
 func (s *Sharded) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
+	if sh, ok := s.oneShard(ops); ok {
+		return s.shards[sh].writeBatchTimed(ops, s.bases[sh])
+	}
 	var out OpTiming
 	first := true
 	for sh, sub := range s.bucketBatch(ops) {
+		if len(sub) == 0 {
+			continue
+		}
 		t, err := s.shards[sh].WriteBatchTimed(sub)
 		mergeTiming(&out, t, first)
 		first = false

@@ -489,3 +489,44 @@ func TestShardedStatsShape(t *testing.T) {
 		t.Fatalf("aggregate UserBlocks = %d, want 9", st.UserBlocks)
 	}
 }
+
+// TestShardedBatchOrderAndAllocs: a one-shard group commit allocates
+// nothing on its way to the shard, and a mixed batch is applied in
+// ascending shard order whatever order its ops arrive in — a failing
+// op on shard 0, listed last, stops the batch before shards 1–3 see
+// theirs.
+func TestShardedBatchOrderAndAllocs(t *testing.T) {
+	s := newTestSharded(t, 4096, 4, false, false, false)
+	defer s.Close()
+
+	one := []BatchWrite{{LBA: s.bases[2] + 3, Blocks: 2}, {LBA: s.bases[2] + 40, Blocks: 1}}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.WriteBatchTimed(one); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a one-shard batch allocates %.1f times per commit, want 0", n)
+	}
+	if got := s.ShardStats()[2].UserBlocks; got != 3*201 {
+		t.Fatalf("shard 2 UserBlocks = %d after 201 one-shard batches of 3 blocks, want %d", got, 3*201)
+	}
+
+	mixed := []BatchWrite{
+		{LBA: s.bases[3], Blocks: 1},
+		{LBA: s.bases[1], Blocks: 1},
+		{LBA: s.bases[2] + 100, Blocks: 1},
+		{LBA: -8, Blocks: 1}, // shard 0's, and out of range
+	}
+	if _, err := s.WriteBatchTimed(mixed); err == nil {
+		t.Fatal("a batch with an out-of-range op succeeded")
+	}
+	for i, st := range s.ShardStats() {
+		want := int64(0)
+		if i == 2 {
+			want = 3 * 201
+		}
+		if st.UserBlocks != want {
+			t.Fatalf("shard %d UserBlocks = %d after a batch failing on shard 0, want %d", i, st.UserBlocks, want)
+		}
+	}
+}

@@ -339,24 +339,22 @@ func TestMetricsReconcileWithStat(t *testing.T) {
 // real files — the engine has recovered its log and started its device
 // workers when the server refuses the directory's volume manifest — and
 // checks that nothing Build opened — no descriptor, no goroutine, no
-// mapped data plane — outlives the error.
+// mapped data plane — outlives the error. A data-dir stack keeps each
+// volume's bytes in its vol-N.dat alone, so it maps no plane at all.
 func TestBuildFailureReleases(t *testing.T) {
 	dir := t.TempDir()
-	// One volume's data plane over 2 volumes and over 4.
+	// One volume's size over 2 volumes and over 4.
 	const plane2, plane4 = 4096 / 2 * blockBytes, 4096 / 4 * blockBytes
 	before2, before4 := mappingsOfSize(t, plane2), mappingsOfSize(t, plane4)
 	st, err := serve.Build(fullConfig(dir, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := mappingsOfSize(t, plane2); n != before2+2 {
-		t.Fatalf("a built 2-volume stack shows %d mappings of a plane's size, want %d", n, before2+2)
+	if n := mappingsOfSize(t, plane2); n != before2 {
+		t.Fatalf("a built 2-volume data-dir stack maps %d planes, want none", n-before2)
 	}
 	if err := st.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	if n := mappingsOfSize(t, plane2); n != before2 {
-		t.Fatalf("Shutdown left %d data planes mapped", n-before2)
 	}
 	goroutines := runtime.NumGoroutine()
 

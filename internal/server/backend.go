@@ -48,8 +48,8 @@ type VolumeBackend interface {
 	// volume-relative lba and calls done exactly once when the write is
 	// acked — possibly from another goroutine, after the group commit
 	// that carried it. An acked write is durable when the server runs
-	// with a data dir (fsync-before-ack). The payload has been copied
-	// into the data plane by the time done runs, and not before: the
+	// with a data dir (fsync-before-ack). The payload has been written
+	// to the volume's store by the time done runs, and not before: the
 	// caller keeps it intact until then, and may release it in done.
 	WriteBlocks(vol uint32, lba int64, payload []byte, sp *telemetry.Span, done func(error))
 	// TrimBlocks discards blocks starting at the volume-relative lba.
@@ -252,7 +252,7 @@ func (s *Server) writeCore(vol *volume, lba int64, payload []byte, sp *telemetry
 }
 
 // readCore is the read path shared by every frontend: engine-modelled
-// device read, then one copy out of the volume's data plane, appended
+// device read, then one read out of the volume's store, appended
 // to dst.
 func (s *Server) readCore(dst []byte, vol *volume, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	vol.reads.Add(1)
@@ -292,6 +292,6 @@ func (s *Server) flushCore(vol *volume, sp *telemetry.Span) error {
 		sp.MarkAt(telemetry.StageBatch, s.eng.Now())
 	}
 	// Belt over the per-ack suspenders: a FLUSH leaves the volume's
-	// backing file clean even if a write-through raced the last sync.
+	// file clean even if a write raced the last sync.
 	return vol.syncData()
 }

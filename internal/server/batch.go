@@ -83,8 +83,8 @@ func (c *shardCommitter) leadTurn() {
 }
 
 // commitList applies one claimed writer list as a single group commit,
-// called with the slot held: payload bytes land in each volume's data
-// plane, every write hits the engine back-to-back under one lock
+// called with the slot held: payload bytes land in each volume's store,
+// every write hits the engine back-to-back under one lock
 // acquisition and timestamp, the slot frees, then every follower is
 // acked.
 func (c *shardCommitter) commitList(head *commitReq) {

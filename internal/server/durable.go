@@ -20,9 +20,10 @@ type volManifest struct {
 
 const manifestName = "manifest.json"
 
-// openVolumeFiles attaches a vol-N.dat backing file to every volume,
+// openVolumeFiles makes a vol-N.dat file every volume's byte store,
 // creating the directory and manifest on first boot and verifying the
-// manifest on reuse. On any error every file opened so far is closed.
+// manifest on reuse. On an error the files attached so far stay with
+// their volumes for the caller's closeVolumes.
 func (s *Server) openVolumeFiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("server: data dir: %w", err)
@@ -59,7 +60,6 @@ func (s *Server) openVolumeFiles(dir string) error {
 			}
 		}
 		if err != nil {
-			s.closeVolumeFiles()
 			return err
 		}
 	}
@@ -96,16 +96,4 @@ func writeManifest(path string, m volManifest) error {
 		_ = d.Close()
 	}
 	return nil
-}
-
-// closeVolumeFiles syncs and closes every volume backing file,
-// returning the first error.
-func (s *Server) closeVolumeFiles() error {
-	var first error
-	for _, v := range s.vols {
-		if err := v.closeFile(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

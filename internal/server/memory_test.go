@@ -50,26 +50,43 @@ func mappingsOfSize(t *testing.T, n int) (count int, ok bool) {
 
 // TestShutdownRacesPlaneRelease drives a reader and a writer through
 // the backend API, each op under an Acquired slot as a frontend holds
-// one, while Shutdown unmaps the data plane under them: every op either
-// succeeds or fails with ErrShuttingDown — none touches the unmapped
-// memory — and once Shutdown returns the plane's mapping is gone from
-// the process and every op, admitted or not, is refused.
+// one, while Shutdown closes the byte store under them — unmaps a RAM
+// server's planes, closes a data-dir server's files: every op either
+// succeeds or fails with ErrShuttingDown — none touches unmapped memory
+// or a closed file — and once Shutdown returns every op, admitted or
+// not, is refused. A RAM server maps one plane per volume until then; a
+// data-dir server keeps the bytes in vol-N.dat alone and maps none.
 func TestShutdownRacesPlaneRelease(t *testing.T) {
-	// 47 pages: a plane size nothing else in the process maps.
-	const userBlocks = 3008
-	planeBytes := userBlocks * testBlockBytes
-	eng := testEngine(t, userBlocks, false, false)
+	for _, tc := range []struct {
+		name    string
+		dataDir bool
+	}{{"ram", false}, {"data-dir", true}} {
+		t.Run(tc.name, func(t *testing.T) { shutdownRacesStore(t, tc.dataDir) })
+	}
+}
+
+func shutdownRacesStore(t *testing.T, dataDir bool) {
+	// 47 pages per volume: a plane size nothing else in the process maps.
+	const volumes, volBlocks = 2, 3008
+	planeBytes := volBlocks * testBlockBytes
+	eng := testEngine(t, volumes*volBlocks, false, false)
 	defer eng.Close()
+	cfg := Config{Engine: eng, Volumes: volumes}
+	wantPlanes := volumes
+	if dataDir {
+		cfg.DataDir = t.TempDir()
+		wantPlanes = 0
+	}
 	before, haveMaps := mappingsOfSize(t, planeBytes)
-	srv, err := New(Config{Engine: eng, Volumes: 1})
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.planeBytes.Load(); got != int64(planeBytes) {
-		t.Fatalf("plane gauge %d bytes, want %d", got, planeBytes)
+	if got, want := srv.planeBytes.Load(), int64(wantPlanes*planeBytes); got != want {
+		t.Fatalf("plane gauge %d bytes, want %d", got, want)
 	}
-	if n, _ := mappingsOfSize(t, planeBytes); haveMaps && n != before+1 {
-		t.Fatalf("%d mappings of the plane's size while serving, want %d", n, before+1)
+	if n, _ := mappingsOfSize(t, planeBytes); haveMaps && n != before+wantPlanes {
+		t.Fatalf("%d mappings of a plane's size while serving, want %d", n, before+wantPlanes)
 	}
 
 	// Each loop runs until its first refusal and reports on its channel
@@ -80,7 +97,7 @@ func TestShutdownRacesPlaneRelease(t *testing.T) {
 	first := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	loop := func(i int, op func(lba int64) error) {
 		defer wg.Done()
-		for lba := int64(0); ; lba = (lba + 1) % userBlocks {
+		for lba := int64(0); ; lba = (lba + 1) % volBlocks {
 			err := srv.Acquire(0)
 			if err == nil {
 				err = op(lba)
@@ -135,11 +152,14 @@ func TestShutdownRacesPlaneRelease(t *testing.T) {
 	if err := <-acked; !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("write after Shutdown: %v, want ErrShuttingDown", err)
 	}
+	if err := srv.Flush(0, nil); err != nil && !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("flush after Shutdown: %v, want nil or ErrShuttingDown", err)
+	}
 	if got := srv.planeBytes.Load(); got != 0 {
 		t.Fatalf("plane gauge %d bytes after Shutdown, want 0", got)
 	}
 	if n, _ := mappingsOfSize(t, planeBytes); haveMaps && n != before {
-		t.Fatalf("%d mappings of the plane's size after Shutdown, want %d", n, before)
+		t.Fatalf("%d mappings of a plane's size after Shutdown, want %d", n, before)
 	}
 }
 

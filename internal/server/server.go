@@ -40,13 +40,14 @@ type Config struct {
 	// Volumes carves the engine's LBA space into this many equal tenant
 	// volumes (volume IDs 0..Volumes-1).
 	Volumes int
-	// DataDir, when set, backs each volume's payload plane with a
-	// vol-N.dat file in this directory: boot loads existing bytes,
-	// every WRITE goes through to the file, and an fsync precedes the
-	// ack (once per group commit). A manifest.json
-	// pins the volume geometry so a reboot with a different carve-up is
-	// rejected instead of silently shearing tenants. Empty keeps the
-	// data plane RAM-only, as before.
+	// DataDir, when set, keeps each volume's payload in a vol-N.dat
+	// file in this directory and nowhere else: boot only sizes the file,
+	// every WRITE is one pwrite into it, every READ one pread out of it,
+	// and an fsync precedes the ack (once per group commit). A
+	// manifest.json pins the volume geometry so a reboot with a different
+	// carve-up is rejected instead of silently shearing tenants. Empty
+	// keeps the payload in a RAM plane per volume, mapped outside the Go
+	// heap.
 	DataDir string
 	// MaxInflight bounds admitted inflight ops per volume; further
 	// requests are rejected with StatusBackpressure (default 64).
@@ -105,7 +106,7 @@ type Server struct {
 	// commitSeq numbers group commits across all committers for the
 	// per-volume batch-count dedupe.
 	commitSeq atomic.Int64
-	// planeBytes is the volume data plane still mapped.
+	// planeBytes is the RAM plane still mapped; 0 with a data dir.
 	planeBytes atomic.Int64
 }
 
@@ -189,21 +190,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Trace.Enabled {
 		s.trace = newTraceState(cfg.Trace, cfg.Volumes, cfg.Telemetry)
 	}
-	s.vols = make([]*volume, 0, cfg.Volumes)
-	for i := 0; i < cfg.Volumes; i++ {
-		v, err := newVolume(uint32(i), int64(i)*volBlocks, volBlocks, store.BlockSize, cfg.MaxInflight)
-		if err != nil {
-			s.releasePlanes()
-			return nil, err
-		}
-		s.vols = append(s.vols, v)
-		s.planeBytes.Add(int64(len(v.data)))
+	s.vols = make([]*volume, cfg.Volumes)
+	for i := range s.vols {
+		s.vols[i] = newVolume(uint32(i), int64(i)*volBlocks, volBlocks, store.BlockSize, cfg.MaxInflight)
 	}
+	var err error
 	if cfg.DataDir != "" {
-		if err := s.openVolumeFiles(cfg.DataDir); err != nil {
-			s.releasePlanes()
-			return nil, err
-		}
+		err = s.openVolumeFiles(cfg.DataDir)
+	} else {
+		err = s.mapPlanes()
+	}
+	if err != nil {
+		s.closeVolumes()
+		return nil, err
 	}
 	s.committers = make([]*shardCommitter, cfg.Engine.Shards())
 	for i := range s.committers {
@@ -241,11 +240,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if err := s.lc.wait(ctx, s.quiesce); err != nil {
 		return err
 	}
-	// The planes go first: an op that still arrives — a frontend drained
-	// out of order — fails with ErrShuttingDown before it can reach a
-	// closed file. Every ack already carried its own fsync; the close is
-	// bookkeeping, not the durability point.
-	return errors.Join(s.releasePlanes(), s.closeVolumeFiles())
+	// An op that still arrives — a frontend drained out of order — fails
+	// with ErrShuttingDown instead of reaching a closed file or an
+	// unmapped plane. Every ack already carried its own fsync; the close
+	// is bookkeeping, not the durability point.
+	return s.closeVolumes()
 }
 
 // quiesce waits out every admitted op once the connection readers have
@@ -264,16 +263,30 @@ func (s *Server) quiesce() {
 	s.batWG.Wait()
 }
 
-// releasePlanes unmaps every volume's data plane, once.
-func (s *Server) releasePlanes() error {
+// mapPlanes gives every volume a RAM plane as its byte store: the
+// server without a data dir.
+func (s *Server) mapPlanes() error {
+	for _, v := range s.vols {
+		p, err := mapPlane(int(v.size()))
+		if err != nil {
+			return fmt.Errorf("volume %d: map data plane: %w", v.id, err)
+		}
+		v.data = p
+		s.planeBytes.Add(v.size())
+	}
+	return nil
+}
+
+// closeVolumes closes every volume's byte store, once: each file is
+// synced and closed, each plane unmapped.
+func (s *Server) closeVolumes() error {
 	var errs []error
 	for _, v := range s.vols {
-		n, err := v.releasePlane()
-		if err != nil {
+		if err := v.closeData(); err != nil {
 			errs = append(errs, err)
 		}
-		s.planeBytes.Add(-int64(n))
 	}
+	s.planeBytes.Store(0)
 	return errors.Join(errs...)
 }
 
@@ -374,7 +387,7 @@ func (s *Server) send(rp *Reply, vol *volume, frame []byte, status wire.Status, 
 // its group commit). sp is the request's trace span, nil when tracing
 // is off. frame is the request's pooled frame, which req.Payload aliases;
 // every path ends in send, which releases it — a write's only from its
-// ack, after the payload has been copied into the data plane.
+// ack, after the payload has been written to the volume's store.
 func (s *Server) dispatch(req wire.Request, frame []byte, sp *telemetry.Span, rp *Reply) {
 	s.requests.Add(1)
 	s.met.reqs[req.Op].Inc()
@@ -429,7 +442,7 @@ func (s *Server) dispatch(req wire.Request, frame []byte, sp *telemetry.Span, rp
 }
 
 // readReply encodes a READ's OK response into a pooled frame, the
-// payload copied into it straight from the data plane.
+// payload read into it straight from the volume's store.
 func (s *Server) readReply(vol *volume, req wire.Request, sp *telemetry.Span) ([]byte, error) {
 	lba, blocks := int64(req.LBA), int(req.Count)
 	if err := vol.check(lba, blocks); err != nil {

@@ -3,27 +3,52 @@ package server
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// volFile is what a volume needs of its backing file; *os.File
-// satisfies it, and the tests park Sync behind it.
+// volFile is a volume's one byte store: its vol-N.dat (*os.File) when
+// the server has a data dir, an anonymous plane mapping (*plane)
+// without one. The tests park Sync behind it.
 type volFile interface {
 	io.ReaderAt
 	io.WriterAt
-	Truncate(size int64) error
 	Sync() error
 	Close() error
 }
 
+// plane is the RAM-only byte store: a zeroed mapping outside the Go heap
+// (mapPlane), whose Sync has nothing to do and whose Close unmaps it.
+type plane struct {
+	mem   []byte
+	unmap func() error
+}
+
+func (p *plane) ReadAt(dst []byte, off int64) (int, error) {
+	if n := copy(dst, p.mem[off:]); n < len(dst) {
+		return n, io.EOF
+	}
+	return len(dst), nil
+}
+
+func (p *plane) WriteAt(src []byte, off int64) (int, error) {
+	if n := copy(p.mem[off:], src); n < len(src) {
+		return n, io.ErrShortWrite
+	}
+	return len(src), nil
+}
+
+func (p *plane) Sync() error  { return nil }
+func (p *plane) Close() error { return p.unmap() }
+
 // volume is one tenant's block device: a contiguous slice of the shared
-// array's LBA space, a RAM data plane holding the payload bytes (the
-// lss store models placement and GC but never materializes data), a
+// array's LBA space, one byte store holding the payload (the lss store
+// models placement and GC but never materializes data), a
 // bounded-inflight admission semaphore, and per-tenant counters. With
-// Config.DataDir set the data plane is additionally backed by a
-// vol-N.dat file: writes go through to the file and an fsync lands
-// before the ack, so an acked write survives a crash.
+// Config.DataDir set the store is the vol-N.dat file itself — the bytes
+// live once, in its page cache — and an fsync lands before the ack, so
+// an acked write survives a crash.
 type volume struct {
 	id         uint32
 	base       int64 // first global LBA on the shared array
@@ -34,23 +59,23 @@ type volume struct {
 	// StatusBackpressure instead of queuing without bound.
 	sem chan struct{}
 
-	// data is the RAM data plane, mapped outside the Go heap (mapPlane);
-	// unmap releases it. Both go nil, under dataMu, when the server
-	// releases its planes, and every later read or write of the plane
-	// returns ErrShuttingDown instead of touching unmapped memory.
+	// data is the byte store. WriteAt runs under dataMu and ReadAt under
+	// its read lock, so a READ overlapping a WRITE returns all old or all
+	// new bytes — neither a page cache nor a memmove promises that across
+	// a multi-block range. closeData sets data to nil under dataMu and
+	// syncMu both, so a read, write or fsync that arrives later returns
+	// ErrShuttingDown instead of touching a closed file or unmapped
+	// memory.
 	dataMu sync.RWMutex
-	data   []byte
-	unmap  func() error
+	data   volFile
 
-	// file is the durable backing file (nil without DataDir). wseq
-	// counts completed write-throughs and synced (under syncMu) is the
-	// wseq the last finished fsync covers, so syncData can skip an fsync
-	// that would add nothing — one group commit syncs a volume once —
-	// without returning while the fsync covering its writes is in flight.
-	// syncErr latches the first fsync failure: the kernel may drop the
-	// pages a failed fsync covered and report success next time, so a
-	// retry proves nothing and the volume stops acking instead.
-	file    volFile
+	// wseq counts completed writes and synced (under syncMu) is the wseq
+	// the last finished fsync covers, so syncData can skip an fsync that
+	// would add nothing — one group commit syncs a volume once — without
+	// returning while the fsync covering its writes is in flight. syncErr
+	// latches the first fsync failure: the kernel may drop the pages a
+	// failed fsync covered and report success next time, so a retry
+	// proves nothing and the volume stops acking instead.
 	wseq    atomic.Int64
 	syncMu  sync.Mutex
 	synced  int64
@@ -68,37 +93,20 @@ type volume struct {
 	batchMark atomic.Int64
 }
 
-func newVolume(id uint32, base, blocks int64, blockBytes, maxInflight int) (*volume, error) {
-	data, unmap, err := mapPlane(int(blocks * int64(blockBytes)))
-	if err != nil {
-		return nil, fmt.Errorf("volume %d: map data plane: %w", id, err)
-	}
+// newVolume returns a volume with no byte store; the server attaches a
+// plane or a file before serving.
+func newVolume(id uint32, base, blocks int64, blockBytes, maxInflight int) *volume {
 	return &volume{
 		id:         id,
 		base:       base,
 		blocks:     blocks,
 		blockBytes: blockBytes,
 		sem:        make(chan struct{}, maxInflight),
-		data:       data,
-		unmap:      unmap,
-	}, nil
+	}
 }
 
-// releasePlane unmaps the data plane and returns its size; a second
-// call releases nothing.
-func (v *volume) releasePlane() (int, error) {
-	v.dataMu.Lock()
-	n, unmap := len(v.data), v.unmap
-	v.data, v.unmap = nil, nil
-	v.dataMu.Unlock()
-	if unmap == nil {
-		return 0, nil
-	}
-	if err := unmap(); err != nil {
-		return n, fmt.Errorf("volume %d: unmap data plane: %w", v.id, err)
-	}
-	return n, nil
-}
+// size is the volume's byte length.
+func (v *volume) size() int64 { return v.blocks * int64(v.blockBytes) }
 
 // admit tries to take one inflight slot; false means backpressure.
 func (v *volume) admit() bool {
@@ -127,46 +135,61 @@ func (v *volume) check(lba int64, blocks int) error {
 	return nil
 }
 
-// attachFile binds a backing file to the volume: existing bytes load
-// into the RAM data plane (a shorter file — first boot, or a crash
-// before the tail was extended — reads as zeros past its end, matching
-// a block device's fresh-media semantics) and the file is sized to the
-// full volume so later WriteAt calls never grow it.
-func (v *volume) attachFile(f volFile) error {
-	if _, err := f.ReadAt(v.data, 0); err != nil && err != io.EOF {
-		return fmt.Errorf("volume %d: load: %w", v.id, err)
-	}
-	if err := f.Truncate(int64(len(v.data))); err != nil {
+// volumeFile is a vol-N.dat as boot sees it: a byte store it can size.
+type volumeFile interface {
+	volFile
+	Truncate(size int64) error
+}
+
+// attachFile makes f the volume's byte store. Boot only sizes the file
+// to the whole volume, so later WriteAt calls never grow it and a
+// shorter file — first boot, or a crash before the tail was extended —
+// reads as zeros past its old end, a block device's fresh-media
+// semantics. It reads nothing: the bytes stay in the file, so a restart
+// costs the same at any volume size.
+func (v *volume) attachFile(f volumeFile) error {
+	if err := f.Truncate(v.size()); err != nil {
 		return fmt.Errorf("volume %d: size: %w", v.id, err)
 	}
-	v.file = f
+	v.data = f
 	return nil
 }
 
-// writeData copies payload into the volume's data plane at the
-// volume-relative lba, writing through to the backing file when one is
-// attached. The file write happens outside dataMu: ReadAt never sees
-// the file, and durability ordering is carried by the caller's
-// syncData-before-ack, not by the mutex.
+// writeData writes payload to the byte store at the volume-relative
+// lba: the one write of the bytes, a pwrite with a data dir. Durability
+// ordering is carried by the caller's syncData-before-ack.
 func (v *volume) writeData(lba int64, payload []byte) error {
 	if err := v.latched(); err != nil {
 		return err
 	}
-	off := lba * int64(v.blockBytes)
 	v.dataMu.Lock()
+	defer v.dataMu.Unlock()
 	if v.data == nil {
-		v.dataMu.Unlock()
 		return ErrShuttingDown
 	}
-	copy(v.data[off:], payload)
-	v.dataMu.Unlock()
-	if v.file != nil {
-		if _, err := v.file.WriteAt(payload, off); err != nil {
-			return fmt.Errorf("volume %d: write-through: %w", v.id, err)
-		}
-		v.wseq.Add(1)
+	if _, err := v.data.WriteAt(payload, lba*int64(v.blockBytes)); err != nil {
+		return fmt.Errorf("volume %d: write: %w", v.id, err)
 	}
+	v.wseq.Add(1)
 	return nil
+}
+
+// appendData appends blocks starting at the volume-relative lba to dst,
+// read straight from the byte store into dst's spare capacity — a pread
+// into the reply with a data dir.
+func (v *volume) appendData(dst []byte, lba int64, blocks int) ([]byte, error) {
+	n := blocks * v.blockBytes
+	head := len(dst)
+	dst = slices.Grow(dst, n)[:head+n]
+	v.dataMu.RLock()
+	defer v.dataMu.RUnlock()
+	if v.data == nil {
+		return dst[:head], ErrShuttingDown
+	}
+	if _, err := v.data.ReadAt(dst[head:], lba*int64(v.blockBytes)); err != nil {
+		return dst[:head], fmt.Errorf("volume %d: read: %w", v.id, err)
+	}
+	return dst, nil
 }
 
 // syncData makes every writeData that completed before the call
@@ -178,17 +201,23 @@ func (v *volume) writeData(lba int64, payload []byte) error {
 // writeData on the volume return that error, as lss.Store does with
 // DurableErr.
 func (v *volume) syncData() error {
-	if v.file == nil {
-		return nil
-	}
 	want := v.wseq.Load()
 	v.syncMu.Lock()
 	defer v.syncMu.Unlock()
 	if err := v.latched(); err != nil || v.synced >= want {
 		return err
 	}
+	if v.data == nil {
+		return ErrShuttingDown
+	}
+	return v.syncLocked(v.data)
+}
+
+// syncLocked fsyncs f, the byte store, with syncMu held, latching a
+// failure.
+func (v *volume) syncLocked(f volFile) error {
 	upto := v.wseq.Load()
-	if err := v.file.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		err = fmt.Errorf("volume %d: fsync: %w", v.id, err)
 		v.syncErr.CompareAndSwap(nil, &err)
 		return v.latched()
@@ -205,31 +234,24 @@ func (v *volume) latched() error {
 	return nil
 }
 
-// closeFile syncs and closes the backing file, if any.
-func (v *volume) closeFile() error {
-	if v.file == nil {
+// closeData detaches the byte store, syncs what no fsync covers yet,
+// and closes it — unmapping a plane; a second call closes nothing.
+func (v *volume) closeData() error {
+	v.syncMu.Lock()
+	defer v.syncMu.Unlock()
+	v.dataMu.Lock()
+	f := v.data
+	v.data = nil
+	v.dataMu.Unlock()
+	if f == nil {
 		return nil
 	}
-	serr := v.syncData()
-	cerr := v.file.Close()
-	v.file = nil
-	if serr != nil {
-		return serr
+	err := v.latched()
+	if err == nil && v.synced < v.wseq.Load() {
+		err = v.syncLocked(f)
 	}
-	return cerr
-}
-
-// appendData appends blocks starting at the volume-relative lba to dst
-// — the plane's one copy on the way out.
-func (v *volume) appendData(dst []byte, lba int64, blocks int) ([]byte, error) {
-	off := lba * int64(v.blockBytes)
-	n := int64(blocks) * int64(v.blockBytes)
-	v.dataMu.RLock()
-	if v.data == nil {
-		v.dataMu.RUnlock()
-		return dst, ErrShuttingDown
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("volume %d: close: %w", v.id, cerr)
 	}
-	dst = append(dst, v.data[off:off+n]...)
-	v.dataMu.RUnlock()
-	return dst, nil
+	return err
 }

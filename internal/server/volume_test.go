@@ -2,11 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adapt/internal/server/bufpool"
 )
 
 // TestVolumeFsyncErrorLatches fails one fsync of a volume's backing
@@ -32,11 +38,11 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 		t.Fatalf("healthy write: %v", err)
 	}
 
-	path := vol.file.(*os.File).Name()
+	path := vol.data.(*os.File).Name()
 	if err := vol.writeData(1, pattern(0, 1, 1)); err != nil {
 		t.Fatalf("write-through: %v", err)
 	}
-	vol.file.Close()
+	vol.data.Close()
 	first := srv.flushCore(vol, nil)
 	if !errors.Is(first, os.ErrClosed) {
 		t.Fatalf("flush over a closed descriptor: %v, want os.ErrClosed", first)
@@ -47,7 +53,7 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	vol.file = healthy
+	vol.data = healthy
 	if err := write(2); err != first {
 		t.Fatalf("write after a failed fsync: %v, want the latched %v", err, first)
 	}
@@ -55,7 +61,7 @@ func TestVolumeFsyncErrorLatches(t *testing.T) {
 		t.Fatalf("flush after a failed fsync: %v, want the latched %v", err, first)
 	}
 	if got, _ := vol.appendData(nil, 2, 1); !bytes.Equal(got, make([]byte, testBlockBytes)) {
-		t.Fatal("a refused write reached the data plane")
+		t.Fatal("a refused write reached the volume file")
 	}
 }
 
@@ -80,12 +86,8 @@ func (f *parkedFile) Sync() error {
 
 func newParkedVolume(t *testing.T) (*volume, *parkedFile) {
 	f := &parkedFile{entered: make(chan struct{}, 16), release: make(chan struct{})}
-	v, err := newVolume(0, 0, 16, testBlockBytes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { v.releasePlane() })
-	v.file = f
+	v := newVolume(0, 0, 16, testBlockBytes, 4)
+	v.data = f
 	return v, f
 }
 
@@ -159,5 +161,164 @@ func TestVolumeSyncCoveredCallersShareOneFsync(t *testing.T) {
 	}
 	if got := f.syncs.Load(); got != 1 {
 		t.Fatalf("%d covered callers cost %d fsyncs, want 1", n, got)
+	}
+}
+
+// countingFile is a vol-N.dat that counts the ReadAt calls reaching it.
+type countingFile struct {
+	*os.File
+	reads atomic.Int64
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// ioReadChars returns the bytes this process has read through read-like
+// syscalls (rchar in /proc/self/io); ok is false where the file does not
+// exist.
+func ioReadChars(t *testing.T) (n int64, ok bool) {
+	t.Helper()
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, found := strings.CutPrefix(line, "rchar: "); found {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n, true
+		}
+	}
+	t.Fatalf("no rchar in /proc/self/io:\n%s", raw)
+	return 0, false
+}
+
+// TestBootReadsNoPayload: a data-dir boot sizes each vol-N.dat and reads
+// none of it — the bytes stay in the file and a READ preads them on
+// demand — so a restart costs the same at any volume size. Attaching a
+// counting file issues no ReadAt until the first READ, and a whole boot
+// over two 1 MiB volume files reads a small fraction of one.
+func TestBootReadsNoPayload(t *testing.T) {
+	const volumes, volBlocks = 2, 16384
+	volBytes := int64(volBlocks * testBlockBytes)
+	dir := t.TempDir()
+	eng := testEngine(t, volumes*volBlocks, false, false)
+	defer eng.Close()
+	boot := func() *Server {
+		t.Helper()
+		srv, err := New(Config{Engine: eng, Volumes: volumes, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	shutdown := func(srv *Server) {
+		t.Helper()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := boot()
+	acked := make(chan error, 1)
+	srv.WriteBlocks(0, 5, pattern(0, 5, 1), nil, func(err error) { acked <- err })
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	shutdown(srv)
+
+	before, haveIO := ioReadChars(t)
+	srv = boot()
+	if after, _ := ioReadChars(t); haveIO && after-before > volBytes/16 {
+		t.Errorf("boot over %d volume files of %d bytes read %d bytes", volumes, volBytes, after-before)
+	}
+	shutdown(srv)
+
+	f, err := os.OpenFile(filepath.Join(dir, "vol-0.dat"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := &countingFile{File: f}
+	v := newVolume(0, 0, volBlocks, testBlockBytes, 1)
+	if err := v.attachFile(cf); err != nil {
+		t.Fatal(err)
+	}
+	defer v.closeData()
+	if n := cf.reads.Load(); n != 0 {
+		t.Fatalf("attaching the volume file issued %d ReadAt calls, want 0", n)
+	}
+	got, err := v.appendData(nil, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pattern(0, 5, 1)) {
+		t.Fatal("a READ after reboot does not return the acked write")
+	}
+	if n := cf.reads.Load(); n != 1 {
+		t.Fatalf("one READ issued %d ReadAt calls, want 1", n)
+	}
+}
+
+// TestReadOverlappingWriteIsWhole races READs of a multi-page range on a
+// file-backed volume against WRITEs that alternate two fills of the same
+// range: every READ returns all of one fill, never a mix. A page cache
+// promises no such thing between a pread and a pwrite; the volume's
+// lock does. Run under -race it also checks the store's synchronization.
+func TestReadOverlappingWriteIsWhole(t *testing.T) {
+	const blocks = 192 // three 4 KiB pages of 64-byte blocks
+	eng := testEngine(t, 1024, false, false)
+	defer eng.Close()
+	srv, err := New(Config{Engine: eng, Volumes: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	fills := [2][]byte{
+		bytes.Repeat([]byte{0xa1}, blocks*testBlockBytes),
+		bytes.Repeat([]byte{0xb2}, blocks*testBlockBytes),
+	}
+	write := func(i int) error {
+		acked := make(chan error, 1)
+		srv.WriteBlocks(0, 0, fills[i%2], nil, func(err error) { acked <- err })
+		return <-acked
+	}
+	if err := write(0); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	written := make(chan error, 1)
+	go func() {
+		defer close(stop)
+		for i := 1; i <= 400; i++ {
+			if err := write(i); err != nil {
+				written <- err
+				return
+			}
+		}
+		written <- nil
+	}()
+	reads := 0
+	for done := false; !done; reads++ {
+		select {
+		case <-stop:
+			done = true
+		default:
+		}
+		got, err := srv.ReadBlocks(0, 0, blocks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fills[0]) && !bytes.Equal(got, fills[1]) {
+			t.Fatalf("read %d returned a mix of two writes (first byte %#x, last %#x)", reads, got[0], got[len(got)-1])
+		}
+		bufpool.Put(got)
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
 	}
 }
