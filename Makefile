@@ -66,9 +66,10 @@ race:
 ## the ambient GOMAXPROCS is 1. The packages run whole: a -run pattern
 ## goes vacuous the day a test is renamed. -count=1 because the test
 ## cache does not key on GOMAXPROCS and would replay `make race`'s
-## result. Also lints that internal/prototype models the array once:
-## one place that makes device queues, one RAID-5 sink — a second engine
-## cannot grow back beside the one everybody serves; that the two
+## result. Also lints that the device model stays arithmetic: no
+## chunkJob channel in non-test internal/prototype and no goroutine in
+## engine.go; that internal/prototype has one RAID-5 sink — a second
+## engine cannot grow back beside the one everybody serves; that the two
 ## frontends share one connection runtime: one accept loop, one reply
 ## writer; that no all-shard lock grows back on the served path: no
 ## simulator Recorder there, no lockAll; that the server reads request
@@ -81,13 +82,16 @@ race:
 ## copy.
 race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
-	@for pat in 'make(chan chunkJob' 'Sink:'; do \
-		n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
-		if [ "$$n" -gt 1 ]; then \
-			echo "race-sharded FAIL: $$n occurrences of '$$pat' in non-test internal/prototype — one device array, one sink"; \
-			exit 1; \
-		fi; \
-	done
+	@if ls internal/prototype/*.go | grep -v _test.go | xargs grep -nF 'chan chunkJob' || \
+		grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[A-Za-z_(]' internal/prototype/engine.go; then \
+		echo "race-sharded FAIL: the device model grew a queue channel or a goroutine — a column is arithmetic over its service recurrence"; \
+		exit 1; \
+	fi
+	@n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF 'Sink:'); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "race-sharded FAIL: $$n occurrences of 'Sink:' in non-test internal/prototype — one RAID-5 sink"; \
+		exit 1; \
+	fi
 	@for pat in '.Accept()' 'SetWriteDeadline('; do \
 		n=$$(ls internal/server/*.go internal/nbd/*.go | grep -v _test.go | xargs cat | grep -cF "$$pat"); \
 		if [ "$$n" -gt 1 ]; then \

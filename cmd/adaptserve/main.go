@@ -90,7 +90,11 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"shards", *shards}, {"max-inflight", *maxInflight}, {"service-us", *serviceUS}} {
+	}{
+		{"shards", *shards}, {"max-inflight", *maxInflight}, {"service-us", *serviceUS},
+		{"trace-threshold-us", *traceThreshUS},
+		{"gc-slice-units", *gcSliceUnits}, {"gc-interval-us", *gcIntervalUS}, {"gc-target-p999-us", *gcTargetUS},
+	} {
 		if f.v < 0 {
 			return fail("-%s must be non-negative, got %d", f.name, f.v)
 		}
@@ -143,7 +147,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 		cfg.GC = &gcsched.Config{
 			Interval:   time.Duration(*gcIntervalUS) * time.Microsecond,
 			SliceUnits: *gcSliceUnits,
-			TargetP999: time.Duration(max(*gcTargetUS, 0)) * time.Microsecond,
+			TargetP999: time.Duration(*gcTargetUS) * time.Microsecond,
 		}
 	}
 	if *nbdAddr != "" {

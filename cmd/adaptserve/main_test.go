@@ -155,6 +155,11 @@ func TestConfigFromFlagsUsageErrors(t *testing.T) {
 		{[]string{"-shards", "-1"}, "-shards must be non-negative, got -1"},
 		{[]string{"-max-inflight", "-1"}, "-max-inflight must be non-negative, got -1"},
 		{[]string{"-service-us", "-1"}, "-service-us must be non-negative, got -1"},
+		{[]string{"-trace-threshold-us", "-1"}, "-trace-threshold-us must be non-negative, got -1"},
+		{[]string{"-gc-bg", "-gc-slice-units", "-1"}, "-gc-slice-units must be non-negative, got -1"},
+		{[]string{"-gc-bg", "-gc-interval-us", "-1"}, "-gc-interval-us must be non-negative, got -1"},
+		{[]string{"-gc-bg", "-gc-target-p999-us", "-1"}, "-gc-target-p999-us must be non-negative, got -1"},
+		{[]string{"-gc-target-p999-us", "-5"}, "-gc-target-p999-us must be non-negative, got -5"},
 		{[]string{"-victim", "oldest"}, `unknown victim policy "oldest"`},
 		{[]string{"-policy", "fifo"}, "fifo"},
 		{[]string{"-data-dir", "/d", "-durable-sync", "never"}, `unknown -durable-sync "never" (want always|seal)`},

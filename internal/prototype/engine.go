@@ -63,40 +63,93 @@ type GCShard = gcsched.Shard
 // chunkJob is one unit of device work: a chunk write (log flush, parity,
 // or the rebuild's write onto the spare) or a chunk-sized read.
 type chunkJob struct {
-	payload int64
-	pad     int64
-	read    bool
+	read bool
 	// spare marks the rebuild's write onto the replacement of a failed
 	// column — the one write the fault hook must not drop there.
 	spare bool
 }
 
-// device models one SSD: a bounded queue drained by a worker that
-// accrues the configured service time per chunk and throttles to it.
-type device struct {
-	ch chan chunkJob
+// granule is the smallest service debt a column's worker sleeps off:
+// sleeping off every debt would quantize each stall behind it to a full
+// OS timer sleep, a floor under the p999 no GC scheduling gets beneath.
+const granule = 200 * time.Microsecond
+
+// column models one SSD as arithmetic, with nothing running: a queue of
+// QueueDepth slots drained by a worker that accrues each job's service
+// and sleeps off debt above a granule. Times are offsets from start.
+type column struct {
+	mu sync.Mutex
+	// virtual is the service of every job sent. Debt is virtual minus the
+	// clock, so idle time is banked as credit a later burst spends first.
+	virtual time.Duration
+	free    time.Duration // when the worker is next free to dequeue
+	// deq rings the dequeue times of the last QueueDepth jobs; next
+	// indexes the oldest — the job QueueDepth ahead of the next one.
+	deq  []time.Duration
+	next int
 
 	// Telemetry instruments; nil (no-op) when telemetry is disabled.
 	busyNS *telemetry.Counter
 	chunks *telemetry.Counter
 }
 
-// deviceArray models the physical SSD array: per-column bounded
-// queues drained by workers that accrue the configured service time
-// per chunk and throttle to the modelled bandwidth. One deviceArray
-// backs every shard of an engine — shards partition the LBA space, not
-// the hardware.
+// schedule runs the recurrence for one job sent at now and returns when
+// it enters the queue: once the job QueueDepth ahead of it has been
+// dequeued, or later if fr (Run's fault hook, else nil) paces the sender.
+func (c *column) schedule(now, service time.Duration, fr *faultRun) (enter time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	enter = max(now, c.deq[c.next])
+	if fr != nil {
+		enter = fr.attempts(now, enter)
+	}
+	deq := max(enter, c.free)
+	c.deq[c.next] = deq
+	c.next = (c.next + 1) % len(c.deq)
+	c.virtual += service
+	c.free = deq
+	if c.virtual-deq > granule {
+		c.free = c.virtual
+	}
+	c.busyNS.Add(int64(service))
+	c.chunks.Inc()
+	return enter
+}
+
+// replace swaps a spare in for the column at now: a fresh device that
+// has banked no idle credit, so the rebuild writes it at its bandwidth.
+func (c *column) replace(now time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.virtual = max(c.virtual, now)
+}
+
+// queued is the queue's occupancy at now: the ring's jobs not yet
+// dequeued (dequeue times never decrease); all of them while a sender waits.
+func (c *column) queued(now time.Duration) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, d := range c.deq {
+		if d > now {
+			n++
+		}
+	}
+	return n
+}
+
+// deviceArray models the physical SSD array, one column per SSD, behind
+// every shard of an engine — shards partition the LBA space, not the
+// hardware. Its one clock is time since start, its one effect a sleep.
 type deviceArray struct {
-	devices      []*device
-	wg           sync.WaitGroup
+	cols         []*column
 	start        time.Time
 	readService  time.Duration
 	writeService time.Duration
-	closeOnce    sync.Once
 
 	// fault is Run's injector, nil in every served engine: it decides
 	// which chunks a failed column loses, counts what each column holds,
-	// bounds queue sends with timeout and backoff, and fans reads of the
+	// paces queue sends with timeout and backoff, and fans reads of the
 	// failed column out to the survivors. Set before the first send.
 	fault *faultRun
 
@@ -125,97 +178,38 @@ func (da *deviceArray) awaitGC(shard int32) {
 
 func newDeviceArray(ncols, queueDepth int, writeService, readService time.Duration) *deviceArray {
 	da := &deviceArray{
-		devices:      make([]*device, ncols),
+		cols:         make([]*column, ncols),
 		start:        time.Now(),
 		readService:  readService,
 		writeService: writeService,
 	}
-	for i := range da.devices {
-		da.devices[i] = &device{ch: make(chan chunkJob, queueDepth)}
-	}
-	for _, d := range da.devices {
-		da.wg.Add(1)
-		go func(d *device) {
-			defer da.wg.Done()
-			var virtual time.Duration
-			for job := range d.ch {
-				if job.read {
-					virtual += da.readService
-					d.busyNS.Add(int64(da.readService))
-				} else {
-					virtual += da.writeService
-					d.busyNS.Add(int64(da.writeService))
-				}
-				d.chunks.Inc()
-				// Throttle to the modelled bandwidth, sleeping only
-				// when the debt is large enough for the OS timer.
-				// The granule trades timer pressure for tail
-				// fidelity: sleeping off a large debt in one go
-				// quantizes every enqueue stall behind it to the full
-				// sleep, which would put a multi-millisecond floor
-				// under the serving layer's p999 that no GC
-				// scheduling could get beneath.
-				if lag := virtual - time.Since(da.start); lag > 200*time.Microsecond {
-					time.Sleep(lag)
-				}
-			}
-		}(d)
+	for i := range da.cols {
+		da.cols[i] = &column{deq: make([]time.Duration, queueDepth)}
 	}
 	return da
 }
 
-// send is the one way onto a device queue: it puts job on column col,
-// blocking while the queue is full (a saturated column applies
-// backpressure to whoever holds the engine lock, exactly like a
-// saturated array) and adding the time blocked to *blockedNS. With the
-// fault hook attached it first lets the injector drop or count the
-// chunk, then bounds each attempt by QueueTimeout with capped
-// exponential backoff between attempts; after RetryMax timeouts it
-// falls back to a blocking send — device operations are delayed, never
-// dropped by a full queue.
+// send is the one way onto a device queue: it runs column col's
+// recurrence for job and sleeps until the job enters (a saturated column
+// applies backpressure to whoever holds the engine lock, like a
+// saturated array), adding the time slept to *blockedNS. Only the fault
+// hook drops a chunk; a full queue delays it.
 func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
-	ch := da.devices[col].ch
 	fr := da.fault
-	if fr == nil {
-		select {
-		case ch <- job:
-		default:
-			t0 := time.Now()
-			ch <- job
-			*blockedNS += time.Since(t0).Nanoseconds()
-		}
+	if fr != nil && !fr.admit(col, job) {
 		return
 	}
-	if !fr.admit(col, job) {
-		return
+	service := da.writeService
+	if job.read {
+		service = da.readService
 	}
-	select {
-	case ch <- job:
-		fr.retryHist.Observe(0)
-		return
-	default:
+	now := time.Since(da.start)
+	enter := da.cols[col].schedule(now, service, fr)
+	// A fresh clock: a sender preempted before the lock may be late already.
+	if wait := enter - time.Since(da.start); wait > 0 {
+		time.Sleep(wait)
+		*blockedNS += int64(time.Since(da.start) - now)
 	}
-	t0 := time.Now()
-	var retries int64
-	for sent := false; !sent; {
-		t := time.NewTimer(fr.cfg.QueueTimeout)
-		select {
-		case ch <- job:
-			t.Stop()
-			sent = true
-		case <-t.C:
-			retries++
-			fr.retries.Add(1)
-			if retries >= int64(fr.cfg.RetryMax) {
-				ch <- job
-				sent = true
-			} else {
-				time.Sleep(fr.backoff.Delay(int(retries) - 1))
-			}
-		}
-	}
-	fr.retryHist.Observe(retries)
-	*blockedNS += time.Since(t0).Nanoseconds()
 }
 
 // read issues one chunk-sized read aimed at column col. While the
@@ -224,7 +218,7 @@ func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
 func (da *deviceArray) read(col int, blockedNS *int64) {
 	if fr := da.fault; fr.degradedTarget(col) {
 		fr.degReads.Add(1)
-		for c := range da.devices {
+		for c := range da.cols {
 			if c != col {
 				da.send(c, chunkJob{read: true}, blockedNS)
 			}
@@ -234,50 +228,46 @@ func (da *deviceArray) read(col int, blockedNS *int64) {
 	da.send(col, chunkJob{read: true}, blockedNS)
 }
 
-// now is the array's wall-derived simulated clock, shared by every
-// engine on it so interference intervals and spans align.
+// now is the array's clock as simulated time, shared by every engine on
+// it so interference intervals and spans align.
 func (da *deviceArray) now() sim.Time { return sim.Time(time.Since(da.start)) }
 
 // registerTelemetry exposes per-device counters and queue gauges.
-// Call at most once per array.
+// Call at most once per array, before the first send.
 func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
-	for i, d := range da.devices {
-		d.busyNS = ts.Registry.NewCounter(
+	for i, c := range da.cols {
+		c.busyNS = ts.Registry.NewCounter(
 			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceBusyPrefix, i),
 			"Modelled device service time consumed")
-		d.chunks = ts.Registry.NewCounter(
+		c.chunks = ts.Registry.NewCounter(
 			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceChunksPrefix, i),
 			"Chunk operations serviced")
-		ch := d.ch
 		ts.Registry.NewFuncGauge(
 			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
 			"Queued chunk operations", false,
-			func() int64 { return int64(len(ch)) })
+			func() int64 { return int64(c.queued(time.Since(da.start))) })
 	}
 }
 
-// queueFill reports the fill fraction of the most backlogged column's
-// queue. Channel length is safe to read concurrently, so this needs no
-// lock — it is a pacing heuristic, not a synchronized snapshot.
+// queueFill reports the fill fraction of the most backlogged column.
 func (da *deviceArray) queueFill() float64 {
-	var worst float64
-	for _, d := range da.devices {
-		if f := float64(len(d.ch)) / float64(cap(d.ch)); f > worst {
-			worst = f
-		}
+	worst := 0
+	for _, c := range da.cols {
+		worst = max(worst, c.queued(time.Since(da.start)))
 	}
-	return worst
+	return float64(worst) / float64(len(da.cols[0].deq))
 }
 
-// close shuts the device queues and waits for the workers. Safe to
-// call once; callers must guarantee no further sends.
-func (da *deviceArray) close() {
-	da.closeOnce.Do(func() {
-		for _, d := range da.devices {
-			close(d.ch)
-		}
-	})
-	da.wg.Wait()
+// drain sleeps until the last column's worker is free, so the caller's
+// elapsed time pays for every chunk sent; no send may follow it.
+func (da *deviceArray) drain() {
+	var last time.Duration
+	for _, c := range da.cols {
+		c.mu.Lock()
+		last = max(last, c.free)
+		c.mu.Unlock()
+	}
+	time.Sleep(last - time.Since(da.start))
 }
 
 // Engine is one shard of a Sharded engine: it wraps a log-structured
@@ -412,21 +402,20 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (rele
 	// The sink runs under the engine lock (the store is only entered
 	// with it held). RAID-5 with rotating parity: each shard rotates its
 	// own stripe cursor over the shared columns.
-	chunkBytes := geo.ChunkBytes()
 	deps := lss.Deps{
 		GCGate:  gate,
 		Sharded: true,
 		Shard:   shard,
-		Sink: func(w lss.ChunkWrite) {
+		Sink: func(lss.ChunkWrite) {
 			parityCol := int(e.parityRow % int64(e.ncols))
 			col := e.stripeFill
 			if col >= parityCol {
 				col++
 			}
-			e.devs.send(col, chunkJob{payload: w.PayloadBytes, pad: w.PadBytes}, &e.sinkNS)
+			e.devs.send(col, chunkJob{}, &e.sinkNS)
 			e.stripeFill++
 			if e.stripeFill == e.ncols-1 {
-				e.devs.send(parityCol, chunkJob{payload: chunkBytes}, &e.sinkNS)
+				e.devs.send(parityCol, chunkJob{}, &e.sinkNS)
 				e.parityChunks++
 				e.stripeFill = 0
 				e.parityRow++

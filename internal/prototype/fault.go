@@ -136,6 +136,8 @@ type faultRun struct {
 	startT       [numPhases]time.Time
 	snaps        [numPhases]trafficSnap
 
+	rebuildClaimed atomic.Bool
+
 	degReads atomic.Int64
 	lost     atomic.Int64
 	rebuilt  atomic.Int64
@@ -288,31 +290,39 @@ func (fr *faultRun) admit(col int, job chunkJob) bool {
 	return true
 }
 
-// waitForRebuild blocks until the failure has fired and the configured
-// op delay has elapsed (or the clients finished first). It reports
-// whether a rebuild is actually needed.
-func (fr *faultRun) waitForRebuild(issued *atomic.Int64, clientsDone <-chan struct{}) bool {
-	trigger := fr.failOp + fr.cfg.RebuildDelayOps
-	for {
-		if fr.phase.Load() >= int32(PhaseDegraded) && issued.Load() >= trigger {
-			return true
+// attempts paces a job sent at now whose queue slot opens at open: each
+// attempt waits at most QueueTimeout, a timed-out one counts a retry and
+// backs off, and after RetryMax the sender waits unbounded. The job
+// enters when the slot opens in an attempt, or when the next one starts.
+func (fr *faultRun) attempts(now, open time.Duration) (enter time.Duration) {
+	var retries int64
+	for open > now+fr.cfg.QueueTimeout && retries < int64(fr.cfg.RetryMax) {
+		now += fr.cfg.QueueTimeout
+		retries++
+		if retries < int64(fr.cfg.RetryMax) {
+			now += fr.backoff.Delay(int(retries) - 1)
 		}
-		select {
-		case <-clientsDone:
-			// Clients drained before the delay elapsed; rebuild anyway if
-			// the failure fired, otherwise there is nothing to do.
-			return fr.phase.Load() >= int32(PhaseDegraded)
-		default:
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
+	fr.retries.Add(retries)
+	fr.retryHist.Observe(retries)
+	return max(open, now)
+}
+
+// claimRebuild reports whether the caller runs the rebuild: the first
+// client to find the failure fired and the op delay elapsed at op, or,
+// once the clients are done, whoever finds the failure fired. A client
+// runs it, so it starts on time however the scheduler treats a waiter.
+func (fr *faultRun) claimRebuild(op int64, clientsDone bool) bool {
+	due := clientsDone || op >= fr.failOp+fr.cfg.RebuildDelayOps
+	return due && fr.phase.Load() >= int32(PhaseDegraded) && fr.rebuildClaimed.CompareAndSwap(false, true)
 }
 
 // rebuild walks the failed column chunk by chunk, issuing one
 // reconstruction read on every surviving column plus the spare write
 // through the same bounded queues user traffic uses — rebuild I/O
-// steals real modelled bandwidth. Once progress passes the watermark
-// the store leaves degraded-mode GC; completion enters PhaseRebuilt.
+// steals real modelled bandwidth, and the spare, a fresh device, has
+// none banked. Once progress passes the watermark the store leaves
+// degraded-mode GC; completion enters PhaseRebuilt.
 func (fr *faultRun) rebuild(e *Engine) {
 	da := e.devs
 	e.mu.Lock()
@@ -321,7 +331,7 @@ func (fr *faultRun) rebuild(e *Engine) {
 	e.mu.Unlock()
 	fr.tracer.Emit(telemetry.RebuildStart(e.Now(), fr.failDev, total))
 
-	chunkBytes := e.Config().ChunkBytes()
+	da.cols[fr.failDev].replace(time.Since(da.start))
 	var blockedNS int64 // no client op to charge the rebuild's queue waits to
 	cleared := false
 	var done int64
@@ -331,12 +341,12 @@ func (fr *faultRun) rebuild(e *Engine) {
 			n = total - done
 		}
 		for i := int64(0); i < n; i++ {
-			for col := range da.devices {
+			for col := range da.cols {
 				if col != fr.failDev {
 					da.read(col, &blockedNS)
 				}
 			}
-			da.send(fr.failDev, chunkJob{payload: chunkBytes, spare: true}, &blockedNS)
+			da.send(fr.failDev, chunkJob{spare: true}, &blockedNS)
 		}
 		done += n
 		fr.rebuilt.Add(n)

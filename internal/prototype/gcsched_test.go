@@ -125,7 +125,7 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 					gs.GCStep(16)
 				}
 			}
-			e.QueueFill() // lock-free signal read races with everything
+			e.QueueFill() // the columns' signal read races with every send
 		}
 	}()
 	const writers = 4

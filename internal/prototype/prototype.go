@@ -131,17 +131,6 @@ func Run(cfg Config) (Result, error) {
 	var issued atomic.Int64
 	var clientWG sync.WaitGroup
 	clientErrs := make([]error, cfg.Clients)
-	clientsDone := make(chan struct{})
-	var rebuildWG sync.WaitGroup
-	if fr != nil {
-		rebuildWG.Add(1)
-		go func() {
-			defer rebuildWG.Done()
-			if fr.waitForRebuild(&issued, clientsDone) {
-				fr.rebuild(shard)
-			}
-		}()
-	}
 	for c := 0; c < cfg.Clients; c++ {
 		clientWG.Add(1)
 		go func(c int) {
@@ -157,6 +146,9 @@ func Run(cfg Config) (Result, error) {
 				}
 				if fr != nil && op == fr.failOp {
 					fr.fail(shard)
+				}
+				if fr != nil && fr.claimRebuild(op, false) {
+					fr.rebuild(shard)
 				}
 				lba := z.Next()
 				var p Phase
@@ -190,8 +182,9 @@ func Run(cfg Config) (Result, error) {
 		}(c)
 	}
 	clientWG.Wait()
-	close(clientsDone)
-	rebuildWG.Wait()
+	if fr != nil && fr.claimRebuild(0, true) {
+		fr.rebuild(shard)
+	}
 	measureEnd := time.Now() // phase accounting stops before the drain
 	for bgStep > 0 && !gc.GCStep(1<<30) {
 		// settle in-flight GC before the drain

@@ -64,7 +64,7 @@ type Sharded struct {
 }
 
 // NewSharded builds and starts an ingest engine. The caller must Close
-// it to drain open chunks and stop the device workers. Direct
+// it to drain open chunks and wait out the device columns. Direct
 // construction is for this module's own tooling; everything else
 // should go through the public adapt.NewEngine, which shares the
 // simulator's configuration validation (typed policy names, GCSched
@@ -207,7 +207,7 @@ func (s *Sharded) teardown() {
 	for _, e := range s.shards {
 		e.abort()
 	}
-	s.devs.close()
+	s.devs.drain()
 }
 
 // Config returns the aggregate geometry: the defaulted store config
@@ -522,7 +522,8 @@ func (s *Sharded) Drain() error {
 }
 
 // Close closes every shard (draining and invariant-checking each
-// store) and stops the device workers.
+// store), then sleeps until the last device column has worked off the
+// chunks sent to it, so a caller timing the run pays for all of them.
 func (s *Sharded) Close() error {
 	s.closeOnce.Do(func() {
 		for i, e := range s.shards {
@@ -530,7 +531,7 @@ func (s *Sharded) Close() error {
 				s.closeErr = fmt.Errorf("prototype: shard %d close: %w", i, err)
 			}
 		}
-		s.devs.close()
+		s.devs.drain()
 	})
 	return s.closeErr
 }
