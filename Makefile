@@ -127,7 +127,11 @@ race-sharded:
 ## harness-lint: the experiment table exists once. adaptbench loops
 ## over the harness's registry (harness.Experiments) and calls no
 ## experiment function itself, and non-test internal/harness writes the
-## YCSB-A trace config once (Scale.ycsb) besides DiffTrace's.
+## YCSB-A trace config once (Scale.ycsb) besides DiffTrace's. The
+## prototype has one client loop on one clock: prototype.Run and its
+## fault injector (internal/prototype/prototype.go, fault.go) start no
+## goroutine and read or sleep on no wall clock, and internal/harness
+## keeps no private closed-loop model of its own.
 harness-lint:
 	@if ls cmd/adaptbench/*.go | grep -v _test.go | xargs grep -nE 'harness\.(Fig[0-9]|Exp[A-Z])'; then \
 		echo "harness-lint FAIL: cmd/adaptbench calls an experiment directly — add a row to harness.Experiments instead"; \
@@ -136,6 +140,18 @@ harness-lint:
 	@n=$$(ls internal/harness/*.go | grep -v _test.go | xargs cat | grep -cF 'workload.YCSBConfig{'); \
 	if [ "$$n" -gt 2 ]; then \
 		echo "harness-lint FAIL: $$n workload.YCSBConfig{ literals in non-test internal/harness — synthesize YCSB-A through Scale.ycsb"; \
+		exit 1; \
+	fi
+	@if grep -nE '(^|[^[:alnum:]_.])go +(func|[[:alpha:]_][[:alnum:]_.]*)\(' internal/prototype/prototype.go internal/prototype/fault.go; then \
+		echo "harness-lint FAIL: prototype.Run starts a goroutine — its clients are one event loop on the virtual clock"; \
+		exit 1; \
+	fi
+	@if grep -nE 'time\.(Now|Sleep)\(' internal/prototype/prototype.go internal/prototype/fault.go; then \
+		echo "harness-lint FAIL: prototype.Run reads or sleeps on the wall clock — use the device array's virtual clock"; \
+		exit 1; \
+	fi
+	@if ls internal/harness/*.go | grep -v _test.go | xargs grep -nE 'gcModel|runGCSchedModel'; then \
+		echo "harness-lint FAIL: a private gcsched model in internal/harness — the model rows are prototype.Run calls"; \
 		exit 1; \
 	fi
 	@echo "harness-lint OK"
@@ -170,11 +186,11 @@ fault:
 bench-telemetry:
 	$(GO) test -run '^$$' -bench BenchmarkTelemetryHotPath -benchtime 500000x -count 3 .
 
-## gcsched-smoke: the tail-latency-aware GC gate. On the deterministic
-## virtual-clock model (real stores, real pacer), background-paced GC
-## must cut the client p999 by >=30% against the synchronous watermark
-## baseline with write amplification within 2%, for every placement
-## policy. Also lints the store-configuration API: lss.Store grows no
+## gcsched-smoke: the tail-latency-aware GC gate. On prototype.Run's
+## virtual clock (the real engine, paced by the real gcsched pacer),
+## background-paced GC must cut the client p999 by >=30% against the
+## synchronous watermark baseline with write amplification within 2%,
+## for every placement policy. Also lints the store-configuration API: lss.Store grows no
 ## new Set* setters — runtime changes go through Deps and Reconfigure.
 gcsched-smoke:
 	$(GO) test -run TestGCSchedModelAcceptance ./internal/harness

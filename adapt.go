@@ -121,9 +121,10 @@ type GCSchedConfig struct {
 	// (default: 2 below the low watermark, at least 1). Must stay below
 	// the low watermark, which defaults to groups+2.
 	EmergencyFloor int
-	// SliceUnits is the relocation budget per GC slice (default 32).
-	// One unit is roughly one victim chunk scanned or one block
-	// relocated.
+	// SliceUnits is the relocation budget per GC slice (default 32):
+	// per operation in the simulator, and for RunPrototype the pacer's
+	// budget per tick at urgency 1. One unit is roughly one victim chunk
+	// scanned or one block relocated.
 	SliceUnits int
 }
 

@@ -97,7 +97,7 @@ func main() {
 			}
 		}
 		if *debug != "" {
-			_, addr, err := telemetry.Serve(*debug, ts, nil)
+			_, addr, err := telemetry.Serve(*debug, ts, harness.TelemetryRoutes(ts))
 			cmd.Check(err)
 			fmt.Printf("serving telemetry on http://%s/ (metrics, events.jsonl, series.jsonl, debug/pprof); ctrl-c to exit\n", addr)
 			select {}

@@ -1,8 +1,8 @@
-// Prototype: the concurrent experiment of the paper's Figure 12a —
-// client goroutines hammer the store with YCSB-A zipfian writes while
-// chunk flushes compete for bandwidth-modelled SSDs. More clients
-// saturate the array; policies that generate less GC and padding
-// traffic leave more device time for user writes.
+// Prototype: the experiment of the paper's Figure 12a — closed-loop
+// clients hammer the store with YCSB-A zipfian writes while chunk
+// flushes compete for bandwidth-modelled SSDs, all on a virtual clock.
+// Policies that generate less GC and padding traffic hold the engine
+// and the devices for less time per user write.
 package main
 
 import (

@@ -292,6 +292,9 @@ func (c *Controller) Tick() bool {
 	return true
 }
 
+// Interval returns the defaulted pacing tick.
+func (c *Controller) Interval() time.Duration { return c.cfg.Interval }
+
 // Stats snapshots the pacer counters.
 func (c *Controller) Stats() Stats {
 	return Stats{

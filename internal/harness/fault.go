@@ -16,7 +16,7 @@ type FaultOptions struct {
 	// Blocks is the store footprint; Ops the user writes per run.
 	Blocks int64
 	Ops    int64
-	// Clients is the writer-goroutine count.
+	// Clients is the closed-loop client count.
 	Clients int
 	// ReadRatio interleaves reads, which is what makes degraded reads
 	// (reconstruction fan-out) visible.
@@ -53,12 +53,8 @@ func DefaultFaultOptions(sc Scale) FaultOptions {
 
 // FaultRow is one policy × phase cell of the degraded-mode table.
 type FaultRow struct {
-	Policy    string
-	Phase     prototype.Phase
-	Ops       int64
-	OpsPerSec float64
-	WA        float64
-	P99       time.Duration
+	Policy string
+	prototype.PhaseStats
 }
 
 // FaultCounters aggregates one policy's fault-path accounting.
@@ -88,9 +84,10 @@ func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, err
 	}
 	out := &FaultResult{}
 	for _, polName := range policies {
-		res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, prototype.Config{
+		res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, false, prototype.Config{
 			Clients:   opts.Clients,
 			Ops:       opts.Ops,
+			Theta:     0.99,
 			ReadRatio: opts.ReadRatio,
 			Seed:      sc.Seed,
 			Fault: prototype.FaultConfig{
@@ -104,14 +101,7 @@ func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, err
 			return nil, fmt.Errorf("fault %s: %w", polName, err)
 		}
 		for _, ps := range res.Phases {
-			out.Rows = append(out.Rows, FaultRow{
-				Policy:    polName,
-				Phase:     ps.Phase,
-				Ops:       ps.Ops,
-				OpsPerSec: ps.OpsPerSec,
-				WA:        ps.WA,
-				P99:       ps.P99,
-			})
+			out.Rows = append(out.Rows, FaultRow{polName, ps})
 		}
 		out.Counters = append(out.Counters, FaultCounters{
 			Policy:        polName,

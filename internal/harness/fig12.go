@@ -75,9 +75,10 @@ func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error)
 	out := &Fig12Result{}
 	for _, clients := range opts.ClientCounts {
 		for _, polName := range policies {
-			res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, prototype.Config{
+			res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, false, prototype.Config{
 				Clients: clients,
 				Ops:     opts.Ops,
+				Theta:   0.99,
 				Seed:    sc.Seed,
 			})
 			if err != nil {
@@ -121,19 +122,20 @@ func Fig12(sc Scale, policies []string, opts Fig12Options) (*Fig12Result, error)
 	return out, nil
 }
 
-// runPrototype runs the concurrent prototype (Figure 12a and the fault
-// experiment) for one policy: run's zipfian-0.99 clients against a
+// runPrototype runs the prototype (Figure 12a, the fault experiment and
+// the gcsched model rows) for one policy: run's clients against a
 // pre-filled store of blocks with Pangu's 100 µs SLA window, the
-// modelled device taking service per chunk.
-func runPrototype(polName string, blocks int64, service time.Duration, run prototype.Config) (prototype.Result, error) {
+// modelled device taking service per chunk, and GC synchronous or, with
+// background, paced by run.GC.
+func runPrototype(polName string, blocks int64, service time.Duration, background bool, run prototype.Config) (prototype.Result, error) {
 	cfg := StoreConfig(blocks, 0)
 	cfg.SLAWindow = 100 * sim.Microsecond
+	cfg.BackgroundGC = background
 	pol, err := BuildPolicy(polName, cfg)
 	if err != nil {
 		return prototype.Result{}, err
 	}
 	run.Engine = prototype.EngineConfig{Store: cfg, Policy: pol, Fill: true, ServiceTime: service, QueueDepth: 8}
-	run.Theta = 0.99
 	return prototype.Run(run)
 }
 

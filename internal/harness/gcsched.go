@@ -98,10 +98,10 @@ type GCSchedRow struct {
 }
 
 // GCSchedResult holds the experiment output: the deterministic
-// virtual-clock comparison (Model) and the live serving-stack run
-// (Rows). The model rows are exactly reproducible and carry the
-// headline numbers; the live rows demonstrate the same effect through
-// the full TCP stack, subject to host scheduling noise.
+// comparison on prototype.Run's virtual clock (Model) and the live
+// serving-stack run (Rows). The model rows are exactly reproducible and
+// carry the headline numbers; the live rows demonstrate the same effect
+// through the full TCP stack, subject to host scheduling noise.
 type GCSchedResult struct {
 	Opts  GCSchedOptions
 	Model []GCSchedRow
@@ -112,16 +112,11 @@ type GCSchedResult struct {
 // each policy: identical stack, identical load, only the GC scheduling
 // mode differs. opts is used as given: start from DefaultGCSchedOptions.
 func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResult, error) {
-	out := &GCSchedResult{Opts: opts}
-	for _, polName := range policies {
-		for _, background := range []bool{false, true} {
-			row, err := runGCSchedModel(sc, polName, opts, background)
-			if err != nil {
-				return nil, fmt.Errorf("gcsched model %s (background=%v): %w", polName, background, err)
-			}
-			out.Model = append(out.Model, row)
-		}
+	model, err := gcschedModel(sc, policies, opts)
+	if err != nil {
+		return nil, err
 	}
+	out := &GCSchedResult{Opts: opts, Model: model}
 	for _, polName := range policies {
 		for _, background := range []bool{false, true} {
 			row, err := runGCSchedMode(sc, polName, opts, background)
@@ -132,6 +127,34 @@ func ExpGCSched(sc Scale, policies []string, opts GCSchedOptions) (*GCSchedResul
 		}
 	}
 	return out, nil
+}
+
+// gcschedModel runs the comparison as prototype.Run calls: the same
+// closed-loop load, on Run's virtual clock over the real engine, with
+// background GC driven by the same pacer the server runs.
+func gcschedModel(sc Scale, policies []string, opts GCSchedOptions) ([]GCSchedRow, error) {
+	var rows []GCSchedRow
+	for _, polName := range policies {
+		for _, background := range []bool{false, true} {
+			clients := opts.Tenants * opts.Workers
+			res, err := runPrototype(polName, opts.Blocks, opts.ServiceTime, background, prototype.Config{
+				Clients:   clients,
+				Ops:       int64(clients * opts.OpsPerWorker),
+				Theta:     opts.Theta,
+				ReadRatio: 1 - opts.WriteFrac,
+				Think:     opts.ThinkTime,
+				Seed:      sc.Seed,
+				GC:        gcsched.Config{Interval: opts.Interval, SliceUnits: opts.SliceUnits, TargetP999: opts.TargetP999},
+			})
+			if err != nil {
+				return nil, fmt.Errorf("gcsched model %s (background=%v): %w", polName, background, err)
+			}
+			row := gcschedRow(polName, background, res.Pacer, res.Measured)
+			row.Ops, row.P50, row.P99, row.P999 = int64(clients*opts.OpsPerWorker), res.P50, res.P99, res.P999
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
 }
 
 func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bool) (GCSchedRow, error) {
@@ -179,10 +202,23 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 		return GCSchedRow{}, err
 	}
 
-	row := gcschedRow(polName, st.GC, loadgen.Summarize(res.Workers).All, gcCounts{
-		st1.UserBlocks - st0.UserBlocks, st1.GCBlocks - st0.GCBlocks,
-		st1.GCCycles - st0.GCCycles, st1.GCSlices - st0.GCSlices, st1.GCEmergencyRuns - st0.GCEmergencyRuns,
+	var pacer gcsched.Stats
+	if background {
+		pacer = st.GC.Stats()
+	}
+	row := gcschedRow(polName, background, pacer, prototype.Traffic{
+		UserBlocks: st1.UserBlocks - st0.UserBlocks, GCBlocks: st1.GCBlocks - st0.GCBlocks,
+		GCCycles: st1.GCCycles - st0.GCCycles, GCSlices: st1.GCSlices - st0.GCSlices,
+		GCEmergencyRuns: st1.GCEmergencyRuns - st0.GCEmergencyRuns,
 	})
+	lats := loadgen.Summarize(res.Workers).All
+	row.Ops = int64(len(lats))
+	if len(lats) > 0 {
+		slices.Sort(lats)
+		row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
+		row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
+		row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
+	}
 	var ranked []string
 	for c := range causes {
 		ranked = append(ranked, c)
@@ -197,30 +233,16 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 	return row, nil
 }
 
-// gcCounts are a measured phase's store counters behind a GCSchedRow.
-type gcCounts struct{ user, gc, cycles, slices, emergencies int64 }
-
-// gcschedRow assembles the row both the model and the live run report:
-// client latency percentiles, measured-phase WA and GC counters, and
-// the pacer's totals (pacer is nil in sync mode).
-func gcschedRow(polName string, pacer *gcsched.Controller, lats []float64, d gcCounts) GCSchedRow {
-	row := GCSchedRow{Policy: polName, Mode: "sync", Ops: int64(len(lats))}
-	if pacer != nil {
+// gcschedRow assembles what the model and the live rows share: the
+// measured phase's WA and GC counters, and in background mode the
+// pacer's totals. The caller fills in the op count and latencies.
+func gcschedRow(polName string, background bool, pacer gcsched.Stats, d prototype.Traffic) GCSchedRow {
+	row := GCSchedRow{Policy: polName, Mode: "sync", WA: d.WA(),
+		GCCycles: d.GCCycles, GCSlices: d.GCSlices, EmergencyRuns: d.GCEmergencyRuns}
+	if background {
 		row.Mode = "background"
-		cs := pacer.Stats()
-		row.PacerSlices, row.TailSkips, row.QueueSkips = cs.Slices, cs.TailSkips, cs.QueueSkips
+		row.PacerSlices, row.TailSkips, row.QueueSkips = pacer.Slices, pacer.TailSkips, pacer.QueueSkips
 	}
-	if len(lats) == 0 {
-		return row
-	}
-	slices.Sort(lats)
-	row.P50 = time.Duration(stats.SortedPercentile(lats, 50))
-	row.P99 = time.Duration(stats.SortedPercentile(lats, 99))
-	row.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
-	if d.user > 0 {
-		row.WA = float64(d.user+d.gc) / float64(d.user)
-	}
-	row.GCCycles, row.GCSlices, row.EmergencyRuns = d.cycles, d.slices, d.emergencies
 	return row
 }
 
@@ -287,7 +309,7 @@ func (r *GCSchedResult) Render() string {
 	fmt.Fprintf(&b, "Tail-latency-aware GC — synchronous vs background-paced (%d tenants × %d workers × %d ops, %.0f%% writes, think %v, slice %d units)\n",
 		r.Opts.Tenants, r.Opts.Workers, r.Opts.OpsPerWorker, 100*r.Opts.WriteFrac, r.Opts.ThinkTime, r.Opts.SliceUnits)
 	if len(r.Model) > 0 {
-		b.WriteString("\nModelled tail (deterministic virtual clock, real stores and pacer):\n")
+		b.WriteString("\nModelled tail (prototype.Run on its virtual clock: real engine, real pacer):\n")
 		renderGCSchedRows(&b, r.Model, false)
 	}
 	if len(r.Rows) > 0 {

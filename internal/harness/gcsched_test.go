@@ -3,26 +3,23 @@ package harness
 import "testing"
 
 // TestGCSchedModelAcceptance is the gate behind `make gcsched-smoke`:
-// on the deterministic virtual-clock model (real stores, real pacer),
-// background-paced GC must cut the client-observed p999 by at least
-// 30% against the synchronous watermark baseline without giving up
-// more than 2% write amplification, for every placement policy, at the
+// on prototype.Run's virtual clock (real engine, real pacer),
+// background-paced GC must cut the client-observed p999 by at least 30%
+// against the synchronous watermark baseline without giving up more
+// than 2% write amplification, for every placement policy, at the
 // experiment's default high-utilization operating point.
 func TestGCSchedModelAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model acceptance sweep is not a -short test")
 	}
 	sc := SmallScale()
-	opts := DefaultGCSchedOptions(sc)
-	for _, pol := range []string{"sepgc", "sepbit", PolicyADAPT} {
-		syncRow, err := runGCSchedModel(sc, pol, opts, false)
-		if err != nil {
-			t.Fatalf("%s sync: %v", pol, err)
-		}
-		bgRow, err := runGCSchedModel(sc, pol, opts, true)
-		if err != nil {
-			t.Fatalf("%s background: %v", pol, err)
-		}
+	rows, err := gcschedModel(sc, []string{"sepgc", "sepbit", PolicyADAPT}, DefaultGCSchedOptions(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(rows); i += 2 {
+		syncRow, bgRow := rows[i], rows[i+1]
+		pol := syncRow.Policy
 		if syncRow.P999 <= 0 || syncRow.WA <= 1 {
 			t.Fatalf("%s sync baseline is vacuous: %+v", pol, syncRow)
 		}

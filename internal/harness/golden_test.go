@@ -13,15 +13,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // TestExperimentsGolden pins every deterministic table adaptbench prints
-// — Figures 2, 3, 8–11, the Fig 12b memory panel and the simulator
-// extensions — byte for byte at tinyScale, running each through its
-// registry entry, so a refactor of the experiment plumbing cannot move a
-// number unnoticed. Fig 12a, fault, tailtrace, gcsched and shardscale
-// measure wall-clock time and stay out.
+// — Figures 2, 3, 8–12, the fault tables, the simulator extensions and
+// the gcsched model rows — byte for byte at tinyScale, running each
+// through its registry entry, so a refactor of the experiment plumbing
+// cannot move a number unnoticed. Tailtrace, the gcsched live rows and
+// shardscale measure wall-clock time and stay out.
 // Regenerate deliberately: go test ./internal/harness -run ExperimentsGolden -update
 func TestExperimentsGolden(t *testing.T) {
-	want := []string{"fig2", "fig3", "fig8", "fig9", "fig10", "fig11",
-		"streams", "chunk", "sla", "victims", "latency"}
+	want := []string{"fig2", "fig3", "fig8", "fig9", "fig10", "fig11", "fig12",
+		"streams", "chunk", "sla", "victims", "latency", "fault"}
 	s := &Session{Scale: tinyScale()}
 	var b strings.Builder
 	for _, e := range Experiments() {
@@ -38,13 +38,12 @@ func TestExperimentsGolden(t *testing.T) {
 	if len(want) > 0 {
 		t.Fatalf("not in the registry: %v", want)
 	}
-	opts := DefaultFig12Options(s.Scale)
-	opts.ClientCounts = nil // 12a is wall-clock throughput
-	f12, err := Fig12(s.Scale, PolicyNames(), opts)
+	opts := DefaultGCSchedOptions(s.Scale)
+	model, err := gcschedModel(s.Scale, []string{"sepgc", "sepbit", PolicyADAPT}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&b, "=== fig12b\n%s", f12.Render())
+	fmt.Fprintf(&b, "=== gcsched model\n%s", (&GCSchedResult{Opts: opts, Model: model}).Render())
 
 	checkGolden(t, filepath.Join("testdata", "experiments.golden"), b.String())
 }

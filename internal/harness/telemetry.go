@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
 	"strings"
 
@@ -20,6 +22,27 @@ func TelemetryRun(sc Scale, policy string, opts telemetry.Options) (*telemetry.S
 	res, err := RunTrace(policy, sc.ycsb(0.99, mediumGap), StoreConfig(sc.YCSBBlocks, lss.Greedy),
 		lss.Deps{Telemetry: ts})
 	return ts, res, err
+}
+
+// TelemetryRoutes are the debug server routes only a simulator run has
+// data for: the tracer's event ring and the recorder's windows.
+// adaptbench -exp telemetry -debug mounts them beside telemetry.Handler's.
+func TelemetryRoutes(ts *telemetry.Set) map[string]http.Handler {
+	serve := func(contentType string, write func(io.Writer) error) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", contentType)
+			_ = write(w)
+		})
+	}
+	return map[string]http.Handler{
+		"/events.jsonl": serve("application/x-ndjson", ts.Tracer.WriteJSONL),
+		"/series.jsonl": serve("application/x-ndjson", func(w io.Writer) error {
+			return telemetry.WriteWindowsJSONL(w, ts.Recorder.Windows())
+		}),
+		"/series.csv": serve("text/csv", func(w io.Writer) error {
+			return telemetry.WriteWindowsCSV(w, ts.Recorder.Windows())
+		}),
+	}
 }
 
 // RenderWindows renders a time-series table from recorder windows (or

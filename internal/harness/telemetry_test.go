@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -137,5 +139,50 @@ func TestRenderWindowsAndEvents(t *testing.T) {
 	}
 	if got := RenderEventSummary(nil); !strings.Contains(got, "no tracer") {
 		t.Fatalf("nil tracer rendering: %q", got)
+	}
+}
+
+// TestTelemetryRoutesServeRun: the routes adaptbench -exp telemetry
+// -debug mounts serve a simulator run's recorded windows and traced
+// events, and the debug index lists them.
+func TestTelemetryRoutesServeRun(t *testing.T) {
+	sc := tinyScale()
+	sc.YCSBWrites = 8 << 10
+	ts, _, err := TelemetryRun(sc, PolicyADAPT, telemetry.Options{WindowInterval: sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := ts.Recorder.Windows()
+	if len(ws) == 0 || ts.Tracer.Len() == 0 {
+		t.Fatalf("vacuous run: %d windows, %d events", len(ws), ts.Tracer.Len())
+	}
+	h := telemetry.HandlerWith(ts, TelemetryRoutes(ts))
+	get := func(path, contentType string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, rec.Code)
+		}
+		if got := rec.Header().Get("Content-Type"); got != contentType {
+			t.Fatalf("GET %s: Content-Type %q, want %q", path, got, contentType)
+		}
+		return rec.Body.String()
+	}
+	back, err := telemetry.ReadWindowsJSONL(strings.NewReader(get("/series.jsonl", "application/x-ndjson")))
+	if err != nil || len(back) != len(ws) {
+		t.Fatalf("/series.jsonl: %d windows (%v), recorder holds %d", len(back), err, len(ws))
+	}
+	if rows := strings.Count(get("/series.csv", "text/csv"), "\n"); rows != len(ws)+1 {
+		t.Fatalf("/series.csv: %d lines, want a header and %d windows", rows, len(ws))
+	}
+	if n := strings.Count(get("/events.jsonl", "application/x-ndjson"), "\n"); n != ts.Tracer.Len() {
+		t.Fatalf("/events.jsonl: %d events, tracer holds %d", n, ts.Tracer.Len())
+	}
+	index := get("/", "text/plain; charset=utf-8")
+	for path := range TelemetryRoutes(ts) {
+		if !strings.Contains(index, path+"\n") {
+			t.Errorf("index does not list %s:\n%s", path, index)
+		}
 	}
 }

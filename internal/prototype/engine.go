@@ -140,12 +140,17 @@ func (c *column) queued(now time.Duration) int {
 
 // deviceArray models the physical SSD array, one column per SSD, behind
 // every shard of an engine — shards partition the LBA space, not the
-// hardware. Its one clock is time since start, its one effect a sleep.
+// hardware. Its one clock is time since start (or Run's virtual clock),
+// its one effect a sleep (or advancing that clock).
 type deviceArray struct {
 	cols         []*column
 	start        time.Time
 	readService  time.Duration
 	writeService time.Duration
+
+	// clock, when set, is Run's virtual clock (ns since start): a wait
+	// advances it instead of sleeping. Nil in every served engine.
+	clock *atomic.Int64
 
 	// fault is Run's injector, nil in every served engine: it decides
 	// which chunks a failed column loses, counts what each column holds,
@@ -192,8 +197,9 @@ func newDeviceArray(ncols, queueDepth int, writeService, readService time.Durati
 // send is the one way onto a device queue: it runs column col's
 // recurrence for job and sleeps until the job enters (a saturated column
 // applies backpressure to whoever holds the engine lock, like a
-// saturated array), adding the time slept to *blockedNS. Only the fault
-// hook drops a chunk; a full queue delays it.
+// saturated array), adding the time slept to *blockedNS. On a virtual
+// clock the wait advances the clock instead. Only the fault hook drops a
+// chunk; a full queue delays it.
 func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
 	fr := da.fault
 	if fr != nil && !fr.admit(col, job) {
@@ -203,8 +209,15 @@ func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
 	if job.read {
 		service = da.readService
 	}
-	now := time.Since(da.start)
+	now := da.elapsed()
 	enter := da.cols[col].schedule(now, service, fr)
+	if da.clock != nil {
+		if enter > now {
+			da.clock.Store(int64(enter))
+			*blockedNS += int64(enter - now)
+		}
+		return
+	}
 	// A fresh clock: a sender preempted before the lock may be late already.
 	if wait := enter - time.Since(da.start); wait > 0 {
 		time.Sleep(wait)
@@ -228,9 +241,18 @@ func (da *deviceArray) read(col int, blockedNS *int64) {
 	da.send(col, chunkJob{read: true}, blockedNS)
 }
 
+// elapsed is the array's clock: Run's virtual clock when set, else time
+// since start.
+func (da *deviceArray) elapsed() time.Duration {
+	if da.clock != nil {
+		return time.Duration(da.clock.Load())
+	}
+	return time.Since(da.start)
+}
+
 // now is the array's clock as simulated time, shared by every engine on
 // it so interference intervals and spans align.
-func (da *deviceArray) now() sim.Time { return sim.Time(time.Since(da.start)) }
+func (da *deviceArray) now() sim.Time { return sim.Time(da.elapsed()) }
 
 // registerTelemetry exposes per-device counters and queue gauges.
 // Call at most once per array, before the first send.
@@ -245,7 +267,7 @@ func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
 		ts.Registry.NewFuncGauge(
 			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
 			"Queued chunk operations", false,
-			func() int64 { return int64(c.queued(time.Since(da.start))) })
+			func() int64 { return int64(c.queued(da.elapsed())) })
 	}
 }
 
@@ -253,13 +275,14 @@ func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
 func (da *deviceArray) queueFill() float64 {
 	worst := 0
 	for _, c := range da.cols {
-		worst = max(worst, c.queued(time.Since(da.start)))
+		worst = max(worst, c.queued(da.elapsed()))
 	}
 	return float64(worst) / float64(len(da.cols[0].deq))
 }
 
-// drain sleeps until the last column's worker is free, so the caller's
-// elapsed time pays for every chunk sent; no send may follow it.
+// drain sleeps until the last column's worker is free (or advances the
+// virtual clock there), so the caller's elapsed time pays for every chunk
+// sent; no send may follow it.
 func (da *deviceArray) drain() {
 	var last time.Duration
 	for _, c := range da.cols {
@@ -267,16 +290,21 @@ func (da *deviceArray) drain() {
 		last = max(last, c.free)
 		c.mu.Unlock()
 	}
+	if da.clock != nil {
+		da.clock.Store(int64(max(last, da.elapsed())))
+		return
+	}
 	time.Sleep(last - time.Since(da.start))
 }
 
 // Engine is one shard of a Sharded engine: it wraps a log-structured
 // store over a private slice of the LBA space, and the router's shared
 // bandwidth-modelled device array, behind a mutex so network servers
-// (internal/server), Run's client fleet and other live producers all
+// (internal/server), Run's clients and other live producers all
 // drive one RAID-5 pipeline. Simulated
-// time is wall-derived (time since array start), so the store's
-// SLA-window padding runs against real request interarrival gaps.
+// time is the array's clock: wall-derived (time since array start) on
+// a served engine, so the store's SLA-window padding runs against real
+// request interarrival gaps, and Run's virtual clock in a prototype run.
 //
 // All methods are safe for concurrent use. Chunk flushes dispatch to
 // bounded per-device queues under the engine lock, so a saturated
@@ -500,7 +528,8 @@ func (e *Engine) abort() {
 // Config returns the store's effective (defaulted) configuration.
 func (e *Engine) Config() lss.Config { return e.store.Config() }
 
-// Now returns the engine's wall-derived simulated time.
+// Now returns the array's clock as simulated time (wall-derived on a
+// served engine).
 func (e *Engine) Now() sim.Time { return e.devs.now() }
 
 // GCNeeded implements GCShard.

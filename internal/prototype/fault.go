@@ -2,7 +2,6 @@ package prototype
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,8 +31,8 @@ type FaultConfig struct {
 	// failure and the start of the rebuild (detection + spare swap-in
 	// time, expressed in load units so it scales with the run).
 	RebuildDelayOps int64
-	// RebuildBurst is how many chunks each rebuild round pushes through
-	// the device queues before re-checking the watermark (default 8).
+	// RebuildBurst bounds the chunks one rebuild step sends before Run's
+	// other events get a turn (default 8); a send that must wait ends it.
 	RebuildBurst int
 	// QueueTimeout bounds one queue-send attempt before it counts as a
 	// retry (default 2ms).
@@ -68,18 +67,10 @@ const (
 
 // String names the phase as used in experiment tables.
 func (p Phase) String() string {
-	switch p {
-	case PhaseHealthy:
-		return "healthy"
-	case PhaseDegraded:
-		return "degraded"
-	case PhaseRebuilding:
-		return "rebuilding"
-	case PhaseRebuilt:
-		return "rebuilt"
-	default:
+	if p < 0 || p >= numPhases {
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
+	return [numPhases]string{"healthy", "degraded", "rebuilding", "rebuilt"}[p]
 }
 
 // PhaseStats summarizes one phase of a fault run.
@@ -91,15 +82,38 @@ type PhaseStats struct {
 	// WA is the write amplification of traffic issued during the phase
 	// (delta of user+GC blocks over delta of user blocks).
 	WA float64
-	// P99 is the 99th-percentile client-observed op latency: the time
-	// from op start to the store accepting the write (or read) and its
-	// chunk traffic entering the device queues.
+	// P99 is the 99th-percentile client-observed op latency (see
+	// Result.P99).
 	P99 time.Duration
 }
 
-// trafficSnap is the part of the store metrics a phase boundary needs.
-type trafficSnap struct {
-	user, gc int64
+// Traffic is the store traffic a span of a run produced: user and
+// GC-relocated blocks, GC cycles, paced slices and emergency cycles.
+type Traffic struct {
+	UserBlocks, GCBlocks, GCCycles, GCSlices, GCEmergencyRuns int64
+}
+
+// trafficOf snapshots the shard store's cumulative traffic. Caller holds
+// e.mu.
+func trafficOf(e *Engine) Traffic {
+	m := e.store.Metrics()
+	return Traffic{m.UserBlocks, m.GCBlocks, m.GCCycles, m.GCSlices, m.GCEmergencyRuns}
+}
+
+// since is t less an earlier snapshot.
+func (t Traffic) since(base Traffic) Traffic {
+	return Traffic{
+		t.UserBlocks - base.UserBlocks, t.GCBlocks - base.GCBlocks, t.GCCycles - base.GCCycles,
+		t.GCSlices - base.GCSlices, t.GCEmergencyRuns - base.GCEmergencyRuns,
+	}
+}
+
+// WA is the write amplification of the span, 1 without user traffic.
+func (t Traffic) WA() float64 {
+	if t.UserBlocks <= 0 {
+		return 1
+	}
+	return float64(t.UserBlocks+t.GCBlocks) / float64(t.UserBlocks)
 }
 
 // setDegraded flips the shard store's degraded-mode GC. Caller holds
@@ -110,9 +124,10 @@ func setDegraded(e *Engine, v bool) {
 
 // faultRun is the per-run state of Run's fault injector. It owns no
 // devices and no lock: it rides the engine's device array as its fault
-// hook (deviceArray.send and read consult it per job) and does its
-// phase bookkeeping under the lock of the run's one shard. A nil
-// *faultRun is a healthy array: every probe reports "no failure".
+// hook (deviceArray.send and read consult it per job), Run's loop
+// drives its failure and rebuild, and it does its phase bookkeeping
+// under the lock of the run's one shard. A nil *faultRun is a healthy
+// array: every probe reports "no failure".
 type faultRun struct {
 	cfg     FaultConfig
 	backoff fault.Backoff
@@ -120,24 +135,25 @@ type faultRun struct {
 	failDev int
 	failOp  int64
 
-	// phase is the lifecycle stage, written only inside enterPhaseLocked
-	// (under the shard lock) and read lock-free by clients and the
-	// array's send path.
-	phase atomic.Int32
+	// phase is the lifecycle stage, entered only by enterPhaseLocked.
+	phase Phase
 
-	// colChunks counts the log chunks placed on each column. Atomic: the
-	// array is shared hardware, so the count must not lean on any one
-	// shard's lock.
-	colChunks []atomic.Int64
+	// colChunks counts the log chunks placed on each column.
+	colChunks []int64
 
-	// Guarded by the shard lock:
 	rebuildTotal int64 // colChunks[failDev] frozen at failure
 	entered      [numPhases]bool
-	startT       [numPhases]time.Time
-	snaps        [numPhases]trafficSnap
+	startT       [numPhases]time.Duration
+	snaps        [numPhases]Traffic
 
-	rebuildClaimed atomic.Bool
+	// The rebuild's progress beside rebuilt: when it next sends, the
+	// current chunk's next send (one read per surviving column, then
+	// the spare write), and whether degraded-mode GC has been cleared.
+	rebuildAt   time.Duration
+	rebuildSend int
+	cleared     bool
 
+	// Read at scrape time by the registry's function gauges.
 	degReads atomic.Int64
 	lost     atomic.Int64
 	rebuilt  atomic.Int64
@@ -145,12 +161,6 @@ type faultRun struct {
 
 	tracer    *telemetry.Tracer
 	retryHist *telemetry.Histogram
-
-	// collectMu guards the merged per-phase latency samples and op
-	// counts that clients contribute when they finish.
-	collectMu sync.Mutex
-	latNS     [numPhases][]float64
-	phaseOps  [numPhases]int64
 }
 
 // newFaultRun validates the fault configuration and resolves the
@@ -205,7 +215,7 @@ func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
 		backoff:   fault.Backoff{Base: f.BackoffBase, Cap: f.BackoffCap},
 		failDev:   failDev,
 		failOp:    failOp,
-		colChunks: make([]atomic.Int64, ncols),
+		colChunks: make([]int64, ncols),
 	}, nil
 }
 
@@ -217,18 +227,17 @@ func (fr *faultRun) registerTelemetry(ts *telemetry.Set) {
 	}
 	fr.tracer = ts.Tracer
 	reg := ts.Registry
-	reg.NewFuncGauge(telemetry.MetricDegradedReads,
-		"Reads served by XOR reconstruction fan-out", true,
-		func() int64 { return fr.degReads.Load() })
-	reg.NewFuncGauge(telemetry.MetricRebuildChunks,
-		"Chunks the rebuild pushed through the device queues", true,
-		func() int64 { return fr.rebuilt.Load() })
-	reg.NewFuncGauge(telemetry.MetricLostChunks,
-		"Chunk writes dropped on the failed column", true,
-		func() int64 { return fr.lost.Load() })
-	reg.NewFuncGauge(telemetry.MetricQueueRetries,
-		"Queue sends that timed out and retried after backoff", true,
-		func() int64 { return fr.retries.Load() })
+	for _, g := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{telemetry.MetricDegradedReads, "Reads served by XOR reconstruction fan-out", &fr.degReads},
+		{telemetry.MetricRebuildChunks, "Chunks the rebuild pushed through the device queues", &fr.rebuilt},
+		{telemetry.MetricLostChunks, "Chunk writes dropped on the failed column", &fr.lost},
+		{telemetry.MetricQueueRetries, "Queue sends that timed out and retried after backoff", &fr.retries},
+	} {
+		reg.NewFuncGauge(g.name, g.help, true, g.v.Load)
+	}
 	fr.retryHist = reg.NewHistogram(telemetry.MetricRetryHistogram,
 		"Retries per dispatched device operation", []int64{0, 1, 2, 4, 8})
 }
@@ -236,11 +245,7 @@ func (fr *faultRun) registerTelemetry(ts *telemetry.Set) {
 // failureActive reports whether the failed column is currently
 // unavailable (failed and not yet fully rebuilt). Nil-safe.
 func (fr *faultRun) failureActive() bool {
-	if fr == nil {
-		return false
-	}
-	p := Phase(fr.phase.Load())
-	return p == PhaseDegraded || p == PhaseRebuilding
+	return fr != nil && (fr.phase == PhaseDegraded || fr.phase == PhaseRebuilding)
 }
 
 // degradedTarget reports whether a read aimed at col must fan out to
@@ -249,22 +254,21 @@ func (fr *faultRun) degradedTarget(col int) bool {
 	return fr.failureActive() && col == fr.failDev
 }
 
-// enterPhaseLocked records a phase boundary: traffic snapshot, wall
-// time, and the lock-free phase flag. Caller holds e.mu.
+// enterPhaseLocked records a phase boundary: traffic snapshot and the
+// array's clock. Caller holds e.mu.
 func (fr *faultRun) enterPhaseLocked(e *Engine, p Phase) {
-	m := e.store.Metrics()
-	fr.snaps[p] = trafficSnap{user: m.UserBlocks, gc: m.GCBlocks}
-	fr.startT[p] = time.Now()
+	fr.snaps[p] = trafficOf(e)
+	fr.startT[p] = e.devs.elapsed()
 	fr.entered[p] = true
-	fr.phase.Store(int32(p))
+	fr.phase = p
 }
 
 // fail fires the planned failure: freezes the rebuild total, flips the
-// shard store into degraded-mode GC, and enters PhaseDegraded. Exactly
-// one client calls it (the one whose op counter hits failOp).
+// shard store into degraded-mode GC, and enters PhaseDegraded. Run's
+// loop calls it before issuing op failOp.
 func (fr *faultRun) fail(e *Engine) {
 	e.mu.Lock()
-	fr.rebuildTotal = fr.colChunks[fr.failDev].Load()
+	fr.rebuildTotal = fr.colChunks[fr.failDev]
 	setDegraded(e, true)
 	fr.enterPhaseLocked(e, PhaseDegraded)
 	e.mu.Unlock()
@@ -286,7 +290,7 @@ func (fr *faultRun) admit(col int, job chunkJob) bool {
 		fr.lost.Add(1)
 		return false
 	}
-	fr.colChunks[col].Add(1)
+	fr.colChunks[col]++
 	return true
 }
 
@@ -308,75 +312,77 @@ func (fr *faultRun) attempts(now, open time.Duration) (enter time.Duration) {
 	return max(open, now)
 }
 
-// claimRebuild reports whether the caller runs the rebuild: the first
-// client to find the failure fired and the op delay elapsed at op, or,
-// once the clients are done, whoever finds the failure fired. A client
-// runs it, so it starts on time however the scheduler treats a waiter.
-func (fr *faultRun) claimRebuild(op int64, clientsDone bool) bool {
-	due := clientsDone || op >= fr.failOp+fr.cfg.RebuildDelayOps
-	return due && fr.phase.Load() >= int32(PhaseDegraded) && fr.rebuildClaimed.CompareAndSwap(false, true)
-}
+// rebuilding reports whether the rebuild is under way. Nil-safe.
+func (fr *faultRun) rebuilding() bool { return fr != nil && fr.phase == PhaseRebuilding }
 
-// rebuild walks the failed column chunk by chunk, issuing one
-// reconstruction read on every surviving column plus the spare write
-// through the same bounded queues user traffic uses — rebuild I/O
-// steals real modelled bandwidth, and the spare, a fresh device, has
-// none banked. Once progress passes the watermark the store leaves
-// degraded-mode GC; completion enters PhaseRebuilt.
-func (fr *faultRun) rebuild(e *Engine) {
-	da := e.devs
+// startRebuild swaps the spare in at the array's clock and enters
+// PhaseRebuilding; Run's loop then runs the rebuild (rebuildStep).
+func (fr *faultRun) startRebuild(e *Engine) {
 	e.mu.Lock()
-	total := fr.rebuildTotal
 	fr.enterPhaseLocked(e, PhaseRebuilding)
 	e.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildStart(e.Now(), fr.failDev, total))
-
-	da.cols[fr.failDev].replace(time.Since(da.start))
-	var blockedNS int64 // no client op to charge the rebuild's queue waits to
-	cleared := false
-	var done int64
-	for done < total {
-		n := int64(fr.cfg.RebuildBurst)
-		if total-done < n {
-			n = total - done
-		}
-		for i := int64(0); i < n; i++ {
-			for col := range da.cols {
-				if col != fr.failDev {
-					da.read(col, &blockedNS)
-				}
-			}
-			da.send(fr.failDev, chunkJob{spare: true}, &blockedNS)
-		}
-		done += n
-		fr.rebuilt.Add(n)
-		if !cleared && float64(done) >= fr.cfg.DegradedGCWatermark*float64(total) {
-			e.mu.Lock()
-			setDegraded(e, false)
-			e.mu.Unlock()
-			cleared = true
-		}
-	}
-	e.mu.Lock()
-	setDegraded(e, false)
-	fr.enterPhaseLocked(e, PhaseRebuilt)
-	e.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildEnd(e.Now(), fr.failDev, total))
+	fr.tracer.Emit(telemetry.RebuildStart(e.Now(), fr.failDev, fr.rebuildTotal))
+	fr.rebuildAt = e.devs.elapsed()
+	e.devs.cols[fr.failDev].replace(fr.rebuildAt)
 }
 
-// collect merges one client's per-phase latency samples and op counts.
-func (fr *faultRun) collect(latNS [numPhases][]float64, ops [numPhases]int64) {
-	fr.collectMu.Lock()
-	for p := range latNS {
-		fr.latNS[p] = append(fr.latNS[p], latNS[p]...)
-		fr.phaseOps[p] += ops[p]
+// rebuildStep sends the failed column's chunks from the array's clock —
+// per chunk a read on every survivor, then the spare write — through the
+// queues user traffic uses; the spare, a fresh device, has no banked
+// credit. It stops after RebuildBurst chunks, or at the first send that
+// must wait: that job holds its queue place, the rebuild resumes when it
+// enters (rebuildAt), and the clock goes back to the step's start, so
+// the clients run meanwhile. Past the watermark the store leaves
+// degraded-mode GC; completion enters PhaseRebuilt.
+func (fr *faultRun) rebuildStep(e *Engine) {
+	da := e.devs
+	start := da.elapsed()
+	fr.rebuildAt = start
+	for chunks := 0; ; {
+		if fr.rebuildSend == len(da.cols) { // the chunk's spare write has entered
+			fr.rebuildSend = 0
+			chunks++
+			done := fr.rebuilt.Add(1)
+			if !fr.cleared && float64(done) >= fr.cfg.DegradedGCWatermark*float64(fr.rebuildTotal) {
+				e.mu.Lock()
+				setDegraded(e, false)
+				e.mu.Unlock()
+				fr.cleared = true
+			}
+		}
+		if fr.rebuilt.Load() >= fr.rebuildTotal {
+			e.mu.Lock()
+			setDegraded(e, false)
+			fr.enterPhaseLocked(e, PhaseRebuilt)
+			e.mu.Unlock()
+			fr.tracer.Emit(telemetry.RebuildEnd(e.Now(), fr.failDev, fr.rebuildTotal))
+			return
+		}
+		if chunks == fr.cfg.RebuildBurst {
+			return
+		}
+		var waited int64
+		if k := fr.rebuildSend; k == len(da.cols)-1 {
+			da.send(fr.failDev, chunkJob{spare: true}, &waited)
+		} else {
+			if k >= fr.failDev {
+				k++ // the reads skip the failed column
+			}
+			da.read(k, &waited)
+		}
+		fr.rebuildSend++
+		if waited > 0 {
+			fr.rebuildAt = da.elapsed()
+			da.clock.Store(int64(start))
+			return
+		}
 	}
-	fr.collectMu.Unlock()
 }
 
 // finish folds the injector's accounting into the run result: the
-// per-phase throughput/WA/P99 table and the fault counters.
-func (fr *faultRun) finish(res *Result, end time.Time, endSnap trafficSnap) {
+// per-phase throughput/WA/P99 table from the loop's per-phase
+// latencies, and the fault counters.
+func (fr *faultRun) finish(res *Result, end time.Duration, endSnap Traffic, latNS *[numPhases][]float64) {
 	res.FailedDevice = fr.failDev
 	res.FailedAtOp = fr.failOp
 	res.DegradedReads = fr.degReads.Load()
@@ -396,18 +402,14 @@ func (fr *faultRun) finish(res *Result, end time.Time, endSnap trafficSnap) {
 		}
 		ps := PhaseStats{
 			Phase:   p,
-			Ops:     fr.phaseOps[p],
-			Elapsed: stop.Sub(fr.startT[p]),
+			Ops:     int64(len(latNS[p])),
+			Elapsed: stop - fr.startT[p],
+			WA:      snap.since(fr.snaps[p]).WA(),
 		}
 		if ps.Elapsed > 0 {
 			ps.OpsPerSec = float64(ps.Ops) / ps.Elapsed.Seconds()
 		}
-		if du := snap.user - fr.snaps[p].user; du > 0 {
-			ps.WA = float64(du+snap.gc-fr.snaps[p].gc) / float64(du)
-		} else {
-			ps.WA = 1
-		}
-		if samples := fr.latNS[p]; len(samples) > 0 {
+		if samples := latNS[p]; len(samples) > 0 {
 			ps.P99 = time.Duration(stats.Percentile(samples, 99))
 		}
 		res.Phases = append(res.Phases, ps)

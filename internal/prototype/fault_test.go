@@ -1,9 +1,11 @@
 package prototype
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"adapt/internal/lss"
 	"adapt/internal/sim"
 	"adapt/internal/telemetry"
 )
@@ -178,5 +180,56 @@ func TestRunFaultRejectsBadConfig(t *testing.T) {
 	cfg.Fault = FaultConfig{FailDevice: 0, FailAtOp: 10, RebuildDelayOps: -1}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative rebuild delay accepted")
+	}
+}
+
+// TestRebuildStepLeavesClock drives the rebuild by hand on a filled
+// array whose columns are in debt: a step that must wait for a queue
+// leaves the clock where it found it and names the later time it
+// resumes at, so Run's loop never moves its clock backward past it.
+func TestRebuildStepLeavesClock(t *testing.T) {
+	pol := protoPolicy(t)
+	cfg := Config{
+		Engine:  EngineConfig{Store: protoStoreConfig(), Policy: pol, Fill: true, ServiceTime: 20 * time.Microsecond, QueueDepth: 4},
+		Clients: 1, Ops: 1,
+		Fault: FaultConfig{FailDevice: 1, FailAtOp: 1, RebuildBurst: 1 << 20},
+	}
+	fr, err := newFaultRun(&cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock atomic.Int64
+	eng, err := newSharded(ShardedConfig{
+		Engine:        cfg.Engine,
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
+	}, fr, &clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	e := eng.shards[0]
+	fr.fail(e)
+	fr.startRebuild(e)
+	waits := 0
+	for steps := 0; fr.rebuilding(); steps++ {
+		if steps > 1<<20 {
+			t.Fatal("the rebuild makes no progress")
+		}
+		before := clock.Load()
+		fr.rebuildStep(e)
+		if got := clock.Load(); got != before {
+			t.Fatalf("step %d moved the clock %v -> %v", steps, time.Duration(before), time.Duration(got))
+		}
+		if fr.rebuildAt < time.Duration(before) {
+			t.Fatalf("step %d resumes at %v, before its start %v", steps, fr.rebuildAt, time.Duration(before))
+		}
+		if fr.rebuildAt > time.Duration(before) {
+			waits++
+		}
+		clock.Store(int64(fr.rebuildAt))
+	}
+	if waits == 0 || fr.rebuilt.Load() != fr.rebuildTotal || fr.phase != PhaseRebuilt {
+		t.Fatalf("%d waits, rebuilt %d of %d, phase %v", waits, fr.rebuilt.Load(), fr.rebuildTotal, fr.phase)
 	}
 }

@@ -69,12 +69,13 @@ type Sharded struct {
 // should go through the public adapt.NewEngine, which shares the
 // simulator's configuration validation (typed policy names, GCSched
 // floors as errors instead of panics).
-func NewSharded(cfg ShardedConfig) (*Sharded, error) { return newSharded(cfg, nil) }
+func NewSharded(cfg ShardedConfig) (*Sharded, error) { return newSharded(cfg, nil, nil) }
 
-// newSharded is NewSharded with Run's fault injector (nil: none) hooked
-// onto the device array before anything is sent, so the chunks of the
-// fill count toward what a failed column holds.
-func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
+// newSharded is NewSharded with Run's fault injector (nil: none) and
+// virtual clock (nil: the wall clock) hooked onto the device array
+// before anything is sent, so the fill runs on that clock and its chunks
+// count toward what a failed column holds.
+func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -106,6 +107,7 @@ func newSharded(cfg ShardedConfig, fr *faultRun) (*Sharded, error) {
 	}
 	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
 	s.devs.fault = fr
+	s.devs.clock = clock
 	if ecfg.Telemetry != nil {
 		s.devs.registerTelemetry(ecfg.Telemetry)
 	}

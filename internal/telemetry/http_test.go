@@ -37,9 +37,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}{
 		{"/", "", "/metrics"},
 		{"/metrics", "text/plain; version=0.0.4", "http_test_ops_total 7"},
-		{"/events.jsonl", "application/x-ndjson", ""},
-		{"/series.jsonl", "application/x-ndjson", ""},
-		{"/series.csv", "text/csv", ""},
 		{"/debug/pprof/", "", "profiles"},
 	}
 	for _, c := range cases {
@@ -59,10 +56,19 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// TestHandlerUnknownPath: an unmounted path 404s, the simulator-only
+// routes included — they have data only where a caller mounts them —
+// and the index names none of them.
 func TestHandlerUnknownPath(t *testing.T) {
 	h := Handler(testSet(t))
-	if rec := get(t, h, "/nope"); rec.Code != http.StatusNotFound {
-		t.Errorf("GET /nope: status %d, want 404", rec.Code)
+	index := get(t, h, "/").Body.String()
+	for _, path := range []string{"/nope", "/events.jsonl", "/series.jsonl", "/series.csv"} {
+		if rec := get(t, h, path); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
+		}
+		if strings.Contains(index, path) {
+			t.Errorf("index lists unmounted %s:\n%s", path, index)
+		}
 	}
 }
 
@@ -81,9 +87,13 @@ func TestHandlerWithExtraRoutes(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"id":1`) {
 		t.Errorf("extra route body = %q", rec.Body.String())
 	}
-	// Built-ins still reachable alongside the extra route.
+	// Built-ins still reachable alongside the extra route, which the
+	// index lists.
 	if rec := get(t, h, "/metrics"); rec.Code != http.StatusOK {
 		t.Errorf("GET /metrics with extras: status %d", rec.Code)
+	}
+	if index := get(t, h, "/").Body.String(); !strings.Contains(index, "/debug/trace\n") {
+		t.Errorf("index does not list the extra route:\n%s", index)
 	}
 }
 
@@ -126,8 +136,8 @@ func TestHandlerConcurrentScrape(t *testing.T) {
 		go func() {
 			defer scrapers.Done()
 			for i := 0; i < 50; i++ {
-				get(t, h, "/events.jsonl")
-				get(t, h, "/series.jsonl")
+				get(t, h, "/")
+				get(t, h, "/debug/pprof/")
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -208,5 +209,21 @@ func TestRunPrototypeFault(t *testing.T) {
 	}
 	if healthy.FailedDevice != -1 || len(healthy.Phases) != 0 {
 		t.Fatalf("healthy run carries fault state: %+v", healthy)
+	}
+}
+
+// TestRunPrototypeRejectsReadRatio: a read ratio outside [0, 1], NaN
+// included, is an error through the public API, not a silent 0 or 1.
+func TestRunPrototypeRejectsReadRatio(t *testing.T) {
+	for _, r := range []float64{-0.5, 1.01, math.NaN()} {
+		_, err := RunPrototype(PrototypeConfig{
+			Simulator: SimulatorConfig{UserBlocks: 4 << 10, Policy: PolicySepGC},
+			Clients:   1,
+			Ops:       100,
+			ReadRatio: r,
+		})
+		if err == nil {
+			t.Errorf("read ratio %v accepted", r)
+		}
 	}
 }

@@ -56,14 +56,17 @@ func (f FaultConfig) internal() prototype.FaultConfig {
 	}
 }
 
-// PrototypeConfig describes a concurrent prototype run (§4.4): client
-// goroutines issue zipfian 4 KiB writes against a shared store whose
-// chunk flushes are dispatched to bandwidth-modelled SSDs through
-// bounded queues.
+// PrototypeConfig describes a prototype run (§4.4): closed-loop clients
+// issue zipfian 4 KiB writes against a shared store whose chunk flushes
+// are dispatched to bandwidth-modelled SSDs through bounded queues. The
+// clients are one event loop on a virtual clock: each op holds the
+// engine lock for a fixed cost plus the device-queue waits and GC
+// relocation reads it caused, so a run's numbers are exact per seed.
+// With GCSched.Background the gcsched pacer drives GC on that clock.
 type PrototypeConfig struct {
 	// Simulator is the store geometry and policy (Victim selects GC).
 	Simulator SimulatorConfig
-	// Clients is the number of writer goroutines (paper: 1, 4, 8).
+	// Clients is the number of closed-loop clients (paper: 1, 4, 8).
 	Clients int
 	// Ops is the total number of user block writes.
 	Ops int64
@@ -72,8 +75,9 @@ type PrototypeConfig struct {
 	// Fill writes every block sequentially before the measured phase,
 	// so updates run at full utilization with GC active.
 	Fill bool
-	// ReadRatio interleaves reads at this fraction of operations
-	// (YCSB-A: 0.5); reads consume device bandwidth.
+	// ReadRatio interleaves reads at this fraction of operations, in
+	// [0, 1] (YCSB-A: 0.5); reads consume device bandwidth. A value
+	// outside that range is an error.
 	ReadRatio float64
 	// ServiceTime is the modelled device time per 64 KiB chunk
 	// (default 50 µs ≈ 1.3 GB/s per SSD).
@@ -101,7 +105,9 @@ type PhaseResult struct {
 // populated only when FaultConfig armed the injector and the failure
 // fired; FailedDevice is -1 otherwise.
 type PrototypeResult struct {
-	OpsPerSec     float64
+	OpsPerSec float64
+	// Elapsed is modelled time, from the first measured op until the
+	// devices have worked off every chunk the run sent.
 	Elapsed       time.Duration
 	WA            float64
 	PaddingRatio  float64
@@ -116,7 +122,8 @@ type PrototypeResult struct {
 	Phases        []PhaseResult
 }
 
-// RunPrototype executes a concurrent prototype experiment.
+// RunPrototype executes a prototype experiment. An invalid
+// configuration, ReadRatio outside [0, 1] included, is an error.
 func RunPrototype(c PrototypeConfig) (PrototypeResult, error) {
 	cfg, pol, err := c.Simulator.build()
 	if err != nil {
@@ -138,7 +145,7 @@ func RunPrototype(c PrototypeConfig) (PrototypeResult, error) {
 		Fault:     c.Fault.internal(),
 	}
 	if c.Simulator.GCSched.Background {
-		pcfg.GCSliceUnits = c.Simulator.GCSched.sliceUnits()
+		pcfg.GC.SliceUnits = c.Simulator.GCSched.sliceUnits()
 	}
 	res, err := prototype.Run(pcfg)
 	if err != nil {
