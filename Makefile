@@ -131,7 +131,12 @@ race-sharded:
 ## prototype has one client loop on one clock: prototype.Run and its
 ## fault injector (internal/prototype/prototype.go, fault.go) start no
 ## goroutine and read or sleep on no wall clock, and internal/harness
-## keeps no private closed-loop model of its own.
+## keeps no private closed-loop model of its own. A sender waits for its
+## queue slot: no timed send attempts, timeouts or retry budgets in
+## non-test internal/prototype or the root package. Settings no caller
+## sets stay constants: no MicroSlice/QueueHighFill/VetoUrgency in
+## non-test internal/gcsched, and no GC watermark field in lss.Config —
+## the store derives them from its group count.
 harness-lint:
 	@if ls cmd/adaptbench/*.go | grep -v _test.go | xargs grep -nE 'harness\.(Fig[0-9]|Exp[A-Z])'; then \
 		echo "harness-lint FAIL: cmd/adaptbench calls an experiment directly — add a row to harness.Experiments instead"; \
@@ -152,6 +157,18 @@ harness-lint:
 	fi
 	@if ls internal/harness/*.go | grep -v _test.go | xargs grep -nE 'gcModel|runGCSchedModel'; then \
 		echo "harness-lint FAIL: a private gcsched model in internal/harness — the model rows are prototype.Run calls"; \
+		exit 1; \
+	fi
+	@if ls internal/prototype/*.go *.go | grep -v _test.go | xargs grep -nE 'attempts\(|QueueTimeout|RetryMax'; then \
+		echo "harness-lint FAIL: a queue-send retry model in non-test internal/prototype or the root package — a sender waits for its slot"; \
+		exit 1; \
+	fi
+	@if ls internal/gcsched/*.go | grep -v _test.go | xargs grep -nE 'MicroSlice|QueueHighFill|VetoUrgency'; then \
+		echo "harness-lint FAIL: a pacer constant became a gcsched.Config field again — nobody sets it"; \
+		exit 1; \
+	fi
+	@if ls internal/lss/*.go | grep -v _test.go | xargs grep -nE '^[[:space:]]+([[:alnum:]_]+,[[:space:]]*)*(GCLowWater|GCHighWater|GCEmergencyFloor)([[:space:],]|$$)'; then \
+		echo "harness-lint FAIL: a GC watermark became an lss.Config field again — the store derives them from its group count (lss watermarks)"; \
 		exit 1; \
 	fi
 	@echo "harness-lint OK"

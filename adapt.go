@@ -114,13 +114,9 @@ type SimulatorConfig struct {
 // the free pool hits the hard floor. Invalid values surface as errors
 // from the constructor, never panics.
 type GCSchedConfig struct {
-	// Background enables paced background GC.
+	// Background enables paced background GC. The store derives its
+	// watermarks and emergency floor from the policy's group count.
 	Background bool
-	// EmergencyFloor is the free-segment hard floor at which an
-	// allocation gives up on the pacer and collects synchronously
-	// (default: 2 below the low watermark, at least 1). Must stay below
-	// the low watermark, which defaults to groups+2.
-	EmergencyFloor int
 	// SliceUnits is the relocation budget per GC slice (default 32):
 	// per operation in the simulator, and for RunPrototype the pacer's
 	// budget per tick at urgency 1. One unit is roughly one victim chunk
@@ -239,17 +235,8 @@ func (c SimulatorConfig) build() (lss.Config, lss.Policy, error) {
 	}
 	if c.GCSched.Background {
 		cfg.BackgroundGC = true
-		cfg.GCEmergencyFloor = c.GCSched.EmergencyFloor
-		// The public config never sets GCLowWater, so the store's derived
-		// low watermark is groups+2; validate here so a bad floor surfaces
-		// as an error instead of the store's internal panic.
-		if low := pol.Groups() + 2; c.GCSched.EmergencyFloor != 0 &&
-			(c.GCSched.EmergencyFloor < 1 || c.GCSched.EmergencyFloor >= low) {
-			return fail(fmt.Errorf("adapt: GCSched.EmergencyFloor %d must be in [1, %d) (low watermark is groups+2 = %d)",
-				c.GCSched.EmergencyFloor, low, low))
-		}
-	} else if c.GCSched.EmergencyFloor != 0 || c.GCSched.SliceUnits != 0 {
-		return fail(fmt.Errorf("adapt: GCSched.EmergencyFloor/SliceUnits set without GCSched.Background"))
+	} else if c.GCSched.SliceUnits != 0 {
+		return fail(fmt.Errorf("adapt: GCSched.SliceUnits set without GCSched.Background"))
 	}
 	return cfg, pol, nil
 }

@@ -58,7 +58,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	telAddr := fs.String("telemetry", "127.0.0.1:9751", "telemetry HTTP listen address (empty disables)")
 	volumes := fs.Int("volumes", 8, "tenant volumes to carve from the array")
 	policy := fs.String("policy", harness.PolicyADAPT, "placement policy: sepgc|dac|warcip|mida|sepbit|adapt")
-	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices")
+	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices|windowed-greedy|random-greedy")
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (without -data-dir the RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")
@@ -105,8 +105,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	if *nbdMaxReqKiB > 0 && *nbdAddr == "" {
 		return fail("-nbd-max-req-kib requires -nbd-addr")
 	}
-	vp, ok := map[string]lss.VictimPolicy{
-		"greedy": lss.Greedy, "cost-benefit": lss.CostBenefit, "d-choices": lss.DChoices}[*victim]
+	vp, ok := lss.ParseVictim(*victim)
 	if !ok {
 		return fail("unknown victim policy %q", *victim)
 	}

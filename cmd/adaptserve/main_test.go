@@ -78,6 +78,10 @@ func TestConfigFromFlags(t *testing.T) {
 				c.Server.Trace = server.TraceConfig{Threshold: 250 * time.Microsecond}
 				l.policy = "sepgc"
 			}},
+		{"windowed-greedy victim", []string{"-victim", "windowed-greedy"},
+			func(c *serve.Config, _ *listen) { c.Engine.Engine.Store.Victim = lss.WindowedGreedy }},
+		{"random-greedy victim", []string{"-victim", "random-greedy"},
+			func(c *serve.Config, _ *listen) { c.Engine.Engine.Store.Victim = lss.RandomGreedy }},
 		{"paced GC",
 			[]string{"-gc-bg", "-gc-slice-units", "16", "-gc-interval-us", "200"},
 			func(c *serve.Config, _ *listen) {

@@ -42,18 +42,16 @@ type EngineStats = prototype.EngineStats
 // EngineConfig describes a single-shard ingest engine. The store
 // geometry, placement policy, and GC scheduling mode all come from the
 // embedded SimulatorConfig, so an engine shares the simulator's
-// validation and defaulting (bad names and bad GC floors surface as
+// validation and defaulting (bad names and bad GC settings surface as
 // errors here, never panics deeper in the stack).
 type EngineConfig struct {
 	// Simulator is the store geometry, placement policy, and GC
 	// scheduling mode (GCSched).
 	Simulator SimulatorConfig
 	// ServiceTime is the modelled device time per chunk write (default
-	// 50 µs ≈ 64 KiB chunks at 1.3 GB/s per SSD).
+	// 50 µs ≈ 64 KiB chunks at 1.3 GB/s per SSD); a chunk read takes
+	// half of it.
 	ServiceTime time.Duration
-	// ReadServiceTime is the device time per chunk read (default half
-	// the write service time).
-	ReadServiceTime time.Duration
 	// QueueDepth bounds each device's queue (default 8).
 	QueueDepth int
 	// Fill writes every block sequentially before the engine is
@@ -79,12 +77,11 @@ func NewEngine(c EngineConfig) (*Engine, error) {
 	}
 	return prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{
-			Store:           cfg,
-			ServiceTime:     c.ServiceTime,
-			ReadServiceTime: c.ReadServiceTime,
-			QueueDepth:      c.QueueDepth,
-			Fill:            c.Fill,
-			Verify:          c.Verify,
+			Store:       cfg,
+			ServiceTime: c.ServiceTime,
+			QueueDepth:  c.QueueDepth,
+			Fill:        c.Fill,
+			Verify:      c.Verify,
 		},
 		Shards: 1,
 		PolicyFactory: func(int, lss.Config) (lss.Policy, error) {

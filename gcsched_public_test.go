@@ -9,15 +9,7 @@ func TestGCSchedConfigValidation(t *testing.T) {
 	base := SimulatorConfig{UserBlocks: 4096, Policy: PolicySepGC}
 
 	bad := base
-	bad.GCSched = GCSchedConfig{Background: true, EmergencyFloor: 4} // sepgc: low watermark = 2+2
-	if _, err := NewSimulator(bad); err == nil {
-		t.Fatal("emergency floor at the low watermark accepted")
-	}
-	bad.GCSched.EmergencyFloor = -1
-	if _, err := NewSimulator(bad); err == nil {
-		t.Fatal("negative emergency floor accepted")
-	}
-	bad.GCSched = GCSchedConfig{EmergencyFloor: 1} // knob without Background
+	bad.GCSched = GCSchedConfig{SliceUnits: 1} // knob without Background
 	if _, err := NewSimulator(bad); err == nil {
 		t.Fatal("GCSched knobs without Background accepted")
 	}
@@ -27,7 +19,7 @@ func TestGCSchedConfigValidation(t *testing.T) {
 	}
 
 	good := base
-	good.GCSched = GCSchedConfig{Background: true, EmergencyFloor: 2, SliceUnits: 16}
+	good.GCSched = GCSchedConfig{Background: true, SliceUnits: 16}
 	if _, err := NewSimulator(good); err != nil {
 		t.Fatalf("valid background config rejected: %v", err)
 	}

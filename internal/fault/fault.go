@@ -1,8 +1,8 @@
-// Package fault provides the failure-planning and retry-pacing
-// building blocks of the degraded-mode experiments: deterministic and
-// MTBF-seeded device failure schedules consumed by the prototype's
-// injector, and the capped exponential backoff used when a device
-// queue refuses an operation within its timeout.
+// Package fault provides the failure-planning building block of the
+// degraded-mode experiments — deterministic and MTBF-seeded device
+// failure schedules consumed by the prototype's injector — and the
+// capped exponential backoff internal/loadgen waits between retries of
+// an operation the server refused with backpressure.
 //
 // A Plan is a deterministic, replayable sequence of failure events
 // keyed on the user-operation counter, so a run with the same seed

@@ -63,35 +63,39 @@ type Config struct {
 	// relocated; default 32). The effective budget scales linearly with
 	// urgency, clamped to [SliceUnits/4, 4*SliceUnits].
 	SliceUnits int
-	// MicroSlice bounds one store-lock hold (default 8 units): a tick's
-	// budget is bought as a sequence of micro-slices with separate lock
-	// acquisitions, so foreground writes interleave between them and the
-	// worst-case wait behind background GC is one micro-slice, not one
-	// tick budget.
-	MicroSlice int
 	// TargetP999 backs off non-urgent slices while the observed tail
 	// exceeds it (default 0: no tail feedback).
 	TargetP999 time.Duration
 	// P999 supplies the live tail latency (required when TargetP999 is
 	// set).
 	P999 func() time.Duration
-	// QueueHighFill backs off non-urgent slices while QueueFill exceeds
-	// it (default 0.75).
-	QueueHighFill float64
-	// VetoUrgency bounds the backoff signals' authority (default 0.5):
-	// once the neediest shard's urgency reaches it, tail and queue
-	// vetoes no longer defer the slice. Deferral is a positive feedback
-	// loop — deferred GC drains the pool, an emergency cycle at the
-	// floor spikes the very tail signal that caused the deferral — so
-	// the veto must lose its vote with half the watermark cushion still
-	// unspent, not at the low watermark when the cushion is gone.
-	VetoUrgency float64
 	// QueueFill supplies the worst device-queue fill fraction (nil: no
-	// queue feedback).
+	// queue feedback); non-urgent slices wait while it exceeds
+	// queueHighFill.
 	QueueFill func() float64
 	// Telemetry, when set, registers the pacer's counters.
 	Telemetry *telemetry.Set
 }
+
+const (
+	// microSlice bounds one store-lock hold, in units: a tick's budget
+	// is bought as a sequence of micro-slices with separate lock
+	// acquisitions, so foreground writes interleave between them and the
+	// worst-case wait behind background GC is one micro-slice, not one
+	// tick budget.
+	microSlice = 8
+	// queueHighFill is the device-queue fill above which non-urgent
+	// slices wait.
+	queueHighFill = 0.75
+	// vetoUrgency bounds the backoff signals' authority: once the
+	// neediest shard's urgency reaches it, tail and queue vetoes no
+	// longer defer the slice. Deferral is a positive feedback loop —
+	// deferred GC drains the pool, an emergency cycle at the floor
+	// spikes the very tail signal that caused the deferral — so the
+	// veto must lose its vote with half the watermark cushion still
+	// unspent, not at the low watermark when the cushion is gone.
+	vetoUrgency = 0.5
+)
 
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Interval == 0 {
@@ -106,29 +110,11 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.SliceUnits < 0 {
 		return cfg, fmt.Errorf("gcsched: negative slice budget %d", cfg.SliceUnits)
 	}
-	if cfg.MicroSlice == 0 {
-		cfg.MicroSlice = 8
-	}
-	if cfg.MicroSlice < 0 {
-		return cfg, fmt.Errorf("gcsched: negative micro-slice %d", cfg.MicroSlice)
-	}
 	if cfg.TargetP999 < 0 {
 		return cfg, fmt.Errorf("gcsched: negative p999 target %v", cfg.TargetP999)
 	}
 	if cfg.TargetP999 > 0 && cfg.P999 == nil {
 		return cfg, fmt.Errorf("gcsched: TargetP999 set without a P999 source")
-	}
-	if cfg.QueueHighFill == 0 {
-		cfg.QueueHighFill = 0.75
-	}
-	if cfg.QueueHighFill < 0 || cfg.QueueHighFill > 1 {
-		return cfg, fmt.Errorf("gcsched: queue fill threshold %.2f outside [0,1]", cfg.QueueHighFill)
-	}
-	if cfg.VetoUrgency == 0 {
-		cfg.VetoUrgency = 0.5
-	}
-	if cfg.VetoUrgency < 0 {
-		return cfg, fmt.Errorf("gcsched: negative veto urgency %.2f", cfg.VetoUrgency)
 	}
 	return cfg, nil
 }
@@ -244,15 +230,15 @@ func (c *Controller) Tick() bool {
 	}
 	// The backoff signals only get a veto while the neediest shard is
 	// still comfortably above its watermark cushion's midpoint. Past
-	// VetoUrgency the slice runs regardless — better a paced slice now
+	// vetoUrgency the slice runs regardless — better a paced slice now
 	// than an emergency stop-the-world cycle at the floor, which would
 	// spike the very tail signal that deferred the pacing.
-	if bestU < c.cfg.VetoUrgency {
+	if bestU < vetoUrgency {
 		if c.cfg.TargetP999 > 0 && c.cfg.P999() > c.cfg.TargetP999 {
 			c.tailSkips.Add(1)
 			return false
 		}
-		if c.cfg.QueueFill != nil && c.cfg.QueueFill() > c.cfg.QueueHighFill {
+		if c.cfg.QueueFill != nil && c.cfg.QueueFill() > queueHighFill {
 			c.queueSkips.Add(1)
 			return false
 		}
@@ -276,7 +262,7 @@ func (c *Controller) Tick() bool {
 	// micro-slicing buys nothing.
 	sh := c.shards[best]
 	for spent := 0; spent < budget; {
-		step := c.cfg.MicroSlice
+		step := microSlice
 		if rest := budget - spent; step > rest {
 			step = rest
 		}

@@ -112,7 +112,7 @@ func TestBackoffSignalsDeferNonUrgentSlices(t *testing.T) {
 }
 
 func TestUrgencyBypassesBackoff(t *testing.T) {
-	// Past the veto band (default 0.5) the backoff signals lose their
+	// Past the veto band (vetoUrgency, 0.5) the backoff signals lose their
 	// vote: half the watermark cushion spent is already too close to an
 	// emergency cycle to keep deferring.
 	for _, urgency := range []float64{0.5, 1.5} {
@@ -176,9 +176,6 @@ func TestConfigValidation(t *testing.T) {
 		{SliceUnits: -1},
 		{TargetP999: -time.Second},
 		{TargetP999: time.Second}, // no P999 source
-		{QueueHighFill: 1.5},
-		{QueueHighFill: -0.5},
-		{VetoUrgency: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg, []Shard{&fakeShard{}}); err == nil {

@@ -29,8 +29,6 @@ type FaultOptions struct {
 	FailDevice       int
 	FailAtFrac       float64
 	RebuildDelayFrac float64
-	// QueueTimeout bounds one queue-send attempt before retry/backoff.
-	QueueTimeout time.Duration
 }
 
 // DefaultFaultOptions sizes the experiment for the given scale: the
@@ -47,7 +45,6 @@ func DefaultFaultOptions(sc Scale) FaultOptions {
 		FailDevice:       1,
 		FailAtFrac:       0.33,
 		RebuildDelayFrac: 0.15,
-		QueueTimeout:     500 * time.Microsecond,
 	}
 }
 
@@ -63,7 +60,6 @@ type FaultCounters struct {
 	DegradedReads int64
 	RebuildChunks int64
 	LostChunks    int64
-	QueueRetries  int64
 }
 
 // FaultResult holds the degraded-mode experiment output.
@@ -94,7 +90,6 @@ func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, err
 				FailDevice:      opts.FailDevice,
 				FailAtOp:        failOp,
 				RebuildDelayOps: int64(opts.RebuildDelayFrac * float64(opts.Ops)),
-				QueueTimeout:    opts.QueueTimeout,
 			},
 		})
 		if err != nil {
@@ -108,7 +103,6 @@ func ExpFault(sc Scale, policies []string, opts FaultOptions) (*FaultResult, err
 			DegradedReads: res.DegradedReads,
 			RebuildChunks: res.RebuildChunks,
 			LostChunks:    res.LostChunks,
-			QueueRetries:  res.QueueRetries,
 		})
 	}
 	return out, nil
@@ -125,9 +119,9 @@ func (r *FaultResult) Render() string {
 	}
 	b.WriteString(tb.String())
 	b.WriteString("Fault counters per policy\n")
-	tb = stats.NewTable("policy", "degraded-reads", "rebuild-chunks", "lost-chunks", "queue-retries")
+	tb = stats.NewTable("policy", "degraded-reads", "rebuild-chunks", "lost-chunks")
 	for _, c := range r.Counters {
-		tb.AddRow(c.Policy, c.DegradedReads, c.RebuildChunks, c.LostChunks, c.QueueRetries)
+		tb.AddRow(c.Policy, c.DegradedReads, c.RebuildChunks, c.LostChunks)
 	}
 	b.WriteString(tb.String())
 	return b.String()

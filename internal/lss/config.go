@@ -32,22 +32,32 @@ const (
 	RandomGreedy
 )
 
+// victimNames is the one name table: String and ParseVictim read it.
+var victimNames = [...]string{
+	Greedy:         "greedy",
+	CostBenefit:    "cost-benefit",
+	DChoices:       "d-choices",
+	WindowedGreedy: "windowed-greedy",
+	RandomGreedy:   "random-greedy",
+}
+
 // String returns the policy name.
 func (v VictimPolicy) String() string {
-	switch v {
-	case Greedy:
-		return "greedy"
-	case CostBenefit:
-		return "cost-benefit"
-	case DChoices:
-		return "d-choices"
-	case WindowedGreedy:
-		return "windowed-greedy"
-	case RandomGreedy:
-		return "random-greedy"
-	default:
+	if v < 0 || int(v) >= len(victimNames) {
 		return fmt.Sprintf("victim(%d)", int(v))
 	}
+	return victimNames[v]
+}
+
+// ParseVictim is the inverse of String: it maps a policy name back to
+// the policy, and reports false for any other string.
+func ParseVictim(name string) (VictimPolicy, bool) {
+	for v, n := range victimNames {
+		if n == name {
+			return VictimPolicy(v), true
+		}
+	}
+	return 0, false
 }
 
 // Config describes the store geometry and policies. Zero fields take
@@ -75,25 +85,15 @@ type Config struct {
 	Victim VictimPolicy
 	// DChoicesD is the sample size when Victim == DChoices.
 	DChoicesD int
-	// GreedyWindow is the candidate window (in segments, oldest first)
-	// when Victim == WindowedGreedy. Zero means 1/8 of capacity.
-	GreedyWindow int
-	// GCLowWater triggers GC when free segments drop to or below it;
-	// GCHighWater is where a GC cycle stops. Zero means derived
-	// defaults.
-	GCLowWater, GCHighWater int
 	// BackgroundGC defers watermark-triggered GC to an external pacer:
 	// allocation no longer runs a full synchronous cycle at the low
 	// watermark; instead the owner polls GCNeeded and drives bounded
 	// slices through GCStep. Allocation still runs the cycle inline —
-	// synchronously, to completion — if the free pool falls to
-	// GCEmergencyFloor, so correctness never depends on the pacer
-	// keeping up.
+	// synchronously, until the pool clears the low watermark — if the
+	// free pool falls to the emergency floor, so correctness never
+	// depends on the pacer keeping up. The watermarks are derived from
+	// the policy's group count (see watermarks).
 	BackgroundGC bool
-	// GCEmergencyFloor is the free-segment hard floor for BackgroundGC
-	// mode. Zero means max(1, GCLowWater-2); it must stay below
-	// GCLowWater so the pacer has room to act first.
-	GCEmergencyFloor int
 	// Paranoid turns on fail-stop self-verification: CheckInvariants
 	// runs after every GC cycle and at every Drain, and a violation
 	// panics instead of letting corruption propagate. It is O(capacity)
@@ -109,7 +109,7 @@ type Config struct {
 // over-provisioning, SLA window, d-choices sample) defaulted. The
 // sharded engine uses it to partition the LBA space before any
 // placement policy — and therefore any group count — exists; the GC
-// watermarks stay untouched and are completed per store by New.
+// watermarks are derived per store by New.
 func (cfg Config) GeometryDefaults() Config {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4096
@@ -140,38 +140,8 @@ func (cfg Config) GeometryDefaults() Config {
 
 // withDefaults returns cfg with zero fields replaced by defaults and
 // validates the geometry.
-func (cfg Config) withDefaults(groups int) Config {
+func (cfg Config) withDefaults() Config {
 	cfg = cfg.GeometryDefaults()
-	if cfg.GCLowWater == 0 {
-		cfg.GCLowWater = groups + 2
-	}
-	if cfg.GCHighWater <= cfg.GCLowWater {
-		cushion := 4
-		if cfg.BackgroundGC {
-			// The watermark cushion is the write burst the pacer can
-			// absorb as paced work: below the high watermark it starts
-			// trickling, and only after the whole cushion is consumed
-			// does an emergency cycle stall a writer. A background store
-			// therefore provisions a deeper default cushion than the
-			// synchronous trigger needs; the reserve is added on top of
-			// the user capacity (totalSegments), not carved out of the
-			// over-provisioning spare, so WA stays comparable across
-			// modes.
-			cushion = 12
-		}
-		cfg.GCHighWater = cfg.GCLowWater + cushion
-	}
-	if cfg.BackgroundGC {
-		if cfg.GCEmergencyFloor == 0 {
-			cfg.GCEmergencyFloor = cfg.GCLowWater - 2
-			if cfg.GCEmergencyFloor < 1 {
-				cfg.GCEmergencyFloor = 1
-			}
-		}
-		if cfg.GCEmergencyFloor < 1 || cfg.GCEmergencyFloor >= cfg.GCLowWater {
-			panic("lss: GCEmergencyFloor must be in [1, GCLowWater)")
-		}
-	}
 	if cfg.BlockSize <= 0 || cfg.ChunkBlocks <= 0 || cfg.SegmentChunks <= 0 {
 		panic("lss: non-positive geometry")
 	}
@@ -184,13 +154,36 @@ func (cfg Config) withDefaults(groups int) Config {
 	return cfg
 }
 
+// watermarks are a store's GC thresholds in free segments. A cycle is
+// due at low, groups + 2, and stops at high; a background store
+// collects synchronously only at floor, two below low, which leaves the
+// pacer room to act first.
+type watermarks struct{ low, high, floor int }
+
+// watermarks derives the thresholds for a groups-group policy.
+func (cfg Config) watermarks(groups int) watermarks {
+	low := groups + 2
+	cushion := 4
+	if cfg.BackgroundGC {
+		// The watermark cushion is the write burst the pacer can absorb
+		// as paced work: below the high watermark it starts trickling,
+		// and only after the whole cushion is consumed does an emergency
+		// cycle stall a writer. A background store therefore provisions
+		// a deeper cushion than the synchronous trigger needs; the
+		// reserve is added on top of the user capacity (totalSegments),
+		// not carved out of the over-provisioning spare, so WA stays
+		// comparable across modes.
+		cushion = 12
+	}
+	return watermarks{low: low, high: low + cushion, floor: max(1, low-2)}
+}
+
 // TotalSegments returns the physical segment count a store built from
 // this configuration with a groups-group policy will have. External
 // durable backends (internal/segfile) use it to synthesize recovery
 // images that match the store New would build.
 func (cfg Config) TotalSegments(groups int) int {
-	c := cfg.withDefaults(groups)
-	return c.totalSegments(groups)
+	return cfg.withDefaults().totalSegments(groups)
 }
 
 // SegmentBlocks returns blocks per segment.
@@ -208,5 +201,5 @@ func (cfg Config) ChunkBytes() int64 { return int64(cfg.BlockSize) * int64(cfg.C
 func (cfg Config) totalSegments(groups int) int {
 	physBlocks := float64(cfg.UserBlocks) * (1 + cfg.OverProvision)
 	n := int(physBlocks)/cfg.SegmentBlocks() + 1
-	return n + groups + cfg.GCHighWater + 2
+	return n + groups + cfg.watermarks(groups).high + 2
 }

@@ -82,9 +82,9 @@ func (s *Store) gcDue() bool {
 		// The early start also needs a reclaimable victim to exist (some
 		// sealed segment with garbage), or an eager pacer would spin
 		// opening cycles that select nothing.
-		return len(s.free) < s.cfg.GCHighWater && s.vidx.topGarbage() >= 1
+		return len(s.free) < s.wm.high && s.vidx.topGarbage() >= 1
 	}
-	return len(s.free) <= s.cfg.GCLowWater
+	return len(s.free) <= s.wm.low
 }
 
 // GCNeeded reports whether GC has work: a cycle is in flight or the
@@ -101,11 +101,7 @@ func (s *Store) GCActive() bool { return s.gc != nil }
 // above the high watermark, 1 at the low watermark, above 1 as the
 // pool sinks toward the emergency floor.
 func (s *Store) GCUrgency() float64 {
-	span := s.cfg.GCHighWater - s.cfg.GCLowWater
-	if span <= 0 {
-		span = 1
-	}
-	u := float64(s.cfg.GCHighWater-len(s.free)) / float64(span)
+	u := float64(s.wm.high-len(s.free)) / float64(s.wm.high-s.wm.low)
 	if u < 0 {
 		return 0
 	}
@@ -134,9 +130,9 @@ func (s *Store) GCStep(budget int) (done bool) {
 // starve the rebuild.
 func (s *Store) gcTarget() int {
 	if s.degraded {
-		return s.cfg.GCLowWater + 1
+		return s.wm.low + 1
 	}
-	return s.cfg.GCHighWater
+	return s.wm.high
 }
 
 // gcBegin opens a cycle: admission gate, cycle counters, trace event.
@@ -221,7 +217,7 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 					s.gcFinish()
 					return true
 				}
-				if len(s.free) <= c.batchBefore && len(s.free) > s.cfg.GCLowWater {
+				if len(s.free) <= c.batchBefore && len(s.free) > s.wm.low {
 					// No net progress this batch (valid blocks merely
 					// moved) but the cushion is still healthy: stop
 					// churning; GC re-triggers at the next low-water
@@ -396,16 +392,10 @@ func (s *Store) selectVictimsScan(n int) []*segment {
 	return topNCands(cands, n)
 }
 
-// windowSize resolves the WindowedGreedy candidate window.
+// windowSize resolves the WindowedGreedy candidate window: the oldest
+// eighth of the segments, at least n.
 func (s *Store) windowSize(n int) int {
-	w := s.cfg.GreedyWindow
-	if w <= 0 {
-		w = len(s.segments) / 8
-	}
-	if w < n {
-		w = n
-	}
-	return w
+	return max(len(s.segments)/8, n)
 }
 
 // selectVictimsIndexed answers the victim query from the incremental

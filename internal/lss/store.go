@@ -90,6 +90,7 @@ const (
 // use; the prototype wraps it with its own synchronization.
 type Store struct {
 	cfg     Config
+	wm      watermarks
 	policy  Policy
 	advisor Advisor
 	segObs  SegmentObserver
@@ -199,12 +200,13 @@ func New(cfg Config, p Policy, deps ...Deps) *Store {
 	if ngroups < 1 {
 		panic("lss: policy declares no groups")
 	}
-	cfg = cfg.withDefaults(ngroups)
+	cfg = cfg.withDefaults()
 	total := cfg.totalSegments(ngroups)
 	segBlocks := cfg.SegmentBlocks()
 
 	s := &Store{
 		cfg:         cfg,
+		wm:          cfg.watermarks(ngroups),
 		policy:      p,
 		array:       blockdev.NewArray(cfg.DataColumns, cfg.ChunkBytes()),
 		rng:         sim.NewRNG(0x5eed),
@@ -691,11 +693,11 @@ func (s *Store) ensureOpen(gr *group) *segment {
 			// clears the low watermark — and leaves the rest of the
 			// cycle in flight for the pacer, so an emergency costs a few
 			// segments' relocation inline, not a whole cycle's.
-			if len(s.free) <= s.cfg.GCEmergencyFloor {
+			if len(s.free) <= s.wm.floor {
 				s.metrics.GCEmergencyRuns++
-				s.runGCUntil(s.cfg.GCLowWater)
+				s.runGCUntil(s.wm.low)
 			}
-		} else if len(s.free) <= s.cfg.GCLowWater {
+		} else if len(s.free) <= s.wm.low {
 			s.runGC()
 		}
 		// GC migrations may have placed blocks into this very group,

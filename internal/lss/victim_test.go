@@ -89,13 +89,21 @@ func TestVictimString(t *testing.T) {
 		if got := v.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(v), got, want)
 		}
+		if got, ok := ParseVictim(want); ok != (v != VictimPolicy(9)) || ok && got != v {
+			t.Errorf("ParseVictim(%q) = %v, %v", want, got, ok)
+		}
+	}
+	if _, ok := ParseVictim(""); ok {
+		t.Error("ParseVictim accepted the empty name")
 	}
 }
 
+// TestWindowedGreedyWindowConfig drives windowed greedy over its
+// derived window, the oldest eighth of the segments, through sustained
+// random overwrites: it must keep reclaiming.
 func TestWindowedGreedyWindowConfig(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Victim = WindowedGreedy
-	cfg.GreedyWindow = 4
 	s := New(cfg, twoGroup{})
 	rng := sim.NewRNG(3)
 	for i := int64(0); i < cfg.UserBlocks; i++ {
@@ -105,7 +113,7 @@ func TestWindowedGreedyWindowConfig(t *testing.T) {
 		s.WriteBlock(rng.Int63n(cfg.UserBlocks), 0)
 	}
 	if s.Metrics().SegmentsReclaimed == 0 {
-		t.Fatal("windowed greedy with tiny window never reclaimed")
+		t.Fatal("windowed greedy never reclaimed")
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"adapt/internal/fault"
 )
 
 // step is one job of a replayed column: when its sender sent it, how
@@ -27,7 +25,7 @@ func replay(c *column, service time.Duration, at []time.Duration) []step {
 	for k, a := range at {
 		sent := max(a, prev)
 		slot, found := c.next, c.queued(sent)
-		enter := c.schedule(sent, service, nil)
+		enter := c.schedule(sent, service)
 		out[k] = step{sent: sent, found: found, enter: enter, deq: c.deq[slot], free: c.free}
 		prev = enter
 	}
@@ -134,42 +132,13 @@ func TestColumnRecurrence(t *testing.T) {
 	}
 }
 
-// TestAttemptsPaceRetries checks the fault hook's timed send attempts
-// as arithmetic over the queue's wait: a slot that opens within an
-// attempt is taken when it opens, one that opens during a backoff at
-// the next attempt, and after RetryMax timeouts the sender waits it out.
-func TestAttemptsPaceRetries(t *testing.T) {
-	const ms = time.Millisecond
-	for _, tc := range []struct {
-		open, enter time.Duration
-		retries     int64
-	}{
-		{0, 10 * ms, 0}, // the slot was open before the send
-		{10*ms + ms/2, 10*ms + ms/2, 0},
-		{11*ms + ms/20, 11*ms + ms/10, 1}, // opens during the first backoff
-		{11*ms + ms/2, 11*ms + ms/2, 1},
-		{12*ms + ms/4, 12*ms + 3*ms/10, 2}, // opens during the second backoff
-		{20 * ms, 20 * ms, 3},              // outlasts every attempt
-	} {
-		fr := &faultRun{
-			cfg:     FaultConfig{QueueTimeout: ms, RetryMax: 3},
-			backoff: fault.Backoff{Base: ms / 10, Cap: ms},
-		}
-		enter := fr.attempts(10*ms, tc.open)
-		if enter != tc.enter || fr.retries.Load() != tc.retries {
-			t.Errorf("slot open at %v: entered %v after %d retries, want %v after %d",
-				tc.open, enter, fr.retries.Load(), tc.enter, tc.retries)
-		}
-	}
-}
-
 // TestSendsBelowCeilingNeverBlock: 32 back-to-back sends to one column
 // at 1 µs service are far below its ceiling, so none may block — even
 // with one P, where a worker goroutine draining a channel would get no
 // turn before the queue filled.
 func TestSendsBelowCeilingNeverBlock(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	da := newDeviceArray(4, 8, time.Microsecond, time.Microsecond/2)
+	da := newDeviceArray(4, 8, time.Microsecond)
 	var blockedNS int64
 	for i := 1; i <= 32; i++ {
 		da.send(0, chunkJob{}, &blockedNS)

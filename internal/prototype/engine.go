@@ -95,14 +95,11 @@ type column struct {
 
 // schedule runs the recurrence for one job sent at now and returns when
 // it enters the queue: once the job QueueDepth ahead of it has been
-// dequeued, or later if fr (Run's fault hook, else nil) paces the sender.
-func (c *column) schedule(now, service time.Duration, fr *faultRun) (enter time.Duration) {
+// dequeued.
+func (c *column) schedule(now, service time.Duration) (enter time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	enter = max(now, c.deq[c.next])
-	if fr != nil {
-		enter = fr.attempts(now, enter)
-	}
 	deq := max(enter, c.free)
 	c.deq[c.next] = deq
 	c.next = (c.next + 1) % len(c.deq)
@@ -154,8 +151,8 @@ type deviceArray struct {
 
 	// fault is Run's injector, nil in every served engine: it decides
 	// which chunks a failed column loses, counts what each column holds,
-	// paces queue sends with timeout and backoff, and fans reads of the
-	// failed column out to the survivors. Set before the first send.
+	// and fans reads of the failed column out to the survivors. Set
+	// before the first send.
 	fault *faultRun
 
 	// cycle is the synchronous GC cycle that has the columns to itself
@@ -181,11 +178,13 @@ func (da *deviceArray) awaitGC(shard int32) {
 	}
 }
 
-func newDeviceArray(ncols, queueDepth int, writeService, readService time.Duration) *deviceArray {
+// newDeviceArray builds ncols columns of queueDepth slots; a chunk read
+// takes half the write service time.
+func newDeviceArray(ncols, queueDepth int, writeService time.Duration) *deviceArray {
 	da := &deviceArray{
 		cols:         make([]*column, ncols),
 		start:        time.Now(),
-		readService:  readService,
+		readService:  writeService / 2,
 		writeService: writeService,
 	}
 	for i := range da.cols {
@@ -210,7 +209,7 @@ func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
 		service = da.readService
 	}
 	now := da.elapsed()
-	enter := da.cols[col].schedule(now, service, fr)
+	enter := da.cols[col].schedule(now, service)
 	if da.clock != nil {
 		if enter > now {
 			da.clock.Store(int64(enter))
@@ -352,11 +351,9 @@ type EngineConfig struct {
 	// Policy is the placement policy instance to drive.
 	Policy lss.Policy
 	// ServiceTime is the modelled device time per chunk write (default
-	// 50 µs ≈ 64 KiB chunks at 1.3 GB/s per SSD).
+	// 50 µs ≈ 64 KiB chunks at 1.3 GB/s per SSD); a chunk read takes
+	// half of it.
 	ServiceTime time.Duration
-	// ReadServiceTime is the device time per chunk read (default half
-	// the write service time).
-	ReadServiceTime time.Duration
 	// QueueDepth bounds each device's queue (default 8).
 	QueueDepth int
 	// Fill writes every block sequentially (shards in parallel) before
@@ -409,9 +406,6 @@ func (cfg EngineConfig) withDefaults() EngineConfig {
 	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = 50 * time.Microsecond
-	}
-	if cfg.ReadServiceTime <= 0 {
-		cfg.ReadServiceTime = cfg.ServiceTime / 2
 	}
 	return cfg
 }

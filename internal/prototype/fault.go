@@ -34,21 +34,11 @@ type FaultConfig struct {
 	// RebuildBurst bounds the chunks one rebuild step sends before Run's
 	// other events get a turn (default 8); a send that must wait ends it.
 	RebuildBurst int
-	// QueueTimeout bounds one queue-send attempt before it counts as a
-	// retry (default 2ms).
-	QueueTimeout time.Duration
-	// RetryMax is how many timed-out attempts precede the final
-	// blocking send; operations are never dropped (default 5).
-	RetryMax int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between retries (defaults 50µs / 5ms, see fault.Backoff).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// DegradedGCWatermark is the rebuild-progress fraction below which
-	// the store runs throttled degraded-mode GC. Zero takes the default
-	// 0.5; must be at most 1.
-	DegradedGCWatermark float64
 }
+
+// degradedGCWatermark is the rebuild-progress fraction below which the
+// store runs throttled degraded-mode GC.
+const degradedGCWatermark = 0.5
 
 // Enabled reports whether the injector is armed.
 func (f FaultConfig) Enabled() bool { return f.FailAtOp > 0 || f.MTBFOps > 0 }
@@ -129,8 +119,7 @@ func setDegraded(e *Engine, v bool) {
 // under the lock of the run's one shard. A nil *faultRun is a healthy
 // array: every probe reports "no failure".
 type faultRun struct {
-	cfg     FaultConfig
-	backoff fault.Backoff
+	cfg FaultConfig
 
 	failDev int
 	failOp  int64
@@ -157,10 +146,8 @@ type faultRun struct {
 	degReads atomic.Int64
 	lost     atomic.Int64
 	rebuilt  atomic.Int64
-	retries  atomic.Int64
 
-	tracer    *telemetry.Tracer
-	retryHist *telemetry.Histogram
+	tracer *telemetry.Tracer
 }
 
 // newFaultRun validates the fault configuration and resolves the
@@ -172,20 +159,8 @@ func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
 	if !f.Enabled() {
 		return nil, nil
 	}
-	if f.DegradedGCWatermark < 0 || f.DegradedGCWatermark > 1 {
-		return nil, fmt.Errorf("prototype: degraded GC watermark %v outside [0,1]", f.DegradedGCWatermark)
-	}
-	if f.DegradedGCWatermark == 0 {
-		f.DegradedGCWatermark = 0.5
-	}
 	if f.RebuildBurst < 1 {
 		f.RebuildBurst = 8
-	}
-	if f.QueueTimeout <= 0 {
-		f.QueueTimeout = 2 * time.Millisecond
-	}
-	if f.RetryMax < 1 {
-		f.RetryMax = 5
 	}
 	if f.RebuildDelayOps < 0 {
 		return nil, fmt.Errorf("prototype: negative rebuild delay %d", f.RebuildDelayOps)
@@ -212,15 +187,14 @@ func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
 	}
 	return &faultRun{
 		cfg:       f,
-		backoff:   fault.Backoff{Base: f.BackoffBase, Cap: f.BackoffCap},
 		failDev:   failDev,
 		failOp:    failOp,
 		colChunks: make([]int64, ncols),
 	}, nil
 }
 
-// registerTelemetry exposes the injector's counters and the retry
-// histogram on the run's registry.
+// registerTelemetry exposes the injector's counters on the run's
+// registry.
 func (fr *faultRun) registerTelemetry(ts *telemetry.Set) {
 	if fr == nil || ts == nil {
 		return
@@ -234,12 +208,9 @@ func (fr *faultRun) registerTelemetry(ts *telemetry.Set) {
 		{telemetry.MetricDegradedReads, "Reads served by XOR reconstruction fan-out", &fr.degReads},
 		{telemetry.MetricRebuildChunks, "Chunks the rebuild pushed through the device queues", &fr.rebuilt},
 		{telemetry.MetricLostChunks, "Chunk writes dropped on the failed column", &fr.lost},
-		{telemetry.MetricQueueRetries, "Queue sends that timed out and retried after backoff", &fr.retries},
 	} {
 		reg.NewFuncGauge(g.name, g.help, true, g.v.Load)
 	}
-	fr.retryHist = reg.NewHistogram(telemetry.MetricRetryHistogram,
-		"Retries per dispatched device operation", []int64{0, 1, 2, 4, 8})
 }
 
 // failureActive reports whether the failed column is currently
@@ -294,24 +265,6 @@ func (fr *faultRun) admit(col int, job chunkJob) bool {
 	return true
 }
 
-// attempts paces a job sent at now whose queue slot opens at open: each
-// attempt waits at most QueueTimeout, a timed-out one counts a retry and
-// backs off, and after RetryMax the sender waits unbounded. The job
-// enters when the slot opens in an attempt, or when the next one starts.
-func (fr *faultRun) attempts(now, open time.Duration) (enter time.Duration) {
-	var retries int64
-	for open > now+fr.cfg.QueueTimeout && retries < int64(fr.cfg.RetryMax) {
-		now += fr.cfg.QueueTimeout
-		retries++
-		if retries < int64(fr.cfg.RetryMax) {
-			now += fr.backoff.Delay(int(retries) - 1)
-		}
-	}
-	fr.retries.Add(retries)
-	fr.retryHist.Observe(retries)
-	return max(open, now)
-}
-
 // rebuilding reports whether the rebuild is under way. Nil-safe.
 func (fr *faultRun) rebuilding() bool { return fr != nil && fr.phase == PhaseRebuilding }
 
@@ -343,7 +296,7 @@ func (fr *faultRun) rebuildStep(e *Engine) {
 			fr.rebuildSend = 0
 			chunks++
 			done := fr.rebuilt.Add(1)
-			if !fr.cleared && float64(done) >= fr.cfg.DegradedGCWatermark*float64(fr.rebuildTotal) {
+			if !fr.cleared && float64(done) >= degradedGCWatermark*float64(fr.rebuildTotal) {
 				e.mu.Lock()
 				setDegraded(e, false)
 				e.mu.Unlock()
@@ -388,7 +341,6 @@ func (fr *faultRun) finish(res *Result, end time.Duration, endSnap Traffic, latN
 	res.DegradedReads = fr.degReads.Load()
 	res.RebuildChunks = fr.rebuilt.Load()
 	res.LostChunks = fr.lost.Load()
-	res.QueueRetries = fr.retries.Load()
 	for p := Phase(0); p < numPhases; p++ {
 		if !fr.entered[p] {
 			continue

@@ -42,7 +42,6 @@ func TestRunFaultRebuildCompletes(t *testing.T) {
 			FailAtOp:        5000,
 			RebuildDelayOps: 2000,
 			RebuildBurst:    16,
-			QueueTimeout:    200 * time.Microsecond,
 		},
 	})
 	if err != nil {
@@ -170,11 +169,6 @@ func TestRunFaultRejectsBadConfig(t *testing.T) {
 	cfg.Fault = FaultConfig{FailDevice: 0, FailAtOp: 1000}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("fail op beyond the run accepted")
-	}
-	cfg = base()
-	cfg.Fault = FaultConfig{FailDevice: 0, FailAtOp: 10, DegradedGCWatermark: 1.5}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("watermark above 1 accepted")
 	}
 	cfg = base()
 	cfg.Fault = FaultConfig{FailDevice: 0, FailAtOp: 10, RebuildDelayOps: -1}

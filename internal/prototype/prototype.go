@@ -96,7 +96,6 @@ type Result struct {
 	DegradedReads int64
 	RebuildChunks int64
 	LostChunks    int64
-	QueueRetries  int64
 	Phases        []PhaseStats
 }
 
@@ -135,15 +134,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.GC.QueueFill != nil || cfg.GC.P999 != nil {
 		return Result{}, fmt.Errorf("prototype: GC.QueueFill and GC.P999 are Run's own signals")
 	}
-	ecfg := cfg.Engine.withDefaults()
-	geo := ecfg.Store.GeometryDefaults()
+	geo := cfg.Engine.Store.GeometryDefaults()
 	fr, err := newFaultRun(&cfg, geo.DataColumns+1)
 	if err != nil {
 		return Result{}, err
 	}
 	pol := cfg.Engine.Policy
 	fr.registerTelemetry(cfg.Engine.Telemetry)
-	l := &runLoop{fr: fr, perBlock: ecfg.ReadServiceTime / time.Duration(geo.ChunkBlocks)}
+	l := &runLoop{fr: fr}
 	eng, err := newSharded(ShardedConfig{
 		Engine:        cfg.Engine,
 		Shards:        1,
@@ -153,6 +151,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	l.e = eng.shards[0]
+	l.perBlock = eng.devs.readService / time.Duration(geo.ChunkBlocks)
 	if p, ok := pol.(interface{ SetTelemetry(*telemetry.Set) }); ok && l.e.tel != nil {
 		// One shard, one policy: its fixed instrument names cannot
 		// collide, so Run wires what a multi-shard engine cannot — under

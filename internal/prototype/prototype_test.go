@@ -98,7 +98,7 @@ func TestRunDeterministic(t *testing.T) {
 	}{
 		{name: "healthy", store: protoStoreConfig()},
 		{name: "fault", store: protoStoreConfig(), fault: FaultConfig{
-			FailDevice: 2, FailAtOp: 4000, RebuildDelayOps: 1000, QueueTimeout: 20 * time.Microsecond}},
+			FailDevice: 2, FailAtOp: 4000, RebuildDelayOps: 1000}},
 		{name: "background GC", store: background, think: 5 * time.Microsecond},
 		{name: "background GC, no think", store: background},
 	} {

@@ -105,7 +105,7 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 		gateWaits:   make([]atomic.Int64, n),
 		gateWaitNS:  make([]atomic.Int64, n),
 	}
-	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
+	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime)
 	s.devs.fault = fr
 	s.devs.clock = clock
 	if ecfg.Telemetry != nil {

@@ -197,7 +197,7 @@ func refEngine(t *testing.T, cfg lss.Config) *Engine {
 	t.Helper()
 	ecfg := EngineConfig{Store: cfg, ServiceTime: time.Microsecond}.withDefaults()
 	ecfg.Policy = durablePolicy(t, cfg.GeometryDefaults())
-	da := newDeviceArray(cfg.GeometryDefaults().DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime, ecfg.ReadServiceTime)
+	da := newDeviceArray(cfg.GeometryDefaults().DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime)
 	e, err := newEngineOn(ecfg, da, 0, nil)
 	for lba := int64(0); err == nil && lba < cfg.UserBlocks; lba++ {
 		_, err = e.WriteTimed(lba, 1)

@@ -203,8 +203,8 @@ func markEngine(sp *telemetry.Span, t prototype.OpTiming) {
 type Exemplar struct {
 	Span *telemetry.Span
 	// Cause is the attributed dominant cause: "backpressure", "gc",
-	// "degraded", "rebuild", "batch-deadline", "admission",
-	// "engine-lock", "wire", or "engine".
+	// "degraded", "commit-wait", "admission", "engine-lock", "wire", or
+	// "engine".
 	Cause string
 	// CauseID is the GC cycle number or failure generation when the
 	// cause is an interference interval, 0 otherwise.
@@ -222,7 +222,7 @@ type Exemplar struct {
 }
 
 // attribute tags a span with its dominant latency cause. Interference
-// overlap (GC first, then degraded/rebuild windows) takes precedence;
+// overlap (GC first, then degraded windows) takes precedence;
 // otherwise the slowest stage is blamed.
 func attribute(sp *telemetry.Span, ivs []telemetry.Interval) (cause string, id int64, col, shard int32, overlapNS int64) {
 	if wire.Status(sp.Status) == wire.StatusBackpressure {
@@ -259,7 +259,7 @@ func attribute(sp *telemetry.Span, ivs []telemetry.Interval) (cause string, id i
 	}
 	switch worst {
 	case telemetry.StageBatch:
-		return "batch-deadline", 0, -1, -1, 0
+		return "commit-wait", 0, -1, -1, 0
 	case telemetry.StageAdmission:
 		return "admission", 0, -1, -1, 0
 	case telemetry.StageLockWait:

@@ -198,7 +198,7 @@ func TestAttribute(t *testing.T) {
 		stage telemetry.Stage
 		want  string
 	}{
-		{telemetry.StageBatch, "batch-deadline"},
+		{telemetry.StageBatch, "commit-wait"},
 		{telemetry.StageAdmission, "admission"},
 		{telemetry.StageLockWait, "engine-lock"},
 		{telemetry.StageDecode, "wire"},

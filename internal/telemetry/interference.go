@@ -16,8 +16,6 @@ const (
 	// IntervalDegraded is a window where a RAID column is failed and
 	// reads on it pay reconstruction fan-out.
 	IntervalDegraded
-	// IntervalRebuild is a background rebuild pass onto a spare.
-	IntervalRebuild
 )
 
 func (k IntervalKind) String() string {
@@ -26,8 +24,6 @@ func (k IntervalKind) String() string {
 		return "gc"
 	case IntervalDegraded:
 		return "degraded"
-	case IntervalRebuild:
-		return "rebuild"
 	default:
 		return "interval"
 	}

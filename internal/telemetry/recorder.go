@@ -70,12 +70,6 @@ const (
 	// MetricLostChunks counts chunk writes dropped on the failed
 	// column (reconstructable from parity until the rebuild lands).
 	MetricLostChunks = "proto_lost_chunks_total"
-	// MetricQueueRetries counts dispatches that timed out on a full
-	// device queue and retried after backoff.
-	MetricQueueRetries = "proto_queue_retries_total"
-	// MetricRetryHistogram is the histogram of retry attempts per
-	// dispatched operation.
-	MetricRetryHistogram = "proto_dispatch_retry_attempts"
 
 	MetricAdaptThreshold = "adapt_threshold_blocks"
 	MetricAdaptAdoptions = "adapt_threshold_adoptions_total"

@@ -228,7 +228,7 @@ func TestIntervalLog(t *testing.T) {
 
 func TestIntervalKindString(t *testing.T) {
 	for k, want := range map[IntervalKind]string{
-		IntervalGC: "gc", IntervalDegraded: "degraded", IntervalRebuild: "rebuild", 99: "interval",
+		IntervalGC: "gc", IntervalDegraded: "degraded", 99: "interval",
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)

@@ -52,7 +52,7 @@ type Set struct {
 	Recorder *Recorder
 	Tracer   *Tracer
 	// Intervals collects interference windows (GC cycles, degraded
-	// columns, rebuilds) for post-hoc tail-latency attribution.
+	// columns) for post-hoc tail-latency attribution.
 	Intervals *IntervalLog
 }
 

@@ -64,21 +64,15 @@ func ParseVictim(name string) (Victim, error) {
 // lss maps a validated Victim onto the store's enum.
 func (v Victim) lss() (lss.VictimPolicy, error) { return victimPolicy(string(v)) }
 
-// victimPolicy is the single name→enum mapping behind ParseVictim and
-// Victim.lss.
+// victimPolicy maps a name onto the store's enum through the store's
+// own name table (lss.ParseVictim); the empty string is greedy.
 func victimPolicy(name string) (lss.VictimPolicy, error) {
-	switch name {
-	case "", VictimGreedy:
+	if name == "" {
 		return lss.Greedy, nil
-	case VictimCostBenefit:
-		return lss.CostBenefit, nil
-	case VictimDChoices:
-		return lss.DChoices, nil
-	case VictimWindowedGreedy:
-		return lss.WindowedGreedy, nil
-	case VictimRandomGreedy:
-		return lss.RandomGreedy, nil
-	default:
+	}
+	v, ok := lss.ParseVictim(name)
+	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownVictim, name)
 	}
+	return v, nil
 }

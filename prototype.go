@@ -26,33 +26,15 @@ type FaultConfig struct {
 	RebuildDelayOps int64
 	// RebuildBurst is chunks per rebuild dispatch round (default 8).
 	RebuildBurst int
-	// QueueTimeout bounds one device-queue send attempt before it
-	// counts as a retry (default 2ms).
-	QueueTimeout time.Duration
-	// RetryMax is the number of timed-out attempts before the final
-	// blocking send (default 5); operations are never dropped.
-	RetryMax int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between retries (defaults 50µs / 5ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// DegradedGCWatermark is the rebuild-progress fraction below which
-	// the store runs throttled degraded-mode GC (default 0.5).
-	DegradedGCWatermark float64
 }
 
 func (f FaultConfig) internal() prototype.FaultConfig {
 	return prototype.FaultConfig{
-		FailDevice:          f.FailDevice,
-		FailAtOp:            f.FailAtOp,
-		MTBFOps:             f.MTBFOps,
-		RebuildDelayOps:     f.RebuildDelayOps,
-		RebuildBurst:        f.RebuildBurst,
-		QueueTimeout:        f.QueueTimeout,
-		RetryMax:            f.RetryMax,
-		BackoffBase:         f.BackoffBase,
-		BackoffCap:          f.BackoffCap,
-		DegradedGCWatermark: f.DegradedGCWatermark,
+		FailDevice:      f.FailDevice,
+		FailAtOp:        f.FailAtOp,
+		MTBFOps:         f.MTBFOps,
+		RebuildDelayOps: f.RebuildDelayOps,
+		RebuildBurst:    f.RebuildBurst,
 	}
 }
 
@@ -118,7 +100,6 @@ type PrototypeResult struct {
 	DegradedReads int64
 	RebuildChunks int64
 	LostChunks    int64
-	QueueRetries  int64
 	Phases        []PhaseResult
 }
 
@@ -162,7 +143,6 @@ func RunPrototype(c PrototypeConfig) (PrototypeResult, error) {
 		DegradedReads: res.DegradedReads,
 		RebuildChunks: res.RebuildChunks,
 		LostChunks:    res.LostChunks,
-		QueueRetries:  res.QueueRetries,
 	}
 	for _, ps := range res.Phases {
 		out.Phases = append(out.Phases, PhaseResult{
