@@ -136,7 +136,12 @@ race-sharded:
 ## non-test internal/prototype or the root package. Settings no caller
 ## sets stay constants: no MicroSlice/QueueHighFill/VetoUrgency in
 ## non-test internal/gcsched, and no GC watermark field in lss.Config —
-## the store derives them from its group count.
+## the store derives them from its group count. The public API, the
+## harness and adaptserve build one store: adaptserve imports no
+## benchmark package (internal/harness), segment sizing (a / 128 or
+## / 256 of capacity) lives only in non-test internal/lss
+## (lss.Config.GeometryDefaults), and ADAPT's 2048-block sampling rule
+## only in non-test internal/adaptcore (adaptcore.New).
 harness-lint:
 	@if ls cmd/adaptbench/*.go | grep -v _test.go | xargs grep -nE 'harness\.(Fig[0-9]|Exp[A-Z])'; then \
 		echo "harness-lint FAIL: cmd/adaptbench calls an experiment directly — add a row to harness.Experiments instead"; \
@@ -169,6 +174,18 @@ harness-lint:
 	fi
 	@if ls internal/lss/*.go | grep -v _test.go | xargs grep -nE '^[[:space:]]+([[:alnum:]_]+,[[:space:]]*)*(GCLowWater|GCHighWater|GCEmergencyFloor)([[:space:],]|$$)'; then \
 		echo "harness-lint FAIL: a GC watermark became an lss.Config field again — the store derives them from its group count (lss watermarks)"; \
+		exit 1; \
+	fi
+	@if ls cmd/adaptserve/*.go | grep -v _test.go | xargs grep -nF '"adapt/internal/harness"'; then \
+		echo "harness-lint FAIL: cmd/adaptserve imports internal/harness — build the store with lss.Config.GeometryDefaults and the policy with placement.Build"; \
+		exit 1; \
+	fi
+	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/lss/*' | xargs grep -nE '(^|[^/])/ *(128|256)([^0-9]|$$)'; then \
+		echo "harness-lint FAIL: segment-size arithmetic outside internal/lss — lss.Config.GeometryDefaults derives SegmentChunks"; \
+		exit 1; \
+	fi
+	@if find . -name '*.go' ! -name '*_test.go' ! -path './internal/adaptcore/*' | xargs grep -nE '2048 */'; then \
+		echo "harness-lint FAIL: a copy of ADAPT's sampling rule outside internal/adaptcore — adaptcore.New derives SampleRate"; \
 		exit 1; \
 	fi
 	@echo "harness-lint OK"

@@ -14,19 +14,17 @@ import (
 
 // Placement policy names accepted by SimulatorConfig.Policy.
 const (
-	PolicySepGC  = "sepgc"
-	PolicyDAC    = "dac"
-	PolicyWARCIP = "warcip"
-	PolicyMiDA   = "mida"
-	PolicySepBIT = "sepbit"
-	PolicyADAPT  = "adapt"
+	PolicySepGC  = placement.NameSepGC
+	PolicyDAC    = placement.NameDAC
+	PolicyWARCIP = placement.NameWARCIP
+	PolicyMiDA   = placement.NameMiDA
+	PolicySepBIT = placement.NameSepBIT
+	PolicyADAPT  = placement.NameADAPT
 )
 
 // Policies lists every available placement policy in the paper's
 // evaluation order.
-func Policies() []string {
-	return []string{PolicySepGC, PolicyDAC, PolicyWARCIP, PolicyMiDA, PolicySepBIT, PolicyADAPT}
-}
+func Policies() []string { return placement.Names() }
 
 // Victim policy names accepted by SimulatorConfig.Victim.
 const (
@@ -51,7 +49,9 @@ var ErrMismatch = checker.ErrMismatch
 // The Disable switches support ablation studies.
 type ADAPTOptions struct {
 	// SampleRate is the spatial sampling rate of the threshold
-	// adaptation module (paper prototype: 0.001).
+	// adaptation module (paper prototype: 0.001). Default derived from
+	// capacity: the rate that samples 2048 of the UserBlocks blocks,
+	// clamped to [0.002, 0.5].
 	SampleRate float64
 	// GhostSets is the number of concurrent ghost-set simulations.
 	GhostSets int
@@ -81,8 +81,10 @@ type SimulatorConfig struct {
 	BlockSize int
 	// ChunkBlocks is the array chunk size in blocks (default 16).
 	ChunkBlocks int
-	// SegmentChunks is the segment size in chunks (default derived
-	// from capacity).
+	// SegmentChunks is the segment size in chunks. Default derived from
+	// capacity, so a volume has about 256 segments: 16 chunks (1 MiB
+	// segments) at 64 Ki blocks, 32 (2 MiB) from 128 Ki blocks up, and
+	// never fewer than 2.
 	SegmentChunks int
 	// DataColumns is the RAID data-column count (default 3).
 	DataColumns int
@@ -182,53 +184,16 @@ func (c SimulatorConfig) build() (lss.Config, lss.Policy, error) {
 		Victim:        vp,
 		Paranoid:      c.Paranoid,
 	}
-	if cfg.ChunkBlocks == 0 {
-		cfg.ChunkBlocks = 16
-	}
-	if cfg.SegmentChunks == 0 {
-		segChunks := int(c.UserBlocks / int64(cfg.ChunkBlocks) / 128)
-		if segChunks < 2 {
-			segChunks = 2
-		}
-		if segChunks > 32 {
-			segChunks = 32
-		}
-		cfg.SegmentChunks = segChunks
-	}
-	var pol lss.Policy
-	if polName == PolicyADAPT {
-		rate := c.ADAPT.SampleRate
-		if rate == 0 {
-			rate = 2048 / float64(cfg.UserBlocks)
-			if rate > 0.5 {
-				rate = 0.5
-			}
-			if rate < 0.002 {
-				rate = 0.002
-			}
-		}
-		pol = adaptcore.New(adaptcore.Config{
-			UserBlocks:    cfg.UserBlocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-			OverProvision: cfg.OverProvision,
-		}, adaptcore.Options{
-			SampleRate:         rate,
-			Ladder:             c.ADAPT.GhostSets,
-			DemoteScore:        c.ADAPT.DemoteScore,
-			DisableAggregation: c.ADAPT.DisableAggregation,
-			DisableDemotion:    c.ADAPT.DisableDemotion,
-			DisableAdaptation:  c.ADAPT.DisableAdaptation,
-		})
-	} else {
-		pol, err = placement.New(string(polName), placement.Params{
-			UserBlocks:    cfg.UserBlocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-		})
-		if err != nil {
-			return fail(err)
-		}
+	pol, err := placement.Build(string(polName), cfg, adaptcore.Options{
+		SampleRate:         c.ADAPT.SampleRate,
+		Ladder:             c.ADAPT.GhostSets,
+		DemoteScore:        c.ADAPT.DemoteScore,
+		DisableAggregation: c.ADAPT.DisableAggregation,
+		DisableDemotion:    c.ADAPT.DisableDemotion,
+		DisableAdaptation:  c.ADAPT.DisableAdaptation,
+	})
+	if err != nil {
+		return fail(err)
 	}
 	if c.GCSched.SliceUnits < 0 {
 		return fail(fmt.Errorf("adapt: negative GCSched.SliceUnits %d", c.GCSched.SliceUnits))

@@ -25,14 +25,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"adapt/internal/adaptcore"
 	"adapt/internal/cli"
 	"adapt/internal/gcsched"
-	"adapt/internal/harness"
 	"adapt/internal/lss"
 	"adapt/internal/nbd"
+	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/segfile"
 	"adapt/internal/serve"
@@ -57,7 +59,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	addr := fs.String("addr", "127.0.0.1:9750", "block service listen address")
 	telAddr := fs.String("telemetry", "127.0.0.1:9751", "telemetry HTTP listen address (empty disables)")
 	volumes := fs.Int("volumes", 8, "tenant volumes to carve from the array")
-	policy := fs.String("policy", harness.PolicyADAPT, "placement policy: sepgc|dac|warcip|mida|sepbit|adapt")
+	policy := fs.String("policy", placement.NameADAPT, "placement policy: "+strings.Join(placement.Names(), "|"))
 	victim := fs.String("victim", "greedy", "GC victim policy: greedy|cost-benefit|d-choices|windowed-greedy|random-greedy")
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (without -data-dir the RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
@@ -109,8 +111,8 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	if !ok {
 		return fail("unknown victim policy %q", *victim)
 	}
-	store := harness.StoreConfig(*userBlocks, vp)
-	if _, err := harness.BuildPolicy(*policy, store); err != nil {
+	store := lss.Config{UserBlocks: *userBlocks, Victim: vp}.GeometryDefaults()
+	if _, err := placement.Build(*policy, store, adaptcore.Options{}); err != nil {
 		return fail("%v", err)
 	}
 	cfg := serve.Config{
@@ -122,7 +124,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 			},
 			Shards: *shards,
 			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-				return harness.BuildPolicy(*policy, scfg)
+				return placement.Build(*policy, scfg, adaptcore.Options{})
 			},
 		},
 		Server: server.Config{

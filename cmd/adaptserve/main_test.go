@@ -165,7 +165,7 @@ func TestConfigFromFlagsUsageErrors(t *testing.T) {
 		{[]string{"-gc-bg", "-gc-target-p999-us", "-1"}, "-gc-target-p999-us must be non-negative, got -1"},
 		{[]string{"-gc-target-p999-us", "-5"}, "-gc-target-p999-us must be non-negative, got -5"},
 		{[]string{"-victim", "oldest"}, `unknown victim policy "oldest"`},
-		{[]string{"-policy", "fifo"}, "fifo"},
+		{[]string{"-policy", "fifo"}, `unknown policy "fifo" (want sepgc|dac|warcip|mida|sepbit|adapt)`},
 		{[]string{"-data-dir", "/d", "-durable-sync", "never"}, `unknown -durable-sync "never" (want always|seal)`},
 		{[]string{"-nbd-max-req-kib", "64"}, "-nbd-max-req-kib requires -nbd-addr"},
 		{[]string{"-nbd-addr", ":0", "-nbd-max-req-kib", "-1"}, "-nbd-max-req-kib must be non-negative, got -1"},

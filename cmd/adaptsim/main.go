@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"adapt"
@@ -22,7 +23,7 @@ func main() {
 		"adaptsim -policy adapt -victim greedy -trace vol0.csv -format msr",
 		"adaptsim -policy sepbit -ycsb-blocks 65536 -ycsb-writes 500000")
 	fs := cmd.Flags()
-	policy := fs.String("policy", adapt.PolicyADAPT, "placement policy: sepgc|dac|warcip|mida|sepbit|adapt")
+	policy := fs.String("policy", adapt.PolicyADAPT, "placement policy: "+strings.Join(adapt.Policies(), "|"))
 	victim := fs.String("victim", adapt.VictimGreedy, "GC victim policy: greedy|cost-benefit|d-choices")
 	tracePath := fs.String("trace", "", "trace file to replay (empty: synthesize YCSB)")
 	format := fs.String("format", "bin", "trace format: msr|ali|tencent|bin")

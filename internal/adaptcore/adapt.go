@@ -32,8 +32,9 @@ type Config struct {
 // defaults; the Disable* switches exist for the ablation benchmarks.
 type Options struct {
 	// SampleRate is the spatial sampling rate for threshold
-	// adaptation (paper prototype: 0.001; simulator default 0.01 for
-	// smaller volumes).
+	// adaptation (paper prototype: 0.001). Zero derives it from the
+	// volume: 2048/UserBlocks clamped to [0.002, 0.5], a few thousand
+	// sampled blocks at any size.
 	SampleRate float64
 	// Ladder is the number of concurrent ghost sets.
 	Ladder int
@@ -55,9 +56,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SampleRate == 0 {
-		o.SampleRate = 0.01
-	}
 	if o.Ladder == 0 {
 		o.Ladder = 7
 	}
@@ -102,6 +100,9 @@ func New(cfg Config, opts Options) *Policy {
 		cfg.OverProvision = 0.15
 	}
 	opts = opts.withDefaults()
+	if opts.SampleRate == 0 {
+		opts.SampleRate = min(max(2048/float64(cfg.UserBlocks), 0.002), 0.5)
+	}
 	if opts.DemotePerFilter == 0 {
 		// Scale discriminator epochs with the volume so the FIFO ring
 		// rotates on recent history rather than accumulating the whole

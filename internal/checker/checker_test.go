@@ -26,21 +26,13 @@ func smallCfg() lss.Config {
 	}
 }
 
-func params(cfg lss.Config) placement.Params {
-	return placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-	}
+func sepGC(cfg lss.Config) lss.Policy {
+	return placement.NewSepGC(placement.Params{UserBlocks: cfg.UserBlocks})
 }
 
 func newOracle(t *testing.T, cfg lss.Config, opts checker.Options) *checker.Oracle {
 	t.Helper()
-	pol, err := placement.New(placement.NameSepGC, params(cfg))
-	if err != nil {
-		t.Fatalf("placement.New: %v", err)
-	}
-	o, err := checker.New(lss.New(cfg, pol), opts)
+	o, err := checker.New(lss.New(cfg, sepGC(cfg)), opts)
 	if err != nil {
 		t.Fatalf("checker.New: %v", err)
 	}
@@ -184,11 +176,7 @@ func TestExpectedRecoverySweep(t *testing.T) {
 	bs := int64(cfg.BlockSize)
 	for round := 0; round < 12; round++ {
 		cut := 1 + int(rng.Uint64()%uint64(len(tr.Records)))
-		pol, err := placement.New(placement.NameSepGC, params(cfg))
-		if err != nil {
-			t.Fatalf("placement.New: %v", err)
-		}
-		s := lss.New(cfg, pol)
+		s := lss.New(cfg, sepGC(cfg))
 		for i := 0; i < cut; i++ {
 			r := &tr.Records[i]
 			if r.Op != trace.OpWrite {
@@ -204,8 +192,7 @@ func TestExpectedRecoverySweep(t *testing.T) {
 		if err := s.WriteCheckpoint(&buf); err != nil {
 			t.Fatalf("cut %d: checkpoint: %v", cut, err)
 		}
-		pol2, _ := placement.New(placement.NameSepGC, params(cfg))
-		rec, err := lss.Recover(&buf, cfg, pol2)
+		rec, err := lss.Recover(&buf, cfg, sepGC(cfg))
 		if err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
 		}
@@ -227,11 +214,7 @@ func TestExpectedRecoverySweep(t *testing.T) {
 func TestCrashDuringBackgroundGCSweep(t *testing.T) {
 	cfg := smallCfg()
 	cfg.BackgroundGC = true
-	pol, err := placement.New(placement.NameSepGC, params(cfg))
-	if err != nil {
-		t.Fatalf("placement.New: %v", err)
-	}
-	s := lss.New(cfg, pol)
+	s := lss.New(cfg, sepGC(cfg))
 	rng := sim.NewRNG(17)
 	now := sim.Time(0)
 	checked := 0
@@ -253,8 +236,7 @@ func TestCrashDuringBackgroundGCSweep(t *testing.T) {
 		if err := s.WriteCheckpoint(&buf); err != nil {
 			t.Fatalf("op %d: checkpoint: %v", op, err)
 		}
-		pol2, _ := placement.New(placement.NameSepGC, params(cfg))
-		rec, err := lss.Recover(&buf, cfg, pol2)
+		rec, err := lss.Recover(&buf, cfg, sepGC(cfg))
 		if err != nil {
 			t.Fatalf("op %d: recover: %v", op, err)
 		}
@@ -272,8 +254,7 @@ func TestCrashDuringBackgroundGCSweep(t *testing.T) {
 
 func TestOracleRejectsUsedStore(t *testing.T) {
 	cfg := smallCfg()
-	pol, _ := placement.New(placement.NameSepGC, params(cfg))
-	s := lss.New(cfg, pol)
+	s := lss.New(cfg, sepGC(cfg))
 	if err := s.WriteBlock(0, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -285,8 +266,7 @@ func TestOracleRejectsUsedStore(t *testing.T) {
 func TestMirrorNeedsWideBlocks(t *testing.T) {
 	cfg := smallCfg()
 	cfg.BlockSize = 8
-	pol, _ := placement.New(placement.NameSepGC, params(cfg))
-	if _, err := checker.New(lss.New(cfg, pol), checker.Options{Mirror: true}); err == nil {
+	if _, err := checker.New(lss.New(cfg, sepGC(cfg)), checker.Options{Mirror: true}); err == nil {
 		t.Fatal("mirror accepted blocks too small to encode identity")
 	}
 }

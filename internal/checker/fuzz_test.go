@@ -6,7 +6,6 @@ import (
 
 	"adapt/internal/checker"
 	"adapt/internal/lss"
-	"adapt/internal/placement"
 	"adapt/internal/sim"
 )
 
@@ -27,15 +26,7 @@ func FuzzOracleOps(f *testing.F) {
 			UserBlocks:    1024,
 			OverProvision: 0.3,
 		}
-		pol, err := placement.New(placement.NameSepGC, placement.Params{
-			UserBlocks:    cfg.UserBlocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := checker.New(lss.New(cfg, pol), checker.Options{Mirror: true, CheckEvery: 16})
+		o, err := checker.New(lss.New(cfg, sepGC(cfg)), checker.Options{Mirror: true, CheckEvery: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

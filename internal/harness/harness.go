@@ -18,13 +18,11 @@ import (
 )
 
 // PolicyADAPT is the name of the paper's contribution in results.
-const PolicyADAPT = "adapt"
+const PolicyADAPT = placement.NameADAPT
 
 // PolicyNames returns all six policies in the paper's presentation
 // order (five baselines, then ADAPT).
-func PolicyNames() []string {
-	return append(placement.BaselineNames(), PolicyADAPT)
-}
+func PolicyNames() []string { return placement.Names() }
 
 // Scale sizes the experiments. The paper's full scale (50 volumes,
 // 1 M-block YCSB fills) takes minutes; Small keeps unit tests and
@@ -68,57 +66,16 @@ func FullScale() Scale {
 	}
 }
 
-// StoreConfig derives simulator geometry for a volume of the given
-// footprint: 4 KiB blocks, 64 KiB chunks, Pangu's 100 µs SLA window,
-// 4-SSD RAID-5, and a segment size scaled so every volume has enough
-// segments for meaningful GC.
+// StoreConfig is the paper's store (§4.1) for a volume of the given
+// footprint, with the geometry lss.Config.GeometryDefaults derives.
 func StoreConfig(userBlocks int64, victim lss.VictimPolicy) lss.Config {
-	const chunkBlocks = 16
-	// Keep at least ~256 segments so that per-group open segments and
-	// the GC watermark cushion stay a small fraction of capacity; the
-	// effective spare then tracks OverProvision at every scale.
-	segChunks := int(userBlocks / chunkBlocks / 256)
-	if segChunks < 2 {
-		segChunks = 2
-	}
-	if segChunks > 32 {
-		segChunks = 32
-	}
-	return lss.Config{
-		BlockSize:     4096,
-		ChunkBlocks:   chunkBlocks,
-		SegmentChunks: segChunks,
-		DataColumns:   3,
-		UserBlocks:    userBlocks,
-		OverProvision: 0.15,
-		Victim:        victim,
-	}
+	return lss.Config{UserBlocks: userBlocks, Victim: victim}.GeometryDefaults()
 }
 
-// BuildPolicy constructs a policy by name for the given store
-// geometry. ADAPT's sampling rate is scaled to keep a few thousand
-// sampled blocks regardless of volume size.
+// BuildPolicy constructs a policy by name, with default options, for
+// the given store geometry.
 func BuildPolicy(name string, cfg lss.Config) (lss.Policy, error) {
-	if name == PolicyADAPT {
-		rate := 2048 / float64(cfg.UserBlocks)
-		if rate > 0.5 {
-			rate = 0.5
-		}
-		if rate < 0.002 {
-			rate = 0.002
-		}
-		return adaptcore.New(adaptcore.Config{
-			UserBlocks:    cfg.UserBlocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-			OverProvision: cfg.OverProvision,
-		}, adaptcore.Options{SampleRate: rate}), nil
-	}
-	return placement.New(name, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-	})
+	return placement.Build(name, cfg, adaptcore.Options{})
 }
 
 // RunResult summarizes one policy run over one trace.

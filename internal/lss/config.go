@@ -69,7 +69,8 @@ type Config struct {
 	// ChunkBlocks is the array chunk size in blocks (the array's
 	// minimum write unit).
 	ChunkBlocks int
-	// SegmentChunks is the segment size in chunks.
+	// SegmentChunks is the segment size in chunks (zero: scaled with
+	// UserBlocks, see GeometryDefaults).
 	SegmentChunks int
 	// DataColumns is the number of data columns per RAID stripe.
 	DataColumns int
@@ -106,10 +107,19 @@ type Config struct {
 
 // GeometryDefaults returns cfg with the group-independent geometry
 // fields (block/chunk/segment sizes, columns, capacity,
-// over-provisioning, SLA window, d-choices sample) defaulted. The
-// sharded engine uses it to partition the LBA space before any
-// placement policy — and therefore any group count — exists; the GC
-// watermarks are derived per store by New.
+// over-provisioning) defaulted. It is the one place the store's shape
+// is derived: the simulator, the harness and the served engine all
+// take their geometry from it, and the sharded engine uses it to
+// partition the LBA space before any placement policy — and therefore
+// any group count — exists. The GC watermarks are derived per store by
+// New.
+//
+// A zero SegmentChunks is scaled with capacity, UserBlocks /
+// ChunkBlocks / 256 clamped to [2, 32], so every volume keeps about 256
+// segments: the per-group open segments and the GC watermark cushion
+// then stay a small fraction of capacity and the effective spare
+// tracks OverProvision at every scale. 64 Ki blocks get 16 chunks
+// (1 MiB segments); 128 Ki blocks and up get 32 (2 MiB).
 func (cfg Config) GeometryDefaults() Config {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4096
@@ -117,23 +127,17 @@ func (cfg Config) GeometryDefaults() Config {
 	if cfg.ChunkBlocks == 0 {
 		cfg.ChunkBlocks = 16 // 64 KiB chunks of 4 KiB blocks
 	}
-	if cfg.SegmentChunks == 0 {
-		cfg.SegmentChunks = 32 // 2 MiB segments
-	}
 	if cfg.DataColumns == 0 {
 		cfg.DataColumns = 3 // 4-SSD RAID-5
 	}
 	if cfg.UserBlocks == 0 {
 		cfg.UserBlocks = 64 << 10
 	}
+	if cfg.SegmentChunks == 0 {
+		cfg.SegmentChunks = int(min(max(cfg.UserBlocks/int64(cfg.ChunkBlocks)/256, 2), 32))
+	}
 	if cfg.OverProvision == 0 {
 		cfg.OverProvision = 0.15
-	}
-	if cfg.SLAWindow == 0 {
-		cfg.SLAWindow = 100 * sim.Microsecond
-	}
-	if cfg.DChoicesD == 0 {
-		cfg.DChoicesD = 8
 	}
 	return cfg
 }
@@ -142,6 +146,12 @@ func (cfg Config) GeometryDefaults() Config {
 // validates the geometry.
 func (cfg Config) withDefaults() Config {
 	cfg = cfg.GeometryDefaults()
+	if cfg.SLAWindow == 0 {
+		cfg.SLAWindow = 100 * sim.Microsecond
+	}
+	if cfg.DChoicesD == 0 {
+		cfg.DChoicesD = 8
+	}
 	if cfg.BlockSize <= 0 || cfg.ChunkBlocks <= 0 || cfg.SegmentChunks <= 0 {
 		panic("lss: non-positive geometry")
 	}

@@ -43,14 +43,6 @@ type stack struct {
 	addr string
 }
 
-func policyParams(cfg lss.Config) placement.Params {
-	return placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.ChunkBlocks * cfg.SegmentChunks,
-		ChunkBlocks:   cfg.ChunkBlocks,
-	}
-}
-
 // testEngine builds an engine over the tiny test geometry; mirror
 // attaches the oracle + RAID mirror (enables FailColumn/RebuildStep).
 func testEngine(userBlocks int64, blockBytes, shards int, mirror bool) (*prototype.Sharded, error) {
@@ -69,7 +61,7 @@ func testEngine(userBlocks int64, blockBytes, shards int, mirror bool) (*prototy
 		},
 		Shards: shards,
 		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
-			return placement.New(placement.NameSepGC, policyParams(scfg))
+			return placement.NewSepGC(placement.Params{UserBlocks: scfg.UserBlocks}), nil
 		},
 	})
 }

@@ -1,7 +1,8 @@
 // Package placement implements the five baseline data-placement
 // strategies the paper evaluates ADAPT against (§4.1): SepGC, DAC,
 // WARCIP, MiDA, and SepBIT. Each is an lss.Policy; ADAPT itself lives
-// in internal/adaptcore.
+// in internal/adaptcore. Build is the one constructor for all six by
+// name.
 //
 // All policies index per-block state by LBA in dense arrays sized from
 // Params.UserBlocks, and measure time on the user write clock (blocks
@@ -10,7 +11,9 @@ package placement
 
 import (
 	"fmt"
+	"strings"
 
+	"adapt/internal/adaptcore"
 	"adapt/internal/lss"
 )
 
@@ -38,23 +41,30 @@ func (p Params) validate() Params {
 	return p
 }
 
-// Names of the baseline policies, as used by New.
+// Names of the six policies, as accepted by Build.
 const (
 	NameSepGC  = "sepgc"
 	NameDAC    = "dac"
 	NameWARCIP = "warcip"
 	NameMiDA   = "mida"
 	NameSepBIT = "sepbit"
+	NameADAPT  = "adapt"
 )
 
-// BaselineNames lists all baseline policy names in evaluation order.
-func BaselineNames() []string {
-	return []string{NameSepGC, NameDAC, NameWARCIP, NameMiDA, NameSepBIT}
+// Names lists every policy in the paper's evaluation order: the five
+// baselines, then ADAPT. It is the one name table; the public API,
+// the harness and adaptserve all read it.
+func Names() []string {
+	return []string{NameSepGC, NameDAC, NameWARCIP, NameMiDA, NameSepBIT, NameADAPT}
 }
 
-// New constructs a baseline policy by name with the paper's default
-// group configuration.
-func New(name string, p Params) (lss.Policy, error) {
+// Build constructs the named policy, with the paper's default group
+// configuration, for a store built from cfg. It is the one policy
+// builder: cfg's geometry is defaulted exactly as the store defaults
+// it, and opts tunes ADAPT (the baselines ignore it).
+func Build(name string, cfg lss.Config, opts adaptcore.Options) (lss.Policy, error) {
+	cfg = cfg.GeometryDefaults()
+	p := Params{UserBlocks: cfg.UserBlocks, SegmentBlocks: cfg.SegmentBlocks(), ChunkBlocks: cfg.ChunkBlocks}
 	switch name {
 	case NameSepGC:
 		return NewSepGC(p), nil
@@ -66,7 +76,14 @@ func New(name string, p Params) (lss.Policy, error) {
 		return NewMiDA(p, 8), nil
 	case NameSepBIT:
 		return NewSepBIT(p), nil
+	case NameADAPT:
+		return adaptcore.New(adaptcore.Config{
+			UserBlocks:    p.UserBlocks,
+			SegmentBlocks: p.SegmentBlocks,
+			ChunkBlocks:   p.ChunkBlocks,
+			OverProvision: cfg.OverProvision,
+		}, opts), nil
 	default:
-		return nil, fmt.Errorf("placement: unknown policy %q", name)
+		return nil, fmt.Errorf("placement: unknown policy %q (want %s)", name, strings.Join(Names(), "|"))
 	}
 }

@@ -1,8 +1,10 @@
 package placement
 
 import (
+	"strings"
 	"testing"
 
+	"adapt/internal/adaptcore"
 	"adapt/internal/lss"
 	"adapt/internal/sim"
 )
@@ -11,11 +13,16 @@ func testParams() Params {
 	return Params{UserBlocks: 4096, SegmentBlocks: 32, ChunkBlocks: 4}
 }
 
-func TestNewByName(t *testing.T) {
-	for _, name := range BaselineNames() {
-		p, err := New(name, testParams())
+// testConfig is the store testParams describes.
+func testConfig() lss.Config {
+	return lss.Config{UserBlocks: 4096, ChunkBlocks: 4, SegmentChunks: 8}
+}
+
+func TestBuildByName(t *testing.T) {
+	for _, name := range Names() {
+		p, err := Build(name, testConfig(), adaptcore.Options{})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("Build(%q): %v", name, err)
 		}
 		if p.Name() != name {
 			t.Errorf("policy %q reports name %q", name, p.Name())
@@ -24,8 +31,9 @@ func TestNewByName(t *testing.T) {
 			t.Errorf("policy %q has %d groups", name, p.Groups())
 		}
 	}
-	if _, err := New("nonsense", testParams()); err == nil {
-		t.Fatal("unknown policy accepted")
+	_, err := Build("nonsense", testConfig(), adaptcore.Options{})
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), "|")) {
+		t.Fatalf("unknown policy: error %v, want one listing every name", err)
 	}
 }
 
@@ -36,9 +44,10 @@ func TestExpectedGroupCounts(t *testing.T) {
 		NameWARCIP: 6, // 5 user + 1 GC
 		NameMiDA:   8,
 		NameSepBIT: 6, // 2 user + 4 GC
+		NameADAPT:  adaptcore.NumGroups,
 	}
 	for name, want := range cases {
-		p, err := New(name, testParams())
+		p, err := Build(name, testConfig(), adaptcore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,10 +221,10 @@ func TestSepBITGCAgeClasses(t *testing.T) {
 }
 
 // TestPoliciesDriveStore replays a skewed workload through every
-// baseline atop the real store and checks basic sanity: data survives,
+// policy atop the real store and checks basic sanity: data survives,
 // invariants hold, WA is finite and ≥ 1.
 func TestPoliciesDriveStore(t *testing.T) {
-	for _, name := range BaselineNames() {
+	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := lss.Config{
@@ -224,11 +233,7 @@ func TestPoliciesDriveStore(t *testing.T) {
 				SegmentChunks: 8,
 				OverProvision: 0.25,
 			}
-			pol, err := New(name, Params{
-				UserBlocks:    cfg.UserBlocks,
-				SegmentBlocks: cfg.SegmentBlocks(),
-				ChunkBlocks:   cfg.ChunkBlocks,
-			})
+			pol, err := Build(name, cfg, adaptcore.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

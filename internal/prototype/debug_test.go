@@ -28,19 +28,7 @@ func TestTrafficDecomposition(t *testing.T) {
 		SLAWindow:     100 * sim.Microsecond,
 	}
 	mk := func(name string) lss.Policy {
-		if name == "adapt" {
-			return adaptcore.New(adaptcore.Config{
-				UserBlocks:    blocks,
-				SegmentBlocks: cfg.SegmentBlocks(),
-				ChunkBlocks:   cfg.ChunkBlocks,
-				OverProvision: cfg.OverProvision,
-			}, adaptcore.Options{SampleRate: 0.125})
-		}
-		p, err := placement.New(name, placement.Params{
-			UserBlocks:    blocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-		})
+		p, err := placement.Build(name, cfg, adaptcore.Options{SampleRate: 0.125})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,17 +21,8 @@ func durableCfg() lss.Config {
 	}
 }
 
-func durablePolicy(t *testing.T, cfg lss.Config) lss.Policy {
-	t.Helper()
-	pol, err := placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pol
+func durablePolicy(cfg lss.Config) lss.Policy {
+	return placement.NewSepGC(placement.Params{UserBlocks: cfg.UserBlocks})
 }
 
 // durableSharded boots a durable engine of the given shard count on

@@ -26,7 +26,7 @@ func TestRunFaultRebuildCompletes(t *testing.T) {
 	res, err := Run(Config{
 		Engine: EngineConfig{
 			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
+			Policy:      protoPolicy(),
 			Fill:        true,
 			ServiceTime: time.Microsecond,
 			QueueDepth:  8,
@@ -117,7 +117,7 @@ func TestRunFaultMTBF(t *testing.T) {
 		res, err := Run(Config{
 			Engine: EngineConfig{
 				Store:       protoStoreConfig(),
-				Policy:      protoPolicy(t),
+				Policy:      protoPolicy(),
 				ServiceTime: time.Microsecond,
 				QueueDepth:  8,
 			},
@@ -152,7 +152,7 @@ func TestRunFaultRejectsBadConfig(t *testing.T) {
 		return Config{
 			Engine: EngineConfig{
 				Store:       protoStoreConfig(),
-				Policy:      protoPolicy(t),
+				Policy:      protoPolicy(),
 				ServiceTime: time.Microsecond,
 			},
 			Clients: 1,
@@ -182,7 +182,7 @@ func TestRunFaultRejectsBadConfig(t *testing.T) {
 // leaves the clock where it found it and names the later time it
 // resumes at, so Run's loop never moves its clock backward past it.
 func TestRebuildStepLeavesClock(t *testing.T) {
-	pol := protoPolicy(t)
+	pol := protoPolicy()
 	cfg := Config{
 		Engine:  EngineConfig{Store: protoStoreConfig(), Policy: pol, Fill: true, ServiceTime: 20 * time.Microsecond, QueueDepth: 4},
 		Clients: 1, Ops: 1,

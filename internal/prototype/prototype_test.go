@@ -24,20 +24,15 @@ func protoStoreConfig() lss.Config {
 	}
 }
 
-func protoPolicy(t *testing.T) lss.Policy {
-	t.Helper()
-	p, err := placement.New("sepgc", placement.Params{UserBlocks: 8 << 10, SegmentBlocks: 64, ChunkBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+func protoPolicy() lss.Policy {
+	return placement.NewSepGC(placement.Params{UserBlocks: 8 << 10})
 }
 
 func TestRunCompletesAllOps(t *testing.T) {
 	res, err := Run(Config{
 		Engine: EngineConfig{
 			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
+			Policy:      protoPolicy(),
 			ServiceTime: time.Microsecond,
 			QueueDepth:  8,
 		},
@@ -74,7 +69,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"caller queue fill", Config{Clients: 1, Ops: 10, GC: gcsched.Config{QueueFill: func() float64 { return 0 }}}},
 		{"caller p999", Config{Clients: 1, Ops: 10, GC: gcsched.Config{P999: func() time.Duration { return 0 }}}},
 	} {
-		tc.cfg.Engine = EngineConfig{Store: protoStoreConfig(), Policy: protoPolicy(t)}
+		tc.cfg.Engine = EngineConfig{Store: protoStoreConfig(), Policy: protoPolicy()}
 		if _, err := Run(tc.cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
@@ -107,7 +102,7 @@ func TestRunDeterministic(t *testing.T) {
 				res, err := Run(Config{
 					Engine: EngineConfig{
 						Store:       tc.store,
-						Policy:      protoPolicy(t),
+						Policy:      protoPolicy(),
 						Fill:        true,
 						ServiceTime: 20 * time.Microsecond,
 						QueueDepth:  4,
@@ -155,7 +150,7 @@ func TestBandwidthCeiling(t *testing.T) {
 	res, err := Run(Config{
 		Engine: EngineConfig{
 			Store:       protoStoreConfig(),
-			Policy:      protoPolicy(t),
+			Policy:      protoPolicy(),
 			ServiceTime: svc,
 			QueueDepth:  4,
 		},
@@ -181,7 +176,7 @@ func TestMoreClientsDoNotLoseOps(t *testing.T) {
 		res, err := Run(Config{
 			Engine: EngineConfig{
 				Store:       protoStoreConfig(),
-				Policy:      protoPolicy(t),
+				Policy:      protoPolicy(),
 				ServiceTime: time.Microsecond,
 				QueueDepth:  8,
 			},
@@ -200,14 +195,11 @@ func TestMoreClientsDoNotLoseOps(t *testing.T) {
 }
 
 func TestFootprintHelper(t *testing.T) {
-	p := protoPolicy(t)
+	p := protoPolicy()
 	if Footprint(p) != 0 {
 		t.Fatal("sepgc should report zero footprint")
 	}
-	sb, err := placement.New("sepbit", placement.Params{UserBlocks: 1024, SegmentBlocks: 64, ChunkBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sb := placement.NewSepBIT(placement.Params{UserBlocks: 1024, SegmentBlocks: 64, ChunkBlocks: 8})
 	if Footprint(sb) != 1024*8 {
 		t.Fatalf("sepbit footprint = %d", Footprint(sb))
 	}

@@ -29,11 +29,7 @@ func shardedTestConfig(userBlocks int64) lss.Config {
 func sepGCFactory(t *testing.T) PolicyFactory {
 	t.Helper()
 	return func(shard int, cfg lss.Config) (lss.Policy, error) {
-		return placement.New(placement.NameSepGC, placement.Params{
-			UserBlocks:    cfg.UserBlocks,
-			SegmentBlocks: cfg.SegmentBlocks(),
-			ChunkBlocks:   cfg.ChunkBlocks,
-		})
+		return placement.NewSepGC(placement.Params{UserBlocks: cfg.UserBlocks}), nil
 	}
 }
 
@@ -196,7 +192,7 @@ func applyTrace(t *testing.T, eng traceTarget, ops []zipfOp, step func()) {
 func refEngine(t *testing.T, cfg lss.Config) *Engine {
 	t.Helper()
 	ecfg := EngineConfig{Store: cfg, ServiceTime: time.Microsecond}.withDefaults()
-	ecfg.Policy = durablePolicy(t, cfg.GeometryDefaults())
+	ecfg.Policy = durablePolicy(cfg.GeometryDefaults())
 	da := newDeviceArray(cfg.GeometryDefaults().DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime)
 	e, err := newEngineOn(ecfg, da, 0, nil)
 	for lba := int64(0); err == nil && lba < cfg.UserBlocks; lba++ {

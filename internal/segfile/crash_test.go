@@ -65,7 +65,7 @@ func replayToCrash(t *testing.T, cfg lss.Config, mode segfile.SyncMode, budget i
 	}
 	ledger := checker.NewDurableLedger(sf)
 	reuse := &reuseLog{DurableLog: ledger, freed: make(map[int]bool)}
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: reuse})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: reuse})
 	completed := driveWorkload(t, s, workloadOps)
 	if !completed && !errors.Is(s.DurableErr(), segfile.ErrCrashed) {
 		t.Fatalf("budget %d: latched %v, want ErrCrashed", budget, s.DurableErr())
@@ -107,9 +107,9 @@ func recoverImage(t *testing.T, cfg lss.Config, crash *segfile.CrashFS) *lss.Sto
 		t.Fatalf("post-crash open: %v", err)
 	}
 	if !sf.HasData() {
-		return lss.New(cfg, newPolicy(t, cfg))
+		return lss.New(cfg, newPolicy(cfg))
 	}
-	rec, _, err := sf.Recover(cfg, newPolicy(t, cfg))
+	rec, _, err := sf.Recover(cfg, newPolicy(cfg))
 	if err != nil {
 		t.Fatalf("post-crash recover: %v", err)
 	}

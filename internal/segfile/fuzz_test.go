@@ -99,7 +99,7 @@ func seedImage(t testing.TB, cfg lss.Config) []byte {
 	if err != nil {
 		t.Fatalf("seed open: %v", err)
 	}
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: sf})
 	if !driveWorkload(t, s, workloadOps/2) {
 		t.Fatalf("seed workload: %v", s.DurableErr())
 	}
@@ -139,7 +139,7 @@ func FuzzSegfileRecover(f *testing.F) {
 		f.Add(packArchive(f, truncatedSegment(f, clean, shape.size)))
 	}
 
-	pol := newPolicy(f, cfg)
+	pol := newPolicy(cfg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := unpackArchive(data)
 		sf, err := segfile.Open(segfile.Options{
@@ -219,7 +219,7 @@ func TestRecoverRecycledShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		rec, stats, err := sf.Recover(cfg, newPolicy(t, cfg))
+		rec, stats, err := sf.Recover(cfg, newPolicy(cfg))
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}
@@ -274,7 +274,7 @@ func TestRecoverCorruptImages(t *testing.T) {
 		if !sf.HasData() {
 			continue
 		}
-		rec, _, err := sf.Recover(cfg, newPolicy(t, cfg))
+		rec, _, err := sf.Recover(cfg, newPolicy(cfg))
 		if err != nil {
 			continue
 		}
@@ -313,7 +313,7 @@ func TestRecoverDropsStaleMisnamedFile(t *testing.T) {
 	}
 	// Plant the bytes under a free segment id's name; the embedded
 	// header id no longer matches the file name.
-	total := cfg.TotalSegments(newPolicy(t, cfg).Groups())
+	total := cfg.TotalSegments(newPolicy(cfg).Groups())
 	planted := false
 	for id := total - 1; id >= 0; id-- {
 		if fileSize(mem, id) == 0 {
@@ -338,7 +338,7 @@ func TestRecoverDropsStaleMisnamedFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	rec, stats, err := sf.Recover(cfg, newPolicy(t, cfg))
+	rec, stats, err := sf.Recover(cfg, newPolicy(cfg))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

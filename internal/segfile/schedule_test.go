@@ -199,7 +199,7 @@ func TestRecycleODirectRoundTrip(t *testing.T) {
 	sf2, err := segfile.Open(opts)
 	must(t, "reopen store", err)
 	defer sf2.Close()
-	rec, stats, err := sf2.Recover(cfg, newPolicy(t, cfg))
+	rec, stats, err := sf2.Recover(cfg, newPolicy(cfg))
 	must(t, "recover", err)
 	if stats.Segments != 1 || stats.SealedSegments != 1 || stats.TornRecords != 0 || stats.CorruptFiles != 0 {
 		t.Fatalf("recovery stats %+v, want one clean sealed segment", stats)

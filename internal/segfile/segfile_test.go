@@ -26,17 +26,8 @@ func smallCfg() lss.Config {
 	}
 }
 
-func newPolicy(t testing.TB, cfg lss.Config) lss.Policy {
-	t.Helper()
-	pol, err := placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-	})
-	if err != nil {
-		t.Fatalf("placement.New: %v", err)
-	}
-	return pol
+func newPolicy(cfg lss.Config) lss.Policy {
+	return placement.NewSepGC(placement.Params{UserBlocks: cfg.UserBlocks})
 }
 
 // driveWorkload runs the deterministic crash-harness workload: an
@@ -104,7 +95,7 @@ func TestRoundTrip(t *testing.T) {
 	if sf.HasData() {
 		t.Fatal("fresh MemFS claims recoverable data")
 	}
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: sf})
 	if !driveWorkload(t, s, workloadOps) {
 		t.Fatalf("workload did not complete: %v", s.DurableErr())
 	}
@@ -126,7 +117,7 @@ func TestRoundTrip(t *testing.T) {
 	if !sf2.HasData() {
 		t.Fatal("reopen found no data")
 	}
-	rec, stats, err := sf2.Recover(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf2})
+	rec, stats, err := sf2.Recover(cfg, newPolicy(cfg), lss.Deps{Durable: sf2})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -157,7 +148,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open 3: %v", err)
 	}
-	rec2, _, err := sf3.Recover(cfg, newPolicy(t, cfg))
+	rec2, _, err := sf3.Recover(cfg, newPolicy(cfg))
 	if err != nil {
 		t.Fatalf("recover 2: %v", err)
 	}
@@ -182,7 +173,7 @@ func TestRoundTripDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: sf})
 	if !driveWorkload(t, s, workloadOps) {
 		t.Fatalf("workload: %v", s.DurableErr())
 	}
@@ -195,7 +186,7 @@ func TestRoundTripDirFS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	rec, _, err := sf2.Recover(cfg, newPolicy(t, cfg))
+	rec, _, err := sf2.Recover(cfg, newPolicy(cfg))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -214,7 +205,7 @@ func TestRoundTripDirFS(t *testing.T) {
 func TestLedgerMatchesExpectedRecovery(t *testing.T) {
 	cfg := smallCfg()
 	ledger := checker.NewDurableLedger(nil)
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: ledger})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: ledger})
 	if !driveWorkload(t, s, workloadOps) {
 		t.Fatalf("workload: %v", s.DurableErr())
 	}
@@ -244,7 +235,7 @@ func TestTelemetryRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	s := lss.New(cfg, newPolicy(t, cfg), lss.Deps{Durable: sf})
+	s := lss.New(cfg, newPolicy(cfg), lss.Deps{Durable: sf})
 	if !driveWorkload(t, s, workloadOps/3) {
 		t.Fatalf("workload: %v", s.DurableErr())
 	}

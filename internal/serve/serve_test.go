@@ -48,11 +48,7 @@ func fullConfig(dir string, volumes int) serve.Config {
 			},
 			Shards: 2,
 			PolicyFactory: func(_ int, cfg lss.Config) (lss.Policy, error) {
-				return placement.New("sepgc", placement.Params{
-					UserBlocks:    cfg.UserBlocks,
-					SegmentBlocks: cfg.SegmentBlocks(),
-					ChunkBlocks:   cfg.ChunkBlocks,
-				})
+				return placement.NewSepGC(placement.Params{UserBlocks: cfg.UserBlocks}), nil
 			},
 		},
 		Server: server.Config{

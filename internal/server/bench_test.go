@@ -10,34 +10,10 @@ import (
 
 	"adapt/internal/adaptcore"
 	"adapt/internal/lss"
+	"adapt/internal/placement"
 	"adapt/internal/prototype"
 	"adapt/internal/telemetry"
 )
-
-// benchStoreConfig mirrors harness.StoreConfig for a 64 Ki-block
-// store (the harness package now sits above this one in the import
-// graph, so the benchmark can no longer borrow it).
-func benchStoreConfig() lss.Config {
-	return lss.Config{
-		BlockSize:     4096,
-		ChunkBlocks:   16,
-		SegmentChunks: 16,
-		DataColumns:   3,
-		UserBlocks:    64 << 10,
-		OverProvision: 0.15,
-		Victim:        lss.Greedy,
-	}
-}
-
-func benchPolicy(b *testing.B, cfg lss.Config) lss.Policy {
-	b.Helper()
-	return adaptcore.New(adaptcore.Config{
-		UserBlocks:    cfg.UserBlocks,
-		SegmentBlocks: cfg.SegmentBlocks(),
-		ChunkBlocks:   cfg.ChunkBlocks,
-		OverProvision: cfg.OverProvision,
-	}, adaptcore.Options{SampleRate: 2048 / float64(cfg.UserBlocks)})
-}
 
 // BenchmarkServerRoundtrip measures acknowledged 4 KiB writes over real
 // loopback TCP: one iteration is one client write round-trip, spread
@@ -59,13 +35,14 @@ func BenchmarkServerRoundtrip(b *testing.B) {
 }
 
 func benchRoundtrip(b *testing.B, tenants int, read bool) {
-	cfg := benchStoreConfig()
-	// Shards follow the -cpu value under test (NewSharded defaults to
-	// runtime.GOMAXPROCS(0)).
+	// adaptserve's default store: the paper geometry at 64 Ki blocks,
+	// ADAPT on every shard. Shards follow the -cpu value under test
+	// (NewSharded defaults to runtime.GOMAXPROCS(0)).
+	cfg := lss.Config{UserBlocks: 64 << 10}.GeometryDefaults()
 	eng, err := prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{Store: cfg},
-		PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-			return benchPolicy(b, scfg), nil
+		PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {
+			return placement.Build(placement.NameADAPT, scfg, adaptcore.Options{})
 		},
 	})
 	if err != nil {

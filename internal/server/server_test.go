@@ -35,11 +35,7 @@ func testStoreConfig(userBlocks int64) lss.Config {
 
 // sepGCFactory is the per-shard policy every test engine runs.
 func sepGCFactory(_ int, scfg lss.Config) (lss.Policy, error) {
-	return placement.New(placement.NameSepGC, placement.Params{
-		UserBlocks:    scfg.UserBlocks,
-		SegmentBlocks: scfg.SegmentBlocks(),
-		ChunkBlocks:   scfg.ChunkBlocks,
-	})
+	return placement.NewSepGC(placement.Params{UserBlocks: scfg.UserBlocks}), nil
 }
 
 // testEngine builds the smallest engine: one shard.

@@ -3,8 +3,10 @@ package adapt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"adapt/internal/lss"
+	"adapt/internal/placement"
 )
 
 // Sentinel errors returned (wrapped) by the name-parsing API, so
@@ -30,14 +32,13 @@ func (p Policy) String() string { return string(p) }
 // parses to the default (ADAPT); unknown names return an error
 // wrapping ErrUnknownPolicy.
 func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return PolicyADAPT, nil
-	case PolicySepGC, PolicyDAC, PolicyWARCIP, PolicyMiDA, PolicySepBIT, PolicyADAPT:
-		return Policy(name), nil
-	default:
+	}
+	if !slices.Contains(placement.Names(), name) {
 		return "", fmt.Errorf("%w: %q", ErrUnknownPolicy, name)
 	}
+	return Policy(name), nil
 }
 
 // Victim is a validated GC victim policy name. Like Policy, the
