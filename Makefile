@@ -237,11 +237,16 @@ gcsched-smoke:
 ## durable-smoke: the durability gate under the race detector — the
 ## exhaustive crash-point sweep (kill the filesystem at every syscall
 ## boundary, recovery must match the acked-transition oracle exactly),
-## the relaxed-sync sweep, the steady-state flush schedule (file syncs
-## per seal/free/reopen counted through the FS seam, no create, unlink
-## or directory sync), the durable engine/server round trips, and the
-## SIGKILL restart of a race-built adaptserve over both protocols. The
-## packages run whole, so a renamed test cannot drop out of the gate.
+## the relaxed-sync sweep, the commit-interleaving sweep at stride 1
+## (the served schedule, a log commit after every op, cut at every
+## syscall of every commit: between pre-free syncs and truncates too),
+## the flush schedule (file syncs per seal/free/reopen counted through
+## the FS seam: d + k per commit of k frees over d dirty files, no
+## create, unlink or directory sync), the no-fsync-under-the-engine-lock
+## ledger row, the durable engine/server round trips, and the SIGKILL
+## restart of a race-built adaptserve over both protocols. The
+## packages run whole and without -short, so every sweep runs at stride
+## 1 and a renamed test cannot drop out of the gate.
 durable-smoke:
 	$(GO) test -race ./internal/segfile ./internal/prototype ./internal/server ./internal/serve ./cmd/adaptserve
 	@echo "durable-smoke OK"

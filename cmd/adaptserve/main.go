@@ -74,7 +74,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	nbdAddr := fs.String("nbd-addr", "", "NBD listen address: exports every volume as vol0..volN-1 over the standard NBD protocol (empty disables)")
 	nbdMaxReqKiB := fs.Int("nbd-max-req-kib", 0, "largest NBD request payload in KiB (0: protocol default of 8 MiB)")
 	dataDir := fs.String("data-dir", "", "durable root: <dir>/engine holds the segment log, <dir>/volumes the tenant payload files; reboot recovers both (empty: RAM only)")
-	durableSync := fs.String("durable-sync", "seal", "segment-log fsync discipline: always (every chunk append) | seal (segment seal and checkpoint)")
+	durableSync := fs.String("durable-sync", "seal", "segment-log fsync discipline: always (every chunk append) | seal (chunks sync with their segment's seal; seals, frees and checkpoints sync after the ack, outside the engine lock)")
 	cmd.Parse(args)
 
 	fail := func(format string, a ...any) (serve.Config, listen, error) {

@@ -66,7 +66,7 @@ type EngineConfig struct {
 
 // NewEngine builds and starts a single-shard ingest engine through the
 // validated public configuration path. The caller must Close it to
-// drain open chunks and stop the device workers. Constructing internal
+// drain open chunks and wait out the modelled device columns. Constructing internal
 // prototype engines directly is deprecated for anything outside this
 // module's own tooling: it bypasses configuration validation and the
 // typed GCSchedConfig mapping.

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"math"
 	"sync"
 
 	"adapt/internal/lss"
@@ -10,11 +11,14 @@ import (
 // DurableLedger is the crash oracle for lss.DurableLog backends. It
 // interposes between the store and a real backend (internal/segfile),
 // recording exactly the transitions the backend acknowledged: an
-// AppendChunk that returned nil is durable, a FreeSegment that
-// returned nil destroyed its segment's image, and nothing else moves
-// the mapping. From that ledger, ExpectedDurable computes the mapping
-// a post-crash recovery must roll forward to — the durable analogue of
-// ExpectedRecovery, suitable for CompareRecovered.
+// AppendChunk that returned nil is durable, a free destroyed its
+// segment's image once the backend acknowledged it, and nothing else
+// moves the mapping. The ledger is itself a lss.LogCommitter: a free
+// is acknowledged when the Commit that covers it hands its id back
+// (when the inner log commits, else at once). From that ledger,
+// ExpectedDurable computes the mapping a post-crash recovery must roll
+// forward to — the durable analogue of ExpectedRecovery, suitable for
+// CompareRecovered.
 //
 // The exactness argument: the recovered mapping is a pure function of
 // the surviving chunk records and segment liveness, and under a
@@ -24,18 +28,28 @@ import (
 // segment whose chunks are all already durable; a checkpoint is only a
 // clock floor), so the ledger can ignore their ack-ness entirely.
 // Under relaxed disciplines acked-but-unsynced appends may survive a
-// crash or not; the ledger then yields a lower bound, not an equality.
+// crash or not; the ledger then yields an upper bound, not an equality,
+// and DurableFloor the lower one.
 type DurableLedger struct {
 	mu    sync.Mutex
 	inner lss.DurableLog
 	segs  map[int]map[int]ledgerChunk // seg id -> chunk idx -> slots
+	// pending are frees recorded since the last commit; seq numbers
+	// appended chunks, and floorSeq is the last chunk every backend file
+	// had synced when a commit freed a victim.
+	pending  []int
+	seq      int64
+	floorSeq int64
 }
+
+var _ lss.LogCommitter = (*DurableLedger)(nil)
 
 // ledgerChunk is one acked chunk's slot image, copied out of the
 // DurableChunk (whose slices alias store memory).
 type ledgerChunk struct {
 	lbas []int64
 	vers []int64
+	seq  int64
 }
 
 // NewDurableLedger wraps inner, which may be nil to run the ledger as
@@ -70,6 +84,8 @@ func (l *DurableLedger) AppendChunk(c lss.DurableChunk) error {
 		vers: append([]int64(nil), c.Vers...),
 	}
 	l.mu.Lock()
+	l.seq++
+	lc.seq = l.seq
 	if l.segs[c.Segment] == nil {
 		l.segs[c.Segment] = make(map[int]ledgerChunk)
 	}
@@ -86,7 +102,8 @@ func (l *DurableLedger) SealSegment(id int, sealedW sim.WriteClock) error {
 	return nil
 }
 
-// FreeSegment forwards and, on ack, destroys the segment's image.
+// FreeSegment forwards and, on ack, queues the segment's image for
+// destruction at the next Commit.
 func (l *DurableLedger) FreeSegment(id int) error {
 	if l.inner != nil {
 		if err := l.inner.FreeSegment(id); err != nil {
@@ -94,9 +111,40 @@ func (l *DurableLedger) FreeSegment(id int) error {
 		}
 	}
 	l.mu.Lock()
-	delete(l.segs, id)
+	l.pending = append(l.pending, id)
 	l.mu.Unlock()
 	return nil
+}
+
+// Commit implements lss.LogCommitter: it forwards to the inner log's
+// Commit and destroys the images of the victims that come back. Over
+// a log that does not commit, every recorded free comes back at once.
+// A commit that frees anything synced every file first, so every chunk
+// appended before it is durable: the floor moves up to them.
+func (l *DurableLedger) Commit() ([]int, error) {
+	l.mu.Lock()
+	start := l.seq
+	freed := append([]int(nil), l.pending...)
+	l.mu.Unlock()
+	var err error
+	if c, ok := l.inner.(lss.LogCommitter); ok {
+		freed, err = c.Commit()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(freed) > 0 {
+		l.floorSeq = start
+	}
+	for _, id := range freed {
+		delete(l.segs, id)
+		for i, p := range l.pending {
+			if p == id {
+				l.pending = append(l.pending[:i], l.pending[i+1:]...)
+				break
+			}
+		}
+	}
+	return freed, err
 }
 
 // Checkpoint forwards; checkpoints carry no mapping state.
@@ -112,11 +160,31 @@ func (l *DurableLedger) Checkpoint(w sim.WriteClock, appendSeq int64, now sim.Ti
 // live (never-freed-since) segment incarnations, primary or shadow —
 // the same roll-forward lss.Recover and ExpectedRecovery perform.
 func (l *DurableLedger) ExpectedDurable() map[int64]RecoveredLoc {
+	return l.expected(math.MaxInt64)
+}
+
+// DurableFloor is ExpectedDurable over the chunks a freeing commit
+// proved synced: under any sync discipline, recovery must surface each
+// of its LBAs at no lower a version — in particular, a victim whose
+// free did not complete still holds its blocks, and one whose free did
+// left them in synced chunks.
+func (l *DurableLedger) DurableFloor() map[int64]RecoveredLoc {
+	l.mu.Lock()
+	floor := l.floorSeq
+	l.mu.Unlock()
+	return l.expected(floor)
+}
+
+// expected is the roll-forward over live chunks numbered upto or less.
+func (l *DurableLedger) expected(upto int64) map[int64]RecoveredLoc {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make(map[int64]RecoveredLoc)
 	for id, chunks := range l.segs {
 		for ci, c := range chunks {
+			if c.seq > upto {
+				continue
+			}
 			for i := range c.lbas {
 				lba, ok := lss.DecodeSlot(c.lbas[i])
 				if !ok {

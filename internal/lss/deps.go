@@ -72,6 +72,7 @@ func (s *Store) applyDeps(deps []Deps) {
 	s.clock = d.Clock
 	s.gcGate = d.GCGate
 	s.durable = d.Durable
+	s.committer, _ = d.Durable.(LogCommitter)
 	s.onReclaim = d.ReclaimObserver
 	if d.Sharded {
 		s.shard = int32(d.Shard)

@@ -19,12 +19,14 @@ import (
 // victim only after GC has migrated its live blocks into chunks already
 // appended through this same interface — the backend must make those
 // chunks durable before the victim's image goes. A nil error from
-// AppendChunk, SealSegment, FreeSegment or Checkpoint means the
-// transition is durable to the backend's configured sync discipline; a
-// nil error from OpenSegment promises only that the incarnation can be
-// appended to, since an empty incarnation carries nothing a crash could
-// lose. The first non-nil error latches the store read-only-durable
-// (see DurableErr).
+// AppendChunk means the chunk is durable to the backend's configured
+// sync discipline; a nil error from OpenSegment promises only that the
+// incarnation can be appended to, since an empty incarnation carries
+// nothing a crash could lose. A plain DurableLog makes SealSegment,
+// FreeSegment and Checkpoint durable before returning nil; a
+// LogCommitter only records them, and they are durable once a Commit
+// covering them returns. The first non-nil error latches the store
+// read-only-durable (see DurableErr).
 type DurableLog interface {
 	// OpenSegment records that segment id began a new incarnation for
 	// group at write clock born. It is called before any AppendChunk
@@ -43,6 +45,26 @@ type DurableLog interface {
 	// Checkpoint persists the store clocks (write clock, append
 	// sequence, simulated time) as a recovery floor.
 	Checkpoint(w sim.WriteClock, appendSeq int64, now sim.Time) error
+}
+
+// LogCommitter is a DurableLog that records seals, frees and
+// checkpoints under the store's lock and makes them durable in Commit,
+// so their fsyncs can run outside that lock (internal/segfile is one:
+// its CommitOutside runs the syncs unlocked and hands the victims back
+// through Store.DurableCommitted). The store keeps a freed segment
+// retired — free to every GC decision, but never allocated — until a
+// commit hands its id back, so a victim's durable image is never
+// overwritten by its next incarnation before its free is durable.
+// Allocation that finds only retired segments commits inline
+// (Metrics.DurableInlineCommits).
+type LogCommitter interface {
+	DurableLog
+	// Commit makes every recorded transition durable: it syncs the
+	// files holding appended chunks, then destroys the queued victims'
+	// images, then writes a due checkpoint. It returns the ids of the
+	// victims whose free is now durable — even alongside an error, for
+	// the ones completed before it.
+	Commit() (freed []int, err error)
 }
 
 // DurableChunk is one flushed chunk as handed to DurableLog.AppendChunk:
@@ -122,6 +144,49 @@ func (s *Store) durableFree(seg *segment) {
 	}
 	if err := s.durable.FreeSegment(seg.id); err != nil {
 		s.durableErr = err
+	}
+}
+
+// DurableCommitted hands back a commit that ran outside the store's
+// lock (segfile.Store.CommitOutside): the freed victims leave the
+// retired list for the free pool, and an error latches the store.
+// Callers must serialize it with all other store use, exactly as for
+// Write.
+func (s *Store) DurableCommitted(freed []int, err error) {
+	if err != nil && s.durableErr == nil {
+		s.durableErr = err
+	}
+	for _, id := range freed {
+		for i, r := range s.retired {
+			if r == id {
+				s.retired = append(s.retired[:i], s.retired[i+1:]...)
+				s.free = append(s.free, id)
+				break
+			}
+		}
+	}
+}
+
+// CommitDurable runs the log's commit inline (under the caller's lock,
+// like every store method) and takes back what it freed. A no-op
+// unless the log is a LogCommitter.
+func (s *Store) CommitDurable() {
+	if s.committer == nil || s.durableErr != nil {
+		return
+	}
+	s.DurableCommitted(s.committer.Commit())
+}
+
+// commitInline is allocation's way out of a pool emptied into the
+// retired list: commit now and count it. A latched log commits
+// nothing, so its retired segments go straight back to the pool —
+// nothing more reaches the disk, and the in-memory image stays usable.
+func (s *Store) commitInline() {
+	s.metrics.DurableInlineCommits++
+	s.CommitDurable()
+	if s.durableErr != nil {
+		s.free = append(s.free, s.retired...)
+		s.retired = s.retired[:0]
 	}
 }
 

@@ -63,7 +63,7 @@ func (s *Store) runGC() {
 // its target unmet stays in flight for the pacer to resume: this is
 // the emergency floor's minimal-stall path.
 func (s *Store) runGCUntil(want int) {
-	for len(s.free) < want {
+	for s.freeCount() < want {
 		if s.gcAdvance(s.chunkBlocks) {
 			return
 		}
@@ -82,9 +82,9 @@ func (s *Store) gcDue() bool {
 		// The early start also needs a reclaimable victim to exist (some
 		// sealed segment with garbage), or an eager pacer would spin
 		// opening cycles that select nothing.
-		return len(s.free) < s.wm.high && s.vidx.topGarbage() >= 1
+		return s.freeCount() < s.wm.high && s.vidx.topGarbage() >= 1
 	}
-	return len(s.free) <= s.wm.low
+	return s.freeCount() <= s.wm.low
 }
 
 // GCNeeded reports whether GC has work: a cycle is in flight or the
@@ -101,7 +101,7 @@ func (s *Store) GCActive() bool { return s.gc != nil }
 // above the high watermark, 1 at the low watermark, above 1 as the
 // pool sinks toward the emergency floor.
 func (s *Store) GCUrgency() float64 {
-	u := float64(s.wm.high-len(s.free)) / float64(s.wm.high-s.wm.low)
+	u := float64(s.wm.high-s.freeCount()) / float64(s.wm.high-s.wm.low)
 	if u < 0 {
 		return 0
 	}
@@ -161,7 +161,7 @@ func (s *Store) gcBegin() {
 		s.metrics.ThrottledGCCycles++
 	}
 	if s.tracer != nil {
-		s.tracer.Emit(telemetry.GCStart(s.teleNow(), len(s.free)))
+		s.tracer.Emit(telemetry.GCStart(s.teleNow(), s.freeCount()))
 	}
 	s.gc = c
 }
@@ -217,7 +217,7 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 					s.gcFinish()
 					return true
 				}
-				if len(s.free) <= c.batchBefore && len(s.free) > s.wm.low {
+				if s.freeCount() <= c.batchBefore && s.freeCount() > s.wm.low {
 					// No net progress this batch (valid blocks merely
 					// moved) but the cushion is still healthy: stop
 					// churning; GC re-triggers at the next low-water
@@ -229,12 +229,12 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 				}
 			}
 			c.target = s.gcTarget()
-			if len(s.free) >= c.target {
+			if s.freeCount() >= c.target {
 				s.gcFinish()
 				return true
 			}
-			c.batchBefore = len(s.free)
-			want := c.target - len(s.free)
+			c.batchBefore = s.freeCount()
+			want := c.target - s.freeCount()
 			if s.degraded {
 				want = 1
 			}
@@ -264,7 +264,7 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 		c.vi++
 		c.slot, c.migrated = 0, 0
 		c.budget--
-		if len(s.free) >= c.target {
+		if s.freeCount() >= c.target {
 			s.gcFinish()
 			return true
 		}
@@ -635,7 +635,13 @@ func (s *Store) reclaimFinish(seg *segment, c *gcCycle) {
 	}
 	s.vidx.onFree(seg)
 	seg.state = segFree
-	s.free = append(s.free, seg.id)
+	if s.committer != nil {
+		// Reusable once the commit that makes the free durable hands
+		// it back (DurableCommitted).
+		s.retired = append(s.retired, seg.id)
+	} else {
+		s.free = append(s.free, seg.id)
+	}
 	s.metrics.SegmentsReclaimed++
 	s.durableFree(seg)
 }
@@ -696,11 +702,11 @@ func (s *Store) CheckInvariants() error {
 	if totalValid != mapped {
 		return fmt.Errorf("valid-block total %d != mapped LBAs %d", totalValid, mapped)
 	}
-	// Free pool entries must be unique and marked free.
-	seen := make(map[int]bool, len(s.free))
-	for _, id := range s.free {
+	// Free pool and retired entries must be unique and marked free.
+	seen := make(map[int]bool, s.freeCount())
+	for _, id := range append(s.free[:len(s.free):len(s.free)], s.retired...) {
 		if seen[id] {
-			return fmt.Errorf("segment %d appears twice in free pool", id)
+			return fmt.Errorf("segment %d appears twice in free pool and retired list", id)
 		}
 		seen[id] = true
 		if s.segments[id].state != segFree {

@@ -49,6 +49,11 @@ type Metrics struct {
 	// hit the emergency floor and ran a synchronous cycle inline — the
 	// pacer fell behind.
 	GCEmergencyRuns int64
+	// DurableInlineCommits counts allocations that found the free pool
+	// empty but for retired segments and ran the durable log's commit
+	// inline, under the store's lock (see LogCommitter): the commits
+	// outside the lock fell behind.
+	DurableInlineCommits int64
 
 	PerGroup []GroupMetrics
 }

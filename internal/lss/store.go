@@ -99,8 +99,12 @@ type Store struct {
 
 	segments []*segment
 	free     []int // free segment ids (LIFO)
-	groups   []*group
-	mapping  []int64 // lba -> seg.id*segBlocks + slot, or -1
+	// retired holds reclaimed segments whose free a LogCommitter has
+	// recorded but no commit has handed back: free to GC, not to
+	// allocation (see freeCount).
+	retired []int
+	groups  []*group
+	mapping []int64 // lba -> seg.id*segBlocks + slot, or -1
 
 	w   sim.WriteClock
 	now sim.Time
@@ -161,6 +165,9 @@ type Store struct {
 	// acknowledgement can outrun the durable image.
 	durable    DurableLog
 	durableErr error
+	// committer is durable when it defers its syncs to a commit; nil
+	// otherwise, and then victims skip the retired list.
+	committer LogCommitter
 	// gcGate, when set, is invoked at the start of every synchronous
 	// GC cycle and the returned release when the cycle ends. The
 	// sharded engine serializes cross-shard GC through it so no two
@@ -281,8 +288,13 @@ func (s *Store) teleNow() sim.Time {
 	return s.now
 }
 
-// FreeSegments returns the current free-pool size.
-func (s *Store) FreeSegments() int { return len(s.free) }
+// FreeSegments returns the free-pool size every GC decision sees:
+// allocatable segments plus retired ones awaiting their log commit.
+func (s *Store) FreeSegments() int { return s.freeCount() }
+
+// freeCount is the free pool as GC counts it: a retired segment is
+// already reclaimed, only not yet allocatable.
+func (s *Store) freeCount() int { return len(s.free) + len(s.retired) }
 
 // Shard returns the store's shard id, -1 when standalone.
 func (s *Store) Shard() int { return int(s.shard) }
@@ -381,6 +393,7 @@ func (s *Store) Drain(now sim.Time) {
 		}
 	}
 	s.durableCheckpoint()
+	s.CommitDurable()
 	s.rec.Finish(s.now)
 	if s.cfg.Paranoid {
 		s.paranoidCheck("at Drain")
@@ -693,11 +706,11 @@ func (s *Store) ensureOpen(gr *group) *segment {
 			// clears the low watermark — and leaves the rest of the
 			// cycle in flight for the pacer, so an emergency costs a few
 			// segments' relocation inline, not a whole cycle's.
-			if len(s.free) <= s.wm.floor {
+			if s.freeCount() <= s.wm.floor {
 				s.metrics.GCEmergencyRuns++
 				s.runGCUntil(s.wm.low)
 			}
-		} else if len(s.free) <= s.wm.low {
+		} else if s.freeCount() <= s.wm.low {
 			s.runGC()
 		}
 		// GC migrations may have placed blocks into this very group,
@@ -705,6 +718,9 @@ func (s *Store) ensureOpen(gr *group) *segment {
 		if gr.open != nil {
 			return gr.open
 		}
+	}
+	if len(s.free) == 0 && len(s.retired) > 0 {
+		s.commitInline()
 	}
 	if len(s.free) == 0 {
 		panic(fmt.Sprintf("lss: free pool exhausted (policy %s): GC cannot reclaim garbage", s.policy.Name()))

@@ -83,7 +83,12 @@ func (s *Store) attachTelemetry(ts *telemetry.Set) {
 		reg.NewFuncGauge(s.shardName(c.name), c.help, true, c.fn)
 	}
 	reg.NewFuncGauge(s.shardName(telemetry.MetricFreeSegments), "Free segments in the pool", false,
-		func() int64 { return int64(len(s.free)) })
+		func() int64 { return int64(s.freeCount()) })
+	if s.committer != nil {
+		reg.NewFuncGauge(s.shardName(telemetry.MetricDurableInlineCommits),
+			"Allocations that committed the durable log inline, under the store lock", true,
+			func() int64 { return s.metrics.DurableInlineCommits })
+	}
 	for i := range s.groups {
 		i := i
 		reg.NewFuncGauge(

@@ -52,6 +52,12 @@ type Ingest interface {
 	// shards, tail quantiles taken as the worst shard) and whether a
 	// durable backend is attached at all.
 	DurableStats() (segfile.Stats, bool)
+	// CommitLog commits shard's durable segment log — the seals, frees
+	// and checkpoint its ops recorded — holding the shard's lock only to
+	// snapshot and hand back, never across an fsync. It returns at once
+	// when nothing is recorded or another commit is running, and is a
+	// no-op without a durable backend.
+	CommitLog(shard int)
 }
 
 // GCShard is one shard's background-GC stepping surface — the pacer's
@@ -379,11 +385,11 @@ type EngineConfig struct {
 	// for tests, not long-running servers.
 	VerifyMirror bool
 	// Durable, when set, persists the store through a file-backed
-	// segment log (internal/segfile): every flushed chunk, seal, and
-	// reclaim is written through before acknowledgement per the
-	// configured sync discipline, and construction recovers any state
-	// the directory already holds (skipping Fill for a recovered
-	// store). The engine completes the options itself — Geometry,
+	// segment log (internal/segfile): every flushed chunk is written
+	// through per the configured sync discipline, seals, reclaims and
+	// checkpoints commit outside the lock (CommitLog, GCStep) or at
+	// Drain, and construction recovers any state the directory already
+	// holds (skipping Fill for a recovered store). The engine completes the options itself — Geometry,
 	// Telemetry, and shard labels are overwritten from the engine
 	// configuration. Verify cannot adopt a recovered store: combining
 	// it with a non-empty directory is a construction error.
@@ -540,14 +546,26 @@ func (e *Engine) GCUrgency() float64 {
 	return e.store.GCUrgency()
 }
 
-// GCStep implements GCShard.
+// GCStep implements GCShard. The frees a slice records commit after
+// it, outside the lock.
 func (e *Engine) GCStep(budget int) bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return true
 	}
-	return e.store.GCStep(budget)
+	done := e.store.GCStep(budget)
+	e.mu.Unlock()
+	e.commitLog()
+	return done
+}
+
+// commitLog runs the durable log's commit with e.mu held only around
+// the snapshot and the hand-back (segfile.Store.CommitOutside).
+func (e *Engine) commitLog() {
+	if e.durable != nil && e.durable.Pending() {
+		e.durable.CommitOutside(&e.mu, e.store.DurableCommitted)
+	}
 }
 
 // OpTiming is the per-op timing breakdown every engine op returns, for
@@ -722,6 +740,9 @@ type EngineStats struct {
 	// and collected synchronously. Both zero without BackgroundGC.
 	GCSlices        int64
 	GCEmergencyRuns int64
+	// DurableInlineCommits counts allocations that committed the
+	// durable log inline, under the lock (lss.Metrics).
+	DurableInlineCommits int64
 }
 
 // Stats returns a snapshot of the engine's accounting.
@@ -745,9 +766,11 @@ func (e *Engine) statsLocked() EngineStats {
 		GCSlices:        m.GCSlices,
 		GCEmergencyRuns: m.GCEmergencyRuns,
 		FreeSegments:    e.store.FreeSegments(),
-		WA:              m.WA(),
-		EffectiveWA:     m.EffectiveWA(),
-		PaddingRatio:    m.PaddingRatio(),
+
+		DurableInlineCommits: m.DurableInlineCommits,
+		WA:                   m.WA(),
+		EffectiveWA:          m.EffectiveWA(),
+		PaddingRatio:         m.PaddingRatio(),
 	}
 	for i := range m.PerGroup {
 		st.PaddedChunks += m.PerGroup[i].PaddingEvents
@@ -787,14 +810,16 @@ func (e *Engine) Close() error {
 	}
 	err := e.drainLocked()
 	e.closed = true
-	e.mu.Unlock()
 	if e.durable != nil {
-		// Drain above already checkpointed through the DurableLog hook;
-		// this syncs any remaining dirty tail and releases the handles.
+		// Drain above already checkpointed and committed through the
+		// DurableLog hook; this syncs any remaining dirty tail and
+		// releases the handles — under the lock, which a commit still
+		// outside it needs for its hand-back.
 		if derr := e.durable.Close(); err == nil && derr != nil {
 			err = fmt.Errorf("prototype: durable close: %w", derr)
 		}
 	}
+	e.mu.Unlock()
 	if ierr := e.store.CheckInvariants(); err == nil && ierr != nil {
 		err = fmt.Errorf("prototype: engine close invariants: %w", ierr)
 	}

@@ -63,6 +63,11 @@ type Sharded struct {
 	closeErr  error
 }
 
+// shardFS, when set, gives each shard's segment log its own filesystem
+// in place of its subdirectory: the in-package tests count what each
+// shard's log issues on a MemFS of its own.
+var shardFS func(shard int) segfile.FS
+
 // NewSharded builds and starts an ingest engine. The caller must Close
 // it to drain open chunks and wait out the device columns. Direct
 // construction is for this module's own tooling; everything else
@@ -130,6 +135,9 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 			}
 			dopts := *ecfg.Durable
 			dopts.Dir = filepath.Join(ecfg.Durable.Dir, fmt.Sprintf("shard-%d", i))
+			if shardFS != nil {
+				dopts.FS = shardFS(i)
+			}
 			scfg.Durable = &dopts
 		}
 		pol, err := cfg.PolicyFactory(i, scfg.Store)
@@ -447,6 +455,7 @@ func (s *Sharded) Stats() EngineStats {
 		agg.GCGateWaitNS += st.GCGateWaitNS
 		agg.GCSlices += st.GCSlices
 		agg.GCEmergencyRuns += st.GCEmergencyRuns
+		agg.DurableInlineCommits += st.DurableInlineCommits
 	}
 	agg.WA = 1
 	agg.EffectiveWA = 1
@@ -493,6 +502,10 @@ func (s *Sharded) DurableStats() (segfile.Stats, bool) {
 	}
 	return agg, ok
 }
+
+// CommitLog commits shard's durable segment log outside the shard's
+// lock; see Ingest.
+func (s *Sharded) CommitLog(shard int) { s.shards[shard].commitLog() }
 
 // Recovered reports whether any shard rolled forward from its durable
 // directory.

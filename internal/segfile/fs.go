@@ -1,7 +1,8 @@
 // Package segfile is the file-backed segment store beneath lss.Store:
-// it implements lss.DurableLog over a single directory, persisting
-// every flushed chunk, segment seal, and reclaim as it happens, plus an
-// atomically-renamed checkpoint of the store clocks. The on-disk format
+// it implements lss.LogCommitter over a single directory, writing
+// every flushed chunk as it happens and making segment seals, reclaims
+// and an atomically-renamed checkpoint of the store clocks durable in a
+// log commit that can run outside the store's lock (commit.go). The on-disk format
 // is torn-write-safe (per-segment headers and per-record CRC32-C,
 // reusing the wire protocol's Castagnoli discipline) and recovery rolls
 // the directory forward into a live lss.Store through the existing

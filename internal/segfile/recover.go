@@ -10,7 +10,8 @@ import (
 // Recovery: the directory scan (done in Open) produced one segImage
 // per surviving segment file. Recover validates each image against the
 // configured geometry, degrades what a crash could legitimately leave
-// behind (an unsealed-but-full segment, a torn open tail), fills an
+// behind (a torn open tail, a full segment whose seal record was not
+// yet synced), fills an
 // lss.Image from the result, and lets lss.RecoverImage validate it and
 // do the roll-forward — so the on-disk log and the in-memory checkpoint
 // share one recovery semantics, and the crash oracle
@@ -108,7 +109,7 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 			entry.sealed = false
 			img.sealed = false
 		}
-		sealed := img.sealed && keep == segChunks
+		sealed := keep == segChunks
 		if img.sealed && !sealed {
 			// A seal record without its full complement of chunks can
 			// only come from corruption (seals are write-ahead: data
@@ -127,7 +128,19 @@ func (st *Store) Recover(cfg lss.Config, p lss.Policy, deps ...lss.Deps) (*lss.S
 			Born:  sim.WriteClock(img.header.born),
 		}
 		if sealed {
-			seg.State, seg.SealedW = lss.SegmentSealed, sim.WriteClock(img.sealedW)
+			// A full segment without its seal record sealed before the
+			// commit that would have synced the record: only full
+			// segments seal, and at the write clock of their last
+			// chunk, so the record adds nothing the chunks do not say.
+			// The group's next segment may already hold durable chunks
+			// (a SyncAlways append syncs inline), so leaving it open
+			// would give the group two.
+			sealedW := img.sealedW
+			if !img.sealed {
+				sealedW = img.chunks[keep-1].w
+				entry.sealed = true
+			}
+			seg.State, seg.SealedW = lss.SegmentSealed, sim.WriteClock(sealedW)
 			stats.SealedSegments++
 		}
 		stats.Segments++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,11 +23,11 @@ const (
 	// with the zero-lost-acks guarantee and the one the crash sweep
 	// proves exact.
 	SyncAlways SyncMode = iota
-	// SyncOnSeal defers data fsyncs to durability boundaries — segment
-	// seal and segment free (which first syncs every dirty file so a GC
-	// victim is never destroyed before its migrated blocks persist).
-	// Open-segment tails may be lost in a crash; recovery still
-	// converges to a consistent prefix.
+	// SyncOnSeal defers data fsyncs to the log commit (commit.go): a
+	// sealed segment's file syncs there, and a commit with frees first
+	// syncs every dirty file so a GC victim is never destroyed before
+	// its migrated blocks persist. Open-segment tails may be lost in a
+	// crash; recovery still converges to a consistent prefix.
 	SyncOnSeal
 )
 
@@ -62,9 +63,10 @@ type Options struct {
 	FS FS
 	// Sync is the fsync discipline; the zero value is SyncAlways.
 	Sync SyncMode
-	// CheckpointEverySeals writes a clock-floor checkpoint every N
-	// segment seals (in addition to explicit Checkpoint calls). Zero
-	// means 16; negative disables cadence checkpoints.
+	// CheckpointEverySeals owes the next commit a clock-floor
+	// checkpoint every N segment seals (in addition to explicit
+	// Checkpoint calls). Zero means 16; negative disables cadence
+	// checkpoints.
 	CheckpointEverySeals int
 	// Geometry, when non-zero, stamps the store-geometry fingerprint
 	// into checkpoints so recovery can reject a mismatched
@@ -80,6 +82,7 @@ type Options struct {
 
 // fileState is the live append state of one segment file.
 type fileState struct {
+	id     int
 	f      File
 	off    int64
 	chunks int
@@ -91,15 +94,18 @@ type fileState struct {
 	linked bool
 }
 
-// Store is the file-backed segment store. It implements lss.DurableLog
-// and is driven synchronously by a single lss.Store, so it needs no
-// locking of its own (the counters are atomic only because telemetry
-// scrapes read them concurrently).
+// Store is the file-backed segment store. It implements
+// lss.LogCommitter and is driven by a single lss.Store under that
+// store's lock: every method but the off-lock phase of CommitOutside
+// and the Stats counters (atomic because telemetry scrapes read them
+// concurrently) runs with the caller's lock held.
 type Store struct {
 	fs   FS
 	opts Options
 
 	segs map[int]*fileState
+	// dirty indexes the live files holding unsynced bytes, by id.
+	dirty map[int]*fileState
 	// pool holds the free slots: ids whose seg-NNNNN.seg is a durably
 	// linked zero-length file, left by FreeSegment (or found by scan)
 	// for the next OpenSegment of the id to reuse.
@@ -116,6 +122,25 @@ type Store struct {
 	lastW, lastSeq, lastNow uint64
 	sealsSinceCkpt          int
 
+	// Recorded, not yet committed: victims FreeSegment queued (in free
+	// order), retiring holds every freed id until a commit hands it
+	// back (queued or inside a batch), ckptDue marks a checkpoint owed.
+	// pending is set by each of them and cleared when a commit takes
+	// them, so a committer can skip an idle log without the lock.
+	victims  []*fileState
+	retiring map[int]bool
+	ckptDue  bool
+	pending  atomic.Bool
+
+	// commitMu is held by the one commit whose syscalls are running;
+	// commitErr (guarded by it) is the first commit failure, after
+	// which no later batch runs. Finished batches wait in done, under
+	// doneMu, for the hand-back under the caller's lock.
+	commitMu  sync.Mutex
+	commitErr error
+	doneMu    sync.Mutex
+	done      []*batch
+
 	fsyncs          atomic.Int64
 	dirSyncs        atomic.Int64
 	syncedSegments  atomic.Int64
@@ -131,7 +156,7 @@ type Store struct {
 	closed bool
 }
 
-var _ lss.DurableLog = (*Store)(nil)
+var _ lss.LogCommitter = (*Store)(nil)
 
 // Open opens (or creates) the backing directory, scans it for durable
 // segment state, and truncates any torn record tails so appends can
@@ -142,12 +167,14 @@ func Open(opts Options) (*Store, error) {
 		opts.CheckpointEverySeals = 16
 	}
 	st := &Store{
-		fs:     opts.FS,
-		opts:   opts,
-		segs:   make(map[int]*fileState),
-		pool:   make(map[int]bool),
-		images: make(map[int]*segImage),
-		epoch:  1,
+		fs:       opts.FS,
+		opts:     opts,
+		segs:     make(map[int]*fileState),
+		dirty:    make(map[int]*fileState),
+		pool:     make(map[int]bool),
+		retiring: make(map[int]bool),
+		images:   make(map[int]*segImage),
+		epoch:    1,
 	}
 	if st.fs == nil {
 		if opts.Dir == "" {
@@ -231,6 +258,7 @@ func (st *Store) scan() error {
 			}
 			st.images[id] = img
 			st.segs[id] = &fileState{
+				id:     id,
 				f:      f,
 				off:    img.validLen,
 				chunks: len(img.chunks),
@@ -260,15 +288,17 @@ func (st *Store) scan() error {
 // decide between Recover and a fresh lss.New on it.
 func (st *Store) HasData() bool { return len(st.images) > 0 || st.ckpt != nil }
 
-// Close syncs every dirty segment file and closes all handles. It does
-// not checkpoint; lss.Store.Drain checkpoints through the DurableLog
-// hook before the engine closes its backend.
+// Close commits what is recorded (seals, frees, a due checkpoint),
+// syncs every other dirty segment file and closes all handles; call it
+// with the caller's lock held, like every other method. It waits out a
+// commit already running. lss.Store.Drain checkpoints through the
+// DurableLog hook before the engine closes its backend.
 func (st *Store) Close() error {
 	if st.closed {
 		return nil
 	}
+	_, firstErr := st.Commit()
 	st.closed = true
-	var firstErr error
 	ids := make([]int, 0, len(st.segs))
 	for id := range st.segs {
 		ids = append(ids, id)
@@ -294,7 +324,8 @@ func (st *Store) Close() error {
 
 // syncFile makes one segment file durable and reachable: it fsyncs the
 // file (feeding the latency instruments) and, the first time a newly
-// created name is covered, the directory after it.
+// created name is covered, the directory after it. It is the inline
+// sync: the per-append sync under SyncAlways and Close's last tails.
 func (st *Store) syncFile(fs *fileState) error {
 	if err := st.timedSync(fs.f); err != nil {
 		return err
@@ -306,6 +337,7 @@ func (st *Store) syncFile(fs *fileState) error {
 		fs.linked = true
 	}
 	fs.dirty = false
+	delete(st.dirty, fs.id)
 	return nil
 }
 
@@ -345,6 +377,7 @@ func (st *Store) writeRec(fs *fileState, rec []byte) error {
 	}
 	fs.off += int64(len(rec))
 	fs.dirty = true
+	st.dirty[fs.id] = fs
 	st.bytesWritten.Add(int64(len(rec)))
 	return nil
 }
@@ -358,6 +391,14 @@ func (st *Store) writeRec(fs *fileState, rec []byte) error {
 func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) error {
 	if old := st.segs[id]; old != nil {
 		return fmt.Errorf("segfile: open segment %d: incarnation already present", id)
+	}
+	if st.retiring[id] {
+		// Reused before a commit handed it back — a caller that reaches
+		// this store through a wrapper hiding Commit. Commit inline:
+		// the truncate must not land on the new incarnation.
+		if _, err := st.Commit(); err != nil {
+			return fmt.Errorf("segfile: open segment %d: %w", id, err)
+		}
 	}
 	recycled := st.pool[id]
 	flag := os.O_RDWR
@@ -375,7 +416,7 @@ func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) err
 		epoch:     st.epoch,
 		dataStart: headerSize,
 	})
-	fs := &fileState{f: f, linked: recycled}
+	fs := &fileState{id: id, f: f, linked: recycled}
 	st.epoch++
 	if err := st.writeRec(fs, hdr); err != nil {
 		f.Close()
@@ -419,11 +460,12 @@ func (st *Store) AppendChunk(c lss.DurableChunk) error {
 }
 
 // SealSegment implements lss.DurableLog: it appends the seal record
-// and syncs the file once, in every sync mode. The seal stays
-// write-ahead without a sync of the chunk data before it, because the
-// parser reaches a seal record only through every record in front of
-// it: a crash that persists the seal but not some chunk leaves a torn
-// tail ending before that chunk, never a sealed segment with a hole.
+// and queues the file for the next commit, which syncs it once and
+// closes it, in every sync mode. The seal stays write-ahead without a
+// sync of the chunk data before it, because the parser reaches a seal
+// record only through every record in front of it: a crash that
+// persists the seal but not some chunk leaves a torn tail ending
+// before that chunk, never a sealed segment with a hole.
 func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
 	fs := st.segs[id]
 	if fs == nil || fs.f == nil {
@@ -438,54 +480,30 @@ func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
 	if err := st.writeRec(fs, rec); err != nil {
 		return fmt.Errorf("segfile: segment %d seal: %w", id, err)
 	}
-	if err := st.syncFile(fs); err != nil {
-		return fmt.Errorf("segfile: segment %d seal sync: %w", id, err)
-	}
-	if err := fs.f.Close(); err != nil {
-		return fmt.Errorf("segfile: segment %d close: %w", id, err)
-	}
-	fs.f = nil
 	fs.sealed = true
-	st.syncedSegments.Add(1)
 	if st.opts.CheckpointEverySeals > 0 {
 		st.sealsSinceCkpt++
 		if st.sealsSinceCkpt >= st.opts.CheckpointEverySeals {
-			if err := st.writeCheckpoint(); err != nil {
-				return fmt.Errorf("segfile: cadence checkpoint: %w", err)
-			}
+			st.sealsSinceCkpt = 0
+			st.ckptDue = true
 		}
 	}
+	st.pending.Store(true)
 	return nil
 }
 
-// FreeSegment implements lss.DurableLog. Before the victim's image is
-// destroyed, every other dirty segment file is synced: GC migrated the
-// victim's live blocks into other segments' chunks, and those appends
-// must be durable before the only prior copy goes (a no-op under
-// SyncAlways, where appends sync as they happen). The victim is then
-// truncated to zero and synced — the durability point — which leaves
-// its durably linked name in the pool for the id's next incarnation;
-// nothing is unlinked and the directory is not touched. No fallible
-// call follows the durability point, so a free is durable if and only
-// if it is acked.
+// FreeSegment implements lss.DurableLog: it takes the victim out of
+// the live set and queues it for the next commit, which truncates it
+// to zero and syncs it — the free's durability point — only after
+// syncing every dirty file: GC migrated the victim's live blocks into
+// other segments' chunks, and those appends must be durable before the
+// only prior copy goes. The truncated, durably linked name then waits
+// in the pool for the id's next incarnation; nothing is unlinked. The
+// id is not reusable until a commit hands it back.
 func (st *Store) FreeSegment(id int) error {
 	victim := st.segs[id]
 	if victim == nil {
 		return fmt.Errorf("segfile: free segment %d with no incarnation", id)
-	}
-	// Sorted, so the syscall a crash budget lands on is the same in
-	// every run of one workload.
-	var dirty []int
-	for oid, fs := range st.segs {
-		if fs != victim && fs.dirty && fs.f != nil {
-			dirty = append(dirty, oid)
-		}
-	}
-	sort.Ints(dirty)
-	for _, oid := range dirty {
-		if err := st.syncFile(st.segs[oid]); err != nil {
-			return fmt.Errorf("segfile: pre-free sync of segment %d: %w", oid, err)
-		}
 	}
 	if victim.f == nil {
 		f, err := st.fs.OpenFile(segFileName(id), os.O_RDWR, 0o644)
@@ -494,41 +512,43 @@ func (st *Store) FreeSegment(id int) error {
 		}
 		victim.f = f
 	}
-	if err := victim.f.Truncate(0); err != nil {
-		return fmt.Errorf("segfile: free segment %d truncate: %w", id, err)
-	}
-	if err := st.syncFile(victim); err != nil {
-		return fmt.Errorf("segfile: free segment %d sync: %w", id, err)
-	}
-	// The handle holds nothing unsynced; a close error changes nothing
-	// about what is durable.
-	_ = victim.f.Close()
 	delete(st.segs, id)
-	st.pool[id] = true
+	delete(st.dirty, id)
+	st.victims = append(st.victims, victim)
+	st.retiring[id] = true
+	st.pending.Store(true)
 	return nil
 }
 
-// Checkpoint implements lss.DurableLog.
+// Checkpoint implements lss.DurableLog: it records the clock floors
+// and owes a checkpoint to the next commit.
 func (st *Store) Checkpoint(w sim.WriteClock, appendSeq int64, now sim.Time) error {
 	st.lastW = uint64(w)
 	st.lastSeq = uint64(appendSeq)
 	st.lastNow = uint64(now)
-	if err := st.writeCheckpoint(); err != nil {
-		return fmt.Errorf("segfile: checkpoint: %w", err)
-	}
+	st.sealsSinceCkpt = 0
+	st.ckptDue = true
+	st.pending.Store(true)
 	return nil
 }
 
-// writeCheckpoint atomically replaces the checkpoint file: write the
-// tmp, sync it, rename over the live name, sync the directory.
-func (st *Store) writeCheckpoint() error {
+// encodeCheckpoint encodes the checkpoint the store's current floors
+// describe.
+func (st *Store) encodeCheckpoint() []byte {
 	geo := geometry{
 		blockSize:     st.opts.Geometry.BlockSize,
 		chunkBlocks:   st.opts.Geometry.ChunkBlocks,
 		segmentChunks: st.opts.Geometry.SegmentChunks,
 		userBlocks:    st.opts.Geometry.UserBlocks,
 	}
-	data := encodeCheckpoint(geo, st.lastW, st.lastSeq, st.lastNow, st.epoch)
+	return encodeCheckpoint(geo, st.lastW, st.lastSeq, st.lastNow, st.epoch)
+}
+
+// writeCheckpoint atomically replaces the checkpoint file with data:
+// write the tmp, sync it, rename over the live name, sync the
+// directory. Only a commit calls it, so it touches no store state but
+// the atomic counters.
+func (st *Store) writeCheckpoint(data []byte) error {
 	f, err := st.fs.OpenFile(ckptTmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -552,7 +572,6 @@ func (st *Store) writeCheckpoint() error {
 	}
 	st.bytesWritten.Add(int64(len(data)))
 	st.checkpoints.Add(1)
-	st.sealsSinceCkpt = 0
 	return nil
 }
 

@@ -37,6 +37,18 @@ func newPolicy(cfg lss.Config) lss.Policy {
 // workload ran to completion.
 func driveWorkload(t testing.TB, s *lss.Store, ops int) bool {
 	t.Helper()
+	return drive(t, s, ops, false)
+}
+
+// driveServed is driveWorkload on the served schedule: the log commits
+// after every op, as a group-commit leader commits it after each ack.
+func driveServed(t testing.TB, s *lss.Store, ops int) bool {
+	t.Helper()
+	return drive(t, s, ops, true)
+}
+
+func drive(t testing.TB, s *lss.Store, ops int, commitEach bool) bool {
+	t.Helper()
 	cfg := s.Config()
 	rng := sim.NewRNG(42)
 	now := sim.Time(0)
@@ -63,6 +75,9 @@ func driveWorkload(t testing.TB, s *lss.Store, ops int) bool {
 				return false
 			}
 			t.Fatalf("op %d: %v", op, err)
+		}
+		if commitEach {
+			s.CommitDurable()
 		}
 	}
 	if s.DurableErr() == nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -39,9 +38,13 @@ type commitReq struct {
 // is released as soon as the engine call returns, so group k+1 enters
 // the engine while group k's volume fsync runs. A partial chunk waits in
 // the store's open-chunk buffer, where the SLA window bounds it — the
-// paper's one aggregation deadline.
+// paper's one aggregation deadline. After acking its group, the leader
+// commits the shard's segment log (Ingest.CommitLog): the seals and
+// frees the group's GC recorded sync there, outside the engine lock
+// and behind no ack.
 type shardCommitter struct {
-	srv *Server
+	srv   *Server
+	shard int
 	// lead is c.leadTurn, bound once in New so spawning a leader
 	// allocates no closure.
 	lead func()
@@ -56,6 +59,13 @@ type shardCommitter struct {
 	// returns. ops is the group's engine batch, reused under the slot.
 	slot sync.Mutex
 	ops  []prototype.BatchWrite
+
+	// A FLUSH parks on parked (L is parkMu) until committed reaches its
+	// target; flushers counts the parked, so a commit with none skips
+	// the broadcast.
+	parkMu   sync.Mutex
+	parked   sync.Cond
+	flushers atomic.Int32
 }
 
 // enqueue pushes a write onto the writer list and spawns the leader if
@@ -75,11 +85,13 @@ func (c *shardCommitter) enqueue(r *commitReq) {
 	}
 }
 
-// leadTurn runs one leader turn: take the slot, claim, commit.
+// leadTurn runs one leader turn: take the slot, claim, commit, then
+// commit the shard's segment log behind the acks.
 func (c *shardCommitter) leadTurn() {
 	defer c.srv.batWG.Done()
 	c.slot.Lock()
 	c.commitList(c.head.Swap(nil))
+	c.srv.eng.CommitLog(c.shard)
 }
 
 // commitList applies one claimed writer list as a single group commit,
@@ -151,16 +163,30 @@ func (c *shardCommitter) commitList(head *commitReq) {
 		r = next
 	}
 	c.committed.Add(int64(n))
+	if c.flushers.Load() > 0 {
+		c.parkMu.Lock()
+		c.parked.Broadcast()
+		c.parkMu.Unlock()
+	}
 }
 
 // flush is the FLUSH barrier: every write enqueued before the call is
-// committed when it returns. It spins on the committed counter;
-// progress is guaranteed because a non-empty list always has a leader
-// and a counted-but-unpushed write's own goroutine completes the push
-// before parking.
+// committed when it returns. It parks until a group commit moves the
+// committed counter past its target; progress is guaranteed because a
+// non-empty list always has a leader and a counted-but-unpushed
+// write's own goroutine completes the push before parking. No wakeup
+// is lost: a commit adds to committed before it reads flushers, and a
+// flush counts itself in flushers before it reads committed.
 func (c *shardCommitter) flush() {
 	target := c.enq.Load()
-	for c.committed.Load() < target {
-		runtime.Gosched()
+	if c.committed.Load() >= target {
+		return
 	}
+	c.parkMu.Lock()
+	c.flushers.Add(1)
+	for c.committed.Load() < target {
+		c.parked.Wait()
+	}
+	c.flushers.Add(-1)
+	c.parkMu.Unlock()
 }

@@ -113,7 +113,9 @@ func TestNextGroupIsWhatArrivedDuringCommit(t *testing.T) {
 
 // TestFlushWaitsForHeldAndWaitingGroups: a FLUSH issued while group 1
 // holds the commit slot returns only after group 1 and the group waiting
-// on the slot have both committed and acked.
+// on the slot have both committed and acked — and waits parked, burning
+// no CPU while the slot is held (a spinning barrier would burn a whole
+// CPU on the connection's reader goroutine).
 func TestFlushWaitsForHeldAndWaitingGroups(t *testing.T) {
 	srv, h := heldServer(t)
 	var mu sync.Mutex
@@ -142,14 +144,21 @@ func TestFlushWaitsForHeldAndWaitingGroups(t *testing.T) {
 		defer mu.Unlock()
 		flushed <- result{acked, err}
 	}()
-	// Let the FLUSH take its barrier and spin while group 1 is held.
+	// Let the FLUSH take its barrier and wait while group 1 is held.
 	for range 100 {
 		runtime.Gosched()
-		select {
-		case r := <-flushed:
-			t.Fatalf("FLUSH returned (%v) while group 1 held the commit slot", r.err)
-		default:
-		}
+	}
+	const window = 100 * time.Millisecond
+	cpu0, cpuOK := processCPU()
+	time.Sleep(window)
+	cpu1, _ := processCPU()
+	select {
+	case r := <-flushed:
+		t.Fatalf("FLUSH returned (%v) while group 1 held the commit slot", r.err)
+	default:
+	}
+	if used := cpu1 - cpu0; cpuOK && used > window/4 {
+		t.Errorf("process used %v of CPU in %v while FLUSH waited on a held slot: the barrier spins", used, window)
 	}
 	h.open()
 	r := <-flushed

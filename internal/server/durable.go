@@ -22,9 +22,13 @@ const manifestName = "manifest.json"
 
 // openVolumeFiles makes a vol-N.dat file every volume's byte store,
 // creating the directory and manifest on first boot and verifying the
-// manifest on reuse. On an error the files attached so far stay with
-// their volumes for the caller's closeVolumes.
+// manifest on reuse. A boot that creates a name syncs the directory
+// once after the last one, and its parent too when the directory
+// itself is new, so an ack never rests on a file a power cut could
+// unlink. On an error the files attached so far stay with their
+// volumes for the caller's closeVolumes.
 func (s *Server) openVolumeFiles(dir string) error {
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("server: data dir: %w", err)
 	}
@@ -33,6 +37,7 @@ func (s *Server) openVolumeFiles(dir string) error {
 		VolBlocks:  s.vols[0].blocks,
 		BlockBytes: s.vols[0].blockBytes,
 	}
+	created := false
 	mpath := filepath.Join(dir, manifestName)
 	raw, err := os.ReadFile(mpath)
 	switch {
@@ -48,11 +53,17 @@ func (s *Server) openVolumeFiles(dir string) error {
 		if werr := writeManifest(mpath, want); werr != nil {
 			return werr
 		}
+		created = true
 	default:
 		return fmt.Errorf("server: read %s: %w", mpath, err)
 	}
 	for _, v := range s.vols {
-		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf("vol-%d.dat", v.id)), os.O_RDWR|os.O_CREATE, 0o644)
+		path := filepath.Join(dir, fmt.Sprintf("vol-%d.dat", v.id))
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if errors.Is(err, os.ErrNotExist) {
+			f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+			created = true
+		}
 		if err == nil {
 			err = v.attachFile(f)
 			if err != nil {
@@ -63,11 +74,22 @@ func (s *Server) openVolumeFiles(dir string) error {
 			return err
 		}
 	}
+	if created {
+		if err := syncDir(dir); err != nil {
+			return fmt.Errorf("server: data dir sync: %w", err)
+		}
+	}
+	if errors.Is(statErr, os.ErrNotExist) {
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return fmt.Errorf("server: data dir parent sync: %w", err)
+		}
+	}
 	return nil
 }
 
-// writeManifest creates the manifest atomically (tmp + rename + dir
-// sync), so a crash mid-boot leaves either no manifest or a whole one.
+// writeManifest creates the manifest atomically (tmp + sync + rename),
+// so a crash mid-boot leaves either no manifest or a whole one; the
+// caller's directory sync makes the rename durable.
 func writeManifest(path string, m volManifest) error {
 	raw, err := json.Marshal(m)
 	if err != nil {
@@ -91,9 +113,18 @@ func writeManifest(path string, m volManifest) error {
 		os.Remove(tmp)
 		return fmt.Errorf("server: write manifest: %w", err)
 	}
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
 	return nil
+}
+
+// syncDir fsyncs a directory, persisting the names created in it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

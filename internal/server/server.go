@@ -181,6 +181,8 @@ func New(cfg Config) (*Server, error) {
 			"Blocks per group commit", bounds)
 		ts.Registry.NewFuncGauge(telemetry.MetricServerPlaneBytes,
 			"Bytes of volume data plane mapped outside the Go heap", false, s.planeBytes.Load)
+		ts.Registry.NewFuncGauge(telemetry.MetricServerVolumeFsyncs,
+			"fsyncs of the volumes' vol-N.dat files", true, s.volumeFsyncs)
 		ts.Registry.NewFuncGauge(telemetry.MetricGoHeapInuse,
 			"Go heap bytes in in-use spans", false, readRuntimeMetric(heapInuseMetrics...))
 		ts.Registry.NewFuncGauge(telemetry.MetricGoGCCycles,
@@ -206,8 +208,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.committers = make([]*shardCommitter, cfg.Engine.Shards())
 	for i := range s.committers {
-		c := &shardCommitter{srv: s}
+		c := &shardCommitter{srv: s, shard: i}
 		c.lead = c.leadTurn
+		c.parked.L = &c.parkMu
 		s.committers[i] = c
 	}
 	return s, nil
@@ -215,6 +218,15 @@ func New(cfg Config) (*Server, error) {
 
 // Volumes returns the number of tenant volumes.
 func (s *Server) Volumes() int { return len(s.vols) }
+
+// volumeFsyncs sums the volumes' vol-N.dat fsyncs.
+func (s *Server) volumeFsyncs() int64 {
+	var n int64
+	for _, v := range s.vols {
+		n += v.fsyncs.Load()
+	}
+	return n
+}
 
 // VolumeBlocks returns the per-volume LBA count, 0 when the server
 // holds no volumes (a zero-value or half-built Server must not panic).
@@ -492,6 +504,7 @@ func (s *Server) stats() []wire.Stat {
 		{Name: "store_degraded", Value: degraded},
 		{Name: "srv_requests", Value: s.requests.Load()},
 		{Name: "srv_responses", Value: s.responses.Load()},
+		{Name: "srv_volume_fsyncs", Value: s.volumeFsyncs()},
 	}
 	var backpressure, batches, batchedWrites int64
 	for _, v := range s.vols {
@@ -520,6 +533,7 @@ func (s *Server) stats() []wire.Stat {
 			wire.Stat{Name: "durable_bytes_written", Value: ds.BytesWritten},
 			wire.Stat{Name: "durable_recovered_segments", Value: ds.RecoveredSegments},
 			wire.Stat{Name: "durable_recovered_blocks", Value: ds.RecoveredBlocks},
+			wire.Stat{Name: "durable_inline_commits", Value: est.DurableInlineCommits},
 		)
 	}
 	if gs := s.cfg.GCSched; gs != nil {

@@ -80,6 +80,9 @@ type volume struct {
 	syncMu  sync.Mutex
 	synced  int64
 	syncErr atomic.Pointer[error]
+	// fsyncs counts the fsyncs of a vol-N.dat (a plane's Sync is no
+	// fsync and does not count).
+	fsyncs atomic.Int64
 
 	// Per-tenant stats, all atomics (read by STAT while ops run).
 	writes, reads, trims, flushes atomic.Int64
@@ -221,6 +224,9 @@ func (v *volume) syncLocked(f volFile) error {
 		err = fmt.Errorf("volume %d: fsync: %w", v.id, err)
 		v.syncErr.CompareAndSwap(nil, &err)
 		return v.latched()
+	}
+	if _, ram := f.(*plane); !ram {
+		v.fsyncs.Add(1)
 	}
 	v.synced = upto
 	return nil

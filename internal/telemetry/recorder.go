@@ -40,6 +40,7 @@ const (
 	MetricDurableRecoveredSegments = "lss_durable_recovered_segments"
 	MetricDurableRecoveredBlocks   = "lss_durable_recovered_blocks"
 	MetricDurableTornRecords       = "lss_durable_torn_records"
+	MetricDurableInlineCommits     = "lss_durable_inline_commits_total"
 
 	MetricSLAViolations = "lss_sla_violations_total"
 
@@ -99,6 +100,9 @@ const (
 	// MetricServerPlaneBytes is the volume data plane mapped outside
 	// the Go heap.
 	MetricServerPlaneBytes = "srv_volume_plane_bytes"
+	// MetricServerVolumeFsyncs counts fsyncs of the volumes' vol-N.dat
+	// files — the durable layer that carries every ack.
+	MetricServerVolumeFsyncs = "srv_volume_fsyncs_total"
 	// MetricGoHeapInuse / MetricGoGCCycles are the served process's Go
 	// heap in use and its completed GC cycles, read from runtime/metrics
 	// at scrape time.
