@@ -66,7 +66,7 @@ race:
 ## the ambient GOMAXPROCS is 1. The packages run whole: a -run pattern
 ## goes vacuous the day a test is renamed. -count=1 because the test
 ## cache does not key on GOMAXPROCS and would replay `make race`'s
-## result. Also lints that the device model stays arithmetic: no
+## result. Also lints that the device model stays Run-only: no
 ## chunkJob channel in non-test internal/prototype and no goroutine in
 ## engine.go; that internal/prototype has one RAID-5 sink — a second
 ## engine cannot grow back beside the one everybody serves; that the two
@@ -84,7 +84,7 @@ race-sharded:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server ./internal/nbd ./internal/prototype ./internal/serve
 	@if ls internal/prototype/*.go | grep -v _test.go | xargs grep -nF 'chan chunkJob' || \
 		grep -nE '(^|[;{])[[:space:]]*go[[:space:]]+[A-Za-z_(]' internal/prototype/engine.go; then \
-		echo "race-sharded FAIL: the device model grew a queue channel or a goroutine — a column is arithmetic over its service recurrence"; \
+		echo "race-sharded FAIL: the device model grew a queue channel or a goroutine — it is Run-only arithmetic on the virtual clock"; \
 		exit 1; \
 	fi
 	@n=$$(ls internal/prototype/*.go | grep -v _test.go | xargs cat | grep -cF 'Sink:'); \

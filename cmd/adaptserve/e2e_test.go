@@ -260,8 +260,7 @@ const (
 
 func durableArgs(dir string, extra ...string) []string {
 	return append([]string{"-telemetry", "", "-data-dir", dir, "-shards", "2", "-durable-sync", "always",
-		"-policy", "sepgc", "-user-blocks", "4096", "-volumes", strconv.Itoa(e2eVolumes),
-		"-service-us", "1"}, extra...)
+		"-policy", "sepgc", "-user-blocks", "4096", "-volumes", strconv.Itoa(e2eVolumes)}, extra...)
 }
 
 // pattern fills one block deterministically from (volume, lba, version)
@@ -489,7 +488,7 @@ func TestNBDDurableSIGKILLRestart(t *testing.T) {
 // SIGTERM drain that still prints the final stats line.
 func TestServeSmoke(t *testing.T) {
 	skipLoad(t)
-	srv := startServer(t, "-telemetry", "127.0.0.1:0", "-service-us", "0")
+	srv := startServer(t, "-telemetry", "127.0.0.1:0")
 	report := runLoad(t, "adaptload", "-addr", srv.wire, "-tenants", "4", "-workers", "4", "-duration", "1s")
 	t.Logf("aggregate %.0f ops/s", aggregateOpsPerSec(t, report))
 	mustContain(t, "/metrics", srv.scrape(t, "/metrics"), "srv_requests_total")
@@ -512,7 +511,7 @@ func TestLoadFailsWhenServerDies(t *testing.T) {
 		{"nbdload", func(s *served) []string { return []string{"-addr", s.nbd} }, "\nnbdload: worker "},
 	} {
 		t.Run(tc.bin, func(t *testing.T) {
-			srv := startServer(t, "-telemetry", "", "-service-us", "0", "-nbd-addr", "127.0.0.1:0")
+			srv := startServer(t, "-telemetry", "", "-nbd-addr", "127.0.0.1:0")
 			load := exec.Command(filepath.Join(binDir, tc.bin), append(tc.args(srv), "-workers", "2", "-duration", "30s")...)
 			var out bytes.Buffer
 			load.Stdout, load.Stderr = &out, &out
@@ -559,7 +558,8 @@ func TestLoadFailsWhenServerDies(t *testing.T) {
 
 // TestHelpOmitsRemovedFlags: group commit is the only write path and
 // the store's SLA window its only deadline, so neither the server nor
-// the wire generator offers a flag to leave the one or set another.
+// the wire generator offers a flag to leave the one or set another;
+// and a served engine models no device, so no flag times one.
 func TestHelpOmitsRemovedFlags(t *testing.T) {
 	skipLoad(t)
 	for _, tc := range []struct {
@@ -567,7 +567,7 @@ func TestHelpOmitsRemovedFlags(t *testing.T) {
 		has  string
 		gone []string
 	}{
-		{"adaptserve", "-max-inflight", []string{"-batch", "-batch-us"}},
+		{"adaptserve", "-max-inflight", []string{"-batch", "-batch-us", "-service-us"}},
 		{"adaptload", "-flush-every", []string{"-sync"}},
 	} {
 		out, _ := exec.Command(filepath.Join(binDir, tc.bin), "-h").CombinedOutput()
@@ -594,7 +594,7 @@ func TestHelpOmitsRemovedFlags(t *testing.T) {
 // exemplars.
 func TestTraceSmoke(t *testing.T) {
 	skipLoad(t)
-	srv := startServer(t, "-telemetry", "127.0.0.1:0", "-service-us", "0", "-trace")
+	srv := startServer(t, "-telemetry", "127.0.0.1:0", "-trace")
 	report := runLoad(t, "adaptload", "-addr", srv.wire, "-tenants", "4", "-workers", "4", "-duration", "1s",
 		"-trace-every", "4", "-flush-every", "32")
 	aggregateOpsPerSec(t, report)
@@ -609,7 +609,7 @@ func TestTraceSmoke(t *testing.T) {
 // scrape for the nbd_* families, and a graceful SIGTERM drain.
 func TestNBDSmoke(t *testing.T) {
 	skipLoad(t)
-	srv := startServer(t, "-telemetry", "127.0.0.1:0", "-nbd-addr", "127.0.0.1:0", "-service-us", "0")
+	srv := startServer(t, "-telemetry", "127.0.0.1:0", "-nbd-addr", "127.0.0.1:0")
 	mustContain(t, "boot lines", srv.stdout(), "nbd: 8 exports (vol0..vol7) on ")
 	report := runLoad(t, "nbdload", "-addr", srv.nbd, "-export", "vol0", "-workers", "4", "-duration", "1s",
 		"-unaligned", "0.5", "-verify")
@@ -662,7 +662,7 @@ func TestNBDMountSmoke(t *testing.T) {
 			t.Skip("no nbd kernel module")
 		}
 	}
-	srv := startServer(t, "-telemetry", "", "-nbd-addr", "127.0.0.1:0", "-service-us", "0")
+	srv := startServer(t, "-telemetry", "", "-nbd-addr", "127.0.0.1:0")
 	port := srv.nbd[strings.LastIndexByte(srv.nbd, ':')+1:]
 	run := func(name string, args ...string) {
 		t.Helper()

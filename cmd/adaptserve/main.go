@@ -1,8 +1,8 @@
 // Command adaptserve serves the ADAPT array as a multi-tenant network
-// block service: the storage engine (log-structured store + modelled
-// RAID-5 SSD array) behind the internal/server wire protocol, with
-// live telemetry (Prometheus-style /metrics, read at scrape time,
-// /debug/trace, /debug/pprof) on a second HTTP listener.
+// block service: the storage engine (a log-structured store per LBA
+// shard over RAID-5 array accounting) behind the internal/server wire
+// protocol, with live telemetry (Prometheus-style /metrics, read at
+// scrape time, /debug/trace, /debug/pprof) on a second HTTP listener.
 //
 // Usage:
 //
@@ -64,7 +64,6 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	userBlocks := fs.Int64("user-blocks", 64<<10, "array capacity in 4 KiB blocks (without -data-dir the RAM data plane grows with it)")
 	shards := fs.Int("shards", 0, "engine shards across the LBA space (0: GOMAXPROCS, 1: one shard)")
 	maxInflight := fs.Int("max-inflight", 64, "per-tenant inflight ops before backpressure")
-	serviceUS := fs.Int("service-us", 50, "modelled device time per chunk write in microseconds")
 	trace := fs.Bool("trace", true, "per-request tracing with tail-latency attribution (/debug/trace)")
 	traceThreshUS := fs.Int("trace-threshold-us", 500, "latency above which a span becomes an exemplar")
 	gcBG := fs.Bool("gc-bg", false, "background paced GC instead of synchronous watermark cycles")
@@ -93,7 +92,7 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 		name string
 		v    int
 	}{
-		{"shards", *shards}, {"max-inflight", *maxInflight}, {"service-us", *serviceUS},
+		{"shards", *shards}, {"max-inflight", *maxInflight},
 		{"trace-threshold-us", *traceThreshUS},
 		{"gc-slice-units", *gcSliceUnits}, {"gc-interval-us", *gcIntervalUS}, {"gc-target-p999-us", *gcTargetUS},
 	} {
@@ -118,9 +117,8 @@ func configFromFlags(cmd *cli.Command, args []string) (serve.Config, listen, err
 	cfg := serve.Config{
 		Engine: prototype.ShardedConfig{
 			Engine: prototype.EngineConfig{
-				Store:       store,
-				ServiceTime: time.Duration(*serviceUS) * time.Microsecond,
-				Telemetry:   telemetry.New(telemetry.Options{}),
+				Store:     store,
+				Telemetry: telemetry.New(telemetry.Options{}),
 			},
 			Shards: *shards,
 			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {

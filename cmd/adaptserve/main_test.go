@@ -33,7 +33,6 @@ func defaults() (serve.Config, listen) {
 						OverProvision: 0.15,
 						Victim:        lss.Greedy,
 					},
-					ServiceTime: 50 * time.Microsecond,
 				},
 				Shards: 0,
 			},
@@ -68,12 +67,11 @@ func TestConfigFromFlags(t *testing.T) {
 				l.wire, l.telemetry, l.nbd = "127.0.0.1:0", "", "127.0.0.1:0"
 			}},
 		{"engine and server knobs",
-			[]string{"-policy", "sepgc", "-victim", "cost-benefit", "-user-blocks", "4096", "-service-us", "1",
+			[]string{"-policy", "sepgc", "-victim", "cost-benefit", "-user-blocks", "4096",
 				"-max-inflight", "8", "-trace=false", "-trace-threshold-us", "250"},
 			func(c *serve.Config, l *listen) {
 				c.Engine.Engine.Store.UserBlocks, c.Engine.Engine.Store.SegmentChunks = 4096, 2
 				c.Engine.Engine.Store.Victim = lss.CostBenefit
-				c.Engine.Engine.ServiceTime = time.Microsecond
 				c.Server.MaxInflight = 8
 				c.Server.Trace = server.TraceConfig{Threshold: 250 * time.Microsecond}
 				l.policy = "sepgc"
@@ -158,7 +156,6 @@ func TestConfigFromFlagsUsageErrors(t *testing.T) {
 		{[]string{"-user-blocks", "-8"}, "-user-blocks must be at least 1, got -8"},
 		{[]string{"-shards", "-1"}, "-shards must be non-negative, got -1"},
 		{[]string{"-max-inflight", "-1"}, "-max-inflight must be non-negative, got -1"},
-		{[]string{"-service-us", "-1"}, "-service-us must be non-negative, got -1"},
 		{[]string{"-trace-threshold-us", "-1"}, "-trace-threshold-us must be non-negative, got -1"},
 		{[]string{"-gc-bg", "-gc-slice-units", "-1"}, "-gc-slice-units must be non-negative, got -1"},
 		{[]string{"-gc-bg", "-gc-interval-us", "-1"}, "-gc-interval-us must be non-negative, got -1"},

@@ -60,8 +60,10 @@ func (a *Array) ChunkBytes() int64 { return a.chunkBytes }
 // WriteChunk records one chunk write containing payloadBytes of real
 // data and padBytes of zero padding. payloadBytes+padBytes must equal
 // the chunk size: the array only accepts full chunks (partial writes
-// have already been padded by the log-structured layer).
-func (a *Array) WriteChunk(payloadBytes, padBytes int64) {
+// have already been padded by the log-structured layer). It returns
+// the physical column the chunk landed on and, when the chunk closed
+// its stripe, the column that stripe's parity went to (-1 otherwise).
+func (a *Array) WriteChunk(payloadBytes, padBytes int64) (dataCol, parityCol int) {
 	if payloadBytes+padBytes != a.chunkBytes {
 		panic(fmt.Sprintf("blockdev: chunk write of %d+%d bytes, want %d",
 			payloadBytes, padBytes, a.chunkBytes))
@@ -71,21 +73,23 @@ func (a *Array) WriteChunk(payloadBytes, padBytes int64) {
 	a.padBytes += padBytes
 
 	// Left-symmetric RAID-5: parity column rotates per stripe.
-	parityCol := int(a.parityRow % int64(a.dataColumns+1))
-	col := a.nextCol
-	if col >= parityCol {
-		col++ // skip the parity position
+	parityCol = int(a.parityRow % int64(a.dataColumns+1))
+	dataCol = a.nextCol
+	if dataCol >= parityCol {
+		dataCol++ // skip the parity position
 	}
-	a.colWrites[col]++
+	a.colWrites[dataCol]++
 	a.stripeFill++
 	a.nextCol++
-	if a.stripeFill == a.dataColumns {
-		a.parityChunks++
-		a.colWrites[parityCol]++
-		a.stripeFill = 0
-		a.nextCol = 0
-		a.parityRow++
+	if a.stripeFill < a.dataColumns {
+		return dataCol, -1
 	}
+	a.parityChunks++
+	a.colWrites[parityCol]++
+	a.stripeFill = 0
+	a.nextCol = 0
+	a.parityRow++
+	return dataCol, parityCol
 }
 
 // DataChunks returns the number of data chunks written.

@@ -75,6 +75,26 @@ func TestArrayParityPerStripe(t *testing.T) {
 	}
 }
 
+// TestArrayColumnSequence pins the rotating layout WriteChunk reports:
+// stripe r puts its parity on column r mod (D+1), its data chunks on
+// the other columns in order, and the parity column is reported with
+// the chunk that closes the stripe.
+func TestArrayColumnSequence(t *testing.T) {
+	a := NewArray(3, 4096)
+	want := [][2]int{
+		{1, -1}, {2, -1}, {3, 0},
+		{0, -1}, {2, -1}, {3, 1},
+		{0, -1}, {1, -1}, {3, 2},
+		{0, -1}, {1, -1}, {2, 3},
+		{1, -1}, {2, -1}, {3, 0},
+	}
+	for i, w := range want {
+		if d, p := a.WriteChunk(4096, 0); d != w[0] || p != w[1] {
+			t.Fatalf("chunk %d: columns (%d, %d), want (%d, %d)", i, d, p, w[0], w[1])
+		}
+	}
+}
+
 func TestDataArrayRoundTrip(t *testing.T) {
 	d := NewDataArray(3, 64)
 	rng := sim.NewRNG(1)

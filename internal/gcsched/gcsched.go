@@ -71,7 +71,8 @@ type Config struct {
 	P999 func() time.Duration
 	// QueueFill supplies the worst device-queue fill fraction (nil: no
 	// queue feedback); non-urgent slices wait while it exceeds
-	// queueHighFill.
+	// queueHighFill. Only prototype.Run has device queues to read; a
+	// served stack leaves it nil.
 	QueueFill func() float64
 	// Telemetry, when set, registers the pacer's counters.
 	Telemetry *telemetry.Set

@@ -34,6 +34,9 @@ type GCSchedOptions struct {
 	// array at high-but-not-total utilization, the regime the paper's
 	// tail comparison targets.
 	ThinkTime time.Duration
+	// ServiceTime is the model rows' per-chunk device time on Run's
+	// virtual clock; the live rows serve an engine with no device model.
+	ServiceTime time.Duration
 	// SliceUnits is the pacer's per-slice relocation budget.
 	SliceUnits int
 	// Interval is the pacer tick.
@@ -54,16 +57,16 @@ func DefaultGCSchedOptions(sc Scale) GCSchedOptions {
 			// (StoreConfig scales them with capacity) that one
 			// synchronous watermark cycle relocates tens of chunks inline
 			// — the stop-the-world stall the pacer exists to break up.
-			Blocks:      sc.YCSBBlocks * 4,
-			Tenants:     2,
-			Workers:     4,
-			Duration:    60 * time.Second,
-			WriteFrac:   0.9,
-			Theta:       0.8,
-			ServiceTime: time.Millisecond,
+			Blocks:    sc.YCSBBlocks * 4,
+			Tenants:   2,
+			Workers:   4,
+			Duration:  60 * time.Second,
+			WriteFrac: 0.9,
+			Theta:     0.8,
 		},
 		OpsPerWorker: 4000,
 		ThinkTime:    300 * time.Microsecond,
+		ServiceTime:  time.Millisecond,
 		SliceUnits:   32,
 		Interval:     50 * time.Microsecond,
 		TargetP999:   2 * time.Millisecond,

@@ -14,8 +14,8 @@ import (
 
 // ShardScaleOptions sizes the shard-scaling experiment: a fixed fleet
 // of writer goroutines hammers the sharded engine at each shard count
-// so the throughput curve isolates engine-lock contention from device
-// time (the modelled device is made essentially free).
+// so the throughput curve isolates engine-lock contention (a served
+// engine models no device time).
 type ShardScaleOptions struct {
 	// Shards lists the shard counts to sweep.
 	Shards []int
@@ -83,12 +83,7 @@ func ExpShardScale(sc Scale, opt ShardScaleOptions) (ShardScaleResult, error) {
 	cfg := StoreConfig(opt.UserBlocks, lss.Greedy)
 	for _, shards := range opt.Shards {
 		eng, err := prototype.NewSharded(prototype.ShardedConfig{
-			Engine: prototype.EngineConfig{
-				Store: cfg,
-				// Keep the modelled device out of the way so the sweep
-				// measures engine-lock and group-commit contention.
-				ServiceTime: time.Microsecond,
-			},
+			Engine: prototype.EngineConfig{Store: cfg},
 			Shards: shards,
 			PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
 				return BuildPolicy(PolicyADAPT, scfg)

@@ -27,13 +27,12 @@ type TailTraceOptions struct {
 // window long enough for dozens of GC cycles per policy.
 func DefaultTailTraceOptions(sc Scale) TailTraceOptions {
 	return TailTraceOptions{LiveLoad{
-		Blocks:      sc.YCSBBlocks / 4,
-		Tenants:     4,
-		Workers:     4,
-		Duration:    1500 * time.Millisecond,
-		WriteFrac:   0.9,
-		Theta:       0.99,
-		ServiceTime: 5 * time.Microsecond,
+		Blocks:    sc.YCSBBlocks / 4,
+		Tenants:   4,
+		Workers:   4,
+		Duration:  1500 * time.Millisecond,
+		WriteFrac: 0.9,
+		Theta:     0.99,
 	}}
 }
 

@@ -28,8 +28,6 @@ type LiveLoad struct {
 	// WriteFrac and Theta shape the workload (zipfian over each
 	// volume's LBA space).
 	WriteFrac, Theta float64
-	// ServiceTime is the modelled per-chunk device time.
-	ServiceTime time.Duration
 }
 
 // build assembles the stack the experiments serve: one pre-filled
@@ -41,10 +39,9 @@ func (l LiveLoad) build(polName string, ts *telemetry.Set, gc *gcsched.Config) (
 	return serve.Build(serve.Config{
 		Engine: prototype.ShardedConfig{
 			Engine: prototype.EngineConfig{
-				Store:       StoreConfig(l.Blocks, 0),
-				ServiceTime: l.ServiceTime,
-				Fill:        true,
-				Telemetry:   ts,
+				Store:     StoreConfig(l.Blocks, 0),
+				Fill:      true,
+				Telemetry: ts,
 			},
 			Shards: 1,
 			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {

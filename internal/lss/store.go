@@ -185,12 +185,17 @@ type Store struct {
 // and padding sizes (they sum to the chunk size). Segment/Chunk
 // identify the physical location, so a device model underneath can
 // observe overwrites when segments are reclaimed and reused.
+// Column/ParityColumn are where the store's RAID-5 array placed the
+// chunk and, when it closed a stripe, that stripe's parity (-1
+// otherwise): the one home of the rotating layout.
 type ChunkWrite struct {
 	Group        GroupID
 	Segment      int // physical segment id
 	Chunk        int // chunk index within the segment
 	PayloadBytes int64
 	PadBytes     int64
+	Column       int
+	ParityColumn int
 }
 
 // ChunkSink observes every chunk flush.
@@ -601,7 +606,7 @@ func (s *Store) padFlush(gr *group, donors []GroupID, at sim.Time, why telemetry
 func (s *Store) flushChunk(gr *group, padBlocks int, at sim.Time) {
 	s.recordLatencies(gr, s.chunkBlocks, at)
 	payload := int64(s.chunkBlocks-padBlocks) * s.blockBytes
-	s.array.WriteChunk(payload, int64(padBlocks)*s.blockBytes)
+	col, parityCol := s.array.WriteChunk(payload, int64(padBlocks)*s.blockBytes)
 	s.metrics.PerGroup[gr.id].ChunkFlushes++
 	s.padHist.Observe(int64(padBlocks))
 	if s.tracer != nil {
@@ -615,6 +620,8 @@ func (s *Store) flushChunk(gr *group, padBlocks int, at sim.Time) {
 			Chunk:        gr.open.written/s.chunkBlocks - 1,
 			PayloadBytes: payload,
 			PadBytes:     int64(padBlocks) * s.blockBytes,
+			Column:       col,
+			ParityColumn: parityCol,
 		}
 		if s.sink != nil {
 			s.sink(w)

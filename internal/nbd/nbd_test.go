@@ -55,7 +55,6 @@ func testEngine(userBlocks int64, blockBytes, shards int, mirror bool) (*prototy
 				UserBlocks:    userBlocks,
 				OverProvision: 0.25,
 			},
-			ServiceTime:  time.Microsecond,
 			Verify:       mirror,
 			VerifyMirror: mirror,
 		},

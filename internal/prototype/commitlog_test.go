@@ -4,7 +4,6 @@ import (
 	"io/fs"
 	"sync"
 	"testing"
-	"time"
 
 	"adapt/internal/segfile"
 	"adapt/internal/sim"
@@ -76,9 +75,8 @@ func TestNoLogFsyncUnderEngineLock(t *testing.T) {
 	defer func() { shardFS = nil }()
 	s, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       durableCfg(),
-			ServiceTime: time.Microsecond,
-			Durable:     &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+			Store:   durableCfg(),
+			Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
 		},
 		Shards:        2,
 		PolicyFactory: sepGCFactory(t),

@@ -1,9 +1,13 @@
 package prototype
 
 import (
-	"runtime"
+	"bytes"
+	"strings"
 	"testing"
 	"time"
+
+	"adapt/internal/sim"
+	"adapt/internal/telemetry"
 )
 
 // step is one job of a replayed column: when its sender sent it, how
@@ -132,18 +136,61 @@ func TestColumnRecurrence(t *testing.T) {
 	}
 }
 
-// TestSendsBelowCeilingNeverBlock: 32 back-to-back sends to one column
-// at 1 µs service are far below its ceiling, so none may block — even
-// with one P, where a worker goroutine draining a channel would get no
-// turn before the queue filled.
-func TestSendsBelowCeilingNeverBlock(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	da := newDeviceArray(4, 8, time.Microsecond)
-	var blockedNS int64
-	for i := 1; i <= 32; i++ {
-		da.send(0, chunkJob{}, &blockedNS)
-		if blockedNS != 0 {
-			t.Fatalf("send %d: blocked %v below the bandwidth ceiling", i, time.Duration(blockedNS))
+// TestServedEngineHasNoDeviceModel: a served engine (NewSharded) builds
+// no device array. Writes, reads, batches, GC cycles and Close block on
+// no device queue, so SinkNS stays 0, and the engine registers no
+// proto_device_* family — those are Run's alone.
+func TestServedEngineHasNoDeviceModel(t *testing.T) {
+	ts := telemetry.New(telemetry.Options{})
+	s, err := NewSharded(ShardedConfig{
+		Engine:        EngineConfig{Store: shardedTestConfig(1024), Telemetry: ts, Fill: true},
+		Shards:        2,
+		PolicyFactory: sepGCFactory(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Shards(); i++ {
+		if e := s.Shard(i); e.devs != nil || e.rng != nil || e.tb.virtual != nil {
+			t.Fatalf("shard %d carries a device model", i)
 		}
+	}
+	rng := sim.NewRNG(7)
+	for i := 0; i < 4000; i++ {
+		lba := int64(rng.Intn(1024))
+		w, err := s.WriteTimed(lba, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.ReadTimed(lba, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.WriteBatchTimed([]BatchWrite{{LBA: lba, Blocks: 1}, {LBA: 1023 - lba, Blocks: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.SinkNS != 0 || r.SinkNS != 0 || b.SinkNS != 0 {
+			t.Fatalf("op %d blocked on a device: write %d, read %d, batch %d ns", i, w.SinkNS, r.SinkNS, b.SinkNS)
+		}
+	}
+	st := s.Stats()
+	if st.GCCycles == 0 || st.ParityChunks == 0 {
+		t.Fatalf("GC cycles %d, parity chunks %d: the run never exercised GC or closed a stripe", st.GCCycles, st.ParityChunks)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Shards(); i++ {
+		if ns := s.Shard(i).sinkNS; ns != 0 {
+			t.Fatalf("shard %d: %d ns blocked on a device through Close", i, ns)
+		}
+	}
+	var prom bytes.Buffer
+	if err := ts.Registry.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(prom.String(), "proto_device_") {
+		t.Fatalf("served engine registered a device family:\n%s", prom.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"adapt/internal/lss"
 	"adapt/internal/placement"
@@ -31,9 +30,8 @@ func durableSharded(t *testing.T, dir string, shards int) *Sharded {
 	t.Helper()
 	s, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       durableCfg(),
-			ServiceTime: time.Microsecond,
-			Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+			Store:   durableCfg(),
+			Durable: &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
 		},
 		Shards:        shards,
 		PolicyFactory: sepGCFactory(t),
@@ -109,10 +107,9 @@ func TestEngineDurableVerifyRejectsRecovered(t *testing.T) {
 	}
 	_, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       durableCfg(),
-			ServiceTime: time.Microsecond,
-			Verify:      true,
-			Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+			Store:   durableCfg(),
+			Verify:  true,
+			Durable: &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
 		},
 		Shards:        1,
 		PolicyFactory: sepGCFactory(t),
@@ -128,9 +125,8 @@ func TestEngineDurableVerifyRejectsRecovered(t *testing.T) {
 func TestShardedDurableRequiresDir(t *testing.T) {
 	_, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       durableCfg(),
-			ServiceTime: time.Microsecond,
-			Durable:     &segfile.Options{FS: segfile.NewMemFS()},
+			Store:   durableCfg(),
+			Durable: &segfile.Options{FS: segfile.NewMemFS()},
 		},
 		Shards:        2,
 		PolicyFactory: sepGCFactory(t),

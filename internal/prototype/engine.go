@@ -20,7 +20,7 @@ import (
 // is the one implementation; the interface exists so instrumentation
 // can sit between the server and the engine. Whoever built the engine
 // owns the rest of its surface (FailColumn, RebuildStep, GCShards,
-// QueueFill, Recovered, Drain, Close) on the concrete *Sharded. All
+// Recovered, Drain, Close) on the concrete *Sharded. All
 // methods are safe for concurrent use.
 type Ingest interface {
 	// Config returns the aggregate store geometry (UserBlocks covers
@@ -29,9 +29,8 @@ type Ingest interface {
 	// Now returns the engine's wall-derived simulated time.
 	Now() sim.Time
 
-	// The four ops. Each returns the lock-wait / commit / device
-	// backpressure breakdown of the call; callers that do not want it
-	// discard it.
+	// The four ops. Each returns the lock-wait / commit breakdown of
+	// the call; callers that do not want it discard it.
 	WriteTimed(lba int64, blocks int) (OpTiming, error)
 	WriteBatchTimed(ops []BatchWrite) (OpTiming, error)
 	ReadTimed(lba int64, blocks int) (OpTiming, error)
@@ -66,103 +65,17 @@ type Ingest interface {
 // that shard only for its duration.
 type GCShard = gcsched.Shard
 
-// chunkJob is one unit of device work: a chunk write (log flush, parity,
-// or the rebuild's write onto the spare) or a chunk-sized read.
-type chunkJob struct {
-	read bool
-	// spare marks the rebuild's write onto the replacement of a failed
-	// column — the one write the fault hook must not drop there.
-	spare bool
-}
+// timebase is what every shard of an engine shares: the clock — time
+// since start, or Run's virtual clock — and the synchronous GC cycle in
+// progress. Shards partition the LBA space, not time.
+type timebase struct {
+	start time.Time
+	// virtual, when set, is Run's virtual clock (ns since start). Nil in
+	// every served engine.
+	virtual *atomic.Int64
 
-// granule is the smallest service debt a column's worker sleeps off:
-// sleeping off every debt would quantize each stall behind it to a full
-// OS timer sleep, a floor under the p999 no GC scheduling gets beneath.
-const granule = 200 * time.Microsecond
-
-// column models one SSD as arithmetic, with nothing running: a queue of
-// QueueDepth slots drained by a worker that accrues each job's service
-// and sleeps off debt above a granule. Times are offsets from start.
-type column struct {
-	mu sync.Mutex
-	// virtual is the service of every job sent. Debt is virtual minus the
-	// clock, so idle time is banked as credit a later burst spends first.
-	virtual time.Duration
-	free    time.Duration // when the worker is next free to dequeue
-	// deq rings the dequeue times of the last QueueDepth jobs; next
-	// indexes the oldest — the job QueueDepth ahead of the next one.
-	deq  []time.Duration
-	next int
-
-	// Telemetry instruments; nil (no-op) when telemetry is disabled.
-	busyNS *telemetry.Counter
-	chunks *telemetry.Counter
-}
-
-// schedule runs the recurrence for one job sent at now and returns when
-// it enters the queue: once the job QueueDepth ahead of it has been
-// dequeued.
-func (c *column) schedule(now, service time.Duration) (enter time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	enter = max(now, c.deq[c.next])
-	deq := max(enter, c.free)
-	c.deq[c.next] = deq
-	c.next = (c.next + 1) % len(c.deq)
-	c.virtual += service
-	c.free = deq
-	if c.virtual-deq > granule {
-		c.free = c.virtual
-	}
-	c.busyNS.Add(int64(service))
-	c.chunks.Inc()
-	return enter
-}
-
-// replace swaps a spare in for the column at now: a fresh device that
-// has banked no idle credit, so the rebuild writes it at its bandwidth.
-func (c *column) replace(now time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.virtual = max(c.virtual, now)
-}
-
-// queued is the queue's occupancy at now: the ring's jobs not yet
-// dequeued (dequeue times never decrease); all of them while a sender waits.
-func (c *column) queued(now time.Duration) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, d := range c.deq {
-		if d > now {
-			n++
-		}
-	}
-	return n
-}
-
-// deviceArray models the physical SSD array, one column per SSD, behind
-// every shard of an engine — shards partition the LBA space, not the
-// hardware. Its one clock is time since start (or Run's virtual clock),
-// its one effect a sleep (or advancing that clock).
-type deviceArray struct {
-	cols         []*column
-	start        time.Time
-	readService  time.Duration
-	writeService time.Duration
-
-	// clock, when set, is Run's virtual clock (ns since start): a wait
-	// advances it instead of sleeping. Nil in every served engine.
-	clock *atomic.Int64
-
-	// fault is Run's injector, nil in every served engine: it decides
-	// which chunks a failed column loses, counts what each column holds,
-	// and fans reads of the failed column out to the survivors. Set
-	// before the first send.
-	fault *faultRun
-
-	// cycle is the synchronous GC cycle that has the columns to itself
-	// (Sharded.gateFor sets it), nil when none runs; see awaitGC.
+	// cycle is the synchronous GC cycle that runs alone (Sharded.gateFor
+	// sets it), nil when none runs; see awaitGC.
 	cycle atomic.Pointer[gcCycle]
 }
 
@@ -174,159 +87,49 @@ type gcCycle struct {
 }
 
 // awaitGC holds a write bound for shard until a synchronous GC cycle
-// running on another shard ends: the cycle then has the columns to
-// itself and stalls its own shard for less (DESIGN.md §9 has the
-// measurement). The cycle's own shard never waits here: its next write
-// may be what finishes the cycle.
-func (da *deviceArray) awaitGC(shard int32) {
-	if c := da.cycle.Load(); c != nil && c.shard != shard {
+// running on another shard ends: the cycle then runs without other
+// shards' writes beside it and stalls its own shard for less
+// (DESIGN.md §9 has the measurement). The cycle's own shard never waits
+// here: its next write may be what finishes the cycle.
+func (tb *timebase) awaitGC(shard int32) {
+	if c := tb.cycle.Load(); c != nil && c.shard != shard {
 		<-c.done
 	}
 }
 
-// newDeviceArray builds ncols columns of queueDepth slots; a chunk read
-// takes half the write service time.
-func newDeviceArray(ncols, queueDepth int, writeService time.Duration) *deviceArray {
-	da := &deviceArray{
-		cols:         make([]*column, ncols),
-		start:        time.Now(),
-		readService:  writeService / 2,
-		writeService: writeService,
+// now is the clock as simulated time — Run's virtual clock when set,
+// else time since start — shared by every shard so interference
+// intervals and spans align.
+func (tb *timebase) now() sim.Time {
+	if tb.virtual != nil {
+		return sim.Time(tb.virtual.Load())
 	}
-	for i := range da.cols {
-		da.cols[i] = &column{deq: make([]time.Duration, queueDepth)}
-	}
-	return da
-}
-
-// send is the one way onto a device queue: it runs column col's
-// recurrence for job and sleeps until the job enters (a saturated column
-// applies backpressure to whoever holds the engine lock, like a
-// saturated array), adding the time slept to *blockedNS. On a virtual
-// clock the wait advances the clock instead. Only the fault hook drops a
-// chunk; a full queue delays it.
-func (da *deviceArray) send(col int, job chunkJob, blockedNS *int64) {
-	fr := da.fault
-	if fr != nil && !fr.admit(col, job) {
-		return
-	}
-	service := da.writeService
-	if job.read {
-		service = da.readService
-	}
-	now := da.elapsed()
-	enter := da.cols[col].schedule(now, service)
-	if da.clock != nil {
-		if enter > now {
-			da.clock.Store(int64(enter))
-			*blockedNS += int64(enter - now)
-		}
-		return
-	}
-	// A fresh clock: a sender preempted before the lock may be late already.
-	if wait := enter - time.Since(da.start); wait > 0 {
-		time.Sleep(wait)
-		*blockedNS += int64(time.Since(da.start) - now)
-	}
-}
-
-// read issues one chunk-sized read aimed at column col. While the
-// fault hook holds col failed the read is reconstructed instead: one
-// read on every surviving column (the XOR fan-out).
-func (da *deviceArray) read(col int, blockedNS *int64) {
-	if fr := da.fault; fr.degradedTarget(col) {
-		fr.degReads.Add(1)
-		for c := range da.cols {
-			if c != col {
-				da.send(c, chunkJob{read: true}, blockedNS)
-			}
-		}
-		return
-	}
-	da.send(col, chunkJob{read: true}, blockedNS)
-}
-
-// elapsed is the array's clock: Run's virtual clock when set, else time
-// since start.
-func (da *deviceArray) elapsed() time.Duration {
-	if da.clock != nil {
-		return time.Duration(da.clock.Load())
-	}
-	return time.Since(da.start)
-}
-
-// now is the array's clock as simulated time, shared by every engine on
-// it so interference intervals and spans align.
-func (da *deviceArray) now() sim.Time { return sim.Time(da.elapsed()) }
-
-// registerTelemetry exposes per-device counters and queue gauges.
-// Call at most once per array, before the first send.
-func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
-	for i, c := range da.cols {
-		c.busyNS = ts.Registry.NewCounter(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceBusyPrefix, i),
-			"Modelled device service time consumed")
-		c.chunks = ts.Registry.NewCounter(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceChunksPrefix, i),
-			"Chunk operations serviced")
-		ts.Registry.NewFuncGauge(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
-			"Queued chunk operations", false,
-			func() int64 { return int64(c.queued(da.elapsed())) })
-	}
-}
-
-// queueFill reports the fill fraction of the most backlogged column.
-func (da *deviceArray) queueFill() float64 {
-	worst := 0
-	for _, c := range da.cols {
-		worst = max(worst, c.queued(da.elapsed()))
-	}
-	return float64(worst) / float64(len(da.cols[0].deq))
-}
-
-// drain sleeps until the last column's worker is free (or advances the
-// virtual clock there), so the caller's elapsed time pays for every chunk
-// sent; no send may follow it.
-func (da *deviceArray) drain() {
-	var last time.Duration
-	for _, c := range da.cols {
-		c.mu.Lock()
-		last = max(last, c.free)
-		c.mu.Unlock()
-	}
-	if da.clock != nil {
-		da.clock.Store(int64(max(last, da.elapsed())))
-		return
-	}
-	time.Sleep(last - time.Since(da.start))
+	return sim.Time(time.Since(tb.start))
 }
 
 // Engine is one shard of a Sharded engine: it wraps a log-structured
-// store over a private slice of the LBA space, and the router's shared
-// bandwidth-modelled device array, behind a mutex so network servers
-// (internal/server), Run's clients and other live producers all
-// drive one RAID-5 pipeline. Simulated
-// time is the array's clock: wall-derived (time since array start) on
-// a served engine, so the store's SLA-window padding runs against real
-// request interarrival gaps, and Run's virtual clock in a prototype run.
+// store over a private slice of the LBA space behind a mutex, so
+// network servers (internal/server), Run's clients and other live
+// producers all drive one store per shard. Simulated time is the
+// router's timebase: wall-derived (time since start) on a served
+// engine, so the store's SLA-window padding runs against real request
+// interarrival gaps, and Run's virtual clock in a prototype run.
 //
-// All methods are safe for concurrent use. Chunk flushes dispatch to
-// bounded per-device queues under the engine lock, so a saturated
-// device applies backpressure to every producer.
+// All methods are safe for concurrent use. In Run, chunk flushes and
+// reads also reach the modelled device array under the engine lock, so
+// a saturated column applies backpressure to every producer; a served
+// engine has no device model.
 type Engine struct {
 	mu     sync.Mutex
 	store  *lss.Store
 	oracle *checker.Oracle
-	rng    *sim.RNG
 
-	devs  *deviceArray // the router's; shared with every other shard
+	tb    *timebase // the router's; shared with every other shard
 	shard int32
-	ncols int
-
-	stripeFill   int
-	parityRow    int64
-	parityChunks int64
+	// devs is Run's device array and rng its column pick for reads;
+	// both nil on a served engine.
+	devs *deviceArray
+	rng  *sim.RNG
 
 	// durable is the file-backed segment backend, nil for a pure
 	// in-memory engine; recovered marks that construction rolled the
@@ -335,9 +138,10 @@ type Engine struct {
 	recovered bool
 
 	// Request-tracing state (all guarded by mu). sinkNS accumulates the
-	// time blocked on device queues; timed zeroes it at the start of
-	// each op. itv receives degraded-mode interference intervals;
-	// degradedTok is the open interval, 0 when healthy.
+	// time blocked on Run's device queues (0 on a served engine); timed
+	// zeroes it at the start of each op. itv receives degraded-mode
+	// interference intervals; degradedTok is the open interval, 0 when
+	// healthy.
 	sinkNS      int64
 	itv         *telemetry.IntervalLog
 	degradedTok int64
@@ -356,11 +160,14 @@ type EngineConfig struct {
 	Store lss.Config
 	// Policy is the placement policy instance to drive.
 	Policy lss.Policy
-	// ServiceTime is the modelled device time per chunk write (default
+	// ServiceTime is Run's modelled device time per chunk write (default
 	// 50 µs ≈ 64 KiB chunks at 1.3 GB/s per SSD); a chunk read takes
-	// half of it.
+	// half of it. A served engine (NewSharded) has no device model and
+	// ignores it; the field stays beside the served ones because the
+	// benchmark's in-process wiring (bench/inproc.go) still sets it.
 	ServiceTime time.Duration
-	// QueueDepth bounds each device's queue (default 8).
+	// QueueDepth bounds each of Run's device queues (default 8); a
+	// served engine ignores it.
 	QueueDepth int
 	// Fill writes every block sequentially (shards in parallel) before
 	// the engine is returned, so subsequent traffic runs at full
@@ -368,10 +175,10 @@ type EngineConfig struct {
 	// loading.
 	Fill bool
 	// Telemetry, when set, attaches live instrumentation: store metrics,
-	// read at scrape time under their shard's lock, plus per-device
-	// counters. Shard stores emit no events and drive no recorder. The
-	// Set must be dedicated to this engine: instrument names would
-	// collide otherwise.
+	// read at scrape time under their shard's lock, plus Run's
+	// per-device counters. Shard stores emit no events and drive no
+	// recorder. The Set must be dedicated to this engine: instrument
+	// names would collide otherwise.
 	Telemetry *telemetry.Set
 	// Verify attaches the correctness oracle from internal/checker: all
 	// traffic is cross-checked against the flat reference model at the
@@ -405,50 +212,23 @@ type BatchWrite struct {
 	Blocks int
 }
 
-// withDefaults fills the device-model defaults.
-func (cfg EngineConfig) withDefaults() EngineConfig {
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 50 * time.Microsecond
-	}
-	return cfg
-}
-
-// newEngineOn builds shard number shard over the router's device
-// array. gate is the cross-shard GC admission gate wired into the
-// store's Deps.
-func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (release func())) (*Engine, error) {
+// newEngineOn builds shard number shard on the router's timebase and,
+// in Run, its device array (nil: a served engine). gate is the
+// cross-shard GC admission gate wired into the store's Deps.
+func newEngineOn(cfg EngineConfig, tb *timebase, da *deviceArray, shard int, gate func() (release func())) (*Engine, error) {
 	geo := cfg.Store.GeometryDefaults()
-	e := &Engine{
-		rng:   sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37),
-		devs:  da,
-		shard: int32(shard),
-		ncols: geo.DataColumns + 1,
+	e := &Engine{tb: tb, shard: int32(shard), devs: da}
+	if da != nil {
+		e.rng = sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37)
 	}
 	// The sink runs under the engine lock (the store is only entered
-	// with it held). RAID-5 with rotating parity: each shard rotates its
-	// own stripe cursor over the shared columns.
+	// with it held) and sends each chunk to the columns the store's
+	// RAID-5 array placed it and its stripe's parity on.
 	deps := lss.Deps{
 		GCGate:  gate,
 		Sharded: true,
 		Shard:   shard,
-		Sink: func(lss.ChunkWrite) {
-			parityCol := int(e.parityRow % int64(e.ncols))
-			col := e.stripeFill
-			if col >= parityCol {
-				col++
-			}
-			e.devs.send(col, chunkJob{}, &e.sinkNS)
-			e.stripeFill++
-			if e.stripeFill == e.ncols-1 {
-				e.devs.send(parityCol, chunkJob{}, &e.sinkNS)
-				e.parityChunks++
-				e.stripeFill = 0
-				e.parityRow++
-			}
-		},
+		Sink:    da.sink(&e.sinkNS),
 	}
 	if ts := cfg.Telemetry; ts != nil {
 		// The store's gauges read what mu guards, so a scrape evaluates
@@ -458,7 +238,7 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, gate func() (rele
 		// The store's own clock freezes at the op timestamp for the
 		// duration of a synchronous GC cycle; interference intervals
 		// need real elapsed time, so give it the wall-derived clock.
-		deps.Clock = da.now
+		deps.Clock = tb.now
 		e.itv = ts.Intervals
 	}
 	if cfg.Durable != nil {
@@ -528,9 +308,9 @@ func (e *Engine) abort() {
 // Config returns the store's effective (defaulted) configuration.
 func (e *Engine) Config() lss.Config { return e.store.Config() }
 
-// Now returns the array's clock as simulated time (wall-derived on a
+// Now returns the engine's clock as simulated time (wall-derived on a
 // served engine).
-func (e *Engine) Now() sim.Time { return e.devs.now() }
+func (e *Engine) Now() sim.Time { return e.tb.now() }
 
 // GCNeeded implements GCShard.
 func (e *Engine) GCNeeded() bool {
@@ -575,23 +355,25 @@ type OpTiming struct {
 	// lock; Locked is the clock once the lock was acquired, so
 	// Locked-Enter is the lock wait.
 	Enter, Locked sim.Time
-	// Done is the clock at completion (store apply plus any device
-	// dispatch finished).
+	// Done is the clock at completion (store apply plus, in Run, any
+	// device dispatch finished).
 	Done sim.Time
-	// SinkNS is how long the op was blocked dispatching onto full
-	// device queues — device backpressure, a subset of Done-Locked.
+	// SinkNS is how long the op was blocked dispatching onto Run's full
+	// device queues — device backpressure, a subset of Done-Locked. It
+	// is 0 on every served engine, which has no device model; the
+	// benchmark's timing decorator (bench/decor.go) still reads it.
 	SinkNS int64
 }
 
 // timed runs one op under the engine lock and returns its timing
 // breakdown: lock wait (for a write, including any wait for another
-// shard's GC cycle — deviceArray.awaitGC), and the share of the hold
-// spent blocked on device queues (GC slices and drains between ops add
-// to sinkNS too; nobody reads theirs).
+// shard's GC cycle — timebase.awaitGC), and the share of the hold
+// spent blocked on Run's device queues (GC slices and drains between
+// ops add to sinkNS too; nobody reads theirs).
 func (e *Engine) timed(write bool, op func() error) (OpTiming, error) {
 	t := OpTiming{Enter: e.Now()}
 	if write {
-		e.devs.awaitGC(e.shard)
+		e.tb.awaitGC(e.shard)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -642,9 +424,9 @@ func (e *Engine) writeLocked(lba int64, blocks int) error {
 	return e.store.Write(lba, blocks, now)
 }
 
-// ReadTimed accounts a user read and consumes modelled device read
-// time on one column (the store never materializes data bytes; callers
-// keep payloads in their own data plane).
+// ReadTimed accounts a user read and, in Run, consumes modelled device
+// read time on one column (the store never materializes data bytes;
+// callers keep payloads in their own data plane).
 func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	return e.timed(false, func() error {
 		now := e.Now()
@@ -653,7 +435,9 @@ func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 		} else {
 			e.store.Read(lba, blocks, now)
 		}
-		e.devs.read(e.rng.Intn(e.ncols), &e.sinkNS)
+		if e.devs != nil {
+			e.devs.read(e.rng.Intn(len(e.devs.cols)), &e.sinkNS)
+		}
 		return nil
 	})
 }
@@ -761,7 +545,7 @@ func (e *Engine) statsLocked() EngineStats {
 		PaddingBlocks:   m.PaddingBlocks,
 		ReadBlocks:      m.ReadBlocks,
 		TrimmedBlocks:   m.TrimmedBlocks,
-		ParityChunks:    e.parityChunks,
+		ParityChunks:    e.store.Array().ParityChunks(),
 		GCCycles:        m.GCCycles,
 		GCSlices:        m.GCSlices,
 		GCEmergencyRuns: m.GCEmergencyRuns,

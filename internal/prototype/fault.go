@@ -113,7 +113,7 @@ func setDegraded(e *Engine, v bool) {
 }
 
 // faultRun is the per-run state of Run's fault injector. It owns no
-// devices and no lock: it rides the engine's device array as its fault
+// devices and no lock: it rides Run's device array as its fault
 // hook (deviceArray.send and read consult it per job), Run's loop
 // drives its failure and rebuild, and it does its phase bookkeeping
 // under the lock of the run's one shard. A nil *faultRun is a healthy

@@ -193,11 +193,13 @@ func TestRebuildStepLeavesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clock atomic.Int64
+	devs := newDeviceArray(4, cfg.Engine, &clock)
+	devs.fault = fr
 	eng, err := newSharded(ShardedConfig{
 		Engine:        cfg.Engine,
 		Shards:        1,
 		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
-	}, fr, &clock)
+	}, devs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,9 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 	flat := refEngine(t, backgroundTestConfig(userBlocks))
 	sharded, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       backgroundTestConfig(userBlocks),
-			ServiceTime: time.Microsecond,
-			Fill:        true,
-			Verify:      true,
+			Store:  backgroundTestConfig(userBlocks),
+			Fill:   true,
+			Verify: true,
 		},
 		Shards:        4,
 		PolicyFactory: sepGCFactory(t),
@@ -101,7 +100,6 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 	e, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
 			Store:        backgroundTestConfig(4096),
-			ServiceTime:  time.Microsecond,
 			Verify:       true,
 			VerifyMirror: true,
 			Fill:         true,
@@ -125,7 +123,6 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 					gs.GCStep(16)
 				}
 			}
-			e.QueueFill() // the columns' signal read races with every send
 		}
 	}()
 	const writers = 4
@@ -176,7 +173,7 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 }
 
 // TestGCSchedSurfaceShape pins the pacer-facing surface: shard counts,
-// urgency and queue-fill ranges, and trivial stepping on an idle store.
+// urgency, and trivial stepping on an idle store.
 func TestGCSchedSurfaceShape(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		s := newTestSharded(t, 4096, n, false, false, false)
@@ -187,9 +184,6 @@ func TestGCSchedSurfaceShape(t *testing.T) {
 		}
 		if u := shards[0].GCUrgency(); u != 0 {
 			t.Fatalf("fresh store urgency %v, want 0", u)
-		}
-		if f := s.QueueFill(); f < 0 || f > 1 {
-			t.Fatalf("queue fill %v outside [0,1]", f)
 		}
 		if !shards[0].GCStep(8) {
 			t.Fatal("idle store must report GC done")

@@ -1,14 +1,15 @@
 // Package prototype is the concurrent counterpart of the trace-driven
 // simulator, mirroring the paper's prototype experiments (§4.4):
 // virtual clients (Run) or network servers (through Ingest) drive one
-// engine, Sharded, whose log-structured stores dispatch every chunk
-// flush to a bandwidth-modelled SSD in a RAID-5 layout (rotating
-// parity) through bounded per-device queues, so GC and padding traffic
-// compete with user writes for device time exactly as on the real
-// array. Device service is modelled with a virtual-time throttle rather
-// than per-operation sleeps, keeping the benchmark fast while
-// preserving the bandwidth ceiling; Run puts the whole array on a
-// virtual clock, so its numbers are exact per seed.
+// engine, Sharded, a log-structured store per LBA shard. Run also
+// models the SSD array: its stores dispatch every chunk flush to a
+// bandwidth-modelled column in the RAID-5 layout (rotating parity)
+// their own array accounting places it on, through bounded per-device
+// queues, so GC and padding traffic compete with user writes for
+// device time as on the real array. The whole model runs on Run's
+// virtual clock, so its numbers are exact per seed. A served engine
+// has no device model: it keeps only the wall clock and the
+// cross-shard GC pause.
 package prototype
 
 import (
@@ -142,16 +143,19 @@ func Run(cfg Config) (Result, error) {
 	pol := cfg.Engine.Policy
 	fr.registerTelemetry(cfg.Engine.Telemetry)
 	l := &runLoop{fr: fr}
+	devs := newDeviceArray(geo.DataColumns+1, cfg.Engine, &l.clock)
+	devs.fault = fr
+	devs.registerTelemetry(cfg.Engine.Telemetry)
 	eng, err := newSharded(ShardedConfig{
 		Engine:        cfg.Engine,
 		Shards:        1,
 		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
-	}, fr, &l.clock)
+	}, devs)
 	if err != nil {
 		return Result{}, err
 	}
 	l.e = eng.shards[0]
-	l.perBlock = eng.devs.readService / time.Duration(geo.ChunkBlocks)
+	l.perBlock = devs.readService / time.Duration(geo.ChunkBlocks)
 	if p, ok := pol.(interface{ SetTelemetry(*telemetry.Set) }); ok && l.e.tel != nil {
 		// One shard, one policy: its fixed instrument names cannot
 		// collide, so Run wires what a multi-shard engine cannot — under
@@ -160,7 +164,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	if geo.BackgroundGC {
 		gcfg := cfg.GC
-		gcfg.QueueFill = eng.QueueFill
+		gcfg.QueueFill = devs.queueFill
 		if gcfg.TargetP999 > 0 {
 			gcfg.P999 = l.tailMax
 		}
@@ -194,13 +198,14 @@ func Run(cfg Config) (Result, error) {
 	for settled := l.pacer == nil || err != nil; !settled; {
 		l.hold(end, sliceCost, func() { settled = l.e.GCStep(1 << 30) })
 	}
-	// Close drains the open chunks and advances the clock until the
+	// Close drains the open chunks, then the clock advances until the
 	// device columns are idle, so the elapsed time pays for every chunk
 	// the run produced.
 	l.advance(max(end, l.lockFree))
 	if cerr := eng.Close(); err == nil {
 		err = cerr
 	}
+	devs.drain()
 	if err != nil {
 		return Result{}, err
 	}

@@ -21,9 +21,10 @@ type PolicyFactory func(shard int, cfg lss.Config) (lss.Policy, error)
 
 // ShardedConfig describes an ingest engine.
 type ShardedConfig struct {
-	// Engine carries the store geometry, device model, and telemetry
-	// shared by every shard. Engine.Store.UserBlocks is the aggregate
-	// LBA space; Engine.Policy is ignored in favour of PolicyFactory.
+	// Engine carries the store geometry and telemetry shared by every
+	// shard (its device-model fields are Run's). Engine.Store.UserBlocks
+	// is the aggregate LBA space; Engine.Policy is ignored in favour of
+	// PolicyFactory.
 	Engine EngineConfig
 	// Shards is the shard count (default runtime.GOMAXPROCS(0)).
 	Shards int
@@ -34,26 +35,25 @@ type ShardedConfig struct {
 // Sharded is the ingest engine — the only one: it partitions the LBA
 // space into contiguous per-core slices, each owned by an independent
 // Engine (own lss.Store, own lock, own victim index, own GC
-// watermarks) over one shared device array — the shards split the
-// address space, not the hardware. One shard is the smallest engine,
-// not a different kind. It implements Ingest, the slice of its surface
-// the network server drives.
+// watermarks) on one shared clock — the shards split the address space,
+// not the hardware. One shard is the smallest engine, not a different
+// kind. It implements Ingest, the slice of its surface the network
+// server drives.
 //
 // Cross-shard coordination is deliberately minimal: a one-token gate
 // serializes synchronous GC cycles across shards so no two shards
-// hammer the same physical columns with relocation traffic
-// simultaneously (the paper's GC interferes with foreground I/O through
-// exactly that path), and while a cycle runs, writes bound for the
-// other shards wait for it to end. Shards count the time their cycles
-// wait in GCGateWaits/GCGateWaitNS. Nothing holds two shard locks at
-// once: a metrics scrape takes them one at a time.
+// relocate at once (the paper's GC interferes with foreground I/O
+// through the array all shards share), and while a cycle runs, writes
+// bound for the other shards wait for it to end. Shards count the time
+// their cycles wait in GCGateWaits/GCGateWaitNS. Nothing holds two
+// shard locks at once: a metrics scrape takes them one at a time.
 type Sharded struct {
 	shards      []*Engine
 	bases       []int64 // first global LBA of each shard
 	sizes       []int64 // blocks owned by each shard
 	shardBlocks int64   // blocks per shard (last shard absorbs remainder)
 	cfg         lss.Config
-	devs        *deviceArray
+	tb          *timebase
 
 	gate       chan struct{} // 1-token GC scheduler
 	gateWaits  []atomic.Int64
@@ -68,19 +68,19 @@ type Sharded struct {
 // shard's log issues on a MemFS of its own.
 var shardFS func(shard int) segfile.FS
 
-// NewSharded builds and starts an ingest engine. The caller must Close
-// it to drain open chunks and wait out the device columns. Direct
+// NewSharded builds and starts an ingest engine on the wall clock, with
+// no device model. The caller must Close it to drain open chunks. Direct
 // construction is for this module's own tooling; everything else
 // should go through the public adapt.NewEngine, which shares the
 // simulator's configuration validation (typed policy names, GCSched
 // floors as errors instead of panics).
-func NewSharded(cfg ShardedConfig) (*Sharded, error) { return newSharded(cfg, nil, nil) }
+func NewSharded(cfg ShardedConfig) (*Sharded, error) { return newSharded(cfg, nil) }
 
-// newSharded is NewSharded with Run's fault injector (nil: none) and
-// virtual clock (nil: the wall clock) hooked onto the device array
-// before anything is sent, so the fill runs on that clock and its chunks
-// count toward what a failed column holds.
-func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded, error) {
+// newSharded is NewSharded over Run's device array (nil: a served
+// engine), whose virtual clock becomes the engine's and whose fault
+// hook is set before anything is sent, so the fill runs on that clock
+// and its chunks count toward what a failed column holds.
+func newSharded(cfg ShardedConfig, devs *deviceArray) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -88,7 +88,7 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 	if cfg.PolicyFactory == nil {
 		return nil, fmt.Errorf("prototype: sharded engine requires a PolicyFactory")
 	}
-	ecfg := cfg.Engine.withDefaults()
+	ecfg := cfg.Engine
 	if ecfg.VerifyMirror && !ecfg.Verify {
 		return nil, fmt.Errorf("prototype: VerifyMirror requires Verify")
 	}
@@ -110,11 +110,9 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 		gateWaits:   make([]atomic.Int64, n),
 		gateWaitNS:  make([]atomic.Int64, n),
 	}
-	s.devs = newDeviceArray(geo.DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime)
-	s.devs.fault = fr
-	s.devs.clock = clock
-	if ecfg.Telemetry != nil {
-		s.devs.registerTelemetry(ecfg.Telemetry)
+	s.tb = &timebase{start: time.Now()}
+	if devs != nil {
+		s.tb.virtual = devs.clock
 	}
 
 	fill := ecfg.Fill
@@ -146,7 +144,7 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 			return nil, fmt.Errorf("prototype: shard %d policy: %w", i, err)
 		}
 		scfg.Policy = pol
-		eng, err := newEngineOn(scfg, s.devs, i, s.gateFor(i))
+		eng, err := newEngineOn(scfg, s.tb, devs, i, s.gateFor(i))
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("prototype: shard %d: %w", i, err)
@@ -188,10 +186,9 @@ func newSharded(cfg ShardedConfig, fr *faultRun, clock *atomic.Int64) (*Sharded,
 // gateFor builds the cross-shard GC admission gate for one shard,
 // wired through the store's construction Deps: a synchronous GC cycle
 // must hold the single token for its duration, so at most one shard
-// relocates segments at a time and the device columns never see two
-// shards' GC traffic stacked — nor, while it runs, other shards' writes
-// (deviceArray.awaitGC). Under background GC the store ignores the
-// gate — the pacer itself serializes slices across shards.
+// relocates segments at a time — and, while it runs, other shards'
+// writes wait (timebase.awaitGC). Under background GC the store ignores
+// the gate — the pacer itself serializes slices across shards.
 func (s *Sharded) gateFor(i int) func() (release func()) {
 	return func() (release func()) {
 		select {
@@ -203,9 +200,9 @@ func (s *Sharded) gateFor(i int) func() (release func()) {
 			s.gateWaitNS[i].Add(time.Since(t0).Nanoseconds())
 		}
 		c := &gcCycle{shard: int32(i), done: make(chan struct{})}
-		s.devs.cycle.Store(c)
+		s.tb.cycle.Store(c)
 		return func() {
-			s.devs.cycle.Store(nil)
+			s.tb.cycle.Store(nil)
 			close(c.done)
 			<-s.gate
 		}
@@ -217,7 +214,6 @@ func (s *Sharded) teardown() {
 	for _, e := range s.shards {
 		e.abort()
 	}
-	s.devs.drain()
 }
 
 // Config returns the aggregate geometry: the defaulted store config
@@ -225,7 +221,7 @@ func (s *Sharded) teardown() {
 func (s *Sharded) Config() lss.Config { return s.cfg }
 
 // Now returns the shared wall-derived simulated time.
-func (s *Sharded) Now() sim.Time { return s.devs.now() }
+func (s *Sharded) Now() sim.Time { return s.tb.now() }
 
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
@@ -240,10 +236,6 @@ func (s *Sharded) GCShards() []GCShard {
 	}
 	return out
 }
-
-// QueueFill reports the fill fraction of the most backlogged column of
-// the shared device array.
-func (s *Sharded) QueueFill() float64 { return s.devs.queueFill() }
 
 // ShardOf maps a global LBA to its owning shard.
 func (s *Sharded) ShardOf(lba int64) int {
@@ -280,7 +272,7 @@ func (s *Sharded) eachShard(lba int64, blocks int, fn func(sh int, local int64, 
 }
 
 // mergeTiming folds one sub-op's timing into the whole-op view: first
-// Enter/Locked, last Done, backpressure summed.
+// Enter/Locked, last Done, Run's device backpressure summed.
 func mergeTiming(dst *OpTiming, t OpTiming, first bool) {
 	if first {
 		dst.Enter = t.Enter
@@ -537,8 +529,7 @@ func (s *Sharded) Drain() error {
 }
 
 // Close closes every shard (draining and invariant-checking each
-// store), then sleeps until the last device column has worked off the
-// chunks sent to it, so a caller timing the run pays for all of them.
+// store).
 func (s *Sharded) Close() error {
 	s.closeOnce.Do(func() {
 		for i, e := range s.shards {
@@ -546,7 +537,6 @@ func (s *Sharded) Close() error {
 				s.closeErr = fmt.Errorf("prototype: shard %d close: %w", i, err)
 			}
 		}
-		s.devs.drain()
 	})
 	return s.closeErr
 }

@@ -38,7 +38,6 @@ func newTestSharded(t *testing.T, userBlocks int64, shards int, verify, mirror, 
 	s, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
 			Store:        shardedTestConfig(userBlocks),
-			ServiceTime:  time.Microsecond,
 			Fill:         fill,
 			Verify:       verify,
 			VerifyMirror: mirror,
@@ -61,9 +60,8 @@ func TestShardStallStaysOnItsShard(t *testing.T) {
 	ts := telemetry.New(telemetry.Options{})
 	s, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
-			Store:       shardedTestConfig(1024),
-			ServiceTime: time.Microsecond,
-			Telemetry:   ts,
+			Store:     shardedTestConfig(1024),
+			Telemetry: ts,
 		},
 		Shards:        2,
 		PolicyFactory: sepGCFactory(t),
@@ -187,14 +185,12 @@ func applyTrace(t *testing.T, eng traceTarget, ops []zipfOp, step func()) {
 }
 
 // refEngine is the differential reference: one Engine owning the whole
-// LBA space over a private device array, filled, and built without the
+// LBA space on a private clock, filled, and built without the
 // router so a routing bug cannot hide on both sides of the comparison.
 func refEngine(t *testing.T, cfg lss.Config) *Engine {
 	t.Helper()
-	ecfg := EngineConfig{Store: cfg, ServiceTime: time.Microsecond}.withDefaults()
-	ecfg.Policy = durablePolicy(cfg.GeometryDefaults())
-	da := newDeviceArray(cfg.GeometryDefaults().DataColumns+1, ecfg.QueueDepth, ecfg.ServiceTime)
-	e, err := newEngineOn(ecfg, da, 0, nil)
+	ecfg := EngineConfig{Store: cfg, Policy: durablePolicy(cfg.GeometryDefaults())}
+	e, err := newEngineOn(ecfg, &timebase{start: time.Now()}, nil, 0, nil)
 	for lba := int64(0); err == nil && lba < cfg.UserBlocks; lba++ {
 		_, err = e.WriteTimed(lba, 1)
 	}

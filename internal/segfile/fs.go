@@ -11,6 +11,7 @@
 package segfile
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -58,12 +59,53 @@ type DirFS struct {
 	dir string
 }
 
-// NewDirFS creates (if needed) and opens dir as an FS.
+// NewDirFS creates (if needed, through mkdirAll) and opens dir as an
+// FS.
 func NewDirFS(dir string) (*DirFS, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirAll(dir); err != nil {
 		return nil, err
 	}
 	return &DirFS{dir: dir}, nil
+}
+
+// mkdirAll creates dir and any missing parents, as os.MkdirAll does, and
+// then syncs the parent of every directory it created, so a power cut
+// after it returns cannot drop a new directory — and every file later
+// created in it — from the namespace. An existing directory costs no
+// sync.
+func mkdirAll(dir string) error {
+	var parents []string // of the missing directories, deepest first
+	for d := filepath.Clean(dir); d != filepath.Dir(d); d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		parents = append(parents, filepath.Dir(d))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := len(parents) - 1; i >= 0; i-- {
+		if err := syncParent(parents[i]); err != nil {
+			return fmt.Errorf("segfile: sync %s: %w", parents[i], err)
+		}
+	}
+	return nil
+}
+
+// syncParent is the directory sync mkdirAll issues; tests count it.
+var syncParent = syncDir
+
+// syncDir fsyncs a directory, persisting the names created in it.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Dir returns the rooted directory path.
@@ -98,17 +140,7 @@ func (d *DirFS) ReadDir() ([]string, error) {
 	return names, nil
 }
 
-func (d *DirFS) SyncDir() error {
-	f, err := os.Open(d.dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+func (d *DirFS) SyncDir() error { return syncDir(d.dir) }
 
 type osFile struct{ f *os.File }
 

@@ -26,9 +26,10 @@ import (
 // field that refers to another layer, so nothing can be set two ways:
 // Store.BackgroundGC is GC != nil; Engine.Engine.Telemetry is the one
 // set and overwrites Server's, GC's and NBD's; Server.Engine,
-// Server.GCSched and NBD.Backend are the layers built here; GC.QueueFill
-// and GC.P999 read that engine's queues and that server's traced tail
-// (0 while tracing is off, so it never exceeds GC.TargetP999).
+// Server.GCSched and NBD.Backend are the layers built here; GC.P999
+// reads that server's traced tail (0 while tracing is off, so it never
+// exceeds GC.TargetP999). A served engine has no device queues, so
+// GC.QueueFill stays nil.
 type Config struct {
 	Engine prototype.ShardedConfig
 	Server server.Config
@@ -79,7 +80,6 @@ func Build(cfg Config) (_ *Stack, err error) {
 	if cfg.GC != nil {
 		gcfg := *cfg.GC
 		gcfg.Telemetry = ts
-		gcfg.QueueFill = eng.QueueFill
 		// Built before the server, whose STAT reports it; read only by
 		// the pacer goroutine, which Serve starts after st.Server is set.
 		gcfg.P999 = func() time.Duration { return st.Server.TailP999() }

@@ -42,9 +42,8 @@ func fullConfig(dir string, volumes int) serve.Config {
 					UserBlocks:    4096,
 					OverProvision: 0.25,
 				},
-				ServiceTime: time.Microsecond,
-				Telemetry:   telemetry.New(telemetry.Options{}),
-				Durable:     &segfile.Options{Sync: segfile.SyncAlways},
+				Telemetry: telemetry.New(telemetry.Options{}),
+				Durable:   &segfile.Options{Sync: segfile.SyncAlways},
 			},
 			Shards: 2,
 			PolicyFactory: func(_ int, cfg lss.Config) (lss.Policy, error) {

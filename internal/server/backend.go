@@ -40,7 +40,7 @@ type VolumeBackend interface {
 	Release(vol uint32)
 
 	// ReadBlocks returns a copy of blocks payload bytes starting at the
-	// volume-relative lba, after the engine models the device read. The
+	// volume-relative lba, after the engine accounts the read. The
 	// copy is the caller's; once done with it the caller may hand it to
 	// bufpool.Put, and must not touch it after.
 	ReadBlocks(vol uint32, lba int64, blocks int, sp *telemetry.Span) ([]byte, error)
@@ -251,8 +251,8 @@ func (s *Server) writeCore(vol *volume, lba int64, payload []byte, sp *telemetry
 	})
 }
 
-// readCore is the read path shared by every frontend: engine-modelled
-// device read, then one read out of the volume's store, appended
+// readCore is the read path shared by every frontend: the engine's
+// read accounting, then one read out of the volume's store, appended
 // to dst.
 func (s *Server) readCore(dst []byte, vol *volume, lba int64, blocks int, sp *telemetry.Span) ([]byte, error) {
 	vol.reads.Add(1)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"adapt/internal/segfile"
 )
 
 // volManifest pins the volume carve-up of a data directory. The server
@@ -21,15 +23,15 @@ type volManifest struct {
 const manifestName = "manifest.json"
 
 // openVolumeFiles makes a vol-N.dat file every volume's byte store,
-// creating the directory and manifest on first boot and verifying the
+// creating the directory (segfile.NewDirFS syncs the parent of every
+// directory it creates) and manifest on first boot and verifying the
 // manifest on reuse. A boot that creates a name syncs the directory
-// once after the last one, and its parent too when the directory
-// itself is new, so an ack never rests on a file a power cut could
-// unlink. On an error the files attached so far stay with their
+// once after the last one, so an ack never rests on a file a power cut
+// could unlink. On an error the files attached so far stay with their
 // volumes for the caller's closeVolumes.
 func (s *Server) openVolumeFiles(dir string) error {
-	_, statErr := os.Stat(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dfs, err := segfile.NewDirFS(dir)
+	if err != nil {
 		return fmt.Errorf("server: data dir: %w", err)
 	}
 	want := volManifest{
@@ -75,13 +77,8 @@ func (s *Server) openVolumeFiles(dir string) error {
 		}
 	}
 	if created {
-		if err := syncDir(dir); err != nil {
+		if err := dfs.SyncDir(); err != nil {
 			return fmt.Errorf("server: data dir sync: %w", err)
-		}
-	}
-	if errors.Is(statErr, os.ErrNotExist) {
-		if err := syncDir(filepath.Dir(dir)); err != nil {
-			return fmt.Errorf("server: data dir parent sync: %w", err)
 		}
 	}
 	return nil
@@ -114,17 +111,4 @@ func writeManifest(path string, m volManifest) error {
 		return fmt.Errorf("server: write manifest: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory, persisting the names created in it.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"adapt/internal/adaptcore"
 	"adapt/internal/gcsched"
@@ -81,9 +80,8 @@ func TestMetricNamesGolden(t *testing.T) {
 					UserBlocks:    4096,
 					OverProvision: 0.25,
 				},
-				ServiceTime: time.Microsecond,
-				Telemetry:   ts,
-				Durable:     &segfile.Options{Sync: segfile.SyncOnSeal},
+				Telemetry: ts,
+				Durable:   &segfile.Options{Sync: segfile.SyncOnSeal},
 			},
 			Shards: 2,
 			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {

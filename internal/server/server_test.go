@@ -51,7 +51,6 @@ func testShardedEngine(t *testing.T, userBlocks int64, shards int, verify, mirro
 	e, err := prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{
 			Store:        testStoreConfig(userBlocks),
-			ServiceTime:  time.Microsecond,
 			Verify:       verify,
 			VerifyMirror: mirror,
 		},

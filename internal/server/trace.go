@@ -12,7 +12,6 @@ import (
 
 	"adapt/internal/prototype"
 	"adapt/internal/server/wire"
-	"adapt/internal/sim"
 	"adapt/internal/telemetry"
 )
 
@@ -186,17 +185,14 @@ func (tr *traceState) finish(sp *telemetry.Span, ring *telemetry.SpanRing) {
 }
 
 // markEngine transfers an engine OpTiming onto the span: lock wait,
-// commit (store apply excluding device backpressure), and flush (time
-// blocked on device queues, re-ordered to the stage tail).
+// then commit (the store apply under the lock). A served engine has no
+// device model, so nothing in the hold is device backpressure.
 func markEngine(sp *telemetry.Span, t prototype.OpTiming) {
 	if sp == nil {
 		return
 	}
 	sp.MarkAt(telemetry.StageLockWait, t.Locked)
-	sp.MarkAt(telemetry.StageCommit, t.Done-sim.Time(t.SinkNS))
-	if t.SinkNS > 0 {
-		sp.MarkAt(telemetry.StageFlush, t.Done)
-	}
+	sp.MarkAt(telemetry.StageCommit, t.Done)
 }
 
 // Exemplar is one attributed slow-request span.

@@ -21,9 +21,8 @@ func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Sharded, *teleme
 	ts := telemetry.New(telemetry.Options{})
 	e, err := prototype.NewSharded(prototype.ShardedConfig{
 		Engine: prototype.EngineConfig{
-			Store:       testStoreConfig(userBlocks),
-			ServiceTime: time.Microsecond,
-			Telemetry:   ts,
+			Store:     testStoreConfig(userBlocks),
+			Telemetry: ts,
 		},
 		Shards:        1,
 		PolicyFactory: sepGCFactory,

@@ -29,9 +29,6 @@ type Derived struct {
 	// GroupShare maps group label -> share of the window's block
 	// traffic landing in that group (per-group utilization).
 	GroupShare map[string]float64 `json:"group_share,omitempty"`
-	// DeviceUtil maps device label -> busy time / window duration
-	// (per-device utilization, prototype runs only).
-	DeviceUtil map[string]float64 `json:"device_util,omitempty"`
 }
 
 // Derive computes the window's derived quantities.
@@ -53,14 +50,6 @@ func Derive(w *Window) Derived {
 	d.SegmentsReclaimed, _ = w.Delta(MetricSegmentsReclaimed)
 	if dur := w.Duration(); dur > 0 {
 		d.GCCyclesPerSec = float64(d.GCCycles) / dur.Seconds()
-		for i, name := range w.Names {
-			if promBase(name) == MetricDeviceBusyPrefix {
-				if d.DeviceUtil == nil {
-					d.DeviceUtil = make(map[string]float64)
-				}
-				d.DeviceUtil[LabelValue(name, "device")] = float64(w.Deltas[i]) / float64(dur)
-			}
-		}
 	}
 	if total > 0 {
 		for i, name := range w.Names {

@@ -26,12 +26,8 @@ const (
 	StageBatch
 	// StageLockWait: waiting for the engine lock.
 	StageLockWait
-	// StageCommit: applying the op in the store under the engine lock,
-	// excluding time blocked on device queues.
+	// StageCommit: applying the op in the store under the engine lock.
 	StageCommit
-	// StageFlush: blocked dispatching chunk/read jobs onto the bounded
-	// device queues (device backpressure).
-	StageFlush
 	// StageRespond: queued behind the connection writer plus the socket
 	// write.
 	StageRespond
@@ -54,8 +50,6 @@ func (st Stage) String() string {
 		return "lockwait"
 	case StageCommit:
 		return "commit"
-	case StageFlush:
-		return "flush"
 	case StageRespond:
 		return "respond"
 	default:

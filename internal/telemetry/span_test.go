@@ -58,7 +58,10 @@ func TestSpanStageDurs(t *testing.T) {
 }
 
 func TestStageStrings(t *testing.T) {
-	want := []string{"decode", "admission", "batch", "lockwait", "commit", "flush", "respond"}
+	want := []string{"decode", "admission", "batch", "lockwait", "commit", "respond"}
+	if len(want) != int(NumStages) {
+		t.Fatalf("%d stages, want %d", NumStages, len(want))
+	}
 	for st := Stage(0); st < NumStages; st++ {
 		if st.String() != want[st] {
 			t.Errorf("Stage(%d).String() = %q, want %q", st, st.String(), want[st])

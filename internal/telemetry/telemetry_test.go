@@ -366,15 +366,15 @@ func TestWindowsJSONLRoundTrip(t *testing.T) {
 	}
 
 	// A crafted row (adaptbench -replay reads whatever file it is given)
-	// whose device-busy key opens a label brace and never closes it
-	// must replay as an unlabelled device, not panic in the label parse.
-	crafted := `{"window":0,"start_ns":0,"end_ns":1000,"deltas":{"proto_device_busy_ns_total{":500},"values":{}}`
+	// whose group key opens a label brace and never closes it must
+	// replay as an unlabelled group, not panic in the label parse.
+	crafted := `{"window":0,"start_ns":0,"end_ns":1000,"deltas":{"lss_user_blocks_total":2,"lss_group_blocks_total{":1},"values":{}}`
 	back, err = ReadWindowsJSONL(strings.NewReader(crafted))
 	if err != nil || len(back) != 1 {
 		t.Fatalf("crafted row: %d windows, %v", len(back), err)
 	}
-	if got := Derive(&back[0]).DeviceUtil; len(got) != 1 || got[""] != 0.5 {
-		t.Fatalf("crafted row device utilization = %v, want map[:0.5]", got)
+	if got := Derive(&back[0]).GroupShare; len(got) != 1 || got[""] != 0.5 {
+		t.Fatalf("crafted row group share = %v, want map[:0.5]", got)
 	}
 }
 
@@ -386,9 +386,8 @@ func TestDerive(t *testing.T) {
 			MetricGCBlocks, MetricGCCycles, MetricPaddingBlocks,
 			MetricShadowBlocks, MetricUserBlocks,
 			`lss_group_blocks_total{group="0"}`,
-			`proto_device_busy_ns_total{device="1"}`,
 		},
-		Deltas: []int64{50, 4, 40, 10, 100, 120, int64(sim.Second / 2)},
+		Deltas: []int64{50, 4, 40, 10, 100, 120},
 	}
 	d := Derive(&w)
 	if d.WA != 1.5 {
@@ -405,9 +404,6 @@ func TestDerive(t *testing.T) {
 	}
 	if got := d.GroupShare["0"]; got != 0.6 {
 		t.Errorf("GroupShare[0] = %v, want 0.6", got)
-	}
-	if got := d.DeviceUtil["1"]; got != 0.5 {
-		t.Errorf("DeviceUtil[1] = %v, want 0.5", got)
 	}
 }
 
