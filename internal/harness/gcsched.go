@@ -14,11 +14,11 @@ import (
 )
 
 // GCSchedOptions sizes the tail-latency-aware GC scheduling
-// experiment: the same serving stack and closed-loop load as the
-// tail-attribution experiment, run twice per policy — once with the
+// experiment: one closed-loop load run twice per policy — once with the
 // classic synchronous watermark GC, once with background GC paced by
 // the gcsched controller — so the client-observed tail and the write
-// amplification can be compared directly.
+// amplification can be compared directly. The model rows run it on
+// prototype.Run's virtual clock, the live rows through a served stack.
 type GCSchedOptions struct {
 	// LiveLoad sizes the stack and its load; Duration is a hard
 	// wall-clock cap per mode in case a run wedges.
@@ -95,8 +95,12 @@ type GCSchedRow struct {
 	PacerSlices   int64
 	TailSkips     int64
 	QueueSkips    int64
+	// GC is GC's share of the run's clock and of its tail (model rows
+	// only).
+	GC prototype.GCShare
 	// TailCauses summarizes the attributed dominant causes of the
-	// slowest traced exemplars (count by cause, descending).
+	// slowest traced exemplars (count by cause, descending; live rows
+	// only).
 	TailCauses string
 }
 
@@ -154,6 +158,7 @@ func gcschedModel(sc Scale, policies []string, opts GCSchedOptions) ([]GCSchedRo
 			}
 			row := gcschedRow(polName, background, res.Pacer, res.Measured)
 			row.Ops, row.P50, row.P99, row.P999 = int64(clients*opts.OpsPerWorker), res.P50, res.P99, res.P999
+			row.GC = res.GC
 			rows = append(rows, row)
 		}
 	}
@@ -169,7 +174,7 @@ func runGCSchedMode(sc Scale, polName string, opts GCSchedOptions, background bo
 			TargetP999: opts.TargetP999,
 		}
 	}
-	st, err := opts.build(polName, nil, gc)
+	st, err := opts.build(polName, gc)
 	if err != nil {
 		return GCSchedRow{}, err
 	}
@@ -258,8 +263,8 @@ type GCSchedDeltas struct {
 	WAPct   float64
 }
 
-// Deltas computes the per-policy headline numbers for a row set laid
-// out as (sync, background) pairs.
+// GCSchedPairDeltas computes the per-policy headline numbers for a row
+// set laid out as (sync, background) pairs.
 func GCSchedPairDeltas(rows []GCSchedRow) []GCSchedDeltas {
 	var out []GCSchedDeltas
 	for i := 0; i+1 < len(rows); i += 2 {
@@ -277,11 +282,16 @@ func GCSchedPairDeltas(rows []GCSchedRow) []GCSchedDeltas {
 	return out
 }
 
-func renderGCSchedRows(b *strings.Builder, rows []GCSchedRow, causes bool) {
+// renderGCSchedRows prints a row table: the model's rows end with GC's
+// share of the clock and of the tail (prototype.GCShare), the live rows
+// with the causes of their slowest traced requests.
+func renderGCSchedRows(b *strings.Builder, rows []GCSchedRow, live bool) {
 	cols := []string{"policy", "mode", "ops", "p50", "p99", "p999", "WA",
 		"gc-cycles", "gc-slices", "emergency", "pacer", "tail-skip", "queue-skip"}
-	if causes {
+	if live {
 		cols = append(cols, "tail-causes")
+	} else {
+		cols = append(cols, "gc-busy", "p999∩gc", "all∩gc")
 	}
 	tb := stats.NewTable(cols...)
 	for _, row := range rows {
@@ -292,8 +302,10 @@ func renderGCSchedRows(b *strings.Builder, rows []GCSchedRow, causes bool) {
 			fmt.Sprintf("%.3f", row.WA),
 			row.GCCycles, row.GCSlices, row.EmergencyRuns,
 			row.PacerSlices, row.TailSkips, row.QueueSkips}
-		if causes {
+		if live {
 			cells = append(cells, row.TailCauses)
+		} else {
+			cells = append(cells, percent(row.GC.Busy), percent(row.GC.Tail), percent(row.GC.All))
 		}
 		tb.AddRow(cells...)
 	}
@@ -303,6 +315,8 @@ func renderGCSchedRows(b *strings.Builder, rows []GCSchedRow, causes bool) {
 			d.Policy, d.P999Pct, d.WAPct)
 	}
 }
+
+func percent(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 
 // Render prints the sync-versus-background comparison: the
 // deterministic virtual-clock table first (headline numbers), then

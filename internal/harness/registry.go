@@ -93,18 +93,10 @@ func Experiments() []Experiment {
 		{Name: "fault", Run: func(s *Session) (string, error) {
 			return shown(ExpFault(s.Scale, PolicyNames(), DefaultFaultOptions(s.Scale)))
 		}},
-		{Name: "tailtrace", Run: func(s *Session) (string, error) {
-			return shown(ExpTailTrace(s.Scale, PolicyNames(), DefaultTailTraceOptions(s.Scale)))
-		}},
-		// Explicit-only because it is slow: each mode's live run may take
-		// up to a minute (GCSchedOptions.Duration).
+		// Explicit-only because its live rows run on the wall clock, each
+		// mode for up to a minute (GCSchedOptions.Duration).
 		{Name: "gcsched", Explicit: true, Run: func(s *Session) (string, error) {
 			return shown(ExpGCSched(s.Scale, three, DefaultGCSchedOptions(s.Scale)))
-		}},
-		// Explicit-only because it measures the host, not the design: the
-		// throughput curve follows the machine's core count.
-		{Name: "shardscale", Explicit: true, Run: func(s *Session) (string, error) {
-			return shown(ExpShardScale(s.Scale, DefaultShardScaleOptions(s.Scale)))
 		}},
 	}
 }

@@ -11,10 +11,9 @@ import (
 	"adapt/internal/prototype"
 	"adapt/internal/serve"
 	"adapt/internal/server"
-	"adapt/internal/telemetry"
 )
 
-// LiveLoad sizes what the two live experiments share: one served stack
+// LiveLoad sizes the gcsched experiment's live rows: one served stack
 // per policy and a closed-loop load over the wire protocol.
 type LiveLoad struct {
 	// Blocks is the store footprint; the engine pre-fills it so GC is
@@ -30,18 +29,17 @@ type LiveLoad struct {
 	WriteFrac, Theta float64
 }
 
-// build assembles the stack the experiments serve: one pre-filled
-// shard of the named policy behind a traced server with one volume per
-// tenant, GC paced by gc when it is non-nil. Both experiments trace, so
-// gcsched's sync baseline carries the same instrumentation overhead as
-// the paced run it is compared to.
-func (l LiveLoad) build(polName string, ts *telemetry.Set, gc *gcsched.Config) (*serve.Stack, error) {
+// build assembles the stack the live rows serve: one pre-filled shard
+// of the named policy behind a traced server with one volume per
+// tenant, GC paced by gc when it is non-nil. Both modes trace, so the
+// sync baseline carries the same instrumentation overhead as the paced
+// run it is compared to.
+func (l LiveLoad) build(polName string, gc *gcsched.Config) (*serve.Stack, error) {
 	return serve.Build(serve.Config{
 		Engine: prototype.ShardedConfig{
 			Engine: prototype.EngineConfig{
-				Store:     StoreConfig(l.Blocks, 0),
-				Fill:      true,
-				Telemetry: ts,
+				Store: StoreConfig(l.Blocks, 0),
+				Fill:  true,
 			},
 			Shards: 1,
 			PolicyFactory: func(_ int, scfg lss.Config) (lss.Policy, error) {

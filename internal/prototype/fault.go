@@ -335,7 +335,7 @@ func (fr *faultRun) rebuildStep(e *Engine) {
 // finish folds the injector's accounting into the run result: the
 // per-phase throughput/WA/P99 table from the loop's per-phase
 // latencies, and the fault counters.
-func (fr *faultRun) finish(res *Result, end time.Duration, endSnap Traffic, latNS *[numPhases][]float64) {
+func (fr *faultRun) finish(res *Result, end time.Duration, endSnap Traffic, ops *[numPhases][]opSample) {
 	res.FailedDevice = fr.failDev
 	res.FailedAtOp = fr.failOp
 	res.DegradedReads = fr.degReads.Load()
@@ -354,15 +354,15 @@ func (fr *faultRun) finish(res *Result, end time.Duration, endSnap Traffic, latN
 		}
 		ps := PhaseStats{
 			Phase:   p,
-			Ops:     int64(len(latNS[p])),
+			Ops:     int64(len(ops[p])),
 			Elapsed: stop - fr.startT[p],
 			WA:      snap.since(fr.snaps[p]).WA(),
 		}
 		if ps.Elapsed > 0 {
 			ps.OpsPerSec = float64(ps.Ops) / ps.Elapsed.Seconds()
 		}
-		if samples := latNS[p]; len(samples) > 0 {
-			ps.P99 = time.Duration(stats.Percentile(samples, 99))
+		if len(ops[p]) > 0 {
+			ps.P99 = time.Duration(stats.Percentile(latencies(ops[p]), 99))
 		}
 		res.Phases = append(res.Phases, ps)
 	}

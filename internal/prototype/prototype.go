@@ -89,6 +89,8 @@ type Result struct {
 	// Pacer is the background-GC pacer's totals (zero without
 	// BackgroundGC).
 	Pacer gcsched.Stats
+	// GC is GC's share of the measured run's clock and of its ops.
+	GC GCShare
 
 	// Fault-run accounting; FailedDevice is -1 when the run stayed
 	// healthy and Phases is nil unless the injector was armed.
@@ -98,6 +100,20 @@ type Result struct {
 	RebuildChunks int64
 	LostChunks    int64
 	Phases        []PhaseStats
+}
+
+// GCShare attributes a run's latency to GC. A GC hold is a hold of the
+// modelled engine lock in which the store did GC work: a synchronous
+// cycle inside an op's hold, an emergency cycle, or a pacer slice. An op
+// overlapped GC when a GC hold, up to and including its own, ended after
+// the op became ready: it waited behind or ran one.
+type GCShare struct {
+	// Busy is the fraction of the measured run spent inside GC holds.
+	Busy float64
+	// Tail is the fraction of ops at or above the P999 that overlapped
+	// GC, and All the same over every op: the gap between the two is
+	// GC's excess share of the tail.
+	Tail, All float64
 }
 
 // The modelled engine lock: every hold is charged one of these fixed
@@ -193,6 +209,7 @@ func Run(cfg Config) (Result, error) {
 	if fr != nil {
 		end = max(end, fr.rebuildAt)
 	}
+	gcBusy := l.gcBusy // the settling below serves no op
 	// Settle in-flight GC before the drain, so both GC modes account
 	// whole cycles; phase accounting stops before it.
 	for settled := l.pacer == nil || err != nil; !settled; {
@@ -233,17 +250,54 @@ func Run(cfg Config) (Result, error) {
 		res.Pacer = l.pacer.Stats()
 	}
 	var lats []float64
-	for _, ls := range l.latNS {
-		lats = append(lats, ls...)
+	for _, ops := range l.ops {
+		lats = append(lats, latencies(ops)...)
 	}
 	slices.Sort(lats)
 	res.P50 = time.Duration(stats.SortedPercentile(lats, 50))
 	res.P99 = time.Duration(stats.SortedPercentile(lats, 99))
 	res.P999 = time.Duration(stats.SortedPercentile(lats, 99.9))
+	if span := end - measureStart; span > 0 {
+		res.GC.Busy = float64(gcBusy) / float64(span)
+	}
+	var tail, tailGC, allGC int
+	for _, ops := range l.ops {
+		for _, o := range ops {
+			if o.gc {
+				allGC++
+			}
+			if o.lat >= res.P999 {
+				tail++
+				if o.gc {
+					tailGC++
+				}
+			}
+		}
+	}
+	if len(lats) > 0 {
+		res.GC.Tail = float64(tailGC) / float64(tail)
+		res.GC.All = float64(allGC) / float64(len(lats))
+	}
 	if fr != nil {
-		fr.finish(&res, end, final, &l.latNS)
+		fr.finish(&res, end, final, &l.ops)
 	}
 	return res, nil
+}
+
+// opSample is one op as Run records it: its latency, and whether it
+// overlapped GC (see GCShare).
+type opSample struct {
+	lat time.Duration
+	gc  bool
+}
+
+// latencies returns ops' latencies in nanoseconds, in order.
+func latencies(ops []opSample) []float64 {
+	lats := make([]float64, len(ops))
+	for i, o := range ops {
+		lats[i] = float64(o.lat)
+	}
+	return lats
 }
 
 // client is one closed-loop client of Run: its stream and when it is
@@ -272,7 +326,10 @@ type runLoop struct {
 	nextTick time.Duration
 	cutoff   time.Duration // the waiting client's ready time: non-urgent slices yield past it
 
-	latNS [numPhases][]float64 // op latencies, in issue order by the phase they were issued in
+	ops [numPhases][]opSample // in issue order, by the phase they were issued in
+
+	gcEnd  time.Duration // when the latest GC hold released the lock
+	gcBusy time.Duration // the GC holds' total length
 }
 
 func (l *runLoop) now() time.Duration { return time.Duration(l.clock.Load()) }
@@ -339,7 +396,7 @@ func (l *runLoop) run(cfg *Config) error {
 		if l.hold(at, opCost, func() { _, err = do(lba, 1) }); err != nil {
 			return err
 		}
-		l.latNS[p] = append(l.latNS[p], float64(l.lockFree-c.ready))
+		l.ops[p] = append(l.ops[p], opSample{lat: l.lockFree - c.ready, gc: l.gcEnd > c.ready})
 		c.ready = l.lockFree
 		if cfg.Think > 0 {
 			c.ready += time.Duration(float64(cfg.Think) * c.rng.ExpFloat64())
@@ -351,15 +408,24 @@ func (l *runLoop) run(cfg *Config) error {
 // hold runs fn as one hold of the modelled engine lock, from max(at,
 // lock free), and moves lock free to its release: after fixed, the
 // relocation read of every GC block fn moved, and the device-queue
-// waits fn's sends advanced the clock by. The loop is the store's only
-// writer, so it reads the GC count unlocked.
+// waits fn's sends advanced the clock by. A hold in which the store did
+// GC work is a GC hold (see GCShare). The loop is the store's only
+// writer, so it reads the GC counts unlocked.
 func (l *runLoop) hold(at, fixed time.Duration, fn func()) {
 	l.advance(max(at, l.lockFree))
-	m := l.e.store.Metrics()
-	gc0 := m.GCBlocks
+	start, m := l.now(), l.e.store.Metrics()
+	gc0, work0 := m.GCBlocks, gcWork(m)
 	fn()
 	l.lockFree = l.now() + fixed + time.Duration(m.GCBlocks-gc0)*l.perBlock
+	if gcWork(m) != work0 {
+		l.gcEnd = l.lockFree
+		l.gcBusy += l.lockFree - start
+	}
 }
+
+// gcWork counts the store's GC executions: every cycle start, pacer
+// slice and emergency cycle.
+func gcWork(m *lss.Metrics) int64 { return m.GCCycles + m.GCSlices + m.GCEmergencyRuns }
 
 // tick runs the pacer's tick due at nextTick. A waiting client does not
 // stop it, as it does not stop the served pacer; pacedShard yields only
@@ -380,15 +446,15 @@ func (l *runLoop) tick() {
 // tailMax is the pacer's tail signal: the largest latency of the last
 // tailWindow ops, which lie at the ends of the latest phases.
 func (l *runLoop) tailMax() time.Duration {
-	var m float64
+	var m time.Duration
 	for p, n := numPhases-1, tailWindow; p >= 0 && n > 0; p-- {
-		lats := l.latNS[p][max(0, len(l.latNS[p])-n):]
-		for _, lat := range lats {
-			m = max(m, lat)
+		ops := l.ops[p][max(0, len(l.ops[p])-n):]
+		for _, o := range ops {
+			m = max(m, o.lat)
 		}
-		n -= len(lats)
+		n -= len(ops)
 	}
-	return time.Duration(m)
+	return m
 }
 
 // pacedShard is Run's shard as the pacer sees it: each slice is a hold

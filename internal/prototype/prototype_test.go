@@ -141,6 +141,46 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunGCShare pins Run's GC attribution. In a filled synchronous run
+// part of the clock is GC holds and the tail overlaps them, and more ops
+// overlap a GC hold than ran one: the clients waiting behind a cycle
+// count too. In a run whose GC never starts (no fill, few ops on an
+// empty store) all three fractions are zero.
+func TestRunGCShare(t *testing.T) {
+	run := func(fill bool, ops int64) Result {
+		res, err := Run(Config{
+			Engine: EngineConfig{
+				Store:       protoStoreConfig(),
+				Policy:      protoPolicy(),
+				Fill:        fill,
+				ServiceTime: 20 * time.Microsecond,
+				QueueDepth:  4,
+			},
+			Clients: 4,
+			Ops:     ops,
+			Theta:   0.99,
+			Seed:    5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const ops = 12000
+	res := run(true, ops)
+	gc := res.GC
+	if !(gc.Busy > 0 && gc.Busy < 1) || !(gc.Tail > 0 && gc.Tail <= 1) || !(gc.All > 0 && gc.All <= 1) {
+		t.Fatalf("filled run: GC share %+v outside (0,1)", gc)
+	}
+	if res.Measured.GCCycles == 0 || gc.All*ops <= float64(res.Measured.GCCycles) {
+		t.Fatalf("%.0f ops overlapped GC in %d cycles: the ops that waited behind a cycle are not counted",
+			gc.All*ops, res.Measured.GCCycles)
+	}
+	if idle := run(false, 100); idle.Measured.GCCycles != 0 || idle.GC != (GCShare{}) {
+		t.Fatalf("run without GC: %d cycles, GC share %+v", idle.Measured.GCCycles, idle.GC)
+	}
+}
+
 func TestBandwidthCeiling(t *testing.T) {
 	// With a large service time the device model must throttle
 	// throughput: chunks = ops/chunkBlocks (plus GC), each costing
