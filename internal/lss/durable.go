@@ -6,7 +6,7 @@ import (
 
 // DurableLog is the persistence seam beneath the store: a backend that
 // records segment lifecycle transitions and flushed chunks durably
-// (internal/segfile implements it over a directory of segment files).
+// (internal/segfile implements it over one log file of segment regions).
 // The store calls it synchronously from inside its own mutation paths,
 // so implementations must not call back into the store.
 //
@@ -59,11 +59,11 @@ type DurableLog interface {
 // (Metrics.DurableInlineCommits).
 type LogCommitter interface {
 	DurableLog
-	// Commit makes every recorded transition durable: it syncs the
-	// files holding appended chunks, then destroys the queued victims'
-	// images, then writes a due checkpoint. It returns the ids of the
-	// victims whose free is now durable — even alongside an error, for
-	// the ones completed before it.
+	// Commit makes every recorded transition durable: appended chunks
+	// and seals first, then the queued victims' destroyed images, and a
+	// due checkpoint. It returns the ids of the victims whose free is
+	// now durable — even alongside an error, for the ones completed
+	// before it.
 	Commit() (freed []int, err error)
 }
 
@@ -81,6 +81,9 @@ type DurableChunk struct {
 	LBAs    []int64
 	Vers    []int64
 }
+
+// PadSlot is the slot value of zero padding in DurableChunk.LBAs.
+const PadSlot = padSlot
 
 // DecodeSlot decodes a slot value from DurableChunk.LBAs (or a
 // checkpoint image): the block address it refers to — primary or

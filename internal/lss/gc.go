@@ -252,6 +252,10 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 			c.vi++ // already reclaimed (duplicate in a sampled batch)
 			continue
 		}
+		if c.slot == 0 && s.outrunsPool(v) {
+			s.gcFinish()
+			return true
+		}
 		spent += s.reclaimChunk(v, c)
 		if c.slot < v.written {
 			// Mid-victim yield point (chunk boundary).
@@ -272,6 +276,21 @@ func (s *Store) gcAdvance(budget int) (done bool) {
 			return false
 		}
 	}
+}
+
+// outrunsPool reports that a committing store's synchronous cycle
+// stops before victim v: the pool GC counts is above the low
+// watermark, but the allocatable pool — reclaimed segments stay
+// retired until a log commit hands them back — cannot fund v's valid
+// blocks plus one segment, the one the allocation that ran the cycle
+// is waiting for. Relocating v anyway would make allocation commit
+// the log inline, under the caller's lock; stopping leaves the refill
+// to the commit the caller runs after its ack, and the next
+// low-watermark allocation resumes the work.
+func (s *Store) outrunsPool(v *segment) bool {
+	return s.committer != nil && !s.cfg.BackgroundGC &&
+		s.freeCount() > s.wm.low &&
+		len(s.free)*s.segBlocks < v.valid+s.segBlocks
 }
 
 // victimBetter is the canonical victim order used by both selection

@@ -51,11 +51,12 @@ type Ingest interface {
 	// shards, tail quantiles taken as the worst shard) and whether a
 	// durable backend is attached at all.
 	DurableStats() (segfile.Stats, bool)
-	// CommitLog commits shard's durable segment log — the seals, frees
-	// and checkpoint its ops recorded — holding the shard's lock only to
-	// snapshot and hand back, never across an fsync. It returns at once
-	// when nothing is recorded or another commit is running, and is a
-	// no-op without a durable backend.
+	// CommitLog commits shard's durable segment log — the frees and
+	// checkpoint its ops recorded, and the seals riding with them —
+	// holding the shard's lock only to snapshot and hand back, never
+	// across a sync. It returns at once when nothing is Pending or
+	// another commit is running, and is a no-op without a durable
+	// backend.
 	CommitLog(shard int)
 }
 

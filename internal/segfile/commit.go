@@ -2,7 +2,6 @@ package segfile
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -10,26 +9,33 @@ import (
 // their transition under the caller's lock; a commit makes them
 // durable, in this order:
 //
-//  1. fsync each dirty segment file once — every dirty file when frees
-//     are queued, else only the sealed ones — then the directory if one
-//     of those names was never synced;
-//  2. truncate and fsync each queued victim, then the directory if a
-//     victim's name was never synced;
-//  3. write the checkpoint if one is due;
-//  4. hand the victims back: their ids join the pool, and the caller's
-//     store may reuse them (lss.Store.DurableCommitted).
+//  1. write the checkpoint slot if one is due;
+//  2. sync the log file once: every record written before the commit
+//     took its snapshot — seals, relocations, open-segment tails — is
+//     now durable, however many segments they touched;
+//  3. if victims are queued, zero what each one's incarnation wrote,
+//     then sync once more: the frees are now durable;
+//  4. hand the victims back: their ids are reusable, and the caller's
+//     store may reallocate them (lss.Store.DurableCommitted).
+//
+// So a commit is one sync, or two when it frees: the count does not
+// grow with the segments it covers or the victims it frees. The second
+// sync is the free's own ordering point and cannot fold into the
+// first: pages reach the disk in any order before a sync returns, so a
+// victim zeroed before step 2 finished could vanish while the blocks
+// GC relocated out of it did not yet persist.
 //
 // The invariants:
 //
-//   - A victim is truncated only after every file holding chunks
-//     appended before its free has been fsynced: step 1 snapshots every
-//     dirty file before step 2 runs, and a batch runs only after the
-//     one before it finished without error.
-//   - A segment id re-enters the pool only after its truncate's fsync
-//     (step 4 hands back exactly the victims step 2 completed).
-//   - At most one commit runs its syscalls at a time (commitMu).
-//   - The syscalls touch only file handles snapshotted under the
-//     caller's lock, never a fileState.
+//   - A victim is zeroed only after a sync covering every append made
+//     before its free: step 2 runs after the snapshot, and a batch runs
+//     only after the one before it finished without error.
+//   - A segment id is reusable only after the sync covering its zeroes
+//     (step 4 hands back exactly the victims step 3 completed), so a
+//     new incarnation's header always lands on zeros.
+//   - At most one commit runs its syscalls at a time (commitMu), and
+//     after boot only commits write slots or zero regions; appends
+//     touch only live regions, never a retiring one.
 //   - The first commit error is returned by every later commit, and the
 //     caller latches it (lss.Store.DurableErr).
 //
@@ -37,38 +43,36 @@ import (
 // commitMu waits for the caller's lock, so a commit blocked on commitMu
 // under the caller's lock (Commit) only waits out another's syscalls.
 
-// syncItem is one file a batch syncs or truncates.
-type syncItem struct {
-	id int
-	f  File       // the handle, snapshotted under the caller's lock
-	fs *fileState // touched only under the caller's lock, at the hand-back
-	// close marks a handle the batch owns: a sealed file's last sync or
-	// a victim's truncate.
-	close bool
+// victim is a freed segment id and how many bytes of its region its
+// incarnation wrote.
+type victim struct {
+	id  int
+	len int64
 }
 
 // batch is the work one commit snapshotted, and how far it got.
 type batch struct {
-	files     []syncItem
-	fileDir   bool // a synced file's name was never synced
-	victims   []syncItem
-	victimDir bool
-	ckpt      []byte // the due checkpoint, nil when none is
+	seals   int
+	victims []victim
+	slot    []byte // the due checkpoint slot, nil when none is
+	slotOff int64
 
-	linked bool // step 1 finished, its directory sync included
-	freed  int  // victims whose truncate synced, in queue order
-	err    error
+	freed bool // step 3 finished
+	err   error
 }
 
-// Pending reports recorded seals, frees or a checkpoint that no commit
-// has taken yet. It is safe without the caller's lock, so a committer
-// can skip an idle log for the price of one atomic load.
+// Pending reports recorded frees, an explicit checkpoint or a full
+// count of waiting seals (SealSegment) that no commit has taken yet;
+// fewer seals and a cadence checkpoint ride along with them. It is
+// safe without the caller's lock, so a committer can skip an idle log
+// for the price of one atomic load.
 func (st *Store) Pending() bool { return st.pending.Load() }
 
 // Commit implements lss.LogCommitter: it runs a whole commit with the
-// caller's lock held — waiting out a commit already running — and
-// returns every victim handed back since the last hand-back, this
-// commit's and any finished off-lock one's.
+// caller's lock held — waiting out a commit already running, and for
+// recorded seals alone too — and returns every victim handed back
+// since the last hand-back, this commit's and any finished off-lock
+// one's.
 func (st *Store) Commit() (freed []int, err error) {
 	if b := st.begin(true); b != nil {
 		st.run(b)
@@ -78,11 +82,10 @@ func (st *Store) Commit() (freed []int, err error) {
 
 // CommitOutside runs commits until nothing is pending, holding mu — the
 // lock the caller serializes every other call into the store with —
-// only to snapshot and to hand back: the syncs, truncates and the
-// checkpoint run without it. release receives each hand-back under mu.
-// If another commit is running it returns at once: that commit
-// re-checks Pending after its syscalls, so nothing recorded is left
-// behind.
+// only to snapshot and to hand back: the writes and syncs run without
+// it. release receives each hand-back under mu. If another commit is
+// running it returns at once: that commit re-checks Pending after its
+// syscalls, so nothing recorded is left behind.
 func (st *Store) CommitOutside(mu sync.Locker, release func(freed []int, err error)) {
 	for st.pending.Load() {
 		mu.Lock()
@@ -102,67 +105,30 @@ func (st *Store) CommitOutside(mu sync.Locker, release func(freed []int, err err
 	}
 }
 
-// begin takes commitMu (waiting for it only if wait) and snapshots the
-// recorded work into a batch, with the caller's lock held. It returns
-// nil, commitMu released, when it got no commitMu or there is nothing
-// to do.
-func (st *Store) begin(wait bool) *batch {
-	if wait {
+// begin takes commitMu and snapshots the recorded work into a batch,
+// with the caller's lock held. An inline commit waits for commitMu and
+// commits seals alone; an off-lock one only tries, and commits only
+// what is Pending. It returns nil, commitMu released, when it got no
+// commitMu or there is nothing to do.
+func (st *Store) begin(inline bool) *batch {
+	if inline {
 		st.commitMu.Lock()
 	} else if !st.commitMu.TryLock() {
 		return nil
 	}
-	if st.closed || !st.pending.Load() {
+	if st.closed || !st.pending.Load() && !(inline && st.seals > 0) {
 		st.commitMu.Unlock()
 		return nil
 	}
 	st.pending.Store(false)
-	b := &batch{}
-	all := len(st.victims) > 0
-	files := make([]*fileState, 0, len(st.dirty))
-	for _, fs := range st.dirty {
-		if all || fs.sealed {
-			files = append(files, fs)
-		}
-	}
-	// Sealed files first: a group opens its next segment only after
-	// sealing the last, so a crash inside step 1 never leaves a group's
-	// successor durable ahead of the seal before it. Then by id, so the
-	// syscall a crash budget lands on is the same in every run of one
-	// workload.
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].sealed != files[j].sealed {
-			return files[i].sealed
-		}
-		return files[i].id < files[j].id
-	})
-	for _, fs := range files {
-		id := fs.id
-		delete(st.dirty, id)
-		fs.dirty = false
-		it := syncItem{id: id, f: fs.f, fs: fs}
-		if fs.sealed {
-			// The seal's sync is the file's last: the batch closes it.
-			it.close = true
-			fs.f = nil
-		}
-		b.fileDir = b.fileDir || !fs.linked
-		b.files = append(b.files, it)
-	}
-	for _, v := range st.victims {
-		b.victims = append(b.victims, syncItem{id: v.id, f: v.f, fs: v, close: true})
-		b.victimDir = b.victimDir || !v.linked
-		v.f = nil
-	}
-	st.victims = st.victims[:0]
+	b := &batch{seals: st.seals, victims: st.victims}
+	st.seals, st.victims = 0, nil
 	if st.ckptDue {
 		st.ckptDue = false
-		b.ckpt = st.encodeCheckpoint()
+		b.slot, b.slotOff = st.nextSlot()
 	}
-	if len(b.files) == 0 && len(b.victims) == 0 && b.ckpt == nil {
-		st.commitMu.Unlock()
-		return nil
-	}
+	// The batch's first sync covers every write made so far.
+	st.dirty = false
 	return b
 }
 
@@ -182,49 +148,36 @@ func (st *Store) run(b *batch) {
 
 // syscalls is steps 1–3 of a commit.
 func (st *Store) syscalls(b *batch) error {
-	for _, it := range b.files {
-		if err := st.timedSync(it.f); err != nil {
-			return fmt.Errorf("segfile: segment %d sync: %w", it.id, err)
-		}
-		if it.close {
-			// Nothing unsynced is left behind the handle; a close error
-			// changes nothing about what is durable.
-			_ = it.f.Close()
-			st.syncedSegments.Add(1)
-		}
-	}
-	if b.fileDir {
-		if err := st.syncDir(); err != nil {
-			return fmt.Errorf("segfile: pre-free directory sync: %w", err)
-		}
-	}
-	b.linked = true
-	for _, it := range b.victims {
-		if err := it.f.Truncate(0); err != nil {
-			return fmt.Errorf("segfile: free segment %d truncate: %w", it.id, err)
-		}
-		if err := st.timedSync(it.f); err != nil {
-			return fmt.Errorf("segfile: free segment %d sync: %w", it.id, err)
-		}
-		_ = it.f.Close()
-		b.freed++
-	}
-	if b.victimDir {
-		if err := st.syncDir(); err != nil {
-			return fmt.Errorf("segfile: free directory sync: %w", err)
-		}
-	}
-	if b.ckpt != nil {
-		if err := st.writeCheckpoint(b.ckpt); err != nil {
+	if b.slot != nil {
+		if err := st.writeSlot(b.slot, b.slotOff); err != nil {
 			return fmt.Errorf("segfile: checkpoint: %w", err)
 		}
 	}
+	if err := st.timedSync(); err != nil {
+		return fmt.Errorf("segfile: commit sync: %w", err)
+	}
+	st.syncedSegments.Add(int64(b.seals))
+	if b.slot != nil {
+		st.checkpoints.Add(1)
+	}
+	if len(b.victims) == 0 {
+		return nil
+	}
+	for _, v := range b.victims {
+		if _, err := st.f.WriteAt(make([]byte, v.len), st.lay.regionOff(v.id)); err != nil {
+			return fmt.Errorf("segfile: free segment %d: %w", v.id, err)
+		}
+	}
+	if err := st.timedSync(); err != nil {
+		return fmt.Errorf("segfile: free sync: %w", err)
+	}
+	b.freed = true
 	return nil
 }
 
 // end is step 4 for every batch whose syscalls finished, with the
-// caller's lock held: synced names are linked, completed victims join
-// the pool, and their ids are returned with the first error.
+// caller's lock held: the victims of every batch that freed are
+// reusable, and their ids are returned with the first error.
 func (st *Store) end() (freed []int, err error) {
 	st.doneMu.Lock()
 	done := st.done
@@ -234,15 +187,12 @@ func (st *Store) end() (freed []int, err error) {
 		if b.err != nil && err == nil {
 			err = b.err
 		}
-		if b.linked {
-			for _, it := range b.files {
-				it.fs.linked = true
-			}
+		if !b.freed {
+			continue
 		}
-		for _, it := range b.victims[:b.freed] {
-			delete(st.retiring, it.id)
-			st.pool[it.id] = true
-			freed = append(freed, it.id)
+		for _, v := range b.victims {
+			delete(st.retiring, v.id)
+			freed = append(freed, v.id)
 		}
 	}
 	return freed, err

@@ -1,8 +1,10 @@
 package segfile_test
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
+	"slices"
 	"testing"
 
 	"adapt/internal/checker"
@@ -13,7 +15,7 @@ import (
 
 // reuseLog sits between the store and the ledger and counts how many
 // OpenSegment calls reused an id a FreeSegment had released — the
-// recycled-file path the sweeps must cover. It embeds the ledger
+// region-reuse path the sweeps must cover. It embeds the ledger
 // itself, so the store sees the ledger's Commit.
 type reuseLog struct {
 	*checker.DurableLedger
@@ -89,7 +91,7 @@ func replayOn(t *testing.T, cfg lss.Config, mode segfile.SyncMode, budget int,
 
 // countingRun replays the workload without a crash and checks the
 // sweep is worth running: enough syscall boundaries, and segment ids
-// freed and reopened inside it, so the recycled-file path is swept.
+// freed and reopened inside it, so region reuse is swept.
 func countingRun(t *testing.T, cfg lss.Config, mode segfile.SyncMode) int {
 	t.Helper()
 	run := replayToCrash(t, cfg, mode, -1)
@@ -215,16 +217,6 @@ func (o opLog) OpenFile(name string, flag int, perm fs.FileMode) (segfile.File, 
 	return opFile{File: f, ops: o.ops}, nil
 }
 
-func (o opLog) Remove(name string) error {
-	*o.ops = append(*o.ops, "remove")
-	return o.FS.Remove(name)
-}
-
-func (o opLog) Rename(oldname, newname string) error {
-	*o.ops = append(*o.ops, "rename")
-	return o.FS.Rename(oldname, newname)
-}
-
 func (o opLog) ReadDir() ([]string, error) {
 	*o.ops = append(*o.ops, "readdir")
 	return o.FS.ReadDir()
@@ -241,8 +233,25 @@ type opFile struct {
 }
 
 func (f opFile) WriteAt(p []byte, off int64) (int, error) {
-	*f.ops = append(*f.ops, "write")
+	*f.ops = append(*f.ops, writeKind(p))
 	return f.File.WriteAt(p, off)
+}
+
+// writeKind names what a write to the log carries: a checkpoint slot,
+// a region header, a seal record, the zeroes of a free, or chunk
+// records ("write").
+func writeKind(p []byte) string {
+	switch {
+	case !slices.ContainsFunc(p, func(b byte) bool { return b != 0 }):
+		return "zero"
+	case bytes.HasPrefix(p, []byte("ADPTCKF2")):
+		return "slot"
+	case bytes.HasPrefix(p, []byte("ADPTSEG2")):
+		return "header"
+	case len(p) > 4 && p[4] == 2:
+		return "seal"
+	}
+	return "write"
 }
 
 func (f opFile) ReadAt(p []byte, off int64) (int, error) {
@@ -273,13 +282,13 @@ func (f opFile) Size() (int64, error) {
 // TestCrashSweepCommitInterleaving sweeps every syscall boundary of the
 // served schedule — the log commits after each op, as the group-commit
 // leader commits it after each ack — so the crash lands inside commits:
-// between one pre-free sync and the next, between the last pre-free
-// sync and the first victim truncate, between a truncate and its sync,
-// and between victims. Under SyncAlways recovery must match the ledger
-// exactly. Under SyncOnSeal it must lie between the ledger's bounds:
-// nothing unacked or newer than acked, and nothing below the floor a
-// freeing commit proved synced — a victim truncated before the files
-// holding its relocated blocks were synced fails there.
+// between a commit's checkpoint slot and its sync, between its sync and
+// the first victim's zeroing, between victims, and before the sync
+// that makes the frees durable. Under SyncAlways recovery must match
+// the ledger exactly. Under SyncOnSeal it must lie between the
+// ledger's bounds: nothing unacked or newer than acked, and nothing
+// below the floor a freeing commit proved synced — a victim zeroed
+// before its relocated blocks were synced fails there.
 func TestCrashSweepCommitInterleaving(t *testing.T) {
 	cfg := smallCfg()
 	for _, mode := range []segfile.SyncMode{segfile.SyncAlways, segfile.SyncOnSeal} {
@@ -295,27 +304,20 @@ func TestCrashSweepCommitInterleaving(t *testing.T) {
 			if len(ops) != n {
 				t.Fatalf("op log holds %d calls, CrashFS counted %d", len(ops), n)
 			}
-			// The cuts the sweep must take: a commit's first truncate,
-			// right after its pre-free syncs (a sealed file's close or
-			// a directory sync may sit between). Budget k kills call k,
-			// so the image holds calls 1..k-1.
+			// The cuts the sweep must take: a commit's first zeroing
+			// write, right after the sync that covered the victims'
+			// relocations. Budget k kills call k, so the image holds
+			// calls 1..k-1.
 			var cuts []int
 			for k := 2; k <= n; k++ {
-				if ops[k-1] != "truncate" {
-					continue
-				}
-				j := k - 2
-				for j > 0 && (ops[j] == "close" || ops[j] == "syncdir") {
-					j--
-				}
-				if ops[j] == "sync" && ops[j-1] != "truncate" {
+				if ops[k-1] == "zero" && ops[k-2] == "sync" {
 					cuts = append(cuts, k)
 				}
 			}
 			if len(cuts) < 5 {
-				t.Fatalf("only %d commits truncate right after pre-free syncs; the schedule does not reach the cut", len(cuts))
+				t.Fatalf("only %d commits zero a victim right after their first sync; the schedule does not reach the cut", len(cuts))
 			}
-			t.Logf("%d syscalls, %d pre-free-sync→truncate cuts, %d reopens", n, len(cuts), run.reopened)
+			t.Logf("%d syscalls, %d sync→zero cuts, %d reopens", n, len(cuts), run.reopened)
 
 			budgets := cuts
 			if !testing.Short() {

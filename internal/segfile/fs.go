@@ -1,13 +1,15 @@
 // Package segfile is the file-backed segment store beneath lss.Store:
-// it implements lss.LogCommitter over a single directory, writing
-// every flushed chunk as it happens and making segment seals, reclaims
-// and an atomically-renamed checkpoint of the store clocks durable in a
-// log commit that can run outside the store's lock (commit.go). The on-disk format
-// is torn-write-safe (per-segment headers and per-record CRC32-C,
-// reusing the wire protocol's Castagnoli discipline) and recovery rolls
-// the directory forward into a live lss.Store through the existing
-// checkpoint path, so the in-memory store, the crash oracle, and the
-// durable backend all share one durability model.
+// it implements lss.LogCommitter over one log file per directory, whose
+// fixed regions are the segment ids (format.go). It writes every
+// flushed chunk as it happens and makes segment seals, reclaims and a
+// checkpoint of the store clocks durable in a log commit — one sync of
+// the file, two when it frees — that can run outside the store's lock
+// (commit.go). The on-disk format is torn-write-safe (per-incarnation
+// headers and per-record CRC32-C over the incarnation's epoch, reusing
+// the wire protocol's Castagnoli discipline) and recovery rolls the
+// log forward into a live lss.Store through the existing checkpoint
+// path, so the in-memory store, the crash oracle, and the durable
+// backend all share one durability model.
 package segfile
 
 import (
@@ -29,15 +31,10 @@ import (
 //
 // The namespace is a single flat directory. Durability follows POSIX
 // rules: File.Sync persists a file's contents, SyncDir persists the
-// namespace (creations, removals, renames). Neither implies the other.
+// namespace (the creation of the log file). Neither implies the other.
 type FS interface {
 	// OpenFile opens (or creates) a file in the directory.
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
-	// Remove unlinks a file. Durable only after SyncDir.
-	Remove(name string) error
-	// Rename atomically replaces newname with oldname. Durable only
-	// after SyncDir.
-	Rename(oldname, newname string) error
 	// ReadDir lists the file names in the directory.
 	ReadDir() ([]string, error)
 	// SyncDir persists the directory namespace.
@@ -119,12 +116,6 @@ func (d *DirFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 	return osFile{f}, nil
 }
 
-func (d *DirFS) Remove(name string) error { return os.Remove(filepath.Join(d.dir, name)) }
-
-func (d *DirFS) Rename(oldname, newname string) error {
-	return os.Rename(filepath.Join(d.dir, oldname), filepath.Join(d.dir, newname))
-}
-
 func (d *DirFS) ReadDir() ([]string, error) {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -142,12 +133,13 @@ func (d *DirFS) ReadDir() ([]string, error) {
 
 func (d *DirFS) SyncDir() error { return syncDir(d.dir) }
 
+// osFile is a DirFS file. Its Sync is fdatasync on Linux (datasync).
 type osFile struct{ f *os.File }
 
 func (o osFile) WriteAt(p []byte, off int64) (int, error) { return o.f.WriteAt(p, off) }
 func (o osFile) ReadAt(p []byte, off int64) (int, error)  { return o.f.ReadAt(p, off) }
 func (o osFile) Truncate(size int64) error                { return o.f.Truncate(size) }
-func (o osFile) Sync() error                              { return o.f.Sync() }
+func (o osFile) Sync() error                              { return datasync(o.f) }
 func (o osFile) Close() error                             { return o.f.Close() }
 func (o osFile) Size() (int64, error) {
 	st, err := o.f.Stat()
@@ -158,25 +150,3 @@ func (o osFile) Size() (int64, error) {
 }
 
 var _ FS = (*DirFS)(nil)
-
-// readAll reads the full contents of name through fsys, returning
-// (nil, nil) if the file does not exist.
-func readAll(fsys FS, name string) ([]byte, error) {
-	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("segfile: read %s: %w", name, err)
-	}
-	return buf, nil
-}

@@ -2,8 +2,13 @@ package segfile_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"adapt/internal/lss"
@@ -15,9 +20,11 @@ import (
 //
 //	u8 nameLen | name | u32be dataLen | data
 //
-// so the fuzzer can mutate segment headers, tear record tails, flip
-// CRC bytes, swap epochs, and truncate files wholesale. Whatever
-// survives unpacking becomes a fully-synced MemFS.
+// so the fuzzer can mutate region headers, tear record tails, flip CRC
+// bytes, swap epochs, and cut the log short. Whatever survives
+// unpacking becomes a fully-synced MemFS. The corpus under testdata/
+// holds archives of the version 1 layout (one file per segment): Open
+// refuses them by name, with ErrFormatVersion.
 
 const (
 	fuzzMaxFiles    = 64
@@ -76,6 +83,11 @@ func packArchive(t testing.TB, fsys segfile.FS) []byte {
 			t.Fatalf("pack %s: %v", name, err)
 		}
 		_ = f.Close()
+		// A sparse log is mostly zeros at its end; the archive keeps
+		// what precedes them, and Open sizes a short file back up.
+		for len(buf) > 0 && buf[len(buf)-1] == 0 {
+			buf = buf[:len(buf)-1]
+		}
 		out = append(out, byte(len(name)))
 		out = append(out, name...)
 		var lenb [4]byte
@@ -133,11 +145,13 @@ func FuzzSegfileRecover(f *testing.F) {
 		}
 	}
 
-	// What recycling leaves behind: a zero-length free slot, a reopened
-	// slot holding only its header, and one whose header write tore.
+	// What reuse leaves behind: a zeroed free region, a reopened
+	// region holding only its header, and one whose header write tore.
 	for _, shape := range recycledShapes {
-		f.Add(packArchive(f, truncatedSegment(f, clean, shape.size)))
+		f.Add(packArchive(f, cutRegion(f, clean, shape.size)))
 	}
+	// A version 1 directory: refused by name.
+	f.Add(v1Archive())
 
 	pol := newPolicy(cfg)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -170,47 +184,88 @@ func FuzzSegfileRecover(f *testing.F) {
 	})
 }
 
-// recycledShapes are the lengths a crash can leave a recycled segment
-// file at before its first chunk is durable, and what recovery makes
-// of each, relative to the undamaged image: a zero-length file is a
-// free slot — kept, not counted corrupt; a header-only file is an
-// empty open incarnation; a torn header is dropped whole and counted.
+// recycledShapes are the lengths a crash can leave a reused region at
+// before its first chunk is durable, and what recovery makes of each,
+// relative to the undamaged image: a zeroed region is free — not
+// counted corrupt; a header-only region is an empty incarnation; a
+// torn header is dropped whole, counted, and zeroed.
 var recycledShapes = []struct {
-	size                     int64
-	segments, corrupt, files int
+	size              int64
+	segments, corrupt int
 }{
 	{size: 0, segments: -1},
-	{size: 40},
-	{size: 23, segments: -1, corrupt: 1, files: -1},
+	{size: 36},
+	{size: 23, segments: -1, corrupt: 1},
 }
 
-// truncatedSegment unpacks archive and cuts its first segment file to
-// size bytes, synced.
-func truncatedSegment(t testing.TB, archive []byte, size int64) *segfile.MemFS {
-	t.Helper()
-	mem := unpackArchive(archive)
-	names, _ := mem.ReadDir()
-	for _, name := range names {
+// v1Archive is a version 1 directory: one segment file and the
+// checkpoint file.
+func v1Archive() []byte {
+	var out []byte
+	for _, name := range []string{"seg-00000.seg", "checkpoint"} {
+		data := []byte("ADPTSEG1")
 		if name == "checkpoint" {
-			continue
+			data = []byte("ADPTCKF1")
 		}
-		f, err := mem.OpenFile(name, os.O_RDWR, 0)
-		if err != nil {
-			t.Fatalf("open %s: %v", name, err)
-		}
-		if err := f.Truncate(size); err != nil {
-			t.Fatalf("truncate %s: %v", name, err)
-		}
-		_ = f.Sync()
-		_ = f.Close()
-		return mem
+		out = append(out, byte(len(name)))
+		out = append(out, name...)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
+		out = append(out, data...)
 	}
-	t.Fatal("image has no segment files")
-	return nil
+	return out
+}
+
+// readLog returns the log file of mem, sized as it is.
+func readLog(t testing.TB, mem *segfile.MemFS) (segfile.File, int64) {
+	t.Helper()
+	f, err := mem.OpenFile(segfile.LogName, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatalf("open log: %v", err)
+	}
+	size, err := f.Size()
+	if err != nil {
+		t.Fatalf("size log: %v", err)
+	}
+	return f, size
+}
+
+// firstRegion returns the lowest segment id whose region holds a
+// header in mem's log.
+func firstRegion(t testing.TB, cfg lss.Config, mem *segfile.MemFS) int {
+	t.Helper()
+	f, size := readLog(t, mem)
+	magic := make([]byte, 8)
+	for id := 0; segfile.RegionOffset(cfg, id) < size; id++ {
+		if _, err := f.ReadAt(magic, segfile.RegionOffset(cfg, id)); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if string(magic) == "ADPTSEG2" {
+			return id
+		}
+	}
+	t.Fatal("image has no segment regions")
+	return -1
+}
+
+// cutRegion unpacks archive and zeroes its first segment region from
+// byte size on, synced.
+func cutRegion(t testing.TB, archive []byte, size int64) *segfile.MemFS {
+	t.Helper()
+	cfg := smallCfg()
+	mem := unpackArchive(archive)
+	id := firstRegion(t, cfg, mem)
+	f, _ := readLog(t, mem)
+	zeros := make([]byte, segfile.RegionBytes(cfg)-size)
+	if _, err := f.WriteAt(zeros, segfile.RegionOffset(cfg, id)+size); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Sync()
+	return mem
 }
 
 // TestRecoverRecycledShapes recovers an image holding each of
-// recycledShapes and checks the outcome the table states.
+// recycledShapes and checks the outcome the table states — and that
+// Open left the region reading as what recovery made of it.
 func TestRecoverRecycledShapes(t *testing.T) {
 	cfg := smallCfg()
 	clean := seedImage(t, cfg)
@@ -229,27 +284,31 @@ func TestRecoverRecycledShapes(t *testing.T) {
 		return stats
 	}
 	base := recover(unpackArchive(clean))
-	files := func(mem *segfile.MemFS) int {
-		names, _ := mem.ReadDir()
-		return len(names)
-	}
-	nfiles := files(unpackArchive(clean))
+	id := firstRegion(t, cfg, unpackArchive(clean))
 
 	for _, tc := range recycledShapes {
-		mem := truncatedSegment(t, clean, tc.size)
+		mem := cutRegion(t, clean, tc.size)
 		stats := recover(mem)
-		got := [3]int{stats.Segments - base.Segments, stats.CorruptFiles, files(mem) - nfiles}
-		if want := [3]int{tc.segments, tc.corrupt, tc.files}; got != want {
-			t.Errorf("first segment file cut to %d bytes: segments/corrupt/files moved by %v, want %v", tc.size, got, want)
+		got := [2]int{stats.Segments - base.Segments, stats.CorruptFiles}
+		if want := [2]int{tc.segments, tc.corrupt}; got != want {
+			t.Errorf("first region cut to %d bytes: segments/corrupt moved by %v, want %v", tc.size, got, want)
+		}
+		f, _ := readLog(t, mem)
+		region := make([]byte, segfile.RegionBytes(cfg))
+		if _, err := f.ReadAt(region, segfile.RegionOffset(cfg, id)); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if zero := !slices.ContainsFunc(region, func(b byte) bool { return b != 0 }); zero != (tc.segments < 0) {
+			t.Errorf("first region cut to %d bytes: after Open it reads all zero = %v, want %v", tc.size, zero, tc.segments < 0)
 		}
 	}
 }
 
 // TestRecoverCorruptImages runs the fuzz body over a fixed set of
 // handcrafted damage patterns so the cases are exercised on every
-// plain `go test` run, not only under -fuzz: per-file truncation at
-// awkward offsets, a stale-epoch checkpoint, and a segment file whose
-// header claims the wrong id.
+// plain `go test` run, not only under -fuzz: the archive cut short and
+// bytes flipped at awkward offsets — region headers, records and the
+// checkpoint slots.
 func TestRecoverCorruptImages(t *testing.T) {
 	cfg := smallCfg()
 	clean := seedImage(t, cfg)
@@ -284,51 +343,30 @@ func TestRecoverCorruptImages(t *testing.T) {
 	}
 }
 
-// TestRecoverDropsStaleMisnamedFile plants a segment file whose header
-// claims a different id than its name: the scan must drop it whole
-// rather than let a stale incarnation masquerade as another segment.
+// TestRecoverDropsStaleMisnamedFile plants a copy of a region in a
+// free one, so its header claims a different id than its place: the
+// scan must drop it whole rather than let a stale incarnation
+// masquerade as another segment.
 func TestRecoverDropsStaleMisnamedFile(t *testing.T) {
 	cfg := smallCfg()
 	mem := unpackArchive(seedImage(t, cfg))
-
-	names, _ := mem.ReadDir()
-	var segName string
-	for _, n := range names {
-		if n != "checkpoint" {
-			segName = n
-			break
-		}
-	}
-	if segName == "" {
-		t.Fatal("seed image has no segment files")
-	}
-	src, err := mem.OpenFile(segName, os.O_RDONLY, 0)
-	if err != nil {
+	src := firstRegion(t, cfg, mem)
+	f, size := readLog(t, mem)
+	region := make([]byte, segfile.RegionBytes(cfg))
+	if _, err := f.ReadAt(region, segfile.RegionOffset(cfg, src)); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
-	size, _ := src.Size()
-	buf := make([]byte, size)
-	if _, err := src.ReadAt(buf, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	// Plant the bytes under a free segment id's name; the embedded
-	// header id no longer matches the file name.
+	// Plant the bytes in the highest region of the store: free, and
+	// past the end of the archived (zero-trimmed) log.
 	total := cfg.TotalSegments(newPolicy(cfg).Groups())
-	planted := false
-	for id := total - 1; id >= 0; id-- {
-		if fileSize(mem, id) == 0 {
-			dst, _ := mem.OpenFile(segfileName(id), os.O_RDWR|os.O_CREATE, 0o644)
-			_, _ = dst.WriteAt(buf, 0)
-			_ = dst.Sync()
-			_ = dst.Close()
-			_ = mem.SyncDir()
-			planted = true
-			break
-		}
+	dst := total - 1
+	if segfile.RegionOffset(cfg, dst) < size {
+		t.Fatalf("region %d is inside the archived log; pick a free one", dst)
 	}
-	if !planted {
-		t.Fatal("no free id to plant under")
+	if _, err := f.WriteAt(region, segfile.RegionOffset(cfg, dst)); err != nil {
+		t.Fatal(err)
 	}
+	_ = f.Sync()
 
 	sf, err := segfile.Open(segfile.Options{
 		FS:       mem,
@@ -343,26 +381,48 @@ func TestRecoverDropsStaleMisnamedFile(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	if stats.CorruptFiles == 0 {
-		t.Fatal("misnamed file was not reported corrupt")
+		t.Fatal("misplaced region was not reported corrupt")
 	}
 	if err := rec.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
 }
 
-// segfileName mirrors the on-disk naming for test plumbing.
-func segfileName(id int) string {
-	return segfile.SegmentFileName(id)
-}
-
-// fileSize returns the size of id's segment file, zero when there is
-// none.
-func fileSize(mem *segfile.MemFS, id int) int64 {
-	f, err := mem.OpenFile(segfileName(id), os.O_RDONLY, 0)
+// TestV1DirectoryRefused: a directory of the version 1 layout — the
+// fuzz corpus's archives and a handcrafted one — is refused with
+// ErrFormatVersion, and the error names both versions.
+func TestV1DirectoryRefused(t *testing.T) {
+	cfg := smallCfg()
+	archives := map[string][]byte{"handcrafted": v1Archive()}
+	dir := filepath.Join("testdata", "fuzz", "FuzzSegfileRecover")
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		t.Fatal(err)
 	}
-	size, _ := f.Size()
-	_ = f.Close()
-	return size
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		archives[e.Name()] = []byte(data)
+	}
+	if len(archives) < 5 {
+		t.Fatalf("only %d archives; the corpus is missing", len(archives))
+	}
+	for name, data := range archives {
+		_, err := segfile.Open(segfile.Options{FS: unpackArchive(data), Geometry: cfg.GeometryDefaults()})
+		if !errors.Is(err, segfile.ErrFormatVersion) {
+			t.Errorf("%s: open = %v, want ErrFormatVersion", name, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "v1") || !strings.Contains(msg, "v2") {
+			t.Errorf("%s: %q does not name both versions", name, msg)
+		}
+	}
 }

@@ -7,16 +7,21 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"adapt/internal/sim"
 )
 
 // MemFS is an in-memory FS with explicit durability modelling: every
 // inode tracks its cached (post-write) and synced (post-File.Sync)
-// contents separately, and the directory tracks its cached and synced
-// (post-SyncDir) namespaces separately. CrashImage materializes "what a
-// crash right now would leave on disk": the synced namespace mapped to
-// each inode's synced bytes. That is the conservative POSIX model —
-// writes are volatile until fsync, and creations/removals/renames are
-// volatile until the directory itself is synced.
+// contents separately, page by page, and the directory tracks its
+// cached and synced (post-SyncDir) namespaces separately. CrashImage
+// materializes "what a crash right now would leave on disk": the
+// synced namespace mapped to each inode's synced bytes. That is the
+// conservative POSIX model — writes are volatile until fsync, and
+// creations are volatile until the directory itself is synced.
+// TornImage is the other end: a seeded choice of the unsynced writes
+// reached the disk, page by page, in any order. Files are sparse: a
+// page nothing wrote reads as zeros and costs no memory.
 type MemFS struct {
 	mu sync.Mutex
 	// cached and synced are the live and durable namespaces; they map
@@ -25,9 +30,30 @@ type MemFS struct {
 	synced map[string]*memInode
 }
 
+// memPage is one page of a file. A page is shared, never written in
+// place, once a sync or an image holds it: writers clone it first.
+type memPage [pageSize]byte
+
 type memInode struct {
-	cached []byte
-	synced []byte
+	size, syncedSize int64
+	pages, synced    map[int64]*memPage
+	// dirty holds the pages written or cut since the last sync, and
+	// writes the unsynced WriteAts in issue order, for TornImage.
+	dirty  map[int64]bool
+	writes []memWrite
+}
+
+type memWrite struct {
+	off int64
+	p   []byte
+}
+
+func newInode() *memInode {
+	return &memInode{
+		pages:  make(map[int64]*memPage),
+		synced: make(map[int64]*memPage),
+		dirty:  make(map[int64]bool),
+	}
 }
 
 // NewMemFS returns an empty in-memory FS.
@@ -41,17 +67,75 @@ func NewMemFS() *MemFS {
 // CrashImage returns a new MemFS holding the durable state only: the
 // synced namespace, each file at its last-synced contents. The image is
 // fully synced (as after a crash and remount).
-func (m *MemFS) CrashImage() *MemFS {
+func (m *MemFS) CrashImage() *MemFS { return m.TornImage(nil) }
+
+// TornImage is CrashImage where a crash let some unsynced writes reach
+// the disk: for every page an unsynced WriteAt touched, rng picks how
+// many of the writes to that page, in issue order, made it — none, all,
+// or a prefix, as a kernel writing the page back at some moment before
+// the crash would leave it. Pages are independent of each other, so a
+// later write can land while an earlier one to another page does not.
+// The file keeps its synced size. A nil rng keeps no unsynced write.
+func (m *MemFS) TornImage(rng *sim.RNG) *MemFS {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	img := NewMemFS()
-	for name, ino := range m.synced {
-		b := append([]byte(nil), ino.synced...)
-		n := &memInode{cached: b, synced: append([]byte(nil), b...)}
-		img.cached[name] = n
-		img.synced[name] = n
+	names := make([]string, 0, len(m.synced))
+	for name := range m.synced {
+		names = append(names, name)
+	}
+	sort.Strings(names) // one rng draw order per image
+	for _, name := range names {
+		ino := m.synced[name]
+		n := newInode()
+		n.size, n.syncedSize = ino.syncedSize, ino.syncedSize
+		for idx, pg := range ino.synced {
+			n.pages[idx], n.synced[idx] = pg, pg
+		}
+		if rng != nil {
+			n.tear(ino.writes, rng)
+		}
+		img.cached[name], img.synced[name] = n, n
 	}
 	return img
+}
+
+// tear applies a random per-page prefix of writes to n, a fresh image
+// inode, as durable.
+func (n *memInode) tear(writes []memWrite, rng *sim.RNG) {
+	type frag struct {
+		at int // offset in the page
+		p  []byte
+	}
+	byPage := make(map[int64][]frag)
+	var order []int64
+	for _, w := range writes {
+		for off, p := w.off, w.p; len(p) > 0; {
+			idx, at := off/pageSize, int(off%pageSize)
+			k := min(len(p), pageSize-at)
+			if _, seen := byPage[idx]; !seen {
+				order = append(order, idx)
+			}
+			byPage[idx] = append(byPage[idx], frag{at, p[:k]})
+			off, p = off+int64(k), p[k:]
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, idx := range order {
+		frags := byPage[idx]
+		keep := rng.Intn(len(frags) + 1)
+		if keep == 0 || idx*pageSize >= n.size {
+			continue
+		}
+		pg := new(memPage)
+		if old := n.pages[idx]; old != nil {
+			*pg = *old
+		}
+		for _, f := range frags[:keep] {
+			copy(pg[f.at:], f.p)
+		}
+		n.pages[idx], n.synced[idx] = pg, pg
+	}
 }
 
 func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
@@ -62,34 +146,12 @@ func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 	case !ok && flag&os.O_CREATE == 0:
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	case !ok:
-		ino = &memInode{}
+		ino = newInode()
 		m.cached[name] = ino
 	case flag&os.O_TRUNC != 0:
-		ino.cached = nil
+		ino.truncate(0)
 	}
 	return &memFile{fs: m, ino: ino}, nil
-}
-
-func (m *MemFS) Remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.cached[name]; !ok {
-		return &fs.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
-	}
-	delete(m.cached, name)
-	return nil
-}
-
-func (m *MemFS) Rename(oldname, newname string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ino, ok := m.cached[oldname]
-	if !ok {
-		return &fs.PathError{Op: "rename", Path: oldname, Err: fs.ErrNotExist}
-	}
-	delete(m.cached, oldname)
-	m.cached[newname] = ino
-	return nil
 }
 
 func (m *MemFS) ReadDir() ([]string, error) {
@@ -115,6 +177,37 @@ func (m *MemFS) SyncDir() error {
 
 var _ FS = (*MemFS)(nil)
 
+// writable returns page idx ready to be written in place.
+func (ino *memInode) writable(idx int64) *memPage {
+	pg := ino.pages[idx]
+	switch {
+	case pg == nil:
+		pg = new(memPage)
+	case pg == ino.synced[idx]:
+		clone := *pg
+		pg = &clone
+	}
+	ino.pages[idx] = pg
+	ino.dirty[idx] = true
+	return pg
+}
+
+// truncate cuts or extends the cached contents to size.
+func (ino *memInode) truncate(size int64) {
+	if size < ino.size {
+		for idx := range ino.pages {
+			if idx*pageSize >= size {
+				delete(ino.pages, idx)
+				ino.dirty[idx] = true
+			}
+		}
+		if at := size % pageSize; at != 0 && ino.pages[size/pageSize] != nil {
+			clear(ino.writable(size / pageSize)[at:])
+		}
+	}
+	ino.size = size
+}
+
 type memFile struct {
 	fs  *MemFS
 	ino *memInode
@@ -123,26 +216,39 @@ type memFile struct {
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	end := off + int64(len(p))
-	if int64(len(f.ino.cached)) < end {
-		grown := make([]byte, end)
-		copy(grown, f.ino.cached)
-		f.ino.cached = grown
+	ino := f.ino
+	ino.writes = append(ino.writes, memWrite{off: off, p: append([]byte(nil), p...)})
+	for o, rest := off, p; len(rest) > 0; {
+		at := int(o % pageSize)
+		n := copy(ino.writable(o / pageSize)[at:], rest)
+		o, rest = o+int64(n), rest[n:]
 	}
-	copy(f.ino.cached[off:end], p)
+	ino.size = max(ino.size, off+int64(len(p)))
 	return len(p), nil
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if off >= int64(len(f.ino.cached)) {
+	ino := f.ino
+	if off >= ino.size {
 		if len(p) == 0 {
 			return 0, nil
 		}
 		return 0, io.EOF
 	}
-	n := copy(p, f.ino.cached[off:])
+	n := int(min(int64(len(p)), ino.size-off))
+	for o, rest := off, p[:n]; len(rest) > 0; {
+		at := int(o % pageSize)
+		var k int
+		if pg := ino.pages[o/pageSize]; pg != nil {
+			k = copy(rest, pg[at:])
+		} else {
+			k = min(len(rest), pageSize-at)
+			clear(rest[:k])
+		}
+		o, rest = o+int64(k), rest[k:]
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -152,21 +258,24 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *memFile) Truncate(size int64) error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	switch {
-	case int64(len(f.ino.cached)) > size:
-		f.ino.cached = f.ino.cached[:size]
-	case int64(len(f.ino.cached)) < size:
-		grown := make([]byte, size)
-		copy(grown, f.ino.cached)
-		f.ino.cached = grown
-	}
+	f.ino.truncate(size)
 	return nil
 }
 
 func (f *memFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	f.ino.synced = append(f.ino.synced[:0], f.ino.cached...)
+	ino := f.ino
+	for idx := range ino.dirty {
+		if pg := ino.pages[idx]; pg != nil {
+			ino.synced[idx] = pg
+		} else {
+			delete(ino.synced, idx)
+		}
+	}
+	clear(ino.dirty)
+	ino.writes = ino.writes[:0]
+	ino.syncedSize = ino.size
 	return nil
 }
 
@@ -175,7 +284,7 @@ func (f *memFile) Close() error { return nil }
 func (f *memFile) Size() (int64, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	return int64(len(f.ino.cached)), nil
+	return f.ino.size, nil
 }
 
 // ErrCrashed is returned by every CrashFS operation at and after the
@@ -221,6 +330,11 @@ func (c *CrashFS) Crashed() bool {
 // Image returns the post-crash durable state of the wrapped MemFS.
 func (c *CrashFS) Image() *MemFS { return c.inner.CrashImage() }
 
+// TornImage is Image in the torn-overwrite mode: a seeded,
+// page-granular subset of each file's unsynced writes reached the disk
+// too (MemFS.TornImage).
+func (c *CrashFS) TornImage(seed uint64) *MemFS { return c.inner.TornImage(sim.NewRNG(seed)) }
+
 // step consumes one syscall from the budget; it reports whether the
 // operation may proceed.
 func (c *CrashFS) step() bool {
@@ -249,20 +363,6 @@ func (c *CrashFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error
 		return nil, err
 	}
 	return &crashFile{fs: c, f: f}, nil
-}
-
-func (c *CrashFS) Remove(name string) error {
-	if !c.step() {
-		return ErrCrashed
-	}
-	return c.inner.Remove(name)
-}
-
-func (c *CrashFS) Rename(oldname, newname string) error {
-	if !c.step() {
-		return ErrCrashed
-	}
-	return c.inner.Rename(oldname, newname)
 }
 
 func (c *CrashFS) ReadDir() ([]string, error) {

@@ -5,6 +5,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"adapt/internal/lss"
@@ -13,9 +15,9 @@ import (
 )
 
 // fsCounts are the flush- and namespace-level calls a store issued
-// through the FS seam.
+// through the FS seam. The seam has no rename or unlink at all.
 type fsCounts struct {
-	fileSyncs, dirSyncs, removes, creates int
+	fileSyncs, dirSyncs, opens, creates, truncates, closes int
 }
 
 // countingFS counts them.
@@ -25,6 +27,7 @@ type countingFS struct {
 }
 
 func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (segfile.File, error) {
+	c.opens++
 	if flag&os.O_CREATE != 0 {
 		c.creates++
 	}
@@ -33,11 +36,6 @@ func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (segfile.
 		return nil, err
 	}
 	return &countingFile{File: f, fs: c}, nil
-}
-
-func (c *countingFS) Remove(name string) error {
-	c.removes++
-	return c.FS.Remove(name)
 }
 
 func (c *countingFS) SyncDir() error {
@@ -60,6 +58,16 @@ type countingFile struct {
 func (f *countingFile) Sync() error {
 	f.fs.fileSyncs++
 	return f.File.Sync()
+}
+
+func (f *countingFile) Truncate(size int64) error {
+	f.fs.truncates++
+	return f.File.Truncate(size)
+}
+
+func (f *countingFile) Close() error {
+	f.fs.closes++
+	return f.File.Close()
 }
 
 // fillSegment appends every chunk of segment seg, mapping lba0 onward
@@ -99,82 +107,89 @@ func commit(t *testing.T, sf *segfile.Store) []int {
 	return freed
 }
 
-// TestFlushSchedule pins the flush schedule under SyncOnSeal: seals and
-// frees issue no syscall of their own — they only record — and the
-// commit pays for them: one file sync per sealed file, and, with k
-// frees queued and d dirty files, d + k file syncs (each dirty file
-// once, each victim's truncate once), however the frees and the
-// relocation appends interleaved — not the k·(d+1) an inline pre-free
-// sync per victim would cost. Once a segment id's file exists, nothing
-// creates, unlinks or syncs the directory.
+// TestFlushSchedule pins the flush schedule under SyncOnSeal. Boot
+// creates the log once — one create, one sizing truncate, one file and
+// one directory sync — and a reboot opens it with one of each sync.
+// After boot, seals, frees and appends issue no syscall but their
+// writes: they only record, and a commit pays for them with one sync
+// of the log file, covering every dirty segment, and one more when it
+// frees, covering every victim's zeroing — however many segments and
+// victims, and however the frees and the relocation appends
+// interleaved. A seal alone is not Pending: only an inline commit
+// takes it. Nothing after boot opens, creates, truncates, closes or
+// syncs the directory, until Close closes the file.
 func TestFlushSchedule(t *testing.T) {
 	cfg := smallCfg()
-	cfs := &countingFS{FS: segfile.NewMemFS()}
-	sf, err := segfile.Open(segfile.Options{
+	mem := segfile.NewMemFS()
+	cfs := &countingFS{FS: mem}
+	opts := segfile.Options{
 		FS:                   cfs,
 		Sync:                 segfile.SyncOnSeal,
 		Geometry:             cfg.GeometryDefaults(),
 		CheckpointEverySeals: -1,
-	})
+	}
+	sf, err := segfile.Open(opts)
 	must(t, "open", err)
-	cfs.take()
 	step := func(what string, want fsCounts) {
 		t.Helper()
 		if got := cfs.take(); got != want {
 			t.Fatalf("%s: %+v, want %+v", what, got, want)
 		}
 	}
+	step("boot of a new log", fsCounts{fileSyncs: 1, dirSyncs: 1, opens: 1, creates: 1, truncates: 1})
 
-	// First use of two names: each is created once, and its directory
-	// entry syncs with the first commit that syncs the file.
 	must(t, "open 0", sf.OpenSegment(0, 0, 1))
 	fillSegment(t, sf, cfg, 0, 0, 1)
-	step("open+fill of a new name", fsCounts{creates: 1})
+	step("open+fill", fsCounts{})
 	must(t, "seal 0", sf.SealSegment(0, 100))
 	step("seal records only", fsCounts{})
+	// A seal alone is not Pending: the leader's off-lock commit leaves
+	// it to ride the next free or checkpoint; an inline one takes it.
+	if sf.Pending() {
+		t.Fatal("a seal alone is Pending")
+	}
+	sf.CommitOutside(&sync.Mutex{}, func([]int, error) { t.Fatal("an off-lock commit ran for a seal alone") })
+	step("off-lock commit of a seal alone", fsCounts{})
 	if freed := commit(t, sf); len(freed) != 0 {
 		t.Fatalf("commit without frees handed back %v", freed)
 	}
-	step("commit of the first seal of a new name", fsCounts{fileSyncs: 1, dirSyncs: 1})
+	step("commit of a seal", fsCounts{fileSyncs: 1})
 	if sf.Pending() {
 		t.Fatal("Pending after a commit")
 	}
 	must(t, "open 1", sf.OpenSegment(1, 1, 101))
 	appendChunk(t, sf, cfg, 1, 0, 0, 101)
 	must(t, "free 0", sf.FreeSegment(0))
-	step("free records only", fsCounts{creates: 1})
+	step("free records only", fsCounts{})
 	if !sf.Pending() {
 		t.Fatal("a recorded free is not Pending")
 	}
 	if freed := commit(t, sf); len(freed) != 1 || freed[0] != 0 {
 		t.Fatalf("commit handed back %v, want [0]", freed)
 	}
-	step("commit of a free with a dirty new name", fsCounts{fileSyncs: 2, dirSyncs: 1})
+	step("commit of a free with a dirty segment", fsCounts{fileSyncs: 2})
 
-	// Steady state: id 0 is recycled, id 1 is linked.
+	// Steady state: id 0 is reused.
 	for cycle := 0; cycle < 3; cycle++ {
 		ver := int64(200 + 100*cycle)
 		must(t, "reopen 0", sf.OpenSegment(0, 0, sim.WriteClock(ver)))
 		fillSegment(t, sf, cfg, 0, 16, ver)
-		step(fmt.Sprintf("cycle %d reopen+fill of a recycled id", cycle), fsCounts{})
+		step(fmt.Sprintf("cycle %d reopen+fill of a reused id", cycle), fsCounts{})
 		must(t, "seal 0", sf.SealSegment(0, sim.WriteClock(ver+50)))
 		commit(t, sf)
 		step(fmt.Sprintf("cycle %d seal commit", cycle), fsCounts{fileSyncs: 1})
-		wantFree := fsCounts{fileSyncs: 1}
 		if cycle == 1 {
-			// One other file is dirty at the free: one pre-free sync.
 			appendChunk(t, sf, cfg, 1, 1, 4, ver+60)
-			wantFree.fileSyncs = 2
 		}
 		must(t, "free 0", sf.FreeSegment(0))
 		commit(t, sf)
-		step(fmt.Sprintf("cycle %d free commit", cycle), wantFree)
+		step(fmt.Sprintf("cycle %d free commit", cycle), fsCounts{fileSyncs: 2})
 	}
 
-	// Batching: k = 3 victims (ids 0, 2, 3) freed with relocation
-	// appends to d = 2 open files (ids 1, 4) between the frees, as a GC
-	// cycle makes them. The commit syncs each dirty file once, then
-	// truncates each victim: d + k.
+	// Batching: three seals in one commit cost one sync; then k = 3
+	// victims (ids 0, 2, 3) freed with relocation appends to d = 2 open
+	// segments (ids 1, 4) between the frees, as a GC cycle makes them,
+	// cost two.
 	must(t, "reopen 0", sf.OpenSegment(0, 0, 600))
 	fillSegment(t, sf, cfg, 0, 16, 600)
 	must(t, "seal 0", sf.SealSegment(0, 650))
@@ -186,7 +201,7 @@ func TestFlushSchedule(t *testing.T) {
 	}
 	must(t, "open 4", sf.OpenSegment(4, 1, 1100))
 	commit(t, sf)
-	step("commit of three seals, two of new names", fsCounts{fileSyncs: 3, dirSyncs: 1, creates: 3})
+	step("commit of three seals", fsCounts{fileSyncs: 1})
 	ci := 2
 	for _, id := range []int{0, 2, 3} {
 		must(t, "free", sf.FreeSegment(id))
@@ -198,19 +213,26 @@ func TestFlushSchedule(t *testing.T) {
 	if freed := commit(t, sf); len(freed) != 3 {
 		t.Fatalf("batched commit handed back %v, want three victims", freed)
 	}
-	// Segment 4's name is new, so its first sync brings the directory.
-	step("batched commit, d = 2 and k = 3", fsCounts{fileSyncs: 2 + 3, dirSyncs: 1})
+	step("batched commit, d = 2 and k = 3", fsCounts{fileSyncs: 2})
 
-	if st := sf.Stats(); st.DirSyncs != 5 {
-		t.Fatalf("Stats.DirSyncs = %d, want 5 (scan, four commits covering new names)", st.DirSyncs)
-	}
+	// Appends no commit covered: Close syncs them once.
+	appendChunk(t, sf, cfg, 4, 3, 20, 1400)
 	must(t, "close", sf.Close())
+	step("close with a dirty tail", fsCounts{fileSyncs: 1, closes: 1})
+	if st := sf.Stats(); st.DirSyncs != 1 {
+		t.Fatalf("Stats.DirSyncs = %d, want 1 (boot)", st.DirSyncs)
+	}
+
+	sf2, err := segfile.Open(opts)
+	must(t, "reopen log", err)
+	step("boot of an existing log", fsCounts{fileSyncs: 1, dirSyncs: 1, opens: 1})
+	must(t, "close reopened", sf2.Close())
 }
 
 // TestReopenRetiringCommitsFirst: a caller that reaches the store
 // through a wrapper hiding Commit reuses a freed id at once; the reopen
-// commits inline first, so the victim's truncate lands before the new
-// incarnation's header, never on it.
+// commits inline first, so the victim's free is durable, and its region
+// zeroed, before the new incarnation's header lands on it.
 func TestReopenRetiringCommitsFirst(t *testing.T) {
 	cfg := smallCfg()
 	mem := segfile.NewMemFS()
@@ -239,13 +261,11 @@ func TestReopenRetiringCommitsFirst(t *testing.T) {
 	}
 }
 
-// TestRecycleODirectRoundTrip frees and reopens a segment id on the
-// real filesystem, re-lays the result the way a predecessor run with
-// the since-removed -odirect flag wrote its files (header block and
-// every record padded to 512 bytes), then recovers: the freed name
-// must be a zero-length file while free, and recovery must read the
-// padded layout and surface the second incarnation only.
-func TestRecycleODirectRoundTrip(t *testing.T) {
+// TestRecycleRoundTripDirFS frees and reopens a segment id on the real
+// filesystem, then recovers: while free the region must read as zeros
+// in a log whose size never changed, and recovery must surface the
+// second incarnation only.
+func TestRecycleRoundTripDirFS(t *testing.T) {
 	cfg := smallCfg()
 	dir := t.TempDir()
 	opts := segfile.Options{
@@ -256,32 +276,33 @@ func TestRecycleODirectRoundTrip(t *testing.T) {
 	}
 	sf, err := segfile.Open(opts)
 	must(t, "open", err)
+	path := filepath.Join(dir, segfile.LogName)
+	fi, err := os.Stat(path)
+	must(t, "stat log", err)
+	size := fi.Size()
 
 	must(t, "open 0", sf.OpenSegment(0, 0, 1))
 	fillSegment(t, sf, cfg, 0, 0, 1)
 	must(t, "seal 0", sf.SealSegment(0, 100))
 	must(t, "free 0", sf.FreeSegment(0))
 	commit(t, sf)
-	fi, err := os.Stat(filepath.Join(dir, segfile.SegmentFileName(0)))
-	must(t, "stat freed file", err)
-	if fi.Size() != 0 {
-		t.Fatalf("freed segment file is %d bytes, want a zero-length free slot", fi.Size())
+	raw, err := os.ReadFile(path)
+	must(t, "read log", err)
+	off := segfile.RegionOffset(cfg, 0)
+	if region := raw[off : off+segfile.RegionBytes(cfg)]; slices.ContainsFunc(region, func(b byte) bool { return b != 0 }) {
+		t.Fatal("freed region does not read as zeros")
 	}
 
 	must(t, "reopen 0", sf.OpenSegment(0, 1, 200))
 	fillSegment(t, sf, cfg, 0, 64, 200)
 	must(t, "seal 0 again", sf.SealSegment(0, 300))
 	must(t, "close", sf.Close())
-
-	path := filepath.Join(dir, segfile.SegmentFileName(0))
-	buffered, err := os.ReadFile(path)
-	must(t, "read segment file", err)
-	direct, err := segfile.DirectLayout(buffered, 512)
-	must(t, "re-lay as O_DIRECT", err)
-	if len(direct)%512 != 0 || len(direct) <= len(buffered) {
-		t.Fatalf("O_DIRECT layout is %d bytes from %d buffered, want a larger multiple of 512", len(direct), len(buffered))
+	if fi, err := os.Stat(path); err != nil || fi.Size() != size {
+		t.Fatalf("log is %v bytes (%v) after use, %d at creation", fi.Size(), err, size)
 	}
-	must(t, "write O_DIRECT layout", os.WriteFile(path, direct, 0o644))
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("log directory holds %d entries, want the one log file", len(ents))
+	}
 
 	sf2, err := segfile.Open(opts)
 	must(t, "reopen store", err)

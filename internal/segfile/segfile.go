@@ -2,9 +2,10 @@ package segfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,16 +19,16 @@ import (
 type SyncMode int
 
 const (
-	// SyncAlways fsyncs after every appended chunk: an acknowledged
+	// SyncAlways syncs after every appended chunk: an acknowledged
 	// chunk is durable the moment AppendChunk returns. This is the mode
 	// with the zero-lost-acks guarantee and the one the crash sweep
 	// proves exact.
 	SyncAlways SyncMode = iota
-	// SyncOnSeal defers data fsyncs to the log commit (commit.go): a
-	// sealed segment's file syncs there, and a commit with frees first
-	// syncs every dirty file so a GC victim is never destroyed before
-	// its migrated blocks persist. Open-segment tails may be lost in a
-	// crash; recovery still converges to a consistent prefix.
+	// SyncOnSeal defers data syncs to the log commit (commit.go): a
+	// commit syncs the log file once, covering every seal and append
+	// before it, so a GC victim is never destroyed before its migrated
+	// blocks persist. Open-segment tails may be lost in a crash;
+	// recovery still converges to a consistent prefix.
 	SyncOnSeal
 )
 
@@ -65,12 +66,14 @@ type Options struct {
 	Sync SyncMode
 	// CheckpointEverySeals owes the next commit a clock-floor
 	// checkpoint every N segment seals (in addition to explicit
-	// Checkpoint calls). Zero means 16; negative disables cadence
-	// checkpoints.
+	// Checkpoint calls), and makes a commit Pending once N seals wait
+	// for a sync. Zero means 16; negative disables both.
 	CheckpointEverySeals int
-	// Geometry, when non-zero, stamps the store-geometry fingerprint
-	// into checkpoints so recovery can reject a mismatched
-	// configuration before replaying. Pass Config.GeometryDefaults().
+	// Geometry lays the log file out (its zero fields take
+	// Config.GeometryDefaults' values) and is stamped into its
+	// checkpoint slots, so a log written with another geometry is
+	// refused before anything is read into a store. Pass the store's
+	// Config.
 	Geometry lss.Config
 	// Telemetry registers the lss_durable_* instruments on the set.
 	Telemetry *telemetry.Set
@@ -80,36 +83,28 @@ type Options struct {
 	Shard   int
 }
 
-// fileState is the live append state of one segment file.
-type fileState struct {
+// region is the live append state of one segment id's incarnation.
+type region struct {
 	id     int
-	f      File
-	off    int64
+	epoch  uint64
+	off    int64 // file offset of the next record
 	chunks int
 	sealed bool
-	dirty  bool
-	// linked reports that the file's directory entry is durable. A name
-	// created by OpenSegment is not linked until the first syncFile that
-	// covers the file, which syncs the directory too.
-	linked bool
 }
 
-// Store is the file-backed segment store. It implements
-// lss.LogCommitter and is driven by a single lss.Store under that
-// store's lock: every method but the off-lock phase of CommitOutside
-// and the Stats counters (atomic because telemetry scrapes read them
-// concurrently) runs with the caller's lock held.
+// Store is the file-backed segment store: one log file whose regions
+// are the segment ids (format.go). It implements lss.LogCommitter and
+// is driven by a single lss.Store under that store's lock: every
+// method but the off-lock phase of CommitOutside and the Stats
+// counters (atomic because telemetry scrapes read them concurrently)
+// runs with the caller's lock held.
 type Store struct {
 	fs   FS
+	f    File
 	opts Options
+	lay  layout
 
-	segs map[int]*fileState
-	// dirty indexes the live files holding unsynced bytes, by id.
-	dirty map[int]*fileState
-	// pool holds the free slots: ids whose seg-NNNNN.seg is a durably
-	// linked zero-length file, left by FreeSegment (or found by scan)
-	// for the next OpenSegment of the id to reuse.
-	pool  map[int]bool
+	segs  map[int]*region
 	epoch uint64 // next incarnation epoch
 
 	// Scan results from Open, consumed by Recover.
@@ -117,6 +112,9 @@ type Store struct {
 	ckpt         *checkpoint
 	corruptFiles int64
 
+	// slotSeq is the seq of the newest checkpoint slot; the next one
+	// goes to the other slot.
+	slotSeq uint64
 	// Clock floors cached from the latest append, for cadence-driven
 	// checkpoints between explicit Checkpoint calls.
 	lastW, lastSeq, lastNow uint64
@@ -124,13 +122,19 @@ type Store struct {
 
 	// Recorded, not yet committed: victims FreeSegment queued (in free
 	// order), retiring holds every freed id until a commit hands it
-	// back (queued or inside a batch), ckptDue marks a checkpoint owed.
-	// pending is set by each of them and cleared when a commit takes
-	// them, so a committer can skip an idle log without the lock.
-	victims  []*fileState
+	// back (queued or inside a batch), seals counts the seal records
+	// no commit took yet, ckptDue marks a checkpoint owed. pending is
+	// set by a free, an explicit checkpoint or a full count of waiting
+	// seals — the work a committer must not leave for later — and
+	// cleared when a commit takes it, so a committer can skip an idle
+	// log without the lock. dirty marks writes no sync has been started
+	// for.
+	victims  []victim
 	retiring map[int]bool
+	seals    int
 	ckptDue  bool
 	pending  atomic.Bool
+	dirty    bool
 
 	// commitMu is held by the one commit whose syscalls are running;
 	// commitErr (guarded by it) is the first commit failure, after
@@ -158,20 +162,22 @@ type Store struct {
 
 var _ lss.LogCommitter = (*Store)(nil)
 
-// Open opens (or creates) the backing directory, scans it for durable
-// segment state, and truncates any torn record tails so appends can
-// continue. Call Recover next when HasData reports existing state;
-// build a fresh store with lss.New(..., Deps{Durable: st}) otherwise.
+// Open opens (or creates) the backing directory's log file and scans
+// it for durable segment state, zeroing what a crash left behind the
+// valid records so appends can continue. Call Recover next when
+// HasData reports existing state; build a fresh store with
+// lss.New(..., Deps{Durable: st}) otherwise. A directory in another
+// format version is refused with ErrFormatVersion.
 func Open(opts Options) (*Store, error) {
 	if opts.CheckpointEverySeals == 0 {
 		opts.CheckpointEverySeals = 16
 	}
+	opts.Geometry = opts.Geometry.GeometryDefaults()
 	st := &Store{
 		fs:       opts.FS,
 		opts:     opts,
-		segs:     make(map[int]*fileState),
-		dirty:    make(map[int]*fileState),
-		pool:     make(map[int]bool),
+		lay:      newLayout(opts.Geometry),
+		segs:     make(map[int]*region),
 		retiring: make(map[int]bool),
 		images:   make(map[int]*segImage),
 		epoch:    1,
@@ -186,102 +192,183 @@ func Open(opts Options) (*Store, error) {
 		}
 		st.fs = dfs
 	}
-	if err := st.scan(); err != nil {
+	names, err := st.fs.ReadDir()
+	if err != nil {
+		return nil, fmt.Errorf("segfile: scan: %w", err)
+	}
+	exists := false
+	for _, name := range names {
+		if isV1Name(name) {
+			return nil, fmt.Errorf("%w: %s is format v1; this binary reads v%d", ErrFormatVersion, name, formatVersion)
+		}
+		exists = exists || name == logName
+	}
+	if exists {
+		err = st.scan()
+	} else {
+		err = st.create()
+	}
+	if err != nil {
+		if st.f != nil {
+			_ = st.f.Close()
+		}
 		return nil, err
 	}
 	st.attachTelemetry()
 	return st, nil
 }
 
-// scan reads the directory, parses every segment file and the
-// checkpoint, pools zero-length segment files as free slots, truncates
-// torn tails, and leaves append handles positioned at the end of each
-// valid prefix. It ends with one directory sync: a predecessor killed
-// between creating a segment file and first syncing it leaves a name
-// this process can see but a power cut could still lose, and every
-// later sync of a scanned file assumes its name is durable.
+// create makes the log file: sized once, its first checkpoint slot
+// stamped with the geometry, then the file and its directory entry
+// synced.
+func (st *Store) create() error {
+	f, err := st.fs.OpenFile(logName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("segfile: create log: %w", err)
+	}
+	st.f = f
+	if err := f.Truncate(st.lay.fileBytes()); err != nil {
+		return fmt.Errorf("segfile: size log: %w", err)
+	}
+	if err := st.writeSlot(st.nextSlot()); err != nil {
+		return fmt.Errorf("segfile: create log: %w", err)
+	}
+	return st.bootSync()
+}
+
+// bootSync ends a boot: it syncs the log file, then the directory — a
+// predecessor killed between creating the file and syncing its name
+// leaves one this process can see but a power cut could still lose.
+func (st *Store) bootSync() error {
+	if err := st.timedSync(); err != nil {
+		return err
+	}
+	if err := st.fs.SyncDir(); err != nil {
+		return err
+	}
+	st.dirSyncs.Add(1)
+	return nil
+}
+
+// scan reads the checkpoint slots and every region of an existing log,
+// refuses one laid out for another geometry, and zeroes whatever does
+// not belong to a region's valid image — a cut tail, an unreadable
+// header, a half-zeroed free — so the file is back to its invariant
+// (format.go) before anything is appended. It ends with the boot sync.
 func (st *Store) scan() error {
-	names, err := st.fs.ReadDir()
+	f, err := st.fs.OpenFile(logName, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("segfile: scan: %w", err)
 	}
-	for _, name := range names {
-		switch {
-		case name == ckptName:
-			data, err := readAll(st.fs, name)
-			if err != nil {
-				return fmt.Errorf("segfile: scan: %w", err)
-			}
-			ck, err := decodeCheckpoint(data)
-			if err != nil {
-				// A corrupt checkpoint loses only clock floors; the
-				// segment files are the mapping authority.
-				st.corruptFiles++
-				continue
-			}
-			st.ckpt = &ck
-		case name == ckptTmpName:
-			// A crash between tmp write and rename; the rename never
-			// became durable, so the tmp content is dead weight.
-			_ = st.fs.Remove(name)
-		default:
-			id, ok := parseSegFileName(name)
-			if !ok {
-				continue
-			}
-			data, err := readAll(st.fs, name)
-			if err != nil {
-				return fmt.Errorf("segfile: scan %s: %w", name, err)
-			}
-			if len(data) == 0 {
-				// A freed incarnation (or one created and never synced).
-				st.pool[id] = true
-				continue
-			}
-			img, perr := parseSegment(data)
-			if perr != nil || img.header.segID != id {
-				// Unreadable header (or a header claiming another id):
-				// nothing durable is recoverable from this file.
-				st.corruptFiles++
-				_ = st.fs.Remove(name)
-				continue
-			}
-			st.tornRecords.Add(int64(img.torn))
-			f, err := st.fs.OpenFile(name, os.O_RDWR, 0o644)
-			if err != nil {
-				return fmt.Errorf("segfile: scan %s: %w", name, err)
-			}
-			if int64(len(data)) > img.validLen {
-				if err := f.Truncate(img.validLen); err != nil {
-					return fmt.Errorf("segfile: truncate %s: %w", name, err)
-				}
-			}
-			st.images[id] = img
-			st.segs[id] = &fileState{
-				id:     id,
-				f:      f,
-				off:    img.validLen,
-				chunks: len(img.chunks),
-				sealed: img.sealed,
-				linked: true,
-			}
-			if img.header.epoch >= st.epoch {
-				st.epoch = img.header.epoch + 1
-			}
-		}
-	}
-	if st.ckpt != nil {
-		if st.ckpt.epoch >= st.epoch {
-			st.epoch = st.ckpt.epoch + 1
-		}
-		st.lastW = st.ckpt.w
-		st.lastSeq = st.ckpt.appendSeq
-		st.lastNow = st.ckpt.now
-	}
-	if err := st.syncDir(); err != nil {
+	st.f = f
+	size, err := f.Size()
+	if err != nil {
 		return fmt.Errorf("segfile: scan: %w", err)
 	}
+	page := make([]byte, pageSize)
+	for seq := uint64(0); seq < 2; seq++ {
+		if err := st.readAt(page, slotOff(seq)); err != nil {
+			return err
+		}
+		if allZero(page) {
+			continue
+		}
+		ck, err := decodeCheckpoint(page)
+		if err != nil {
+			if errors.Is(err, ErrFormatVersion) {
+				return err
+			}
+			// A torn slot write loses only that slot; the other is
+			// the newer valid one, or the regions alone recover.
+			st.corruptFiles++
+			continue
+		}
+		if st.ckpt == nil || ck.seq > st.ckpt.seq {
+			st.ckpt = &ck
+		}
+	}
+	if ck := st.ckpt; ck != nil {
+		if ck.geo != st.lay.geometry {
+			return fmt.Errorf("segfile: log laid out for %+v, configuration needs %+v", ck.geo, st.lay.geometry)
+		}
+		st.slotSeq = ck.seq
+		st.lastW, st.lastSeq, st.lastNow = ck.w, ck.appendSeq, ck.now
+		st.epoch = max(st.epoch, ck.epoch)
+	}
+	switch want := st.lay.fileBytes(); {
+	case size > want:
+		return fmt.Errorf("segfile: log is %d bytes, geometry %+v lays out %d", size, st.lay.geometry, want)
+	case size < want:
+		// Short only if its creation never synced: what is there reads
+		// on, and the rest of the file is the zeros it was sized with.
+		if err := f.Truncate(want); err != nil {
+			return fmt.Errorf("segfile: size log: %w", err)
+		}
+	}
+	buf := make([]byte, st.lay.regionBytes)
+	for id := 0; id < st.lay.regions; id++ {
+		off := st.lay.regionOff(id)
+		if err := st.readAt(buf, off); err != nil {
+			return err
+		}
+		img, err := parseRegion(buf, id, st.lay.geometry)
+		switch {
+		case errors.Is(err, ErrFormatVersion):
+			return err
+		case err != nil:
+			// Unreadable header (or one claiming another id): nothing
+			// durable is recoverable from this region.
+			st.corruptFiles++
+			err = st.zero(buf, off, 0)
+		case img == nil:
+			// Free; a crash inside a free may have left it half zeroed.
+			if !allZero(buf) {
+				st.tornRecords.Add(1)
+				err = st.zero(buf, off, 0)
+			}
+		default:
+			if !allZero(buf[img.validLen:]) {
+				img.torn = max(img.torn, 1)
+				err = st.zero(buf, off, img.validLen)
+			}
+			st.tornRecords.Add(int64(img.torn))
+			st.images[id] = img
+			st.segs[id] = &region{
+				id:     id,
+				epoch:  img.header.epoch,
+				off:    off + img.validLen,
+				chunks: len(img.chunks),
+				sealed: img.sealed,
+			}
+			st.epoch = max(st.epoch, img.header.epoch+1)
+		}
+		if err != nil {
+			return fmt.Errorf("segfile: scan region %d: %w", id, err)
+		}
+	}
+	return st.bootSync()
+}
+
+// readAt fills buf from the log at off; bytes past the end read as the
+// zeros a sized file holds there.
+func (st *Store) readAt(buf []byte, off int64) error {
+	n, err := st.f.ReadAt(buf, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("segfile: read log at %d: %w", off, err)
+	}
+	clear(buf[n:])
 	return nil
+}
+
+// zero overwrites region bytes buf[from:] (the region at off) with
+// zeros, skipping a leading all-zero stretch.
+func (st *Store) zero(buf []byte, off, from int64) error {
+	for from < int64(len(buf)) && buf[from] == 0 {
+		from++
+	}
+	z := make([]byte, int64(len(buf))-from)
+	_, err := st.f.WriteAt(z, off+from)
+	return err
 }
 
 // HasData reports whether the directory held recoverable state —
@@ -289,7 +376,7 @@ func (st *Store) scan() error {
 func (st *Store) HasData() bool { return len(st.images) > 0 || st.ckpt != nil }
 
 // Close commits what is recorded (seals, frees, a due checkpoint),
-// syncs every other dirty segment file and closes all handles; call it
+// syncs any appends no commit covered and closes the file; call it
 // with the caller's lock held, like every other method. It waits out a
 // commit already running. lss.Store.Drain checkpoints through the
 // DurableLog hook before the engine closes its backend.
@@ -299,46 +386,14 @@ func (st *Store) Close() error {
 	}
 	_, firstErr := st.Commit()
 	st.closed = true
-	ids := make([]int, 0, len(st.segs))
-	for id := range st.segs {
-		ids = append(ids, id)
+	if st.dirty && firstErr == nil {
+		st.dirty = false
+		firstErr = st.timedSync()
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fs := st.segs[id]
-		if fs.f == nil {
-			continue
-		}
-		if fs.dirty {
-			if err := st.syncFile(fs); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := fs.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		fs.f = nil
+	if err := st.f.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
-}
-
-// syncFile makes one segment file durable and reachable: it fsyncs the
-// file (feeding the latency instruments) and, the first time a newly
-// created name is covered, the directory after it. It is the inline
-// sync: the per-append sync under SyncAlways and Close's last tails.
-func (st *Store) syncFile(fs *fileState) error {
-	if err := st.timedSync(fs.f); err != nil {
-		return err
-	}
-	if !fs.linked {
-		if err := st.syncDir(); err != nil {
-			return err
-		}
-		fs.linked = true
-	}
-	fs.dirty = false
-	delete(st.dirty, fs.id)
-	return nil
 }
 
 // fsyncBounds are the fsync-latency histogram bucket upper bounds in
@@ -348,102 +403,81 @@ var fsyncBounds = []int64{
 	10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000,
 }
 
-// timedSync fsyncs f, counting the call and observing its latency.
-func (st *Store) timedSync(f File) error {
+// timedSync syncs the log file, counting the call and observing its
+// latency.
+func (st *Store) timedSync() error {
 	start := time.Now()
-	if err := f.Sync(); err != nil {
+	if err := st.f.Sync(); err != nil {
 		return err
 	}
-	d := time.Since(start).Nanoseconds()
 	st.fsyncs.Add(1)
-	st.hist.Observe(d)
+	st.hist.Observe(time.Since(start).Nanoseconds())
 	return nil
 }
 
-// syncDir persists the directory namespace, counting the call.
-func (st *Store) syncDir() error {
-	if err := st.fs.SyncDir(); err != nil {
+// write writes pre-framed bytes at the region's append offset.
+func (st *Store) write(r *region, rec []byte) error {
+	if r.off+int64(len(rec)) > st.lay.regionOff(r.id+1) {
+		return fmt.Errorf("segfile: segment %d overflows its %d-byte region", r.id, st.lay.regionBytes)
+	}
+	if _, err := st.f.WriteAt(rec, r.off); err != nil {
 		return err
 	}
-	st.dirSyncs.Add(1)
-	return nil
-}
-
-// writeRec appends pre-framed bytes (a record, or the header block) at
-// the file's append offset.
-func (st *Store) writeRec(fs *fileState, rec []byte) error {
-	if _, err := fs.f.WriteAt(rec, fs.off); err != nil {
-		return err
-	}
-	fs.off += int64(len(rec))
-	fs.dirty = true
-	st.dirty[fs.id] = fs
+	r.off += int64(len(rec))
+	st.dirty = true
 	st.bytesWritten.Add(int64(len(rec)))
 	return nil
 }
 
 // OpenSegment implements lss.DurableLog: it starts a fresh incarnation
-// of segment id by writing a header into the id's pooled zero-length
-// file, creating the file only when the id has never been used. It
-// issues no sync of its own: the header (and a new name's directory
-// entry) become durable with the first syncFile that covers the file,
-// which is also the first point anything acked depends on them.
+// of segment id by writing a header at the start of its region, which
+// reads as zeros: never used, or zeroed by the commit that handed the
+// id back. It issues no sync of its own: the header becomes durable
+// with the first sync that covers it, which is also the first point
+// anything acked depends on it.
 func (st *Store) OpenSegment(id int, group lss.GroupID, born sim.WriteClock) error {
-	if old := st.segs[id]; old != nil {
+	if st.segs[id] != nil {
 		return fmt.Errorf("segfile: open segment %d: incarnation already present", id)
+	}
+	if id < 0 || id >= st.lay.regions {
+		return fmt.Errorf("segfile: open segment %d: the log holds %d regions", id, st.lay.regions)
 	}
 	if st.retiring[id] {
 		// Reused before a commit handed it back — a caller that reaches
-		// this store through a wrapper hiding Commit. Commit inline:
-		// the truncate must not land on the new incarnation.
+		// this store through a wrapper hiding Commit. Commit inline: the
+		// free must be durable, and the region zeroed, before the new
+		// incarnation's header lands on it.
 		if _, err := st.Commit(); err != nil {
 			return fmt.Errorf("segfile: open segment %d: %w", id, err)
 		}
 	}
-	recycled := st.pool[id]
-	flag := os.O_RDWR
-	if !recycled {
-		flag |= os.O_CREATE | os.O_TRUNC
-	}
-	f, err := st.fs.OpenFile(segFileName(id), flag, 0o644)
-	if err != nil {
-		return fmt.Errorf("segfile: open segment %d: %w", id, err)
-	}
-	hdr := encodeHeader(segHeader{
-		segID:     id,
-		group:     int(group),
-		born:      uint64(born),
-		epoch:     st.epoch,
-		dataStart: headerSize,
-	})
-	fs := &fileState{id: id, f: f, linked: recycled}
-	st.epoch++
-	if err := st.writeRec(fs, hdr); err != nil {
-		f.Close()
+	r := &region{id: id, epoch: st.epoch, off: st.lay.regionOff(id)}
+	hdr := encodeHeader(segHeader{segID: id, group: int(group), born: uint64(born), epoch: r.epoch})
+	if err := st.write(r, hdr); err != nil {
 		return fmt.Errorf("segfile: segment %d header: %w", id, err)
 	}
-	delete(st.pool, id)
-	st.segs[id] = fs
+	st.epoch++
+	st.segs[id] = r
 	return nil
 }
 
 // AppendChunk implements lss.DurableLog.
 func (st *Store) AppendChunk(c lss.DurableChunk) error {
-	fs := st.segs[c.Segment]
-	if fs == nil || fs.f == nil {
+	r := st.segs[c.Segment]
+	if r == nil {
 		return fmt.Errorf("segfile: append to segment %d with no open incarnation", c.Segment)
 	}
-	if fs.sealed {
+	if r.sealed {
 		return fmt.Errorf("segfile: append to sealed segment %d", c.Segment)
 	}
-	if c.Chunk != fs.chunks {
-		return fmt.Errorf("segfile: segment %d chunk %d out of order (have %d)", c.Segment, c.Chunk, fs.chunks)
+	if c.Chunk != r.chunks {
+		return fmt.Errorf("segfile: segment %d chunk %d out of order (have %d)", c.Segment, c.Chunk, r.chunks)
 	}
-	rec := appendRecord(nil, recChunk, encodeChunkBody(c.Chunk, uint64(c.W), uint64(c.Now), c.LBAs, c.Vers))
-	if err := st.writeRec(fs, rec); err != nil {
+	rec := appendRecord(nil, r.epoch, recChunk, encodeChunkBody(c.Chunk, uint64(c.W), uint64(c.Now), c.LBAs, c.Vers))
+	if err := st.write(r, rec); err != nil {
 		return fmt.Errorf("segfile: segment %d chunk %d: %w", c.Segment, c.Chunk, err)
 	}
-	fs.chunks++
+	r.chunks++
 	st.lastW = uint64(c.W)
 	st.lastNow = uint64(c.Now)
 	for _, v := range c.Vers {
@@ -452,69 +486,66 @@ func (st *Store) AppendChunk(c lss.DurableChunk) error {
 		}
 	}
 	if st.opts.Sync == SyncAlways {
-		if err := st.syncFile(fs); err != nil {
+		st.dirty = false
+		if err := st.timedSync(); err != nil {
 			return fmt.Errorf("segfile: segment %d chunk %d sync: %w", c.Segment, c.Chunk, err)
 		}
 	}
 	return nil
 }
 
-// SealSegment implements lss.DurableLog: it appends the seal record
-// and queues the file for the next commit, which syncs it once and
-// closes it, in every sync mode. The seal stays write-ahead without a
-// sync of the chunk data before it, because the parser reaches a seal
-// record only through every record in front of it: a crash that
-// persists the seal but not some chunk leaves a torn tail ending
-// before that chunk, never a sealed segment with a hole.
+// SealSegment implements lss.DurableLog: it appends the seal record,
+// which the next commit's sync makes durable, in every sync mode.
+// Seals and the cadence checkpoint they make due ride the next commit
+// a free or an explicit Checkpoint brings; only when
+// CheckpointEverySeals seals wait for a sync do they make a commit
+// Pending on their own, so a log that frees nothing still syncs every
+// N seals. The
+// seal stays write-ahead without a sync of the chunk data before it,
+// because the parser reaches a seal record only through every record
+// in front of it: a crash that persists the seal but not some chunk
+// leaves a cut tail ending before that chunk, never a sealed segment
+// with a hole.
 func (st *Store) SealSegment(id int, sealedW sim.WriteClock) error {
-	fs := st.segs[id]
-	if fs == nil || fs.f == nil {
+	r := st.segs[id]
+	if r == nil {
 		return fmt.Errorf("segfile: seal segment %d with no open incarnation", id)
 	}
-	if fs.sealed {
+	if r.sealed {
 		return fmt.Errorf("segfile: segment %d already sealed", id)
 	}
-	var body [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(body[:], uint64(sealedW))
-	rec := appendRecord(nil, recSeal, body[:n])
-	if err := st.writeRec(fs, rec); err != nil {
+	rec := appendRecord(nil, r.epoch, recSeal, binary.AppendUvarint(nil, uint64(sealedW)))
+	if err := st.write(r, rec); err != nil {
 		return fmt.Errorf("segfile: segment %d seal: %w", id, err)
 	}
-	fs.sealed = true
-	if st.opts.CheckpointEverySeals > 0 {
+	r.sealed = true
+	st.seals++
+	if n := st.opts.CheckpointEverySeals; n > 0 {
 		st.sealsSinceCkpt++
-		if st.sealsSinceCkpt >= st.opts.CheckpointEverySeals {
+		if st.sealsSinceCkpt >= n {
 			st.sealsSinceCkpt = 0
 			st.ckptDue = true
 		}
+		if st.seals >= n {
+			st.pending.Store(true)
+		}
 	}
-	st.pending.Store(true)
 	return nil
 }
 
 // FreeSegment implements lss.DurableLog: it takes the victim out of
-// the live set and queues it for the next commit, which truncates it
-// to zero and syncs it — the free's durability point — only after
-// syncing every dirty file: GC migrated the victim's live blocks into
-// other segments' chunks, and those appends must be durable before the
-// only prior copy goes. The truncated, durably linked name then waits
-// in the pool for the id's next incarnation; nothing is unlinked. The
+// the live set and queues it for the next commit, which zeroes its
+// region only after the sync that makes every append before the free
+// durable — GC migrated the victim's live blocks into other segments'
+// chunks, and those must persist before the only prior copy goes. The
 // id is not reusable until a commit hands it back.
 func (st *Store) FreeSegment(id int) error {
-	victim := st.segs[id]
-	if victim == nil {
+	r := st.segs[id]
+	if r == nil {
 		return fmt.Errorf("segfile: free segment %d with no incarnation", id)
 	}
-	if victim.f == nil {
-		f, err := st.fs.OpenFile(segFileName(id), os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("segfile: free segment %d: %w", id, err)
-		}
-		victim.f = f
-	}
 	delete(st.segs, id)
-	delete(st.dirty, id)
-	st.victims = append(st.victims, victim)
+	st.victims = append(st.victims, victim{id: id, len: r.off - st.lay.regionOff(id)})
 	st.retiring[id] = true
 	st.pending.Store(true)
 	return nil
@@ -532,46 +563,27 @@ func (st *Store) Checkpoint(w sim.WriteClock, appendSeq int64, now sim.Time) err
 	return nil
 }
 
-// encodeCheckpoint encodes the checkpoint the store's current floors
-// describe.
-func (st *Store) encodeCheckpoint() []byte {
-	geo := geometry{
-		blockSize:     st.opts.Geometry.BlockSize,
-		chunkBlocks:   st.opts.Geometry.ChunkBlocks,
-		segmentChunks: st.opts.Geometry.SegmentChunks,
-		userBlocks:    st.opts.Geometry.UserBlocks,
-	}
-	return encodeCheckpoint(geo, st.lastW, st.lastSeq, st.lastNow, st.epoch)
+// nextSlot encodes the next checkpoint slot from the store's current
+// floors and returns it with the file offset it goes to.
+func (st *Store) nextSlot() (data []byte, off int64) {
+	st.slotSeq++
+	return encodeCheckpoint(checkpoint{
+		geo:       st.lay.geometry,
+		seq:       st.slotSeq,
+		w:         st.lastW,
+		appendSeq: st.lastSeq,
+		now:       st.lastNow,
+		epoch:     st.epoch,
+	}), slotOff(st.slotSeq)
 }
 
-// writeCheckpoint atomically replaces the checkpoint file with data:
-// write the tmp, sync it, rename over the live name, sync the
-// directory. Only a commit calls it, so it touches no store state but
-// the atomic counters.
-func (st *Store) writeCheckpoint(data []byte) error {
-	f, err := st.fs.OpenFile(ckptTmpName, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := st.timedSync(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := st.fs.Rename(ckptTmpName, ckptName); err != nil {
-		return err
-	}
-	if err := st.syncDir(); err != nil {
+// writeSlot writes an encoded checkpoint slot. Only boot and a commit
+// call it, so it touches no store state but the atomic counters.
+func (st *Store) writeSlot(data []byte, off int64) error {
+	if _, err := st.f.WriteAt(data, off); err != nil {
 		return err
 	}
 	st.bytesWritten.Add(int64(len(data)))
-	st.checkpoints.Add(1)
 	return nil
 }
 
@@ -634,14 +646,14 @@ func (st *Store) attachTelemetry() {
 		fn         func() int64
 	}
 	for _, c := range []cum{
-		{telemetry.MetricDurableSyncedSegments, "Segments sealed and fsynced to the durable backend", true, st.syncedSegments.Load},
-		{telemetry.MetricDurableFsyncs, "fsync syscalls issued by the durable backend", true, st.fsyncs.Load},
-		{telemetry.MetricDurableDirSyncs, "Directory fsyncs issued by the durable backend", true, st.dirSyncs.Load},
+		{telemetry.MetricDurableSyncedSegments, "Segment seals a log commit made durable", true, st.syncedSegments.Load},
+		{telemetry.MetricDurableFsyncs, "Log file syncs (fdatasync on Linux) issued by the durable backend", true, st.fsyncs.Load},
+		{telemetry.MetricDurableDirSyncs, "Directory fsyncs issued by the durable backend, one per boot", true, st.dirSyncs.Load},
 		{telemetry.MetricDurableBytes, "Bytes appended to the durable segment log", true, st.bytesWritten.Load},
-		{telemetry.MetricDurableCheckpoints, "Clock-floor checkpoints atomically installed", true, st.checkpoints.Load},
+		{telemetry.MetricDurableCheckpoints, "Checkpoint slots a log commit made durable", true, st.checkpoints.Load},
 		{telemetry.MetricDurableRecoveredSegments, "Segments rolled forward from disk at recovery", false, st.recoveredSegs.Load},
 		{telemetry.MetricDurableRecoveredBlocks, "Blocks rolled forward from disk at recovery", false, st.recoveredBlocks.Load},
-		{telemetry.MetricDurableTornRecords, "Torn record tails truncated at recovery", false, st.tornRecords.Load},
+		{telemetry.MetricDurableTornRecords, "Regions whose torn tail was zeroed at boot", false, st.tornRecords.Load},
 	} {
 		reg.NewFuncGauge(st.metricName(c.name), c.help, c.cumulative, c.fn)
 	}

@@ -90,7 +90,7 @@ const workloadOps = 900
 
 // TestRoundTrip drives a workload against a MemFS-backed store through
 // a clean shutdown, recovers twice (with appends in between, so the
-// second recovery replays chunks appended onto rolled-forward files),
+// second recovery replays chunks appended onto rolled-forward segments),
 // and requires the recovered mapping to equal the in-memory oracle
 // each time.
 func TestRoundTrip(t *testing.T) {
@@ -150,7 +150,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Keep writing through the recovered store: appends continue onto
-	// recovered open-segment files and new incarnations alike.
+	// recovered open segments and new incarnations alike.
 	if !driveWorkload(t, rec, workloadOps/2) {
 		t.Fatalf("post-recovery workload: %v", rec.DurableErr())
 	}
